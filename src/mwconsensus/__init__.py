@@ -21,10 +21,8 @@ from .mwgraph import Bipartition, GaugeMatrix, InputCoupling, \
     predicted_bipartite_limit, verify_assumption1, verify_assumption2
 from .sim import Scenario, TrajectoryRecord, chi_floor_check, min_inter_event, \
     run, step, validate_scenario
-from .trigger import LeaderFollower, Leaderless, TriggerParams, \
-    chi_rate_leaderless, chi_rate_lf, control_leader_follower, \
-    control_leaderless, gamma, leaderless_fires, lf_fires, mu_bar, \
-    relative_broadcast, validate_params
+from .trigger import LeaderFollower, Leaderless, TriggerParams, gamma, \
+    mu_bar, validate_params
 
 __version__ = "0.1.0"
 

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from . import mwgraph, sim
-from .errors import AssumptionViolated
-from .mwgraph import GaugeMatrix
 from .sim import TrajectoryRecord
 from .trigger import LeaderFollower
 
@@ -18,14 +18,19 @@ FIT_FLOOR_RATIO = 1e-10
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Scalar digest of a completed run."""
+    """Scalar digest of a completed run.
+
+    The error and decay fields are measured against the predicted limit
+    state; they are ``None`` for a record without one (a forced run whose
+    structural assumptions fail).
+    """
 
     mode: str
     n: int
     d: int
-    final_bipartite_error: float
-    final_relative_error: float
-    fitted_decay_rate: float
+    final_bipartite_error: Optional[float]
+    final_relative_error: Optional[float]
+    fitted_decay_rate: Optional[float]
     event_counts: tuple[int, ...]
     min_dwell: tuple[float, ...]
     max_consecutive: tuple[int, ...]
@@ -66,14 +71,12 @@ def lyapunov_leaderless(record: TrajectoryRecord,
     return 0.5 * np.einsum("ij,ij->i", diff, diff) + record.chi.sum(axis=1)
 
 
-def lyapunov_lf(record: TrajectoryRecord, gauge: GaugeMatrix,
-                u0: np.ndarray, grounded_laplacian) -> np.ndarray:
-    """V(t) = xi^T L_B xi + sum_i chi_i with xi = x - (gauge-signed input copies)."""
-    d = record.d
-    target = (gauge.signs.astype(float)[:, None]
-              * np.asarray(u0, dtype=float)[None, :]).reshape(-1)
+def lyapunov_lf(record: TrajectoryRecord, xtilde: np.ndarray,
+                grounded_laplacian) -> np.ndarray:
+    """V(t) = xi^T L_B xi + sum_i chi_i with xi = x - xtilde, where xtilde
+    holds the gauge-signed input copies (the record's limit state)."""
     lb = np.asarray(grounded_laplacian)
-    xi = record.states - target[None, :]
+    xi = record.states - np.asarray(xtilde, dtype=float)[None, :]
     return np.einsum("ij,jk,ik->i", xi, lb, xi) + record.chi.sum(axis=1)
 
 
@@ -95,32 +98,32 @@ def fit_decay_rate(times: np.ndarray, values: np.ndarray,
 def event_stats(record: TrajectoryRecord) -> RunSummary:
     """Aggregate a record into a :class:`RunSummary`.
 
-    Needs the predicted limit state; a record produced from a scenario whose
-    assumptions fail has none, which is reported as an error because every
-    summary quantity is defined relative to the limit.
+    A record without a predicted limit state (its scenario's assumptions
+    fail) gets ``None`` for the error and decay fields, which are defined
+    relative to the limit.
     """
-    if record.limit_state is None:
-        raise AssumptionViolated("record has no predicted limit state")
     sc = record.scenario
     lf = isinstance(sc.mode, LeaderFollower)
-    err = bipartite_error(record, record.limit_state)
-    if lf:
-        report = mwgraph.verify_assumption1(sc.graph)
-        gauge = mwgraph.gauge_matrix(report.bipartition)
-        lb = mwgraph.build_grounded_laplacian(sc.graph, sc.mode.coupling).entries
-        v = lyapunov_lf(record, gauge, sc.mode.u0, lb)
-    else:
-        v = lyapunov_leaderless(record, record.limit_state)
+    xtilde = record.limit_state
+    final_err = rel_err = decay = None
+    if xtilde is not None:
+        final_err = float(bipartite_error(record, xtilde)[-1])
+        rel_err = final_err / max(1.0, float(np.linalg.norm(xtilde)))
+        if lf:
+            lb = mwgraph.build_grounded_laplacian(sc.graph, sc.mode.coupling)
+            v = lyapunov_lf(record, xtilde, lb.entries)
+        else:
+            v = lyapunov_leaderless(record, xtilde)
+        decay = fit_decay_rate(record.times, v)
     dwell = sim.min_inter_event(record)
     margins = sim.chi_floor_check(record)
-    scale = max(1.0, float(np.linalg.norm(record.limit_state)))
     return RunSummary(
         mode="leader-follower" if lf else "leaderless",
         n=record.n,
         d=record.d,
-        final_bipartite_error=float(err[-1]),
-        final_relative_error=float(err[-1]) / scale,
-        fitted_decay_rate=fit_decay_rate(record.times, v),
+        final_bipartite_error=final_err,
+        final_relative_error=rel_err,
+        fitted_decay_rate=decay,
         event_counts=tuple(len(e) for e in record.events),
         min_dwell=tuple(float(x) for x in dwell.min_dwell),
         max_consecutive=tuple(int(x) for x in dwell.max_consecutive),

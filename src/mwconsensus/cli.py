@@ -21,6 +21,7 @@ the artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analysis, builtin, mwgraph, scenario_io, sim, trigger
-from .errors import Diverged, GraphFormatError, InvalidScenario, MwcError
+from .errors import Diverged, InvalidScenario, MwcError
 from .linalg import sym_eigen
 from .trigger import LeaderFollower
 
@@ -41,56 +42,20 @@ EXIT_IO = 3
 BUILTIN_TOKENS = ("builtin:leaderless", "builtin:lf")
 
 
-def _load(source: str, overrides: argparse.Namespace):
+def _load(source: str, args: argparse.Namespace):
     """Resolve a scenario source (path or builtin token) plus CLI overrides."""
     if source in BUILTIN_TOKENS:
-        which = source.split(":", 1)[1]
-        scenario = _builtin_scenario(which, overrides)
+        build = (builtin.leaderless_scenario if source == "builtin:leaderless"
+                 else builtin.leader_follower_scenario)
+        scenario = build(raw_first_edge=getattr(args, "raw_first_edge", False))
         outputs = dict(scenario_io.DEFAULT_OUTPUTS)
     else:
         scenario, outputs = scenario_io.load_scenario_file(source)
-        scenario = _apply_overrides(scenario, overrides)
-    return scenario, outputs
-
-
-def _builtin_scenario(which: str, overrides: argparse.Namespace):
-    kwargs = {}
-    if getattr(overrides, "seed", None) is not None:
-        kwargs["seed"] = overrides.seed
-    if getattr(overrides, "dt", None) is not None:
-        kwargs["dt"] = overrides.dt
-    if getattr(overrides, "horizon", None) is not None:
-        kwargs["horizon"] = overrides.horizon
-    if getattr(overrides, "baseline", None) is not None:
-        kwargs["baseline"] = overrides.baseline
-    if getattr(overrides, "raw_first_edge", False):
-        kwargs["raw_first_edge"] = True
-    if which == "leaderless":
-        return builtin.leaderless_scenario(**kwargs)
-    if which == "lf":
-        return builtin.leader_follower_scenario(**kwargs)
-    raise GraphFormatError(f"unknown builtin scenario {which!r}")
-
-
-def _apply_overrides(scenario: sim.Scenario, overrides: argparse.Namespace):
-    changes = {}
-    if getattr(overrides, "dt", None) is not None:
-        changes["dt"] = overrides.dt
-    if getattr(overrides, "horizon", None) is not None:
-        changes["horizon"] = overrides.horizon
-    if getattr(overrides, "seed", None) is not None:
-        changes["seed"] = overrides.seed
-    if getattr(overrides, "baseline", None) is not None:
-        changes["baseline"] = overrides.baseline
-    if not changes:
-        return scenario
-    return sim.Scenario(
-        graph=scenario.graph, mode=scenario.mode, params=scenario.params,
-        dt=changes.get("dt", scenario.dt),
-        horizon=changes.get("horizon", scenario.horizon),
-        x0=scenario.x0,
-        seed=changes.get("seed", scenario.seed),
-        baseline=changes.get("baseline", scenario.baseline))
+    # The override flags' argparse destinations are the Scenario field names.
+    changes = {name: getattr(args, name)
+               for name in ("dt", "horizon", "seed", "baseline")
+               if getattr(args, name, None) is not None}
+    return dataclasses.replace(scenario, **changes), outputs
 
 
 def _fmt(value: float) -> str:
@@ -158,22 +123,7 @@ def _summary_doc(record) -> dict:
         "limit_state": (None if record.limit_state is None
                         else [float(v) for v in record.limit_state]),
     }
-    if record.limit_state is not None:
-        summary = analysis.event_stats(record)
-        doc.update(summary.as_dict(include_duration=False))
-    else:
-        dwell = sim.min_inter_event(record)
-        doc.update({
-            "mode": ("leader-follower" if isinstance(sc.mode, LeaderFollower)
-                     else "leaderless"),
-            "n": record.n,
-            "d": record.d,
-            "event_counts": [len(e) for e in record.events],
-            "min_dwell": [float(x) for x in dwell.min_dwell],
-            "max_consecutive": [int(x) for x in dwell.max_consecutive],
-            "chi_floor_margins": [float(x) for x in sim.chi_floor_check(record)],
-            "warnings": list(record.warnings),
-        })
+    doc.update(analysis.event_stats(record).as_dict(include_duration=False))
     return doc
 
 
@@ -183,13 +133,13 @@ def cmd_check(args) -> int:
     print(f"graph: n={g.n} agents, d={g.d}, {len(g.edges)} edges")
     for e in g.edges:
         print(f"  edge ({e.i},{e.j}): {e.cls.value}")
-    bip = mwgraph.detect_structural_balance(g)
+    report = mwgraph.verify_assumption1(g)
+    bip = report.bipartition
     if bip is None:
         print("structural balance: IMBALANCED")
     else:
         print(f"structural balance: balanced; "
               f"group1={sorted(bip.group1)} group2={sorted(bip.group2)}")
-    report = mwgraph.verify_assumption1(g)
     print(f"assumption 1 (balance + exact consensus kernel): "
           f"{'holds' if report.holds else 'FAILS'} "
           f"(nullity {report.nullity}, subspace residual "
@@ -207,7 +157,7 @@ def cmd_check(args) -> int:
     gam_row = [trigger.gamma(i, g, coupling) for i in range(g.n)]
     print("mu_bar: " + "  ".join(f"{v:.4f}" for v in mu_row))
     print("gamma:  " + "  ".join(f"{v:.4f}" for v in gam_row))
-    violations = trigger.validate_params(scenario.params, scenario.mode)
+    violations = trigger.validate_params(scenario.params)
     for v in violations:
         print(f"parameter violation: {v}")
     ok = ok and not violations
@@ -217,9 +167,8 @@ def cmd_check(args) -> int:
 def cmd_spectrum(args) -> int:
     scenario, _ = _load(args.scenario, args)
     g = scenario.graph
-    lap = mwgraph.build_laplacian(g)
-    vals = sym_eigen(lap).eigenvalues
-    nullity = mwgraph.null_space(lap).shape[1]
+    vals = sym_eigen(mwgraph.build_laplacian(g)).eigenvalues
+    nullity = int(mwgraph.kernel_mask(vals).sum())
     positive = vals[vals > 1e-9 * max(1.0, vals[-1])]
     print("laplacian eigenvalues (ascending):")
     print("  " + "  ".join(f"{v:.6g}" for v in vals))
@@ -259,7 +208,7 @@ def _execute(scenario, outputs, args) -> int:
     elapsed = time.perf_counter() - started
     print(f"run complete: {outdir}")
     print(f"  events per agent: {doc['event_counts']}")
-    if "final_relative_error" in doc:
+    if doc["final_relative_error"] is not None:
         print(f"  final bipartite error: {doc['final_bipartite_error']:.6g} "
               f"(relative {doc['final_relative_error']:.6g})")
     for w in doc.get("warnings", []):

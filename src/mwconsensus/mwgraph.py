@@ -7,12 +7,18 @@ a zero block is simply a non-edge).  On top of the graph itself this module
 derives the block Laplacian, the grounded (input-extended) Laplacian,
 structural balance and the gauge transformation, and the two structural
 assumptions that the consensus protocols require.
+
+A graph is immutable, so it computes each structural fact once and keeps it:
+its adjacency index on construction, its Laplacian and its Assumption-1
+report on first use.  ``build_laplacian`` and ``verify_assumption1`` read
+those cached facts.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -113,14 +119,19 @@ def _resolve_weight(raw, d: int, declared: Optional[str], where: str,
 
 @dataclass(frozen=True, eq=False)
 class MatrixWeightedGraph:
-    """Undirected graph on n nodes with sign-definite d x d matrix weights."""
+    """Undirected graph on n nodes with sign-definite d x d matrix weights.
+
+    Immutable; neighbor and edge lookups go through an index built on
+    construction, and the Laplacian and Assumption-1 report are cached.
+    """
 
     n: int
     d: int
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        seen = set()
+        by_pair: dict[tuple[int, int], Edge] = {}
+        adjacent: list[list[int]] = [[] for _ in range(self.n)]
         for e in self.edges:
             if not (0 <= e.i < self.n and 0 <= e.j < self.n):
                 raise GraphFormatError(f"edge ({e.i},{e.j}) out of range for n={self.n}")
@@ -131,14 +142,19 @@ class MatrixWeightedGraph:
                     f"edge ({e.i},{e.j}) weight is {e.weight.dim}x{e.weight.dim}, "
                     f"graph block dimension is {self.d}")
             key = (min(e.i, e.j), max(e.i, e.j))
-            if key in seen:
+            if key in by_pair:
                 raise GraphFormatError(f"duplicate edge ({e.i},{e.j})")
-            seen.add(key)
             if not e.cls.is_sign_definite:
                 raise GraphFormatError(
                     f"edge ({e.i},{e.j}) has class {e.cls.value}")
-        object.__setattr__(self, "edges", tuple(
-            Edge(min(e.i, e.j), max(e.i, e.j), e.weight, e.cls) for e in self.edges))
+            by_pair[key] = Edge(*key, e.weight, e.cls)
+            adjacent[e.i].append(e.j)
+            adjacent[e.j].append(e.i)
+        object.__setattr__(self, "edges", tuple(by_pair.values()))
+        # Adjacency index: the graph is immutable, so lookups never go stale.
+        object.__setattr__(self, "_by_pair", by_pair)
+        object.__setattr__(self, "_neighbors", {
+            i: tuple(sorted(adj)) for i, adj in enumerate(adjacent)})
 
     @classmethod
     def from_edges(cls, n: int, d: int,
@@ -159,18 +175,13 @@ class MatrixWeightedGraph:
         return cls(n, d, tuple(built))
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        out = [e.j if e.i == i else e.i for e in self.edges if i in (e.i, e.j)]
-        return tuple(sorted(out))
+        return self._neighbors.get(i, ())
 
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))
 
     def edge(self, i: int, j: int) -> Optional[Edge]:
-        key = (min(i, j), max(i, j))
-        for e in self.edges:
-            if (e.i, e.j) == key:
-                return e
-        return None
+        return self._by_pair.get((min(i, j), max(i, j)))
 
     def weight(self, i: int, j: int) -> SymMatrix:
         e = self.edge(i, j)
@@ -188,29 +199,44 @@ class MatrixWeightedGraph:
             return SymMatrix.zero(self.d)
         return e.abs_weight()
 
-    def components(self) -> list[list[int]]:
-        adj = {i: set() for i in range(self.n)}
+    @cached_property
+    def laplacian(self) -> SymMatrix:
+        """Block Laplacian: diagonal blocks sum the incident absolute weights,
+        off-diagonal block (i, j) is minus the signed weight."""
+        d = self.d
+        L = np.zeros((self.n * d, self.n * d))
         for e in self.edges:
-            adj[e.i].add(e.j)
-            adj[e.j].add(e.i)
-        seen, comps = set(), []
-        for root in range(self.n):
-            if root in seen:
-                continue
-            comp, queue = [], deque([root])
-            seen.add(root)
-            while queue:
-                u = queue.popleft()
-                comp.append(u)
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        queue.append(v)
-            comps.append(sorted(comp))
-        return comps
+            absw = e.abs_weight().entries
+            signed = e.sign * absw
+            i, j = e.i, e.j
+            L[i * d:(i + 1) * d, i * d:(i + 1) * d] += absw
+            L[j * d:(j + 1) * d, j * d:(j + 1) * d] += absw
+            L[i * d:(i + 1) * d, j * d:(j + 1) * d] = -signed
+            L[j * d:(j + 1) * d, i * d:(i + 1) * d] = -signed
+        return SymMatrix(L)
 
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+    @cached_property
+    def assumption1(self) -> "Assumption1Report":
+        """Structural balance plus exact-dimension Laplacian kernel.
+
+        Holds when the graph is balanced, the Laplacian nullity equals d, and
+        the kernel coincides with the gauge-signed consensus subspace (largest
+        principal angle has sine at most 1e-8).  Only the verdict is kept,
+        not the nd x nd eigenvectors it was read from.
+        """
+        bip = detect_structural_balance(self)
+        if bip is None:
+            return Assumption1Report(False, -1, False)
+        try:
+            basis = null_space(build_laplacian(self))
+        except NotPSD:
+            return Assumption1Report(True, -1, False, bip)
+        nullity = basis.shape[1]
+        if nullity != self.d:
+            return Assumption1Report(True, nullity, False, bip)
+        ref = gauge_consensus_basis(gauge_matrix(bip), self.d)
+        resid = float(np.linalg.norm(ref - basis @ (basis.T @ ref), ord=2))
+        return Assumption1Report(True, nullity, resid <= 1e-8, bip, resid)
 
 
 @dataclass(frozen=True)
@@ -253,20 +279,8 @@ class GaugeMatrix:
 
 
 def build_laplacian(g: MatrixWeightedGraph) -> SymMatrix:
-    """Block Laplacian: diagonal blocks sum the incident absolute weights,
-    off-diagonal block (i, j) is minus the signed weight."""
-    nd = g.n * g.d
-    L = np.zeros((nd, nd))
-    d = g.d
-    for e in g.edges:
-        absw = e.abs_weight().entries
-        signed = e.sign * absw
-        i, j = e.i, e.j
-        L[i * d:(i + 1) * d, i * d:(i + 1) * d] += absw
-        L[j * d:(j + 1) * d, j * d:(j + 1) * d] += absw
-        L[i * d:(i + 1) * d, j * d:(j + 1) * d] = -signed
-        L[j * d:(j + 1) * d, i * d:(i + 1) * d] = -signed
-    return SymMatrix(L)
+    """The graph's block Laplacian (assembled once per graph)."""
+    return g.laplacian
 
 
 def detect_structural_balance(g: MatrixWeightedGraph) -> Optional[Bipartition]:
@@ -325,13 +339,19 @@ def null_space(L, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
     :class:`NotPSD` when an eigenvalue sits below ``-tol * lambda_max``.
     """
     dec = linalg.sym_eigen(L)
-    lam_max = max(dec.lambda_max, 0.0)
-    band = tol * lam_max
-    if dec.lambda_min < -band:
+    return np.array(dec.eigenvectors[:, kernel_mask(dec.eigenvalues, tol)])
+
+
+def kernel_mask(eigenvalues: np.ndarray,
+                tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
+    """Which ascending eigenvalues of a PSD matrix count as zero: those with
+    ``|lambda| <= tol * lambda_max``.  Raises :class:`NotPSD` when one sits
+    below ``-tol * lambda_max``."""
+    band = tol * max(float(eigenvalues[-1]), 0.0)
+    if eigenvalues[0] < -band:
         raise NotPSD(
-            f"matrix has eigenvalue {dec.lambda_min:.6g} below -{band:.3g}")
-    keep = np.abs(dec.eigenvalues) <= band
-    return np.array(dec.eigenvectors[:, keep])
+            f"matrix has eigenvalue {eigenvalues[0]:.6g} below -{band:.3g}")
+    return np.abs(eigenvalues) <= band
 
 
 def gauge_consensus_basis(gauge: GaugeMatrix, d: int) -> np.ndarray:
@@ -353,28 +373,10 @@ class Assumption1Report:
     subspace_residual: float = float("nan")
 
 
-def verify_assumption1(g: MatrixWeightedGraph,
-                       tol: float = linalg.DEFAULT_TOL) -> Assumption1Report:
-    """Structural balance plus exact-dimension Laplacian kernel.
-
-    Holds when the graph is balanced, the Laplacian nullity equals d, and the
-    kernel coincides with the gauge-signed consensus subspace (largest
-    principal angle has sine at most 1e-8).
-    """
-    bip = detect_structural_balance(g)
-    if bip is None:
-        return Assumption1Report(False, -1, False)
-    L = build_laplacian(g)
-    try:
-        basis = null_space(L, tol)
-    except NotPSD:
-        return Assumption1Report(True, -1, False, bip)
-    nullity = basis.shape[1]
-    if nullity != g.d:
-        return Assumption1Report(True, nullity, False, bip)
-    ref = gauge_consensus_basis(gauge_matrix(bip), g.d)
-    resid = float(np.linalg.norm(ref - basis @ (basis.T @ ref), ord=2))
-    return Assumption1Report(True, nullity, resid <= 1e-8, bip, resid)
+def verify_assumption1(g: MatrixWeightedGraph) -> Assumption1Report:
+    """The graph's Assumption-1 report (decided once per graph); see
+    :attr:`MatrixWeightedGraph.assumption1`."""
+    return g.assumption1
 
 
 def predicted_bipartite_limit(g: MatrixWeightedGraph, x0: np.ndarray) -> np.ndarray:

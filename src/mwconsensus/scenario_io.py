@@ -102,7 +102,8 @@ def parse_scenario(doc: dict) -> tuple[Scenario, dict]:
             raise GraphFormatError(
                 f"sim.x0: expected {graph.n * graph.d} values, got {x0.shape}")
     seed = sim_doc.get("seed", 0)
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and (isinstance(seed, bool)
+                             or not isinstance(seed, int)):
         raise GraphFormatError("sim.seed: must be an integer or null")
     baseline = sim_doc.get("baseline", BASELINE_DYNAMIC)
     if baseline not in (BASELINE_DYNAMIC, BASELINE_STATIC):

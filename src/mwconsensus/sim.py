@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .trigger import LeaderFollower, Mode, TriggerParams
 
 #: Abort when the state infinity-norm exceeds this.
 DIVERGENCE_GUARD = 1e9
+
+#: Relative tolerance on T being an integer multiple of dt.
+STEP_GRID_RTOL = 1e-9
 
 #: Default number of adjacent-step firings that triggers a dwell warning.
 CONSECUTIVE_FIRE_WARN = 10
@@ -79,16 +82,23 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
     out = []
     if not sc.dt > 0.0:
         out.append(f"dt must be positive, got {sc.dt}")
-    if not sc.horizon > 0.0 or (sc.dt > 0.0 and sc.dt > sc.horizon):
-        out.append(f"horizon must satisfy 0 < dt <= T, got dt={sc.dt} T={sc.horizon}")
+    if not 0.0 < sc.horizon < np.inf or (sc.dt > 0.0 and sc.dt > sc.horizon):
+        out.append(f"horizon must satisfy 0 < dt <= T < inf, got dt={sc.dt} "
+                   f"T={sc.horizon}")
+    elif sc.dt > 0.0 and not (abs(sc.step_count * sc.dt - sc.horizon)
+                              <= STEP_GRID_RTOL * sc.horizon):
+        # The grid ends at step_count * dt; the summary reports T.
+        out.append(f"T={sc.horizon} is not an integer multiple of dt={sc.dt}")
     if sc.baseline not in (BASELINE_DYNAMIC, BASELINE_STATIC):
         out.append(f"unknown baseline {sc.baseline!r}")
     if sc.params.n != sc.graph.n:
         out.append(f"params cover {sc.params.n} agents, graph has {sc.graph.n}")
-    out.extend(str(v) for v in trigger.validate_params(sc.params, sc.mode))
+    out.extend(str(v) for v in trigger.validate_params(sc.params))
     if sc.x0 is not None and sc.x0.shape != (sc.graph.n * sc.graph.d,):
         out.append(f"x0 must have length n*d={sc.graph.n * sc.graph.d}, "
                    f"got {sc.x0.shape}")
+    if sc.x0 is not None and not np.all(np.isfinite(sc.x0)):
+        out.append("x0 has non-finite entries")
     if isinstance(sc.mode, LeaderFollower) and sc.mode.u0.shape != (sc.graph.d,):
         out.append(f"u0 must have length d={sc.graph.d}, got {sc.mode.u0.shape}")
     if not assumptions:
@@ -154,9 +164,9 @@ class SimState:
 class CompiledScenario:
     """Scenario with every per-step constant precomputed.
 
-    The per-agent trigger quantities are evaluated in vectorized form; the
-    formulas are exactly the per-agent functions in :mod:`mwconsensus.trigger`
-    (the test suite cross-checks the two paths step by step).
+    The per-agent trigger quantities are evaluated in vectorized form, as
+    written out in :mod:`mwconsensus.trigger`; the test suite cross-checks
+    them step by step against independent per-agent oracles.
     """
 
     def __init__(self, sc: Scenario):
@@ -238,8 +248,7 @@ def initial_sim_state(compiled: CompiledScenario,
 
 
 def step(state: SimState, dt: float,
-         scenario: Union[Scenario, CompiledScenario]
-         ) -> tuple[SimState, np.ndarray]:
+         compiled: CompiledScenario) -> tuple[SimState, np.ndarray]:
     """Advance one step and apply any triggered broadcasts.
 
     Order of operations: (a) exact affine state update under the held
@@ -248,8 +257,6 @@ def step(state: SimState, dt: float,
     values; (d) atomic rebroadcast for every agent that fired.  Returns the
     post-broadcast state and the array of fired agent indices.
     """
-    compiled = scenario if isinstance(scenario, CompiledScenario) \
-        else compile_scenario(scenario)
     n, d = compiled.n, compiled.d
 
     qhat = compiled.control(state.xhat)

@@ -20,16 +20,21 @@ with the spectral constant ``gamma_i`` computed from the incident weights.
 
 Equality never fires: the threshold inequality uses "<=" for staying silent,
 so the fire condition is strict.
+
+The engine evaluates these formulas for all agents at once
+(``sim.CompiledScenario`` and ``sim.step``); this module holds the trigger
+parameters, the spectral constants ``mu_bar`` and ``gamma``, and parameter
+validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import NoNeighbors, NotNeighbors
+from .errors import NoNeighbors
 from .linalg import sym_eigen
 from .mwgraph import InputCoupling, MatrixWeightedGraph
 
@@ -42,11 +47,6 @@ class AgentParams(NamedTuple):
     beta: float
     delta: float
     chi0: float
-
-    @property
-    def chi_decay_rate(self) -> float:
-        """Exponent of the guaranteed lower envelope chi0 * exp(-rate * t)."""
-        return self.beta + self.delta / self.theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,41 +129,6 @@ class Violation:
         return f"agent {self.agent}: {self.field}: {self.message}"
 
 
-def relative_broadcast(i: int, j: int, xhat: np.ndarray,
-                       g: MatrixWeightedGraph) -> np.ndarray:
-    """p_ij = xhat_i - sgn(A_ij) * xhat_j, from the stacked broadcast vector."""
-    e = g.edge(i, j)
-    if e is None:
-        raise NotNeighbors(f"agents {i} and {j} share no edge")
-    d = g.d
-    xi = xhat[i * d:(i + 1) * d]
-    xj = xhat[j * d:(j + 1) * d]
-    return xi - e.sign * xj
-
-
-def control_leaderless(i: int, xhat: np.ndarray,
-                       g: MatrixWeightedGraph) -> np.ndarray:
-    """qhat_i = -sum_j |A_ij| p_ij.  Stacking over all agents equals -L @ xhat."""
-    out = np.zeros(g.d)
-    for j in g.neighbors(i):
-        p = relative_broadcast(i, j, xhat, g)
-        out -= g.abs_weight(i, j).entries @ p
-    return out
-
-
-def control_leader_follower(i: int, xhat: np.ndarray, g: MatrixWeightedGraph,
-                            coupling: InputCoupling,
-                            u0: np.ndarray) -> np.ndarray:
-    """Leaderless control plus input tracking terms
-    ``-sum_l |B_il| (xhat_i - sgn(B_il) u0)``."""
-    out = control_leaderless(i, xhat, g)
-    d = g.d
-    xi = xhat[i * d:(i + 1) * d]
-    for c in coupling.entries_for_agent(i):
-        out -= c.abs_weight().entries @ (xi - c.sign * np.asarray(u0, dtype=float))
-    return out
-
-
 def mu_bar(i: int, g: MatrixWeightedGraph) -> float:
     """Largest eigenvalue among the absolute weights incident to agent i."""
     neigh = g.neighbors(i)
@@ -186,70 +151,12 @@ def gamma(i: int, g: MatrixWeightedGraph, coupling: InputCoupling) -> float:
     return n * (sum(mus) + sum(mus_b)) ** 2 + n * sum(m * m for m in mus)
 
 
-PList = Sequence[tuple[np.ndarray, np.ndarray]]
-
-
-def weighted_disagreement(p_list: PList) -> float:
-    """sum_j ||sqrt(|A_ij|) p_ij||^2 over (sqrt-weight, p) pairs."""
-    total = 0.0
-    for sqrt_w, p in p_list:
-        v = np.asarray(sqrt_w) @ np.asarray(p)
-        total += float(v @ v)
-    return total
-
-
-def leaderless_threshold_lhs(e_i: np.ndarray, p_list: PList,
-                             params: AgentParams, mu_bar_i: float,
-                             deg: int) -> float:
-    e_i = np.asarray(e_i, dtype=float)
-    quad = mu_bar_i * deg * float(e_i @ e_i)
-    return params.theta * (quad - (params.sigma / 4.0) * weighted_disagreement(p_list))
-
-
-def leaderless_fires(e_i: np.ndarray, p_list: PList, chi: float,
-                     params: AgentParams, mu_bar_i: float, deg: int) -> bool:
-    """Strict threshold violation; equality stays silent."""
-    return leaderless_threshold_lhs(e_i, p_list, params, mu_bar_i, deg) > chi
-
-
-def chi_rate_leaderless(e_i: np.ndarray, p_list: PList, chi: float,
-                        params: AgentParams, mu_bar_i: float,
-                        deg: int) -> float:
-    e_i = np.asarray(e_i, dtype=float)
-    drive = (params.sigma / 4.0) * weighted_disagreement(p_list) \
-        - mu_bar_i * deg * float(e_i @ e_i)
-    return -params.beta * chi + params.delta * drive
-
-
-def lf_threshold_lhs(e_i: np.ndarray, qhat_i: np.ndarray,
-                     params: AgentParams, gamma_i: float) -> float:
-    e_i = np.asarray(e_i, dtype=float)
-    q = np.asarray(qhat_i, dtype=float)
-    return params.theta * (gamma_i * float(e_i @ e_i) - params.sigma * float(q @ q))
-
-
-def lf_fires(e_i: np.ndarray, qhat_i: np.ndarray, chi: float,
-             params: AgentParams, gamma_i: float) -> bool:
-    return lf_threshold_lhs(e_i, qhat_i, params, gamma_i) > chi
-
-
-def chi_rate_lf(e_i: np.ndarray, qhat_i: np.ndarray, chi: float,
-                params: AgentParams, gamma_i: float) -> float:
-    e_i = np.asarray(e_i, dtype=float)
-    q = np.asarray(qhat_i, dtype=float)
-    drive = params.sigma * float(q @ q) - gamma_i * float(e_i @ e_i)
-    return -params.beta * chi + params.delta * drive
-
-
-def validate_params(params: TriggerParams,
-                    mode: Optional[Mode] = None) -> list[Violation]:
+def validate_params(params: TriggerParams) -> list[Violation]:
     """Range checks plus the stability bound theta > (1 - delta) / beta.
 
     Returns every violation found (empty list means valid); never raises.
-    The bound is identical in both modes; ``mode`` is accepted for symmetry
-    with the scenario-level validation that dispatches on it.
+    The bound is identical in both modes.
     """
-    del mode
     out = []
     for i in range(params.n):
         a = params.agent(i)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mwconsensus import builtin
+from mwconsensus import builtin, linalg
 from mwconsensus.mwgraph import MatrixWeightedGraph
 
 
@@ -28,6 +28,21 @@ def ref_leaderless_record():
 def ref_lf_record():
     from mwconsensus import sim
     return sim.run(builtin.leader_follower_scenario(seed=0))
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """Shapes of the matrices passed to every eigendecomposition the package
+    runs (all of them go through ``mwconsensus.linalg``)."""
+    shapes = []
+    eigh = linalg.np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.np.linalg, "eigh", counting)
+    return shapes
 
 
 def two_node_graph(weight, d=None, declared=None):

@@ -1,13 +1,27 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is written against plain Python floats, lists and dicts on
-purpose: these oracles must not share code paths (or bugs) with the package.
+The balance search and the scalar consensus run are written against plain
+Python floats, lists and dicts on purpose: they must not share code paths
+(or bugs) with the package.
+
+The per-agent trigger formulas below evaluate one agent at a time from the
+graph's edge accessors, with small numpy products.  The engine
+(``sim.CompiledScenario`` and ``sim.step``) evaluates the same formulas
+vectorized over all agents from the Laplacian and edge arrays, so the two
+paths share the graph model but none of the trigger arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Sequence
+
+import numpy as np
+
+from mwconsensus.errors import NotNeighbors
+from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph
+from mwconsensus.trigger import AgentParams
 
 
 def brute_force_balance(n, signed_edges):
@@ -147,3 +161,93 @@ def quadratic_roots(b, c):
     """Real roots of x^2 + b x + c, ascending (used for 2x2 eigenvalues)."""
     disc = math.sqrt(b * b - 4.0 * c)
     return sorted(((-b - disc) / 2.0, (-b + disc) / 2.0))
+
+
+def relative_broadcast(i: int, j: int, xhat: np.ndarray,
+                       g: MatrixWeightedGraph) -> np.ndarray:
+    """p_ij = xhat_i - sgn(A_ij) * xhat_j, from the stacked broadcast vector."""
+    e = g.edge(i, j)
+    if e is None:
+        raise NotNeighbors(f"agents {i} and {j} share no edge")
+    d = g.d
+    xi = xhat[i * d:(i + 1) * d]
+    xj = xhat[j * d:(j + 1) * d]
+    return xi - e.sign * xj
+
+
+def control_leaderless(i: int, xhat: np.ndarray,
+                       g: MatrixWeightedGraph) -> np.ndarray:
+    """qhat_i = -sum_j |A_ij| p_ij.  Stacking over all agents equals -L @ xhat."""
+    out = np.zeros(g.d)
+    for j in g.neighbors(i):
+        p = relative_broadcast(i, j, xhat, g)
+        out -= g.abs_weight(i, j).entries @ p
+    return out
+
+
+def control_leader_follower(i: int, xhat: np.ndarray, g: MatrixWeightedGraph,
+                            coupling: InputCoupling,
+                            u0: np.ndarray) -> np.ndarray:
+    """Leaderless control plus input tracking terms
+    ``-sum_l |B_il| (xhat_i - sgn(B_il) u0)``."""
+    out = control_leaderless(i, xhat, g)
+    d = g.d
+    xi = xhat[i * d:(i + 1) * d]
+    for c in coupling.entries_for_agent(i):
+        out -= c.abs_weight().entries @ (xi - c.sign * np.asarray(u0, dtype=float))
+    return out
+
+
+PList = Sequence[tuple[np.ndarray, np.ndarray]]
+
+
+def weighted_disagreement(p_list: PList) -> float:
+    """sum_j ||sqrt(|A_ij|) p_ij||^2 over (sqrt-weight, p) pairs."""
+    total = 0.0
+    for sqrt_w, p in p_list:
+        v = np.asarray(sqrt_w) @ np.asarray(p)
+        total += float(v @ v)
+    return total
+
+
+def leaderless_threshold_lhs(e_i: np.ndarray, p_list: PList,
+                             params: AgentParams, mu_bar_i: float,
+                             deg: int) -> float:
+    e_i = np.asarray(e_i, dtype=float)
+    quad = mu_bar_i * deg * float(e_i @ e_i)
+    return params.theta * (quad - (params.sigma / 4.0) * weighted_disagreement(p_list))
+
+
+def leaderless_fires(e_i: np.ndarray, p_list: PList, chi: float,
+                     params: AgentParams, mu_bar_i: float, deg: int) -> bool:
+    """Strict threshold violation; equality stays silent."""
+    return leaderless_threshold_lhs(e_i, p_list, params, mu_bar_i, deg) > chi
+
+
+def chi_rate_leaderless(e_i: np.ndarray, p_list: PList, chi: float,
+                        params: AgentParams, mu_bar_i: float,
+                        deg: int) -> float:
+    e_i = np.asarray(e_i, dtype=float)
+    drive = (params.sigma / 4.0) * weighted_disagreement(p_list) \
+        - mu_bar_i * deg * float(e_i @ e_i)
+    return -params.beta * chi + params.delta * drive
+
+
+def lf_threshold_lhs(e_i: np.ndarray, qhat_i: np.ndarray,
+                     params: AgentParams, gamma_i: float) -> float:
+    e_i = np.asarray(e_i, dtype=float)
+    q = np.asarray(qhat_i, dtype=float)
+    return params.theta * (gamma_i * float(e_i @ e_i) - params.sigma * float(q @ q))
+
+
+def lf_fires(e_i: np.ndarray, qhat_i: np.ndarray, chi: float,
+             params: AgentParams, gamma_i: float) -> bool:
+    return lf_threshold_lhs(e_i, qhat_i, params, gamma_i) > chi
+
+
+def chi_rate_lf(e_i: np.ndarray, qhat_i: np.ndarray, chi: float,
+                params: AgentParams, gamma_i: float) -> float:
+    e_i = np.asarray(e_i, dtype=float)
+    q = np.asarray(qhat_i, dtype=float)
+    drive = params.sigma * float(q @ q) - gamma_i * float(e_i @ e_i)
+    return -params.beta * chi + params.delta * drive

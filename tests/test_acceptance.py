@@ -196,7 +196,7 @@ def test_a8_lyapunov_monotonicity(ref_leaderless_record, ref_lf_record):
     sc = rec.scenario
     gauge = gauge_matrix(detect_structural_balance(sc.graph))
     lb = build_grounded_laplacian(sc.graph, sc.mode.coupling).entries
-    v_lf = analysis.lyapunov_lf(rec, gauge, sc.mode.u0, lb)
+    v_lf = analysis.lyapunov_lf(rec, np.kron(gauge.signs, sc.mode.u0), lb)
     worst_lf = float(np.max(np.diff(v_lf)))
     assert worst_lf <= 1e-9
     print(f"\nA8 PASS: V non-increasing on both replications "

@@ -82,9 +82,9 @@ class TestLyapunov:
         rec = ref_lf_record
         sc = rec.scenario
         bip = detect_structural_balance(sc.graph)
-        gauge = gauge_matrix(bip)
+        xtilde = np.kron(gauge_matrix(bip).signs, sc.mode.u0)
         lb = build_grounded_laplacian(sc.graph, sc.mode.coupling).entries
-        v = lyapunov_lf(rec, gauge, sc.mode.u0, lb)
+        v = lyapunov_lf(rec, xtilde, lb)
         xi0 = rec.states[0] - rec.limit_state
         want = float(xi0 @ lb @ xi0) + float(rec.chi[0].sum())
         assert v[0] == pytest.approx(want, rel=1e-12)
@@ -94,7 +94,7 @@ class TestLyapunov:
         sc = rec.scenario
         gauge = gauge_matrix(detect_structural_balance(sc.graph))
         lb = build_grounded_laplacian(sc.graph, sc.mode.coupling).entries
-        v = lyapunov_lf(rec, gauge, sc.mode.u0, lb)
+        v = lyapunov_lf(rec, np.kron(gauge.signs, sc.mode.u0), lb)
         assert np.max(np.diff(v)) <= 1e-9
         assert v[-1] < 1e-2 * v[0]
 

@@ -81,6 +81,20 @@ class TestCheck:
         assert main(["check", str(path)]) == EXIT_VALIDATION
 
 
+class TestStructureComputedOnce:
+    """One nd x nd eigendecomposition per Laplacian per command."""
+
+    @pytest.mark.parametrize("command,token,laplacians", [
+        ("check", "builtin:leaderless", 1),
+        ("check", "builtin:lf", 1),
+        ("spectrum", "builtin:leaderless", 1),
+        ("spectrum", "builtin:lf", 2),  # plus the grounded Laplacian
+    ])
+    def test_eigh_count(self, command, token, laplacians, eigh_shapes):
+        assert main([command, token]) == EXIT_OK
+        assert eigh_shapes.count((24, 24)) == laplacians
+
+
 class TestSpectrum:
     def test_two_node_pair(self, scenario_file, capsys):
         assert main(["spectrum", str(scenario_file)]) == EXIT_OK
@@ -157,6 +171,15 @@ class TestRun:
         path.write_text(json.dumps(doc))
         assert main(["run", str(path)]) == EXIT_VALIDATION
         assert "sigma" in capsys.readouterr().err
+        doc = small_scenario_doc()
+        doc["sim"]["x0"] = [0.5, float("nan")]
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == EXIT_VALIDATION
+        assert "non-finite" in capsys.readouterr().err
+        path.write_text(json.dumps(small_scenario_doc()))
+        assert main(["run", str(path), "--dt", "0.03", "--T", "0.05"]) \
+            == EXIT_VALIDATION
+        assert "multiple of dt" in capsys.readouterr().err
 
     def test_force_runs_despite_failed_assumptions(self, tmp_path):
         doc = small_scenario_doc()
@@ -172,9 +195,18 @@ class TestRun:
         assert main(["run", str(path), "--out", str(out)]) == EXIT_VALIDATION
         assert main(["run", str(path), "--out", str(out),
                      "--force"]) == EXIT_OK
-        summary = json.loads(
+        forced = json.loads(
             (next(out.iterdir()) / "summary.json").read_text())
-        assert summary["limit_state"] is None
+        assert forced["limit_state"] is None
+        assert forced["final_relative_error"] is None
+        assert forced["fitted_decay_rate"] is None
+        good = tmp_path / "balanced.json"
+        good.write_text(json.dumps(small_scenario_doc(horizon=0.2)))
+        normal_root = tmp_path / "normal"
+        assert main(["run", str(good), "--out", str(normal_root)]) == EXIT_OK
+        normal = json.loads(
+            (next(normal_root.iterdir()) / "summary.json").read_text())
+        assert set(forced) == set(normal)
 
 
 class TestReplicate:

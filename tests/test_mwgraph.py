@@ -30,6 +30,20 @@ class TestGraphModel:
         assert ref_graph.sgn(0, 3) == 0
         np.testing.assert_array_equal(ref_graph.weight(5, 0).entries,
                                       ref_graph.weight(0, 5).entries)
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            edges, _ = random_balanced_scalar_graph(
+                rng, n, extra_edge_prob=float(rng.uniform(0.0, 0.8)))
+            g = scalar_graph(n, edges, d=2)
+            for i in range(n):
+                want = sorted(e.j if e.i == i else e.i
+                              for e in g.edges if i in (e.i, e.j))
+                assert g.neighbors(i) == tuple(want)
+                assert g.degree(i) == len(want)
+                for j in range(n):
+                    scan = [e for e in g.edges if {e.i, e.j} == {i, j}]
+                    assert g.edge(i, j) is (scan[0] if scan else None)
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphFormatError):

@@ -96,6 +96,12 @@ class TestParsing:
         with pytest.raises(GraphFormatError, match="line"):
             load_scenario_text("{not json}")
 
+    def test_seed_must_be_integer_or_null(self):
+        assert parse_scenario(minimal_doc(seed=None))[0].seed is None
+        for bad in (True, 1.0, "4"):
+            with pytest.raises(GraphFormatError, match="seed"):
+                parse_scenario(minimal_doc(seed=bad))
+
     def test_baseline_field(self):
         sc, _ = parse_scenario(minimal_doc(baseline="static"))
         assert sc.baseline == "static"

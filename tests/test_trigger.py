@@ -1,19 +1,24 @@
-"""Trigger formulas: controls, spectral constants, firing rules, thresholds."""
+"""Trigger formulas: controls, spectral constants, firing rules, thresholds.
+
+The per-agent formulas live in ``oracles``; the engine's vectorized form is
+cross-checked against them in ``test_sim``.
+"""
 
 import numpy as np
 import pytest
 
-from mwconsensus import trigger
 from mwconsensus.errors import NoNeighbors, NotNeighbors
 from mwconsensus.linalg import sym_eigen, sym_sqrt
 from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
     build_grounded_laplacian, build_laplacian
-from mwconsensus.trigger import AgentParams, Leaderless, \
-    TriggerParams, chi_rate_leaderless, chi_rate_lf, control_leader_follower, \
-    control_leaderless, gamma, leaderless_fires, lf_fires, mu_bar, \
-    relative_broadcast, validate_params
+from mwconsensus.trigger import AgentParams, TriggerParams, gamma, mu_bar, \
+    validate_params
 
+import oracles
 from conftest import random_balanced_scalar_graph
+from oracles import chi_rate_leaderless, chi_rate_lf, \
+    control_leader_follower, control_leaderless, leaderless_fires, lf_fires, \
+    relative_broadcast
 from test_mwgraph import scalar_graph
 
 
@@ -205,8 +210,8 @@ class TestLeaderlessTrigger:
             mu = float(rng.uniform(0.5, 3.0))
             chi = float(rng.uniform(0.01, 1.0))
             c = float(rng.uniform(0.1, 10.0))
-            lhs = trigger.leaderless_threshold_lhs(e, p_list, pr, mu, 1)
-            lhs_scaled = trigger.leaderless_threshold_lhs(
+            lhs = oracles.leaderless_threshold_lhs(e, p_list, pr, mu, 1)
+            lhs_scaled = oracles.leaderless_threshold_lhs(
                 c * e, [(r, c * p) for r, p in p_list], pr, mu, 1)
             assert lhs_scaled == pytest.approx(c * c * lhs, rel=1e-9, abs=1e-12)
             assert leaderless_fires(e, p_list, chi, pr, mu, 1) == \
@@ -222,7 +227,7 @@ class TestLeaderlessTrigger:
             for _ in range(10):
                 p = rng.uniform(-2, 2, ref_graph.d)
                 direct = float(p @ absw @ p)
-                via_root = trigger.weighted_disagreement([(root, p)])
+                via_root = oracles.weighted_disagreement([(root, p)])
                 assert via_root == pytest.approx(direct, abs=1e-10)
 
 
@@ -272,7 +277,7 @@ class TestValidateParams:
     def test_reference_values_ok(self):
         p = TriggerParams.uniform(6, sigma=0.9, theta=0.5, beta=1.0,
                                   delta=1.0, chi0=0.5)
-        assert validate_params(p, Leaderless()) == []
+        assert validate_params(p) == []
 
     def test_theta_bound(self):
         p = TriggerParams.uniform(2, sigma=0.5, theta=0.5, beta=1.0,

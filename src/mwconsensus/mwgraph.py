@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -39,34 +39,39 @@ SYMMETRY_REJECT_TOL = 1e-12
 _CLASS_NAMES = {c.value: c for c in DefinitenessClass}
 
 
+class _SignDefiniteWeight:
+    """Sign, absolute value and largest absolute eigenvalue of the
+    sign-definite ``weight`` of class ``cls`` that an edge or a coupling
+    carries."""
+
+    @property
+    def sign(self) -> int:
+        return linalg.matrix_sgn(self.cls)
+
+    def abs_weight(self) -> SymMatrix:
+        return linalg.matrix_abs(self.weight, self.cls)
+
+    @cached_property
+    def abs_lambda_max(self) -> float:
+        """lambda_max(|weight|), decomposed once; ``mu_bar`` and ``gamma``
+        read it."""
+        return float(linalg.sym_eigen(self.abs_weight()).lambda_max)
+
+
 @dataclass(frozen=True, eq=False)
-class Edge:
+class Edge(_SignDefiniteWeight):
     i: int
     j: int
     weight: SymMatrix
     cls: DefinitenessClass
 
-    @property
-    def sign(self) -> int:
-        return linalg.matrix_sgn(self.cls)
-
-    def abs_weight(self) -> SymMatrix:
-        return linalg.matrix_abs(self.weight, self.cls)
-
 
 @dataclass(frozen=True, eq=False)
-class CouplingEntry:
+class CouplingEntry(_SignDefiniteWeight):
     agent: int
     input: int
     weight: SymMatrix
     cls: DefinitenessClass
-
-    @property
-    def sign(self) -> int:
-        return linalg.matrix_sgn(self.cls)
-
-    def abs_weight(self) -> SymMatrix:
-        return linalg.matrix_abs(self.weight, self.cls)
 
 
 def _resolve_weight(raw, d: int, declared: Optional[str], where: str,
@@ -291,12 +296,6 @@ def detect_structural_balance(g: MatrixWeightedGraph) -> Optional[Bipartition]:
     the returned bipartition deterministic.
     """
     color = {}
-    sign_of = {}
-    adj = {i: [] for i in range(g.n)}
-    for e in g.edges:
-        adj[e.i].append(e.j)
-        adj[e.j].append(e.i)
-        sign_of[(e.i, e.j)] = sign_of[(e.j, e.i)] = e.sign
     for root in range(g.n):
         if root in color:
             continue
@@ -304,8 +303,8 @@ def detect_structural_balance(g: MatrixWeightedGraph) -> Optional[Bipartition]:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v in adj[u]:
-                want = color[u] * sign_of[(u, v)]
+            for v in g.neighbors(u):
+                want = color[u] * g.edge(u, v).sign
                 if v not in color:
                     color[v] = want
                     queue.append(v)
@@ -500,44 +499,87 @@ def graph_to_dict(g: MatrixWeightedGraph,
     return doc
 
 
+_JSON_KINDS = {"integer": int, "number": (int, float), "string": str,
+               "array": list, "object": dict}
+
+
+def _json_kind(value) -> str:
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "boolean"
+    return next(k for k, t in _JSON_KINDS.items() if isinstance(value, t))
+
+
+def _json_value(value, kind: str, where: str):
+    """``value`` if its JSON type is ``kind``; booleans are never integers or
+    numbers.  Anything else is a one-line :class:`GraphFormatError`."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        raise GraphFormatError(f"{where}: expected {kind}, got {_json_kind(value)}")
+    return value
+
+
+def _json_float(value, where: str) -> float:
+    try:
+        return float(_json_value(value, "number", where))
+    except OverflowError:
+        raise GraphFormatError(f"{where}: number out of range") from None
+
+
+def _json_floats(value, where: str) -> np.ndarray:
+    """A (possibly nested) array of numbers as a float array."""
+    pending = [_json_value(value, "array", where)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        else:
+            _json_value(item, "number", f"{where} entries")
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError):
+        raise GraphFormatError(
+            f"{where}: ragged array or number out of range") from None
+
+
+def _json_entries(doc: dict, key: str,
+                  fields: tuple[str, ...]) -> Iterator[tuple]:
+    """``(*fields, weight array, declared class)`` per entry of the array
+    ``doc[key]``; the ``fields`` are integers and required with the weight.
+    Lazy, so each weight array is released once its graph entry is built."""
+    for k, entry in enumerate(_json_value(doc.get(key, []), "array", key)):
+        where = f"{key}[{k}]"
+        _json_value(entry, "object", where)
+        bad = set(entry) - {*fields, "weight", "class"}
+        if bad:
+            raise GraphFormatError(f"{where}: unknown keys {sorted(bad)}")
+        if any(f not in entry for f in (*fields, "weight")):
+            raise GraphFormatError(f"{where}: requires {', '.join(fields)}, weight")
+        declared = entry.get("class")
+        if declared is not None:
+            _json_value(declared, "string", f"{where}.class")
+        ints = (_json_value(entry[f], "integer", f"{where}.{f}") for f in fields)
+        yield (*ints, _json_floats(entry["weight"], f"{where}.weight"), declared)
+
+
 def graph_from_dict(doc: dict) -> tuple[MatrixWeightedGraph, InputCoupling]:
-    """Parse the interchange form; unknown keys are rejected."""
+    """Parse the interchange form; unknown keys and mistyped fields are
+    rejected."""
+    _json_value(doc, "object", "graph")
     allowed = {"n", "d", "edges", "inputs", "m"}
     unknown = set(doc) - allowed
     if unknown:
         raise GraphFormatError(f"unknown graph keys: {sorted(unknown)}")
     for key in ("n", "d"):
-        if key not in doc or not isinstance(doc[key], int) or doc[key] < 1:
+        value = doc.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise GraphFormatError(f"graph field {key!r} must be a positive integer")
     n, d = doc["n"], doc["d"]
-    edge_specs = []
-    for k, entry in enumerate(doc.get("edges", [])):
-        bad = set(entry) - {"i", "j", "weight", "class"}
-        if bad:
-            raise GraphFormatError(f"edges[{k}]: unknown keys {sorted(bad)}")
-        if "i" not in entry or "j" not in entry or "weight" not in entry:
-            raise GraphFormatError(f"edges[{k}]: requires i, j, weight")
-        edge_specs.append((entry["i"], entry["j"], entry["weight"],
-                           entry.get("class")))
     g = MatrixWeightedGraph.from_edges(
-        n, d, [(i, j, w) if c is None else (i, j, w, c)
-               for (i, j, w, c) in edge_specs])
-    inputs = doc.get("inputs", [])
-    m = doc.get("m", 0)
-    if inputs and not isinstance(m, int):
-        raise GraphFormatError("graph field 'm' must be an integer")
-    entry_specs = []
-    for k, entry in enumerate(inputs):
-        bad = set(entry) - {"agent", "input", "weight", "class"}
-        if bad:
-            raise GraphFormatError(f"inputs[{k}]: unknown keys {sorted(bad)}")
-        entry_specs.append((entry["agent"], entry["input"], entry["weight"],
-                            entry.get("class")))
+        n, d, _json_entries(doc, "edges", ("i", "j")))
+    entry_specs = list(_json_entries(doc, "inputs", ("agent", "input")))
+    m = _json_value(doc.get("m", 0), "integer", "graph.m")
     if entry_specs:
         m = max(m, 1 + max(spec[1] for spec in entry_specs))
-    coupling = InputCoupling.from_entries(
-        m, [(a, l, w) if c is None else (a, l, w, c)
-            for (a, l, w, c) in entry_specs], d)
+    coupling = InputCoupling.from_entries(m, entry_specs, d)
     for spec in entry_specs:
         if not (0 <= spec[0] < n):
             raise GraphFormatError(f"coupling agent {spec[0]} out of range")

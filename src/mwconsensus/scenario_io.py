@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import GraphFormatError
-from .mwgraph import InputCoupling, graph_from_dict, graph_to_dict
+from .mwgraph import InputCoupling, _json_float, _json_floats, _json_value, \
+    graph_from_dict, graph_to_dict
 from .sim import BASELINE_DYNAMIC, BASELINE_STATIC, Scenario
 from .trigger import LeaderFollower, Leaderless, TriggerParams
 
@@ -34,28 +35,33 @@ def _require_keys(doc: dict, allowed: set, where: str) -> None:
 
 
 def _parse_params(doc: dict, n: int) -> TriggerParams:
-    _require_keys(doc, set(PARAM_FIELDS) | {"per_agent"}, "params")
+    _require_keys(_json_value(doc, "object", "params"),
+                  set(PARAM_FIELDS) | {"per_agent"}, "params")
     missing = [f for f in PARAM_FIELDS if f not in doc]
     if missing:
         raise GraphFormatError(f"params: missing defaults for {missing}")
-    arrays = {f: np.full(n, float(doc[f])) for f in PARAM_FIELDS}
-    for key, overrides in doc.get("per_agent", {}).items():
+    arrays = {f: np.full(n, _json_float(doc[f], f"params.{f}"))
+              for f in PARAM_FIELDS}
+    per_agent = _json_value(doc.get("per_agent", {}), "object", "params.per_agent")
+    for key, overrides in per_agent.items():
         try:
             agent = int(key)
         except ValueError:
             raise GraphFormatError(f"params.per_agent: bad agent key {key!r}")
         if not 0 <= agent < n:
             raise GraphFormatError(f"params.per_agent: agent {agent} out of range")
-        _require_keys(overrides, set(PARAM_FIELDS), f"params.per_agent[{key}]")
+        where = f"params.per_agent[{key}]"
+        _require_keys(_json_value(overrides, "object", where),
+                      set(PARAM_FIELDS), where)
         for f, v in overrides.items():
-            arrays[f][agent] = float(v)
+            arrays[f][agent] = _json_float(v, f"{where}.{f}")
     return TriggerParams(**arrays)
 
 
 def _parse_mode(doc, coupling: InputCoupling, d: int):
     if isinstance(doc, str):
         doc = {"kind": doc}
-    _require_keys(doc, {"kind", "u0"}, "mode")
+    _require_keys(_json_value(doc, "object", "mode"), {"kind", "u0"}, "mode")
     kind = doc.get("kind")
     if kind == "leaderless":
         if "u0" in doc:
@@ -64,7 +70,7 @@ def _parse_mode(doc, coupling: InputCoupling, d: int):
     if kind == "leader-follower":
         if "u0" not in doc:
             raise GraphFormatError("mode: leader-follower requires u0")
-        u0 = np.asarray(doc["u0"], dtype=float)
+        u0 = _json_floats(doc["u0"], "mode.u0")
         if u0.shape != (d,):
             raise GraphFormatError(f"mode: u0 must have length d={d}")
         return LeaderFollower(u0=u0, coupling=coupling)
@@ -85,7 +91,7 @@ def parse_scenario(doc: dict) -> tuple[Scenario, dict]:
             "graph declares input couplings but mode is leaderless")
     params = _parse_params(doc["params"], graph.n)
 
-    sim_doc = dict(doc["sim"])
+    sim_doc = _json_value(doc["sim"], "object", "sim")
     _require_keys(sim_doc, {"dt", "T", "seed", "x0", "baseline"}, "sim")
     for fieldname in ("dt", "T"):
         if fieldname not in sim_doc:
@@ -97,7 +103,7 @@ def parse_scenario(doc: dict) -> tuple[Scenario, dict]:
                 f"sim.x0: string form must be {UNIFORM_X0!r}, got {x0_doc!r}")
         x0 = None
     else:
-        x0 = np.asarray(x0_doc, dtype=float)
+        x0 = _json_floats(x0_doc, "sim.x0")
         if x0.shape != (graph.n * graph.d,):
             raise GraphFormatError(
                 f"sim.x0: expected {graph.n * graph.d} values, got {x0.shape}")
@@ -111,14 +117,20 @@ def parse_scenario(doc: dict) -> tuple[Scenario, dict]:
 
     outputs = dict(DEFAULT_OUTPUTS)
     if "outputs" in doc:
-        _require_keys(doc["outputs"], {"directory", "formats"}, "outputs")
+        _require_keys(_json_value(doc["outputs"], "object", "outputs"),
+                      {"directory", "formats"}, "outputs")
         outputs.update(doc["outputs"])
+    _json_value(outputs["directory"], "string", "outputs.directory")
+    for k, fmt in enumerate(_json_value(outputs["formats"], "array",
+                                        "outputs.formats")):
+        _json_value(fmt, "string", f"outputs.formats[{k}]")
     bad = set(outputs["formats"]) - {"csv", "json"}
     if bad:
         raise GraphFormatError(f"outputs.formats: unknown formats {sorted(bad)}")
 
     scenario = Scenario(graph=graph, mode=mode, params=params,
-                        dt=float(sim_doc["dt"]), horizon=float(sim_doc["T"]),
+                        dt=_json_float(sim_doc["dt"], "sim.dt"),
+                        horizon=_json_float(sim_doc["T"], "sim.T"),
                         x0=x0, seed=seed, baseline=baseline)
     return scenario, outputs
 
@@ -171,6 +183,10 @@ def load_scenario_text(text: str) -> tuple[Scenario, dict]:
         raise GraphFormatError(
             f"scenario document is not valid JSON: line {exc.lineno} "
             f"column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Integers past the digit limit, arrays nested past the stack.
+        raise GraphFormatError(
+            f"scenario document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise GraphFormatError("scenario document must be a JSON object")
     return parse_scenario(doc)
@@ -178,7 +194,11 @@ def load_scenario_text(text: str) -> tuple[Scenario, dict]:
 
 def load_scenario_file(path) -> tuple[Scenario, dict]:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(
+                f"scenario document is not UTF-8: {exc}") from None
     return load_scenario_text(text)
 
 

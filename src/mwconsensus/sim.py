@@ -1,11 +1,13 @@
 """Hybrid fixed-step simulation engine.
 
-Between events the broadcast vector is held constant, so the state flow is
-exactly affine on each step: ``x(t + dt) = x(t) + dt * qhat(t)``.  The
+Both protocols run one trigger law with a compiled gain and a slack (see
+:mod:`mwconsensus.trigger`).  The slack and the control ``qhat`` depend only
+on the broadcasts, so the state holds them until the next broadcast and the
+flow is exactly affine on each step: ``x(t + dt) = x(t) + dt * qhat``.  The
 auxiliary variables are advanced with a classical 4-stage explicit
-integration; inside a step the measurement error is affine in time and the
-disagreement terms are frozen, so the integrand is a polynomial and the
-integration error per step is far below every tolerance used here.
+integration; inside a step the error is affine in time and the slack is
+frozen, so the integrand is a polynomial and the per-step integration error
+is far below every tolerance used here.
 
 Triggers are checked only at step boundaries and reported event times are
 grid times.  The mechanisms guarantee strictly positive dwell times, so a
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -72,6 +75,12 @@ class Scenario:
     def step_count(self) -> int:
         return int(round(self.horizon / self.dt))
 
+    @cached_property
+    def grounded_laplacian(self) -> np.ndarray:
+        """Leader-follower grounded Laplacian, shared by engine and analytics."""
+        g, coupling = self.graph, self.mode.coupling
+        return mwgraph.build_grounded_laplacian(g, coupling).entries
+
 
 def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
     """Every reason the scenario may not run, as printable strings.
@@ -91,6 +100,8 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
         out.append(f"T={sc.horizon} is not an integer multiple of dt={sc.dt}")
     if sc.baseline not in (BASELINE_DYNAMIC, BASELINE_STATIC):
         out.append(f"unknown baseline {sc.baseline!r}")
+    if sc.seed is not None and sc.seed < 0:
+        out.append(f"seed must be non-negative, got {sc.seed}")
     if sc.params.n != sc.graph.n:
         out.append(f"params cover {sc.params.n} agents, graph has {sc.graph.n}")
     out.extend(str(v) for v in trigger.validate_params(sc.params))
@@ -153,16 +164,18 @@ class TrajectoryRecord:
 
 @dataclass
 class SimState:
-    """Mutable between-step state: time, true states, broadcasts, thresholds."""
+    """Between-step state: time, states, broadcasts, thresholds, held terms."""
 
     t: float
     x: np.ndarray
     xhat: np.ndarray
     chi: np.ndarray
+    q: np.ndarray
+    slack: np.ndarray
 
 
 class CompiledScenario:
-    """Scenario with every per-step constant precomputed.
+    """Scenario with every per-step constant precomputed (the trigger gain).
 
     The per-agent trigger quantities are evaluated in vectorized form, as
     written out in :mod:`mwconsensus.trigger`; the test suite cross-checks
@@ -179,24 +192,20 @@ class CompiledScenario:
         self.laplacian = mwgraph.build_laplacian(g).entries
         if self.leader_follower:
             coupling = sc.mode.coupling
-            self.grounded = mwgraph.build_grounded_laplacian(g, coupling).entries
+            self.grounded = sc.grounded_laplacian
             self.input_drive = np.zeros(self.n * self.d)
-            u0 = np.asarray(sc.mode.u0, dtype=float)
             for c in coupling.entries:
-                i = c.agent
-                self.input_drive[i * self.d:(i + 1) * self.d] += (
-                    c.sign * c.abs_weight().entries) @ u0
-            self.gamma = np.array(
+                self.input_drive.reshape(self.n, self.d)[c.agent] += (
+                    c.sign * c.abs_weight().entries) @ sc.mode.u0
+            self.gain = np.array(
                 [trigger.gamma(i, g, coupling) for i in range(self.n)])
         else:
-            self.grounded = None
-            self.input_drive = None
+            self.grounded = self.input_drive = None
             # Isolated agents never accumulate error (their control is zero),
-            # so a zero constant keeps their trigger permanently silent.
-            self.mu_bar = np.array(
-                [trigger.mu_bar(i, g) if g.degree(i) else 0.0
+            # so a zero gain keeps their trigger permanently silent.
+            self.gain = np.array(
+                [trigger.mu_bar(i, g) * g.degree(i) if g.degree(i) else 0.0
                  for i in range(self.n)])
-            self.deg = np.array([float(g.degree(i)) for i in range(self.n)])
             src, dst, sgn, sqrts = [], [], [], []
             for e in g.edges:
                 root = sym_sqrt(e.abs_weight()).entries
@@ -208,12 +217,10 @@ class CompiledScenario:
             self.edge_src = np.array(src, dtype=int)
             self.edge_dst = np.array(dst, dtype=int)
             self.edge_sign = np.array(sgn)
-            self.edge_sqrt = (np.array(sqrts) if sqrts
-                              else np.zeros((0, self.d, self.d)))
+            self.edge_sqrt = np.array(sqrts)
 
         p = sc.params
-        self.sigma, self.theta = p.sigma, p.theta
-        self.beta = p.beta
+        self.sigma, self.theta, self.beta = p.sigma, p.theta, p.beta
         self.delta = np.zeros_like(p.delta) if self.static_baseline else p.delta
         self.chi0 = p.chi0
 
@@ -234,6 +241,15 @@ class CompiledScenario:
         np.add.at(out, self.edge_src, per_edge)
         return out
 
+    def held_terms(self, xhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Control and trigger slack under the broadcasts ``xhat``; both hold
+        until the next broadcast."""
+        q = self.control(xhat)
+        if self.leader_follower:
+            blocks = q.reshape(self.n, self.d)
+            return q, self.sigma * np.einsum("ij,ij->i", blocks, blocks)
+        return q, self.sigma / 4.0 * self.disagreement_terms(xhat)
+
 
 def compile_scenario(sc: Scenario) -> CompiledScenario:
     return CompiledScenario(sc)
@@ -244,7 +260,8 @@ def initial_sim_state(compiled: CompiledScenario,
     sc = compiled.scenario
     x = sc.initial_state() if x0 is None else np.array(x0, dtype=float)
     # Every agent broadcasts at t = 0, so the error starts at exactly zero.
-    return SimState(t=0.0, x=x, xhat=x.copy(), chi=np.array(compiled.chi0))
+    return SimState(0.0, x, x.copy(), np.array(compiled.chi0),
+                    *compiled.held_terms(x))
 
 
 def step(state: SimState, dt: float,
@@ -254,30 +271,17 @@ def step(state: SimState, dt: float,
     Order of operations: (a) exact affine state update under the held
     control; (b) 4-stage explicit update of the auxiliary variables along the
     segment; (c) threshold evaluation at the segment end with the advanced
-    values; (d) atomic rebroadcast for every agent that fired.  Returns the
-    post-broadcast state and the array of fired agent indices.
+    values; (d) atomic rebroadcast for every agent that fired, which renews
+    the held terms.  Returns the post-broadcast state and the fired agents.
     """
     n, d = compiled.n, compiled.d
-
-    qhat = compiled.control(state.xhat)
     e0 = (state.xhat - state.x).reshape(n, d)
-    q_blocks = qhat.reshape(n, d)
+    q_blocks = state.q.reshape(n, d)
 
-    if compiled.leader_follower:
-        q_sq = np.einsum("ij,ij->i", q_blocks, q_blocks)
-
-        def drive(s: float) -> np.ndarray:
-            shifted = e0 - s * q_blocks
-            e_sq = np.einsum("ij,ij->i", shifted, shifted)
-            return compiled.delta * (compiled.sigma * q_sq - compiled.gamma * e_sq)
-    else:
-        disagreement = compiled.disagreement_terms(state.xhat)
-
-        def drive(s: float) -> np.ndarray:
-            shifted = e0 - s * q_blocks
-            e_sq = np.einsum("ij,ij->i", shifted, shifted)
-            return compiled.delta * (compiled.sigma / 4.0 * disagreement
-                                     - compiled.mu_bar * compiled.deg * e_sq)
+    def drive(s: float) -> np.ndarray:
+        shifted = e0 - s * q_blocks
+        e_sq = np.einsum("ij,ij->i", shifted, shifted)
+        return compiled.delta * (state.slack - compiled.gain * e_sq)
 
     g0 = drive(0.0)
     gh = drive(dt / 2.0)
@@ -290,7 +294,7 @@ def step(state: SimState, dt: float,
     k4 = -beta * (chi + dt * k3) + g1
     chi_next = chi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    x_next = state.x + dt * qhat
+    x_next = state.x + dt * state.q
 
     if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > DIVERGENCE_GUARD:
         raise Diverged(
@@ -298,20 +302,16 @@ def step(state: SimState, dt: float,
 
     e_end = (state.xhat - x_next).reshape(n, d)
     e_sq_end = np.einsum("ij,ij->i", e_end, e_end)
-    if compiled.leader_follower:
-        lhs = compiled.theta * (compiled.gamma * e_sq_end - compiled.sigma * q_sq)
-    else:
-        lhs = compiled.theta * (compiled.mu_bar * compiled.deg * e_sq_end
-                                - compiled.sigma / 4.0 * disagreement)
+    lhs = compiled.theta * (compiled.gain * e_sq_end - state.slack)
     threshold = np.zeros(n) if compiled.static_baseline else chi_next
     fired = np.flatnonzero(lhs > threshold)
 
-    xhat_next = state.xhat.copy()
-    for i in fired:
-        xhat_next[i * d:(i + 1) * d] = x_next[i * d:(i + 1) * d]
-
-    return SimState(t=state.t + dt, x=x_next, xhat=xhat_next,
-                    chi=chi_next), fired
+    xhat, q, slack = state.xhat, state.q, state.slack
+    if fired.size:
+        xhat = xhat.copy()
+        xhat.reshape(n, d)[fired] = x_next.reshape(n, d)[fired]
+        q, slack = compiled.held_terms(xhat)
+    return SimState(state.t + dt, x_next, xhat, chi_next, q, slack), fired
 
 
 def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
@@ -355,7 +355,7 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
             duration_s=time.perf_counter() - started)
 
     for k in range(steps):
-        controls[k] = compiled.control(state.xhat)
+        controls[k] = state.q
         try:
             state, fired = step(state, sc.dt, compiled)
         except Diverged as exc:
@@ -366,7 +366,7 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
         chi[k + 1] = state.chi
         for i in fired:
             events[i].append(float(times[k + 1]))
-    controls[steps] = compiled.control(state.xhat)
+    controls[steps] = state.q
 
     if np.min(chi) <= 0.0:
         warnings.append("auxiliary variable dropped to a nonpositive value")

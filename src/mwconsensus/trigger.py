@@ -1,41 +1,45 @@
-"""The two dynamic event-triggering mechanisms.
+"""The dynamic event-triggering law shared by both protocols.
 
 For every agent i the mechanism watches its measurement error
-``e_i = xhat_i - x_i`` (last broadcast minus true state).  An event fires the
-first time the error term outgrows a threshold that combines a decaying
-per-agent auxiliary variable ``chi_i`` with the locally measurable
-disagreement, at which point the agent rebroadcasts and the error resets.
+``e_i = xhat_i - x_i`` (last broadcast minus true state).  Both protocols
+use one law (Girard's dynamic trigger), with a per-agent gain ``K_i`` and a
+slack ``S_i``:
 
-Leaderless form, per agent i with neighbor count N_i:
+    fire  iff  theta_i * (K_i ||e_i||^2 - S_i) > chi_i
+    chi_i' = -beta_i chi_i + delta_i * (S_i - K_i ||e_i||^2)
 
-    fire  iff  theta_i * (mu_bar_i * N_i * ||e_i||^2
-                          - sum_j (sigma_i/4) * ||sqrt(|A_ij|) p_ij||^2) > chi_i
-    chi_i' = -beta_i chi_i + delta_i * ((sigma_i/4) * sum_j ||sqrt(|A_ij|) p_ij||^2
-                                        - mu_bar_i * N_i * ||e_i||^2)
+Only the gain and the slack differ between the protocols:
 
-with ``p_ij = xhat_i - sgn(A_ij) xhat_j`` and ``mu_bar_i`` the largest
-eigenvalue among the incident absolute weights.  The leader-follower form
-replaces the neighborhood terms by ``gamma_i ||e_i||^2 - sigma_i ||qhat_i||^2``
-with the spectral constant ``gamma_i`` computed from the incident weights.
+    leaderless       K_i = mu_bar_i * N_i
+                     S_i = (sigma_i/4) * sum_j ||sqrt(|A_ij|) p_ij||^2
+    leader-follower  K_i = gamma_i
+                     S_i = sigma_i * ||qhat_i||^2
+
+with N_i the neighbor count, ``p_ij = xhat_i - sgn(A_ij) xhat_j``,
+``mu_bar_i`` the largest eigenvalue among the incident absolute weights and
+``gamma_i`` the spectral constant of the incident weights and input
+couplings.  The gain is a constant of the network; the slack depends only
+on the broadcasts, so it stays constant between events.  At an event the
+agent rebroadcasts and its error resets.
 
 Equality never fires: the threshold inequality uses "<=" for staying silent,
 so the fire condition is strict.
 
-The engine evaluates these formulas for all agents at once
-(``sim.CompiledScenario`` and ``sim.step``); this module holds the trigger
-parameters, the spectral constants ``mu_bar`` and ``gamma``, and parameter
-validation.
+The engine evaluates the law for all agents at once (``sim.CompiledScenario``
+compiles the gains, ``sim.step`` applies the law); this module holds the
+trigger parameters, the spectral constants ``mu_bar`` and ``gamma``, and
+parameter validation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
 
 from .errors import NoNeighbors
-from .linalg import sym_eigen
 from .mwgraph import InputCoupling, MatrixWeightedGraph
 
 
@@ -134,7 +138,7 @@ def mu_bar(i: int, g: MatrixWeightedGraph) -> float:
     neigh = g.neighbors(i)
     if not neigh:
         raise NoNeighbors(f"agent {i} has no neighbors")
-    return max(float(sym_eigen(g.abs_weight(i, j)).lambda_max) for j in neigh)
+    return max(g.edge(i, j).abs_lambda_max for j in neigh)
 
 
 def gamma(i: int, g: MatrixWeightedGraph, coupling: InputCoupling) -> float:
@@ -142,13 +146,17 @@ def gamma(i: int, g: MatrixWeightedGraph, coupling: InputCoupling) -> float:
 
         n * (sum_j mu(|A_ij|) + sum_l mu(|B_il|))^2 + n * sum_j mu(|A_ij|)^2
 
-    Empty neighbor and input sets give 0.
+    Empty neighbor and input sets give 0; weights too large for the square
+    give inf.
     """
     n = g.n
-    mus = [float(sym_eigen(g.abs_weight(i, j)).lambda_max) for j in g.neighbors(i)]
-    mus_b = [float(sym_eigen(c.abs_weight()).lambda_max)
-             for c in coupling.entries_for_agent(i)]
-    return n * (sum(mus) + sum(mus_b)) ** 2 + n * sum(m * m for m in mus)
+    mus = [g.edge(i, j).abs_lambda_max for j in g.neighbors(i)]
+    mus_b = [c.abs_lambda_max for c in coupling.entries_for_agent(i)]
+    try:
+        spread = n * (sum(mus) + sum(mus_b)) ** 2
+    except OverflowError:  # float ** raises where float * returns inf
+        spread = math.inf
+    return spread + n * sum(m * m for m in mus)
 
 
 def validate_params(params: TriggerParams) -> list[Violation]:

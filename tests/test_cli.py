@@ -1,12 +1,15 @@
 """CLI behavior: commands, exit codes, artifact layout, byte determinism."""
 
+import copy
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from mwconsensus import scenario_io
+from mwconsensus.builtin import leader_follower_scenario
 from mwconsensus.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, \
     main
 
@@ -280,3 +283,105 @@ class TestConfigRoundTripOnDisk:
         config = next(out_root.iterdir()) / "config.json"
         sc, _ = scenario_io.load_scenario_file(config)
         assert scenario_io.run_directory_name(sc) == next(out_root.iterdir()).name
+
+
+def lf_scenario_doc():
+    return json.loads(scenario_io.dump_scenario(leader_follower_scenario()))
+
+
+def _set(path, value, make=small_scenario_doc):
+    """A document from ``make`` with the field at ``path`` set to ``value``."""
+    def build():
+        doc = make()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+    return build
+
+
+#: Each of these documents used to end in a raw traceback from ``check``, or
+#: (the boolean endpoint) to load silently as the edge (1, 0).
+MALFORMED = {
+    "edge-i-float": _set(("graph", "edges", 0, "i"), 1.5),
+    "edge-i-string": _set(("graph", "edges", 0, "i"), "0"),
+    "sigma-string": _set(("params", "sigma"), "abc"),
+    "sigma-null": _set(("params", "sigma"), None),
+    "per-agent-array": _set(("params", "per_agent"), [1]),
+    "weight-ragged": _set(("graph", "edges", 0, "weight"), [[1.5], []]),
+    "edges-number": _set(("graph", "edges"), 5),
+    "dt-string": _set(("sim", "dt"), "x"),
+    "x0-strings": _set(("sim", "x0"), ["a", "b"]),
+    "u0-strings": _set(("mode", "u0"), ["a"], lf_scenario_doc),
+    "edge-i-bool": _set(("graph", "edges", 0), {"i": True, "j": 0,
+                                                "weight": [1.5]}),
+}
+
+
+def check_outcome(doc, tmp_path, capsys) -> tuple[int, str]:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", str(path)])
+    return code, capsys.readouterr().err
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("make", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_one_line_format_error(self, make, tmp_path, capsys):
+        code, err = check_outcome(make(), tmp_path, capsys)
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_mutation_fuzz(self, tmp_path, capsys):
+        """Seeded random edits of the bundled leader-follower document: every
+        mutant is accepted or rejected with at most one stderr line.  The
+        replacement values hold no large sizes (a huge ``n`` would allocate
+        its Laplacian before any memory check)."""
+        rng = random.Random(20240607)
+        pool = [None, True, False, 0, 1, -1, 2, 7, 1.5, -0.5, 1e300,
+                float("nan"), float("inf"), "", "x", "0", "pd", "leaderless",
+                [], [1], [[1.0]], ["a"], {}, {"k": 1}]
+        base = lf_scenario_doc()
+        outcomes = set()
+        for _ in range(300):
+            doc = copy.deepcopy(base)
+            for _ in range(rng.randint(1, 3)):
+                _mutate(doc, rng, pool)
+            code, err = check_outcome(doc, tmp_path, capsys)
+            assert code in (EXIT_OK, EXIT_VALIDATION), (doc, err)
+            assert err.count("\n") <= 1 and "Traceback" not in err, err
+            outcomes.add(code)
+        assert outcomes == {EXIT_OK, EXIT_VALIDATION}
+
+
+def _containers(node, out):
+    if isinstance(node, (dict, list)):
+        out.append(node)
+        for child in (node.values() if isinstance(node, dict) else node):
+            _containers(child, out)
+    return out
+
+
+def _mutate(doc, rng, pool):
+    """One random edit: replace, delete, duplicate or wrap an entry, or add
+    an unknown key."""
+    parent = rng.choice(_containers(doc, []))
+    keys = list(parent) if isinstance(parent, dict) else list(range(len(parent)))
+    op = rng.choice(["replace", "replace", "delete", "duplicate", "wrap", "add"])
+    value = copy.deepcopy(rng.choice(pool))
+    if op == "add" or not keys:
+        if isinstance(parent, dict):
+            parent["unexpected"] = value
+        else:
+            parent.append(value)
+        return
+    key = rng.choice(keys)
+    if op == "replace":
+        parent[key] = value
+    elif op == "delete":
+        del parent[key]
+    elif op == "duplicate" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key] = [parent[key]]

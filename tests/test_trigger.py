@@ -143,6 +143,11 @@ class TestSpectralConstants:
         # n * (sum mu)^2 + n * sum mu^2 = 2 * 1 + 2 * 1
         assert gamma(0, g, InputCoupling.empty()) == pytest.approx(4.0)
 
+    def test_gamma_overflows_to_inf(self):
+        # float ** raises OverflowError where float * returns inf
+        g = scalar_graph(2, {(0, 1): 1e300}, d=2)
+        assert gamma(0, g, InputCoupling.empty()) == np.inf
+
     def test_gamma_formula_against_direct_evaluation(self, ref_graph,
                                                      ref_coupling):
         for i in range(6):

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import sim
+from . import mwgraph, sim
 from .sim import TrajectoryRecord
 from .trigger import LeaderFollower
 
@@ -110,7 +110,8 @@ def event_stats(record: TrajectoryRecord) -> RunSummary:
         final_err = float(bipartite_error(record, xtilde)[-1])
         rel_err = final_err / max(1.0, float(np.linalg.norm(xtilde)))
         if lf:
-            v = lyapunov_lf(record, xtilde, sc.grounded_laplacian)
+            grounded = mwgraph.build_grounded_laplacian(sc.graph, sc.mode.coupling)
+            v = lyapunov_lf(record, xtilde, grounded.entries)
         else:
             v = lyapunov_leaderless(record, xtilde)
         decay = fit_decay_rate(record.times, v)

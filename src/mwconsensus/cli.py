@@ -7,7 +7,7 @@ Subcommands::
     mwconsensus run SCENARIO [...]        simulate and write artifacts
     mwconsensus replicate-paper {leaderless,lf} [...]
                                           run the bundled reference scenarios
-    mwconsensus sweep SCENARIO [...]      run many scenarios concurrently
+    mwconsensus sweep SCENARIO [...]      run many scenarios in sequence
 
 ``SCENARIO`` is a path to a scenario JSON document, or one of the tokens
 ``builtin:leaderless`` / ``builtin:lf`` naming the bundled scenarios.
@@ -23,10 +23,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analysis, builtin, mwgraph, scenario_io, sim, trigger
@@ -56,10 +54,6 @@ def _load(source: str, args: argparse.Namespace):
                for name in ("dt", "horizon", "seed", "baseline")
                if getattr(args, name, None) is not None}
     return dataclasses.replace(scenario, **changes), outputs
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def write_artifacts(record, outdir: Path, formats=("csv", "json"),
@@ -127,6 +121,11 @@ def _summary_doc(record) -> dict:
     return doc
 
 
+def _constant(value: float) -> str:
+    """Four decimals, or scientific notation once that would run long."""
+    return f"{value:.4f}" if abs(value) < 1e6 else f"{value:.4e}"
+
+
 def cmd_check(args) -> int:
     scenario, _ = _load(args.scenario, args)
     g = scenario.graph
@@ -155,8 +154,8 @@ def cmd_check(args) -> int:
               for i in range(g.n)]
     coupling = scenario.mode.coupling if lf else mwgraph.InputCoupling.empty()
     gam_row = [trigger.gamma(i, g, coupling) for i in range(g.n)]
-    print("mu_bar: " + "  ".join(f"{v:.4f}" for v in mu_row))
-    print("gamma:  " + "  ".join(f"{v:.4f}" for v in gam_row))
+    print("mu_bar: " + "  ".join(map(_constant, mu_row)))
+    print("gamma:  " + "  ".join(map(_constant, gam_row)))
     violations = trigger.validate_params(scenario.params)
     for v in violations:
         print(f"parameter violation: {v}")
@@ -186,7 +185,11 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _execute(scenario, outputs, args) -> int:
+def cmd_run(args) -> int:
+    scenario, outputs = _load(args.scenario, args)
+    if args.dump_config:
+        sys.stdout.write(scenario_io.dump_scenario(scenario, outputs))
+        return EXIT_OK
     out_root = Path(args.out) if args.out else Path(outputs["directory"])
     outdir = out_root / scenario_io.run_directory_name(scenario)
     formats = tuple(outputs["formats"])
@@ -217,40 +220,24 @@ def _execute(scenario, outputs, args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    scenario, outputs = _load(args.scenario, args)
-    if args.dump_config:
-        sys.stdout.write(scenario_io.dump_scenario(scenario, outputs))
-        return EXIT_OK
-    return _execute(scenario, outputs, args)
-
-
 def cmd_replicate(args) -> int:
-    token = "builtin:lf" if args.which == "lf" else "builtin:leaderless"
-    scenario, outputs = _load(token, args)
-    if args.dump_config:
-        sys.stdout.write(scenario_io.dump_scenario(scenario, outputs))
-        return EXIT_OK
-    return _execute(scenario, outputs, args)
+    args.scenario = f"builtin:{args.which}"
+    return cmd_run(args)
 
 
 def cmd_sweep(args) -> int:
-    workers = os.environ.get("MWC_THREADS")
-    workers = int(workers) if workers else min(8, os.cpu_count() or 1)
-
-    def one(path: str) -> int:
-        local = argparse.Namespace(**vars(args))
+    """Run the scenarios in argument order; the worst exit code wins."""
+    worst = EXIT_OK
+    for path in args.scenarios:
+        print(f"sweep: {path}")
+        args.scenario = path
         try:
-            scenario, outputs = _load(path, local)
+            code = cmd_run(args)
         except (OSError, MwcError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
-            return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
-        print(f"sweep: {path}")
-        return _execute(scenario, outputs, local)
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        codes = list(pool.map(one, args.scenarios))
-    return max(codes) if codes else EXIT_OK
+            code = EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
+        worst = max(worst, code)
+    return worst
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_rep)
     p_rep.set_defaults(func=cmd_replicate)
 
-    p_sweep = sub.add_parser("sweep", help="run several scenarios concurrently "
-                                           "(MWC_THREADS caps the pool)")
+    p_sweep = sub.add_parser("sweep", help="run several scenarios one after "
+                                           "another")
     p_sweep.add_argument("scenarios", nargs="+")
     add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -278,10 +278,6 @@ class GaugeMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "signs", arr)
 
-    def expand(self, d: int) -> np.ndarray:
-        """The nd-vector of per-coordinate signs (sign of node i repeated d times)."""
-        return np.repeat(self.signs.astype(float), d)
-
 
 def build_laplacian(g: MatrixWeightedGraph) -> SymMatrix:
     """The graph's block Laplacian (assembled once per graph)."""

@@ -19,9 +19,9 @@ atomically before the next step.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -75,11 +75,13 @@ class Scenario:
     def step_count(self) -> int:
         return int(round(self.horizon / self.dt))
 
-    @cached_property
-    def grounded_laplacian(self) -> np.ndarray:
-        """Leader-follower grounded Laplacian, shared by engine and analytics."""
-        g, coupling = self.graph, self.mode.coupling
-        return mwgraph.build_grounded_laplacian(g, coupling).entries
+
+def physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, OSError, ValueError):
+        return float("inf")
 
 
 def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
@@ -94,10 +96,19 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
     if not 0.0 < sc.horizon < np.inf or (sc.dt > 0.0 and sc.dt > sc.horizon):
         out.append(f"horizon must satisfy 0 < dt <= T < inf, got dt={sc.dt} "
                    f"T={sc.horizon}")
-    elif sc.dt > 0.0 and not (abs(sc.step_count * sc.dt - sc.horizon)
-                              <= STEP_GRID_RTOL * sc.horizon):
-        # The grid ends at step_count * dt; the summary reports T.
-        out.append(f"T={sc.horizon} is not an integer multiple of dt={sc.dt}")
+    elif sc.dt > 0.0:
+        steps, n, nd = sc.horizon / sc.dt, sc.graph.n, sc.graph.n * sc.graph.d
+        # The record keeps states, broadcasts and controls (nd each), chi (n)
+        # and the time at every grid point, all float64.
+        need, have = 8.0 * (steps + 1.0) * (3 * nd + n + 1), physical_memory()
+        if not need < have:
+            out.append(f"T/dt = {steps:.6g} steps need {need / 2**30:.3g} GiB "
+                       f"of arrays, more than the {have / 2**30:.3g} GiB of "
+                       "physical memory")
+        elif not (abs(sc.step_count * sc.dt - sc.horizon)
+                  <= STEP_GRID_RTOL * sc.horizon):
+            # The grid ends at step_count * dt; the summary reports T.
+            out.append(f"T={sc.horizon} is not an integer multiple of dt={sc.dt}")
     if sc.baseline not in (BASELINE_DYNAMIC, BASELINE_STATIC):
         out.append(f"unknown baseline {sc.baseline!r}")
     if sc.seed is not None and sc.seed < 0:
@@ -157,10 +168,6 @@ class TrajectoryRecord:
     def d(self) -> int:
         return self.scenario.graph.d
 
-    def agent_states(self, i: int) -> np.ndarray:
-        d = self.d
-        return self.states[:, i * d:(i + 1) * d]
-
 
 @dataclass
 class SimState:
@@ -175,11 +182,15 @@ class SimState:
 
 
 class CompiledScenario:
-    """Scenario with every per-step constant precomputed (the trigger gain).
+    """Scenario with every per-step constant precomputed: the trigger gain
+    and the arcs of the coupling.
 
-    The per-agent trigger quantities are evaluated in vectorized form, as
-    written out in :mod:`mwconsensus.trigger`; the test suite cross-checks
-    them step by step against independent per-agent oracles.
+    Both protocols share one edge-list coupling (Trinh et al., Automatica
+    2018): ``qhat_i = -sum_j |A_ij| p_ij`` with ``p_ij = xhat_i - sgn(A_ij)
+    xhat_j``, over the arcs that leave agent i.  In leader-follower mode the
+    arcs run over the input-extended graph, so each input is one more
+    neighbour whose state stays at ``u0``.  The test suite cross-checks the
+    vectorized trigger quantities against independent per-agent oracles.
     """
 
     def __init__(self, sc: Scenario):
@@ -189,57 +200,59 @@ class CompiledScenario:
         self.leader_follower = isinstance(sc.mode, LeaderFollower)
         self.static_baseline = sc.baseline == BASELINE_STATIC
 
-        self.laplacian = mwgraph.build_laplacian(g).entries
         if self.leader_follower:
             coupling = sc.mode.coupling
-            self.grounded = sc.grounded_laplacian
-            self.input_drive = np.zeros(self.n * self.d)
-            for c in coupling.entries:
-                self.input_drive.reshape(self.n, self.d)[c.agent] += (
-                    c.sign * c.abs_weight().entries) @ sc.mode.u0
+            network = mwgraph.extended_graph(g, coupling)
+            self.pinned = np.tile(sc.mode.u0, coupling.m)
             self.gain = np.array(
                 [trigger.gamma(i, g, coupling) for i in range(self.n)])
         else:
-            self.grounded = self.input_drive = None
+            network = g
+            self.pinned = np.zeros(0)
             # Isolated agents never accumulate error (their control is zero),
             # so a zero gain keeps their trigger permanently silent.
             self.gain = np.array(
                 [trigger.mu_bar(i, g) * g.degree(i) if g.degree(i) else 0.0
                  for i in range(self.n)])
-            src, dst, sgn, sqrts = [], [], [], []
-            for e in g.edges:
-                root = sym_sqrt(e.abs_weight()).entries
-                for a, b in ((e.i, e.j), (e.j, e.i)):
-                    src.append(a)
-                    dst.append(b)
-                    sgn.append(float(e.sign))
-                    sqrts.append(root)
-            self.edge_src = np.array(src, dtype=int)
-            self.edge_dst = np.array(dst, dtype=int)
-            self.edge_sign = np.array(sgn)
-            self.edge_sqrt = np.array(sqrts)
+        # Arcs leave agents only: an input node is pinned and has no flow.
+        arcs = [(a, b, e) for e in network.edges
+                for a, b in ((e.i, e.j), (e.j, e.i)) if a < self.n]
+        absw = {e: e.abs_weight() for e in network.edges}
+        d = self.d
+        self.arc_src = np.array([a for a, _, _ in arcs], dtype=int)
+        self.arc_dst = np.array([b for _, b, _ in arcs], dtype=int)
+        self.arc_sign = np.array([float(e.sign) for _, _, e in arcs])
+        self.arc_abs = np.array(
+            [absw[e].entries for _, _, e in arcs]).reshape(-1, d, d)
+        if not self.leader_follower:
+            root = {e: sym_sqrt(w).entries for e, w in absw.items()}
+            self.arc_sqrt = np.array(
+                [root[e] for _, _, e in arcs]).reshape(-1, d, d)
+        # Flat state index of every coordinate an arc's flow lands on.
+        self.arc_slots = (self.arc_src[:, None] * d + np.arange(d)).reshape(-1)
 
         p = sc.params
         self.sigma, self.theta, self.beta = p.sigma, p.theta, p.beta
         self.delta = np.zeros_like(p.delta) if self.static_baseline else p.delta
         self.chi0 = p.chi0
 
+    def _relative(self, xhat: np.ndarray) -> np.ndarray:
+        """``p_ij`` per arc; input nodes carry their pinned state."""
+        nodes = np.concatenate((xhat, self.pinned)).reshape(-1, self.d)
+        # take(axis=0) gathers rows several times faster than nodes[idx].
+        return (nodes.take(self.arc_src, axis=0)
+                - self.arc_sign[:, None] * nodes.take(self.arc_dst, axis=0))
+
     def control(self, xhat: np.ndarray) -> np.ndarray:
-        if self.leader_follower:
-            return self.input_drive - self.grounded @ xhat
-        return -(self.laplacian @ xhat)
+        flow = np.einsum("eij,ej->ei", self.arc_abs, self._relative(xhat))
+        return -np.bincount(self.arc_slots, weights=flow.reshape(-1),
+                            minlength=self.n * self.d)
 
     def disagreement_terms(self, xhat: np.ndarray) -> np.ndarray:
         """Per-agent sum of ||sqrt(|A_ij|) p_ij||^2 (leaderless trigger only)."""
-        blocks = xhat.reshape(self.n, self.d)
-        if self.edge_src.size == 0:
-            return np.zeros(self.n)
-        p = blocks[self.edge_src] - self.edge_sign[:, None] * blocks[self.edge_dst]
-        rp = np.einsum("eij,ej->ei", self.edge_sqrt, p)
-        per_edge = np.einsum("ei,ei->e", rp, rp)
-        out = np.zeros(self.n)
-        np.add.at(out, self.edge_src, per_edge)
-        return out
+        rp = np.einsum("eij,ej->ei", self.arc_sqrt, self._relative(xhat))
+        return np.bincount(self.arc_src, weights=np.einsum("ei,ei->e", rp, rp),
+                           minlength=self.n)
 
     def held_terms(self, xhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Control and trigger slack under the broadcasts ``xhat``; both hold
@@ -269,12 +282,19 @@ def step(state: SimState, dt: float,
     """Advance one step and apply any triggered broadcasts.
 
     Order of operations: (a) exact affine state update under the held
-    control; (b) 4-stage explicit update of the auxiliary variables along the
-    segment; (c) threshold evaluation at the segment end with the advanced
-    values; (d) atomic rebroadcast for every agent that fired, which renews
-    the held terms.  Returns the post-broadcast state and the fired agents.
+    control, checked against the divergence guard before anything else is
+    computed from it; (b) 4-stage explicit update of the auxiliary variables
+    along the segment; (c) threshold evaluation at the segment end with the
+    advanced values; (d) atomic rebroadcast for every agent that fired, which
+    renews the held terms.  Returns the post-broadcast state and the fired
+    agents.
     """
     n, d = compiled.n, compiled.d
+    x_next = state.x + dt * state.q
+    if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > DIVERGENCE_GUARD:
+        raise Diverged(
+            f"state norm exceeded {DIVERGENCE_GUARD:g} at t={state.t + dt:g}")
+
     e0 = (state.xhat - state.x).reshape(n, d)
     q_blocks = state.q.reshape(n, d)
 
@@ -293,12 +313,6 @@ def step(state: SimState, dt: float,
     k3 = -beta * (chi + dt / 2.0 * k2) + gh
     k4 = -beta * (chi + dt * k3) + g1
     chi_next = chi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    x_next = state.x + dt * state.q
-
-    if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > DIVERGENCE_GUARD:
-        raise Diverged(
-            f"state norm exceeded {DIVERGENCE_GUARD:g} at t={state.t + dt:g}")
 
     e_end = (state.xhat - x_next).reshape(n, d)
     e_sq_end = np.einsum("ij,ij->i", e_end, e_end)

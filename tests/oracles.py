@@ -7,8 +7,8 @@ Python floats, lists and dicts on purpose: they must not share code paths
 The per-agent trigger formulas below evaluate one agent at a time from the
 graph's edge accessors, with small numpy products.  The engine
 (``sim.CompiledScenario`` and ``sim.step``) evaluates the same formulas
-vectorized over all agents from the Laplacian and edge arrays, so the two
-paths share the graph model but none of the trigger arithmetic.
+vectorized over all agents from the edge arrays, so the two paths share
+the graph model but none of the trigger arithmetic.
 """
 
 from __future__ import annotations

@@ -4,14 +4,18 @@ import copy
 import hashlib
 import json
 import random
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
 
-from mwconsensus import scenario_io
-from mwconsensus.builtin import leader_follower_scenario
+from mwconsensus import scenario_io, sim, trigger
+from mwconsensus.builtin import leader_follower_scenario, leaderless_scenario
 from mwconsensus.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, \
     main
+from mwconsensus.mwgraph import InputCoupling
+from mwconsensus.trigger import LeaderFollower
 
 
 def small_scenario_doc(seed=4, weight=1.5, horizon=1.0):
@@ -212,6 +216,67 @@ class TestRun:
         assert set(forced) == set(normal)
 
 
+class TestExtremeInputs:
+    """Documents at the edge of float range and memory end in one line."""
+
+    def test_extreme_weight_diverges_without_warning(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(small_scenario_doc(weight=1e300)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning raises
+            code = main(["run", str(path), "--out", str(tmp_path / "runs")])
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err.startswith("diverged: ")
+
+    def test_check_constants_bounded_width(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(small_scenario_doc(weight=1e300)))
+        main(["check", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        row = next(line for line in lines if line.startswith("mu_bar:"))
+        assert row.split()[1:] == ["1.0000e+300", "1.0000e+300"]
+        assert max(len(line) for line in lines) < 120
+
+    @pytest.mark.parametrize("make", [leaderless_scenario,
+                                      leader_follower_scenario])
+    def test_builtin_constants_keep_four_decimals(self, make, capsys):
+        sc = make()
+        g = sc.graph
+        coupling = (sc.mode.coupling if isinstance(sc.mode, LeaderFollower)
+                    else InputCoupling.empty())
+        token = ("builtin:lf" if isinstance(sc.mode, LeaderFollower)
+                 else "builtin:leaderless")
+        main(["check", token])
+        lines = capsys.readouterr().out.splitlines()
+        assert ("mu_bar: " + "  ".join(f"{trigger.mu_bar(i, g):.4f}"
+                                       for i in range(g.n))) in lines
+        assert ("gamma:  " + "  ".join(f"{trigger.gamma(i, g, coupling):.4f}"
+                                       for i in range(g.n))) in lines
+
+    @pytest.mark.parametrize("horizon", ["1e12", "1e308"])
+    def test_horizon_beyond_memory_one_line(self, horizon, capsys):
+        assert main(["run", "builtin:leaderless", "--T", horizon]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "physical memory" in err[0]
+
+    def test_memory_checked_before_allocating(self, monkeypatch, tmp_path,
+                                              capsys):
+        """A run whose record (~63 MB here) exceeds the memory allocates
+        nothing."""
+        monkeypatch.setattr(sim, "physical_memory", lambda: float(1 << 20))
+        tracemalloc.start()
+        try:
+            code = main(["run", "builtin:leaderless", "--T", "100",
+                         "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION
+        assert "physical memory" in capsys.readouterr().err
+        assert peak < 4 << 20
+
+
 class TestReplicate:
     def test_leaderless_run_and_summary(self, tmp_path, capsys):
         out_root = tmp_path / "runs"
@@ -252,8 +317,7 @@ class TestReplicate:
 
 
 class TestSweep:
-    def test_multiple_scenarios(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MWC_THREADS", "2")
+    def test_multiple_scenarios(self, tmp_path, capsys):
         paths = []
         for k, seed in enumerate((1, 2, 3)):
             doc = small_scenario_doc(seed=seed, horizon=0.5)
@@ -263,6 +327,10 @@ class TestSweep:
         out_root = tmp_path / "runs"
         assert main(["sweep", *paths, "--out", str(out_root)]) == EXIT_OK
         assert len(list(out_root.iterdir())) == 3
+        announced = [line.split(" ", 1)[1] for line in
+                     capsys.readouterr().out.splitlines()
+                     if line.startswith("sweep: ")]
+        assert announced == paths
 
     def test_sweep_propagates_worst_exit(self, tmp_path):
         good = tmp_path / "good.json"

@@ -8,7 +8,7 @@ from mwconsensus.builtin import leader_follower_scenario, leaderless_scenario
 from mwconsensus.errors import Diverged, InvalidScenario
 from mwconsensus.linalg import sym_sqrt
 from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
-    build_laplacian
+    build_grounded_laplacian, build_laplacian
 from mwconsensus.sim import Scenario, chi_floor_check, min_inter_event, \
     run, validate_scenario
 from mwconsensus.trigger import LeaderFollower, Leaderless, TriggerParams
@@ -145,6 +145,45 @@ class TestStructureComputedOnce:
         assert len(built) == 1
 
 
+def dense_coupling(sc):
+    """Dense reference of the control: the (grounded) Laplacian and the
+    constant input drive, ``qhat = drive - L xhat``."""
+    g = sc.graph
+    if not isinstance(sc.mode, LeaderFollower):
+        return build_laplacian(g).entries, np.zeros(g.n * g.d)
+    drive = np.zeros((g.n, g.d))
+    for c in sc.mode.coupling.entries:
+        drive[c.agent] += c.sign * c.abs_weight().entries @ sc.mode.u0
+    grounded = build_grounded_laplacian(g, sc.mode.coupling).entries
+    return grounded, drive.reshape(-1)
+
+
+def isolated_psd_nsd_scenario(lf=False):
+    """Balanced random graph, d = 3, with PD/PSD/ND/NSD weights and an
+    isolated last agent; ``lf`` attaches two inputs through PSD, NSD and PD
+    couplings."""
+    rng = np.random.default_rng(11)
+    n, d = 8, 3
+    gauge = rng.choice([-1, 1], size=n)
+    edges = []
+    for a in range(n - 1):
+        for b in range(a + 1, n - 1):
+            if b == a + 1 or rng.uniform() < 0.3:
+                m = rng.normal(size=(d, d - int(rng.integers(0, 2))))
+                w = m @ m.T  # rank d (PD) or d - 1 (PSD)
+                edges.append((a, b, int(gauge[a] * gauge[b]) * w))
+    g = MatrixWeightedGraph.from_edges(n, d, edges)
+    mode = Leaderless()
+    if lf:
+        m = rng.normal(size=(d, d - 1))
+        psd = m @ m.T
+        coupling = InputCoupling.from_entries(
+            2, [(0, 0, psd), (3, 1, -psd), (5, 0, np.eye(d))], d)
+        mode = LeaderFollower(u0=rng.uniform(-1.0, 1.0, d), coupling=coupling)
+    return Scenario(graph=g, mode=mode, params=uniform_params(n), dt=1e-3,
+                    horizon=0.05, seed=2)
+
+
 def fire_steps(record) -> int:
     """Grid steps at which at least one agent broadcast (t = 0 excluded)."""
     return len({t for ev in record.events for t in ev[1:].tolist()})
@@ -265,12 +304,42 @@ class TestStepSemantics:
         dx = np.diff(rec.states[:2000], axis=0)
         np.testing.assert_allclose(dx, dt * rec.controls[:1999], atol=1e-13)
 
-    def test_controls_recomputable_from_broadcasts(self, ref_leaderless_record):
-        rec = ref_leaderless_record
-        lap = build_laplacian(rec.scenario.graph).entries
-        for k in (0, 57, 1234, 19999):
-            np.testing.assert_allclose(rec.controls[k],
-                                       -lap @ rec.broadcasts[k], atol=1e-12)
+    def test_controls_recomputable_from_broadcasts(self, ref_leaderless_record,
+                                                   ref_lf_record):
+        """The edge-list control equals the dense one, ``-L xhat`` or
+        ``input_drive - L_B xhat``.  The atol covers entries near consensus,
+        where the dense product itself cancels and a pure rtol cannot hold."""
+        cases = [(rec.scenario, rec.broadcasts, rec.controls)
+                 for rec in (ref_leaderless_record, ref_lf_record)]
+        for lf in (False, True):
+            sc = isolated_psd_nsd_scenario(lf)
+            xhats = np.random.default_rng(3).uniform(
+                -1.0, 1.0, (40, sc.graph.n * sc.graph.d))
+            compiled = sim.compile_scenario(sc)
+            cases.append((sc, xhats, np.array([compiled.control(x)
+                                               for x in xhats])))
+        for sc, xhats, controls in cases:
+            dense, drive = dense_coupling(sc)
+            want = drive[None, :] - xhats @ dense.T
+            np.testing.assert_allclose(controls, want, rtol=1e-12, atol=1e-12)
+
+    def test_engine_builds_no_laplacian(self, monkeypatch):
+        """Compiling builds no Laplacian; a run builds one, for Assumption 1."""
+        built = []
+        assemble = sim.mwgraph.build_laplacian
+
+        def counting(g):
+            built.append(g)
+            return assemble(g)
+
+        monkeypatch.setattr(sim.mwgraph, "build_laplacian", counting)
+        for make in (leaderless_scenario, leader_follower_scenario):
+            sc = make(horizon=0.05)
+            sim.compile_scenario(sc)
+            assert built == []
+            run(sc)
+            assert built == [sc.graph]
+            built.clear()
 
     def test_error_zero_at_events(self, ref_leaderless_record):
         rec = ref_leaderless_record

@@ -1,8 +1,13 @@
-"""Post-run analytics: consensus error, energy traces, decay fit, event stats."""
+"""Post-run analytics, and the one place where the run summary is derived.
+
+:func:`event_stats` builds the :class:`RunSummary` that ``summary.json``
+holds: run settings, final and predicted limit states, consensus error and
+decay rate, event counts, inter-event times, chi floor margins and warnings.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,7 +23,7 @@ FIT_FLOOR_RATIO = 1e-10
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Scalar digest of a completed run.
+    """Digest of a run; its fields are exactly the keys of ``summary.json``.
 
     The error and decay fields are measured against the predicted limit
     state; they are ``None`` for a record without one (a forced run whose
@@ -28,6 +33,12 @@ class RunSummary:
     mode: str
     n: int
     d: int
+    dt: float
+    T: float
+    seed: Optional[int]
+    baseline: str
+    final_state: tuple[float, ...]
+    limit_state: Optional[tuple[float, ...]]
     final_bipartite_error: Optional[float]
     final_relative_error: Optional[float]
     fitted_decay_rate: Optional[float]
@@ -35,26 +46,12 @@ class RunSummary:
     min_dwell: tuple[float, ...]
     max_consecutive: tuple[int, ...]
     chi_floor_margins: tuple[float, ...]
-    duration_s: float
     warnings: tuple[str, ...]
 
-    def as_dict(self, include_duration: bool = True) -> dict:
-        out = {
-            "mode": self.mode,
-            "n": self.n,
-            "d": self.d,
-            "final_bipartite_error": self.final_bipartite_error,
-            "final_relative_error": self.final_relative_error,
-            "fitted_decay_rate": self.fitted_decay_rate,
-            "event_counts": list(self.event_counts),
-            "min_dwell": list(self.min_dwell),
-            "max_consecutive": list(self.max_consecutive),
-            "chi_floor_margins": list(self.chi_floor_margins),
-            "warnings": list(self.warnings),
-        }
-        if include_duration:
-            out["duration_s"] = self.duration_s
-        return out
+    def as_dict(self) -> dict:
+        """JSON-ready form: tuples become lists."""
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
 
 
 def bipartite_error(record: TrajectoryRecord, xtilde: np.ndarray) -> np.ndarray:
@@ -80,15 +77,14 @@ def lyapunov_lf(record: TrajectoryRecord, xtilde: np.ndarray,
     return np.einsum("ij,jk,ik->i", xi, lb, xi) + record.chi.sum(axis=1)
 
 
-def fit_decay_rate(times: np.ndarray, values: np.ndarray,
-                   floor_ratio: float = FIT_FLOOR_RATIO) -> float:
+def fit_decay_rate(times: np.ndarray, values: np.ndarray) -> float:
     """Least-squares slope of log(values); returned as a positive rate.
 
-    Points below ``floor_ratio * values[0]`` (and nonpositive points) are
+    Points below ``FIT_FLOOR_RATIO * values[0]`` (and nonpositive points) are
     excluded.  Returns nan when fewer than two usable points remain.
     """
     values = np.asarray(values, dtype=float)
-    keep = values > max(floor_ratio * values[0], 0.0)
+    keep = values > max(FIT_FLOOR_RATIO * values[0], 0.0)
     if keep.sum() < 2:
         return float("nan")
     slope = np.polyfit(times[keep], np.log(values[keep]), 1)[0]
@@ -96,7 +92,7 @@ def fit_decay_rate(times: np.ndarray, values: np.ndarray,
 
 
 def event_stats(record: TrajectoryRecord) -> RunSummary:
-    """Aggregate a record into a :class:`RunSummary`.
+    """Aggregate a (complete or partial) record into a :class:`RunSummary`.
 
     A record without a predicted limit state (its scenario's assumptions
     fail) gets ``None`` for the error and decay fields, which are defined
@@ -116,18 +112,26 @@ def event_stats(record: TrajectoryRecord) -> RunSummary:
             v = lyapunov_leaderless(record, xtilde)
         decay = fit_decay_rate(record.times, v)
     dwell = sim.min_inter_event(record)
-    margins = sim.chi_floor_check(record)
+    warnings = dwell.warnings
+    if np.min(record.chi) <= 0.0:
+        warnings = ("auxiliary variable dropped to a nonpositive value",
+                    *warnings)
     return RunSummary(
         mode="leader-follower" if lf else "leaderless",
         n=record.n,
         d=record.d,
+        dt=sc.dt,
+        T=sc.horizon,
+        seed=sc.seed,
+        baseline=sc.baseline,
+        final_state=tuple(record.states[-1].tolist()),
+        limit_state=None if xtilde is None else tuple(xtilde.tolist()),
         final_bipartite_error=final_err,
         final_relative_error=rel_err,
         fitted_decay_rate=decay,
         event_counts=tuple(len(e) for e in record.events),
-        min_dwell=tuple(float(x) for x in dwell.min_dwell),
-        max_consecutive=tuple(int(x) for x in dwell.max_consecutive),
-        chi_floor_margins=tuple(float(x) for x in margins),
-        duration_s=record.duration_s,
-        warnings=record.warnings,
+        min_dwell=tuple(dwell.min_dwell.tolist()),
+        max_consecutive=tuple(dwell.max_consecutive.tolist()),
+        chi_floor_margins=tuple(sim.chi_floor_check(record).tolist()),
+        warnings=warnings,
     )

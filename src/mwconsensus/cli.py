@@ -56,47 +56,46 @@ def _load(source: str, args: argparse.Namespace):
     return dataclasses.replace(scenario, **changes), outputs
 
 
-def write_artifacts(record, outdir: Path, formats=("csv", "json"),
-                    summary_extra=None) -> dict:
+def write_artifacts(record, outdir: Path, formats=("csv", "json")) -> dict:
     """Write trajectory.csv, chi.csv, events.csv, summary.json, config.json.
 
-    Returns the summary document.  All bytes depend only on the scenario and
-    seed (timing is deliberately excluded).
+    Returns the summary document: :func:`analysis.event_stats` of the record,
+    plus ``diverged: true`` for a record cut short by divergence.  All bytes
+    depend only on the scenario and seed (timing is deliberately excluded).
+    The CSVs are written one grid row at a time, so writing needs little
+    memory beyond the record itself.
     """
     outdir.mkdir(parents=True, exist_ok=True)
     sc = record.scenario
     n, d = record.n, record.d
     if "csv" in formats:
-        # Native-float lists keep the big writes out of numpy scalar overhead.
-        times = record.times.tolist()
+        # Native floats (one row's .tolist() at a time) keep the writes out
+        # of numpy scalar overhead without copying the record.
         labels = [f",{i},{c}," for i in range(n) for c in range(d)]
         with open(outdir / "trajectory.csv", "w", encoding="utf-8",
                   newline="\n") as fh:
             fh.write("time,agent,dim,x,xhat,qhat\n")
-            states = record.states.tolist()
-            broadcasts = record.broadcasts.tolist()
-            controls = record.controls.tolist()
-            for k, t in enumerate(times):
-                ts = repr(t)
-                row_x, row_h, row_q = states[k], broadcasts[k], controls[k]
+            for t, xs, hs, qs in zip(record.times, record.states,
+                                     record.broadcasts, record.controls):
+                ts = repr(float(t))
+                row_x, row_h, row_q = xs.tolist(), hs.tolist(), qs.tolist()
                 fh.writelines(
                     f"{ts}{labels[c]}{row_x[c]!r},{row_h[c]!r},{row_q[c]!r}\n"
                     for c in range(n * d))
         with open(outdir / "chi.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("time,agent,chi\n")
-            chi = record.chi.tolist()
-            for k, t in enumerate(times):
-                ts = repr(t)
-                row = chi[k]
-                fh.writelines(f"{ts},{i},{row[i]!r}\n" for i in range(n))
+            for t, chis in zip(record.times, record.chi):
+                ts = repr(float(t))
+                fh.writelines(f"{ts},{i},{v!r}\n"
+                              for i, v in enumerate(chis.tolist()))
         with open(outdir / "events.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("agent,time\n")
             for i, ev in enumerate(record.events):
                 fh.writelines(f"{i},{t!r}\n" for t in ev.tolist())
 
-    summary_doc = _summary_doc(record)
-    if summary_extra:
-        summary_doc.update(summary_extra)
+    summary_doc = analysis.event_stats(record).as_dict()
+    if len(record.times) <= sc.step_count:  # cut short by divergence
+        summary_doc["diverged"] = True
     if "json" in formats:
         with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
             json.dump(summary_doc, fh, sort_keys=True, indent=2)
@@ -106,27 +105,14 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json"),
     return summary_doc
 
 
-def _summary_doc(record) -> dict:
-    sc = record.scenario
-    doc = {
-        "dt": sc.dt,
-        "T": sc.horizon,
-        "seed": sc.seed,
-        "baseline": sc.baseline,
-        "final_state": [float(v) for v in record.states[-1]],
-        "limit_state": (None if record.limit_state is None
-                        else [float(v) for v in record.limit_state]),
-    }
-    doc.update(analysis.event_stats(record).as_dict(include_duration=False))
-    return doc
-
-
 def _constant(value: float) -> str:
     """Four decimals, or scientific notation once that would run long."""
     return f"{value:.4f}" if abs(value) < 1e6 else f"{value:.4e}"
 
 
 def cmd_check(args) -> int:
+    """Print the structural diagnostics, then every reason ``run`` would
+    refuse the scenario; exit 1 if there is one."""
     scenario, _ = _load(args.scenario, args)
     g = scenario.graph
     print(f"graph: n={g.n} agents, d={g.d}, {len(g.edges)} edges")
@@ -143,24 +129,22 @@ def cmd_check(args) -> int:
           f"{'holds' if report.holds else 'FAILS'} "
           f"(nullity {report.nullity}, subspace residual "
           f"{report.subspace_residual:.3g})")
-    ok = report.holds
     lf = isinstance(scenario.mode, LeaderFollower)
     if lf:
         a2 = mwgraph.verify_assumption2(g, scenario.mode.coupling)
         print(f"assumption 2 (extended balance + definite grounding): "
               f"{'holds' if a2 else 'FAILS'}")
-        ok = ok and a2
     mu_row = [trigger.mu_bar(i, g) if g.degree(i) else float("nan")
               for i in range(g.n)]
     coupling = scenario.mode.coupling if lf else mwgraph.InputCoupling.empty()
     gam_row = [trigger.gamma(i, g, coupling) for i in range(g.n)]
     print("mu_bar: " + "  ".join(map(_constant, mu_row)))
     print("gamma:  " + "  ".join(map(_constant, gam_row)))
-    violations = trigger.validate_params(scenario.params)
+    # The verdict is the one `run` applies, printed as `run` prints it.
+    violations = sim.validate_scenario(scenario)
     for v in violations:
-        print(f"parameter violation: {v}")
-    ok = ok and not violations
-    return EXIT_OK if ok else EXIT_VALIDATION
+        print(f"validation: {v}")
+    return EXIT_VALIDATION if violations else EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
@@ -203,8 +187,7 @@ def cmd_run(args) -> int:
     except Diverged as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         if exc.partial_record is not None:
-            write_artifacts(exc.partial_record, outdir, formats,
-                            summary_extra={"diverged": True})
+            write_artifacts(exc.partial_record, outdir, formats)
             print(f"partial record flushed to {outdir}", file=sys.stderr)
         return EXIT_DIVERGED
     doc = write_artifacts(record, outdir, formats)

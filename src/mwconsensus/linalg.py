@@ -250,15 +250,16 @@ def project_to_class(m, cls: DefinitenessClass, tol: float) -> SymMatrix:
     return SymMatrix((q * vals) @ q.T)
 
 
-def sym_sqrt(m, tol: float = DEFAULT_TOL) -> SymMatrix:
+def sym_sqrt(m) -> SymMatrix:
     """Principal square root of a PSD matrix.
 
-    Eigenvalues inside the zero band are clamped to 0 before the square root;
-    an eigenvalue below ``-band`` raises :class:`NotPSD`.
+    Eigenvalues inside the zero band (at ``DEFAULT_TOL``) are clamped to 0
+    before the square root; an eigenvalue below ``-band`` raises
+    :class:`NotPSD`.
     """
     dec = sym_eigen(m)
     vals = dec.eigenvalues
-    band = zero_band(vals, tol)
+    band = zero_band(vals)
     if dec.lambda_min < -band:
         raise NotPSD(f"eigenvalue {dec.lambda_min:.6g} below -{band:.3g}")
     clamped = np.where(vals <= band, 0.0, vals)

@@ -49,6 +49,11 @@ class _SignDefiniteWeight:
         return linalg.matrix_sgn(self.cls)
 
     def abs_weight(self) -> SymMatrix:
+        return self._abs_weight
+
+    @cached_property
+    def _abs_weight(self) -> SymMatrix:
+        """|weight|, built and validated once per weight."""
         return linalg.matrix_abs(self.weight, self.cls)
 
     @cached_property
@@ -74,8 +79,8 @@ class CouplingEntry(_SignDefiniteWeight):
     cls: DefinitenessClass
 
 
-def _resolve_weight(raw, d: int, declared: Optional[str], where: str,
-                    classify_tol: float) -> tuple[SymMatrix, DefinitenessClass]:
+def _resolve_weight(raw, d: int, declared: Optional[str],
+                    where: str) -> tuple[SymMatrix, DefinitenessClass]:
     """Validate, optionally project, and classify one weight block."""
     arr = np.asarray(raw, dtype=float)
     if arr.size == d * d:
@@ -95,7 +100,7 @@ def _resolve_weight(raw, d: int, declared: Optional[str], where: str,
         target = _CLASS_NAMES[declared]
         if not target.is_sign_definite:
             raise GraphFormatError(f"{where}: declared class must be sign-definite")
-        cls = linalg.classify_definiteness(arr, classify_tol)
+        cls = linalg.classify_definiteness(arr)
         if cls.is_sign_definite and \
                 linalg.matrix_sgn(cls) == linalg.matrix_sgn(target):
             # Spectrum already agrees at strict tolerance: keep the weight
@@ -107,14 +112,14 @@ def _resolve_weight(raw, d: int, declared: Optional[str], where: str,
                                                  CLASS_DECLARATION_TOL)
             except linalg.UnsupportedWeight as exc:
                 raise GraphFormatError(f"{where}: {exc}") from exc
-            cls = linalg.classify_definiteness(weight, classify_tol)
+            cls = linalg.classify_definiteness(weight)
             if linalg.matrix_sgn(cls) != linalg.matrix_sgn(target):
                 raise GraphFormatError(
                     f"{where}: declared class {declared!r} inconsistent with "
                     f"spectrum (classified {cls.value})")
     else:
         weight = SymMatrix(arr)
-        cls = linalg.classify_definiteness(weight, classify_tol)
+        cls = linalg.classify_definiteness(weight)
     if not cls.is_sign_definite:
         raise GraphFormatError(
             f"{where}: weight classified {cls.value}; only sign-definite "
@@ -163,8 +168,7 @@ class MatrixWeightedGraph:
 
     @classmethod
     def from_edges(cls, n: int, d: int,
-                   edges: Iterable[tuple], classify_tol: float = linalg.DEFAULT_TOL
-                   ) -> "MatrixWeightedGraph":
+                   edges: Iterable[tuple]) -> "MatrixWeightedGraph":
         """Build from ``(i, j, weight)`` or ``(i, j, weight, declared_class)``
         tuples; weights are validated and classified as at file load."""
         built = []
@@ -174,8 +178,7 @@ class MatrixWeightedGraph:
                 declared = None
             else:
                 i, j, raw, declared = spec
-            weight, wcls = _resolve_weight(raw, d, declared, f"edge ({i},{j})",
-                                           classify_tol)
+            weight, wcls = _resolve_weight(raw, d, declared, f"edge ({i},{j})")
             built.append(Edge(i, j, weight, wcls))
         return cls(n, d, tuple(built))
 
@@ -327,22 +330,18 @@ def check_gauge_identity(g: MatrixWeightedGraph, gauge: GaugeMatrix) -> bool:
     return True
 
 
-def null_space(L, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the near-null eigenspace of a PSD matrix.
-
-    Keeps eigenvectors with ``|lambda| <= tol * lambda_max``; raises
-    :class:`NotPSD` when an eigenvalue sits below ``-tol * lambda_max``.
-    """
+def null_space(L) -> np.ndarray:
+    """Orthonormal basis of the near-null eigenspace of a PSD matrix, as
+    :func:`kernel_mask` decides it."""
     dec = linalg.sym_eigen(L)
-    return np.array(dec.eigenvectors[:, kernel_mask(dec.eigenvalues, tol)])
+    return np.array(dec.eigenvectors[:, kernel_mask(dec.eigenvalues)])
 
 
-def kernel_mask(eigenvalues: np.ndarray,
-                tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
+def kernel_mask(eigenvalues: np.ndarray) -> np.ndarray:
     """Which ascending eigenvalues of a PSD matrix count as zero: those with
-    ``|lambda| <= tol * lambda_max``.  Raises :class:`NotPSD` when one sits
-    below ``-tol * lambda_max``."""
-    band = tol * max(float(eigenvalues[-1]), 0.0)
+    ``|lambda| <= tol * lambda_max``, ``tol = linalg.DEFAULT_TOL``.  Raises
+    :class:`NotPSD` when one sits below ``-tol * lambda_max``."""
+    band = linalg.DEFAULT_TOL * max(float(eigenvalues[-1]), 0.0)
     if eigenvalues[0] < -band:
         raise NotPSD(
             f"matrix has eigenvalue {eigenvalues[0]:.6g} below -{band:.3g}")
@@ -412,8 +411,8 @@ class InputCoupling:
                     f"coupling ({c.agent},{c.input}) has class {c.cls.value}")
 
     @classmethod
-    def from_entries(cls, m: int, entries: Iterable[tuple], d: int,
-                     classify_tol: float = linalg.DEFAULT_TOL) -> "InputCoupling":
+    def from_entries(cls, m: int, entries: Iterable[tuple],
+                     d: int) -> "InputCoupling":
         built = []
         for spec in entries:
             if len(spec) == 3:
@@ -422,7 +421,7 @@ class InputCoupling:
             else:
                 agent, inp, raw, declared = spec
             weight, wcls = _resolve_weight(
-                raw, d, declared, f"input coupling ({agent},{inp})", classify_tol)
+                raw, d, declared, f"input coupling ({agent},{inp})")
             built.append(CouplingEntry(agent, inp, weight, wcls))
         return cls(m, tuple(built))
 
@@ -460,15 +459,14 @@ def extended_graph(g: MatrixWeightedGraph,
     return MatrixWeightedGraph(g.n + coupling.m, g.d, tuple(edges))
 
 
-def verify_assumption2(g: MatrixWeightedGraph, coupling: InputCoupling,
-                       tol: float = linalg.DEFAULT_TOL) -> bool:
+def verify_assumption2(g: MatrixWeightedGraph, coupling: InputCoupling) -> bool:
     """Input-extended structural balance plus positive-definite total grounding."""
     if detect_structural_balance(extended_graph(g, coupling)) is None:
         return False
     total = np.zeros((g.d, g.d))
     for c in coupling.entries:
         total += c.abs_weight().entries
-    return linalg.classify_definiteness(total, tol) is linalg.PD
+    return linalg.classify_definiteness(total) is linalg.PD
 
 
 def graph_to_dict(g: MatrixWeightedGraph,

@@ -20,8 +20,7 @@ atomically before the next step.
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,7 +37,7 @@ DIVERGENCE_GUARD = 1e9
 #: Relative tolerance on T being an integer multiple of dt.
 STEP_GRID_RTOL = 1e-9
 
-#: Default number of adjacent-step firings that triggers a dwell warning.
+#: More adjacent-step firings than this raise a dwell warning.
 CONSECUTIVE_FIRE_WARN = 10
 
 BASELINE_DYNAMIC = "dynamic"
@@ -119,10 +118,15 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
     if sc.x0 is not None and sc.x0.shape != (sc.graph.n * sc.graph.d,):
         out.append(f"x0 must have length n*d={sc.graph.n * sc.graph.d}, "
                    f"got {sc.x0.shape}")
-    if sc.x0 is not None and not np.all(np.isfinite(sc.x0)):
-        out.append("x0 has non-finite entries")
-    if isinstance(sc.mode, LeaderFollower) and sc.mode.u0.shape != (sc.graph.d,):
+    lf = isinstance(sc.mode, LeaderFollower)
+    if lf and sc.mode.u0.shape != (sc.graph.d,):
         out.append(f"u0 must have length d={sc.graph.d}, got {sc.mode.u0.shape}")
+    # A state beyond the guard could only end the run as a divergence (the
+    # leader-follower state converges to +-u0), and squares of it overflow.
+    for name, value in (("x0", sc.x0), ("u0", sc.mode.u0 if lf else None)):
+        if value is not None and not np.all(np.abs(value) <= DIVERGENCE_GUARD):
+            out.append(f"{name} has non-finite entries or entries beyond the "
+                       f"divergence guard {DIVERGENCE_GUARD:g}")
     if not assumptions:
         return out
     report = mwgraph.verify_assumption1(sc.graph)
@@ -132,10 +136,9 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
             + ("graph is structurally imbalanced" if not report.balanced else
                f"Laplacian nullity {report.nullity} != d={sc.graph.d} or kernel "
                "mismatch"))
-    if isinstance(sc.mode, LeaderFollower):
-        if not mwgraph.verify_assumption2(sc.graph, sc.mode.coupling):
-            out.append("assumption 2 fails: extended graph imbalanced or total "
-                       "input grounding not positive definite")
+    if lf and not mwgraph.verify_assumption2(sc.graph, sc.mode.coupling):
+        out.append("assumption 2 fails: extended graph imbalanced or total "
+                   "input grounding not positive definite")
     return out
 
 
@@ -155,10 +158,8 @@ class TrajectoryRecord:
     chi: np.ndarray
     controls: np.ndarray
     events: tuple[np.ndarray, ...]
-    warnings: tuple[str, ...]
     scenario: Scenario
     limit_state: Optional[np.ndarray]
-    duration_s: float
 
     @property
     def n(self) -> int:
@@ -339,7 +340,6 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
     if violations:
         raise InvalidScenario(violations)
 
-    started = time.perf_counter()
     compiled = compile_scenario(sc)
     n, d = compiled.n, compiled.d
     steps = sc.step_count
@@ -350,7 +350,6 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
     chi = np.empty((steps + 1, n))
     controls = np.empty_like(states)
     events: list[list[float]] = [[0.0] for _ in range(n)]
-    warnings: list[str] = []
 
     state = initial_sim_state(compiled)
     states[0] = state.x
@@ -364,9 +363,8 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
         return TrajectoryRecord(
             times=times[:upto + 1], states=states[:upto + 1],
             broadcasts=broadcasts[:upto + 1], chi=chi[:upto + 1],
-            controls=controls[:upto + 1], events=ev, warnings=tuple(warnings),
-            scenario=sc, limit_state=limit_state,
-            duration_s=time.perf_counter() - started)
+            controls=controls[:upto + 1], events=ev, scenario=sc,
+            limit_state=limit_state)
 
     for k in range(steps):
         controls[k] = state.q
@@ -381,11 +379,6 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
         for i in fired:
             events[i].append(float(times[k + 1]))
     controls[steps] = state.q
-
-    if np.min(chi) <= 0.0:
-        warnings.append("auxiliary variable dropped to a nonpositive value")
-    dwell = min_inter_event_from(events, times, sc.dt, sc.horizon)
-    warnings.extend(dwell.warnings)
     return finish(steps)
 
 
@@ -401,12 +394,11 @@ def _limit_state(sc: Scenario) -> Optional[np.ndarray]:
     return mwgraph.predicted_bipartite_limit(sc.graph, sc.initial_state())
 
 
-def chi_floor_check(record: TrajectoryRecord,
-                    params: Optional[TriggerParams] = None) -> np.ndarray:
+def chi_floor_check(record: TrajectoryRecord) -> np.ndarray:
     """Minimum over the grid of chi_i(t) - chi_i(0) exp(-(beta_i + delta_i /
     theta_i) t), per agent.  Values at or above the (negated) integration
     tolerance certify the guaranteed positive lower envelope."""
-    p = params if params is not None else record.scenario.params
+    p = record.scenario.params
     rate = p.beta + p.delta / p.theta
     floor = p.chi0[None, :] * np.exp(-np.outer(record.times, rate))
     return (record.chi - floor).min(axis=0)
@@ -416,12 +408,10 @@ def chi_floor_check(record: TrajectoryRecord,
 class DwellStats:
     min_dwell: np.ndarray
     max_consecutive: np.ndarray
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...]
 
 
-def min_inter_event_from(events, times, dt: float, horizon: float,
-                         consecutive_warn: int = CONSECUTIVE_FIRE_WARN
-                         ) -> DwellStats:
+def min_inter_event_from(events, times, dt: float, horizon: float) -> DwellStats:
     n = len(events)
     min_dwell = np.empty(n)
     max_consec = np.zeros(n, dtype=int)
@@ -441,16 +431,14 @@ def min_inter_event_from(events, times, dt: float, horizon: float,
             streak = streak + 1 if s == 1 else 1
             best = max(best, streak)
         max_consec[i] = best
-        if best > consecutive_warn:
+        if best > CONSECUTIVE_FIRE_WARN:
             warnings.append(
                 f"agent {i} fired on {best} consecutive steps "
-                f"(threshold {consecutive_warn})")
+                f"(threshold {CONSECUTIVE_FIRE_WARN})")
     return DwellStats(min_dwell, max_consec, tuple(warnings))
 
 
-def min_inter_event(record: TrajectoryRecord,
-                    consecutive_warn: int = CONSECUTIVE_FIRE_WARN) -> DwellStats:
+def min_inter_event(record: TrajectoryRecord) -> DwellStats:
     """Per-agent minimum inter-event time, plus adjacent-step firing streaks."""
     return min_inter_event_from(record.events, record.times,
-                                record.scenario.dt, record.scenario.horizon,
-                                consecutive_warn)
+                                record.scenario.dt, record.scenario.horizon)

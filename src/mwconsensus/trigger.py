@@ -160,7 +160,8 @@ def gamma(i: int, g: MatrixWeightedGraph, coupling: InputCoupling) -> float:
 
 
 def validate_params(params: TriggerParams) -> list[Violation]:
-    """Range checks plus the stability bound theta > (1 - delta) / beta.
+    """Range checks (theta, beta and chi0 positive and finite) plus the
+    stability bound theta > (1 - delta) / beta.
 
     Returns every violation found (empty list means valid); never raises.
     The bound is identical in both modes.
@@ -170,14 +171,13 @@ def validate_params(params: TriggerParams) -> list[Violation]:
         a = params.agent(i)
         if not (0.0 <= a.sigma < 1.0):
             out.append(Violation(i, "sigma", f"{a.sigma} outside [0, 1)"))
-        if not a.theta > 0.0:
-            out.append(Violation(i, "theta", f"{a.theta} must be positive"))
-        if not a.beta > 0.0:
-            out.append(Violation(i, "beta", f"{a.beta} must be positive"))
+        for name in ("theta", "beta", "chi0"):
+            value = getattr(a, name)
+            if not 0.0 < value < math.inf:
+                out.append(Violation(i, name, f"{value} must be positive and "
+                                              "finite"))
         if not (0.0 <= a.delta <= 1.0):
             out.append(Violation(i, "delta", f"{a.delta} outside [0, 1]"))
-        if not a.chi0 > 0.0:
-            out.append(Violation(i, "chi0", f"{a.chi0} must be positive"))
         if a.theta > 0.0 and a.beta > 0.0:
             bound = (1.0 - a.delta) / a.beta
             if not a.theta > bound:

@@ -1,6 +1,7 @@
 """CLI behavior: commands, exit codes, artifact layout, byte determinism."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import random
@@ -11,11 +12,15 @@ from pathlib import Path
 import pytest
 
 from mwconsensus import scenario_io, sim, trigger
+from mwconsensus.analysis import RunSummary
 from mwconsensus.builtin import leader_follower_scenario, leaderless_scenario
 from mwconsensus.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, \
-    main
+    main, write_artifacts
 from mwconsensus.mwgraph import InputCoupling
 from mwconsensus.trigger import LeaderFollower
+
+
+SUMMARY_KEYS = {f.name for f in dataclasses.fields(RunSummary)}
 
 
 def small_scenario_doc(seed=4, weight=1.5, horizon=1.0):
@@ -29,6 +34,39 @@ def small_scenario_doc(seed=4, weight=1.5, horizon=1.0):
     }
 
 
+def lf_scenario_doc():
+    return json.loads(scenario_io.dump_scenario(leader_follower_scenario()))
+
+
+def _set(path, value, make=small_scenario_doc):
+    """A document from ``make`` with the field at ``path`` set to ``value``."""
+    def build():
+        doc = make()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+    return build
+
+
+def assert_refused_alike(doc, tmp_path, capsys):
+    """``run`` refuses the document with ``validation:`` lines only, and
+    ``check`` prints the same lines on stdout and exits 1."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "runs")]) \
+        == EXIT_VALIDATION
+    refused = capsys.readouterr().err.splitlines()
+    assert refused and all(line.startswith("validation: ") for line in refused)
+    assert not (tmp_path / "runs").exists()
+    assert main(["check", str(path)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert [line for line in out.splitlines()
+            if line.startswith("validation: ")] == refused
+    assert err == ""
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     path = tmp_path / "pair.json"
@@ -39,6 +77,17 @@ def scenario_file(tmp_path):
 def file_hashes(directory: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(directory.iterdir())}
+
+
+#: Documents that pass the structural diagnostics but that ``run`` refuses;
+#: ``check`` must refuse them with the same lines.
+RUN_REFUSES = {
+    "T-off-grid": _set(("sim", "T"), 0.0105),
+    "dt-above-T": _set(("sim", "dt"), 2.0),
+    "seed-negative": _set(("sim", "seed"), -3),
+    "T-beyond-memory": _set(("sim", "T"), 1e12),
+    "dt-negative": _set(("sim", "dt"), -0.001),
+}
 
 
 class TestCheck:
@@ -81,6 +130,11 @@ class TestCheck:
         path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == EXIT_VALIDATION
         assert "IMBALANCED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("make", RUN_REFUSES.values(),
+                             ids=RUN_REFUSES.keys())
+    def test_verdict_is_the_run_verdict(self, make, tmp_path, capsys):
+        assert_refused_alike(make(), tmp_path, capsys)
 
     def test_malformed_document(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -132,6 +186,7 @@ class TestRun:
         summary = json.loads((run_dirs[0] / "summary.json").read_text())
         assert summary["mode"] == "leaderless"
         assert "duration_s" not in summary  # timing must not break determinism
+        assert set(summary) == SUMMARY_KEYS
         header = (run_dirs[0] / "trajectory.csv").read_text().splitlines()[0]
         assert header == "time,agent,dim,x,xhat,qhat"
 
@@ -169,7 +224,39 @@ class TestRun:
         run_dir = next(out_root.iterdir())
         summary = json.loads((run_dir / "summary.json").read_text())
         assert summary["diverged"] is True
+        assert set(summary) == SUMMARY_KEYS | {"diverged"}
         assert (run_dir / "trajectory.csv").exists()
+
+    def test_diverged_summary_carries_partial_warnings(self, tmp_path):
+        """Both agents fire at t = 0 and on each of the 19 steps before the
+        guard trips; the summary of the partial record says so."""
+        doc = small_scenario_doc(weight=20.0, horizon=10.0)
+        doc["sim"]["dt"] = 0.1
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(doc))
+        out_root = tmp_path / "runs"
+        assert main(["run", str(path), "--out", str(out_root)]) == EXIT_DIVERGED
+        summary = json.loads(
+            (next(out_root.iterdir()) / "summary.json").read_text())
+        assert summary["event_counts"] == [20, 20]
+        assert [w for w in summary["warnings"] if "consecutive" in w] == [
+            f"agent {i} fired on 20 consecutive steps (threshold 10)"
+            for i in (0, 1)]
+
+    def test_writer_streams_the_record(self, tmp_path):
+        """Writing holds one grid row as Python objects at a time, so its
+        peak stays below the record's own arrays."""
+        record = sim.run(leaderless_scenario(seed=0, horizon=2.0))
+        arrays = sum(a.nbytes for a in (record.times, record.states,
+                                        record.broadcasts, record.chi,
+                                        record.controls))
+        tracemalloc.start()
+        try:
+            write_artifacts(record, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < arrays
 
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         doc = small_scenario_doc()
@@ -216,6 +303,16 @@ class TestRun:
         assert set(forced) == set(normal)
 
 
+#: Non-finite parameters and states, which would run into numpy overflow
+#: or NaN if they passed validation.
+EXTREME = {
+    "beta-inf": _set(("params", "beta"), float("inf")),
+    "chi0-inf": _set(("params", "chi0"), float("inf")),
+    "u0-nan": _set(("mode", "u0"), [float("nan")] * 4, lf_scenario_doc),
+    "x0-1e300": _set(("sim", "x0"), [1e300, -1e300]),
+}
+
+
 class TestExtremeInputs:
     """Documents at the edge of float range and memory end in one line."""
 
@@ -227,6 +324,10 @@ class TestExtremeInputs:
             code = main(["run", str(path), "--out", str(tmp_path / "runs")])
         assert code == EXIT_DIVERGED
         assert capsys.readouterr().err.startswith("diverged: ")
+
+    @pytest.mark.parametrize("make", EXTREME.values(), ids=EXTREME.keys())
+    def test_refused_at_validation(self, make, tmp_path, capsys):
+        assert_refused_alike(make(), tmp_path, capsys)
 
     def test_check_constants_bounded_width(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
@@ -351,22 +452,6 @@ class TestConfigRoundTripOnDisk:
         config = next(out_root.iterdir()) / "config.json"
         sc, _ = scenario_io.load_scenario_file(config)
         assert scenario_io.run_directory_name(sc) == next(out_root.iterdir()).name
-
-
-def lf_scenario_doc():
-    return json.loads(scenario_io.dump_scenario(leader_follower_scenario()))
-
-
-def _set(path, value, make=small_scenario_doc):
-    """A document from ``make`` with the field at ``path`` set to ``value``."""
-    def build():
-        doc = make()
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-        return doc
-    return build
 
 
 #: Each of these documents used to end in a raw traceback from ``check``, or

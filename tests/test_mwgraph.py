@@ -45,6 +45,13 @@ class TestGraphModel:
                     scan = [e for e in g.edges if {e.i, e.j} == {i, j}]
                     assert g.edge(i, j) is (scan[0] if scan else None)
 
+    def test_abs_weight_built_once(self, ref_graph, ref_coupling):
+        """|A| is built and validated once per edge and per coupling."""
+        for e in (*ref_graph.edges, *ref_coupling.entries):
+            assert e.abs_weight() is e.abs_weight()
+            np.testing.assert_array_equal(e.abs_weight().entries,
+                                          e.sign * e.weight.entries)
+
     def test_self_loop_rejected(self):
         with pytest.raises(GraphFormatError):
             MatrixWeightedGraph.from_edges(2, 1, [(0, 0, [[1.0]])])

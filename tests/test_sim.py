@@ -537,6 +537,20 @@ class TestDwell:
         stats = min_inter_event(run(sc))
         assert stats.min_dwell[0] == 2.5
 
+    def test_one_dwell_pass_per_run_and_summary(self, monkeypatch):
+        """The run leaves the dwell statistics to the summary, which derives
+        them once."""
+        calls = []
+        dwell = sim.min_inter_event_from
+
+        def counting(*args):
+            calls.append(args)
+            return dwell(*args)
+
+        monkeypatch.setattr(sim, "min_inter_event_from", counting)
+        analysis.event_stats(run(leaderless_scenario(seed=0, horizon=0.05)))
+        assert len(calls) == 1
+
     def test_consecutive_warning(self):
         from mwconsensus.sim import min_inter_event_from
         times = np.arange(101) * 0.01

@@ -299,7 +299,9 @@ class TestValidateParams:
     def test_each_range(self):
         base = dict(sigma=0.5, theta=2.0, beta=1.0, delta=0.5, chi0=0.5)
         for field, bad in (("sigma", -0.1), ("theta", 0.0), ("beta", -1.0),
-                           ("delta", 1.5), ("chi0", 0.0)):
+                           ("delta", 1.5), ("chi0", 0.0), ("theta", np.inf),
+                           ("beta", np.inf), ("chi0", np.inf),
+                           ("beta", np.nan)):
             kwargs = dict(base)
             kwargs[field] = bad
             p = TriggerParams.uniform(1, **kwargs)

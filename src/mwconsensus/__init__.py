@@ -7,18 +7,18 @@ and leader-follower protocols, the structural checks they require, and full
 post-run analytics.
 """
 
-from .analysis import RunSummary, bipartite_error, event_stats, fit_decay_rate, \
+from .analysis import RunSummary, event_stats, fit_decay_rate, \
     lyapunov_leaderless, lyapunov_lf
 from .errors import AssumptionViolated, AsymmetryWarning, Diverged, \
     GraphFormatError, InvalidMatrix, InvalidScenario, MwcError, NoNeighbors, \
-    NotNeighbors, NotPSD, UnsupportedWeight
+    NotPSD, UnsupportedWeight
 from .linalg import DefinitenessClass, EigenDecomposition, SymMatrix, \
     classify_definiteness, matrix_abs, matrix_sgn, spectral_abs, sym_eigen, \
     sym_sqrt
-from .mwgraph import Bipartition, GaugeMatrix, InputCoupling, \
-    MatrixWeightedGraph, build_grounded_laplacian, build_laplacian, \
-    check_gauge_identity, detect_structural_balance, gauge_matrix, null_space, \
-    predicted_bipartite_limit, verify_assumption1, verify_assumption2
+from .mwgraph import InputCoupling, MatrixWeightedGraph, \
+    build_grounded_laplacian, build_laplacian, detect_structural_balance, \
+    leader_gauge, null_space, predicted_bipartite_limit, verify_assumption1, \
+    verify_assumption2
 from .sim import Scenario, TrajectoryRecord, chi_floor_check, min_inter_event, \
     run, step, validate_scenario
 from .trigger import LeaderFollower, Leaderless, TriggerParams, gamma, \

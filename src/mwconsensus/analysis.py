@@ -54,13 +54,6 @@ class RunSummary:
                 for k, v in asdict(self).items()}
 
 
-def bipartite_error(record: TrajectoryRecord, xtilde: np.ndarray) -> np.ndarray:
-    """Euclidean distance of the stacked state from the predicted limit,
-    at every grid point."""
-    diff = record.states - np.asarray(xtilde, dtype=float)[None, :]
-    return np.linalg.norm(diff, axis=1)
-
-
 def lyapunov_leaderless(record: TrajectoryRecord,
                         xtilde: np.ndarray) -> np.ndarray:
     """V(t) = 0.5 * ||x - xtilde||^2 + sum_i chi_i."""
@@ -103,7 +96,10 @@ def event_stats(record: TrajectoryRecord) -> RunSummary:
     xtilde = record.limit_state
     final_err = rel_err = decay = None
     if xtilde is not None:
-        final_err = float(bipartite_error(record, xtilde)[-1])
+        # np.sum's pairwise order: a vector np.linalg.norm takes a BLAS dot,
+        # which can differ in the last bit from the row norm of the record.
+        diff = record.states[-1] - xtilde
+        final_err = float(np.sqrt(np.sum(diff * diff)))
         rel_err = final_err / max(1.0, float(np.linalg.norm(xtilde)))
         if lf:
             grounded = mwgraph.build_grounded_laplacian(sc.graph, sc.mode.coupling)

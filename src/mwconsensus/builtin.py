@@ -16,9 +16,7 @@ That has two visible consequences handled here rather than hidden:
   can validate it.  The operational scenarios therefore use its spectral
   absolute value, which keeps every eigenvalue magnitude (hence all derived
   spectral constants) and yields the positive definite class the table
-  advertises.  ``raw_first_edge=True`` feeds the unrepaired transcription to
-  the loader instead, which rejects it; the flag exists to demonstrate the
-  validation path.
+  advertises.
 """
 
 from __future__ import annotations
@@ -115,10 +113,10 @@ def repaired_first_edge() -> np.ndarray:
     return linalg.spectral_abs(sym).entries
 
 
-def _edge_specs(raw_first_edge: bool) -> list[tuple]:
-    first = RAW_EDGE_0_1 if raw_first_edge else repaired_first_edge()
-    return [
-        (0, 1, first, "pd"),
+def reference_graph() -> MatrixWeightedGraph:
+    """The six-agent reference network, with the repaired (0, 1) weight."""
+    return MatrixWeightedGraph.from_edges(N_AGENTS, BLOCK_DIM, [
+        (0, 1, repaired_first_edge(), "pd"),
         (0, 5, WEIGHT_0_5, "pd"),
         (1, 5, WEIGHT_1_5, "psd"),
         (1, 2, WEIGHT_1_2, "nd"),
@@ -126,17 +124,7 @@ def _edge_specs(raw_first_edge: bool) -> list[tuple]:
         (2, 4, WEIGHT_2_4, "pd"),
         (2, 3, WEIGHT_2_3, "pd"),
         (3, 4, WEIGHT_3_4, "psd"),
-    ]
-
-
-def reference_graph(raw_first_edge: bool = False) -> MatrixWeightedGraph:
-    """The six-agent reference network.
-
-    With ``raw_first_edge=True`` the loader sees the unrepaired transcription
-    and raises :class:`~mwconsensus.errors.GraphFormatError`.
-    """
-    return MatrixWeightedGraph.from_edges(
-        N_AGENTS, BLOCK_DIM, _edge_specs(raw_first_edge))
+    ])
 
 
 def reference_coupling() -> InputCoupling:
@@ -156,10 +144,9 @@ def reference_params(theta: float) -> TriggerParams:
 
 def leaderless_scenario(seed: int = 0, dt: float = REFERENCE_DT,
                         horizon: float = LEADERLESS_HORIZON,
-                        baseline: str = "dynamic",
-                        raw_first_edge: bool = False) -> Scenario:
+                        baseline: str = "dynamic") -> Scenario:
     return Scenario(
-        graph=reference_graph(raw_first_edge),
+        graph=reference_graph(),
         mode=Leaderless(),
         params=reference_params(LEADERLESS_THETA),
         dt=dt, horizon=horizon, seed=seed, baseline=baseline)
@@ -167,10 +154,9 @@ def leaderless_scenario(seed: int = 0, dt: float = REFERENCE_DT,
 
 def leader_follower_scenario(seed: int = 0, dt: float = REFERENCE_DT,
                              horizon: float = LEADER_FOLLOWER_HORIZON,
-                             baseline: str = "dynamic",
-                             raw_first_edge: bool = False) -> Scenario:
+                             baseline: str = "dynamic") -> Scenario:
     return Scenario(
-        graph=reference_graph(raw_first_edge),
+        graph=reference_graph(),
         mode=LeaderFollower(u0=np.array(REFERENCE_U0),
                             coupling=reference_coupling()),
         params=reference_params(LEADER_FOLLOWER_THETA),

@@ -17,10 +17,6 @@ class NotPSD(MwcError):
     """Matrix has an eigenvalue below the negative tolerance band."""
 
 
-class NotNeighbors(MwcError):
-    """Requested a relative quantity for a pair of agents that share no edge."""
-
-
 class NoNeighbors(MwcError):
     """Requested a neighborhood quantity for an isolated agent."""
 

@@ -44,14 +44,6 @@ class DefinitenessClass(enum.Enum):
             DefinitenessClass.NEGATIVE_SEMIDEFINITE,
         )
 
-    @property
-    def is_nonnegative(self) -> bool:
-        return self in (
-            DefinitenessClass.POSITIVE_DEFINITE,
-            DefinitenessClass.POSITIVE_SEMIDEFINITE,
-            DefinitenessClass.ZERO,
-        )
-
 
 # Short aliases used heavily in tests and table-driven code.
 PD = DefinitenessClass.POSITIVE_DEFINITE
@@ -111,10 +103,6 @@ class SymMatrix:
     def zero(cls, dim: int) -> "SymMatrix":
         return cls(np.zeros((dim, dim)))
 
-    @classmethod
-    def identity(cls, dim: int) -> "SymMatrix":
-        return cls(np.eye(dim))
-
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
@@ -134,10 +122,6 @@ class EigenDecomposition:
     @property
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
-
-    def reconstruct(self) -> np.ndarray:
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.T
 
 
 def _as_matrix(m) -> np.ndarray:

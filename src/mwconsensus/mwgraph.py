@@ -5,8 +5,13 @@ whose definiteness class must be one of PD / PSD / ND / NSD (indefinite and
 zero weights are rejected: an indefinite block has no well-defined sign, and
 a zero block is simply a non-edge).  On top of the graph itself this module
 derives the block Laplacian, the grounded (input-extended) Laplacian,
-structural balance and the gauge transformation, and the two structural
-assumptions that the consensus protocols require.
+structural balance, and the two structural assumptions that the consensus
+protocols require.
+
+Structural balance is one read-only int array ``signs`` of +-1 gauge signs
+with ``signs[i] * signs[j] == sgn(A_ij)`` on every edge: the gauge
+transformation ``D = diag(signs) (x) I_d`` maps the graph onto one with
+nonnegative weights, so agents converge to gauge-signed copies of one value.
 
 A graph is immutable, so it computes each structural fact once and keeps it:
 its adjacency index on construction, its Laplacian and its Assumption-1
@@ -191,22 +196,6 @@ class MatrixWeightedGraph:
     def edge(self, i: int, j: int) -> Optional[Edge]:
         return self._by_pair.get((min(i, j), max(i, j)))
 
-    def weight(self, i: int, j: int) -> SymMatrix:
-        e = self.edge(i, j)
-        if e is None:
-            return SymMatrix.zero(self.d)
-        return e.weight
-
-    def sgn(self, i: int, j: int) -> int:
-        e = self.edge(i, j)
-        return 0 if e is None else e.sign
-
-    def abs_weight(self, i: int, j: int) -> SymMatrix:
-        e = self.edge(i, j)
-        if e is None:
-            return SymMatrix.zero(self.d)
-        return e.abs_weight()
-
     @cached_property
     def laplacian(self) -> SymMatrix:
         """Block Laplacian: diagonal blocks sum the incident absolute weights,
@@ -232,54 +221,20 @@ class MatrixWeightedGraph:
         principal angle has sine at most 1e-8).  Only the verdict is kept,
         not the nd x nd eigenvectors it was read from.
         """
-        bip = detect_structural_balance(self)
-        if bip is None:
-            return Assumption1Report(False, -1, False)
+        signs = detect_structural_balance(self)
+        if signs is None:
+            return Assumption1Report(-1, False)
         try:
             basis = null_space(build_laplacian(self))
         except NotPSD:
-            return Assumption1Report(True, -1, False, bip)
+            return Assumption1Report(-1, False, signs)
         nullity = basis.shape[1]
         if nullity != self.d:
-            return Assumption1Report(True, nullity, False, bip)
-        ref = gauge_consensus_basis(gauge_matrix(bip), self.d)
+            return Assumption1Report(nullity, False, signs)
+        # Orthonormal basis of the gauge-signed consensus subspace (nd x d).
+        ref = np.kron(signs[:, None], np.eye(self.d)) / np.sqrt(self.n)
         resid = float(np.linalg.norm(ref - basis @ (basis.T @ ref), ord=2))
-        return Assumption1Report(True, nullity, resid <= 1e-8, bip, resid)
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """Disjoint two-group split of the node set (group2 may be empty)."""
-
-    n: int
-    group1: frozenset[int]
-    group2: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "group1", frozenset(self.group1))
-        object.__setattr__(self, "group2", frozenset(self.group2))
-        if self.group1 & self.group2:
-            raise ValueError("bipartition groups overlap")
-        if self.group1 | self.group2 != frozenset(range(self.n)):
-            raise ValueError("bipartition does not cover the node set")
-
-    def flipped(self) -> "Bipartition":
-        return Bipartition(self.n, self.group2, self.group1)
-
-
-@dataclass(frozen=True, eq=False)
-class GaugeMatrix:
-    """Per-node +-1 signs; node i acts on its d-block as sign * identity."""
-
-    signs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.signs, dtype=int)
-        if not np.all(np.abs(arr) == 1):
-            raise ValueError("gauge signs must be +1 or -1")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "signs", arr)
+        return Assumption1Report(nullity, resid <= 1e-8, signs, resid)
 
 
 def build_laplacian(g: MatrixWeightedGraph) -> SymMatrix:
@@ -287,16 +242,18 @@ def build_laplacian(g: MatrixWeightedGraph) -> SymMatrix:
     return g.laplacian
 
 
-def detect_structural_balance(g: MatrixWeightedGraph) -> Optional[Bipartition]:
-    """Two-color the edge-sign graph; ``None`` means structurally imbalanced.
+def detect_structural_balance(g: MatrixWeightedGraph) -> Optional[np.ndarray]:
+    """Two-color the edge-sign graph: read-only +-1 gauge signs with
+    ``signs[i] * signs[j] == sgn(A_ij)`` on every edge, or ``None`` when the
+    graph is structurally imbalanced.
 
     Balance is decided independently on each connected component; the
-    lowest-index node of every component is placed in group 1, which makes
-    the returned bipartition deterministic.
+    lowest-index node of every component gets +1, which makes the signs
+    deterministic.
     """
-    color = {}
+    color = [0] * g.n
     for root in range(g.n):
-        if root in color:
+        if color[root]:
             continue
         color[root] = 1
         queue = deque([root])
@@ -304,30 +261,14 @@ def detect_structural_balance(g: MatrixWeightedGraph) -> Optional[Bipartition]:
             u = queue.popleft()
             for v in g.neighbors(u):
                 want = color[u] * g.edge(u, v).sign
-                if v not in color:
+                if not color[v]:
                     color[v] = want
                     queue.append(v)
                 elif color[v] != want:
                     return None
-    group1 = frozenset(i for i in range(g.n) if color[i] == 1)
-    return Bipartition(g.n, group1, frozenset(range(g.n)) - group1)
-
-
-def gauge_matrix(b: Bipartition) -> GaugeMatrix:
-    signs = np.array([1 if i in b.group1 else -1 for i in range(b.n)], dtype=int)
-    return GaugeMatrix(signs)
-
-
-def check_gauge_identity(g: MatrixWeightedGraph, gauge: GaugeMatrix) -> bool:
-    """True iff sign(i) * sign(j) * A_ij equals |A_ij| entrywise on every edge."""
-    s = gauge.signs
-    for e in g.edges:
-        signed = (s[e.i] * s[e.j] * e.sign) * e.abs_weight().entries
-        absw = e.abs_weight().entries
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(absw))))
-        if np.max(np.abs(signed - absw)) > tol:
-            return False
-    return True
+    signs = np.array(color, dtype=int)
+    signs.setflags(write=False)
+    return signs
 
 
 def null_space(L) -> np.ndarray:
@@ -348,22 +289,14 @@ def kernel_mask(eigenvalues: np.ndarray) -> np.ndarray:
     return np.abs(eigenvalues) <= band
 
 
-def gauge_consensus_basis(gauge: GaugeMatrix, d: int) -> np.ndarray:
-    """Orthonormal basis of the gauge-signed consensus subspace (nd x d)."""
-    n = len(gauge.signs)
-    basis = np.zeros((n * d, d))
-    for k in range(d):
-        for i in range(n):
-            basis[i * d + k, k] = gauge.signs[i]
-    return basis / np.sqrt(n)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assumption1Report:
-    balanced: bool
+    """``signs`` is ``None`` for an imbalanced graph; ``nullity`` is -1 when
+    the kernel was not computed."""
+
     nullity: int
     holds: bool
-    bipartition: Optional[Bipartition] = None
+    signs: Optional[np.ndarray] = None
     subspace_residual: float = float("nan")
 
 
@@ -381,9 +314,9 @@ def predicted_bipartite_limit(g: MatrixWeightedGraph, x0: np.ndarray) -> np.ndar
         raise AssumptionViolated(
             "predicted limit requires balance and an exact consensus kernel")
     x0 = np.asarray(x0, dtype=float).reshape(g.n, g.d)
-    s = gauge_matrix(report.bipartition).signs.astype(float)
-    mean = (s[:, None] * x0).sum(axis=0) / g.n
-    return (s[:, None] * mean[None, :]).reshape(-1)
+    s = report.signs[:, None]
+    mean = (s * x0).sum(axis=0) / g.n
+    return (s * mean[None, :]).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,22 +365,13 @@ class InputCoupling:
     def entries_for_agent(self, i: int) -> tuple[CouplingEntry, ...]:
         return tuple(c for c in self.entries if c.agent == i)
 
-    def grounding_block(self, i: int, d: int) -> np.ndarray:
-        """Sum of absolute coupling weights attached to agent i."""
-        out = np.zeros((d, d))
-        for c in self.entries_for_agent(i):
-            out += c.abs_weight().entries
-        return out
-
 
 def build_grounded_laplacian(g: MatrixWeightedGraph,
                              coupling: InputCoupling) -> SymMatrix:
-    """Laplacian plus the block-diagonal input grounding mass."""
-    L = build_laplacian(g).entries.copy()
-    d = g.d
-    for i in range(g.n):
-        L[i * d:(i + 1) * d, i * d:(i + 1) * d] += coupling.grounding_block(i, d)
-    return SymMatrix(L)
+    """The agents' nd x nd block of the input-extended graph's Laplacian:
+    the Laplacian plus each agent's summed |B_il| on its diagonal block."""
+    nd = g.n * g.d
+    return SymMatrix(extended_graph(g, coupling).laplacian.entries[:nd, :nd])
 
 
 def extended_graph(g: MatrixWeightedGraph,
@@ -459,9 +383,25 @@ def extended_graph(g: MatrixWeightedGraph,
     return MatrixWeightedGraph(g.n + coupling.m, g.d, tuple(edges))
 
 
+def leader_gauge(g: MatrixWeightedGraph,
+                 coupling: InputCoupling) -> Optional[np.ndarray]:
+    """Sign with which each agent tracks the inputs' common value ``u0``:
+    the extended graph's gauge signs of the agents times the sign that the
+    coupled inputs share.  ``None`` when the extended graph is imbalanced or
+    the coupled inputs carry opposite signs (they cannot all hold ``u0``)."""
+    signs = detect_structural_balance(extended_graph(g, coupling))
+    if signs is None:
+        return None
+    shared = {int(signs[g.n + c.input]) for c in coupling.entries}
+    if len(shared) != 1:
+        return None
+    return signs[:g.n] * shared.pop()
+
+
 def verify_assumption2(g: MatrixWeightedGraph, coupling: InputCoupling) -> bool:
-    """Input-extended structural balance plus positive-definite total grounding."""
-    if detect_structural_balance(extended_graph(g, coupling)) is None:
+    """Input-extended structural balance with one shared input sign, plus
+    positive-definite total grounding."""
+    if leader_gauge(g, coupling) is None:
         return False
     total = np.zeros((g.d, g.d))
     for c in coupling.entries:

@@ -133,12 +133,13 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
     if not report.holds:
         out.append(
             "assumption 1 fails: "
-            + ("graph is structurally imbalanced" if not report.balanced else
+            + ("graph is structurally imbalanced" if report.signs is None else
                f"Laplacian nullity {report.nullity} != d={sc.graph.d} or kernel "
                "mismatch"))
     if lf and not mwgraph.verify_assumption2(sc.graph, sc.mode.coupling):
-        out.append("assumption 2 fails: extended graph imbalanced or total "
-                   "input grounding not positive definite")
+        out.append("assumption 2 fails: extended graph imbalanced, coupled "
+                   "inputs of opposite gauge sign, or total input grounding "
+                   "not positive definite")
     return out
 
 
@@ -384,13 +385,13 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
 
 def _limit_state(sc: Scenario) -> Optional[np.ndarray]:
     """Predicted asymptotic state: gauge-signed mean (leaderless) or
-    gauge-signed input copies (leader-follower)."""
-    report = mwgraph.verify_assumption1(sc.graph)
-    if not report.holds:
+    copies of the input signed by each agent's leader gauge
+    (leader-follower)."""
+    if not mwgraph.verify_assumption1(sc.graph).holds:
         return None
-    signs = mwgraph.gauge_matrix(report.bipartition).signs.astype(float)
     if isinstance(sc.mode, LeaderFollower):
-        return (signs[:, None] * np.asarray(sc.mode.u0)[None, :]).reshape(-1)
+        gauge = mwgraph.leader_gauge(sc.graph, sc.mode.coupling)
+        return None if gauge is None else np.kron(gauge, sc.mode.u0)
     return mwgraph.predicted_bipartite_limit(sc.graph, sc.initial_state())
 
 
@@ -411,7 +412,7 @@ class DwellStats:
     warnings: tuple[str, ...]
 
 
-def min_inter_event_from(events, times, dt: float, horizon: float) -> DwellStats:
+def min_inter_event_from(events, dt: float, horizon: float) -> DwellStats:
     n = len(events)
     min_dwell = np.empty(n)
     max_consec = np.zeros(n, dtype=int)
@@ -440,5 +441,5 @@ def min_inter_event_from(events, times, dt: float, horizon: float) -> DwellStats
 
 def min_inter_event(record: TrajectoryRecord) -> DwellStats:
     """Per-agent minimum inter-event time, plus adjacent-step firing streaks."""
-    return min_inter_event_from(record.events, record.times,
-                                record.scenario.dt, record.scenario.horizon)
+    return min_inter_event_from(record.events, record.scenario.dt,
+                                record.scenario.horizon)

@@ -92,15 +92,6 @@ class TriggerParams:
                            float(self.beta[i]), float(self.delta[i]),
                            float(self.chi0[i]))
 
-    def replace(self, i: int, **values) -> "TriggerParams":
-        arrays = {name: np.array(getattr(self, name)) for name in
-                  ("sigma", "theta", "beta", "delta", "chi0")}
-        for key, val in values.items():
-            if key not in arrays:
-                raise KeyError(key)
-            arrays[key][i] = float(val)
-        return TriggerParams(**arrays)
-
 
 @dataclass(frozen=True)
 class Leaderless:

@@ -19,9 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from mwconsensus.errors import NotNeighbors
+from mwconsensus.errors import MwcError
 from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph
 from mwconsensus.trigger import AgentParams
+
+
+class NotNeighbors(MwcError):
+    """Requested a relative quantity for a pair of agents that share no edge."""
 
 
 def brute_force_balance(n, signed_edges):
@@ -70,6 +74,18 @@ def brute_force_balance(n, signed_edges):
     plus = sorted(i for i in range(n) if assignment[i] == 1)
     minus = sorted(i for i in range(n) if assignment[i] == -1)
     return plus, minus
+
+
+def check_gauge_identity(g: MatrixWeightedGraph, signs) -> bool:
+    """True iff signs[i] * signs[j] * A_ij equals |A_ij| entrywise on every
+    edge, i.e. the gauge transformation makes every weight nonnegative."""
+    for e in g.edges:
+        gauged = (signs[e.i] * signs[e.j]) * e.weight.entries
+        absw = e.abs_weight().entries
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(absw))))
+        if np.max(np.abs(gauged - absw)) > tol:
+            return False
+    return True
 
 
 def scalar_consensus_run(n, edges, x0, sigma, theta, beta, delta, chi0,
@@ -181,7 +197,7 @@ def control_leaderless(i: int, xhat: np.ndarray,
     out = np.zeros(g.d)
     for j in g.neighbors(i):
         p = relative_broadcast(i, j, xhat, g)
-        out -= g.abs_weight(i, j).entries @ p
+        out -= g.edge(i, j).abs_weight().entries @ p
     return out
 
 

@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 from mwconsensus import sim
-from mwconsensus.analysis import RunSummary, bipartite_error, event_stats, \
-    fit_decay_rate, lyapunov_leaderless, lyapunov_lf
+from mwconsensus.analysis import RunSummary, event_stats, fit_decay_rate, \
+    lyapunov_leaderless, lyapunov_lf
 from mwconsensus.mwgraph import MatrixWeightedGraph, \
-    build_grounded_laplacian, detect_structural_balance, gauge_matrix
+    build_grounded_laplacian, detect_structural_balance
 from mwconsensus.sim import Scenario
 from mwconsensus.trigger import Leaderless, TriggerParams
 
 from conftest import random_balanced_scalar_graph
 from test_mwgraph import scalar_graph
 from test_sim import uniform_params
+
+
+def error_series(rec):
+    """Distance of the stacked state from the predicted limit at every grid
+    point."""
+    return np.linalg.norm(rec.states - rec.limit_state, axis=1)
 
 
 class TestBipartiteError:
@@ -24,36 +30,33 @@ class TestBipartiteError:
         rec = sim.run(Scenario(graph=g, mode=Leaderless(),
                                params=uniform_params(3), dt=1e-3,
                                horizon=0.05, x0=x0))
-        series = bipartite_error(rec, rec.limit_state)
-        np.testing.assert_allclose(series, 0.0, atol=1e-12)
+        np.testing.assert_allclose(error_series(rec), 0.0, atol=1e-12)
 
     def test_single_agent_constant_zero(self):
         g = MatrixWeightedGraph(1, 2, ())
         rec = sim.run(Scenario(graph=g, mode=Leaderless(),
                                params=uniform_params(1), dt=1e-3,
                                horizon=0.05, seed=3))
-        np.testing.assert_array_equal(bipartite_error(rec, rec.limit_state),
+        np.testing.assert_array_equal(error_series(rec),
                                       np.zeros(len(rec.times)))
 
     def test_reference_final_error_small(self, ref_leaderless_record):
-        series = bipartite_error(ref_leaderless_record,
-                                 ref_leaderless_record.limit_state)
+        series = error_series(ref_leaderless_record)
         assert series[-1] < 1e-3
         assert series[0] > 1.0
 
     def test_gauge_flip_consistency(self):
-        """Recomputing the limit under the flipped bipartition gives the same
+        """Recomputing the limit under the flipped gauge signs gives the same
         limit point, hence the same error series."""
         rng = np.random.default_rng(8)
         edges, _ = random_balanced_scalar_graph(rng, 4)
         g = scalar_graph(4, edges, d=2)
         x0 = rng.uniform(-1, 1, 8)
-        bip = detect_structural_balance(g)
-        for b in (bip, bip.flipped()):
-            signs = gauge_matrix(b).signs.astype(float)
+        detected = detect_structural_balance(g)
+        for signs in (detected, -detected):
             mean = sum(signs[i] * x0[2 * i:2 * i + 2] for i in range(4)) / 4.0
             xt = np.concatenate([signs[i] * mean for i in range(4)])
-            if b is bip:
+            if signs is detected:
                 first = xt
             else:
                 np.testing.assert_allclose(xt, first, atol=1e-15)
@@ -81,8 +84,7 @@ class TestLyapunov:
     def test_lf_initial_value_closed_form(self, ref_lf_record):
         rec = ref_lf_record
         sc = rec.scenario
-        bip = detect_structural_balance(sc.graph)
-        xtilde = np.kron(gauge_matrix(bip).signs, sc.mode.u0)
+        xtilde = np.kron(detect_structural_balance(sc.graph), sc.mode.u0)
         lb = build_grounded_laplacian(sc.graph, sc.mode.coupling).entries
         v = lyapunov_lf(rec, xtilde, lb)
         xi0 = rec.states[0] - rec.limit_state
@@ -92,9 +94,9 @@ class TestLyapunov:
     def test_lf_monotone_and_vanishing(self, ref_lf_record):
         rec = ref_lf_record
         sc = rec.scenario
-        gauge = gauge_matrix(detect_structural_balance(sc.graph))
+        signs = detect_structural_balance(sc.graph)
         lb = build_grounded_laplacian(sc.graph, sc.mode.coupling).entries
-        v = lyapunov_lf(rec, np.kron(gauge.signs, sc.mode.u0), lb)
+        v = lyapunov_lf(rec, np.kron(signs, sc.mode.u0), lb)
         assert np.max(np.diff(v)) <= 1e-9
         assert v[-1] < 1e-2 * v[0]
 

@@ -9,11 +9,13 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mwconsensus import scenario_io, sim, trigger
-from mwconsensus.analysis import RunSummary
-from mwconsensus.builtin import leader_follower_scenario, leaderless_scenario
+from mwconsensus.analysis import RunSummary, event_stats
+from mwconsensus.builtin import REFERENCE_U0, leader_follower_scenario, \
+    leaderless_scenario
 from mwconsensus.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, \
     main, write_artifacts
 from mwconsensus.mwgraph import InputCoupling
@@ -21,6 +23,9 @@ from mwconsensus.trigger import LeaderFollower
 
 
 SUMMARY_KEYS = {f.name for f in dataclasses.fields(RunSummary)}
+
+#: Gauge signs of the bundled network's agents.
+REFERENCE_SIGNS = np.array([1, 1, -1, -1, -1, 1])
 
 
 def small_scenario_doc(seed=4, weight=1.5, horizon=1.0):
@@ -36,6 +41,35 @@ def small_scenario_doc(seed=4, weight=1.5, horizon=1.0):
 
 def lf_scenario_doc():
     return json.loads(scenario_io.dump_scenario(leader_follower_scenario()))
+
+
+def lf_negated_inputs_doc(*inputs):
+    """The bundled leader-follower document with the listed input couplings
+    negated (psd -> nsd, pd -> nd)."""
+    doc = lf_scenario_doc()
+    for k in inputs:
+        entry = doc["graph"]["inputs"][k]
+        entry["weight"] = [-v for v in entry["weight"]]
+        entry["class"] = {"psd": "nsd", "pd": "nd"}[entry["class"]]
+    return doc
+
+
+def imbalanced_doc():
+    doc = small_scenario_doc()
+    doc["graph"] = {"n": 3, "d": 1, "edges": [
+        {"i": 0, "j": 1, "weight": [1.0]},
+        {"i": 1, "j": 2, "weight": [1.0]},
+        {"i": 0, "j": 2, "weight": [-1.0]},
+    ]}
+    return doc
+
+
+def rank_deficient_pair_doc():
+    """Two agents joined by diag(1, 0): balanced, but Laplacian nullity 3."""
+    doc = small_scenario_doc()
+    doc["graph"] = {"n": 2, "d": 2, "edges": [
+        {"i": 0, "j": 1, "weight": [1.0, 0.0, 0.0, 0.0], "class": "psd"}]}
+    return doc
 
 
 def _set(path, value, make=small_scenario_doc):
@@ -104,16 +138,20 @@ class TestCheck:
         assert "assumption 2" in capsys.readouterr().out
 
     def test_imbalanced_graph_fails(self, tmp_path, capsys):
-        doc = small_scenario_doc()
-        doc["graph"] = {"n": 3, "d": 1, "edges": [
-            {"i": 0, "j": 1, "weight": [1.0]},
-            {"i": 1, "j": 2, "weight": [1.0]},
-            {"i": 0, "j": 2, "weight": [-1.0]},
-        ]}
         path = tmp_path / "imbalanced.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(imbalanced_doc()))
         assert main(["check", str(path)]) == EXIT_VALIDATION
         assert "IMBALANCED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("make", [imbalanced_doc, rank_deficient_pair_doc],
+                             ids=["imbalanced", "diag-1-0-pair"])
+    def test_failing_assumption_reported_once(self, make, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(make()))
+        assert main(["check", str(path)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert out.count("assumption 1") == 1
+        assert "validation: assumption 1 fails: " in out
 
     def test_missing_file_is_io_error(self):
         assert main(["check", "/nonexistent/file.json"]) == EXIT_IO
@@ -140,6 +178,38 @@ class TestCheck:
         path = tmp_path / "bad.json"
         path.write_text("{\"graph\": {}}")
         assert main(["check", str(path)]) == EXIT_VALIDATION
+
+
+class TestLeaderGauge:
+    """Agents track u0 signed by their gauge relative to the inputs."""
+
+    def test_negated_inputs_converge_to_negated_limit(self, tmp_path, capsys):
+        path = tmp_path / "negated.json"
+        path.write_text(json.dumps(lf_negated_inputs_doc(0, 1)))
+        assert main(["check", str(path)]) == EXIT_OK
+        assert "assumption 2 (extended balance + definite grounding): holds" \
+            in capsys.readouterr().out
+        out_root = tmp_path / "runs"
+        assert main(["run", str(path), "--T", "0.05",
+                     "--out", str(out_root)]) == EXIT_OK
+        summary = json.loads(
+            (next(out_root.iterdir()) / "summary.json").read_text())
+        want = np.kron(-REFERENCE_SIGNS, REFERENCE_U0)
+        np.testing.assert_array_equal(summary["limit_state"], want)
+
+        sc, _ = scenario_io.load_scenario_file(path)
+        full = event_stats(sim.run(sc))
+        np.testing.assert_array_equal(full.limit_state, want)
+        assert full.final_relative_error < 2e-3
+
+    def test_inputs_of_opposite_sign_refused(self, tmp_path, capsys):
+        doc = lf_negated_inputs_doc(1)
+        assert_refused_alike(doc, tmp_path, capsys)
+        path = tmp_path / "doc.json"
+        assert main(["check", str(path)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert out.count("assumption 2") == 1
+        assert "validation: assumption 2 fails: " in out
 
 
 class TestStructureComputedOnce:
@@ -398,11 +468,6 @@ class TestReplicate:
         summary = json.loads(
             (next(out_root.iterdir()) / "summary.json").read_text())
         assert summary["baseline"] == "static"
-
-    def test_raw_first_edge_rejected(self, capsys):
-        code = main(["replicate-paper", "leaderless", "--raw-first-edge"])
-        assert code == EXIT_VALIDATION
-        assert "asymmetric" in capsys.readouterr().err
 
     def test_events_csv_matches_summary(self, tmp_path):
         out_root = tmp_path / "runs"

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+from mwconsensus.builtin import RAW_EDGE_0_1, WEIGHT_0_5, WEIGHT_3_4
 from mwconsensus.errors import AssumptionViolated, GraphFormatError, NotPSD
 from mwconsensus.linalg import PSD, sym_eigen
-from mwconsensus.mwgraph import Bipartition, GaugeMatrix, InputCoupling, \
-    MatrixWeightedGraph, build_grounded_laplacian, build_laplacian, \
-    check_gauge_identity, detect_structural_balance, extended_graph, \
-    gauge_matrix, graph_from_dict, graph_to_dict, null_space, \
+from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
+    build_grounded_laplacian, build_laplacian, detect_structural_balance, \
+    extended_graph, graph_from_dict, graph_to_dict, leader_gauge, null_space, \
     predicted_bipartite_limit, verify_assumption1, verify_assumption2
 
 from conftest import random_balanced_scalar_graph, two_node_graph
-from oracles import brute_force_balance
+from oracles import brute_force_balance, check_gauge_identity
+
+REFERENCE_SIGNS = [1, 1, -1, -1, -1, 1]
 
 
 def scalar_graph(n, edges, d=1):
@@ -26,10 +28,9 @@ class TestGraphModel:
         assert ref_graph.n == 6 and ref_graph.d == 4
         assert ref_graph.neighbors(0) == (1, 5)
         assert ref_graph.degree(3) == 2
-        assert ref_graph.sgn(1, 2) == -1
-        assert ref_graph.sgn(0, 3) == 0
-        np.testing.assert_array_equal(ref_graph.weight(5, 0).entries,
-                                      ref_graph.weight(0, 5).entries)
+        assert ref_graph.edge(1, 2).sign == -1
+        assert ref_graph.edge(0, 3) is None
+        assert ref_graph.edge(5, 0) is ref_graph.edge(0, 5)
         rng = np.random.default_rng(23)
         for _ in range(20):
             n = int(rng.integers(1, 9))
@@ -67,6 +68,12 @@ class TestGraphModel:
     def test_asymmetric_weight_rejected(self):
         with pytest.raises(GraphFormatError, match="asymmetric"):
             MatrixWeightedGraph.from_edges(2, 2, [(0, 1, [[1.0, 0.5], [0.2, 1.0]])])
+
+    def test_raw_first_edge_rejected_as_asymmetric(self):
+        """The (0, 1) weight as published is not symmetric; the loader
+        refuses it rather than symmetrizing it."""
+        with pytest.raises(GraphFormatError, match="asymmetric"):
+            MatrixWeightedGraph.from_edges(2, 4, [(0, 1, RAW_EDGE_0_1, "pd")])
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(GraphFormatError, match="duplicate"):
@@ -133,16 +140,23 @@ class TestLaplacian:
 
 class TestBalance:
     def test_reference_bipartition(self, ref_graph):
-        bip = detect_structural_balance(ref_graph)
-        assert bip is not None
-        assert sorted(bip.group1) == [0, 1, 5]
-        assert sorted(bip.group2) == [2, 3, 4]
+        signs = detect_structural_balance(ref_graph)
+        assert signs is not None
+        assert np.flatnonzero(signs > 0).tolist() == [0, 1, 5]
+        assert np.flatnonzero(signs < 0).tolist() == [2, 3, 4]
 
     def test_all_positive_graph(self):
         g = scalar_graph(3, {(0, 1): 1.0, (1, 2): 2.0, (0, 2): 0.5})
-        bip = detect_structural_balance(g)
-        assert sorted(bip.group1) == [0, 1, 2]
-        assert not bip.group2
+        assert detect_structural_balance(g).tolist() == [1, 1, 1]
+
+    def test_signs_read_only(self, ref_graph):
+        signs = detect_structural_balance(ref_graph)
+        assert signs.dtype.kind == "i"
+        with pytest.raises(ValueError):
+            signs[0] = -1
+        assert verify_assumption1(ref_graph).signs.tolist() == REFERENCE_SIGNS
+        with pytest.raises(ValueError):
+            verify_assumption1(ref_graph).signs[0] = -1
 
     def test_frustrated_triangle(self):
         signs = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): -1.0}
@@ -170,14 +184,9 @@ class TestBalance:
                 assert got is None
             else:
                 assert got is not None
-                assert sorted(got.group1) == want[0]
-                assert sorted(got.group2) == want[1]
-
-    def test_bipartition_validation(self):
-        with pytest.raises(ValueError):
-            Bipartition(3, frozenset({0, 1}), frozenset({1, 2}))
-        with pytest.raises(ValueError):
-            Bipartition(3, frozenset({0}), frozenset({2}))
+                assert np.flatnonzero(got == 1).tolist() == want[0]
+                assert np.flatnonzero(got == -1).tolist() == want[1]
+                assert check_gauge_identity(g, got)
 
     def test_reference_graph_with_flipped_edge_imbalanced(self, ref_graph):
         """Negating the (1,2) weight (making it definite positive) breaks
@@ -194,31 +203,23 @@ class TestBalance:
 
 class TestGauge:
     def test_reference_signs(self, ref_graph):
-        bip = detect_structural_balance(ref_graph)
-        np.testing.assert_array_equal(gauge_matrix(bip).signs,
-                                      [1, 1, -1, -1, -1, 1])
-
-    def test_all_plus_and_all_minus(self):
-        assert np.all(gauge_matrix(
-            Bipartition(3, frozenset({0, 1, 2}), frozenset())).signs == 1)
-        assert np.all(gauge_matrix(
-            Bipartition(3, frozenset(), frozenset({0, 1, 2}))).signs == -1)
+        np.testing.assert_array_equal(detect_structural_balance(ref_graph),
+                                      REFERENCE_SIGNS)
 
     def test_identity_detected_gauge(self, ref_graph):
-        bip = detect_structural_balance(ref_graph)
-        assert check_gauge_identity(ref_graph, gauge_matrix(bip))
+        assert check_gauge_identity(ref_graph,
+                                    detect_structural_balance(ref_graph))
 
     def test_identity_wrong_gauge(self, ref_graph):
-        assert not check_gauge_identity(ref_graph, GaugeMatrix(np.ones(6)))
+        assert not check_gauge_identity(ref_graph, np.ones(6, dtype=int))
 
     def test_identity_all_positive_graph(self):
         g = scalar_graph(3, {(0, 1): 1.0, (1, 2): 2.0})
-        assert check_gauge_identity(g, GaugeMatrix(np.ones(3)))
+        assert check_gauge_identity(g, np.ones(3, dtype=int))
 
     def test_flip_invariance(self, ref_graph):
-        bip = detect_structural_balance(ref_graph)
-        flipped = gauge_matrix(bip.flipped())
-        assert check_gauge_identity(ref_graph, flipped)
+        signs = detect_structural_balance(ref_graph)
+        assert check_gauge_identity(ref_graph, -signs)
 
 
 class TestNullSpace:
@@ -259,12 +260,12 @@ class TestNullSpace:
 class TestAssumption1:
     def test_reference_holds(self, ref_graph):
         rep = verify_assumption1(ref_graph)
-        assert rep.balanced and rep.holds and rep.nullity == 4
+        assert rep.signs is not None and rep.holds and rep.nullity == 4
         assert rep.subspace_residual <= 1e-8
 
     def test_rank_deficient_pair_fails(self):
         rep = verify_assumption1(two_node_graph(np.diag([1.0, 0.0])))
-        assert rep.balanced and rep.nullity == 3 and not rep.holds
+        assert rep.signs is not None and rep.nullity == 3 and not rep.holds
 
     def test_complete_identity_graph(self):
         edges = {(i, j): 1.0 for i in range(4) for j in range(i + 1, 4)}
@@ -274,12 +275,12 @@ class TestAssumption1:
     def test_imbalanced_fails(self):
         g = scalar_graph(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): -1.0})
         rep = verify_assumption1(g)
-        assert not rep.balanced and not rep.holds
+        assert rep.signs is None and not rep.holds
 
     def test_disconnected_fails_nullity(self):
         g = scalar_graph(4, {(0, 1): 1.0, (2, 3): 1.0}, d=2)
         rep = verify_assumption1(g)
-        assert rep.balanced and rep.nullity == 4 and not rep.holds
+        assert rep.signs is not None and rep.nullity == 4 and not rep.holds
 
 
 class TestPredictedLimit:
@@ -329,6 +330,20 @@ class TestGroundedLaplacian:
         np.testing.assert_allclose(
             build_grounded_laplacian(g, coupling).entries, w, atol=1e-15)
 
+    def test_two_couplings_on_one_agent(self, ref_graph):
+        """Laplacian plus each agent's summed |B_il| on its diagonal block;
+        agent 2 carries two inputs, one of them negative."""
+        coupling = InputCoupling.from_entries(3, [
+            (2, 0, WEIGHT_0_5, "pd"), (2, 1, -WEIGHT_3_4, "nsd"),
+            (4, 2, WEIGHT_3_4, "psd")], 4)
+        want = build_laplacian(ref_graph).entries.copy()
+        for c in coupling.entries:
+            want[4 * c.agent:4 * c.agent + 4,
+                 4 * c.agent:4 * c.agent + 4] += c.abs_weight().entries
+        got = build_grounded_laplacian(ref_graph, coupling).entries
+        assert got.shape == (24, 24)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
 
 class TestAssumption2:
     def test_reference_holds(self, ref_graph, ref_coupling):
@@ -353,6 +368,31 @@ class TestAssumption2:
         g = scalar_graph(2, {(0, 1): 1.0}, d=2)
         coupling = InputCoupling.from_entries(
             1, [(0, 0, np.diag([1.0, 0.0]), "psd")], 2)
+        assert not verify_assumption2(g, coupling)
+
+    def test_leader_gauge_reference(self, ref_graph, ref_coupling):
+        """Both reference inputs attach positively to +1 agents, so every
+        agent tracks u0 with its own gauge sign."""
+        assert leader_gauge(ref_graph, ref_coupling).tolist() == REFERENCE_SIGNS
+
+    def test_leader_gauge_negated_inputs(self, ref_graph):
+        """The reference couplings negated: every agent tracks -u0 times its
+        gauge sign."""
+        negated = InputCoupling.from_entries(
+            2, [(0, 0, -WEIGHT_3_4, "nsd"), (5, 1, -WEIGHT_0_5, "nd")], 4)
+        assert leader_gauge(ref_graph, negated).tolist() == \
+            [-s for s in REFERENCE_SIGNS]
+        assert verify_assumption2(ref_graph, negated)
+
+    def test_inputs_of_opposite_sign_fail(self):
+        """Each input alone keeps the extended graph balanced, but the two
+        carry opposite gauge signs while holding the same u0."""
+        g = scalar_graph(2, {(0, 1): 1.0}, d=2)
+        coupling = InputCoupling.from_entries(
+            2, [(0, 0, np.eye(2)), (1, 1, -np.eye(2))], 2)
+        assert detect_structural_balance(extended_graph(g, coupling)) \
+            is not None
+        assert leader_gauge(g, coupling) is None
         assert not verify_assumption2(g, coupling)
 
     def test_extended_graph_shape(self, ref_graph, ref_coupling):

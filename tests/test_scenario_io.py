@@ -1,5 +1,6 @@
 """Scenario document parsing, validation, and canonical round trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -122,7 +123,9 @@ class TestCanonicalDump:
 
     def test_per_agent_params_survive(self):
         sc = leaderless_scenario()
-        bumped = sc.params.replace(2, theta=0.75)
+        theta = np.array(sc.params.theta)
+        theta[2] = 0.75
+        bumped = dataclasses.replace(sc.params, theta=theta)
         sc2 = type(sc)(graph=sc.graph, mode=sc.mode, params=bumped,
                        dt=sc.dt, horizon=sc.horizon, seed=sc.seed)
         sc3, _ = load_scenario_text(dump_scenario(sc2))

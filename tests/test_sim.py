@@ -555,7 +555,7 @@ class TestDwell:
         from mwconsensus.sim import min_inter_event_from
         times = np.arange(101) * 0.01
         events = [list(times[:40])]  # fires every step for 40 steps
-        stats = min_inter_event_from(events, times, 0.01, 1.0)
+        stats = min_inter_event_from(events, 0.01, 1.0)
         assert stats.max_consecutive[0] == 40
         assert stats.warnings and "consecutive" in stats.warnings[0]
 

@@ -1,0 +1,58 @@
+"""Every callable the package exports is used by the package or the benchmark.
+
+A function or class that only tests call is surface without a user: it
+belongs in ``tests/oracles.py`` (an independent cross-check) or nowhere.
+A name counts as used when it appears as an identifier, outside comments
+and strings, in a module of ``src/mwconsensus`` other than ``__init__.py``
+(its own ``def``/``class`` line excepted) or in a non-test script of
+``perfbench/``.
+"""
+
+import functools
+import io
+import tokenize
+from pathlib import Path
+
+import pytest
+
+import mwconsensus
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _identifiers(path: Path) -> set[str]:
+    """NAME tokens of a Python file, except the name a ``def`` or ``class``
+    statement defines."""
+    found = set()
+    defining = False
+    text = path.read_text(encoding="utf-8")
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type != tokenize.NAME:
+            continue
+        if not defining:
+            found.add(tok.string)
+        defining = tok.string in ("def", "class")
+    return found
+
+
+@functools.cache
+def _users() -> set[str]:
+    sources = [p for p in (ROOT / "src" / "mwconsensus").glob("*.py")
+               if p.name != "__init__.py"]
+    sources += [p for p in (ROOT / "perfbench").glob("*.py")
+                if not p.name.startswith("test_")]
+    return set().union(*map(_identifiers, sources))
+
+
+EXPORTED = sorted(name for name in mwconsensus.__all__
+                  if callable(getattr(mwconsensus, name)))
+
+
+def test_exports_found():
+    assert "MatrixWeightedGraph" in EXPORTED and "run" in EXPORTED
+
+
+@pytest.mark.parametrize("name", EXPORTED)
+def test_export_is_used(name):
+    assert name in _users(), f"{name} is exported but nothing in the " \
+                             "package or the benchmark uses it"

@@ -7,7 +7,7 @@ cross-checked against them in ``test_sim``.
 import numpy as np
 import pytest
 
-from mwconsensus.errors import NoNeighbors, NotNeighbors
+from mwconsensus.errors import NoNeighbors
 from mwconsensus.linalg import sym_eigen, sym_sqrt
 from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
     build_grounded_laplacian, build_laplacian
@@ -16,7 +16,7 @@ from mwconsensus.trigger import AgentParams, TriggerParams, gamma, mu_bar, \
 
 import oracles
 from conftest import random_balanced_scalar_graph
-from oracles import chi_rate_leaderless, chi_rate_lf, \
+from oracles import NotNeighbors, chi_rate_leaderless, chi_rate_lf, \
     control_leader_follower, control_leaderless, leaderless_fires, lf_fires, \
     relative_broadcast
 from test_mwgraph import scalar_graph
@@ -151,7 +151,7 @@ class TestSpectralConstants:
     def test_gamma_formula_against_direct_evaluation(self, ref_graph,
                                                      ref_coupling):
         for i in range(6):
-            mus = [float(sym_eigen(ref_graph.abs_weight(i, j)).lambda_max)
+            mus = [float(sym_eigen(ref_graph.edge(i, j).abs_weight()).lambda_max)
                    for j in ref_graph.neighbors(i)]
             mus_b = [float(sym_eigen(c.abs_weight()).lambda_max)
                      for c in ref_coupling.entries_for_agent(i)]
@@ -306,11 +306,3 @@ class TestValidateParams:
             kwargs[field] = bad
             p = TriggerParams.uniform(1, **kwargs)
             assert any(v.field == field for v in validate_params(p)), field
-
-    def test_per_agent_replace(self):
-        p = TriggerParams.uniform(3, sigma=0.9, theta=1.0, beta=1.0,
-                                  delta=1.0, chi0=0.5)
-        p2 = p.replace(1, theta=5.0)
-        assert p2.agent(1).theta == 5.0
-        assert p2.agent(0).theta == 1.0
-        assert p.agent(1).theta == 1.0

@@ -15,10 +15,9 @@ from .errors import AssumptionViolated, AsymmetryWarning, Diverged, \
 from .linalg import DefinitenessClass, EigenDecomposition, SymMatrix, \
     classify_definiteness, matrix_abs, matrix_sgn, spectral_abs, sym_eigen, \
     sym_sqrt
-from .mwgraph import InputCoupling, MatrixWeightedGraph, \
-    build_grounded_laplacian, build_laplacian, detect_structural_balance, \
-    leader_gauge, null_space, predicted_bipartite_limit, verify_assumption1, \
-    verify_assumption2
+from .mwgraph import InputCoupling, MatrixWeightedGraph, build_laplacian, \
+    detect_structural_balance, leader_gauge, null_space, \
+    predicted_bipartite_limit, verify_assumption1, verify_assumption2
 from .sim import Scenario, TrajectoryRecord, chi_floor_check, min_inter_event, \
     run, step, validate_scenario
 from .trigger import LeaderFollower, Leaderless, TriggerParams, gamma, \

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import mwgraph, sim
+from . import sim
 from .sim import TrajectoryRecord
 from .trigger import LeaderFollower
 
@@ -61,13 +61,20 @@ def lyapunov_leaderless(record: TrajectoryRecord,
     return 0.5 * np.einsum("ij,ij->i", diff, diff) + record.chi.sum(axis=1)
 
 
-def lyapunov_lf(record: TrajectoryRecord, xtilde: np.ndarray,
-                grounded_laplacian) -> np.ndarray:
+def lyapunov_lf(record: TrajectoryRecord, xtilde: np.ndarray) -> np.ndarray:
     """V(t) = xi^T L_B xi + sum_i chi_i with xi = x - xtilde, where xtilde
-    holds the gauge-signed input copies (the record's limit state)."""
-    lb = np.asarray(grounded_laplacian)
+    holds the gauge-signed input copies (the record's limit state).  L_B is
+    the agents' block of the network's Laplacian, so the form is the sum of
+    ``p_e^T |A_e| p_e``, ``p_e = xi_i - sgn(A_e) xi_j``, over its edges,
+    with every input j >= n held at xi = 0."""
+    n, d = record.n, record.d
     xi = record.states - np.asarray(xtilde, dtype=float)[None, :]
-    return np.einsum("ij,jk,ik->i", xi, lb, xi) + record.chi.sum(axis=1)
+    blocks = xi.reshape(len(xi), n, d)
+    v = np.zeros(len(xi))
+    for e in record.scenario.network.edges:
+        p = blocks[:, e.i] - e.sign * blocks[:, e.j] if e.j < n else blocks[:, e.i]
+        v += np.einsum("rk,rk->r", p @ e.abs_weight.entries, p)
+    return v + record.chi.sum(axis=1)
 
 
 def fit_decay_rate(times: np.ndarray, values: np.ndarray) -> float:
@@ -101,11 +108,7 @@ def event_stats(record: TrajectoryRecord) -> RunSummary:
         diff = record.states[-1] - xtilde
         final_err = float(np.sqrt(np.sum(diff * diff)))
         rel_err = final_err / max(1.0, float(np.linalg.norm(xtilde)))
-        if lf:
-            grounded = mwgraph.build_grounded_laplacian(sc.graph, sc.mode.coupling)
-            v = lyapunov_lf(record, xtilde, grounded.entries)
-        else:
-            v = lyapunov_leaderless(record, xtilde)
+        v = (lyapunov_lf if lf else lyapunov_leaderless)(record, xtilde)
         decay = fit_decay_rate(record.times, v)
     dwell = sim.min_inter_event(record)
     warnings = dwell.warnings

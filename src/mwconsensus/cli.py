@@ -121,24 +121,23 @@ def cmd_check(args) -> int:
     for e in g.edges:
         print(f"  edge ({e.i},{e.j}): {e.cls.value}")
     report = mwgraph.verify_assumption1(g)
-    if report.signs is None:
+    if g.signs is None:
         print("structural balance: IMBALANCED")
     else:
         print(f"structural balance: balanced; "
-              f"group1={np.flatnonzero(report.signs > 0).tolist()} "
-              f"group2={np.flatnonzero(report.signs < 0).tolist()}")
+              f"group1={np.flatnonzero(g.signs > 0).tolist()} "
+              f"group2={np.flatnonzero(g.signs < 0).tolist()}")
     # A failing assumption is reported once, by its `validation:` line below.
     if report.holds:
         print(f"assumption 1 (balance + exact consensus kernel): holds "
               f"(nullity {report.nullity}, subspace residual "
               f"{report.subspace_residual:.3g})")
-    lf = isinstance(scenario.mode, LeaderFollower)
-    if lf and mwgraph.verify_assumption2(g, scenario.mode.coupling):
+    if isinstance(scenario.mode, LeaderFollower) and \
+            mwgraph.verify_assumption2(scenario.network, g.n):
         print("assumption 2 (extended balance + definite grounding): holds")
     mu_row = [trigger.mu_bar(i, g) if g.degree(i) else float("nan")
               for i in range(g.n)]
-    coupling = scenario.mode.coupling if lf else mwgraph.InputCoupling.empty()
-    gam_row = [trigger.gamma(i, g, coupling) for i in range(g.n)]
+    gam_row = [trigger.gamma(i, scenario.network, g.n) for i in range(g.n)]
     print("mu_bar: " + "  ".join(map(_constant, mu_row)))
     print("gamma:  " + "  ".join(map(_constant, gam_row)))
     # The verdict is the one `run` applies, printed as `run` prints it.
@@ -162,8 +161,8 @@ def cmd_spectrum(args) -> int:
     else:
         print("smallest positive eigenvalue: none")
     if isinstance(scenario.mode, LeaderFollower):
-        grounded = mwgraph.build_grounded_laplacian(g, scenario.mode.coupling)
-        gvals = sym_eigen(grounded).eigenvalues
+        nd = g.n * g.d  # the agents' block of L is the grounded Laplacian
+        gvals = sym_eigen(scenario.network.laplacian.entries[:nd, :nd]).eigenvalues
         print("grounded laplacian eigenvalues (ascending):")
         print("  " + "  ".join(f"{v:.6g}" for v in gvals))
         print(f"grounded minimum eigenvalue: {gvals[0]:.6g}")

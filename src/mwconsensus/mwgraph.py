@@ -4,9 +4,8 @@ Nodes are ``0..n-1``; every undirected edge carries a symmetric d x d weight
 whose definiteness class must be one of PD / PSD / ND / NSD (indefinite and
 zero weights are rejected: an indefinite block has no well-defined sign, and
 a zero block is simply a non-edge).  On top of the graph itself this module
-derives the block Laplacian, the grounded (input-extended) Laplacian,
-structural balance, and the two structural assumptions that the consensus
-protocols require.
+derives the block Laplacian, the input-extended graph, structural balance,
+and the two structural assumptions that the consensus protocols require.
 
 Structural balance is one read-only int array ``signs`` of +-1 gauge signs
 with ``signs[i] * signs[j] == sgn(A_ij)`` on every edge: the gauge
@@ -14,9 +13,9 @@ transformation ``D = diag(signs) (x) I_d`` maps the graph onto one with
 nonnegative weights, so agents converge to gauge-signed copies of one value.
 
 A graph is immutable, so it computes each structural fact once and keeps it:
-its adjacency index on construction, its Laplacian and its Assumption-1
-report on first use.  ``build_laplacian`` and ``verify_assumption1`` read
-those cached facts.
+its adjacency index on construction, its Laplacian, its gauge signs and its
+Assumption-1 report on first use.  ``build_laplacian`` and
+``verify_assumption1`` read those cached facts.
 """
 
 from __future__ import annotations
@@ -44,20 +43,22 @@ SYMMETRY_REJECT_TOL = 1e-12
 _CLASS_NAMES = {c.value: c for c in DefinitenessClass}
 
 
-class _SignDefiniteWeight:
-    """Sign, absolute value and largest absolute eigenvalue of the
-    sign-definite ``weight`` of class ``cls`` that an edge or a coupling
-    carries."""
+@dataclass(frozen=True, eq=False)
+class Edge:
+    """Edge (i, j) with a sign-definite ``weight`` of class ``cls``, plus
+    its sign, absolute value and largest absolute eigenvalue."""
+
+    i: int
+    j: int
+    weight: SymMatrix
+    cls: DefinitenessClass
 
     @property
     def sign(self) -> int:
         return linalg.matrix_sgn(self.cls)
 
-    def abs_weight(self) -> SymMatrix:
-        return self._abs_weight
-
     @cached_property
-    def _abs_weight(self) -> SymMatrix:
+    def abs_weight(self) -> SymMatrix:
         """|weight|, built and validated once per weight."""
         return linalg.matrix_abs(self.weight, self.cls)
 
@@ -65,19 +66,13 @@ class _SignDefiniteWeight:
     def abs_lambda_max(self) -> float:
         """lambda_max(|weight|), decomposed once; ``mu_bar`` and ``gamma``
         read it."""
-        return float(linalg.sym_eigen(self.abs_weight()).lambda_max)
+        return float(linalg.sym_eigen(self.abs_weight).lambda_max)
 
 
 @dataclass(frozen=True, eq=False)
-class Edge(_SignDefiniteWeight):
-    i: int
-    j: int
-    weight: SymMatrix
-    cls: DefinitenessClass
+class CouplingEntry:
+    """Agent ``agent`` sees input ``input`` through ``weight`` of class ``cls``."""
 
-
-@dataclass(frozen=True, eq=False)
-class CouplingEntry(_SignDefiniteWeight):
     agent: int
     input: int
     weight: SymMatrix
@@ -137,7 +132,7 @@ class MatrixWeightedGraph:
     """Undirected graph on n nodes with sign-definite d x d matrix weights.
 
     Immutable; neighbor and edge lookups go through an index built on
-    construction, and the Laplacian and Assumption-1 report are cached.
+    construction; the Laplacian, signs and Assumption-1 report are cached.
     """
 
     n: int
@@ -162,7 +157,8 @@ class MatrixWeightedGraph:
             if not e.cls.is_sign_definite:
                 raise GraphFormatError(
                     f"edge ({e.i},{e.j}) has class {e.cls.value}")
-            by_pair[key] = Edge(*key, e.weight, e.cls)
+            # An edge already in (min, max) order is shared, caches and all.
+            by_pair[key] = e if (e.i, e.j) == key else Edge(*key, e.weight, e.cls)
             adjacent[e.i].append(e.j)
             adjacent[e.j].append(e.i)
         object.__setattr__(self, "edges", tuple(by_pair.values()))
@@ -203,7 +199,7 @@ class MatrixWeightedGraph:
         d = self.d
         L = np.zeros((self.n * d, self.n * d))
         for e in self.edges:
-            absw = e.abs_weight().entries
+            absw = e.abs_weight.entries
             signed = e.sign * absw
             i, j = e.i, e.j
             L[i * d:(i + 1) * d, i * d:(i + 1) * d] += absw
@@ -211,6 +207,11 @@ class MatrixWeightedGraph:
             L[i * d:(i + 1) * d, j * d:(j + 1) * d] = -signed
             L[j * d:(j + 1) * d, i * d:(i + 1) * d] = -signed
         return SymMatrix(L)
+
+    @cached_property
+    def signs(self) -> Optional[np.ndarray]:
+        """Gauge signs, searched once; see :func:`detect_structural_balance`."""
+        return detect_structural_balance(self)
 
     @cached_property
     def assumption1(self) -> "Assumption1Report":
@@ -221,20 +222,20 @@ class MatrixWeightedGraph:
         principal angle has sine at most 1e-8).  Only the verdict is kept,
         not the nd x nd eigenvectors it was read from.
         """
-        signs = detect_structural_balance(self)
+        signs = self.signs
         if signs is None:
             return Assumption1Report(-1, False)
         try:
             basis = null_space(build_laplacian(self))
         except NotPSD:
-            return Assumption1Report(-1, False, signs)
+            return Assumption1Report(-1, False)
         nullity = basis.shape[1]
         if nullity != self.d:
-            return Assumption1Report(nullity, False, signs)
+            return Assumption1Report(nullity, False)
         # Orthonormal basis of the gauge-signed consensus subspace (nd x d).
         ref = np.kron(signs[:, None], np.eye(self.d)) / np.sqrt(self.n)
         resid = float(np.linalg.norm(ref - basis @ (basis.T @ ref), ord=2))
-        return Assumption1Report(nullity, resid <= 1e-8, signs, resid)
+        return Assumption1Report(nullity, resid <= 1e-8, resid)
 
 
 def build_laplacian(g: MatrixWeightedGraph) -> SymMatrix:
@@ -291,12 +292,11 @@ def kernel_mask(eigenvalues: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Assumption1Report:
-    """``signs`` is ``None`` for an imbalanced graph; ``nullity`` is -1 when
-    the kernel was not computed."""
+    """``nullity`` is -1 when the kernel was not computed (an imbalanced
+    graph, or a Laplacian that is not PSD)."""
 
     nullity: int
     holds: bool
-    signs: Optional[np.ndarray] = None
     subspace_residual: float = float("nan")
 
 
@@ -309,12 +309,11 @@ def verify_assumption1(g: MatrixWeightedGraph) -> Assumption1Report:
 def predicted_bipartite_limit(g: MatrixWeightedGraph, x0: np.ndarray) -> np.ndarray:
     """Closed-form asymptotic state: each node carries the gauge-signed mean
     of the gauge-signed initial blocks."""
-    report = verify_assumption1(g)
-    if not report.holds:
+    if not verify_assumption1(g).holds:
         raise AssumptionViolated(
             "predicted limit requires balance and an exact consensus kernel")
     x0 = np.asarray(x0, dtype=float).reshape(g.n, g.d)
-    s = report.signs[:, None]
+    s = g.signs[:, None]
     mean = (s * x0).sum(axis=0) / g.n
     return (s * mean[None, :]).reshape(-1)
 
@@ -322,7 +321,7 @@ def predicted_bipartite_limit(g: MatrixWeightedGraph, x0: np.ndarray) -> np.ndar
 @dataclass(frozen=True, eq=False)
 class InputCoupling:
     """External input attachment: which agents see which homogeneous input,
-    through which sign-definite weight."""
+    through which sign-definite weight.  Each of the m inputs is coupled."""
 
     m: int
     entries: tuple[CouplingEntry, ...] = ()
@@ -342,6 +341,11 @@ class InputCoupling:
             if not c.cls.is_sign_definite:
                 raise GraphFormatError(
                     f"coupling ({c.agent},{c.input}) has class {c.cls.value}")
+        coupled = {c.input for c in self.entries}
+        if len(coupled) < self.m:
+            # The first gap is below len(coupled), so m itself is never walked.
+            k = next(k for k in range(self.m) if k not in coupled)
+            raise GraphFormatError(f"input {k} of m={self.m} has no coupling")
 
     @classmethod
     def from_entries(cls, m: int, entries: Iterable[tuple],
@@ -358,54 +362,39 @@ class InputCoupling:
             built.append(CouplingEntry(agent, inp, weight, wcls))
         return cls(m, tuple(built))
 
-    @classmethod
-    def empty(cls) -> "InputCoupling":
-        return cls(0, ())
-
-    def entries_for_agent(self, i: int) -> tuple[CouplingEntry, ...]:
-        return tuple(c for c in self.entries if c.agent == i)
-
-
-def build_grounded_laplacian(g: MatrixWeightedGraph,
-                             coupling: InputCoupling) -> SymMatrix:
-    """The agents' nd x nd block of the input-extended graph's Laplacian:
-    the Laplacian plus each agent's summed |B_il| on its diagonal block."""
-    nd = g.n * g.d
-    return SymMatrix(extended_graph(g, coupling).laplacian.entries[:nd, :nd])
-
 
 def extended_graph(g: MatrixWeightedGraph,
                    coupling: InputCoupling) -> MatrixWeightedGraph:
-    """Agents plus one node per external input, joined by the coupling edges."""
+    """Agents plus input l at node ``n + l``, joined by the coupling edges."""
     edges = list(g.edges)
     for c in coupling.entries:
         edges.append(Edge(c.agent, g.n + c.input, c.weight, c.cls))
     return MatrixWeightedGraph(g.n + coupling.m, g.d, tuple(edges))
 
 
-def leader_gauge(g: MatrixWeightedGraph,
-                 coupling: InputCoupling) -> Optional[np.ndarray]:
-    """Sign with which each agent tracks the inputs' common value ``u0``:
-    the extended graph's gauge signs of the agents times the sign that the
-    coupled inputs share.  ``None`` when the extended graph is imbalanced or
-    the coupled inputs carry opposite signs (they cannot all hold ``u0``)."""
-    signs = detect_structural_balance(extended_graph(g, coupling))
+def leader_gauge(network: MatrixWeightedGraph, n: int) -> Optional[np.ndarray]:
+    """Sign with which each of the ``n`` agents of the input-extended
+    ``network`` tracks the inputs' common value ``u0``: its gauge sign times
+    the sign the inputs (nodes ``j >= n``) share.  ``None`` when the network
+    is imbalanced or its inputs carry opposite signs (or do not exist)."""
+    signs = network.signs
     if signs is None:
         return None
-    shared = {int(signs[g.n + c.input]) for c in coupling.entries}
+    shared = set(signs[n:].tolist())
     if len(shared) != 1:
         return None
-    return signs[:g.n] * shared.pop()
+    return signs[:n] * shared.pop()
 
 
-def verify_assumption2(g: MatrixWeightedGraph, coupling: InputCoupling) -> bool:
+def verify_assumption2(network: MatrixWeightedGraph, n: int) -> bool:
     """Input-extended structural balance with one shared input sign, plus
     positive-definite total grounding."""
-    if leader_gauge(g, coupling) is None:
+    if leader_gauge(network, n) is None:
         return False
-    total = np.zeros((g.d, g.d))
-    for c in coupling.entries:
-        total += c.abs_weight().entries
+    total = np.zeros((network.d, network.d))
+    for e in network.edges:
+        if e.j >= n:
+            total += e.abs_weight.entries
     return linalg.classify_definiteness(total) is linalg.PD
 
 

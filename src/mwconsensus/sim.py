@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -73,6 +74,14 @@ class Scenario:
     @property
     def step_count(self) -> int:
         return int(round(self.horizon / self.dt))
+
+    @cached_property
+    def network(self) -> MatrixWeightedGraph:
+        """The coupling network, built once: the graph, extended by one node
+        per input (``mwgraph.extended_graph``) in leader-follower mode."""
+        if isinstance(self.mode, LeaderFollower):
+            return mwgraph.extended_graph(self.graph, self.mode.coupling)
+        return self.graph
 
 
 def physical_memory() -> float:
@@ -133,10 +142,10 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
     if not report.holds:
         out.append(
             "assumption 1 fails: "
-            + ("graph is structurally imbalanced" if report.signs is None else
+            + ("graph is structurally imbalanced" if sc.graph.signs is None else
                f"Laplacian nullity {report.nullity} != d={sc.graph.d} or kernel "
                "mismatch"))
-    if lf and not mwgraph.verify_assumption2(sc.graph, sc.mode.coupling):
+    if lf and not mwgraph.verify_assumption2(sc.network, sc.graph.n):
         out.append("assumption 2 fails: extended graph imbalanced, coupled "
                    "inputs of opposite gauge sign, or total input grounding "
                    "not positive definite")
@@ -196,20 +205,17 @@ class CompiledScenario:
     """
 
     def __init__(self, sc: Scenario):
-        g = sc.graph
+        g, network = sc.graph, sc.network
         self.scenario = sc
         self.n, self.d = g.n, g.d
         self.leader_follower = isinstance(sc.mode, LeaderFollower)
         self.static_baseline = sc.baseline == BASELINE_STATIC
 
         if self.leader_follower:
-            coupling = sc.mode.coupling
-            network = mwgraph.extended_graph(g, coupling)
-            self.pinned = np.tile(sc.mode.u0, coupling.m)
+            self.pinned = np.tile(sc.mode.u0, network.n - self.n)
             self.gain = np.array(
-                [trigger.gamma(i, g, coupling) for i in range(self.n)])
+                [trigger.gamma(i, network, self.n) for i in range(self.n)])
         else:
-            network = g
             self.pinned = np.zeros(0)
             # Isolated agents never accumulate error (their control is zero),
             # so a zero gain keeps their trigger permanently silent.
@@ -219,15 +225,14 @@ class CompiledScenario:
         # Arcs leave agents only: an input node is pinned and has no flow.
         arcs = [(a, b, e) for e in network.edges
                 for a, b in ((e.i, e.j), (e.j, e.i)) if a < self.n]
-        absw = {e: e.abs_weight() for e in network.edges}
         d = self.d
         self.arc_src = np.array([a for a, _, _ in arcs], dtype=int)
         self.arc_dst = np.array([b for _, b, _ in arcs], dtype=int)
         self.arc_sign = np.array([float(e.sign) for _, _, e in arcs])
         self.arc_abs = np.array(
-            [absw[e].entries for _, _, e in arcs]).reshape(-1, d, d)
+            [e.abs_weight.entries for _, _, e in arcs]).reshape(-1, d, d)
         if not self.leader_follower:
-            root = {e: sym_sqrt(w).entries for e, w in absw.items()}
+            root = {e: sym_sqrt(e.abs_weight).entries for e in network.edges}
             self.arc_sqrt = np.array(
                 [root[e] for _, _, e in arcs]).reshape(-1, d, d)
         # Flat state index of every coordinate an arc's flow lands on.
@@ -390,7 +395,7 @@ def _limit_state(sc: Scenario) -> Optional[np.ndarray]:
     if not mwgraph.verify_assumption1(sc.graph).holds:
         return None
     if isinstance(sc.mode, LeaderFollower):
-        gauge = mwgraph.leader_gauge(sc.graph, sc.mode.coupling)
+        gauge = mwgraph.leader_gauge(sc.network, sc.graph.n)
         return None if gauge is None else np.kron(gauge, sc.mode.u0)
     return mwgraph.predicted_bipartite_limit(sc.graph, sc.initial_state())
 

@@ -132,17 +132,18 @@ def mu_bar(i: int, g: MatrixWeightedGraph) -> float:
     return max(g.edge(i, j).abs_lambda_max for j in neigh)
 
 
-def gamma(i: int, g: MatrixWeightedGraph, coupling: InputCoupling) -> float:
+def gamma(i: int, network: MatrixWeightedGraph, n: int) -> float:
     """Error-amplification constant of the leader-follower trigger:
 
         n * (sum_j mu(|A_ij|) + sum_l mu(|B_il|))^2 + n * sum_j mu(|A_ij|)^2
 
+    over agent i's neighbours j < n and inputs l = j - n in ``network``.
     Empty neighbor and input sets give 0; weights too large for the square
     give inf.
     """
-    n = g.n
-    mus = [g.edge(i, j).abs_lambda_max for j in g.neighbors(i)]
-    mus_b = [c.abs_lambda_max for c in coupling.entries_for_agent(i)]
+    mus, mus_b = [], []
+    for j in network.neighbors(i):
+        (mus if j < n else mus_b).append(network.edge(i, j).abs_lambda_max)
     try:
         spread = n * (sum(mus) + sum(mus_b)) ** 2
     except OverflowError:  # float ** raises where float * returns inf

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from mwconsensus.errors import MwcError
+from mwconsensus.linalg import matrix_abs, matrix_sgn
 from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph
 from mwconsensus.trigger import AgentParams
 
@@ -81,7 +82,7 @@ def check_gauge_identity(g: MatrixWeightedGraph, signs) -> bool:
     edge, i.e. the gauge transformation makes every weight nonnegative."""
     for e in g.edges:
         gauged = (signs[e.i] * signs[e.j]) * e.weight.entries
-        absw = e.abs_weight().entries
+        absw = e.abs_weight.entries
         tol = 1e-12 * max(1.0, float(np.max(np.abs(absw))))
         if np.max(np.abs(gauged - absw)) > tol:
             return False
@@ -197,7 +198,7 @@ def control_leaderless(i: int, xhat: np.ndarray,
     out = np.zeros(g.d)
     for j in g.neighbors(i):
         p = relative_broadcast(i, j, xhat, g)
-        out -= g.edge(i, j).abs_weight().entries @ p
+        out -= g.edge(i, j).abs_weight.entries @ p
     return out
 
 
@@ -209,9 +210,44 @@ def control_leader_follower(i: int, xhat: np.ndarray, g: MatrixWeightedGraph,
     out = control_leaderless(i, xhat, g)
     d = g.d
     xi = xhat[i * d:(i + 1) * d]
-    for c in coupling.entries_for_agent(i):
-        out -= c.abs_weight().entries @ (xi - c.sign * np.asarray(u0, dtype=float))
+    for c in coupling.entries:
+        if c.agent == i:
+            out -= matrix_abs(c.weight, c.cls).entries @ (
+                xi - matrix_sgn(c.cls) * np.asarray(u0, dtype=float))
     return out
+
+
+def input_drive(g: MatrixWeightedGraph, coupling: InputCoupling,
+                u0: np.ndarray) -> np.ndarray:
+    """Constant part of the stacked leader-follower control:
+    ``sum_l sgn(B_il) |B_il| u0`` on each agent's block."""
+    drive = np.zeros((g.n, g.d))
+    for c in coupling.entries:
+        absb = matrix_abs(c.weight, c.cls).entries
+        drive[c.agent] += matrix_sgn(c.cls) * absb @ u0
+    return drive.reshape(-1)
+
+
+def grounded_laplacian(g: MatrixWeightedGraph,
+                       coupling: InputCoupling) -> np.ndarray:
+    """Dense nd x nd grounded Laplacian L_B: the block Laplacian plus each
+    agent's summed |B_il| on its diagonal block.  The stacked
+    leader-follower control is ``input_drive - L_B @ xhat``."""
+    d = g.d
+    lb = g.laplacian.entries.copy()
+    for c in coupling.entries:
+        block = slice(c.agent * d, (c.agent + 1) * d)
+        lb[block, block] += matrix_abs(c.weight, c.cls).entries
+    return lb
+
+
+def lyapunov_lf_dense(record, xtilde: np.ndarray) -> np.ndarray:
+    """Leader-follower V(t) = xi^T L_B xi + sum_i chi_i, xi = x - xtilde,
+    contracted with the dense grounded Laplacian of the record's scenario."""
+    sc = record.scenario
+    lb = grounded_laplacian(sc.graph, sc.mode.coupling)
+    xi = record.states - np.asarray(xtilde, dtype=float)[None, :]
+    return np.einsum("ij,jk,ik->i", xi, lb, xi) + record.chi.sum(axis=1)
 
 
 PList = Sequence[tuple[np.ndarray, np.ndarray]]

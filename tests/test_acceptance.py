@@ -14,8 +14,8 @@ from mwconsensus import analysis, cli, mwgraph, sim, trigger
 from mwconsensus.builtin import PUBLISHED_MU_BAR, REFERENCE_BIPARTITION, \
     REFERENCE_U0, leader_follower_scenario, leaderless_scenario
 from mwconsensus.linalg import sym_eigen
-from mwconsensus.mwgraph import build_grounded_laplacian, build_laplacian, \
-    detect_structural_balance, null_space
+from mwconsensus.mwgraph import build_laplacian, detect_structural_balance, \
+    extended_graph, null_space
 from mwconsensus.sim import Scenario, chi_floor_check, min_inter_event
 from mwconsensus.trigger import Leaderless, TriggerParams
 
@@ -179,7 +179,8 @@ def test_a7_spectral_properties(ref_graph, ref_coupling):
     assert vals[0] >= -1e-8 * vals[-1]
     nullity = null_space(lap).shape[1]
     assert nullity == 4
-    grounded = build_grounded_laplacian(ref_graph, ref_coupling)
+    # The grounded Laplacian is the agents' block of the network's Laplacian.
+    grounded = extended_graph(ref_graph, ref_coupling).laplacian.entries[:24, :24]
     gmin = sym_eigen(grounded).lambda_min
     assert gmin > 0.0
     print(f"\nA7 PASS: Laplacian PSD (min eig {vals[0]:.3e}), nullity "
@@ -195,8 +196,7 @@ def test_a8_lyapunov_monotonicity(ref_leaderless_record, ref_lf_record):
     rec = ref_lf_record
     sc = rec.scenario
     signs = detect_structural_balance(sc.graph)
-    lb = build_grounded_laplacian(sc.graph, sc.mode.coupling).entries
-    v_lf = analysis.lyapunov_lf(rec, np.kron(signs, sc.mode.u0), lb)
+    v_lf = analysis.lyapunov_lf(rec, np.kron(signs, sc.mode.u0))
     worst_lf = float(np.max(np.diff(v_lf)))
     assert worst_lf <= 1e-9
     print(f"\nA8 PASS: V non-increasing on both replications "

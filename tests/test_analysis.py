@@ -1,19 +1,52 @@
 """Analytics: error series, energy traces, decay fitting, run summaries."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mwconsensus import sim
 from mwconsensus.analysis import RunSummary, event_stats, fit_decay_rate, \
     lyapunov_leaderless, lyapunov_lf
-from mwconsensus.mwgraph import MatrixWeightedGraph, \
-    build_grounded_laplacian, detect_structural_balance
+from mwconsensus.builtin import WEIGHT_0_5, WEIGHT_3_4, \
+    leader_follower_scenario
+from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
+    detect_structural_balance
 from mwconsensus.sim import Scenario
-from mwconsensus.trigger import Leaderless, TriggerParams
+from mwconsensus.trigger import LeaderFollower, Leaderless, TriggerParams
 
+import oracles
 from conftest import random_balanced_scalar_graph
 from test_mwgraph import scalar_graph
 from test_sim import uniform_params
+
+
+def random_lf_scenario(n, d, horizon, seed=0):
+    """Balanced random leader-follower scenario: a spanning tree of PD
+    weights plus n PSD chords, signed by a random gauge, and one input that
+    agent 0 sees through a PD weight and agent 1 through a PSD one."""
+    rng = np.random.default_rng(seed)
+    gauge = rng.choice([-1, 1], size=n)
+    tree = {(int(rng.integers(0, k)), k) for k in range(1, n)}
+    chords = {tuple(sorted(int(v) for v in rng.choice(n, 2, replace=False)))
+              for _ in range(n)} - tree
+
+    def weight(sign, rank):
+        m = rng.normal(size=(d, rank))
+        return sign * (m @ m.T + (0.1 * np.eye(d) if rank == d else 0.0))
+
+    edges = [(a, b, weight(gauge[a] * gauge[b], d)) for a, b in sorted(tree)]
+    edges += [(a, b, weight(gauge[a] * gauge[b], d - 1))
+              for a, b in sorted(chords)]
+    # The input's gauge sign is +1.
+    coupling = InputCoupling.from_entries(
+        1, [(0, 0, weight(gauge[0], d)), (1, 0, weight(gauge[1], d - 1))], d)
+    return Scenario(graph=MatrixWeightedGraph.from_edges(n, d, edges),
+                    mode=LeaderFollower(u0=rng.uniform(-1.0, 1.0, d),
+                                        coupling=coupling),
+                    params=uniform_params(n), dt=1e-3, horizon=horizon,
+                    seed=seed)
 
 
 def error_series(rec):
@@ -85,8 +118,8 @@ class TestLyapunov:
         rec = ref_lf_record
         sc = rec.scenario
         xtilde = np.kron(detect_structural_balance(sc.graph), sc.mode.u0)
-        lb = build_grounded_laplacian(sc.graph, sc.mode.coupling).entries
-        v = lyapunov_lf(rec, xtilde, lb)
+        lb = oracles.grounded_laplacian(sc.graph, sc.mode.coupling)
+        v = lyapunov_lf(rec, xtilde)
         xi0 = rec.states[0] - rec.limit_state
         want = float(xi0 @ lb @ xi0) + float(rec.chi[0].sum())
         assert v[0] == pytest.approx(want, rel=1e-12)
@@ -95,8 +128,7 @@ class TestLyapunov:
         rec = ref_lf_record
         sc = rec.scenario
         signs = detect_structural_balance(sc.graph)
-        lb = build_grounded_laplacian(sc.graph, sc.mode.coupling).entries
-        v = lyapunov_lf(rec, np.kron(signs, sc.mode.u0), lb)
+        v = lyapunov_lf(rec, np.kron(signs, sc.mode.u0))
         assert np.max(np.diff(v)) <= 1e-9
         assert v[-1] < 1e-2 * v[0]
 
@@ -166,3 +198,69 @@ class TestEventStats:
         doc = event_stats(ref_leaderless_record).as_dict()
         text = json.dumps(doc)
         assert json.loads(text) == doc
+
+
+def negated_lf_scenario(horizon):
+    """The bundled leader-follower scenario with both couplings negated."""
+    coupling = InputCoupling.from_entries(
+        2, [(0, 0, -WEIGHT_3_4, "nsd"), (5, 1, -WEIGHT_0_5, "nd")], 4)
+    sc = leader_follower_scenario(horizon=horizon)
+    return dataclasses.replace(
+        sc, mode=LeaderFollower(u0=sc.mode.u0, coupling=coupling))
+
+
+def two_couplings_on_one_agent_scenario(horizon):
+    """Agent 2 carries two inputs of opposite gauge sign, so Assumption 2
+    fails and the run is forced; the Lyapunov form is algebraic and holds
+    for any state."""
+    coupling = InputCoupling.from_entries(3, [
+        (2, 0, WEIGHT_0_5, "pd"), (2, 1, -WEIGHT_3_4, "nsd"),
+        (4, 2, WEIGHT_3_4, "psd")], 4)
+    sc = leader_follower_scenario(horizon=horizon)
+    return dataclasses.replace(
+        sc, mode=LeaderFollower(u0=sc.mode.u0, coupling=coupling))
+
+
+class TestLyapunovLfOracle:
+    """The edge form of xi^T L_B xi against the dense grounded Laplacian."""
+
+    @staticmethod
+    def assert_matches_dense(rec, xtilde):
+        got = lyapunov_lf(rec, xtilde)
+        want = oracles.lyapunov_lf_dense(rec, xtilde)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_builtin_record(self, ref_lf_record):
+        self.assert_matches_dense(ref_lf_record, ref_lf_record.limit_state)
+
+    def test_negated_coupling(self):
+        rec = sim.run(negated_lf_scenario(horizon=0.5))
+        assert rec.limit_state is not None
+        self.assert_matches_dense(rec, rec.limit_state)
+
+    def test_two_couplings_on_one_agent(self):
+        rec = sim.run(two_couplings_on_one_agent_scenario(horizon=0.2),
+                      check_assumptions=False)
+        assert rec.limit_state is None
+        xtilde = np.random.default_rng(8).uniform(-1.0, 1.0, 24)
+        self.assert_matches_dense(rec, xtilde)
+
+    def test_random_graph_psd_coupling(self):
+        rec = sim.run(random_lf_scenario(n=12, d=3, horizon=0.2, seed=3))
+        assert rec.limit_state is not None
+        self.assert_matches_dense(rec, rec.limit_state)
+
+
+def test_lf_summary_memory_stays_near_record():
+    """``event_stats`` on a leader-follower record allocates about one copy
+    of the recorded states, not an (nd)^2 grounded Laplacian: its traced
+    peak stays below four times the states."""
+    rec = sim.run(random_lf_scenario(n=300, d=4, horizon=0.05))
+    assert rec.limit_state is not None
+    tracemalloc.start()
+    try:
+        event_stats(rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * rec.states.nbytes, (peak, rec.states.nbytes)

@@ -18,7 +18,6 @@ from mwconsensus.builtin import REFERENCE_U0, leader_follower_scenario, \
     leaderless_scenario
 from mwconsensus.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, \
     main, write_artifacts
-from mwconsensus.mwgraph import InputCoupling
 from mwconsensus.trigger import LeaderFollower
 
 
@@ -212,6 +211,27 @@ class TestLeaderGauge:
         assert "validation: assumption 2 fails: " in out
 
 
+class TestUncoupledInputs:
+    """A declared input without a coupling entry is refused at load, so no
+    command sizes anything by the declared count."""
+
+    @pytest.mark.parametrize("m", [5000, 10**6])
+    @pytest.mark.parametrize("command", ["run", "check", "spectrum"])
+    def test_refused_in_one_line(self, command, m, tmp_path, capsys):
+        doc = lf_scenario_doc()
+        doc["sim"]["T"] = 0.01
+        doc["graph"]["m"] = m
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "runs")]
+        assert main(argv) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"error: input 2 of m={m} has no coupling"]
+        assert out == "" and not (tmp_path / "runs").exists()
+
+
 class TestStructureComputedOnce:
     """One nd x nd eigendecomposition per Laplacian per command."""
 
@@ -224,6 +244,25 @@ class TestStructureComputedOnce:
     def test_eigh_count(self, command, token, laplacians, eigh_shapes):
         assert main([command, token]) == EXIT_OK
         assert eigh_shapes.count((24, 24)) == laplacians
+
+    def test_check_lf_edge_eigh_count(self, eigh_shapes):
+        """Load-time classification of every weight, then lambda_max once per
+        edge of the network (the agents' edges are shared with it) and the
+        grounding test."""
+        assert main(["check", "builtin:lf"]) == EXIT_OK
+        assert eigh_shapes.count((4, 4)) == 29
+
+    def test_check_lf_builds_one_network(self, monkeypatch):
+        built = []
+        extend = sim.mwgraph.extended_graph
+
+        def counting(*args):
+            built.append(args)
+            return extend(*args)
+
+        monkeypatch.setattr(sim.mwgraph, "extended_graph", counting)
+        assert main(["check", "builtin:lf"]) == EXIT_OK
+        assert len(built) == 1
 
 
 class TestSpectrum:
@@ -413,15 +452,13 @@ class TestExtremeInputs:
     def test_builtin_constants_keep_four_decimals(self, make, capsys):
         sc = make()
         g = sc.graph
-        coupling = (sc.mode.coupling if isinstance(sc.mode, LeaderFollower)
-                    else InputCoupling.empty())
         token = ("builtin:lf" if isinstance(sc.mode, LeaderFollower)
                  else "builtin:leaderless")
         main(["check", token])
         lines = capsys.readouterr().out.splitlines()
         assert ("mu_bar: " + "  ".join(f"{trigger.mu_bar(i, g):.4f}"
                                        for i in range(g.n))) in lines
-        assert ("gamma:  " + "  ".join(f"{trigger.gamma(i, g, coupling):.4f}"
+        assert ("gamma:  " + "  ".join(f"{trigger.gamma(i, sc.network, g.n):.4f}"
                                        for i in range(g.n))) in lines
 
     @pytest.mark.parametrize("horizon", ["1e12", "1e308"])

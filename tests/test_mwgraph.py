@@ -5,14 +5,15 @@ import pytest
 
 from mwconsensus.builtin import RAW_EDGE_0_1, WEIGHT_0_5, WEIGHT_3_4
 from mwconsensus.errors import AssumptionViolated, GraphFormatError, NotPSD
-from mwconsensus.linalg import PSD, sym_eigen
+from mwconsensus.linalg import PSD, matrix_abs, sym_eigen
 from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
-    build_grounded_laplacian, build_laplacian, detect_structural_balance, \
-    extended_graph, graph_from_dict, graph_to_dict, leader_gauge, null_space, \
+    build_laplacian, detect_structural_balance, extended_graph, \
+    graph_from_dict, graph_to_dict, leader_gauge, null_space, \
     predicted_bipartite_limit, verify_assumption1, verify_assumption2
 
 from conftest import random_balanced_scalar_graph, two_node_graph
-from oracles import brute_force_balance, check_gauge_identity
+from oracles import brute_force_balance, check_gauge_identity, \
+    grounded_laplacian
 
 REFERENCE_SIGNS = [1, 1, -1, -1, -1, 1]
 
@@ -21,6 +22,18 @@ def scalar_graph(n, edges, d=1):
     """Graph with a_ij * I_d weights from a {(i, j): a} dict."""
     specs = [(i, j, a * np.eye(d)) for (i, j), a in edges.items()]
     return MatrixWeightedGraph.from_edges(n, d, specs)
+
+
+def assumption2(g, coupling):
+    """Assumption 2 on the input-extended network of ``g``."""
+    return verify_assumption2(extended_graph(g, coupling), g.n)
+
+
+def grounded_block(g, coupling):
+    """The agents' nd x nd block of the input-extended network's Laplacian,
+    which ``spectrum`` reports as the grounded Laplacian."""
+    nd = g.n * g.d
+    return extended_graph(g, coupling).laplacian.entries[:nd, :nd]
 
 
 class TestGraphModel:
@@ -47,11 +60,23 @@ class TestGraphModel:
                     assert g.edge(i, j) is (scan[0] if scan else None)
 
     def test_abs_weight_built_once(self, ref_graph, ref_coupling):
-        """|A| is built and validated once per edge and per coupling."""
-        for e in (*ref_graph.edges, *ref_coupling.entries):
-            assert e.abs_weight() is e.abs_weight()
-            np.testing.assert_array_equal(e.abs_weight().entries,
+        """|A| is built and validated once per edge and per coupling edge."""
+        for e in extended_graph(ref_graph, ref_coupling).edges:
+            assert e.abs_weight is e.abs_weight
+            np.testing.assert_array_equal(e.abs_weight.entries,
                                           e.sign * e.weight.entries)
+
+    def test_ordered_edges_shared(self, ref_graph, ref_coupling):
+        """An edge already in (min, max) order is kept, not copied, so the
+        extended network shares the agents' edges and their caches; a
+        reversed edge is stored in order."""
+        ext = extended_graph(ref_graph, ref_coupling)
+        for e in ref_graph.edges:
+            assert ext.edge(e.i, e.j) is e
+        w = np.array([[2.0, 0.3], [0.3, 1.0]])
+        g = MatrixWeightedGraph.from_edges(3, 2, [(1, 0, w), (1, 2, w)])
+        assert [(e.i, e.j) for e in g.edges] == [(0, 1), (1, 2)]
+        assert MatrixWeightedGraph(3, 2, g.edges).edges[1] is g.edges[1]
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphFormatError):
@@ -154,9 +179,27 @@ class TestBalance:
         assert signs.dtype.kind == "i"
         with pytest.raises(ValueError):
             signs[0] = -1
-        assert verify_assumption1(ref_graph).signs.tolist() == REFERENCE_SIGNS
+        assert ref_graph.signs.tolist() == REFERENCE_SIGNS
         with pytest.raises(ValueError):
-            verify_assumption1(ref_graph).signs[0] = -1
+            ref_graph.signs[0] = -1
+
+    def test_signs_searched_once(self, monkeypatch):
+        """The graph's signs are one cached search, read by Assumption 1 and
+        the predicted limit."""
+        from mwconsensus import mwgraph
+        searched = []
+        search = mwgraph.detect_structural_balance
+
+        def counting(g):
+            searched.append(g)
+            return search(g)
+
+        monkeypatch.setattr(mwgraph, "detect_structural_balance", counting)
+        g = scalar_graph(3, {(0, 1): 1.0, (1, 2): -1.0}, d=2)
+        assert g.signs is g.signs
+        assert verify_assumption1(g).holds
+        predicted_bipartite_limit(g, np.zeros(6))
+        assert searched == [g]
 
     def test_frustrated_triangle(self):
         signs = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): -1.0}
@@ -260,12 +303,13 @@ class TestNullSpace:
 class TestAssumption1:
     def test_reference_holds(self, ref_graph):
         rep = verify_assumption1(ref_graph)
-        assert rep.signs is not None and rep.holds and rep.nullity == 4
+        assert ref_graph.signs is not None and rep.holds and rep.nullity == 4
         assert rep.subspace_residual <= 1e-8
 
     def test_rank_deficient_pair_fails(self):
-        rep = verify_assumption1(two_node_graph(np.diag([1.0, 0.0])))
-        assert rep.signs is not None and rep.nullity == 3 and not rep.holds
+        g = two_node_graph(np.diag([1.0, 0.0]))
+        rep = verify_assumption1(g)
+        assert g.signs is not None and rep.nullity == 3 and not rep.holds
 
     def test_complete_identity_graph(self):
         edges = {(i, j): 1.0 for i in range(4) for j in range(i + 1, 4)}
@@ -275,12 +319,12 @@ class TestAssumption1:
     def test_imbalanced_fails(self):
         g = scalar_graph(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): -1.0})
         rep = verify_assumption1(g)
-        assert rep.signs is None and not rep.holds
+        assert g.signs is None and not rep.holds
 
     def test_disconnected_fails_nullity(self):
         g = scalar_graph(4, {(0, 1): 1.0, (2, 3): 1.0}, d=2)
         rep = verify_assumption1(g)
-        assert rep.signs is not None and rep.nullity == 4 and not rep.holds
+        assert g.signs is not None and rep.nullity == 4 and not rep.holds
 
 
 class TestPredictedLimit:
@@ -313,22 +357,25 @@ class TestPredictedLimit:
 
 
 class TestGroundedLaplacian:
+    """The dense oracle L_B, and the agents' block of the network Laplacian
+    that ``spectrum`` reads, on the same assertions."""
+
     def test_empty_coupling_is_plain_laplacian(self, ref_graph):
-        lb = build_grounded_laplacian(ref_graph, InputCoupling.empty())
-        np.testing.assert_array_equal(lb.entries,
-                                      build_laplacian(ref_graph).entries)
+        for lb in (grounded_laplacian(ref_graph, InputCoupling(0)),
+                   grounded_block(ref_graph, InputCoupling(0))):
+            np.testing.assert_array_equal(lb, build_laplacian(ref_graph).entries)
 
     def test_reference_grounded_positive_definite(self, ref_graph, ref_coupling):
-        vals = sym_eigen(build_grounded_laplacian(ref_graph, ref_coupling)
-                         ).eigenvalues
-        assert vals[0] > 0.0
+        for lb in (grounded_laplacian(ref_graph, ref_coupling),
+                   grounded_block(ref_graph, ref_coupling)):
+            assert sym_eigen(lb).eigenvalues[0] > 0.0
 
     def test_single_node_equals_coupling_weight(self):
         g = MatrixWeightedGraph(1, 2, ())
         w = np.array([[2.0, 0.2], [0.2, 1.0]])
         coupling = InputCoupling.from_entries(1, [(0, 0, w)], 2)
-        np.testing.assert_allclose(
-            build_grounded_laplacian(g, coupling).entries, w, atol=1e-15)
+        for lb in (grounded_laplacian(g, coupling), grounded_block(g, coupling)):
+            np.testing.assert_allclose(lb, w, atol=1e-15)
 
     def test_two_couplings_on_one_agent(self, ref_graph):
         """Laplacian plus each agent's summed |B_il| on its diagonal block;
@@ -339,50 +386,52 @@ class TestGroundedLaplacian:
         want = build_laplacian(ref_graph).entries.copy()
         for c in coupling.entries:
             want[4 * c.agent:4 * c.agent + 4,
-                 4 * c.agent:4 * c.agent + 4] += c.abs_weight().entries
-        got = build_grounded_laplacian(ref_graph, coupling).entries
-        assert got.shape == (24, 24)
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+                 4 * c.agent:4 * c.agent + 4] += matrix_abs(c.weight, c.cls).entries
+        for got in (grounded_laplacian(ref_graph, coupling),
+                    grounded_block(ref_graph, coupling)):
+            assert got.shape == (24, 24)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestAssumption2:
     def test_reference_holds(self, ref_graph, ref_coupling):
-        assert verify_assumption2(ref_graph, ref_coupling)
+        assert assumption2(ref_graph, ref_coupling)
 
     def test_empty_coupling_fails(self, ref_graph):
-        assert not verify_assumption2(ref_graph, InputCoupling.empty())
+        assert not assumption2(ref_graph, InputCoupling(0))
 
     def test_single_pd_input(self):
         g = scalar_graph(2, {(0, 1): 1.0}, d=2)
         coupling = InputCoupling.from_entries(1, [(0, 0, np.eye(2))], 2)
-        assert verify_assumption2(g, coupling)
+        assert assumption2(g, coupling)
 
     def test_sign_mismatched_input_breaks_extended_balance(self):
         # both agents in group 1, but agent 1 is attached negatively
         g = scalar_graph(2, {(0, 1): 1.0}, d=1)
         coupling = InputCoupling.from_entries(
             1, [(0, 0, [[1.0]]), (1, 0, [[-1.0]])], 1)
-        assert not verify_assumption2(g, coupling)
+        assert not assumption2(g, coupling)
 
     def test_psd_only_grounding_fails(self):
         g = scalar_graph(2, {(0, 1): 1.0}, d=2)
         coupling = InputCoupling.from_entries(
             1, [(0, 0, np.diag([1.0, 0.0]), "psd")], 2)
-        assert not verify_assumption2(g, coupling)
+        assert not assumption2(g, coupling)
 
     def test_leader_gauge_reference(self, ref_graph, ref_coupling):
         """Both reference inputs attach positively to +1 agents, so every
         agent tracks u0 with its own gauge sign."""
-        assert leader_gauge(ref_graph, ref_coupling).tolist() == REFERENCE_SIGNS
+        ext = extended_graph(ref_graph, ref_coupling)
+        assert leader_gauge(ext, 6).tolist() == REFERENCE_SIGNS
 
     def test_leader_gauge_negated_inputs(self, ref_graph):
         """The reference couplings negated: every agent tracks -u0 times its
         gauge sign."""
         negated = InputCoupling.from_entries(
             2, [(0, 0, -WEIGHT_3_4, "nsd"), (5, 1, -WEIGHT_0_5, "nd")], 4)
-        assert leader_gauge(ref_graph, negated).tolist() == \
+        assert leader_gauge(extended_graph(ref_graph, negated), 6).tolist() == \
             [-s for s in REFERENCE_SIGNS]
-        assert verify_assumption2(ref_graph, negated)
+        assert assumption2(ref_graph, negated)
 
     def test_inputs_of_opposite_sign_fail(self):
         """Each input alone keeps the extended graph balanced, but the two
@@ -390,15 +439,35 @@ class TestAssumption2:
         g = scalar_graph(2, {(0, 1): 1.0}, d=2)
         coupling = InputCoupling.from_entries(
             2, [(0, 0, np.eye(2)), (1, 1, -np.eye(2))], 2)
-        assert detect_structural_balance(extended_graph(g, coupling)) \
-            is not None
-        assert leader_gauge(g, coupling) is None
-        assert not verify_assumption2(g, coupling)
+        ext = extended_graph(g, coupling)
+        assert detect_structural_balance(ext) is not None
+        assert leader_gauge(ext, g.n) is None
+        assert not assumption2(g, coupling)
 
     def test_extended_graph_shape(self, ref_graph, ref_coupling):
         ext = extended_graph(ref_graph, ref_coupling)
         assert ext.n == 8
         assert len(ext.edges) == len(ref_graph.edges) + 2
+
+
+class TestInputCoupling:
+    def test_uncoupled_input_rejected(self):
+        """Every declared input needs a coupling entry, so the network's size
+        is bounded by the entries themselves."""
+        with pytest.raises(GraphFormatError, match="input 1 of m=2 has no coupling"):
+            InputCoupling.from_entries(2, [(0, 0, [[1.0]])], 1)
+        with pytest.raises(GraphFormatError, match="input 0 of m=1 has no"):
+            InputCoupling(1)
+        InputCoupling(0)
+
+    @pytest.mark.parametrize("m", [3, 10**6, 10**18])
+    def test_declared_inputs_beyond_entries_rejected(self, m):
+        doc = {"n": 2, "d": 1, "m": m,
+               "edges": [{"i": 0, "j": 1, "weight": [1.0]}],
+               "inputs": [{"agent": 0, "input": 0, "weight": [1.0]},
+                          {"agent": 1, "input": 1, "weight": [1.0]}]}
+        with pytest.raises(GraphFormatError, match=f"input 2 of m={m} has no"):
+            graph_from_dict(doc)
 
 
 class TestInterchange:

@@ -1,5 +1,7 @@
 """Engine tests: exact flow, event semantics, thresholds, dwell statistics."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from mwconsensus.builtin import leader_follower_scenario, leaderless_scenario
 from mwconsensus.errors import Diverged, InvalidScenario
 from mwconsensus.linalg import sym_sqrt
 from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
-    build_grounded_laplacian, build_laplacian
+    build_laplacian
 from mwconsensus.sim import Scenario, chi_floor_check, min_inter_event, \
     run, validate_scenario
 from mwconsensus.trigger import LeaderFollower, Leaderless, TriggerParams
@@ -74,7 +76,7 @@ class TestValidation:
 
     def test_lf_requires_assumption2(self):
         g = scalar_graph(2, {(0, 1): 1.0})
-        mode = LeaderFollower(u0=np.array([0.5]), coupling=InputCoupling.empty())
+        mode = LeaderFollower(u0=np.array([0.5]), coupling=InputCoupling(0))
         sc = tiny_scenario(graph=g, mode=mode)
         assert any("assumption 2" in v for v in validate_scenario(sc))
 
@@ -117,7 +119,7 @@ class TestStructureComputedOnce:
         assert eigh_shapes.count((g.d, g.d)) == 2 * len(g.edges)
         for i in range(g.n):
             trigger.mu_bar(i, g)
-            trigger.gamma(i, g, InputCoupling.empty())
+            trigger.gamma(i, g, g.n)
         assert eigh_shapes.count((g.d, g.d)) == 2 * len(g.edges)
 
     def test_lf_gamma_reads_cached_lambda_max(self, eigh_shapes):
@@ -129,20 +131,33 @@ class TestStructureComputedOnce:
         want = len(g.edges) + len(coupling.entries) + 1
         assert eigh_shapes.count((g.d, g.d)) == want
         for i in range(g.n):
-            trigger.gamma(i, g, coupling)
+            trigger.gamma(i, sc.network, g.n)
         assert eigh_shapes.count((g.d, g.d)) == want
 
-    def test_one_grounded_laplacian_per_lf_run(self, monkeypatch):
-        built = []
-        assemble = sim.mwgraph.build_grounded_laplacian
+    def test_one_extended_graph_per_lf_run(self, monkeypatch):
+        """Validation, the limit state, compile and the analytics all read
+        the scenario's one network; the agents' Laplacian is assembled once
+        and the network's not at all."""
+        built, assembled = [], []
+        extend = sim.mwgraph.extended_graph
+        laplacian = MatrixWeightedGraph.laplacian.func
 
         def counting(*args):
             built.append(args)
-            return assemble(*args)
+            return extend(*args)
 
-        monkeypatch.setattr(sim.mwgraph, "build_grounded_laplacian", counting)
-        analysis.event_stats(run(leader_follower_scenario(horizon=0.05)))
-        assert len(built) == 1
+        def assembling(g):
+            assembled.append(g.n)
+            return laplacian(g)
+
+        monkeypatch.setattr(sim.mwgraph, "extended_graph", counting)
+        counted = functools.cached_property(assembling)
+        counted.__set_name__(MatrixWeightedGraph, "laplacian")
+        monkeypatch.setattr(MatrixWeightedGraph, "laplacian", counted)
+        sc = leader_follower_scenario(horizon=0.05)
+        analysis.event_stats(run(sc))
+        assert len(built) == 1 and sc.network.n == sc.graph.n + 2
+        assert assembled == [sc.graph.n]
 
 
 def dense_coupling(sc):
@@ -151,11 +166,9 @@ def dense_coupling(sc):
     g = sc.graph
     if not isinstance(sc.mode, LeaderFollower):
         return build_laplacian(g).entries, np.zeros(g.n * g.d)
-    drive = np.zeros((g.n, g.d))
-    for c in sc.mode.coupling.entries:
-        drive[c.agent] += c.sign * c.abs_weight().entries @ sc.mode.u0
-    grounded = build_grounded_laplacian(g, sc.mode.coupling).entries
-    return grounded, drive.reshape(-1)
+    coupling = sc.mode.coupling
+    return (oracles.grounded_laplacian(g, coupling),
+            oracles.input_drive(g, coupling, sc.mode.u0))
 
 
 def isolated_psd_nsd_scenario(lf=False):
@@ -376,7 +389,7 @@ class TestTriggerEngineConsistency:
         rec = run(sc)
         g = sc.graph
         d = g.d
-        roots = {(e.i, e.j): sym_sqrt(e.abs_weight()).entries for e in g.edges}
+        roots = {(e.i, e.j): sym_sqrt(e.abs_weight).entries for e in g.edges}
 
         def sqrt_weight(i, j):
             return roots[(i, j)] if (i, j) in roots else roots[(j, i)]
@@ -402,7 +415,7 @@ class TestTriggerEngineConsistency:
         rec = run(sc)
         g = sc.graph
         d = g.d
-        gam = [trigger.gamma(i, g, sc.mode.coupling) for i in range(g.n)]
+        gam = [trigger.gamma(i, sc.network, g.n) for i in range(g.n)]
         event_steps = [set(np.rint(np.asarray(ev) / sc.dt).astype(int))
                        for ev in rec.events]
         for k in range(len(rec.times) - 1):
@@ -422,7 +435,7 @@ class TestTriggerEngineConsistency:
         g = sc.graph
         d = g.d
         dt = sc.dt
-        roots = {(e.i, e.j): sym_sqrt(e.abs_weight()).entries for e in g.edges}
+        roots = {(e.i, e.j): sym_sqrt(e.abs_weight).entries for e in g.edges}
 
         def sqrt_weight(i, j):
             return roots[(i, j)] if (i, j) in roots else roots[(j, i)]

@@ -7,10 +7,11 @@ cross-checked against them in ``test_sim``.
 import numpy as np
 import pytest
 
+from mwconsensus.builtin import WEIGHT_0_5, WEIGHT_3_4
 from mwconsensus.errors import NoNeighbors
-from mwconsensus.linalg import sym_eigen, sym_sqrt
+from mwconsensus.linalg import matrix_abs, sym_eigen, sym_sqrt
 from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
-    build_grounded_laplacian, build_laplacian
+    build_laplacian, extended_graph
 from mwconsensus.trigger import AgentParams, TriggerParams, gamma, mu_bar, \
     validate_params
 
@@ -76,7 +77,7 @@ class TestControls:
     def test_lf_without_inputs_matches_leaderless(self, ref_graph):
         rng = np.random.default_rng(3)
         xhat = rng.uniform(-1, 1, 24)
-        empty = InputCoupling.empty()
+        empty = InputCoupling(0)
         u0 = np.zeros(4)
         for i in range(6):
             np.testing.assert_array_equal(
@@ -100,11 +101,8 @@ class TestControls:
         stacked = np.concatenate(
             [control_leader_follower(i, xhat, ref_graph, ref_coupling, u0)
              for i in range(6)])
-        lb = build_grounded_laplacian(ref_graph, ref_coupling).entries
-        drive = np.zeros(24)
-        for c in ref_coupling.entries:
-            block = (c.sign * c.abs_weight().entries) @ u0
-            drive[c.agent * 4:(c.agent + 1) * 4] += block
+        lb = oracles.grounded_laplacian(ref_graph, ref_coupling)
+        drive = oracles.input_drive(ref_graph, ref_coupling, u0)
         np.testing.assert_allclose(stacked, drive - lb @ xhat, atol=1e-12)
 
 
@@ -136,27 +134,44 @@ class TestSpectralConstants:
 
     def test_gamma_empty(self):
         g = MatrixWeightedGraph(2, 1, ())
-        assert gamma(0, g, InputCoupling.empty()) == 0.0
+        assert gamma(0, g, g.n) == 0.0
 
     def test_gamma_two_node_identity(self):
         g = scalar_graph(2, {(0, 1): 1.0}, d=2)
         # n * (sum mu)^2 + n * sum mu^2 = 2 * 1 + 2 * 1
-        assert gamma(0, g, InputCoupling.empty()) == pytest.approx(4.0)
+        assert gamma(0, g, g.n) == pytest.approx(4.0)
 
     def test_gamma_overflows_to_inf(self):
         # float ** raises OverflowError where float * returns inf
         g = scalar_graph(2, {(0, 1): 1e300}, d=2)
-        assert gamma(0, g, InputCoupling.empty()) == np.inf
+        assert gamma(0, g, g.n) == np.inf
 
     def test_gamma_formula_against_direct_evaluation(self, ref_graph,
                                                      ref_coupling):
+        network = extended_graph(ref_graph, ref_coupling)
         for i in range(6):
-            mus = [float(sym_eigen(ref_graph.edge(i, j).abs_weight()).lambda_max)
+            mus = [float(sym_eigen(ref_graph.edge(i, j).abs_weight).lambda_max)
                    for j in ref_graph.neighbors(i)]
-            mus_b = [float(sym_eigen(c.abs_weight()).lambda_max)
-                     for c in ref_coupling.entries_for_agent(i)]
+            mus_b = [float(sym_eigen(matrix_abs(c.weight, c.cls)).lambda_max)
+                     for c in ref_coupling.entries if c.agent == i]
             want = 6 * (sum(mus) + sum(mus_b)) ** 2 + 6 * sum(m * m for m in mus)
-            assert gamma(i, ref_graph, ref_coupling) == pytest.approx(want)
+            assert gamma(i, network, 6) == pytest.approx(want)
+
+    def test_gamma_splits_agents_from_inputs(self, ref_graph):
+        """Agent 2 carries two inputs: both enter the squared sum only, and
+        the agents' own terms are those of the leaderless graph."""
+        coupling = InputCoupling.from_entries(3, [
+            (2, 0, WEIGHT_0_5, "pd"), (2, 1, -WEIGHT_3_4, "nsd"),
+            (4, 2, WEIGHT_3_4, "psd")], 4)
+        network = extended_graph(ref_graph, coupling)
+        for i in range(6):
+            mus = [ref_graph.edge(i, j).abs_lambda_max
+                   for j in ref_graph.neighbors(i)]
+            mus_b = [float(sym_eigen(matrix_abs(c.weight, c.cls)).lambda_max)
+                     for c in coupling.entries if c.agent == i]
+            assert len(mus_b) == {2: 2, 4: 1}.get(i, 0)
+            want = 6 * (sum(mus) + sum(mus_b)) ** 2 + 6 * sum(m * m for m in mus)
+            assert gamma(i, network, 6) == pytest.approx(want, rel=1e-12)
 
 
 class TestLeaderlessTrigger:
@@ -227,7 +242,7 @@ class TestLeaderlessTrigger:
         """||sqrt(|A|) p||^2 agrees with p^T |A| p."""
         rng = np.random.default_rng(43)
         for e in ref_graph.edges:
-            absw = e.abs_weight().entries
+            absw = e.abs_weight.entries
             root = sym_sqrt(absw).entries
             for _ in range(10):
                 p = rng.uniform(-2, 2, ref_graph.d)

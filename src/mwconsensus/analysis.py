@@ -73,7 +73,7 @@ def lyapunov_lf(record: TrajectoryRecord, xtilde: np.ndarray) -> np.ndarray:
     v = np.zeros(len(xi))
     for e in record.scenario.network.edges:
         p = blocks[:, e.i] - e.sign * blocks[:, e.j] if e.j < n else blocks[:, e.i]
-        v += np.einsum("rk,rk->r", p @ e.abs_weight.entries, p)
+        v += np.einsum("rk,rk->r", p @ e.abs_weight, p)
     return v + record.chi.sum(axis=1)
 
 

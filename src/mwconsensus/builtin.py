@@ -109,8 +109,7 @@ REFERENCE_U0 = (0.2, 0.4, 0.6, 0.8)
 
 def repaired_first_edge() -> np.ndarray:
     """Spectral absolute value of the symmetrized (0, 1) weight."""
-    sym = 0.5 * (RAW_EDGE_0_1 + RAW_EDGE_0_1.T)
-    return linalg.spectral_abs(sym).entries
+    return linalg.spectral_abs(linalg.symmetric(RAW_EDGE_0_1))
 
 
 def reference_graph() -> MatrixWeightedGraph:

@@ -150,9 +150,10 @@ def cmd_check(args) -> int:
 def cmd_spectrum(args) -> int:
     scenario, _ = _load(args.scenario, args)
     g = scenario.graph
-    vals = sym_eigen(mwgraph.build_laplacian(g)).eigenvalues
-    nullity = int(mwgraph.kernel_mask(vals).sum())
-    positive = vals[vals > 1e-9 * max(1.0, vals[-1])]
+    vals, _ = sym_eigen(mwgraph.build_laplacian(g))
+    kernel = mwgraph.kernel_mask(vals)
+    nullity = int(kernel.sum())
+    positive = vals[~kernel]  # the rule that counts the nullity
     print("laplacian eigenvalues (ascending):")
     print("  " + "  ".join(f"{v:.6g}" for v in vals))
     print(f"nullity at tolerance: {nullity}")
@@ -162,7 +163,7 @@ def cmd_spectrum(args) -> int:
         print("smallest positive eigenvalue: none")
     if isinstance(scenario.mode, LeaderFollower):
         nd = g.n * g.d  # the agents' block of L is the grounded Laplacian
-        gvals = sym_eigen(scenario.network.laplacian.entries[:nd, :nd]).eigenvalues
+        gvals, _ = sym_eigen(scenario.network.laplacian[:nd, :nd])
         print("grounded laplacian eigenvalues (ascending):")
         print("  " + "  ".join(f"{v:.6g}" for v in gvals))
         print(f"grounded minimum eigenvalue: {gvals[0]:.6g}")

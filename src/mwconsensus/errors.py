@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class MwcError(Exception):
@@ -6,7 +6,7 @@ class MwcError(Exception):
 
 
 class InvalidMatrix(MwcError):
-    """Matrix input is malformed (non-finite entries, wrong shape, ...)."""
+    """Matrix input is malformed (non-finite entries)."""
 
 
 class UnsupportedWeight(MwcError):
@@ -47,7 +47,3 @@ class Diverged(MwcError):
     def __init__(self, message, partial_record=None):
         self.partial_record = partial_record
         super().__init__(message)
-
-
-class AsymmetryWarning(UserWarning):
-    """Emitted when a matrix is symmetrized beyond roundoff at construction."""

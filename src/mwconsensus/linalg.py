@@ -1,27 +1,26 @@
 """Dense symmetric-matrix kernel: eigendecomposition, definiteness
 classification, matrix absolute value / sign, and the principal square root.
 
-Every other module consumes these primitives.  All types are immutable
-values; all operations are pure functions of their inputs.  The design
-envelope is small dense blocks (d <= 32), so everything routes through
+Every other module consumes these primitives.  Matrices are plain float
+ndarrays; every matrix-valued result goes through :func:`symmetric`, so it
+is exactly symmetric and read-only, while :func:`sym_eigen` hands back the
+``eigh`` pair as is.  All operations are pure functions of their inputs.
+Weights are validated once, where the graph loader reads them; here only
+:func:`sym_eigen` checks its input, for finiteness.  The design envelope is
+small dense blocks (d <= 32), so everything routes through
 ``numpy.linalg.eigh`` with no sparse or iterative machinery.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AsymmetryWarning, InvalidMatrix, NotPSD, UnsupportedWeight
+from .errors import InvalidMatrix, NotPSD, UnsupportedWeight
 
 #: An eigenvalue lambda counts as zero when |lambda| <= tol * max(1, |lambda|_max).
 DEFAULT_TOL = 1e-9
-
-#: Asymmetry above this (relative to the largest entry) triggers AsymmetryWarning.
-ASYMMETRY_WARN = 1e-12
 
 
 class DefinitenessClass(enum.Enum):
@@ -54,90 +53,25 @@ INDEFINITE = DefinitenessClass.INDEFINITE
 ZERO = DefinitenessClass.ZERO
 
 
-def _frozen_array(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def symmetric(m) -> np.ndarray:
+    """Read-only ``0.5*M + 0.5*M^T``: exactly symmetric, bit-equal to
+    ``0.5*(M + M^T)`` on finite input above the subnormal range (halving is
+    exact there), and free of the overflow that form has near the float
+    maximum."""
+    half = 0.5 * np.asarray(m, dtype=float)
+    out = half + half.T
     out.setflags(write=False)
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class SymMatrix:
-    """An exactly-symmetric real matrix.
-
-    Construction is total: the input is replaced by ``(M + M^T) / 2`` and the
-    largest deviation from symmetry is kept in ``asymmetry``.  A deviation
-    above roundoff raises :class:`AsymmetryWarning` (not an error) so that
-    sloppy inputs are visible but never fatal at this layer.  File loaders
-    that must *reject* asymmetric input check before constructing.
-    """
-
-    entries: np.ndarray
-    asymmetry: float = field(default=0.0)
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise InvalidMatrix(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidMatrix("matrix has non-finite entries")
-        dev = float(np.max(np.abs(arr - arr.T)))
-        if dev > ASYMMETRY_WARN * max(1.0, float(np.max(np.abs(arr)))):
-            warnings.warn(
-                f"input symmetrized; max asymmetry {dev:.3e}", AsymmetryWarning,
-                stacklevel=2,
-            )
-        sym = 0.5 * (arr + arr.T)
-        object.__setattr__(self, "entries", _frozen_array(sym))
-        object.__setattr__(self, "asymmetry", dev)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None and not copy:
-            return self.entries
-        return np.array(self.entries, dtype=dtype)
-
-    @classmethod
-    def zero(cls, dim: int) -> "SymMatrix":
-        return cls(np.zeros((dim, dim)))
-
-
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _frozen_array(self.eigenvalues))
-        object.__setattr__(self, "eigenvectors", _frozen_array(self.eigenvectors))
-
-    @property
-    def lambda_min(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
-
-
-def _as_matrix(m) -> np.ndarray:
-    if isinstance(m, SymMatrix):
-        return m.entries
+def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
+    """``(eigenvalues, eigenvectors)`` of a symmetric matrix: eigenvalues
+    ascending, orthonormal eigenvector columns.  Non-finite entries raise
+    :class:`InvalidMatrix`."""
     arr = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidMatrix("matrix has non-finite entries")
-    return arr
-
-
-def sym_eigen(m) -> EigenDecomposition:
-    """Full symmetric eigendecomposition with eigenvalues in ascending order."""
-    arr = _as_matrix(m)
-    vals, vecs = np.linalg.eigh(arr)
-    return EigenDecomposition(vals, vecs)
+    return np.linalg.eigh(arr)
 
 
 def zero_band(eigenvalues: np.ndarray, tol: float = DEFAULT_TOL) -> float:
@@ -146,17 +80,16 @@ def zero_band(eigenvalues: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     return tol * max(1.0, lam_max_abs)
 
 
-def classify_definiteness(m, tol: float = DEFAULT_TOL) -> DefinitenessClass:
+def classify_definiteness(m) -> DefinitenessClass:
     """Classify a symmetric matrix by the signs of its eigenvalues.
 
     An eigenvalue is treated as zero when its magnitude is at most
-    ``tol * max(1, |lambda|_max)``; this keeps well-conditioned semidefinite
-    matrices out of the indefinite bucket regardless of overall scale.
+    ``DEFAULT_TOL * max(1, |lambda|_max)``; this keeps well-conditioned
+    semidefinite matrices out of the indefinite bucket regardless of overall
+    scale.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    vals = sym_eigen(m).eigenvalues
-    band = zero_band(vals, tol)
+    vals, _ = sym_eigen(m)
+    band = zero_band(vals)
     has_pos = bool(np.any(vals > band))
     has_neg = bool(np.any(vals < -band))
     has_zero = bool(np.any(np.abs(vals) <= band))
@@ -180,31 +113,30 @@ def matrix_sgn(cls: DefinitenessClass) -> int:
     raise UnsupportedWeight("sign is undefined for indefinite matrices")
 
 
-def matrix_abs(m, cls: DefinitenessClass) -> SymMatrix:
+def matrix_abs(m, cls: DefinitenessClass) -> np.ndarray:
     """Absolute value of a sign-definite matrix: M itself if nonnegative
     definite, -M if nonpositive definite.  Indefinite input is rejected."""
-    arr = _as_matrix(m)
     if cls in (PD, PSD, ZERO):
-        return SymMatrix(arr)
+        return symmetric(m)
     if cls in (ND, NSD):
-        return SymMatrix(-arr)
+        return symmetric(-np.asarray(m, dtype=float))
     raise UnsupportedWeight("absolute value is undefined for indefinite matrices")
 
 
-def spectral_abs(m) -> SymMatrix:
+def spectral_abs(m) -> np.ndarray:
     """Absolute value through the spectrum: Q |Lambda| Q^T.
 
     Agrees with :func:`matrix_abs` on every sign-definite matrix and extends
     it to arbitrary symmetric input; the eigenvalue magnitudes (hence the
     spectral radius) are preserved exactly.
     """
-    dec = sym_eigen(m)
-    q = dec.eigenvectors
-    return SymMatrix((q * np.abs(dec.eigenvalues)) @ q.T)
+    vals, q = sym_eigen(m)
+    return symmetric((q * np.abs(vals)) @ q.T)
 
 
-def project_to_class(m, cls: DefinitenessClass, tol: float) -> SymMatrix:
-    """Snap a nearly-sign-definite matrix exactly onto its declared class.
+def project_to_class(m, cls: DefinitenessClass, tol: float) -> np.ndarray:
+    """Snap a nearly-sign-definite matrix exactly onto its declared
+    sign-definite class.
 
     Eigenvalues whose sign contradicts ``cls`` must lie inside the zero band
     ``tol * max(1, |lambda|_max)``; they are clamped to exactly zero and the
@@ -212,15 +144,10 @@ def project_to_class(m, cls: DefinitenessClass, tol: float) -> SymMatrix:
     :class:`UnsupportedWeight`.  Used by the graph loader so that weights
     printed at limited precision become exactly semidefinite.
     """
-    if not (cls.is_sign_definite or cls is ZERO):
+    if not cls.is_sign_definite:
         raise UnsupportedWeight(f"cannot project onto class {cls}")
-    dec = sym_eigen(m)
-    vals = dec.eigenvalues.copy()
+    vals, q = sym_eigen(m)
     band = zero_band(vals, tol)
-    if cls is ZERO:
-        if np.max(np.abs(vals)) > band:
-            raise UnsupportedWeight("matrix is not zero within tolerance")
-        return SymMatrix.zero(len(vals))
     sign = matrix_sgn(cls)
     off = vals * sign < 0.0
     if np.any(np.abs(vals[off]) > band):
@@ -230,22 +157,19 @@ def project_to_class(m, cls: DefinitenessClass, tol: float) -> SymMatrix:
             f"beyond tolerance band {band:.3g}"
         )
     vals[np.abs(vals) <= band] = 0.0
-    q = dec.eigenvectors
-    return SymMatrix((q * vals) @ q.T)
+    return symmetric((q * vals) @ q.T)
 
 
-def sym_sqrt(m) -> SymMatrix:
+def sym_sqrt(m) -> np.ndarray:
     """Principal square root of a PSD matrix.
 
     Eigenvalues inside the zero band (at ``DEFAULT_TOL``) are clamped to 0
     before the square root; an eigenvalue below ``-band`` raises
     :class:`NotPSD`.
     """
-    dec = sym_eigen(m)
-    vals = dec.eigenvalues
+    vals, q = sym_eigen(m)
     band = zero_band(vals)
-    if dec.lambda_min < -band:
-        raise NotPSD(f"eigenvalue {dec.lambda_min:.6g} below -{band:.3g}")
+    if vals[0] < -band:
+        raise NotPSD(f"eigenvalue {vals[0]:.6g} below -{band:.3g}")
     clamped = np.where(vals <= band, 0.0, vals)
-    q = dec.eigenvectors
-    return SymMatrix((q * np.sqrt(clamped)) @ q.T)
+    return symmetric((q * np.sqrt(clamped)) @ q.T)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .errors import AssumptionViolated, GraphFormatError, NotPSD
-from .linalg import DefinitenessClass, SymMatrix
+from .linalg import DefinitenessClass
 
 #: Tolerance band (relative) used when an input document *declares* the class
 #: of a weight: eigenvalues contradicting the declaration inside this band are
@@ -40,17 +40,22 @@ CLASS_DECLARATION_TOL = 1e-4
 #: silently symmetrized, so transcription errors surface immediately.
 SYMMETRY_REJECT_TOL = 1e-12
 
+#: Refusal of a graph whose Laplacian, or its spectrum, overflows float64.
+TOO_LARGE = ("edge weights too large for float64: the Laplacian or its "
+             "spectrum overflows")
+
 _CLASS_NAMES = {c.value: c for c in DefinitenessClass}
 
 
 @dataclass(frozen=True, eq=False)
 class Edge:
     """Edge (i, j) with a sign-definite ``weight`` of class ``cls``, plus
-    its sign, absolute value and largest absolute eigenvalue."""
+    its sign, absolute value and largest absolute eigenvalue.  The weight
+    and its absolute value are read-only symmetric arrays."""
 
     i: int
     j: int
-    weight: SymMatrix
+    weight: np.ndarray
     cls: DefinitenessClass
 
     @property
@@ -58,15 +63,16 @@ class Edge:
         return linalg.matrix_sgn(self.cls)
 
     @cached_property
-    def abs_weight(self) -> SymMatrix:
-        """|weight|, built and validated once per weight."""
+    def abs_weight(self) -> np.ndarray:
+        """|weight|, built once per weight."""
         return linalg.matrix_abs(self.weight, self.cls)
 
     @cached_property
     def abs_lambda_max(self) -> float:
         """lambda_max(|weight|), decomposed once; ``mu_bar`` and ``gamma``
         read it."""
-        return float(linalg.sym_eigen(self.abs_weight).lambda_max)
+        vals, _ = linalg.sym_eigen(self.abs_weight)
+        return float(vals[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,13 +81,15 @@ class CouplingEntry:
 
     agent: int
     input: int
-    weight: SymMatrix
+    weight: np.ndarray
     cls: DefinitenessClass
 
 
 def _resolve_weight(raw, d: int, declared: Optional[str],
-                    where: str) -> tuple[SymMatrix, DefinitenessClass]:
-    """Validate, optionally project, and classify one weight block."""
+                    where: str) -> tuple[np.ndarray, DefinitenessClass]:
+    """Validate, optionally project, and classify one weight block: the one
+    check every weight gets.  The weight comes back read-only and exactly
+    symmetric."""
     arr = np.asarray(raw, dtype=float)
     if arr.size == d * d:
         arr = arr.reshape(d, d)
@@ -105,7 +113,7 @@ def _resolve_weight(raw, d: int, declared: Optional[str],
                 linalg.matrix_sgn(cls) == linalg.matrix_sgn(target):
             # Spectrum already agrees at strict tolerance: keep the weight
             # bit-exact so that dump/load round trips are stable.
-            weight = SymMatrix(arr)
+            weight = linalg.symmetric(arr)
         else:
             try:
                 weight = linalg.project_to_class(arr, target,
@@ -118,7 +126,7 @@ def _resolve_weight(raw, d: int, declared: Optional[str],
                     f"{where}: declared class {declared!r} inconsistent with "
                     f"spectrum (classified {cls.value})")
     else:
-        weight = SymMatrix(arr)
+        weight = linalg.symmetric(arr)
         cls = linalg.classify_definiteness(weight)
     if not cls.is_sign_definite:
         raise GraphFormatError(
@@ -147,9 +155,9 @@ class MatrixWeightedGraph:
                 raise GraphFormatError(f"edge ({e.i},{e.j}) out of range for n={self.n}")
             if e.i == e.j:
                 raise GraphFormatError(f"self-loop at node {e.i}")
-            if e.weight.dim != self.d:
+            if e.weight.shape != (self.d, self.d):
                 raise GraphFormatError(
-                    f"edge ({e.i},{e.j}) weight is {e.weight.dim}x{e.weight.dim}, "
+                    f"edge ({e.i},{e.j}) weight has shape {e.weight.shape}, "
                     f"graph block dimension is {self.d}")
             key = (min(e.i, e.j), max(e.i, e.j))
             if key in by_pair:
@@ -193,20 +201,26 @@ class MatrixWeightedGraph:
         return self._by_pair.get((min(i, j), max(i, j)))
 
     @cached_property
-    def laplacian(self) -> SymMatrix:
-        """Block Laplacian: diagonal blocks sum the incident absolute weights,
-        off-diagonal block (i, j) is minus the signed weight."""
+    def laplacian(self) -> np.ndarray:
+        """Block Laplacian, read-only: diagonal blocks sum the incident
+        absolute weights, off-diagonal block (i, j) is minus the signed
+        weight.  The blocks are symmetric and placed symmetrically, so L is
+        exactly symmetric as assembled."""
         d = self.d
         L = np.zeros((self.n * d, self.n * d))
-        for e in self.edges:
-            absw = e.abs_weight.entries
-            signed = e.sign * absw
-            i, j = e.i, e.j
-            L[i * d:(i + 1) * d, i * d:(i + 1) * d] += absw
-            L[j * d:(j + 1) * d, j * d:(j + 1) * d] += absw
-            L[i * d:(i + 1) * d, j * d:(j + 1) * d] = -signed
-            L[j * d:(j + 1) * d, i * d:(i + 1) * d] = -signed
-        return SymMatrix(L)
+        with np.errstate(over="ignore"):  # an overflowed sum is refused below
+            for e in self.edges:
+                absw = e.abs_weight
+                signed = e.sign * absw
+                i, j = e.i, e.j
+                L[i * d:(i + 1) * d, i * d:(i + 1) * d] += absw
+                L[j * d:(j + 1) * d, j * d:(j + 1) * d] += absw
+                L[i * d:(i + 1) * d, j * d:(j + 1) * d] = -signed
+                L[j * d:(j + 1) * d, i * d:(i + 1) * d] = -signed
+        if not np.all(np.isfinite(L)):
+            raise GraphFormatError(TOO_LARGE)
+        L.setflags(write=False)
+        return L
 
     @cached_property
     def signs(self) -> Optional[np.ndarray]:
@@ -238,7 +252,7 @@ class MatrixWeightedGraph:
         return Assumption1Report(nullity, resid <= 1e-8, resid)
 
 
-def build_laplacian(g: MatrixWeightedGraph) -> SymMatrix:
+def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
     """The graph's block Laplacian (assembled once per graph)."""
     return g.laplacian
 
@@ -275,14 +289,17 @@ def detect_structural_balance(g: MatrixWeightedGraph) -> Optional[np.ndarray]:
 def null_space(L) -> np.ndarray:
     """Orthonormal basis of the near-null eigenspace of a PSD matrix, as
     :func:`kernel_mask` decides it."""
-    dec = linalg.sym_eigen(L)
-    return np.array(dec.eigenvectors[:, kernel_mask(dec.eigenvalues)])
+    vals, vecs = linalg.sym_eigen(L)
+    return vecs[:, kernel_mask(vals)]
 
 
 def kernel_mask(eigenvalues: np.ndarray) -> np.ndarray:
     """Which ascending eigenvalues of a PSD matrix count as zero: those with
     ``|lambda| <= tol * lambda_max``, ``tol = linalg.DEFAULT_TOL``.  Raises
-    :class:`NotPSD` when one sits below ``-tol * lambda_max``."""
+    :class:`NotPSD` when one sits below ``-tol * lambda_max``, and
+    :class:`GraphFormatError` when one overflowed."""
+    if not np.all(np.isfinite(eigenvalues)):
+        raise GraphFormatError(TOO_LARGE)
     band = linalg.DEFAULT_TOL * max(float(eigenvalues[-1]), 0.0)
     if eigenvalues[0] < -band:
         raise NotPSD(
@@ -394,7 +411,7 @@ def verify_assumption2(network: MatrixWeightedGraph, n: int) -> bool:
     total = np.zeros((network.d, network.d))
     for e in network.edges:
         if e.j >= n:
-            total += e.abs_weight.entries
+            total += e.abs_weight
     return linalg.classify_definiteness(total) is linalg.PD
 
 
@@ -406,7 +423,7 @@ def graph_to_dict(g: MatrixWeightedGraph,
         "d": g.d,
         "edges": [
             {"i": e.i, "j": e.j,
-             "weight": [float(v) for v in e.weight.entries.reshape(-1)],
+             "weight": [float(v) for v in e.weight.reshape(-1)],
              "class": e.cls.value}
             for e in g.edges
         ],
@@ -415,7 +432,7 @@ def graph_to_dict(g: MatrixWeightedGraph,
         doc["m"] = coupling.m
         doc["inputs"] = [
             {"agent": c.agent, "input": c.input,
-             "weight": [float(v) for v in c.weight.entries.reshape(-1)],
+             "weight": [float(v) for v in c.weight.reshape(-1)],
              "class": c.cls.value}
             for c in coupling.entries
         ]

@@ -230,9 +230,9 @@ class CompiledScenario:
         self.arc_dst = np.array([b for _, b, _ in arcs], dtype=int)
         self.arc_sign = np.array([float(e.sign) for _, _, e in arcs])
         self.arc_abs = np.array(
-            [e.abs_weight.entries for _, _, e in arcs]).reshape(-1, d, d)
+            [e.abs_weight for _, _, e in arcs]).reshape(-1, d, d)
         if not self.leader_follower:
-            root = {e: sym_sqrt(e.abs_weight).entries for e in network.edges}
+            root = {e: sym_sqrt(e.abs_weight) for e in network.edges}
             self.arc_sqrt = np.array(
                 [root[e] for _, _, e in arcs]).reshape(-1, d, d)
         # Flat state index of every coordinate an arc's flow lands on.

@@ -81,8 +81,8 @@ def check_gauge_identity(g: MatrixWeightedGraph, signs) -> bool:
     """True iff signs[i] * signs[j] * A_ij equals |A_ij| entrywise on every
     edge, i.e. the gauge transformation makes every weight nonnegative."""
     for e in g.edges:
-        gauged = (signs[e.i] * signs[e.j]) * e.weight.entries
-        absw = e.abs_weight.entries
+        gauged = (signs[e.i] * signs[e.j]) * e.weight
+        absw = e.abs_weight
         tol = 1e-12 * max(1.0, float(np.max(np.abs(absw))))
         if np.max(np.abs(gauged - absw)) > tol:
             return False
@@ -198,7 +198,7 @@ def control_leaderless(i: int, xhat: np.ndarray,
     out = np.zeros(g.d)
     for j in g.neighbors(i):
         p = relative_broadcast(i, j, xhat, g)
-        out -= g.edge(i, j).abs_weight.entries @ p
+        out -= g.edge(i, j).abs_weight @ p
     return out
 
 
@@ -212,7 +212,7 @@ def control_leader_follower(i: int, xhat: np.ndarray, g: MatrixWeightedGraph,
     xi = xhat[i * d:(i + 1) * d]
     for c in coupling.entries:
         if c.agent == i:
-            out -= matrix_abs(c.weight, c.cls).entries @ (
+            out -= matrix_abs(c.weight, c.cls) @ (
                 xi - matrix_sgn(c.cls) * np.asarray(u0, dtype=float))
     return out
 
@@ -223,7 +223,7 @@ def input_drive(g: MatrixWeightedGraph, coupling: InputCoupling,
     ``sum_l sgn(B_il) |B_il| u0`` on each agent's block."""
     drive = np.zeros((g.n, g.d))
     for c in coupling.entries:
-        absb = matrix_abs(c.weight, c.cls).entries
+        absb = matrix_abs(c.weight, c.cls)
         drive[c.agent] += matrix_sgn(c.cls) * absb @ u0
     return drive.reshape(-1)
 
@@ -234,10 +234,10 @@ def grounded_laplacian(g: MatrixWeightedGraph,
     agent's summed |B_il| on its diagonal block.  The stacked
     leader-follower control is ``input_drive - L_B @ xhat``."""
     d = g.d
-    lb = g.laplacian.entries.copy()
+    lb = g.laplacian.copy()
     for c in coupling.entries:
         block = slice(c.agent * d, (c.agent + 1) * d)
-        lb[block, block] += matrix_abs(c.weight, c.cls).entries
+        lb[block, block] += matrix_abs(c.weight, c.cls)
     return lb
 
 

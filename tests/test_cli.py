@@ -282,6 +282,19 @@ class TestSpectrum:
         out = capsys.readouterr().out
         assert "grounded minimum eigenvalue" in out
 
+    def test_one_zero_rule(self, tmp_path, capsys):
+        """The nullity and the smallest positive eigenvalue are read with one
+        zero rule: on a path with tiny weights, 5.35898e-10 is positive."""
+        doc = small_scenario_doc()
+        doc["graph"] = {"n": 6, "d": 1, "edges": [
+            {"i": k, "j": k + 1, "weight": [2e-9]} for k in range(5)]}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        assert main(["spectrum", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "nullity at tolerance: 1" in out
+        assert "smallest positive eigenvalue: 5.35898e-10" in out
+
 
 class TestRun:
     def test_artifacts_written(self, scenario_file, tmp_path, capsys):
@@ -422,8 +435,44 @@ EXTREME = {
 }
 
 
+def huge_weights_doc(n, edges):
+    """The bundled leaderless document on a d = 1 graph of ``(i, j, w)``
+    edges, with uniform parameters, a uniform x0 and T = 0.01."""
+    doc = json.loads(scenario_io.dump_scenario(leaderless_scenario()))
+    doc["graph"] = {"n": n, "d": 1, "edges": [
+        {"i": i, "j": j, "weight": [w]} for i, j, w in edges]}
+    doc["params"].pop("per_agent", None)
+    doc["sim"].update(x0="uniform[-1,1]", T=0.01)
+    return doc
+
+
+#: Weights whose Laplacian overflows float64: (a) in its spectrum, 2e308;
+#: (b) in the diagonal sum at the centre of a star, 2.4e308.
+HUGE_WEIGHTS = {
+    "spectrum": lambda: huge_weights_doc(2, [(0, 1, 1e308)]),
+    "diagonal": lambda: huge_weights_doc(4, [(0, k, 8e307) for k in (1, 2, 3)]),
+}
+
+
 class TestExtremeInputs:
     """Documents at the edge of float range and memory end in one line."""
+
+    @pytest.mark.parametrize("command", ["check", "run", "spectrum"])
+    @pytest.mark.parametrize("make", HUGE_WEIGHTS.values(),
+                             ids=HUGE_WEIGHTS.keys())
+    def test_weights_beyond_float64_one_line(self, make, command, tmp_path,
+                                             capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(make()))
+        argv = [command, str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "runs")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning raises
+            assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "too large for float64" in err[0]
+        assert not (tmp_path / "runs").exists()
 
     def test_extreme_weight_diverges_without_warning(self, tmp_path, capsys):
         path = tmp_path / "huge.json"

@@ -1,12 +1,14 @@
 """Graph model, Laplacians, balance, gauge, and the structural assumptions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mwconsensus.builtin import RAW_EDGE_0_1, WEIGHT_0_5, WEIGHT_3_4
 from mwconsensus.errors import AssumptionViolated, GraphFormatError, NotPSD
-from mwconsensus.linalg import PSD, matrix_abs, sym_eigen
-from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
+from mwconsensus.linalg import PD, PSD, matrix_abs, sym_eigen
+from mwconsensus.mwgraph import Edge, InputCoupling, MatrixWeightedGraph, \
     build_laplacian, detect_structural_balance, extended_graph, \
     graph_from_dict, graph_to_dict, leader_gauge, null_space, \
     predicted_bipartite_limit, verify_assumption1, verify_assumption2
@@ -33,7 +35,7 @@ def grounded_block(g, coupling):
     """The agents' nd x nd block of the input-extended network's Laplacian,
     which ``spectrum`` reports as the grounded Laplacian."""
     nd = g.n * g.d
-    return extended_graph(g, coupling).laplacian.entries[:nd, :nd]
+    return extended_graph(g, coupling).laplacian[:nd, :nd]
 
 
 class TestGraphModel:
@@ -63,8 +65,23 @@ class TestGraphModel:
         """|A| is built and validated once per edge and per coupling edge."""
         for e in extended_graph(ref_graph, ref_coupling).edges:
             assert e.abs_weight is e.abs_weight
-            np.testing.assert_array_equal(e.abs_weight.entries,
-                                          e.sign * e.weight.entries)
+            np.testing.assert_array_equal(e.abs_weight, e.sign * e.weight)
+
+    def test_arrays_read_only(self, ref_graph, ref_coupling):
+        """Weights, absolute weights and the Laplacian cannot be written."""
+        ext = extended_graph(ref_graph, ref_coupling)
+        arrays = [ext.laplacian, ref_graph.laplacian]
+        arrays += [a for e in ext.edges for a in (e.weight, e.abs_weight)]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_weight_shape_checked(self):
+        """An edge built directly, past the loader, still needs a d x d
+        weight."""
+        for w in (np.eye(3), np.zeros((2, 3))):
+            with pytest.raises(GraphFormatError, match="shape"):
+                MatrixWeightedGraph(2, 2, (Edge(0, 1, w, PD),))
 
     def test_ordered_edges_shared(self, ref_graph, ref_coupling):
         """An edge already in (min, max) order is kept, not copied, so the
@@ -110,7 +127,7 @@ class TestGraphModel:
         g = MatrixWeightedGraph.from_edges(2, 3, [(0, 1, noisy, "psd")])
         e = g.edges[0]
         assert e.cls is PSD
-        vals = sym_eigen(e.weight).eigenvalues
+        vals = sym_eigen(e.weight)[0]
         assert vals[0] == 0.0 and vals[1] == 0.0
 
     def test_declared_class_contradiction_rejected(self):
@@ -122,21 +139,21 @@ class TestGraphModel:
 class TestLaplacian:
     def test_two_node_pd_block_form(self):
         w = np.array([[2.0, 0.5], [0.5, 1.0]])
-        lap = build_laplacian(two_node_graph(w)).entries
+        lap = build_laplacian(two_node_graph(w))
         np.testing.assert_array_equal(lap[:2, :2], w)
         np.testing.assert_array_equal(lap[2:, 2:], w)
         np.testing.assert_array_equal(lap[:2, 2:], -w)
 
     def test_two_node_nd_block_form(self):
         w = -np.array([[2.0, 0.5], [0.5, 1.0]])  # negative definite
-        lap = build_laplacian(two_node_graph(w)).entries
+        lap = build_laplacian(two_node_graph(w))
         np.testing.assert_array_equal(lap[:2, :2], -w)
         np.testing.assert_array_equal(lap[2:, 2:], -w)
         # -A_ij = -w = |w|
         np.testing.assert_array_equal(lap[:2, 2:], -w)
 
     def test_reference_laplacian_psd(self, ref_graph):
-        vals = sym_eigen(build_laplacian(ref_graph)).eigenvalues
+        vals = sym_eigen(build_laplacian(ref_graph))[0]
         assert vals.shape == (24,)
         assert vals[0] >= -1e-8 * vals[-1]
 
@@ -146,14 +163,14 @@ class TestLaplacian:
             n = int(rng.integers(2, 7))
             edges, _ = random_balanced_scalar_graph(rng, n)
             g = scalar_graph(n, edges, d=2)
-            vals = sym_eigen(build_laplacian(g)).eigenvalues
+            vals = sym_eigen(build_laplacian(g))[0]
             assert vals[0] >= -1e-8 * max(vals[-1], 1.0)
 
     def test_scalar_degeneration_kron(self):
         rng = np.random.default_rng(29)
         n, d = 5, 3
         edges, _ = random_balanced_scalar_graph(rng, n)
-        block = build_laplacian(scalar_graph(n, edges, d=d)).entries
+        block = build_laplacian(scalar_graph(n, edges, d=d))
         ls = np.zeros((n, n))
         for (i, j), a in edges.items():
             ls[i, i] += abs(a)
@@ -236,7 +253,7 @@ class TestBalance:
         the two-coloring through the 1-2-4-5 cycle."""
         specs = []
         for e in ref_graph.edges:
-            w = e.weight.entries
+            w = e.weight
             if (e.i, e.j) == (1, 2):
                 w = -w
             specs.append((e.i, e.j, w))
@@ -270,7 +287,7 @@ class TestNullSpace:
         basis = null_space(build_laplacian(pd_pair))
         assert basis.shape == (4, 2)
         # spanned by (v, v) stacked pairs
-        lap = build_laplacian(pd_pair).entries
+        lap = build_laplacian(pd_pair)
         assert np.linalg.norm(lap @ basis) <= 1e-10
 
     def test_reference_nullity(self, ref_graph):
@@ -291,8 +308,8 @@ class TestNullSpace:
             edges, gauge = random_balanced_scalar_graph(rng, n)
             d = 2
             g = scalar_graph(n, edges, d=d)
-            lap = build_laplacian(g).entries
-            lam_max = sym_eigen(lap).lambda_max
+            lap = build_laplacian(g)
+            lam_max = sym_eigen(lap)[0][-1]
             for k in range(d):
                 v = np.zeros(n * d)
                 for i in range(n):
@@ -325,6 +342,25 @@ class TestAssumption1:
         g = scalar_graph(4, {(0, 1): 1.0, (2, 3): 1.0}, d=2)
         rep = verify_assumption1(g)
         assert g.signs is not None and rep.nullity == 4 and not rep.holds
+
+    def test_peak_memory(self):
+        """Deciding Assumption 1 holds the Laplacian and its eigenvectors,
+        and no third nd x nd array (n = 200, d = 4)."""
+        rng = np.random.default_rng(3)
+        n, d = 200, 4
+        edges, _ = random_balanced_scalar_graph(rng, n, extra_edge_prob=0.01)
+        specs = []
+        for (i, j), a in edges.items():
+            m = rng.normal(size=(d, d))
+            specs.append((i, j, np.sign(a) * (m @ m.T / d + 0.5 * np.eye(d))))
+        g = MatrixWeightedGraph.from_edges(n, d, specs)
+        tracemalloc.start()
+        try:
+            assert verify_assumption1(g).holds
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (n * d) ** 2 * 8
 
 
 class TestPredictedLimit:
@@ -363,12 +399,12 @@ class TestGroundedLaplacian:
     def test_empty_coupling_is_plain_laplacian(self, ref_graph):
         for lb in (grounded_laplacian(ref_graph, InputCoupling(0)),
                    grounded_block(ref_graph, InputCoupling(0))):
-            np.testing.assert_array_equal(lb, build_laplacian(ref_graph).entries)
+            np.testing.assert_array_equal(lb, build_laplacian(ref_graph))
 
     def test_reference_grounded_positive_definite(self, ref_graph, ref_coupling):
         for lb in (grounded_laplacian(ref_graph, ref_coupling),
                    grounded_block(ref_graph, ref_coupling)):
-            assert sym_eigen(lb).eigenvalues[0] > 0.0
+            assert sym_eigen(lb)[0][0] > 0.0
 
     def test_single_node_equals_coupling_weight(self):
         g = MatrixWeightedGraph(1, 2, ())
@@ -383,10 +419,10 @@ class TestGroundedLaplacian:
         coupling = InputCoupling.from_entries(3, [
             (2, 0, WEIGHT_0_5, "pd"), (2, 1, -WEIGHT_3_4, "nsd"),
             (4, 2, WEIGHT_3_4, "psd")], 4)
-        want = build_laplacian(ref_graph).entries.copy()
+        want = build_laplacian(ref_graph).copy()
         for c in coupling.entries:
             want[4 * c.agent:4 * c.agent + 4,
-                 4 * c.agent:4 * c.agent + 4] += matrix_abs(c.weight, c.cls).entries
+                 4 * c.agent:4 * c.agent + 4] += matrix_abs(c.weight, c.cls)
         for got in (grounded_laplacian(ref_graph, coupling),
                     grounded_block(ref_graph, coupling)):
             assert got.shape == (24, 24)
@@ -478,7 +514,7 @@ class TestInterchange:
         assert len(g2.edges) == len(ref_graph.edges)
         for a, b in zip(ref_graph.edges, g2.edges):
             assert (a.i, a.j, a.cls) == (b.i, b.j, b.cls)
-            np.testing.assert_array_equal(a.weight.entries, b.weight.entries)
+            np.testing.assert_array_equal(a.weight, b.weight)
         assert c2.m == ref_coupling.m
         doc2 = graph_to_dict(g2, c2)
         assert doc == doc2

@@ -165,7 +165,7 @@ def dense_coupling(sc):
     constant input drive, ``qhat = drive - L xhat``."""
     g = sc.graph
     if not isinstance(sc.mode, LeaderFollower):
-        return build_laplacian(g).entries, np.zeros(g.n * g.d)
+        return build_laplacian(g), np.zeros(g.n * g.d)
     coupling = sc.mode.coupling
     return (oracles.grounded_laplacian(g, coupling),
             oracles.input_drive(g, coupling, sc.mode.u0))
@@ -297,7 +297,7 @@ class TestStepSemantics:
         sc = tiny_scenario(x0=x0, horizon=0.5,
                            params=uniform_params(2, sigma=0.0, chi0=0.01))
         rec = run(sc)
-        lap = build_laplacian(g).entries
+        lap = build_laplacian(g)
         later = [ev[1] for ev in rec.events if len(ev) > 1]
         assert later, "expected at least one re-broadcast inside the horizon"
         first_event = min(later)
@@ -389,7 +389,7 @@ class TestTriggerEngineConsistency:
         rec = run(sc)
         g = sc.graph
         d = g.d
-        roots = {(e.i, e.j): sym_sqrt(e.abs_weight).entries for e in g.edges}
+        roots = {(e.i, e.j): sym_sqrt(e.abs_weight) for e in g.edges}
 
         def sqrt_weight(i, j):
             return roots[(i, j)] if (i, j) in roots else roots[(j, i)]
@@ -435,7 +435,7 @@ class TestTriggerEngineConsistency:
         g = sc.graph
         d = g.d
         dt = sc.dt
-        roots = {(e.i, e.j): sym_sqrt(e.abs_weight).entries for e in g.edges}
+        roots = {(e.i, e.j): sym_sqrt(e.abs_weight) for e in g.edges}
 
         def sqrt_weight(i, j):
             return roots[(i, j)] if (i, j) in roots else roots[(j, i)]

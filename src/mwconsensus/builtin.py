@@ -109,7 +109,7 @@ REFERENCE_U0 = (0.2, 0.4, 0.6, 0.8)
 
 def repaired_first_edge() -> np.ndarray:
     """Spectral absolute value of the symmetrized (0, 1) weight."""
-    return linalg.spectral_abs(linalg.symmetric(RAW_EDGE_0_1))
+    return linalg.spectral_abs(*linalg.sym_eigen(linalg.symmetric(RAW_EDGE_0_1)))
 
 
 def reference_graph() -> MatrixWeightedGraph:

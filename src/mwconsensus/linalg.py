@@ -1,12 +1,12 @@
 """Dense symmetric-matrix kernel: eigendecomposition, definiteness
 classification, matrix absolute value / sign, and the principal square root.
 
-Every other module consumes these primitives.  Matrices are plain float
-ndarrays; every matrix-valued result goes through :func:`symmetric`, so it
-is exactly symmetric and read-only, while :func:`sym_eigen` hands back the
-``eigh`` pair as is.  All operations are pure functions of their inputs.
-Weights are validated once, where the graph loader reads them; here only
-:func:`sym_eigen` checks its input, for finiteness.  The design envelope is
+Every other module consumes these primitives.  :func:`sym_eigen` is the only
+decomposition: it checks its input for finiteness and returns the read-only
+``eigh`` pair, which every spectral function here takes, so a caller that
+keeps the pair never decomposes a matrix twice.  Every matrix-valued result
+goes through :func:`symmetric`, so it is exactly symmetric and read-only.
+All operations are pure functions of their inputs.  The design envelope is
 small dense blocks (d <= 32), so everything routes through
 ``numpy.linalg.eigh`` with no sparse or iterative machinery.
 """
@@ -66,12 +66,15 @@ def symmetric(m) -> np.ndarray:
 
 def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     """``(eigenvalues, eigenvectors)`` of a symmetric matrix: eigenvalues
-    ascending, orthonormal eigenvector columns.  Non-finite entries raise
-    :class:`InvalidMatrix`."""
+    ascending, orthonormal eigenvector columns, both read-only.  Non-finite
+    entries raise :class:`InvalidMatrix`."""
     arr = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidMatrix("matrix has non-finite entries")
-    return np.linalg.eigh(arr)
+    vals, vecs = np.linalg.eigh(arr)
+    vals.setflags(write=False)
+    vecs.setflags(write=False)
+    return vals, vecs
 
 
 def zero_band(eigenvalues: np.ndarray, tol: float = DEFAULT_TOL) -> float:
@@ -80,15 +83,14 @@ def zero_band(eigenvalues: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     return tol * max(1.0, lam_max_abs)
 
 
-def classify_definiteness(m) -> DefinitenessClass:
-    """Classify a symmetric matrix by the signs of its eigenvalues.
+def classify_definiteness(vals: np.ndarray) -> DefinitenessClass:
+    """Classify a symmetric matrix by the signs of its eigenvalues ``vals``.
 
     An eigenvalue is treated as zero when its magnitude is at most
     ``DEFAULT_TOL * max(1, |lambda|_max)``; this keeps well-conditioned
     semidefinite matrices out of the indefinite bucket regardless of overall
     scale.
     """
-    vals, _ = sym_eigen(m)
     band = zero_band(vals)
     has_pos = bool(np.any(vals > band))
     has_neg = bool(np.any(vals < -band))
@@ -123,20 +125,20 @@ def matrix_abs(m, cls: DefinitenessClass) -> np.ndarray:
     raise UnsupportedWeight("absolute value is undefined for indefinite matrices")
 
 
-def spectral_abs(m) -> np.ndarray:
-    """Absolute value through the spectrum: Q |Lambda| Q^T.
+def spectral_abs(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Absolute value through the spectrum ``(vals, q)``: Q |Lambda| Q^T.
 
     Agrees with :func:`matrix_abs` on every sign-definite matrix and extends
     it to arbitrary symmetric input; the eigenvalue magnitudes (hence the
     spectral radius) are preserved exactly.
     """
-    vals, q = sym_eigen(m)
     return symmetric((q * np.abs(vals)) @ q.T)
 
 
-def project_to_class(m, cls: DefinitenessClass, tol: float) -> np.ndarray:
-    """Snap a nearly-sign-definite matrix exactly onto its declared
-    sign-definite class.
+def project_to_class(vals: np.ndarray, q: np.ndarray, cls: DefinitenessClass,
+                     tol: float) -> np.ndarray:
+    """Snap a nearly-sign-definite matrix, given by its spectrum
+    ``(vals, q)``, exactly onto its declared sign-definite class.
 
     Eigenvalues whose sign contradicts ``cls`` must lie inside the zero band
     ``tol * max(1, |lambda|_max)``; they are clamped to exactly zero and the
@@ -146,7 +148,6 @@ def project_to_class(m, cls: DefinitenessClass, tol: float) -> np.ndarray:
     """
     if not cls.is_sign_definite:
         raise UnsupportedWeight(f"cannot project onto class {cls}")
-    vals, q = sym_eigen(m)
     band = zero_band(vals, tol)
     sign = matrix_sgn(cls)
     off = vals * sign < 0.0
@@ -156,18 +157,17 @@ def project_to_class(m, cls: DefinitenessClass, tol: float) -> np.ndarray:
             f"eigenvalue {worst:.6g} contradicts declared class {cls.value} "
             f"beyond tolerance band {band:.3g}"
         )
-    vals[np.abs(vals) <= band] = 0.0
-    return symmetric((q * vals) @ q.T)
+    snapped = np.where(np.abs(vals) <= band, 0.0, vals)
+    return symmetric((q * snapped) @ q.T)
 
 
-def sym_sqrt(m) -> np.ndarray:
-    """Principal square root of a PSD matrix.
+def sym_sqrt(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Principal square root of the PSD matrix with spectrum ``(vals, q)``.
 
     Eigenvalues inside the zero band (at ``DEFAULT_TOL``) are clamped to 0
     before the square root; an eigenvalue below ``-band`` raises
     :class:`NotPSD`.
     """
-    vals, q = sym_eigen(m)
     band = zero_band(vals)
     if vals[0] < -band:
         raise NotPSD(f"eigenvalue {vals[0]:.6g} below -{band:.3g}")

@@ -3,9 +3,11 @@
 Nodes are ``0..n-1``; every undirected edge carries a symmetric d x d weight
 whose definiteness class must be one of PD / PSD / ND / NSD (indefinite and
 zero weights are rejected: an indefinite block has no well-defined sign, and
-a zero block is simply a non-edge).  On top of the graph itself this module
-derives the block Laplacian, the input-extended graph, structural balance,
-and the two structural assumptions that the consensus protocols require.
+a zero block is simply a non-edge).  Each weight is decomposed once, where
+the loader reads it, and its :class:`Edge` keeps the ``eigh`` pair; input
+couplings are edges too.  On top of the graph itself this module derives
+the block Laplacian, the input-extended graph, structural balance, and the
+two structural assumptions that the consensus protocols require.
 
 Structural balance is one read-only int array ``signs`` of +-1 gauge signs
 with ``signs[i] * signs[j] == sgn(A_ij)`` on every edge: the gauge
@@ -20,6 +22,7 @@ Assumption-1 report on first use.  ``build_laplacian`` and
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,16 +50,28 @@ TOO_LARGE = ("edge weights too large for float64: the Laplacian or its "
 _CLASS_NAMES = {c.value: c for c in DefinitenessClass}
 
 
+def physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, OSError, ValueError):
+        return float("inf")
+
+
 @dataclass(frozen=True, eq=False)
 class Edge:
-    """Edge (i, j) with a sign-definite ``weight`` of class ``cls``, plus
-    its sign, absolute value and largest absolute eigenvalue.  The weight
-    and its absolute value are read-only symmetric arrays."""
+    """Edge (i, j) with a sign-definite ``weight`` and its ``eigen`` pair
+    (``linalg.sym_eigen``), from which its class, sign, absolute value and
+    the spectrum of that absolute value are read.  All are read-only."""
 
     i: int
     j: int
     weight: np.ndarray
-    cls: DefinitenessClass
+    eigen: tuple[np.ndarray, np.ndarray]
+
+    @cached_property
+    def cls(self) -> DefinitenessClass:
+        return linalg.classify_definiteness(self.eigen[0])
 
     @property
     def sign(self) -> int:
@@ -68,28 +83,30 @@ class Edge:
         return linalg.matrix_abs(self.weight, self.cls)
 
     @cached_property
+    def abs_eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``eigh`` pair of |weight|: the weight's own, negated and
+        reversed (still ascending) for a negative class."""
+        if self.sign > 0:
+            return self.eigen
+        vals, vecs = self.eigen
+        vals = -vals[::-1]
+        vals.setflags(write=False)
+        return vals, vecs[:, ::-1]
+
+    @property
     def abs_lambda_max(self) -> float:
-        """lambda_max(|weight|), decomposed once; ``mu_bar`` and ``gamma``
-        read it."""
-        vals, _ = linalg.sym_eigen(self.abs_weight)
-        return float(vals[-1])
+        """lambda_max(|weight|), which ``mu_bar`` and ``gamma`` read."""
+        return float(self.abs_eigen[0][-1])
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingEntry:
-    """Agent ``agent`` sees input ``input`` through ``weight`` of class ``cls``."""
-
-    agent: int
-    input: int
-    weight: np.ndarray
-    cls: DefinitenessClass
-
-
-def _resolve_weight(raw, d: int, declared: Optional[str],
-                    where: str) -> tuple[np.ndarray, DefinitenessClass]:
-    """Validate, optionally project, and classify one weight block: the one
-    check every weight gets.  The weight comes back read-only and exactly
-    symmetric."""
+def _load_edge(spec: tuple, d: int, kind: str) -> Edge:
+    """Edge of an ``(i, j, weight)`` or ``(i, j, weight, declared_class)``
+    spec, whose weight is validated, decomposed once, optionally projected
+    and classified: the one check every weight gets.  The edge's weight is
+    read-only and exactly symmetric, and the edge keeps its ``eigh`` pair;
+    ``kind`` names the spec in error messages."""
+    i, j, raw, declared = spec if len(spec) == 4 else (*spec, None)
+    where = f"{kind} ({i},{j})"
     arr = np.asarray(raw, dtype=float)
     if arr.size == d * d:
         arr = arr.reshape(d, d)
@@ -100,6 +117,7 @@ def _resolve_weight(raw, d: int, declared: Optional[str],
     dev = float(np.max(np.abs(arr - arr.T)))
     if dev > SYMMETRY_REJECT_TOL * max(1.0, float(np.max(np.abs(arr)))):
         raise GraphFormatError(f"{where}: weight is asymmetric (max deviation {dev:.6g})")
+    target = None
     if declared is not None:
         if declared not in _CLASS_NAMES:
             raise GraphFormatError(
@@ -108,31 +126,29 @@ def _resolve_weight(raw, d: int, declared: Optional[str],
         target = _CLASS_NAMES[declared]
         if not target.is_sign_definite:
             raise GraphFormatError(f"{where}: declared class must be sign-definite")
-        cls = linalg.classify_definiteness(arr)
-        if cls.is_sign_definite and \
-                linalg.matrix_sgn(cls) == linalg.matrix_sgn(target):
-            # Spectrum already agrees at strict tolerance: keep the weight
-            # bit-exact so that dump/load round trips are stable.
-            weight = linalg.symmetric(arr)
-        else:
-            try:
-                weight = linalg.project_to_class(arr, target,
-                                                 CLASS_DECLARATION_TOL)
-            except linalg.UnsupportedWeight as exc:
-                raise GraphFormatError(f"{where}: {exc}") from exc
-            cls = linalg.classify_definiteness(weight)
-            if linalg.matrix_sgn(cls) != linalg.matrix_sgn(target):
-                raise GraphFormatError(
-                    f"{where}: declared class {declared!r} inconsistent with "
-                    f"spectrum (classified {cls.value})")
-    else:
-        weight = linalg.symmetric(arr)
-        cls = linalg.classify_definiteness(weight)
-    if not cls.is_sign_definite:
+    weight = linalg.symmetric(arr)
+    e = Edge(i, j, weight, linalg.sym_eigen(weight))
+    if not np.all(np.isfinite(e.eigen[0])):  # inf would widen the zero band
+        raise GraphFormatError(f"{where}: {TOO_LARGE}")
+    # A spectrum that already agrees at strict tolerance keeps the weight
+    # bit-exact, so that dump/load round trips are stable.
+    if target is not None and not (
+            e.cls.is_sign_definite and e.sign == linalg.matrix_sgn(target)):
+        try:
+            weight = linalg.project_to_class(*e.eigen, target,
+                                             CLASS_DECLARATION_TOL)
+        except linalg.UnsupportedWeight as exc:
+            raise GraphFormatError(f"{where}: {exc}") from exc
+        e = Edge(i, j, weight, linalg.sym_eigen(weight))
+        if e.sign != linalg.matrix_sgn(target):
+            raise GraphFormatError(
+                f"{where}: declared class {declared!r} inconsistent with "
+                f"spectrum (classified {e.cls.value})")
+    if not e.cls.is_sign_definite:
         raise GraphFormatError(
-            f"{where}: weight classified {cls.value}; only sign-definite "
+            f"{where}: weight classified {e.cls.value}; only sign-definite "
             "(pd/psd/nd/nsd) weights are admissible")
-    return weight, cls
+    return e
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +164,13 @@ class MatrixWeightedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
+        # The nd x nd Laplacian, its eigenvectors and eigh's workspace.
+        need, have = 3 * 8.0 * (self.n * self.d) ** 2, physical_memory()
+        if not need < have:
+            raise GraphFormatError(
+                f"n={self.n} nodes of d={self.d} need {need / 2**30:.3g} GiB "
+                "for the Laplacian and its eigendecomposition, more than the "
+                f"{have / 2**30:.3g} GiB of physical memory")
         by_pair: dict[tuple[int, int], Edge] = {}
         adjacent: list[list[int]] = [[] for _ in range(self.n)]
         for e in self.edges:
@@ -166,7 +189,7 @@ class MatrixWeightedGraph:
                 raise GraphFormatError(
                     f"edge ({e.i},{e.j}) has class {e.cls.value}")
             # An edge already in (min, max) order is shared, caches and all.
-            by_pair[key] = e if (e.i, e.j) == key else Edge(*key, e.weight, e.cls)
+            by_pair[key] = e if (e.i, e.j) == key else Edge(*key, e.weight, e.eigen)
             adjacent[e.i].append(e.j)
             adjacent[e.j].append(e.i)
         object.__setattr__(self, "edges", tuple(by_pair.values()))
@@ -179,17 +202,8 @@ class MatrixWeightedGraph:
     def from_edges(cls, n: int, d: int,
                    edges: Iterable[tuple]) -> "MatrixWeightedGraph":
         """Build from ``(i, j, weight)`` or ``(i, j, weight, declared_class)``
-        tuples; weights are validated and classified as at file load."""
-        built = []
-        for spec in edges:
-            if len(spec) == 3:
-                i, j, raw = spec
-                declared = None
-            else:
-                i, j, raw, declared = spec
-            weight, wcls = _resolve_weight(raw, d, declared, f"edge ({i},{j})")
-            built.append(Edge(i, j, weight, wcls))
-        return cls(n, d, tuple(built))
+        tuples; weights are validated and decomposed as at file load."""
+        return cls(n, d, tuple(_load_edge(s, d, "edge") for s in edges))
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._neighbors.get(i, ())
@@ -338,27 +352,28 @@ def predicted_bipartite_limit(g: MatrixWeightedGraph, x0: np.ndarray) -> np.ndar
 @dataclass(frozen=True, eq=False)
 class InputCoupling:
     """External input attachment: which agents see which homogeneous input,
-    through which sign-definite weight.  Each of the m inputs is coupled."""
+    through which sign-definite weight.  Each entry is an :class:`Edge` from
+    agent ``i`` to input ``j``.  Each of the m inputs is coupled."""
 
     m: int
-    entries: tuple[CouplingEntry, ...] = ()
+    entries: tuple[Edge, ...] = ()
 
     def __post_init__(self):
         if self.m < 0:
             raise GraphFormatError("input count must be nonnegative")
         seen = set()
         for c in self.entries:
-            if c.input >= self.m or c.input < 0:
+            if c.j >= self.m or c.j < 0:
                 raise GraphFormatError(
-                    f"coupling references input {c.input} but m={self.m}")
-            if (c.agent, c.input) in seen:
+                    f"coupling references input {c.j} but m={self.m}")
+            if (c.i, c.j) in seen:
                 raise GraphFormatError(
-                    f"duplicate coupling for agent {c.agent}, input {c.input}")
-            seen.add((c.agent, c.input))
+                    f"duplicate coupling for agent {c.i}, input {c.j}")
+            seen.add((c.i, c.j))
             if not c.cls.is_sign_definite:
                 raise GraphFormatError(
-                    f"coupling ({c.agent},{c.input}) has class {c.cls.value}")
-        coupled = {c.input for c in self.entries}
+                    f"coupling ({c.i},{c.j}) has class {c.cls.value}")
+        coupled = {c.j for c in self.entries}
         if len(coupled) < self.m:
             # The first gap is below len(coupled), so m itself is never walked.
             k = next(k for k in range(self.m) if k not in coupled)
@@ -367,26 +382,16 @@ class InputCoupling:
     @classmethod
     def from_entries(cls, m: int, entries: Iterable[tuple],
                      d: int) -> "InputCoupling":
-        built = []
-        for spec in entries:
-            if len(spec) == 3:
-                agent, inp, raw = spec
-                declared = None
-            else:
-                agent, inp, raw, declared = spec
-            weight, wcls = _resolve_weight(
-                raw, d, declared, f"input coupling ({agent},{inp})")
-            built.append(CouplingEntry(agent, inp, weight, wcls))
-        return cls(m, tuple(built))
+        """Build from ``(agent, input, weight[, declared_class])`` tuples."""
+        return cls(m, tuple(_load_edge(s, d, "input coupling") for s in entries))
 
 
 def extended_graph(g: MatrixWeightedGraph,
                    coupling: InputCoupling) -> MatrixWeightedGraph:
     """Agents plus input l at node ``n + l``, joined by the coupling edges."""
-    edges = list(g.edges)
-    for c in coupling.entries:
-        edges.append(Edge(c.agent, g.n + c.input, c.weight, c.cls))
-    return MatrixWeightedGraph(g.n + coupling.m, g.d, tuple(edges))
+    edges = tuple(Edge(c.i, g.n + c.j, c.weight, c.eigen)
+                  for c in coupling.entries)
+    return MatrixWeightedGraph(g.n + coupling.m, g.d, g.edges + edges)
 
 
 def leader_gauge(network: MatrixWeightedGraph, n: int) -> Optional[np.ndarray]:
@@ -412,7 +417,7 @@ def verify_assumption2(network: MatrixWeightedGraph, n: int) -> bool:
     for e in network.edges:
         if e.j >= n:
             total += e.abs_weight
-    return linalg.classify_definiteness(total) is linalg.PD
+    return linalg.classify_definiteness(linalg.sym_eigen(total)[0]) is linalg.PD
 
 
 def graph_to_dict(g: MatrixWeightedGraph,
@@ -431,7 +436,7 @@ def graph_to_dict(g: MatrixWeightedGraph,
     if coupling is not None and (coupling.m or coupling.entries):
         doc["m"] = coupling.m
         doc["inputs"] = [
-            {"agent": c.agent, "input": c.input,
+            {"agent": c.i, "input": c.j,
              "weight": [float(v) for v in c.weight.reshape(-1)],
              "class": c.cls.value}
             for c in coupling.entries

@@ -19,7 +19,6 @@ atomically before the next step.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -83,13 +82,18 @@ class Scenario:
             return mwgraph.extended_graph(self.graph, self.mode.coupling)
         return self.graph
 
-
-def physical_memory() -> float:
-    """Bytes of physical memory, or inf where the platform does not say."""
-    try:
-        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, OSError, ValueError):
-        return float("inf")
+    @cached_property
+    def gains(self) -> np.ndarray:
+        """Per-agent trigger gain ``K_i``, computed once: ``gamma_i`` on the
+        network (leader-follower), else ``mu_bar_i * N_i``.  Isolated agents
+        never accumulate error (their control is zero), so a zero gain keeps
+        their leaderless trigger permanently silent."""
+        g = self.graph
+        if isinstance(self.mode, LeaderFollower):
+            return np.array([trigger.gamma(i, self.network, g.n)
+                             for i in range(g.n)])
+        return np.array([trigger.mu_bar(i, g) * g.degree(i) if g.degree(i)
+                         else 0.0 for i in range(g.n)])
 
 
 def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
@@ -108,7 +112,8 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
         steps, n, nd = sc.horizon / sc.dt, sc.graph.n, sc.graph.n * sc.graph.d
         # The record keeps states, broadcasts and controls (nd each), chi (n)
         # and the time at every grid point, all float64.
-        need, have = 8.0 * (steps + 1.0) * (3 * nd + n + 1), physical_memory()
+        need, have = (8.0 * (steps + 1.0) * (3 * nd + n + 1),
+                      mwgraph.physical_memory())
         if not need < have:
             out.append(f"T/dt = {steps:.6g} steps need {need / 2**30:.3g} GiB "
                        f"of arrays, more than the {have / 2**30:.3g} GiB of "
@@ -136,6 +141,10 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
         if value is not None and not np.all(np.abs(value) <= DIVERGENCE_GUARD):
             out.append(f"{name} has non-finite entries or entries beyond the "
                        f"divergence guard {DIVERGENCE_GUARD:g}")
+    # Weights near the float maximum can overflow a gain to inf.
+    out.extend(f"agent {i}: trigger gain {sc.gains[i]} is not finite (edge "
+               "weights too large for float64)"
+               for i in np.flatnonzero(~np.isfinite(sc.gains)))
     if not assumptions:
         return out
     report = mwgraph.verify_assumption1(sc.graph)
@@ -211,17 +220,10 @@ class CompiledScenario:
         self.leader_follower = isinstance(sc.mode, LeaderFollower)
         self.static_baseline = sc.baseline == BASELINE_STATIC
 
-        if self.leader_follower:
-            self.pinned = np.tile(sc.mode.u0, network.n - self.n)
-            self.gain = np.array(
-                [trigger.gamma(i, network, self.n) for i in range(self.n)])
-        else:
-            self.pinned = np.zeros(0)
-            # Isolated agents never accumulate error (their control is zero),
-            # so a zero gain keeps their trigger permanently silent.
-            self.gain = np.array(
-                [trigger.mu_bar(i, g) * g.degree(i) if g.degree(i) else 0.0
-                 for i in range(self.n)])
+        self.gain = sc.gains
+        # Input nodes carry u0; the leaderless network has none.
+        self.pinned = np.tile(sc.mode.u0, network.n - self.n) \
+            if self.leader_follower else np.zeros(0)
         # Arcs leave agents only: an input node is pinned and has no flow.
         arcs = [(a, b, e) for e in network.edges
                 for a, b in ((e.i, e.j), (e.j, e.i)) if a < self.n]
@@ -232,7 +234,7 @@ class CompiledScenario:
         self.arc_abs = np.array(
             [e.abs_weight for _, _, e in arcs]).reshape(-1, d, d)
         if not self.leader_follower:
-            root = {e: sym_sqrt(e.abs_weight) for e in network.edges}
+            root = {e: sym_sqrt(*e.abs_eigen) for e in network.edges}
             self.arc_sqrt = np.array(
                 [root[e] for _, _, e in arcs]).reshape(-1, d, d)
         # Flat state index of every coordinate an arc's flow lands on.

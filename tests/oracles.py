@@ -211,7 +211,7 @@ def control_leader_follower(i: int, xhat: np.ndarray, g: MatrixWeightedGraph,
     d = g.d
     xi = xhat[i * d:(i + 1) * d]
     for c in coupling.entries:
-        if c.agent == i:
+        if c.i == i:
             out -= matrix_abs(c.weight, c.cls) @ (
                 xi - matrix_sgn(c.cls) * np.asarray(u0, dtype=float))
     return out
@@ -224,7 +224,7 @@ def input_drive(g: MatrixWeightedGraph, coupling: InputCoupling,
     drive = np.zeros((g.n, g.d))
     for c in coupling.entries:
         absb = matrix_abs(c.weight, c.cls)
-        drive[c.agent] += matrix_sgn(c.cls) * absb @ u0
+        drive[c.i] += matrix_sgn(c.cls) * absb @ u0
     return drive.reshape(-1)
 
 
@@ -236,7 +236,7 @@ def grounded_laplacian(g: MatrixWeightedGraph,
     d = g.d
     lb = g.laplacian.copy()
     for c in coupling.entries:
-        block = slice(c.agent * d, (c.agent + 1) * d)
+        block = slice(c.i * d, (c.i + 1) * d)
         lb[block, block] += matrix_abs(c.weight, c.cls)
     return lb
 

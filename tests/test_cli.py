@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mwconsensus import scenario_io, sim, trigger
+from mwconsensus import mwgraph, scenario_io, sim, trigger
 from mwconsensus.analysis import RunSummary, event_stats
 from mwconsensus.builtin import REFERENCE_U0, leader_follower_scenario, \
     leaderless_scenario
@@ -83,9 +83,9 @@ def _set(path, value, make=small_scenario_doc):
     return build
 
 
-def assert_refused_alike(doc, tmp_path, capsys):
+def assert_refused_alike(doc, tmp_path, capsys) -> list[str]:
     """``run`` refuses the document with ``validation:`` lines only, and
-    ``check`` prints the same lines on stdout and exits 1."""
+    ``check`` prints the same lines on stdout and exits 1; returns them."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--out", str(tmp_path / "runs")]) \
@@ -98,6 +98,7 @@ def assert_refused_alike(doc, tmp_path, capsys):
     assert [line for line in out.splitlines()
             if line.startswith("validation: ")] == refused
     assert err == ""
+    return refused
 
 
 @pytest.fixture
@@ -246,11 +247,13 @@ class TestStructureComputedOnce:
         assert eigh_shapes.count((24, 24)) == laplacians
 
     def test_check_lf_edge_eigh_count(self, eigh_shapes):
-        """Load-time classification of every weight, then lambda_max once per
-        edge of the network (the agents' edges are shared with it) and the
-        grounding test."""
+        """One load-time eigh per weight of the graph and the coupling, one
+        more for each of the three whose declared class projects eigenvalue
+        noise away, one for the repair of the (0, 1) weight, and the
+        grounding test, which ``check`` and its verdict each run;
+        lambda_max is read from the pairs."""
         assert main(["check", "builtin:lf"]) == EXIT_OK
-        assert eigh_shapes.count((4, 4)) == 29
+        assert eigh_shapes.count((4, 4)) == 16
 
     def test_check_lf_builds_one_network(self, monkeypatch):
         built = []
@@ -435,22 +438,26 @@ EXTREME = {
 }
 
 
-def huge_weights_doc(n, edges):
-    """The bundled leaderless document on a d = 1 graph of ``(i, j, w)``
-    edges, with uniform parameters, a uniform x0 and T = 0.01."""
+def huge_weights_doc(n, edges, d=1):
+    """The bundled leaderless document on a graph of ``(i, j, w)`` edges
+    with ``w`` times all-ones d x d weights, uniform parameters, a uniform x0
+    and T = 0.01."""
     doc = json.loads(scenario_io.dump_scenario(leaderless_scenario()))
-    doc["graph"] = {"n": n, "d": 1, "edges": [
-        {"i": i, "j": j, "weight": [w]} for i, j, w in edges]}
+    doc["graph"] = {"n": n, "d": d, "edges": [
+        {"i": i, "j": j, "weight": [w] * (d * d)} for i, j, w in edges]}
     doc["params"].pop("per_agent", None)
     doc["sim"].update(x0="uniform[-1,1]", T=0.01)
     return doc
 
 
 #: Weights whose Laplacian overflows float64: (a) in its spectrum, 2e308;
-#: (b) in the diagonal sum at the centre of a star, 2.4e308.
+#: (b) in the diagonal sum at the centre of a star, 2.4e308; (c) already in
+#: the weight's own spectrum, whose eigenvalue 2e308 would otherwise widen
+#: the zero band to inf and classify the weight zero.
 HUGE_WEIGHTS = {
     "spectrum": lambda: huge_weights_doc(2, [(0, 1, 1e308)]),
     "diagonal": lambda: huge_weights_doc(4, [(0, k, 8e307) for k in (1, 2, 3)]),
+    "eigenvalue": lambda: huge_weights_doc(2, [(0, 1, 1e308)], d=2),
 }
 
 
@@ -487,6 +494,44 @@ class TestExtremeInputs:
     def test_refused_at_validation(self, make, tmp_path, capsys):
         assert_refused_alike(make(), tmp_path, capsys)
 
+    def test_infinite_gain_refused_by_agent(self, tmp_path, capsys):
+        """Input couplings near the float maximum overflow gamma of the two
+        agents they attach to; ``run`` and ``check`` refuse each such gain
+        in one line, without a numpy warning."""
+        doc = lf_scenario_doc()
+        for entry in doc["graph"]["inputs"]:
+            entry["weight"] = [1e307 * v for v in entry["weight"]]
+        assert assert_refused_alike(doc, tmp_path, capsys) == [
+            f"validation: agent {i}: trigger gain inf is not finite (edge "
+            "weights too large for float64)" for i in (0, 5)]
+
+    @pytest.mark.parametrize("command", ["check", "run", "spectrum"])
+    def test_laplacian_beyond_memory_one_line(self, command, monkeypatch,
+                                              tmp_path, capsys):
+        """A graph whose nd x nd Laplacian and its eigh (~15 MB here) exceed
+        the memory is refused at load, before anything that size exists."""
+        monkeypatch.setattr(mwgraph, "physical_memory", lambda: float(1 << 20))
+        doc = huge_weights_doc(200, [], d=4)
+        doc["graph"]["edges"] = [
+            {"i": k, "j": k + 1, "weight": np.eye(4).ravel().tolist()}
+            for k in range(199)]
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "runs")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert out == "" and len(err.splitlines()) == 1
+        assert "physical memory" in err
+        assert peak < 4 << 20
+
     def test_check_constants_bounded_width(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(small_scenario_doc(weight=1e300)))
@@ -521,7 +566,7 @@ class TestExtremeInputs:
                                               capsys):
         """A run whose record (~63 MB here) exceeds the memory allocates
         nothing."""
-        monkeypatch.setattr(sim, "physical_memory", lambda: float(1 << 20))
+        monkeypatch.setattr(mwgraph, "physical_memory", lambda: float(1 << 20))
         tracemalloc.start()
         try:
             code = main(["run", "builtin:leaderless", "--T", "100",

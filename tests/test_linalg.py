@@ -43,19 +43,6 @@ class TestSymmetric:
             out[0, 0] = 5.0
 
 
-class TestSymMatrix:
-    """Contract every kernel entry point holds for a symmetric matrix."""
-
-    def test_non_finite_rejected(self):
-        entry_points = (
-            classify_definiteness, spectral_abs, sym_sqrt,
-            lambda m: project_to_class(m, PSD, tol=1e-4))
-        for fn in entry_points:
-            for bad in (np.nan, np.inf):
-                with pytest.raises(InvalidMatrix):
-                    fn(np.array([[bad, 0.0], [0.0, 1.0]]))
-
-
 class TestSymEigen:
     def test_identity(self):
         vals, _ = sym_eigen(np.eye(3))
@@ -116,25 +103,25 @@ class TestSymEigen:
 
 class TestClassify:
     def test_reference_pd_weight(self):
-        assert classify_definiteness(WEIGHT_0_5) is PD
+        assert classify_definiteness(sym_eigen(WEIGHT_0_5)[0]) is PD
 
     def test_explicit_zero_eigenvalue(self):
-        assert classify_definiteness(np.diag([1.0, 0.0])) is PSD
+        assert classify_definiteness(sym_eigen(np.diag([1.0, 0.0]))[0]) is PSD
 
     def test_mixed_signs(self):
-        assert classify_definiteness(np.diag([1.0, -1.0])) is INDEFINITE
+        assert classify_definiteness(sym_eigen(np.diag([1.0, -1.0]))[0]) is INDEFINITE
 
     def test_negative_classes(self):
-        assert classify_definiteness(-np.eye(2)) is ND
-        assert classify_definiteness(np.diag([-1.0, 0.0])) is NSD
+        assert classify_definiteness(sym_eigen(-np.eye(2))[0]) is ND
+        assert classify_definiteness(sym_eigen(np.diag([-1.0, 0.0]))[0]) is NSD
 
     def test_zero_matrix(self):
-        assert classify_definiteness(np.zeros((3, 3))) is ZERO
+        assert classify_definiteness(sym_eigen(np.zeros((3, 3)))[0]) is ZERO
 
     def test_scale_aware_band(self):
         # a 1e-12 ripple on a unit-scale PSD matrix is still PSD
         m = np.diag([1.0, -1e-12])
-        assert classify_definiteness(m) is PSD
+        assert classify_definiteness(sym_eigen(m)[0]) is PSD
 
 
 class TestAbsSgn:
@@ -171,34 +158,34 @@ class TestAbsSgn:
             m = symmetric(m @ m)  # PSD
             sign = int(rng.choice([1, -1]))
             signed = sign * m
-            cls = classify_definiteness(signed)
+            cls = classify_definiteness(sym_eigen(signed)[0])
             absw = matrix_abs(signed, cls)
-            assert classify_definiteness(absw) in (PD, PSD, ZERO)
+            assert classify_definiteness(sym_eigen(absw)[0]) in (PD, PSD, ZERO)
             recon = matrix_sgn(cls) * absw
             np.testing.assert_allclose(recon, signed, atol=1e-12)
 
 
 class TestSqrt:
     def test_identity(self):
-        np.testing.assert_array_equal(sym_sqrt(np.eye(3)), np.eye(3))
+        np.testing.assert_array_equal(sym_sqrt(*sym_eigen(np.eye(3))), np.eye(3))
 
     def test_diagonal(self):
         np.testing.assert_allclose(
-            sym_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]),
+            sym_sqrt(*sym_eigen(np.diag([4.0, 9.0]))), np.diag([2.0, 3.0]),
             atol=1e-14)
 
     def test_reference_weight_squares_back(self):
         # |W| for the semidefinite (3,4) weight, made exactly PSD first
-        absw = project_to_class(WEIGHT_3_4, PSD, tol=1e-4)
-        root = sym_sqrt(absw)
+        absw = project_to_class(*sym_eigen(WEIGHT_3_4), PSD, tol=1e-4)
+        root = sym_sqrt(*sym_eigen(absw))
         scale = max(1.0, float(np.linalg.norm(absw)))
         err = np.linalg.norm(root @ root - absw)
         assert err <= 1e-8 * scale
-        assert classify_definiteness(root) in (PD, PSD, ZERO)
+        assert classify_definiteness(sym_eigen(root)[0]) in (PD, PSD, ZERO)
 
     def test_not_psd(self):
         with pytest.raises(NotPSD):
-            sym_sqrt(np.diag([1.0, -0.5]))
+            sym_sqrt(*sym_eigen(np.diag([1.0, -0.5])))
 
     def test_sqrt_of_abs_reconstructs(self):
         rng = np.random.default_rng(23)
@@ -206,9 +193,9 @@ class TestSqrt:
             d = int(rng.integers(1, 7))
             base = rng.normal(size=(d, d))
             m = symmetric(-(base @ base.T))  # NSD/ND
-            cls = classify_definiteness(m)
+            cls = classify_definiteness(sym_eigen(m)[0])
             absw = matrix_abs(m, cls)
-            root = sym_sqrt(absw)
+            root = sym_sqrt(*sym_eigen(absw))
             scale = max(1.0, float(np.linalg.norm(absw)))
             assert np.linalg.norm(root @ root - absw) <= 1e-8 * scale
 
@@ -218,43 +205,43 @@ class TestSpectralAbs:
         rng = np.random.default_rng(3)
         base = rng.normal(size=(4, 4))
         m = symmetric(base @ base.T + 0.1 * np.eye(4))
-        np.testing.assert_allclose(spectral_abs(m), m, atol=1e-12)
-        np.testing.assert_allclose(spectral_abs(-m), m, atol=1e-12)
+        np.testing.assert_allclose(spectral_abs(*sym_eigen(m)), m, atol=1e-12)
+        np.testing.assert_allclose(spectral_abs(*sym_eigen(-m)), m, atol=1e-12)
 
     def test_preserves_eigenvalue_magnitudes(self):
         m = np.diag([3.0, -2.0, 0.5])
-        vals, _ = sym_eigen(spectral_abs(m))
+        vals, _ = sym_eigen(spectral_abs(*sym_eigen(m)))
         np.testing.assert_allclose(sorted(vals), [0.5, 2.0, 3.0], atol=1e-12)
 
 
 class TestProjectToClass:
     def test_clamps_noise_to_exact_zero(self):
         m = np.diag([5.0, 1e-6, -1e-6])
-        out = project_to_class(m, PSD, tol=1e-4)
+        out = project_to_class(*sym_eigen(m), PSD, tol=1e-4)
         vals, _ = sym_eigen(out)
         assert vals[0] == 0.0 and vals[1] == 0.0
         assert vals[2] == pytest.approx(5.0)
 
     def test_out_of_band_contradiction(self):
         with pytest.raises(UnsupportedWeight):
-            project_to_class(np.diag([5.0, -1.0]), PSD, tol=1e-4)
+            project_to_class(*sym_eigen(np.diag([5.0, -1.0])), PSD, tol=1e-4)
 
     def test_nsd_direction(self):
-        out = project_to_class(np.diag([-3.0, 2e-5]), NSD, tol=1e-4)
+        out = project_to_class(*sym_eigen(np.diag([-3.0, 2e-5])), NSD, tol=1e-4)
         assert sym_eigen(out)[0][-1] == 0.0
 
     def test_indefinite_target_rejected(self):
         with pytest.raises(UnsupportedWeight):
-            project_to_class(np.eye(2), INDEFINITE, tol=1e-4)
+            project_to_class(*sym_eigen(np.eye(2)), INDEFINITE, tol=1e-4)
 
 
 class TestResultsReadOnly:
     """Every matrix the kernel hands out is read-only."""
 
     @pytest.mark.parametrize("make", [
-        lambda: sym_sqrt(WEIGHT_0_5),
-        lambda: spectral_abs(np.diag([3.0, -2.0])),
-        lambda: project_to_class(WEIGHT_3_4, PSD, tol=1e-4),
+        lambda: sym_sqrt(*sym_eigen(WEIGHT_0_5)),
+        lambda: spectral_abs(*sym_eigen(np.diag([3.0, -2.0]))),
+        lambda: project_to_class(*sym_eigen(WEIGHT_3_4), PSD, tol=1e-4),
         lambda: matrix_abs(WEIGHT_1_2, ND),
     ], ids=["sym_sqrt", "spectral_abs", "project_to_class", "matrix_abs"])
     def test_write_raises(self, make):

@@ -7,7 +7,8 @@ import pytest
 
 from mwconsensus.builtin import RAW_EDGE_0_1, WEIGHT_0_5, WEIGHT_3_4
 from mwconsensus.errors import AssumptionViolated, GraphFormatError, NotPSD
-from mwconsensus.linalg import PD, PSD, matrix_abs, sym_eigen
+from mwconsensus.linalg import ND, NSD, PD, PSD, matrix_abs, sym_eigen, \
+    sym_sqrt
 from mwconsensus.mwgraph import Edge, InputCoupling, MatrixWeightedGraph, \
     build_laplacian, detect_structural_balance, extended_graph, \
     graph_from_dict, graph_to_dict, leader_gauge, null_space, \
@@ -18,6 +19,9 @@ from oracles import brute_force_balance, check_gauge_identity, \
     grounded_laplacian
 
 REFERENCE_SIGNS = [1, 1, -1, -1, -1, 1]
+
+PAIR = np.array([[2.0, 0.3], [0.3, 1.0]])
+NOISY = np.diag([4.0, 3e-5, -3e-5])
 
 
 def scalar_graph(n, edges, d=1):
@@ -68,13 +72,15 @@ class TestGraphModel:
             np.testing.assert_array_equal(e.abs_weight, e.sign * e.weight)
 
     def test_arrays_read_only(self, ref_graph, ref_coupling):
-        """Weights, absolute weights and the Laplacian cannot be written."""
+        """Weights, absolute weights, their eigh pairs and the Laplacian
+        cannot be written."""
         ext = extended_graph(ref_graph, ref_coupling)
         arrays = [ext.laplacian, ref_graph.laplacian]
-        arrays += [a for e in ext.edges for a in (e.weight, e.abs_weight)]
+        arrays += [a for e in ext.edges
+                   for a in (e.weight, e.abs_weight, *e.eigen, *e.abs_eigen)]
         for arr in arrays:
             with pytest.raises(ValueError):
-                arr[0, 0] = 1.0
+                arr[(0,) * arr.ndim] = 1.0
 
     def test_weight_shape_checked(self):
         """An edge built directly, past the loader, still needs a d x d
@@ -123,17 +129,71 @@ class TestGraphModel:
                 2, 1, [(0, 1, [[1.0]]), (1, 0, [[2.0]])])
 
     def test_declared_class_projects_noise(self):
-        noisy = np.diag([4.0, 3e-5, -3e-5])
-        g = MatrixWeightedGraph.from_edges(2, 3, [(0, 1, noisy, "psd")])
+        g = MatrixWeightedGraph.from_edges(2, 3, [(0, 1, NOISY, "psd")])
         e = g.edges[0]
         assert e.cls is PSD
         vals = sym_eigen(e.weight)[0]
         assert vals[0] == 0.0 and vals[1] == 0.0
 
+    @pytest.mark.parametrize("make,eighs", [
+        (lambda: MatrixWeightedGraph.from_edges(2, 2, [(0, 1, PAIR)]), 1),
+        (lambda: MatrixWeightedGraph.from_edges(2, 2, [(0, 1, -PAIR, "nd")]), 1),
+        (lambda: MatrixWeightedGraph.from_edges(2, 3, [(0, 1, NOISY, "psd")]), 2),
+        (lambda: InputCoupling.from_entries(1, [(0, 0, PAIR, "pd")], 2), 1),
+        (lambda: InputCoupling.from_entries(1, [(0, 0, -NOISY, "nsd")], 3), 2),
+    ], ids=["pd", "nd-declared", "psd-projected", "coupling",
+            "coupling-projected"])
+    def test_one_eigh_per_loaded_weight(self, make, eighs, eigh_shapes):
+        """Loading decomposes a weight once, or twice when its declared class
+        projects eigenvalue noise away; every spectral fact of the edge is
+        then read from the kept pair."""
+        built = make()
+        edges = built.entries if isinstance(built, InputCoupling) \
+            else built.edges
+        for e in edges:
+            e.cls, e.sign, e.abs_weight, e.abs_eigen, e.abs_lambda_max
+            sym_sqrt(*e.abs_eigen)
+        assert len(eigh_shapes) == eighs
+
     def test_declared_class_contradiction_rejected(self):
         with pytest.raises(GraphFormatError, match="contradicts"):
             MatrixWeightedGraph.from_edges(
                 2, 2, [(0, 1, np.diag([1.0, -1.0]), "pd")])
+
+
+class TestEdgeSpectrum:
+    """The |A| pair an edge derives from its load-time eigh agrees with a
+    fresh decomposition of |A| (to a relative tolerance, since LAPACK builds
+    differ), and its square root squares back to |A|."""
+
+    @staticmethod
+    def assert_abs_eigen_agrees(e):
+        vals, vecs = e.abs_eigen
+        want = np.linalg.eigh(e.abs_weight)[0]
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(vals - want)) <= 1e-12 * scale
+        assert np.all(np.diff(vals) >= 0) and e.abs_lambda_max == vals[-1]
+        np.testing.assert_allclose((vecs * vals) @ vecs.T, e.abs_weight,
+                                   rtol=0, atol=1e-12 * scale)
+        root = sym_sqrt(*e.abs_eigen)
+        np.testing.assert_allclose(root @ root, e.abs_weight, rtol=0,
+                                   atol=1e-12 * scale)
+
+    def test_random_weights_of_every_class(self):
+        rng = np.random.default_rng(31)
+        for k in range(40):
+            d = int(rng.integers(2, 7))
+            rank, sign = (d, d - 1)[k % 2], (1, -1)[k // 2 % 2]
+            b = rng.normal(size=(d, rank))
+            g = MatrixWeightedGraph.from_edges(2, d, [(0, 1, sign * b @ b.T)])
+            e = g.edges[0]
+            assert e.cls is {(1, d): PD, (1, d - 1): PSD, (-1, d): ND,
+                             (-1, d - 1): NSD}[sign, rank]
+            self.assert_abs_eigen_agrees(e)
+
+    def test_builtin_edges_and_couplings(self, ref_graph, ref_coupling):
+        for e in ref_graph.edges + ref_coupling.entries:
+            self.assert_abs_eigen_agrees(e)
 
 
 class TestLaplacian:
@@ -421,8 +481,8 @@ class TestGroundedLaplacian:
             (4, 2, WEIGHT_3_4, "psd")], 4)
         want = build_laplacian(ref_graph).copy()
         for c in coupling.entries:
-            want[4 * c.agent:4 * c.agent + 4,
-                 4 * c.agent:4 * c.agent + 4] += matrix_abs(c.weight, c.cls)
+            want[4 * c.i:4 * c.i + 4,
+                 4 * c.i:4 * c.i + 4] += matrix_abs(c.weight, c.cls)
         for got in (grounded_laplacian(ref_graph, coupling),
                     grounded_block(ref_graph, coupling)):
             assert got.shape == (24, 24)

@@ -8,7 +8,7 @@ import pytest
 from mwconsensus import analysis, sim, trigger
 from mwconsensus.builtin import leader_follower_scenario, leaderless_scenario
 from mwconsensus.errors import Diverged, InvalidScenario
-from mwconsensus.linalg import sym_sqrt
+from mwconsensus.linalg import sym_eigen, sym_sqrt
 from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
     build_laplacian
 from mwconsensus.sim import Scenario, chi_floor_check, min_inter_event, \
@@ -109,30 +109,29 @@ class TestStructureComputedOnce:
         analysis.event_stats(run(sc))
         assert eigh_shapes.count((nd, nd)) == 1
 
-    def test_one_edge_eigh_for_lambda_max_one_for_root(self, eigh_shapes):
-        """Leaderless compile: lambda_max(|A_ij|) once per edge, shared by the
-        mu_bar of both endpoints, plus the square root of |A_ij|."""
+    def test_no_edge_eigh_after_load(self, eigh_shapes):
+        """Leaderless run: lambda_max(|A_ij|) for mu_bar and the square root
+        of |A_ij| are read from the eigh pair each edge keeps from load."""
         sc = random_balanced_scenario()
         g = sc.graph
-        eigh_shapes.clear()  # drop the load-time classification
+        eigh_shapes.clear()  # drop the load-time decomposition
         analysis.event_stats(run(sc))
-        assert eigh_shapes.count((g.d, g.d)) == 2 * len(g.edges)
         for i in range(g.n):
             trigger.mu_bar(i, g)
             trigger.gamma(i, g, g.n)
-        assert eigh_shapes.count((g.d, g.d)) == 2 * len(g.edges)
+        assert eigh_shapes.count((g.d, g.d)) == 0
 
     def test_lf_gamma_reads_cached_lambda_max(self, eigh_shapes):
         sc = leader_follower_scenario(horizon=0.05)
-        g, coupling = sc.graph, sc.mode.coupling
+        g = sc.graph
         eigh_shapes.clear()
         analysis.event_stats(run(sc))
-        # One per edge and per coupling, plus Assumption 2's grounding test.
-        want = len(g.edges) + len(coupling.entries) + 1
-        assert eigh_shapes.count((g.d, g.d)) == want
+        # Only Assumption 2's grounding test: every edge and coupling keeps
+        # its load-time pair.
+        assert eigh_shapes.count((g.d, g.d)) == 1
         for i in range(g.n):
             trigger.gamma(i, sc.network, g.n)
-        assert eigh_shapes.count((g.d, g.d)) == want
+        assert eigh_shapes.count((g.d, g.d)) == 1
 
     def test_one_extended_graph_per_lf_run(self, monkeypatch):
         """Validation, the limit state, compile and the analytics all read
@@ -389,7 +388,7 @@ class TestTriggerEngineConsistency:
         rec = run(sc)
         g = sc.graph
         d = g.d
-        roots = {(e.i, e.j): sym_sqrt(e.abs_weight) for e in g.edges}
+        roots = {(e.i, e.j): sym_sqrt(*sym_eigen(e.abs_weight)) for e in g.edges}
 
         def sqrt_weight(i, j):
             return roots[(i, j)] if (i, j) in roots else roots[(j, i)]
@@ -435,7 +434,7 @@ class TestTriggerEngineConsistency:
         g = sc.graph
         d = g.d
         dt = sc.dt
-        roots = {(e.i, e.j): sym_sqrt(e.abs_weight) for e in g.edges}
+        roots = {(e.i, e.j): sym_sqrt(*sym_eigen(e.abs_weight)) for e in g.edges}
 
         def sqrt_weight(i, j):
             return roots[(i, j)] if (i, j) in roots else roots[(j, i)]

@@ -9,7 +9,9 @@ and strings, in a module of ``src/mwconsensus`` other than ``__init__.py``
 """
 
 import functools
+import importlib
 import io
+import re
 import tokenize
 from pathlib import Path
 
@@ -56,3 +58,15 @@ def test_exports_found():
 def test_export_is_used(name):
     assert name in _users(), f"{name} is exported but nothing in the " \
                              "package or the benchmark uses it"
+
+
+def test_console_script_resolves():
+    """The ``[project.scripts]`` entry names a callable (read with a regex,
+    since ``tomllib`` needs Python 3.11)."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text,
+                        re.M | re.S).group(1)
+    module, attr = re.search(r'^mwconsensus\s*=\s*"([\w.]+):(\w+)"$',
+                             section, re.M).groups()
+    assert (module, attr) == ("mwconsensus.cli", "main")
+    assert callable(getattr(importlib.import_module(module), attr))

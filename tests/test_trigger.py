@@ -153,7 +153,7 @@ class TestSpectralConstants:
             mus = [float(sym_eigen(ref_graph.edge(i, j).abs_weight)[0][-1])
                    for j in ref_graph.neighbors(i)]
             mus_b = [float(sym_eigen(matrix_abs(c.weight, c.cls))[0][-1])
-                     for c in ref_coupling.entries if c.agent == i]
+                     for c in ref_coupling.entries if c.i == i]
             want = 6 * (sum(mus) + sum(mus_b)) ** 2 + 6 * sum(m * m for m in mus)
             assert gamma(i, network, 6) == pytest.approx(want)
 
@@ -168,7 +168,7 @@ class TestSpectralConstants:
             mus = [ref_graph.edge(i, j).abs_lambda_max
                    for j in ref_graph.neighbors(i)]
             mus_b = [float(sym_eigen(matrix_abs(c.weight, c.cls))[0][-1])
-                     for c in coupling.entries if c.agent == i]
+                     for c in coupling.entries if c.i == i]
             assert len(mus_b) == {2: 2, 4: 1}.get(i, 0)
             want = 6 * (sum(mus) + sum(mus_b)) ** 2 + 6 * sum(m * m for m in mus)
             assert gamma(i, network, 6) == pytest.approx(want, rel=1e-12)
@@ -180,7 +180,7 @@ class TestLeaderlessTrigger:
         for _ in range(50):
             d = int(rng.integers(1, 5))
             w = np.eye(d) * rng.uniform(0.5, 3.0)
-            p_list = [(sym_sqrt(w), rng.uniform(-2, 2, d))
+            p_list = [(sym_sqrt(*sym_eigen(w)), rng.uniform(-2, 2, d))
                       for _ in range(int(rng.integers(0, 4)))]
             chi = float(rng.uniform(1e-6, 2.0))
             assert not leaderless_fires(np.zeros(d), p_list, chi, params(),
@@ -225,7 +225,7 @@ class TestLeaderlessTrigger:
             d = 3
             e = rng.uniform(-1, 1, d)
             w = np.abs(rng.uniform(0.2, 2.0)) * np.eye(d)
-            p_list = [(sym_sqrt(w), rng.uniform(-1, 1, d))]
+            p_list = [(sym_sqrt(*sym_eigen(w)), rng.uniform(-1, 1, d))]
             pr = params(sigma=float(rng.uniform(0, 0.99)))
             mu = float(rng.uniform(0.5, 3.0))
             chi = float(rng.uniform(0.01, 1.0))
@@ -243,7 +243,7 @@ class TestLeaderlessTrigger:
         rng = np.random.default_rng(43)
         for e in ref_graph.edges:
             absw = e.abs_weight
-            root = sym_sqrt(absw)
+            root = sym_sqrt(*sym_eigen(absw))
             for _ in range(10):
                 p = rng.uniform(-2, 2, ref_graph.d)
                 direct = float(p @ absw @ p)

@@ -148,7 +148,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    """Print the Laplacian spectra of a scenario that ``run --force`` would
+    accept: the structural assumptions are not required, since this command
+    is how a graph that fails them is inspected."""
     scenario, _ = _load(args.scenario, args)
+    violations = sim.validate_scenario(scenario, assumptions=False)
+    for v in violations:
+        print(f"validation: {v}", file=sys.stderr)
+    if violations:
+        return EXIT_VALIDATION
     g = scenario.graph
     vals, _ = sym_eigen(mwgraph.build_laplacian(g))
     kernel = mwgraph.kernel_mask(vals)

@@ -5,9 +5,12 @@ whose definiteness class must be one of PD / PSD / ND / NSD (indefinite and
 zero weights are rejected: an indefinite block has no well-defined sign, and
 a zero block is simply a non-edge).  Each weight is decomposed once, where
 the loader reads it, and its :class:`Edge` keeps the ``eigh`` pair; input
-couplings are edges too.  On top of the graph itself this module derives
-the block Laplacian, the input-extended graph, structural balance, and the
-two structural assumptions that the consensus protocols require.
+couplings are edges too.  The loaders take ``(i, j, weight[, class])``
+tuples; reading them from a scenario document is
+:mod:`mwconsensus.scenario_io`'s job.  On top of the graph itself this
+module derives the block Laplacian, the input-extended graph, structural
+balance, and the two structural assumptions that the consensus protocols
+require.
 
 Structural balance is one read-only int array ``signs`` of +-1 gauge signs
 with ``signs[i] * signs[j] == sgn(A_ij)`` on every edge: the gauge
@@ -26,7 +29,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -418,114 +421,3 @@ def verify_assumption2(network: MatrixWeightedGraph, n: int) -> bool:
         if e.j >= n:
             total += e.abs_weight
     return linalg.classify_definiteness(linalg.sym_eigen(total)[0]) is linalg.PD
-
-
-def graph_to_dict(g: MatrixWeightedGraph,
-                  coupling: Optional[InputCoupling] = None) -> dict:
-    """Interchange form: plain lists, row-major weights, class recorded."""
-    doc = {
-        "n": g.n,
-        "d": g.d,
-        "edges": [
-            {"i": e.i, "j": e.j,
-             "weight": [float(v) for v in e.weight.reshape(-1)],
-             "class": e.cls.value}
-            for e in g.edges
-        ],
-    }
-    if coupling is not None and (coupling.m or coupling.entries):
-        doc["m"] = coupling.m
-        doc["inputs"] = [
-            {"agent": c.i, "input": c.j,
-             "weight": [float(v) for v in c.weight.reshape(-1)],
-             "class": c.cls.value}
-            for c in coupling.entries
-        ]
-    return doc
-
-
-_JSON_KINDS = {"integer": int, "number": (int, float), "string": str,
-               "array": list, "object": dict}
-
-
-def _json_kind(value) -> str:
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "boolean"
-    return next(k for k, t in _JSON_KINDS.items() if isinstance(value, t))
-
-
-def _json_value(value, kind: str, where: str):
-    """``value`` if its JSON type is ``kind``; booleans are never integers or
-    numbers.  Anything else is a one-line :class:`GraphFormatError`."""
-    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
-        raise GraphFormatError(f"{where}: expected {kind}, got {_json_kind(value)}")
-    return value
-
-
-def _json_float(value, where: str) -> float:
-    try:
-        return float(_json_value(value, "number", where))
-    except OverflowError:
-        raise GraphFormatError(f"{where}: number out of range") from None
-
-
-def _json_floats(value, where: str) -> np.ndarray:
-    """A (possibly nested) array of numbers as a float array."""
-    pending = [_json_value(value, "array", where)]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, list):
-            pending.extend(item)
-        else:
-            _json_value(item, "number", f"{where} entries")
-    try:
-        return np.asarray(value, dtype=float)
-    except (ValueError, OverflowError):
-        raise GraphFormatError(
-            f"{where}: ragged array or number out of range") from None
-
-
-def _json_entries(doc: dict, key: str,
-                  fields: tuple[str, ...]) -> Iterator[tuple]:
-    """``(*fields, weight array, declared class)`` per entry of the array
-    ``doc[key]``; the ``fields`` are integers and required with the weight.
-    Lazy, so each weight array is released once its graph entry is built."""
-    for k, entry in enumerate(_json_value(doc.get(key, []), "array", key)):
-        where = f"{key}[{k}]"
-        _json_value(entry, "object", where)
-        bad = set(entry) - {*fields, "weight", "class"}
-        if bad:
-            raise GraphFormatError(f"{where}: unknown keys {sorted(bad)}")
-        if any(f not in entry for f in (*fields, "weight")):
-            raise GraphFormatError(f"{where}: requires {', '.join(fields)}, weight")
-        declared = entry.get("class")
-        if declared is not None:
-            _json_value(declared, "string", f"{where}.class")
-        ints = (_json_value(entry[f], "integer", f"{where}.{f}") for f in fields)
-        yield (*ints, _json_floats(entry["weight"], f"{where}.weight"), declared)
-
-
-def graph_from_dict(doc: dict) -> tuple[MatrixWeightedGraph, InputCoupling]:
-    """Parse the interchange form; unknown keys and mistyped fields are
-    rejected."""
-    _json_value(doc, "object", "graph")
-    allowed = {"n", "d", "edges", "inputs", "m"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise GraphFormatError(f"unknown graph keys: {sorted(unknown)}")
-    for key in ("n", "d"):
-        value = doc.get(key)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise GraphFormatError(f"graph field {key!r} must be a positive integer")
-    n, d = doc["n"], doc["d"]
-    g = MatrixWeightedGraph.from_edges(
-        n, d, _json_entries(doc, "edges", ("i", "j")))
-    entry_specs = list(_json_entries(doc, "inputs", ("agent", "input")))
-    m = _json_value(doc.get("m", 0), "integer", "graph.m")
-    if entry_specs:
-        m = max(m, 1 + max(spec[1] for spec in entry_specs))
-    coupling = InputCoupling.from_entries(m, entry_specs, d)
-    for spec in entry_specs:
-        if not (0 <= spec[0] < n):
-            raise GraphFormatError(f"coupling agent {spec[0]} out of range")
-    return g, coupling

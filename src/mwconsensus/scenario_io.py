@@ -1,24 +1,30 @@
-"""Scenario documents: a JSON format covering graph, mode, trigger
-parameters, integration settings, and output preferences.
+"""Scenario documents: the one reader and writer of the JSON format, which
+covers the graph (edges and input couplings), the mode, the trigger
+parameters, the integration settings, and the output preferences.
 
-The format is strict: unknown keys are rejected at every level so that a
-typo cannot silently disable an override.  Dumping is canonical (sorted
-keys, fixed indentation, shortest round-trip floats), which makes the
-``--dump-config`` round trip and the on-disk artifacts byte-stable.
+The format is strict: unknown keys are rejected at every level, and so is a
+key repeated within one object, so that a typo cannot silently disable an
+override.  The reader checks types: every field has its JSON kind, ``x0``
+and ``u0`` are flat arrays of numbers, and each weight loads through the
+graph's loader.  Values and lengths (parameter ranges, the baseline name,
+the lengths of ``x0`` and ``u0``) are checked once, by
+:func:`mwconsensus.sim.validate_scenario`, whose lines ``check`` and ``run``
+print alike.  Dumping is canonical (sorted keys, fixed indentation, shortest
+round-trip floats), which makes the ``--dump-config`` round trip and the
+on-disk artifacts byte-stable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import GraphFormatError
-from .mwgraph import InputCoupling, _json_float, _json_floats, _json_value, \
-    graph_from_dict, graph_to_dict
-from .sim import BASELINE_DYNAMIC, BASELINE_STATIC, Scenario
+from .mwgraph import InputCoupling, MatrixWeightedGraph
+from .sim import BASELINE_DYNAMIC, Scenario
 from .trigger import LeaderFollower, Leaderless, TriggerParams
 
 UNIFORM_X0 = "uniform[-1,1]"
@@ -27,19 +33,142 @@ PARAM_FIELDS = ("sigma", "theta", "beta", "delta", "chi0")
 
 DEFAULT_OUTPUTS = {"directory": "runs", "formats": ["csv", "json"]}
 
+_JSON_KINDS = {"integer": int, "number": (int, float), "string": str,
+               "array": list, "object": dict}
 
-def _require_keys(doc: dict, allowed: set, where: str) -> None:
-    unknown = set(doc) - allowed
+
+def _json_kind(value) -> str:
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "boolean"
+    return next(k for k, t in _JSON_KINDS.items() if isinstance(value, t))
+
+
+def _json_value(value, kind: str, where: str):
+    """``value`` if its JSON type is ``kind``; booleans are never integers or
+    numbers.  Anything else is a one-line :class:`GraphFormatError`."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        raise GraphFormatError(f"{where}: expected {kind}, got {_json_kind(value)}")
+    return value
+
+
+def _json_float(value, where: str) -> float:
+    try:
+        return float(_json_value(value, "number", where))
+    except OverflowError:
+        raise GraphFormatError(f"{where}: number out of range") from None
+
+
+def _json_floats(value, where: str) -> np.ndarray:
+    """A (possibly nested) array of numbers as a float array."""
+    pending = [_json_value(value, "array", where)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        else:
+            _json_value(item, "number", f"{where} entries")
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError):
+        raise GraphFormatError(
+            f"{where}: ragged array or number out of range") from None
+
+
+def _json_vector(value, where: str) -> np.ndarray:
+    """A flat array of numbers, the form of a state (``x0``, ``u0``)."""
+    arr = _json_floats(value, where)
+    if arr.ndim != 1:
+        raise GraphFormatError(f"{where}: expected a flat array of numbers, "
+                               "got a nested array")
+    return arr
+
+
+def _section(doc, where: str, allowed, required=()) -> dict:
+    """``doc`` if it is an object whose keys are all ``allowed`` and include
+    every ``required`` one; anything else is a one-line
+    :class:`GraphFormatError` that names the section."""
+    unknown = set(_json_value(doc, "object", where)) - set(allowed)
     if unknown:
         raise GraphFormatError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise GraphFormatError(f"{where}: missing keys {missing}")
+    return doc
+
+
+def _unique_keys(pairs: list) -> dict:
+    """``json`` object hook that refuses a key repeated within one object,
+    which would otherwise silently keep the last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for k in keys if keys.count(k) > 1)
+        raise GraphFormatError(
+            f"scenario document repeats the key {key!r} within one object")
+    return doc
+
+
+def graph_to_dict(g: MatrixWeightedGraph,
+                  coupling: Optional[InputCoupling] = None) -> dict:
+    """The graph section: plain lists, row-major weights, class recorded."""
+    doc = {
+        "n": g.n,
+        "d": g.d,
+        "edges": [
+            {"i": e.i, "j": e.j,
+             "weight": [float(v) for v in e.weight.reshape(-1)],
+             "class": e.cls.value}
+            for e in g.edges
+        ],
+    }
+    if coupling is not None and (coupling.m or coupling.entries):
+        doc["m"] = coupling.m
+        doc["inputs"] = [
+            {"agent": c.i, "input": c.j,
+             "weight": [float(v) for v in c.weight.reshape(-1)],
+             "class": c.cls.value}
+            for c in coupling.entries
+        ]
+    return doc
+
+
+def _json_entries(doc: dict, key: str,
+                  fields: tuple[str, ...]) -> Iterator[tuple]:
+    """``(*fields, weight array, declared class)`` per entry of the array
+    ``doc[key]``; the ``fields`` are integers and required with the weight.
+    Lazy, so each weight array is released once its graph entry is built."""
+    for k, entry in enumerate(_json_value(doc.get(key, []), "array", key)):
+        where = f"{key}[{k}]"
+        _section(entry, where, {*fields, "weight", "class"}, (*fields, "weight"))
+        declared = entry.get("class")
+        if declared is not None:
+            _json_value(declared, "string", f"{where}.class")
+        ints = (_json_value(entry[f], "integer", f"{where}.{f}") for f in fields)
+        yield (*ints, _json_floats(entry["weight"], f"{where}.weight"), declared)
+
+
+def graph_from_dict(doc: dict) -> tuple[MatrixWeightedGraph, InputCoupling]:
+    """The graph and its input coupling from the graph section."""
+    _section(doc, "graph", {"n", "d", "edges", "inputs", "m"}, ("n", "d"))
+    for key in ("n", "d"):
+        if _json_value(doc[key], "integer", f"graph.{key}") < 1:
+            raise GraphFormatError(f"graph.{key}: must be a positive integer")
+    n, d = doc["n"], doc["d"]
+    g = MatrixWeightedGraph.from_edges(
+        n, d, _json_entries(doc, "edges", ("i", "j")))
+    entry_specs = list(_json_entries(doc, "inputs", ("agent", "input")))
+    m = _json_value(doc.get("m", 0), "integer", "graph.m")
+    if entry_specs:
+        m = max(m, 1 + max(spec[1] for spec in entry_specs))
+    coupling = InputCoupling.from_entries(m, entry_specs, d)
+    for spec in entry_specs:
+        if not (0 <= spec[0] < n):
+            raise GraphFormatError(f"coupling agent {spec[0]} out of range")
+    return g, coupling
 
 
 def _parse_params(doc: dict, n: int) -> TriggerParams:
-    _require_keys(_json_value(doc, "object", "params"),
-                  set(PARAM_FIELDS) | {"per_agent"}, "params")
-    missing = [f for f in PARAM_FIELDS if f not in doc]
-    if missing:
-        raise GraphFormatError(f"params: missing defaults for {missing}")
+    _section(doc, "params", (*PARAM_FIELDS, "per_agent"), PARAM_FIELDS)
     arrays = {f: np.full(n, _json_float(doc[f], f"params.{f}"))
               for f in PARAM_FIELDS}
     per_agent = _json_value(doc.get("per_agent", {}), "object", "params.per_agent")
@@ -51,18 +180,15 @@ def _parse_params(doc: dict, n: int) -> TriggerParams:
         if not 0 <= agent < n:
             raise GraphFormatError(f"params.per_agent: agent {agent} out of range")
         where = f"params.per_agent[{key}]"
-        _require_keys(_json_value(overrides, "object", where),
-                      set(PARAM_FIELDS), where)
-        for f, v in overrides.items():
+        for f, v in _section(overrides, where, PARAM_FIELDS).items():
             arrays[f][agent] = _json_float(v, f"{where}.{f}")
     return TriggerParams(**arrays)
 
 
-def _parse_mode(doc, coupling: InputCoupling, d: int):
+def _parse_mode(doc, coupling: InputCoupling):
     if isinstance(doc, str):
         doc = {"kind": doc}
-    _require_keys(_json_value(doc, "object", "mode"), {"kind", "u0"}, "mode")
-    kind = doc.get("kind")
+    kind = _section(doc, "mode", ("kind", "u0"), ("kind",))["kind"]
     if kind == "leaderless":
         if "u0" in doc:
             raise GraphFormatError("mode: u0 is only valid for leader-follower")
@@ -70,32 +196,25 @@ def _parse_mode(doc, coupling: InputCoupling, d: int):
     if kind == "leader-follower":
         if "u0" not in doc:
             raise GraphFormatError("mode: leader-follower requires u0")
-        u0 = _json_floats(doc["u0"], "mode.u0")
-        if u0.shape != (d,):
-            raise GraphFormatError(f"mode: u0 must have length d={d}")
-        return LeaderFollower(u0=u0, coupling=coupling)
+        return LeaderFollower(u0=_json_vector(doc["u0"], "mode.u0"),
+                              coupling=coupling)
     raise GraphFormatError(
         f"mode: kind must be 'leaderless' or 'leader-follower', got {kind!r}")
 
 
 def parse_scenario(doc: dict) -> tuple[Scenario, dict]:
     """Build a :class:`Scenario` plus the output preferences from a document."""
-    _require_keys(doc, {"graph", "mode", "params", "sim", "outputs"}, "scenario")
-    for section in ("graph", "mode", "params", "sim"):
-        if section not in doc:
-            raise GraphFormatError(f"scenario: missing section {section!r}")
+    _section(doc, "scenario", ("graph", "mode", "params", "sim", "outputs"),
+             ("graph", "mode", "params", "sim"))
     graph, coupling = graph_from_dict(doc["graph"])
-    mode = _parse_mode(doc["mode"], coupling, graph.d)
+    mode = _parse_mode(doc["mode"], coupling)
     if isinstance(mode, Leaderless) and (coupling.m or coupling.entries):
         raise GraphFormatError(
             "graph declares input couplings but mode is leaderless")
     params = _parse_params(doc["params"], graph.n)
 
-    sim_doc = _json_value(doc["sim"], "object", "sim")
-    _require_keys(sim_doc, {"dt", "T", "seed", "x0", "baseline"}, "sim")
-    for fieldname in ("dt", "T"):
-        if fieldname not in sim_doc:
-            raise GraphFormatError(f"sim: missing {fieldname!r}")
+    sim_doc = _section(doc["sim"], "sim", ("dt", "T", "seed", "x0", "baseline"),
+                       ("dt", "T"))
     x0_doc = sim_doc.get("x0", UNIFORM_X0)
     if isinstance(x0_doc, str):
         if x0_doc != UNIFORM_X0:
@@ -103,23 +222,17 @@ def parse_scenario(doc: dict) -> tuple[Scenario, dict]:
                 f"sim.x0: string form must be {UNIFORM_X0!r}, got {x0_doc!r}")
         x0 = None
     else:
-        x0 = _json_floats(x0_doc, "sim.x0")
-        if x0.shape != (graph.n * graph.d,):
-            raise GraphFormatError(
-                f"sim.x0: expected {graph.n * graph.d} values, got {x0.shape}")
+        x0 = _json_vector(x0_doc, "sim.x0")
     seed = sim_doc.get("seed", 0)
-    if seed is not None and (isinstance(seed, bool)
-                             or not isinstance(seed, int)):
-        raise GraphFormatError("sim.seed: must be an integer or null")
-    baseline = sim_doc.get("baseline", BASELINE_DYNAMIC)
-    if baseline not in (BASELINE_DYNAMIC, BASELINE_STATIC):
-        raise GraphFormatError(f"sim.baseline: unknown value {baseline!r}")
+    if seed is not None:
+        _json_value(seed, "integer", "sim.seed")
+    baseline = _json_value(sim_doc.get("baseline", BASELINE_DYNAMIC), "string",
+                           "sim.baseline")
 
     outputs = dict(DEFAULT_OUTPUTS)
     if "outputs" in doc:
-        _require_keys(_json_value(doc["outputs"], "object", "outputs"),
-                      {"directory", "formats"}, "outputs")
-        outputs.update(doc["outputs"])
+        outputs.update(_section(doc["outputs"], "outputs",
+                                ("directory", "formats")))
     _json_value(outputs["directory"], "string", "outputs.directory")
     for k, fmt in enumerate(_json_value(outputs["formats"], "array",
                                         "outputs.formats")):
@@ -178,7 +291,7 @@ def dump_scenario(sc: Scenario, outputs: Optional[dict] = None) -> str:
 
 def load_scenario_text(text: str) -> tuple[Scenario, dict]:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(
             f"scenario document is not valid JSON: line {exc.lineno} "
@@ -187,8 +300,6 @@ def load_scenario_text(text: str) -> tuple[Scenario, dict]:
         # Integers past the digit limit, arrays nested past the stack.
         raise GraphFormatError(
             f"scenario document is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise GraphFormatError("scenario document must be a JSON object")
     return parse_scenario(doc)
 
 

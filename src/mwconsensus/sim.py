@@ -6,8 +6,10 @@ on the broadcasts, so the state holds them until the next broadcast and the
 flow is exactly affine on each step: ``x(t + dt) = x(t) + dt * qhat``.  The
 auxiliary variables are advanced with a classical 4-stage explicit
 integration; inside a step the error is affine in time and the slack is
-frozen, so the integrand is a polynomial and the per-step integration error
-is far below every tolerance used here.
+frozen, so the drive is a polynomial and the per-step error comes from the
+decay ``-beta_i chi_i`` alone.  The update multiplies chi_i by the stability
+function ``R(-beta_i dt)`` per step, which decays only while ``beta_i dt``
+stays below :data:`CHI_STEP_LIMIT`; validation refuses larger steps.
 
 Triggers are checked only at step boundaries and reported event times are
 grid times.  The mechanisms guarantee strictly positive dwell times, so a
@@ -36,6 +38,12 @@ DIVERGENCE_GUARD = 1e9
 
 #: Relative tolerance on T being an integer multiple of dt.
 STEP_GRID_RTOL = 1e-9
+
+#: Largest beta_i * dt whose 4-stage chi update still decays.  Per step
+#: the update multiplies chi_i by R(-z) = 1 - z + z^2/2 - z^3/6 + z^4/24 at
+#: z = beta_i * dt, and R(-z) < 1 exactly while z is below the real root of
+#: z^3 - 4 z^2 + 12 z - 24 = 0 (from R(-z) = 1, z > 0).
+CHI_STEP_LIMIT = 2.785293563405282
 
 #: More adjacent-step firings than this raise a dwell warning.
 CONSECUTIVE_FIRE_WARN = 10
@@ -129,6 +137,16 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
     if sc.params.n != sc.graph.n:
         out.append(f"params cover {sc.params.n} agents, graph has {sc.graph.n}")
     out.extend(str(v) for v in trigger.validate_params(sc.params))
+    if 0.0 < sc.dt < np.inf:
+        # Agents whose beta validate_params refuses already have their line.
+        beta = sc.params.beta
+        with np.errstate(over="ignore"):  # an overflowed product is refused
+            z = beta * sc.dt
+        out.extend(f"agent {i}: beta * dt = {z[i]:.6g} must be below "
+                   f"{CHI_STEP_LIMIT:.6g}, where the 4-stage chi update "
+                   "stops decaying"
+                   for i in np.flatnonzero((0.0 < beta) & (beta < np.inf)
+                                           & (z >= CHI_STEP_LIMIT)))
     if sc.x0 is not None and sc.x0.shape != (sc.graph.n * sc.graph.d,):
         out.append(f"x0 must have length n*d={sc.graph.n * sc.graph.d}, "
                    f"got {sc.x0.shape}")

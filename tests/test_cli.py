@@ -42,6 +42,10 @@ def lf_scenario_doc():
     return json.loads(scenario_io.dump_scenario(leader_follower_scenario()))
 
 
+def leaderless_doc():
+    return json.loads(scenario_io.dump_scenario(leaderless_scenario()))
+
+
 def lf_negated_inputs_doc(*inputs):
     """The bundled leader-follower document with the listed input couplings
     negated (psd -> nsd, pd -> nd)."""
@@ -121,6 +125,9 @@ RUN_REFUSES = {
     "seed-negative": _set(("sim", "seed"), -3),
     "T-beyond-memory": _set(("sim", "T"), 1e12),
     "dt-negative": _set(("sim", "dt"), -0.001),
+    "baseline-unknown": _set(("sim", "baseline"), "off"),
+    "x0-short": _set(("sim", "x0"), [0.1]),
+    "u0-short": _set(("mode", "u0"), [0.2], lf_scenario_doc),
 }
 
 
@@ -285,6 +292,15 @@ class TestSpectrum:
         out = capsys.readouterr().out
         assert "grounded minimum eigenvalue" in out
 
+    def test_failing_assumption_still_inspected(self, tmp_path, capsys):
+        """``spectrum`` validates as ``run --force`` does: a graph that fails
+        Assumption 1 alone is printed, not refused."""
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(rank_deficient_pair_doc()))
+        assert main(["spectrum", str(path)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "nullity at tolerance: 3" in out and err == ""
+
     def test_one_zero_rule(self, tmp_path, capsys):
         """The nullity and the smallest positive eigenvalue are read with one
         zero rule: on a path with tiny weights, 5.35898e-10 is positive."""
@@ -442,7 +458,7 @@ def huge_weights_doc(n, edges, d=1):
     """The bundled leaderless document on a graph of ``(i, j, w)`` edges
     with ``w`` times all-ones d x d weights, uniform parameters, a uniform x0
     and T = 0.01."""
-    doc = json.loads(scenario_io.dump_scenario(leaderless_scenario()))
+    doc = leaderless_doc()
     doc["graph"] = {"n": n, "d": d, "edges": [
         {"i": i, "j": j, "weight": [w] * (d * d)} for i, j, w in edges]}
     doc["params"].pop("per_agent", None)
@@ -501,9 +517,47 @@ class TestExtremeInputs:
         doc = lf_scenario_doc()
         for entry in doc["graph"]["inputs"]:
             entry["weight"] = [1e307 * v for v in entry["weight"]]
-        assert assert_refused_alike(doc, tmp_path, capsys) == [
+        refused = assert_refused_alike(doc, tmp_path, capsys)
+        assert refused == [
             f"validation: agent {i}: trigger gain inf is not finite (edge "
             "weights too large for float64)" for i in (0, 5)]
+        # spectrum refuses it too, rather than print rounding noise.
+        assert main(["spectrum", str(tmp_path / "doc.json")]) \
+            == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == refused
+
+    def test_unstable_chi_step_refused(self, tmp_path, capsys):
+        """beta * dt = 3 is past the 4-stage update's decay limit: chi would
+        grow from 0.5 to 4e6 in 50 steps and silence the trigger."""
+        doc = _set(("params", "beta"), 3000.0, leaderless_doc)()
+        doc["params"]["theta"] = 1.0
+        doc["sim"]["T"] = 0.05
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning raises
+            refused = assert_refused_alike(doc, tmp_path, capsys)
+        assert refused == [
+            f"validation: agent {i}: beta * dt = 3 must be below 2.78529, "
+            "where the 4-stage chi update stops decaying" for i in range(6)]
+
+    def test_chi_step_below_limit_runs(self, tmp_path, capsys):
+        doc = _set(("params", "beta"), 2000.0, leaderless_doc)()
+        doc["params"]["theta"] = 1.0
+        doc["sim"]["T"] = 0.05
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "runs")]) \
+            == EXIT_OK
+        chi_csv = next((tmp_path / "runs").iterdir()) / "chi.csv"
+        chi = [float(line.split(",")[2])
+               for line in chi_csv.read_text().splitlines()[1:]]
+        assert max(chi) == 0.5  # chi0: the update decays
+
+    def test_infinite_beta_refused_once(self, tmp_path, capsys):
+        """An agent whose beta is refused gets no second, beta * dt line."""
+        assert assert_refused_alike(EXTREME["beta-inf"](), tmp_path, capsys) \
+            == [f"validation: agent {i}: beta: inf must be positive and finite"
+                for i in (0, 1)]
 
     @pytest.mark.parametrize("command", ["check", "run", "spectrum"])
     def test_laplacian_beyond_memory_one_line(self, command, monkeypatch,
@@ -665,6 +719,18 @@ MALFORMED = {
     "u0-strings": _set(("mode", "u0"), ["a"], lf_scenario_doc),
     "edge-i-bool": _set(("graph", "edges", 0), {"i": True, "j": 0,
                                                 "weight": [1.5]}),
+    "x0-nested": _set(("sim", "x0"), [[0.1], [0.2]]),
+    "u0-nested": _set(("mode", "u0"), [[0.2, 0.4], [0.6, 0.8]],
+                      lf_scenario_doc),
+}
+
+#: Document texts with a key repeated within one object (``json`` alone
+#: would keep the last value), and the key.
+REPEATED_KEYS = {
+    "edge-weight": (json.dumps(small_scenario_doc()).replace(
+        '"weight": [1.5]', '"weight": [1.5], "weight": [-1.5]'), "weight"),
+    "sim-T": (json.dumps(small_scenario_doc()).replace(
+        '"T": 1.0', '"T": 1.0, "T": 2.0'), "T"),
 }
 
 
@@ -681,6 +747,34 @@ class TestMalformedDocuments:
         code, err = check_outcome(make(), tmp_path, capsys)
         assert code == EXIT_VALIDATION
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("name", ["x0-nested", "u0-nested"])
+    def test_nested_state_refused_by_run(self, name, tmp_path, capsys):
+        """``run`` names its run directory before validation, so the reader
+        must refuse a nested state for it to end in one line."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(MALFORMED[name]()))
+        assert main(["run", str(path), "--out", str(tmp_path / "runs")]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "expected a flat array of numbers" in err[0]
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("text,key", REPEATED_KEYS.values(),
+                             ids=REPEATED_KEYS.keys())
+    def test_repeated_key_one_line(self, text, key, command, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        argv = [command, str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "runs")]
+        assert main(argv) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: scenario document repeats the key {key!r} within one "
+            "object"]
+        assert not (tmp_path / "runs").exists()
 
     def test_mutation_fuzz(self, tmp_path, capsys):
         """Seeded random edits of the bundled leader-follower document: every

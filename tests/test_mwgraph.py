@@ -11,8 +11,8 @@ from mwconsensus.linalg import ND, NSD, PD, PSD, matrix_abs, sym_eigen, \
     sym_sqrt
 from mwconsensus.mwgraph import Edge, InputCoupling, MatrixWeightedGraph, \
     build_laplacian, detect_structural_balance, extended_graph, \
-    graph_from_dict, graph_to_dict, leader_gauge, null_space, \
-    predicted_bipartite_limit, verify_assumption1, verify_assumption2
+    leader_gauge, null_space, predicted_bipartite_limit, verify_assumption1, \
+    verify_assumption2
 
 from conftest import random_balanced_scalar_graph, two_node_graph
 from oracles import brute_force_balance, check_gauge_identity, \
@@ -556,40 +556,3 @@ class TestInputCoupling:
             InputCoupling(1)
         InputCoupling(0)
 
-    @pytest.mark.parametrize("m", [3, 10**6, 10**18])
-    def test_declared_inputs_beyond_entries_rejected(self, m):
-        doc = {"n": 2, "d": 1, "m": m,
-               "edges": [{"i": 0, "j": 1, "weight": [1.0]}],
-               "inputs": [{"agent": 0, "input": 0, "weight": [1.0]},
-                          {"agent": 1, "input": 1, "weight": [1.0]}]}
-        with pytest.raises(GraphFormatError, match=f"input 2 of m={m} has no"):
-            graph_from_dict(doc)
-
-
-class TestInterchange:
-    def test_round_trip(self, ref_graph, ref_coupling):
-        doc = graph_to_dict(ref_graph, ref_coupling)
-        g2, c2 = graph_from_dict(doc)
-        assert g2.n == ref_graph.n and g2.d == ref_graph.d
-        assert len(g2.edges) == len(ref_graph.edges)
-        for a, b in zip(ref_graph.edges, g2.edges):
-            assert (a.i, a.j, a.cls) == (b.i, b.j, b.cls)
-            np.testing.assert_array_equal(a.weight, b.weight)
-        assert c2.m == ref_coupling.m
-        doc2 = graph_to_dict(g2, c2)
-        assert doc == doc2
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(GraphFormatError, match="unknown"):
-            graph_from_dict({"n": 2, "d": 1, "edges": [], "extra": 1})
-        with pytest.raises(GraphFormatError, match="unknown"):
-            graph_from_dict({"n": 2, "d": 1,
-                             "edges": [{"i": 0, "j": 1, "weight": [1.0],
-                                        "oops": 2}]})
-
-    def test_class_override_validated(self):
-        doc = {"n": 2, "d": 2,
-               "edges": [{"i": 0, "j": 1, "weight": [1.0, 0, 0, -1.0],
-                          "class": "pd"}]}
-        with pytest.raises(GraphFormatError):
-            graph_from_dict(doc)

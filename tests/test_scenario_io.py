@@ -9,8 +9,9 @@ import pytest
 from mwconsensus import scenario_io
 from mwconsensus.builtin import leader_follower_scenario, leaderless_scenario
 from mwconsensus.errors import GraphFormatError
-from mwconsensus.scenario_io import dump_scenario, load_scenario_text, \
-    parse_scenario, run_directory_name, scenario_hash, scenario_to_dict
+from mwconsensus.scenario_io import dump_scenario, graph_from_dict, \
+    graph_to_dict, load_scenario_text, parse_scenario, run_directory_name, \
+    scenario_hash, scenario_to_dict
 from mwconsensus.trigger import LeaderFollower
 
 
@@ -104,10 +105,82 @@ class TestParsing:
                 parse_scenario(minimal_doc(seed=bad))
 
     def test_baseline_field(self):
+        """The reader checks the baseline's type; its value is refused once,
+        by validation (``RUN_REFUSES`` in the CLI tests)."""
         sc, _ = parse_scenario(minimal_doc(baseline="static"))
         assert sc.baseline == "static"
-        with pytest.raises(GraphFormatError, match="baseline"):
-            parse_scenario(minimal_doc(baseline="off"))
+        assert parse_scenario(minimal_doc(baseline="off"))[0].baseline == "off"
+        with pytest.raises(GraphFormatError, match="sim.baseline: expected "
+                                                   "string, got integer"):
+            parse_scenario(minimal_doc(baseline=1))
+
+    @pytest.mark.parametrize("x0", [[[0.1], [-0.2]], [[]], [[0.1, -0.2]]])
+    def test_x0_must_be_flat(self, x0):
+        with pytest.raises(GraphFormatError, match="sim.x0: expected a flat "
+                                                   "array of numbers"):
+            parse_scenario(minimal_doc(x0=x0))
+
+    def test_document_must_be_object(self):
+        with pytest.raises(GraphFormatError,
+                           match="scenario: expected object, got array"):
+            load_scenario_text("[]")
+
+
+def _lf_doc():
+    return scenario_to_dict(leader_follower_scenario())
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _per_agent_doc():
+    doc = minimal_doc()
+    doc["params"]["per_agent"] = {"1": {"theta": 3.0}}
+    return doc
+
+
+#: Every object section of a document: (document, path to the section, the
+#: name its errors carry, a required key or None).
+SECTIONS = {
+    "scenario": (minimal_doc, (), "scenario", "sim"),
+    "graph": (minimal_doc, ("graph",), "graph", "d"),
+    "edges[0]": (minimal_doc, ("graph", "edges", 0), "edges[0]", "j"),
+    "inputs[0]": (_lf_doc, ("graph", "inputs", 0), "inputs[0]", "agent"),
+    "mode": (_lf_doc, ("mode",), "mode", "kind"),
+    "params": (minimal_doc, ("params",), "params", "chi0"),
+    "per_agent[k]": (_per_agent_doc, ("params", "per_agent", "1"),
+                     "params.per_agent[1]", None),
+    "sim": (minimal_doc, ("sim",), "sim", "dt"),
+    "outputs": (lambda: {**minimal_doc(), "outputs": {"directory": "runs"}},
+                ("outputs",), "outputs", None),
+}
+
+
+class TestSectionKeys:
+    """One key check serves every section, and its one line names it."""
+
+    @pytest.mark.parametrize("make,path,where,_", SECTIONS.values(),
+                             ids=SECTIONS.keys())
+    def test_unknown_key(self, make, path, where, _):
+        doc = make()
+        _at(doc, path)["oops"] = 1
+        with pytest.raises(GraphFormatError) as err:
+            parse_scenario(doc)
+        assert str(err.value) == f"{where}: unknown keys ['oops']"
+
+    @pytest.mark.parametrize(
+        "make,path,where,key",
+        [v for v in SECTIONS.values() if v[3] is not None],
+        ids=[k for k, v in SECTIONS.items() if v[3] is not None])
+    def test_missing_required_key(self, make, path, where, key):
+        doc = make()
+        del _at(doc, path)[key]
+        with pytest.raises(GraphFormatError) as err:
+            parse_scenario(doc)
+        assert str(err.value) == f"{where}: missing keys [{key!r}]"
 
 
 class TestCanonicalDump:
@@ -144,3 +217,44 @@ class TestHashing:
         a = leaderless_scenario()
         b = leaderless_scenario(dt=2e-3)
         assert scenario_hash(a) != scenario_hash(b)
+
+
+class TestInterchange:
+    """The graph section."""
+
+    def test_round_trip(self, ref_graph, ref_coupling):
+        doc = graph_to_dict(ref_graph, ref_coupling)
+        g2, c2 = graph_from_dict(doc)
+        assert g2.n == ref_graph.n and g2.d == ref_graph.d
+        assert len(g2.edges) == len(ref_graph.edges)
+        for a, b in zip(ref_graph.edges, g2.edges):
+            assert (a.i, a.j, a.cls) == (b.i, b.j, b.cls)
+            np.testing.assert_array_equal(a.weight, b.weight)
+        assert c2.m == ref_coupling.m
+        doc2 = graph_to_dict(g2, c2)
+        assert doc == doc2
+
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(GraphFormatError, match="unknown"):
+            graph_from_dict({"n": 2, "d": 1, "edges": [], "extra": 1})
+        with pytest.raises(GraphFormatError, match="unknown"):
+            graph_from_dict({"n": 2, "d": 1,
+                             "edges": [{"i": 0, "j": 1, "weight": [1.0],
+                                        "oops": 2}]})
+
+    def test_class_override_validated(self):
+        doc = {"n": 2, "d": 2,
+               "edges": [{"i": 0, "j": 1, "weight": [1.0, 0, 0, -1.0],
+                          "class": "pd"}]}
+        with pytest.raises(GraphFormatError):
+            graph_from_dict(doc)
+
+
+@pytest.mark.parametrize("m", [3, 10**6, 10**18])
+def test_declared_inputs_beyond_entries_rejected(m):
+    doc = {"n": 2, "d": 1, "m": m,
+           "edges": [{"i": 0, "j": 1, "weight": [1.0]}],
+           "inputs": [{"agent": 0, "input": 0, "weight": [1.0]},
+                      {"agent": 1, "input": 1, "weight": [1.0]}]}
+    with pytest.raises(GraphFormatError, match=f"input 2 of m={m} has no"):
+        graph_from_dict(doc)

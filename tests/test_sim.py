@@ -1,5 +1,6 @@
 """Engine tests: exact flow, event semantics, thresholds, dwell statistics."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -79,6 +80,26 @@ class TestValidation:
         mode = LeaderFollower(u0=np.array([0.5]), coupling=InputCoupling(0))
         sc = tiny_scenario(graph=g, mode=mode)
         assert any("assumption 2" in v for v in validate_scenario(sc))
+
+    def test_chi_step_limit(self):
+        """The 4-stage update multiplies chi by R(-beta dt) per step; the
+        limit is the root of R(-z) = 1, and agents at or past it are refused
+        under either baseline."""
+        def amplification(z):
+            return 1 - z + z**2 / 2 - z**3 / 6 + z**4 / 24
+        assert amplification(sim.CHI_STEP_LIMIT) == pytest.approx(1, abs=1e-12)
+        # Static baseline: no drive, so one step is the amplification alone.
+        rec = run(tiny_scenario(params=uniform_params(2, beta=2000.0),
+                                baseline="static", horizon=1e-3))
+        np.testing.assert_allclose(rec.chi[1], 0.5 * amplification(2.0),
+                                   rtol=1e-12)
+        beta = np.array([2000.0, 2786.0])
+        for baseline in ("dynamic", "static"):
+            sc = tiny_scenario(params=dataclasses.replace(
+                uniform_params(2), beta=beta), baseline=baseline)
+            assert [v for v in validate_scenario(sc) if "beta * dt" in v] \
+                == ["agent 1: beta * dt = 2.786 must be below 2.78529, where "
+                    "the 4-stage chi update stops decaying"]
 
     def test_x0_shape_checked(self):
         sc = tiny_scenario(x0=np.zeros(5))

@@ -5,9 +5,11 @@ belongs in ``tests/oracles.py`` (an independent cross-check) or nowhere.
 A name counts as used when it appears as an identifier, outside comments
 and strings, in a module of ``src/mwconsensus`` other than ``__init__.py``
 (its own ``def``/``class`` line excepted) or in a non-test script of
-``perfbench/``.
+``perfbench/``.  And no module imports another module's private
+(underscore-prefixed) names, so each keeps what it owns.
 """
 
+import ast
 import functools
 import importlib
 import io
@@ -58,6 +60,17 @@ def test_exports_found():
 def test_export_is_used(name):
     assert name in _users(), f"{name} is exported but nothing in the " \
                              "package or the benchmark uses it"
+
+
+def test_no_private_names_imported():
+    imported = []
+    for path in sorted((ROOT / "src" / "mwconsensus").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("mwconsensus")):
+                imported += [f"{path.name}: {alias.name}" for alias in node.names
+                             if alias.name.startswith("_")]
+    assert imported == []
 
 
 def test_console_script_resolves():

@@ -173,10 +173,13 @@ def _parse_params(doc: dict, n: int) -> TriggerParams:
               for f in PARAM_FIELDS}
     per_agent = _json_value(doc.get("per_agent", {}), "object", "params.per_agent")
     for key, overrides in per_agent.items():
-        try:
-            agent = int(key)
-        except ValueError:
-            raise GraphFormatError(f"params.per_agent: bad agent key {key!r}")
+        # Only the canonical spelling str(i) names agent i, so that no two
+        # keys (such as "1" and "01") can address the same agent.
+        if not (key.isascii() and key.isdigit() and key == str(int(key))):
+            raise GraphFormatError(
+                f"params.per_agent: bad agent key {key!r}; agent keys are "
+                "decimal integers without sign, spaces or leading zeros")
+        agent = int(key)
         if not 0 <= agent < n:
             raise GraphFormatError(f"params.per_agent: agent {agent} out of range")
         where = f"params.per_agent[{key}]"

@@ -4,6 +4,9 @@ The balance search and the scalar consensus run are written against plain
 Python floats, lists and dicts on purpose: they must not share code paths
 (or bugs) with the package.
 
+The trajectory writer formats every value of every row, the plain form of
+the package's writer, which formats only what changed.
+
 The per-agent trigger formulas below evaluate one agent at a time from the
 graph's edge accessors, with small numpy products.  The engine
 (``sim.CompiledScenario`` and ``sim.step``) evaluates the same formulas
@@ -172,6 +175,24 @@ def scalar_consensus_run(n, edges, x0, sigma, theta, beta, delta, chi0,
         chi_traj.append(list(chi))
 
     return traj, chi_traj, events
+
+
+def write_trajectory_csv(record, path) -> None:
+    """Reference ``trajectory.csv`` writer: every value of every grid row is
+    formatted with ``repr``, with no text kept from the row above.  The
+    package's writer formats a held ``xhat``/``qhat`` pair only when it
+    changes, and must produce these bytes."""
+    n, d = record.n, record.d
+    labels = [f",{i},{c}," for i in range(n) for c in range(d)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("time,agent,dim,x,xhat,qhat\n")
+        for t, xs, hs, qs in zip(record.times, record.states,
+                                 record.broadcasts, record.controls):
+            ts = repr(float(t))
+            row_x, row_h, row_q = xs.tolist(), hs.tolist(), qs.tolist()
+            fh.writelines(
+                f"{ts}{labels[c]}{row_x[c]!r},{row_h[c]!r},{row_q[c]!r}\n"
+                for c in range(n * d))
 
 
 def quadratic_roots(b, c):

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -12,12 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from mwconsensus import mwgraph, scenario_io, sim, trigger
 from mwconsensus.analysis import RunSummary, event_stats
 from mwconsensus.builtin import REFERENCE_U0, leader_follower_scenario, \
     leaderless_scenario
 from mwconsensus.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, \
     main, write_artifacts
+from mwconsensus.errors import Diverged
 from mwconsensus.trigger import LeaderFollower
 
 
@@ -442,6 +445,81 @@ class TestRun:
         normal = json.loads(
             (next(normal_root.iterdir()) / "summary.json").read_text())
         assert set(forced) == set(normal)
+
+
+class TestWriterOracle:
+    """``write_artifacts`` formats a held ``xhat``/``qhat`` pair only when
+    it changes; its ``trajectory.csv`` must equal the bytes of the reference
+    writer, which formats every value of every row."""
+
+    @staticmethod
+    def assert_writers_agree(record, tmp_path):
+        write_artifacts(record, tmp_path / "cli")
+        oracles.write_trajectory_csv(record, tmp_path / "oracle.csv")
+        assert (tmp_path / "cli" / "trajectory.csv").read_bytes() \
+            == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("build", [leaderless_scenario,
+                                       leader_follower_scenario])
+    def test_builtins(self, build, tmp_path):
+        self.assert_writers_agree(sim.run(build(seed=3, horizon=0.5)),
+                                  tmp_path)
+
+    def test_static_baseline(self, tmp_path):
+        scenario = dataclasses.replace(leaderless_scenario(seed=3, horizon=0.5),
+                                       baseline=sim.BASELINE_STATIC)
+        self.assert_writers_agree(sim.run(scenario), tmp_path)
+
+    def test_diverged_partial_record(self, tmp_path):
+        doc = small_scenario_doc(weight=1000.0, horizon=10.0)
+        doc["sim"]["dt"] = 0.1
+        scenario, _ = scenario_io.parse_scenario(doc)
+        with pytest.raises(Diverged) as info:
+            sim.run(scenario)
+        record = info.value.partial_record
+        assert len(record.times) <= scenario.step_count
+        self.assert_writers_agree(record, tmp_path)
+
+    def test_signed_zeros_and_repeats(self, tmp_path):
+        """Held values that flip between 0.0 and -0.0 (equal as floats,
+        different as text) and values that return after a change."""
+        record = sim.run(leaderless_scenario(seed=0, horizon=0.012))
+        rows, nd = record.broadcasts.shape
+        rng = np.random.default_rng(11)
+        pool = np.array([0.0, -0.0, 1.5, -2.25, 5e-324, 0.1])
+        held = []
+        for _ in range(2):
+            values = pool[rng.integers(len(pool), size=(rows, nd))]
+            repeat = rng.random((rows, nd)) < 0.5
+            for k in range(1, rows):
+                values[k, repeat[k]] = values[k - 1, repeat[k]]
+            held.append(values)
+        h, q = held
+        flips = np.where(np.arange(rows) % 2 == 0, 0.0, -0.0)
+        h[:, 0], q[:, 0] = flips, 1.0   # only xhat's sign flips
+        h[:, 1], q[:, 1] = 1.0, -flips  # only qhat's sign flips
+        h[:, 2], q[:, 2] = flips, flips  # both flip together
+        assert (np.signbit(h[1:, 0]) != np.signbit(h[:-1, 0])).all()
+        record = dataclasses.replace(record, broadcasts=h, controls=q)
+        self.assert_writers_agree(record, tmp_path)
+
+
+class TestPhases:
+    def test_phases_line_and_unchanged_bytes(self, tmp_path, capsys):
+        """``run`` prints one line of load, simulate and write times, and
+        the artifacts are the bytes of the same run written directly."""
+        out_root = tmp_path / "runs"
+        assert main(["replicate-paper", "lf", "--seed", "2", "--T", "0.5",
+                     "--out", str(out_root)]) == EXIT_OK
+        out = capsys.readouterr().out
+        phases = [line for line in out.splitlines() if "phases:" in line]
+        assert len(phases) == 1 and "wall time" not in out
+        assert re.fullmatch(r"  phases: load \d+\.\d\d s, simulate \d+\.\d\d "
+                            r"s, write \d+\.\d\d s", phases[0])
+        direct = tmp_path / "direct"
+        write_artifacts(sim.run(leader_follower_scenario(seed=2, horizon=0.5)),
+                        direct)
+        assert file_hashes(next(out_root.iterdir())) == file_hashes(direct)
 
 
 #: Non-finite parameters and states, which would run into numpy overflow

@@ -72,6 +72,20 @@ class TestParsing:
         with pytest.raises(GraphFormatError, match="out of range"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("alias", ["01", " 1", "1 ", "1_0", "+1", "-0",
+                                       "١", "1.0"])
+    def test_per_agent_alias_key_refused(self, alias):
+        """Only str(i) names agent i: int() would also accept each of these
+        spellings, and the later of two aliasing keys would silently win."""
+        doc = minimal_doc()
+        doc["params"]["per_agent"] = {"1": {"theta": 0.7},
+                                      alias: {"theta": 0.9}}
+        with pytest.raises(GraphFormatError) as info:
+            parse_scenario(doc)
+        message = str(info.value)
+        assert "\n" not in message
+        assert f"bad agent key {alias!r}" in message
+
     def test_lf_mode_requires_u0(self):
         doc = minimal_doc()
         doc["mode"] = {"kind": "leader-follower"}

@@ -632,3 +632,52 @@ class TestScalarOracleEquivalence:
         assert np.max(np.abs(rec.chi - d * scalar_chi)) <= 1e-9, case
         for i in range(n):
             assert list(rec.events[i]) == events[i], (case, i)
+
+
+def flip_gauge(sc, s):
+    """The scenario in the gauge D = diag(s) ⊗ I_d: every weight becomes
+    s_i s_j A_ij, every input coupling s_i B_il, and x0 becomes D x0."""
+    g, d = sc.graph, sc.graph.d
+    graph = MatrixWeightedGraph.from_edges(
+        g.n, d, [(e.i, e.j, s[e.i] * s[e.j] * e.weight) for e in g.edges])
+    mode = sc.mode
+    if isinstance(mode, LeaderFollower):
+        coupling = InputCoupling.from_entries(
+            mode.coupling.m,
+            [(c.i, c.j, s[c.i] * c.weight) for c in mode.coupling.entries], d)
+        mode = LeaderFollower(u0=mode.u0, coupling=coupling)
+    return dataclasses.replace(sc, graph=graph, mode=mode,
+                               x0=np.repeat(s, d) * sc.initial_state())
+
+
+class TestGaugeCovariance:
+    """Flipping the gauge of a node set is a change of coordinates: the run
+    in the new gauge is the old run times D, bit for bit, with the same
+    thresholds and the same events."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: leaderless_scenario(seed=4, horizon=2.0),
+        lambda: leader_follower_scenario(seed=4, horizon=2.0),
+        lambda: dataclasses.replace(random_balanced_scenario(), horizon=1.0),
+        lambda: isolated_psd_nsd_scenario(lf=True),
+    ], ids=["leaderless", "leader-follower", "random-balanced",
+            "psd-nsd-inputs"])
+    @pytest.mark.parametrize("flip_seed", range(3))
+    def test_flip_is_bitwise_covariant(self, make, flip_seed):
+        sc = make()
+        n = sc.graph.n
+        rng = np.random.default_rng(flip_seed)
+        s = np.ones(n)
+        s[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = -1.0
+        # A change of coordinates needs no structural assumption, and the
+        # isolated agent of the PSD/NSD case fails Assumption 1.
+        base = run(dataclasses.replace(sc, x0=sc.initial_state()),
+                   check_assumptions=False)
+        flipped = run(flip_gauge(sc, s), check_assumptions=False)
+        D = np.repeat(s, sc.graph.d)
+        np.testing.assert_array_equal(flipped.states, base.states * D)
+        np.testing.assert_array_equal(flipped.broadcasts, base.broadcasts * D)
+        assert flipped.chi.tobytes() == base.chi.tobytes()
+        for a, b in zip(flipped.events, base.events):
+            np.testing.assert_array_equal(a, b)
+        assert sum(len(ev) for ev in base.events) > n  # not only t = 0

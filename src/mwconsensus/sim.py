@@ -3,25 +3,36 @@
 Both protocols run one trigger law with a compiled gain and a slack (see
 :mod:`mwconsensus.trigger`).  The slack and the control ``qhat`` depend only
 on the broadcasts, so the state holds them until the next broadcast and the
-flow is exactly affine on each step: ``x(t + dt) = x(t) + dt * qhat``.  The
-auxiliary variables are advanced with a classical 4-stage explicit
-integration; inside a step the error is affine in time and the slack is
-frozen, so the drive is a polynomial and the per-step error comes from the
-decay ``-beta_i chi_i`` alone.  The update multiplies chi_i by the stability
-function ``R(-beta_i dt)`` per step, which decays only while ``beta_i dt``
-stays below :data:`CHI_STEP_LIMIT`; validation refuses larger steps.
+flow is exactly affine on each step: ``x(t + dt) = x(t) + dt * qhat``.
 
-Triggers are checked only at step boundaries and reported event times are
-grid times.  The mechanisms guarantee strictly positive dwell times, so a
-sufficiently small step (default 1e-3) resolves the event sequence; this is
-a documented approximation, not a root-finding event detector.  When several
-agents violate their thresholds at the same boundary, all broadcasts apply
-atomically before the next step.
+Between broadcasts each error is affine in time, ``e_i = e0_i - tau q_i``,
+so the auxiliary variable obeys a linear ODE with a drive quadratic in the
+time ``tau`` since the last broadcast (the anchor):
+``chi' = -beta chi + a0 + a1 tau + a2 tau^2``.  Its exact solution,
+
+    chi(tau) = e^z chi_s + tau phi1(z) a0 + tau^2 phi2(z) a1
+               + 2 tau^3 phi3(z) a2,    z = -beta tau,
+
+with the exponential-integrator functions ``phi_k`` (Hochbruck & Ostermann,
+Acta Numerica 2010), is evaluated from the anchor, so no step limit applies
+and every value is independent of how the grid is split.
+
+:func:`step` advances a window of grid steps and stops at the first step
+at which an agent fires.  The states of the window are the running sums of
+``dt * qhat`` rows, accumulated in the record's own rows in the order a
+step-by-step loop adds them, so they are bit for bit those of one step at a
+time.  Triggers are checked only at step boundaries and reported event
+times are grid times.  The mechanisms guarantee strictly positive dwell
+times, so a sufficiently small step (default 1e-3) resolves the event
+sequence; this is a documented approximation, not a root-finding event
+detector.  When several agents violate their thresholds at the same
+boundary, all broadcasts apply atomically before the next step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -39,11 +50,18 @@ DIVERGENCE_GUARD = 1e9
 #: Relative tolerance on T being an integer multiple of dt.
 STEP_GRID_RTOL = 1e-9
 
-#: Largest beta_i * dt whose 4-stage chi update still decays.  Per step
-#: the update multiplies chi_i by R(-z) = 1 - z + z^2/2 - z^3/6 + z^4/24 at
-#: z = beta_i * dt, and R(-z) < 1 exactly while z is below the real root of
-#: z^3 - 4 z^2 + 12 z - 24 = 0 (from R(-z) = 1, z > 0).
-CHI_STEP_LIMIT = 2.785293563405282
+#: Float64 values in one window's (rows x n*d) temporaries.  A window holds
+#: at most max(1, WINDOW_VALUES // (n*d)) rows, so its scratch arrays stay
+#: a few MiB at most next to the record that validation sizes.
+WINDOW_VALUES = 1 << 16
+
+#: Below this |z|, phi_1..phi_3 come from the series of phi_3; above it
+#: from expm1, whose downward recurrence loses about 6 eps / z^2 in phi_3.
+PHI_SERIES_CUT = 0.05
+
+#: 1/(m+3)! for m = 7..0: the first eight terms of phi_3's series, highest
+#: first for Horner's rule.  The next term is below 1e-17 of phi_3 at the cut.
+_PHI3_SERIES = tuple(1.0 / math.factorial(m + 3) for m in range(7, -1, -1))
 
 #: More adjacent-step firings than this raise a dwell warning.
 CONSECUTIVE_FIRE_WARN = 10
@@ -119,7 +137,8 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
     elif sc.dt > 0.0:
         steps, n, nd = sc.horizon / sc.dt, sc.graph.n, sc.graph.n * sc.graph.d
         # The record keeps states, broadcasts and controls (nd each), chi (n)
-        # and the time at every grid point, all float64.
+        # and the time at every grid point, all float64.  The step loop adds
+        # only window scratch bounded by WINDOW_VALUES.
         need, have = (8.0 * (steps + 1.0) * (3 * nd + n + 1),
                       mwgraph.physical_memory())
         if not need < have:
@@ -137,16 +156,6 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
     if sc.params.n != sc.graph.n:
         out.append(f"params cover {sc.params.n} agents, graph has {sc.graph.n}")
     out.extend(str(v) for v in trigger.validate_params(sc.params))
-    if 0.0 < sc.dt < np.inf:
-        # Agents whose beta validate_params refuses already have their line.
-        beta = sc.params.beta
-        with np.errstate(over="ignore"):  # an overflowed product is refused
-            z = beta * sc.dt
-        out.extend(f"agent {i}: beta * dt = {z[i]:.6g} must be below "
-                   f"{CHI_STEP_LIMIT:.6g}, where the 4-stage chi update "
-                   "stops decaying"
-                   for i in np.flatnonzero((0.0 < beta) & (beta < np.inf)
-                                           & (z >= CHI_STEP_LIMIT)))
     if sc.x0 is not None and sc.x0.shape != (sc.graph.n * sc.graph.d,):
         out.append(f"x0 must have length n*d={sc.graph.n * sc.graph.d}, "
                    f"got {sc.x0.shape}")
@@ -209,14 +218,20 @@ class TrajectoryRecord:
 
 @dataclass
 class SimState:
-    """Between-step state: time, states, broadcasts, thresholds, held terms."""
+    """State at grid index ``k``: states, broadcasts, thresholds, the held
+    terms, and the anchor (grid index ``anchor`` of the last broadcast, with
+    the threshold ``chi_anchor`` there and the coefficients ``drive`` =
+    (a0, a1, a2) of the chi drive polynomial in the time since it)."""
 
-    t: float
+    k: int
     x: np.ndarray
     xhat: np.ndarray
     chi: np.ndarray
     q: np.ndarray
     slack: np.ndarray
+    anchor: int
+    chi_anchor: np.ndarray
+    drive: np.ndarray
 
 
 class CompiledScenario:
@@ -295,64 +310,129 @@ def compile_scenario(sc: Scenario) -> CompiledScenario:
     return CompiledScenario(sc)
 
 
+def _anchored(compiled: CompiledScenario, k: int, x: np.ndarray,
+              xhat: np.ndarray, chi: np.ndarray) -> SimState:
+    """State just after the broadcasts ``xhat`` at grid index ``k``: the held
+    terms, and the chi drive ``delta * (slack - gain |e0 - tau q|^2)`` as a
+    polynomial in the time ``tau`` since ``k``."""
+    n, d = compiled.n, compiled.d
+    q, slack = compiled.held_terms(xhat)
+    e0 = (xhat - x).reshape(n, d)
+    q_blocks = q.reshape(n, d)
+    dk = compiled.delta * compiled.gain
+    drive = np.array([
+        compiled.delta * (slack - compiled.gain
+                          * np.einsum("ij,ij->i", e0, e0)),
+        2.0 * dk * np.einsum("ij,ij->i", e0, q_blocks),
+        -dk * np.einsum("ij,ij->i", q_blocks, q_blocks)])
+    return SimState(k, x, xhat, chi, q, slack, k, chi, drive)
+
+
 def initial_sim_state(compiled: CompiledScenario,
                       x0: Optional[np.ndarray] = None) -> SimState:
     sc = compiled.scenario
     x = sc.initial_state() if x0 is None else np.array(x0, dtype=float)
     # Every agent broadcasts at t = 0, so the error starts at exactly zero.
-    return SimState(0.0, x, x.copy(), np.array(compiled.chi0),
-                    *compiled.held_terms(x))
+    return _anchored(compiled, 0, x, x.copy(), np.array(compiled.chi0))
 
 
-def step(state: SimState, dt: float,
-         compiled: CompiledScenario) -> tuple[SimState, np.ndarray]:
-    """Advance one step and apply any triggered broadcasts.
+def _phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi_1, phi_2, phi_3 at z < 0, elementwise: phi_k(z) = sum_m z^m /
+    (m + k)!, so phi_1 = (e^z - 1) / z and phi_{k+1} = (phi_k - 1/k!) / z.
 
-    Order of operations: (a) exact affine state update under the held
-    control, checked against the divergence guard before anything else is
-    computed from it; (b) 4-stage explicit update of the auxiliary variables
-    along the segment; (c) threshold evaluation at the segment end with the
-    advanced values; (d) atomic rebroadcast for every agent that fired, which
-    renews the held terms.  Returns the post-broadcast state and the fired
-    agents.
+    Where |z| < PHI_SERIES_CUT that recurrence cancels, so phi_3 is summed
+    from its series and phi_2, phi_1 follow upward, which is stable.  Every
+    value depends on its own z alone."""
+    small = z > -PHI_SERIES_CUT
+    if small.all():
+        return _phi_series(z)
+    if not small.any():
+        return _phi_expm1(z)
+    series = _phi_series(z)
+    # The expm1 branch never sees a small z, so it never divides by zero.
+    rec = _phi_expm1(np.where(small, -1.0, z))
+    return tuple(np.where(small, s, r) for s, r in zip(series, rec))
+
+
+def _phi_series(z):
+    phi3 = np.full_like(z, _PHI3_SERIES[0])
+    for c in _PHI3_SERIES[1:]:
+        phi3 *= z
+        phi3 += c
+    phi2 = z * phi3 + 0.5
+    return z * phi2 + 1.0, phi2, phi3
+
+
+def _phi_expm1(z):
+    phi1 = np.expm1(z) / z
+    phi2 = (phi1 - 1.0) / z
+    return phi1, phi2, (phi2 - 0.5) / z
+
+
+def step(state: SimState, dt: float, compiled: CompiledScenario,
+         states: np.ndarray, chi: np.ndarray) -> tuple[SimState, np.ndarray]:
+    """Advance a window of grid steps under the held terms, up to the first
+    step at which an agent fires, and apply its broadcasts.
+
+    ``states`` holds record rows ``k .. k + w`` and ``chi`` rows
+    ``k + 1 .. k + w``, for ``k = state.k`` and a window of ``w >= 1``
+    steps; the rows up to the step the window ends at are filled, later ones
+    are left unspecified.  Per step, in order: (a) the exact affine state
+    update, accumulated from ``state.x`` and checked against the divergence
+    guard before anything is computed from it (a window ends before the
+    first step that fails the guard; :class:`Diverged` is raised when that
+    is its first step); (b) the closed-form threshold from the anchor; (c)
+    the trigger test at the step's end.  At the first step where an agent
+    fires, (d) every agent that fired rebroadcasts atomically, which renews
+    the held terms and the anchor.  A window of one step is one grid step.
+    Returns the state where the window ended and the agents that fired there.
     """
     n, d = compiled.n, compiled.d
-    x_next = state.x + dt * state.q
-    if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > DIVERGENCE_GUARD:
-        raise Diverged(
-            f"state norm exceeded {DIVERGENCE_GUARD:g} at t={state.t + dt:g}")
+    w = len(chi)
+    window = states[:w + 1]
+    window[0] = state.x
+    window[1:] = dt * state.q
+    # Rows past a divergence may overflow; they are cut before any use.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The same additions either way: accumulate runs one column at a
+        # time, so a few wide rows are faster added row by row.
+        if n * d >= 16 * w:
+            for j in range(1, w + 1):
+                np.add(window[j - 1], window[j], out=window[j])
+        else:
+            np.add.accumulate(window, axis=0, out=window)
+        rows = window[1:]
+        peak = np.abs(rows).max(axis=1)
+    guarded = peak <= DIVERGENCE_GUARD  # false for inf and nan too
+    if not guarded.all():
+        w = int(np.argmin(guarded))
+        if w == 0:
+            raise Diverged(f"state norm exceeded {DIVERGENCE_GUARD:g} at "
+                           f"t={(state.k + 1) * dt:g}")
+        rows, chi = rows[:w], chi[:w]
 
-    e0 = (state.xhat - state.x).reshape(n, d)
-    q_blocks = state.q.reshape(n, d)
-
-    def drive(s: float) -> np.ndarray:
-        shifted = e0 - s * q_blocks
-        e_sq = np.einsum("ij,ij->i", shifted, shifted)
-        return compiled.delta * (state.slack - compiled.gain * e_sq)
-
-    g0 = drive(0.0)
-    gh = drive(dt / 2.0)
-    g1 = drive(dt)
-    beta = compiled.beta
-    chi = state.chi
-    k1 = -beta * chi + g0
-    k2 = -beta * (chi + dt / 2.0 * k1) + gh
-    k3 = -beta * (chi + dt / 2.0 * k2) + gh
-    k4 = -beta * (chi + dt * k3) + g1
-    chi_next = chi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    e_end = (state.xhat - x_next).reshape(n, d)
-    e_sq_end = np.einsum("ij,ij->i", e_end, e_end)
-    lhs = compiled.theta * (compiled.gain * e_sq_end - state.slack)
-    threshold = np.zeros(n) if compiled.static_baseline else chi_next
-    fired = np.flatnonzero(lhs > threshold)
-
-    xhat, q, slack = state.xhat, state.q, state.slack
-    if fired.size:
-        xhat = xhat.copy()
-        xhat.reshape(n, d)[fired] = x_next.reshape(n, d)[fired]
-        q, slack = compiled.held_terms(xhat)
-    return SimState(state.t + dt, x_next, xhat, chi_next, q, slack), fired
+    e = (state.xhat - rows).reshape(w, n, d)
+    lhs = compiled.theta * (compiled.gain * np.einsum("kij,kij->ki", e, e)
+                            - state.slack)
+    offset = state.k - state.anchor
+    tau = np.arange(offset + 1, offset + w + 1) * dt
+    z = np.multiply.outer(tau, -compiled.beta)
+    phi1, phi2, phi3 = _phi(z)
+    a0, a1, a2 = state.drive
+    tau = tau[:, None]
+    chi[:] = np.exp(z) * state.chi_anchor + tau * (
+        phi1 * a0 + tau * (phi2 * a1 + 2.0 * tau * phi3 * a2))
+    hits = lhs > (0.0 if compiled.static_baseline else chi)
+    fire_rows = np.flatnonzero(hits.any(axis=1))
+    if not fire_rows.size:
+        return replace(state, k=state.k + w, x=rows[-1].copy(),
+                       chi=chi[-1].copy()), fire_rows
+    j = int(fire_rows[0])
+    fired = np.flatnonzero(hits[j])
+    x = rows[j].copy()
+    xhat = state.xhat.copy()
+    xhat.reshape(n, d)[fired] = x.reshape(n, d)[fired]
+    return _anchored(compiled, state.k + j + 1, x, xhat, chi[j].copy()), fired
 
 
 def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
@@ -361,6 +441,10 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
     Raises :class:`InvalidScenario` with the full violation list before
     touching the integrator, and :class:`Diverged` (carrying the partial
     record) if the divergence guard trips.
+
+    Each window is twice as wide as the time since the last broadcast (one
+    step at the start), capped by :data:`WINDOW_VALUES`; no value depends
+    on the width.
     """
     violations = validate_scenario(sc, assumptions=check_assumptions)
     if violations:
@@ -370,6 +454,7 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
     n, d = compiled.n, compiled.d
     steps = sc.step_count
     times = np.arange(steps + 1) * sc.dt
+    max_rows = max(1, WINDOW_VALUES // (n * d))
 
     states = np.empty((steps + 1, n * d))
     broadcasts = np.empty_like(states)
@@ -392,18 +477,22 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
             controls=controls[:upto + 1], events=ev, scenario=sc,
             limit_state=limit_state)
 
-    for k in range(steps):
-        controls[k] = state.q
+    k, width = 0, 1
+    while k < steps:
+        end = k + min(width, steps - k, max_rows)
         try:
-            state, fired = step(state, sc.dt, compiled)
+            nxt, fired = step(state, sc.dt, compiled, states[k:end + 1],
+                              chi[k + 1:end + 1])
         except Diverged as exc:
-            controls[k + 1:] = 0.0
+            controls[k] = state.q
             raise Diverged(str(exc), partial_record=finish(k)) from None
-        states[k + 1] = state.x
-        broadcasts[k + 1] = state.xhat
-        chi[k + 1] = state.chi
+        controls[k:nxt.k] = state.q
+        broadcasts[k + 1:nxt.k] = state.xhat
+        broadcasts[nxt.k] = nxt.xhat
         for i in fired:
-            events[i].append(float(times[k + 1]))
+            events[i].append(float(times[nxt.k]))
+        width = 2 * (nxt.k - state.anchor)
+        state, k = nxt, nxt.k
     controls[steps] = state.q
     return finish(steps)
 

@@ -12,6 +12,10 @@ graph's edge accessors, with small numpy products.  The engine
 (``sim.CompiledScenario`` and ``sim.step``) evaluates the same formulas
 vectorized over all agents from the edge arrays, so the two paths share
 the graph model but none of the trigger arithmetic.
+
+``four_stage_run`` is the step-at-a-time loop with the classical 4-stage
+update of the thresholds, against which the engine's windows and its
+closed-form thresholds are checked.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from mwconsensus import sim
 from mwconsensus.errors import MwcError
 from mwconsensus.linalg import matrix_abs, matrix_sgn
 from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph
@@ -175,6 +180,59 @@ def scalar_consensus_run(n, edges, x0, sigma, theta, beta, delta, chi0,
         chi_traj.append(list(chi))
 
     return traj, chi_traj, events
+
+
+def four_stage_run(sc):
+    """Step-at-a-time reference of ``sim.run`` (no validation, no
+    divergence guard): per grid step, the exact affine state update, the
+    classical 4-stage update of the thresholds along the step, the trigger
+    test at its end and the atomic rebroadcast.  Returns (states,
+    broadcasts, chi, controls, events) in the layout of the record."""
+    compiled = sim.compile_scenario(sc)
+    n, d, dt = compiled.n, compiled.d, sc.dt
+    beta = compiled.beta
+    x = sc.initial_state()
+    xhat = x.copy()
+    chi = np.array(compiled.chi0)
+    q, slack = compiled.held_terms(xhat)
+    states, broadcasts, chis, controls = [x], [xhat], [chi], []
+    events = [[0.0] for _ in range(n)]
+    for k in range(sc.step_count):
+        controls.append(q)
+        x_next = x + dt * q
+        e0 = (xhat - x).reshape(n, d)
+        q_blocks = q.reshape(n, d)
+
+        def drive(s):
+            shifted = e0 - s * q_blocks
+            e_sq = np.einsum("ij,ij->i", shifted, shifted)
+            return compiled.delta * (slack - compiled.gain * e_sq)
+
+        g0, gh, g1 = drive(0.0), drive(dt / 2.0), drive(dt)
+        k1 = -beta * chi + g0
+        k2 = -beta * (chi + dt / 2.0 * k1) + gh
+        k3 = -beta * (chi + dt / 2.0 * k2) + gh
+        k4 = -beta * (chi + dt * k3) + g1
+        chi = chi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        e_end = (xhat - x_next).reshape(n, d)
+        lhs = compiled.theta * (compiled.gain
+                                * np.einsum("ij,ij->i", e_end, e_end) - slack)
+        threshold = np.zeros(n) if compiled.static_baseline else chi
+        fired = np.flatnonzero(lhs > threshold)
+        if fired.size:
+            xhat = xhat.copy()
+            xhat.reshape(n, d)[fired] = x_next.reshape(n, d)[fired]
+            q, slack = compiled.held_terms(xhat)
+            for i in fired:
+                events[i].append((k + 1) * dt)
+        x = x_next
+        states.append(x)
+        broadcasts.append(xhat)
+        chis.append(chi)
+    controls.append(q)
+    return (np.array(states), np.array(broadcasts), np.array(chis),
+            np.array(controls), [np.array(e) for e in events])
 
 
 def write_trajectory_csv(record, path) -> None:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import functools
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -80,26 +82,6 @@ class TestValidation:
         mode = LeaderFollower(u0=np.array([0.5]), coupling=InputCoupling(0))
         sc = tiny_scenario(graph=g, mode=mode)
         assert any("assumption 2" in v for v in validate_scenario(sc))
-
-    def test_chi_step_limit(self):
-        """The 4-stage update multiplies chi by R(-beta dt) per step; the
-        limit is the root of R(-z) = 1, and agents at or past it are refused
-        under either baseline."""
-        def amplification(z):
-            return 1 - z + z**2 / 2 - z**3 / 6 + z**4 / 24
-        assert amplification(sim.CHI_STEP_LIMIT) == pytest.approx(1, abs=1e-12)
-        # Static baseline: no drive, so one step is the amplification alone.
-        rec = run(tiny_scenario(params=uniform_params(2, beta=2000.0),
-                                baseline="static", horizon=1e-3))
-        np.testing.assert_allclose(rec.chi[1], 0.5 * amplification(2.0),
-                                   rtol=1e-12)
-        beta = np.array([2000.0, 2786.0])
-        for baseline in ("dynamic", "static"):
-            sc = tiny_scenario(params=dataclasses.replace(
-                uniform_params(2), beta=beta), baseline=baseline)
-            assert [v for v in validate_scenario(sc) if "beta * dt" in v] \
-                == ["agent 1: beta * dt = 2.786 must be below 2.78529, where "
-                    "the 4-stage chi update stops decaying"]
 
     def test_x0_shape_checked(self):
         sc = tiny_scenario(x0=np.zeros(5))
@@ -271,11 +253,13 @@ class TestStepSemantics:
         sc = tiny_scenario(graph=g, x0=x0)
         compiled = compile_scenario(sc)
         state = initial_sim_state(compiled)
-        nxt, fired = step(state, sc.dt, compiled)
-        assert fired.size == 0
+        states, chi = np.empty((4, 2)), np.empty((3, 2))
+        nxt, fired = step(state, sc.dt, compiled, states, chi)
+        assert fired.size == 0 and nxt.k == 3 and nxt.anchor == 0
+        np.testing.assert_array_equal(states, [x0] * 4)
         np.testing.assert_array_equal(nxt.x, x0)
-        assert nxt.t == pytest.approx(sc.dt)
-        assert np.all(nxt.chi < state.chi)
+        np.testing.assert_array_equal(nxt.chi, chi[-1])
+        assert np.all(np.diff(np.vstack([state.chi, chi]), axis=0) < 0)
 
     def test_equilibrium_fixed_point(self):
         """Gauge-consensus initial state: no motion, no fires, chi decays."""
@@ -531,6 +515,21 @@ class TestStaticBaseline:
         np.testing.assert_allclose(
             stat.chi[:, 0], 0.5 * np.exp(-stat.times), rtol=1e-10)
 
+    @pytest.mark.parametrize("beta_dt", [2.0, 3.0, 100.0])
+    @pytest.mark.parametrize("sigma", [0.9, 0.0], ids=["silent", "every-step"])
+    def test_chi_exact_at_large_steps(self, beta_dt, sigma):
+        """With no drive chi is chi0 e^{-beta t} to rounding at any beta dt,
+        whether it is read from t = 0 (no broadcast) or carried from one
+        broadcast to the next (sigma = 0: every agent fires at every step).
+        Five steps keep e^{-beta t} a normal float at beta dt = 100."""
+        sc = tiny_scenario(params=uniform_params(2, beta=beta_dt / 1e-3,
+                                                 sigma=sigma),
+                           baseline="static", horizon=5e-3)
+        rec = run(sc)
+        want = 0.5 * np.exp(-sc.params.beta[None, :] * rec.times[:, None])
+        np.testing.assert_allclose(rec.chi, want, rtol=1e-15, atol=0.0)
+        assert [len(ev) for ev in rec.events] == [6 if sigma == 0.0 else 1] * 2
+
 
 class TestChiFloor:
     def test_delta_zero_exact(self):
@@ -681,3 +680,196 @@ class TestGaugeCovariance:
         for a, b in zip(flipped.events, base.events):
             np.testing.assert_array_equal(a, b)
         assert sum(len(ev) for ev in base.events) > n  # not only t = 0
+
+
+def phi_decimal(z: float, k: int) -> Decimal:
+    """phi_k(z) at 40 digits: its series below |z| = 1, else
+    (e^z - sum_{m<k} z^m / m!) / z^k, which cancels little there."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        z = Decimal(z)
+        if abs(z) < 1:
+            term, total, m = 1 / Decimal(math.factorial(k)), Decimal(0), 0
+            while abs(term) > Decimal("1e-50"):
+                total += term
+                m += 1
+                term = term * z / (m + k)
+            return +total
+        head = sum(z ** m / math.factorial(m) for m in range(k))
+        return (z.exp() - head) / z ** k
+
+
+class TestClosedFormThresholds:
+    """The thresholds come in closed form from the last broadcast; the
+    step-at-a-time 4-stage loop of ``oracles.four_stage_run`` checks them."""
+
+    def test_phi_against_decimal(self):
+        """Series side: a few ulps.  expm1 side: phi_{k+1} = (phi_k -
+        1/k!) / z cancels for small |z|, to at most about 4 k! eps /
+        |z|^(k-1)."""
+        cut = sim.PHI_SERIES_CUT
+        z = -np.concatenate([np.geomspace(1e-12, cut, 120, endpoint=False),
+                             np.geomspace(cut, 700.0, 200)])
+        small = z > -cut
+        assert small.sum() == 120
+        eps = np.finfo(float).eps
+        for k, got in enumerate(sim._phi(z), start=1):
+            want = np.array([float(phi_decimal(v, k)) for v in z.tolist()])
+            rel = np.abs(got - want) / want
+            assert rel[small].max() <= 4 * eps, k
+            bound = 4 * math.factorial(k) * eps \
+                * np.maximum(1.0, np.abs(z) ** (1 - k))
+            assert np.all(rel[~small] <= bound[~small]), k
+
+    @pytest.fixture(params=["leaderless", "leader-follower", "static",
+                            "random-balanced"])
+    def pair(self, request, ref_leaderless_record, ref_lf_record):
+        """A record of ``sim.run`` and the scenario it ran: both builtins at
+        their full horizon, the static baseline, a random balanced graph."""
+        return {
+            "leaderless": lambda: ref_leaderless_record,
+            "leader-follower": lambda: ref_lf_record,
+            "static": lambda: run(leaderless_scenario(seed=2, horizon=5.0,
+                                                      baseline="static")),
+            "random-balanced": lambda: run(dataclasses.replace(
+                random_balanced_scenario(), horizon=2.0)),
+        }[request.param]()
+
+    def test_run_matches_four_stage_oracle(self, pair):
+        """States, broadcasts and controls bitwise, the same events, and
+        chi within the 4-stage update's own error."""
+        rec = pair
+        states, broadcasts, chi, controls, events = \
+            oracles.four_stage_run(rec.scenario)
+        np.testing.assert_array_equal(rec.states, states)
+        np.testing.assert_array_equal(rec.broadcasts, broadcasts)
+        np.testing.assert_array_equal(rec.controls, controls)
+        for got, want in zip(rec.events, events):
+            np.testing.assert_array_equal(got, want)
+        assert np.max(np.abs(rec.chi - chi)) <= 1e-8
+        assert sum(len(ev) for ev in events) > 2 * rec.n
+
+
+def stepwise_run(sc):
+    """``sim.run``'s record built by calling ``sim.step`` with a window of
+    one grid step at every step.  Returns ((times, states, broadcasts, chi,
+    controls), events, divergence message or None), cut at the last finite
+    step on divergence."""
+    compiled = sim.compile_scenario(sc)
+    n, nd, steps = compiled.n, compiled.n * compiled.d, sc.step_count
+    times = np.arange(steps + 1) * sc.dt
+    states, broadcasts, controls = (np.empty((steps + 1, nd))
+                                    for _ in range(3))
+    chi = np.empty((steps + 1, n))
+    events = [[0.0] for _ in range(n)]
+    state = sim.initial_sim_state(compiled)
+    states[0], broadcasts[0], chi[0] = state.x, state.xhat, state.chi
+    message, k = None, 0
+    for k in range(steps):
+        controls[k] = state.q
+        try:
+            state, fired = sim.step(state, sc.dt, compiled,
+                                    states[k:k + 2], chi[k + 1:k + 2])
+        except Diverged as exc:
+            message = str(exc)
+            break
+        assert state.k == k + 1
+        broadcasts[k + 1] = state.xhat
+        for i in fired:
+            events[i].append(float(times[k + 1]))
+    else:
+        k = steps
+        controls[k] = state.q
+    arrays = (times, states, broadcasts, chi, controls)
+    return tuple(a[:k + 1] for a in arrays), events, message
+
+
+def assert_same_record(rec, arrays, events):
+    for got, want in zip((rec.times, rec.states, rec.broadcasts, rec.chi,
+                          rec.controls), arrays):
+        assert got.tobytes() == want.tobytes()
+    assert [e.tolist() for e in rec.events] == events
+
+
+class TestWindowWidth:
+    """Windows are an implementation detail: one grid step at a time gives
+    the record of ``sim.run`` bit for bit."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: leaderless_scenario(seed=1, horizon=5.0),
+        lambda: leader_follower_scenario(seed=1, horizon=5.0),
+        lambda: leaderless_scenario(seed=1, horizon=5.0, baseline="static"),
+    ], ids=["leaderless", "leader-follower", "static"])
+    def test_one_step_windows_equal_run(self, make):
+        sc = make()
+        rec = run(sc)
+        arrays, events, message = stepwise_run(sc)
+        assert message is None
+        assert_same_record(rec, arrays, events)
+        # The windows of run really were wider than one step.
+        longest = max(np.diff(np.unique(np.concatenate(rec.events))))
+        assert longest > 50 * sc.dt
+
+    @pytest.mark.parametrize("make", [
+        lambda: tiny_scenario(graph=scalar_graph(2, {(0, 1): 1000.0}),
+                              dt=0.1, horizon=50.0),
+        # No broadcast after t = 0: the state leaves the guard at step 51,
+        # inside the sixth window (steps 32-63).
+        lambda: tiny_scenario(graph=scalar_graph(2, {(0, 1): 1e10}),
+                              params=uniform_params(2, chi0=1e300),
+                              x0=np.array([1.0, -1.0]), horizon=1.0),
+    ], ids=["firing", "silent"])
+    def test_divergence_equal_to_one_step_windows(self, make):
+        sc = make()
+        with pytest.raises(Diverged) as info:
+            run(sc)
+        arrays, events, message = stepwise_run(sc)
+        assert str(info.value) == message
+        assert_same_record(info.value.partial_record, arrays, events)
+
+
+def relabel(sc, perm):
+    """The scenario with agent i renamed ``perm[i]``: edges, input
+    couplings, per-agent parameters and x0 follow their agent."""
+    g, d = sc.graph, sc.graph.d
+    old = np.argsort(perm)  # old[new label] = old label
+    graph = MatrixWeightedGraph.from_edges(
+        g.n, d, [(perm[e.i], perm[e.j], e.weight) for e in g.edges])
+    mode = sc.mode
+    if isinstance(mode, LeaderFollower):
+        coupling = InputCoupling.from_entries(
+            mode.coupling.m,
+            [(perm[c.i], c.j, c.weight) for c in mode.coupling.entries], d)
+        mode = LeaderFollower(u0=mode.u0, coupling=coupling)
+    p = sc.params
+    params = TriggerParams(p.sigma[old], p.theta[old], p.beta[old],
+                           p.delta[old], p.chi0[old])
+    x0 = sc.initial_state().reshape(g.n, d)[old].reshape(-1)
+    return dataclasses.replace(sc, graph=graph, mode=mode, params=params,
+                               x0=x0)
+
+
+class TestRelabellingInvariance:
+    """Renaming the agents renames the run: the same events and, up to the
+    changed summation order of the coupling, the same states."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: leaderless_scenario(seed=4, horizon=5.0),
+        lambda: leader_follower_scenario(seed=4, horizon=5.0),
+        lambda: dataclasses.replace(random_balanced_scenario(), horizon=1.0),
+    ], ids=["leaderless", "leader-follower", "random-balanced"])
+    @pytest.mark.parametrize("perm_seed", range(2))
+    def test_permuted_agents(self, make, perm_seed):
+        sc = make()
+        n, d = sc.graph.n, sc.graph.d
+        perm = np.random.default_rng(perm_seed).permutation(n)
+        base = run(sc)
+        renamed = run(relabel(sc, perm))
+        for i in range(n):
+            np.testing.assert_array_equal(renamed.events[perm[i]],
+                                          base.events[i])
+        back = renamed.states.reshape(-1, n, d)[:, perm].reshape(base.states.shape)
+        np.testing.assert_allclose(back, base.states, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(renamed.chi[:, perm], base.chi, rtol=1e-12,
+                                   atol=1e-12)
+        assert sum(len(ev) for ev in base.events) > n

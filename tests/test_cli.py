@@ -622,6 +622,21 @@ class TestExtremeInputs:
                for line in chi_csv.read_text().splitlines()[1:]]
         assert len(chi) == 6 * 51 and max(chi) == 0.5  # chi0
 
+    def test_chi_step_below_limit_runs(self, tmp_path, capsys):
+        """beta * dt = 2, below the 2.78529 limit of the former 4-stage chi
+        update, runs as before, and chi never exceeds chi0."""
+        doc = _set(("params", "beta"), 2000.0, leaderless_doc)()
+        doc["params"]["theta"] = 1.0
+        doc["sim"]["T"] = 0.05
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "runs")]) \
+            == EXIT_OK
+        chi_csv = next((tmp_path / "runs").iterdir()) / "chi.csv"
+        chi = [float(line.split(",")[2])
+               for line in chi_csv.read_text().splitlines()[1:]]
+        assert max(chi) == 0.5  # chi0: the update decays
+
     def test_infinite_beta_refused_once(self, tmp_path, capsys):
         """An agent whose beta is infinite is refused in one line."""
         assert assert_refused_alike(EXTREME["beta-inf"](), tmp_path, capsys) \

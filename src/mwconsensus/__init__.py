@@ -17,8 +17,8 @@ from .linalg import DefinitenessClass, classify_definiteness, matrix_abs, \
 from .mwgraph import InputCoupling, MatrixWeightedGraph, build_laplacian, \
     detect_structural_balance, leader_gauge, null_space, \
     predicted_bipartite_limit, verify_assumption1, verify_assumption2
-from .sim import Scenario, TrajectoryRecord, chi_floor_check, min_inter_event, \
-    run, step, validate_scenario
+from .sim import Scenario, TrajectoryRecord, chi_floor_check, \
+    min_inter_event_from, run, step, validate_scenario
 from .trigger import LeaderFollower, Leaderless, TriggerParams, gamma, \
     mu_bar, validate_params
 

@@ -110,7 +110,7 @@ def event_stats(record: TrajectoryRecord) -> RunSummary:
         rel_err = final_err / max(1.0, float(np.linalg.norm(xtilde)))
         v = (lyapunov_lf if lf else lyapunov_leaderless)(record, xtilde)
         decay = fit_decay_rate(record.times, v)
-    dwell = sim.min_inter_event(record)
+    dwell = sim.min_inter_event_from(record.events, sc.dt, sc.horizon)
     warnings = dwell.warnings
     if np.min(record.chi) <= 0.0:
         warnings = ("auxiliary variable dropped to a nonpositive value",

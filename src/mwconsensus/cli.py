@@ -67,10 +67,12 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json")) -> dict:
     The CSVs are written one grid row at a time, so writing needs little
     memory beyond the record itself.
 
-    Broadcasts and controls are held between events, so most ``xhat`` and
-    ``qhat`` values repeat the row above.  Each column keeps the text of its
-    held pair, and only the columns whose pair changed are formatted again;
-    the bytes are those of formatting every value on every row.
+    The record keeps the held ``xhat``/``qhat`` pair once per anchor (a
+    grid row at which some agent fired, or row 0).  Each column keeps the
+    text of its pair; at an anchor only the columns whose bits differ from
+    the previous anchor are formatted again, and every other row reuses the
+    text it holds.  The bytes are those of formatting every value on every
+    row.
     """
     outdir.mkdir(parents=True, exist_ok=True)
     sc = record.scenario
@@ -79,28 +81,29 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json")) -> dict:
         # Native floats (one row's .tolist() at a time) keep the writes out
         # of numpy scalar overhead without copying the record.
         labels = [f",{i},{c}," for i in range(n) for c in range(d)]
-        # changed[k, c]: the held pair of column c differs from row k - 1.
         # Bits are compared, not floats: 0.0 == -0.0, but their texts differ.
-        held_h = record.broadcasts.view(np.int64)
-        held_q = record.controls.view(np.int64)
-        changed = np.ones(held_h.shape, dtype=bool)
-        np.not_equal(held_h[1:], held_h[:-1], out=changed[1:])
-        changed[1:] |= held_q[1:] != held_q[:-1]
+        bits_h = record.held_xhat.view(np.int64)
+        bits_q = record.held_q.view(np.int64)
+        bounds = record.anchors.tolist() + [len(record.times)]
+        cols = range(n * d)  # row 0 formats every column
         tails = [""] * (n * d)
         with open(outdir / "trajectory.csv", "w", encoding="utf-8",
                   newline="\n") as fh:
             fh.write("time,agent,dim,x,xhat,qhat\n")
-            for t, xs, hs, qs, row_changed in zip(
-                    record.times, record.states, record.broadcasts,
-                    record.controls, changed):
-                cols = np.flatnonzero(row_changed).tolist()
-                if cols:
-                    row_h, row_q = hs.tolist(), qs.tolist()
-                    for c in cols:
-                        tails[c] = f",{row_h[c]!r},{row_q[c]!r}\n"
-                ts = repr(float(t))
-                fh.writelines([f"{ts}{label}{x!r}{tail}" for label, x, tail
-                               in zip(labels, xs.tolist(), tails)])
+            for a, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+                if a:
+                    changed = ((bits_h[a] != bits_h[a - 1])
+                               | (bits_q[a] != bits_q[a - 1]))
+                    cols = np.flatnonzero(changed).tolist()
+                row_h = record.held_xhat[a].tolist()
+                row_q = record.held_q[a].tolist()
+                for c in cols:
+                    tails[c] = f",{row_h[c]!r},{row_q[c]!r}\n"
+                for t, xs in zip(record.times[start:stop],
+                                 record.states[start:stop]):
+                    ts = repr(float(t))
+                    fh.writelines([f"{ts}{label}{x!r}{tail}" for label, x, tail
+                                   in zip(labels, xs.tolist(), tails)])
         with open(outdir / "chi.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("time,agent,chi\n")
             for t, chis in zip(record.times, record.chi):

@@ -136,10 +136,10 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
                    f"T={sc.horizon}")
     elif sc.dt > 0.0:
         steps, n, nd = sc.horizon / sc.dt, sc.graph.n, sc.graph.n * sc.graph.d
-        # The record keeps states, broadcasts and controls (nd each), chi (n)
-        # and the time at every grid point, all float64.  The step loop adds
-        # only window scratch bounded by WINDOW_VALUES.
-        need, have = (8.0 * (steps + 1.0) * (3 * nd + n + 1),
+        # 8 bytes each for the time, states (nd) and chi (n) of every grid
+        # point, and the index, xhat and q (nd each) of every anchor, at worst
+        # one per point.  The step loop adds window scratch (WINDOW_VALUES).
+        need, have = (8.0 * (steps + 1.0) * (3 * nd + n + 2),
                       mwgraph.physical_memory())
         if not need < have:
             out.append(f"T/dt = {steps:.6g} steps need {need / 2**30:.3g} GiB "
@@ -190,19 +190,19 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """Full grid-sampled history of one run.
-
-    ``broadcasts`` holds the post-event value at every grid time, so the
-    measurement error ``broadcasts - states`` is exactly zero at each agent's
-    event instants.  ``controls[k]`` is the control applied on the segment
-    ``[times[k], times[k+1])``; the final row repeats the terminal control.
+    """Grid-sampled history of one run: ``times``, ``states`` and ``chi``
+    per grid row, the held broadcasts and control once per *anchor* (row 0
+    and every row at which some agent fired).  Row ``a`` of ``held_xhat``
+    and ``held_q`` holds from grid row ``anchors[a]`` up to the next anchor;
+    the error ``xhat - x`` is exactly zero at each agent's event instants.
     """
 
     times: np.ndarray
     states: np.ndarray
-    broadcasts: np.ndarray
     chi: np.ndarray
-    controls: np.ndarray
+    anchors: np.ndarray
+    held_xhat: np.ndarray
+    held_q: np.ndarray
     events: tuple[np.ndarray, ...]
     scenario: Scenario
     limit_state: Optional[np.ndarray]
@@ -218,15 +218,14 @@ class TrajectoryRecord:
 
 @dataclass
 class SimState:
-    """State at grid index ``k``: states, broadcasts, thresholds, the held
-    terms, and the anchor (grid index ``anchor`` of the last broadcast, with
-    the threshold ``chi_anchor`` there and the coefficients ``drive`` =
+    """State at grid index ``k``: states, broadcasts, the held terms, and
+    the anchor (grid index ``anchor`` of the last broadcast, with the
+    threshold ``chi_anchor`` there and the coefficients ``drive`` =
     (a0, a1, a2) of the chi drive polynomial in the time since it)."""
 
     k: int
     x: np.ndarray
     xhat: np.ndarray
-    chi: np.ndarray
     q: np.ndarray
     slack: np.ndarray
     anchor: int
@@ -325,7 +324,7 @@ def _anchored(compiled: CompiledScenario, k: int, x: np.ndarray,
                           * np.einsum("ij,ij->i", e0, e0)),
         2.0 * dk * np.einsum("ij,ij->i", e0, q_blocks),
         -dk * np.einsum("ij,ij->i", q_blocks, q_blocks)])
-    return SimState(k, x, xhat, chi, q, slack, k, chi, drive)
+    return SimState(k, x, xhat, q, slack, k, chi, drive)
 
 
 def initial_sim_state(compiled: CompiledScenario,
@@ -425,8 +424,7 @@ def step(state: SimState, dt: float, compiled: CompiledScenario,
     hits = lhs > (0.0 if compiled.static_baseline else chi)
     fire_rows = np.flatnonzero(hits.any(axis=1))
     if not fire_rows.size:
-        return replace(state, k=state.k + w, x=rows[-1].copy(),
-                       chi=chi[-1].copy()), fire_rows
+        return replace(state, k=state.k + w, x=rows[-1].copy()), fire_rows
     j = int(fire_rows[0])
     fired = np.flatnonzero(hits[j])
     x = rows[j].copy()
@@ -457,15 +455,17 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
     max_rows = max(1, WINDOW_VALUES // (n * d))
 
     states = np.empty((steps + 1, n * d))
-    broadcasts = np.empty_like(states)
     chi = np.empty((steps + 1, n))
-    controls = np.empty_like(states)
+    # One anchor per grid row at worst; unwritten rows never become resident.
+    anchors = np.empty(steps + 1, dtype=np.int64)
+    held_xhat = np.empty_like(states)
+    held_q = np.empty_like(states)
     events: list[list[float]] = [[0.0] for _ in range(n)]
 
     state = initial_sim_state(compiled)
     states[0] = state.x
-    broadcasts[0] = state.xhat
-    chi[0] = state.chi
+    chi[0] = compiled.chi0
+    anchors[0], held_xhat[0], held_q[0] = 0, state.xhat, state.q
 
     limit_state = _limit_state(sc)
 
@@ -473,27 +473,26 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
         ev = tuple(np.array(e) for e in events)
         return TrajectoryRecord(
             times=times[:upto + 1], states=states[:upto + 1],
-            broadcasts=broadcasts[:upto + 1], chi=chi[:upto + 1],
-            controls=controls[:upto + 1], events=ev, scenario=sc,
-            limit_state=limit_state)
+            chi=chi[:upto + 1], anchors=anchors[:held],
+            held_xhat=held_xhat[:held], held_q=held_q[:held], events=ev,
+            scenario=sc, limit_state=limit_state)
 
-    k, width = 0, 1
+    k, width, held = 0, 1, 1
     while k < steps:
         end = k + min(width, steps - k, max_rows)
         try:
             nxt, fired = step(state, sc.dt, compiled, states[k:end + 1],
                               chi[k + 1:end + 1])
         except Diverged as exc:
-            controls[k] = state.q
             raise Diverged(str(exc), partial_record=finish(k)) from None
-        controls[k:nxt.k] = state.q
-        broadcasts[k + 1:nxt.k] = state.xhat
-        broadcasts[nxt.k] = nxt.xhat
+        if fired.size:
+            anchors[held], held_xhat[held], held_q[held] = \
+                nxt.k, nxt.xhat, nxt.q
+            held += 1
         for i in fired:
             events[i].append(float(times[nxt.k]))
         width = 2 * (nxt.k - state.anchor)
         state, k = nxt, nxt.k
-    controls[steps] = state.q
     return finish(steps)
 
 
@@ -527,6 +526,7 @@ class DwellStats:
 
 
 def min_inter_event_from(events, dt: float, horizon: float) -> DwellStats:
+    """Per-agent minimum inter-event time, plus adjacent-step firing streaks."""
     n = len(events)
     min_dwell = np.empty(n)
     max_consec = np.zeros(n, dtype=int)
@@ -551,9 +551,3 @@ def min_inter_event_from(events, dt: float, horizon: float) -> DwellStats:
                 f"agent {i} fired on {best} consecutive steps "
                 f"(threshold {CONSECUTIVE_FIRE_WARN})")
     return DwellStats(min_dwell, max_consec, tuple(warnings))
-
-
-def min_inter_event(record: TrajectoryRecord) -> DwellStats:
-    """Per-agent minimum inter-event time, plus adjacent-step firing streaks."""
-    return min_inter_event_from(record.events, record.scenario.dt,
-                                record.scenario.horizon)

@@ -5,7 +5,9 @@ Python floats, lists and dicts on purpose: they must not share code paths
 (or bugs) with the package.
 
 The trajectory writer formats every value of every row, the plain form of
-the package's writer, which formats only what changed.
+the package's writer, which formats only what changed.  It reads the held
+broadcasts and controls through ``held_rows``, which expands the record's
+anchor rows to one row per grid point.
 
 The per-agent trigger formulas below evaluate one agent at a time from the
 graph's edge accessors, with small numpy products.  The engine
@@ -235,6 +237,14 @@ def four_stage_run(sc):
             np.array(controls), [np.array(e) for e in events])
 
 
+def held_rows(record) -> tuple[np.ndarray, np.ndarray]:
+    """The record's held broadcasts and controls, one row per grid point:
+    each anchor row repeated up to the next anchor."""
+    counts = np.diff(np.append(record.anchors, len(record.times)))
+    return (np.repeat(record.held_xhat, counts, axis=0),
+            np.repeat(record.held_q, counts, axis=0))
+
+
 def write_trajectory_csv(record, path) -> None:
     """Reference ``trajectory.csv`` writer: every value of every grid row is
     formatted with ``repr``, with no text kept from the row above.  The
@@ -242,10 +252,11 @@ def write_trajectory_csv(record, path) -> None:
     changes, and must produce these bytes."""
     n, d = record.n, record.d
     labels = [f",{i},{c}," for i in range(n) for c in range(d)]
+    broadcasts, controls = held_rows(record)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time,agent,dim,x,xhat,qhat\n")
-        for t, xs, hs, qs in zip(record.times, record.states,
-                                 record.broadcasts, record.controls):
+        for t, xs, hs, qs in zip(record.times, record.states, broadcasts,
+                                 controls):
             ts = repr(float(t))
             row_x, row_h, row_q = xs.tolist(), hs.tolist(), qs.tolist()
             fh.writelines(

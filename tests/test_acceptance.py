@@ -16,7 +16,7 @@ from mwconsensus.builtin import PUBLISHED_MU_BAR, REFERENCE_BIPARTITION, \
 from mwconsensus.linalg import sym_eigen
 from mwconsensus.mwgraph import build_laplacian, detect_structural_balance, \
     extended_graph, null_space
-from mwconsensus.sim import Scenario, chi_floor_check, min_inter_event
+from mwconsensus.sim import Scenario, chi_floor_check, min_inter_event_from
 from mwconsensus.trigger import Leaderless, TriggerParams
 
 from conftest import random_balanced_scalar_graph
@@ -123,7 +123,8 @@ def test_a4_event_sparsity(ll_records, lf_records):
     for records in (ll_records, lf_records):
         for seed, rec in records.items():
             steps = rec.scenario.step_count
-            stats = min_inter_event(rec)
+            stats = min_inter_event_from(rec.events, rec.scenario.dt,
+                                         rec.scenario.horizon)
             for i, ev in enumerate(rec.events):
                 frac = len(ev) / steps
                 assert frac < 0.20, (seed, i, frac)

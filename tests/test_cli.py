@@ -23,6 +23,8 @@ from mwconsensus.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, \
 from mwconsensus.errors import Diverged
 from mwconsensus.trigger import LeaderFollower
 
+from test_sim import zero_error_fire_scenario
+
 
 SUMMARY_KEYS = {f.name for f in dataclasses.fields(RunSummary)}
 
@@ -392,8 +394,8 @@ class TestRun:
         peak stays below the record's own arrays."""
         record = sim.run(leaderless_scenario(seed=0, horizon=2.0))
         arrays = sum(a.nbytes for a in (record.times, record.states,
-                                        record.broadcasts, record.chi,
-                                        record.controls))
+                                        record.chi, record.anchors,
+                                        record.held_xhat, record.held_q))
         tracemalloc.start()
         try:
             write_artifacts(record, tmp_path)
@@ -480,11 +482,18 @@ class TestWriterOracle:
         assert len(record.times) <= scenario.step_count
         self.assert_writers_agree(record, tmp_path)
 
+    def test_zero_error_fires(self, tmp_path):
+        """A run whose later anchors repeat the held pair of the anchor
+        before them bit for bit."""
+        self.assert_writers_agree(sim.run(zero_error_fire_scenario()),
+                                  tmp_path)
+
     def test_signed_zeros_and_repeats(self, tmp_path):
-        """Held values that flip between 0.0 and -0.0 (equal as floats,
-        different as text) and values that return after a change."""
+        """Every row an anchor, with held values that flip between 0.0 and
+        -0.0 (equal as floats, different as text), values that return after
+        a change, and an anchor that repeats the one before it exactly."""
         record = sim.run(leaderless_scenario(seed=0, horizon=0.012))
-        rows, nd = record.broadcasts.shape
+        rows, nd = record.states.shape
         rng = np.random.default_rng(11)
         pool = np.array([0.0, -0.0, 1.5, -2.25, 5e-324, 0.1])
         held = []
@@ -500,7 +509,9 @@ class TestWriterOracle:
         h[:, 1], q[:, 1] = 1.0, -flips  # only qhat's sign flips
         h[:, 2], q[:, 2] = flips, flips  # both flip together
         assert (np.signbit(h[1:, 0]) != np.signbit(h[:-1, 0])).all()
-        record = dataclasses.replace(record, broadcasts=h, controls=q)
+        h[5], q[5] = h[4], q[4]  # an anchor that changes nothing
+        record = dataclasses.replace(record, anchors=np.arange(rows),
+                                     held_xhat=h, held_q=q)
         self.assert_writers_agree(record, tmp_path)
 
 

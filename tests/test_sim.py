@@ -14,8 +14,8 @@ from mwconsensus.errors import Diverged, InvalidScenario
 from mwconsensus.linalg import sym_eigen, sym_sqrt
 from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
     build_laplacian
-from mwconsensus.sim import Scenario, chi_floor_check, min_inter_event, \
-    run, validate_scenario
+from mwconsensus.sim import Scenario, chi_floor_check, \
+    min_inter_event_from, run, validate_scenario
 from mwconsensus.trigger import LeaderFollower, Leaderless, TriggerParams
 
 import oracles
@@ -199,6 +199,14 @@ def isolated_psd_nsd_scenario(lf=False):
                     horizon=0.05, seed=2)
 
 
+def zero_error_fire_scenario():
+    """Two agents whose coarse steps reach consensus at step 5 with chi < 0:
+    from then on both fire at every step with zero error, so anchors 6-10
+    repeat the held pair of the anchor before them bit for bit (qhat is
+    -0.0)."""
+    return tiny_scenario(x0=np.array([1.0, 0.0]), dt=0.5, horizon=5.0)
+
+
 def fire_steps(record) -> int:
     """Grid steps at which at least one agent broadcast (t = 0 excluded)."""
     return len({t for ev in record.events for t in ev[1:].tolist()})
@@ -206,7 +214,8 @@ def fire_steps(record) -> int:
 
 class TestHeldTerms:
     """The control and the trigger slack are recomputed only at broadcasts,
-    and the recorded controls are exactly those of the recorded broadcasts."""
+    and the recorded controls are exactly those of the recorded broadcasts
+    at every grid row."""
 
     @pytest.fixture(params=["leaderless", "leader-follower", "static"])
     def make(self, request):
@@ -222,9 +231,10 @@ class TestHeldTerms:
         sc = make()
         rec = run(sc)
         compiled = sim.compile_scenario(sc)
+        broadcasts, controls = oracles.held_rows(rec)
         for k in range(len(rec.times)):
-            assert np.array_equal(rec.controls[k],
-                                  compiled.control(rec.broadcasts[k])), k
+            assert np.array_equal(controls[k],
+                                  compiled.control(broadcasts[k])), k
 
     def test_held_terms_computed_once_per_broadcast(self, make, monkeypatch):
         calls = {"control": 0, "disagreement_terms": 0}
@@ -240,9 +250,49 @@ class TestHeldTerms:
         rec = run(sc)
         want = 1 + fire_steps(rec)
         assert want < len(rec.times) // 2
-        assert calls["control"] == want
+        assert calls["control"] == want == len(rec.anchors)
         leaderless = not isinstance(sc.mode, LeaderFollower)
         assert calls["disagreement_terms"] == (want if leaderless else 0)
+
+
+class TestAnchors:
+    """The record keeps the held pair once per anchor: row 0 and every grid
+    row at which some agent fired."""
+
+    @pytest.fixture(params=["leaderless", "leader-follower", "static",
+                            "random-balanced", "zero-error", "diverged"])
+    def record(self, request, ref_leaderless_record, ref_lf_record):
+        if request.param == "diverged":
+            sc = tiny_scenario(graph=scalar_graph(2, {(0, 1): 1000.0}),
+                               dt=0.1, horizon=50.0)
+            with pytest.raises(Diverged) as info:
+                run(sc)
+            return info.value.partial_record
+        return {
+            "leaderless": lambda: ref_leaderless_record,
+            "leader-follower": lambda: ref_lf_record,
+            "static": lambda: run(leaderless_scenario(seed=2, horizon=5.0,
+                                                      baseline="static")),
+            "random-balanced": lambda: run(dataclasses.replace(
+                random_balanced_scenario(), horizon=2.0)),
+            "zero-error": lambda: run(zero_error_fire_scenario()),
+        }[request.param]()
+
+    def test_anchor_invariants(self, record):
+        """Anchors start at row 0 and increase strictly; the grid times of
+        the later ones are exactly the distinct nonzero event times; each
+        held control is bitwise the control of its held broadcasts."""
+        rec = record
+        anchors = rec.anchors
+        assert anchors[0] == 0 and np.all(np.diff(anchors) > 0)
+        assert rec.held_xhat.shape == rec.held_q.shape \
+            == (len(anchors), rec.n * rec.d)
+        fired = np.unique(np.concatenate(rec.events))
+        np.testing.assert_array_equal(rec.times[anchors[1:]],
+                                      fired[fired > 0.0])
+        compiled = sim.compile_scenario(rec.scenario)
+        for a, (xhat, q) in enumerate(zip(rec.held_xhat, rec.held_q)):
+            assert compiled.control(xhat).tobytes() == q.tobytes(), a
 
 
 class TestStepSemantics:
@@ -258,8 +308,8 @@ class TestStepSemantics:
         assert fired.size == 0 and nxt.k == 3 and nxt.anchor == 0
         np.testing.assert_array_equal(states, [x0] * 4)
         np.testing.assert_array_equal(nxt.x, x0)
-        np.testing.assert_array_equal(nxt.chi, chi[-1])
-        assert np.all(np.diff(np.vstack([state.chi, chi]), axis=0) < 0)
+        np.testing.assert_array_equal(nxt.chi_anchor, compiled.chi0)
+        assert np.all(np.diff(np.vstack([state.chi_anchor, chi]), axis=0) < 0)
 
     def test_equilibrium_fixed_point(self):
         """Gauge-consensus initial state: no motion, no fires, chi decays."""
@@ -319,14 +369,15 @@ class TestStepSemantics:
         rec = ref_leaderless_record
         dt = rec.scenario.dt
         dx = np.diff(rec.states[:2000], axis=0)
-        np.testing.assert_allclose(dx, dt * rec.controls[:1999], atol=1e-13)
+        controls = oracles.held_rows(rec)[1]
+        np.testing.assert_allclose(dx, dt * controls[:1999], atol=1e-13)
 
     def test_controls_recomputable_from_broadcasts(self, ref_leaderless_record,
                                                    ref_lf_record):
         """The edge-list control equals the dense one, ``-L xhat`` or
         ``input_drive - L_B xhat``.  The atol covers entries near consensus,
         where the dense product itself cancels and a pure rtol cannot hold."""
-        cases = [(rec.scenario, rec.broadcasts, rec.controls)
+        cases = [(rec.scenario, rec.held_xhat, rec.held_q)
                  for rec in (ref_leaderless_record, ref_lf_record)]
         for lf in (False, True):
             sc = isolated_psd_nsd_scenario(lf)
@@ -362,21 +413,23 @@ class TestStepSemantics:
         rec = ref_leaderless_record
         dt = rec.scenario.dt
         d = rec.d
+        broadcasts = oracles.held_rows(rec)[0]
         for i, ev in enumerate(rec.events):
             idx = np.rint(np.asarray(ev) / dt).astype(int)
             block = slice(i * d, (i + 1) * d)
-            np.testing.assert_array_equal(rec.broadcasts[idx, block],
+            np.testing.assert_array_equal(broadcasts[idx, block],
                                           rec.states[idx, block])
 
     def test_broadcasts_piecewise_constant(self, ref_leaderless_record):
         rec = ref_leaderless_record
         dt = rec.scenario.dt
         d = rec.d
+        broadcasts = oracles.held_rows(rec)[0]
         for i, ev in enumerate(rec.events):
             idx = set(np.rint(np.asarray(ev) / dt).astype(int))
             block = slice(i * d, (i + 1) * d)
             changed = np.flatnonzero(
-                np.any(np.diff(rec.broadcasts[:, block], axis=0) != 0.0,
+                np.any(np.diff(broadcasts[:, block], axis=0) != 0.0,
                        axis=1)) + 1
             assert set(changed) <= idx
 
@@ -401,8 +454,9 @@ class TestTriggerEngineConsistency:
         event_steps = [set(np.rint(np.asarray(ev) / sc.dt).astype(int))
                        for ev in rec.events]
         mu = [trigger.mu_bar(i, g) for i in range(g.n)]
+        broadcasts = oracles.held_rows(rec)[0]
         for k in range(len(rec.times) - 1):
-            xhat_pre = rec.broadcasts[k]
+            xhat_pre = broadcasts[k]
             x_next = rec.states[k + 1]
             for i in range(g.n):
                 e_i = xhat_pre[i * d:(i + 1) * d] - x_next[i * d:(i + 1) * d]
@@ -422,8 +476,9 @@ class TestTriggerEngineConsistency:
         gam = [trigger.gamma(i, sc.network, g.n) for i in range(g.n)]
         event_steps = [set(np.rint(np.asarray(ev) / sc.dt).astype(int))
                        for ev in rec.events]
+        broadcasts = oracles.held_rows(rec)[0]
         for k in range(len(rec.times) - 1):
-            xhat_pre = rec.broadcasts[k]
+            xhat_pre = broadcasts[k]
             x_next = rec.states[k + 1]
             for i in range(g.n):
                 e_i = xhat_pre[i * d:(i + 1) * d] - x_next[i * d:(i + 1) * d]
@@ -445,9 +500,10 @@ class TestTriggerEngineConsistency:
             return roots[(i, j)] if (i, j) in roots else roots[(j, i)]
 
         mu = [trigger.mu_bar(i, g) for i in range(g.n)]
+        broadcasts, controls = oracles.held_rows(rec)
         for k in range(len(rec.times) - 1):
-            xhat = rec.broadcasts[k]
-            qhat = rec.controls[k]
+            xhat = broadcasts[k]
+            qhat = controls[k]
             for i in range(g.n):
                 pr = sc.params.agent(i)
                 p_list = [(sqrt_weight(i, j),
@@ -555,7 +611,8 @@ class TestChiFloor:
 class TestDwell:
     def test_min_dwell_simple(self):
         rec = run(leaderless_scenario(seed=0, horizon=1.0))
-        stats = min_inter_event(rec)
+        stats = min_inter_event_from(rec.events, rec.scenario.dt,
+                                     rec.scenario.horizon)
         for i, ev in enumerate(rec.events):
             if len(ev) > 1:
                 assert stats.min_dwell[i] == pytest.approx(np.diff(ev).min())
@@ -566,7 +623,7 @@ class TestDwell:
         g = MatrixWeightedGraph(1, 1, ())
         sc = Scenario(graph=g, mode=Leaderless(), params=uniform_params(1),
                       dt=0.01, horizon=2.5, seed=0)
-        stats = min_inter_event(run(sc))
+        stats = min_inter_event_from(run(sc).events, sc.dt, sc.horizon)
         assert stats.min_dwell[0] == 2.5
 
     def test_one_dwell_pass_per_run_and_summary(self, monkeypatch):
@@ -675,7 +732,8 @@ class TestGaugeCovariance:
         flipped = run(flip_gauge(sc, s), check_assumptions=False)
         D = np.repeat(s, sc.graph.d)
         np.testing.assert_array_equal(flipped.states, base.states * D)
-        np.testing.assert_array_equal(flipped.broadcasts, base.broadcasts * D)
+        np.testing.assert_array_equal(flipped.anchors, base.anchors)
+        np.testing.assert_array_equal(flipped.held_xhat, base.held_xhat * D)
         assert flipped.chi.tobytes() == base.chi.tobytes()
         for a, b in zip(flipped.events, base.events):
             np.testing.assert_array_equal(a, b)
@@ -741,9 +799,10 @@ class TestClosedFormThresholds:
         rec = pair
         states, broadcasts, chi, controls, events = \
             oracles.four_stage_run(rec.scenario)
+        held_xhat, held_q = oracles.held_rows(rec)
         np.testing.assert_array_equal(rec.states, states)
-        np.testing.assert_array_equal(rec.broadcasts, broadcasts)
-        np.testing.assert_array_equal(rec.controls, controls)
+        np.testing.assert_array_equal(held_xhat, broadcasts)
+        np.testing.assert_array_equal(held_q, controls)
         for got, want in zip(rec.events, events):
             np.testing.assert_array_equal(got, want)
         assert np.max(np.abs(rec.chi - chi)) <= 1e-8
@@ -752,21 +811,20 @@ class TestClosedFormThresholds:
 
 def stepwise_run(sc):
     """``sim.run``'s record built by calling ``sim.step`` with a window of
-    one grid step at every step.  Returns ((times, states, broadcasts, chi,
-    controls), events, divergence message or None), cut at the last finite
-    step on divergence."""
+    one grid step at every step.  Returns ((times, states, chi, anchors,
+    held_xhat, held_q), events, divergence message or None), cut at the last
+    finite step on divergence."""
     compiled = sim.compile_scenario(sc)
     n, nd, steps = compiled.n, compiled.n * compiled.d, sc.step_count
     times = np.arange(steps + 1) * sc.dt
-    states, broadcasts, controls = (np.empty((steps + 1, nd))
-                                    for _ in range(3))
+    states = np.empty((steps + 1, nd))
     chi = np.empty((steps + 1, n))
     events = [[0.0] for _ in range(n)]
     state = sim.initial_sim_state(compiled)
-    states[0], broadcasts[0], chi[0] = state.x, state.xhat, state.chi
+    states[0], chi[0] = state.x, compiled.chi0
+    anchors, held_xhat, held_q = [0], [state.xhat], [state.q]
     message, k = None, 0
     for k in range(steps):
-        controls[k] = state.q
         try:
             state, fired = sim.step(state, sc.dt, compiled,
                                     states[k:k + 2], chi[k + 1:k + 2])
@@ -774,19 +832,24 @@ def stepwise_run(sc):
             message = str(exc)
             break
         assert state.k == k + 1
-        broadcasts[k + 1] = state.xhat
+        if fired.size:
+            anchors.append(k + 1)
+            held_xhat.append(state.xhat)
+            held_q.append(state.q)
         for i in fired:
             events[i].append(float(times[k + 1]))
     else:
         k = steps
-        controls[k] = state.q
-    arrays = (times, states, broadcasts, chi, controls)
-    return tuple(a[:k + 1] for a in arrays), events, message
+    arrays = (times[:k + 1], states[:k + 1], chi[:k + 1],
+              np.array(anchors, dtype=np.int64), np.array(held_xhat),
+              np.array(held_q))
+    return arrays, events, message
 
 
 def assert_same_record(rec, arrays, events):
-    for got, want in zip((rec.times, rec.states, rec.broadcasts, rec.chi,
-                          rec.controls), arrays):
+    for got, want in zip((rec.times, rec.states, rec.chi, rec.anchors,
+                          rec.held_xhat, rec.held_q), arrays):
+        assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert [e.tolist() for e in rec.events] == events
 

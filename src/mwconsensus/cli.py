@@ -150,8 +150,7 @@ def cmd_check(args) -> int:
     # A failing assumption is reported once, by its `validation:` line below.
     if report.holds:
         print(f"assumption 1 (balance + exact consensus kernel): holds "
-              f"(nullity {report.nullity}, subspace residual "
-              f"{report.subspace_residual:.3g})")
+              f"(nullity {report.nullity})")
     if isinstance(scenario.mode, LeaderFollower) and \
             mwgraph.verify_assumption2(scenario.network, g.n):
         print("assumption 2 (extended balance + definite grounding): holds")

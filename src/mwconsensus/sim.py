@@ -179,8 +179,7 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
         out.append(
             "assumption 1 fails: "
             + ("graph is structurally imbalanced" if sc.graph.signs is None else
-               f"Laplacian nullity {report.nullity} != d={sc.graph.d} or kernel "
-               "mismatch"))
+               f"Laplacian nullity {report.nullity} != d={sc.graph.d}"))
     if lf and not mwgraph.verify_assumption2(sc.network, sc.graph.n):
         out.append("assumption 2 fails: extended graph imbalanced, coupled "
                    "inputs of opposite gauge sign, or total input grounding "

@@ -15,6 +15,10 @@ graph's edge accessors, with small numpy products.  The engine
 vectorized over all agents from the edge arrays, so the two paths share
 the graph model but none of the trigger arithmetic.
 
+``assumption1_dense`` decides Assumption 1 the direct way, from the
+spectrum of the full nd x nd Laplacian, against which the package's verdict
+on the graph's definite quotient is checked.
+
 ``four_stage_run`` is the step-at-a-time loop with the classical 4-stage
 update of the thresholds, against which the engine's windows and its
 closed-form thresholds are checked.
@@ -24,14 +28,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from mwconsensus import sim
+from mwconsensus import linalg, sim
 from mwconsensus.errors import MwcError
 from mwconsensus.linalg import matrix_abs, matrix_sgn
-from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph
+from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
+    kernel_mask
 from mwconsensus.trigger import AgentParams
 
 
@@ -316,6 +322,35 @@ def input_drive(g: MatrixWeightedGraph, coupling: InputCoupling,
         absb = matrix_abs(c.weight, c.cls)
         drive[c.i] += matrix_sgn(c.cls) * absb @ u0
     return drive.reshape(-1)
+
+
+@dataclass(frozen=True)
+class DenseAssumption1:
+    """Assumption 1 read from the full Laplacian's spectrum: ``nullity`` is
+    -1 for an imbalanced graph, ``residual`` the sine of the largest angle
+    between the kernel and the gauge-signed consensus subspace (NaN unless
+    the nullity is d), and ``eigenvalues`` the ascending spectrum."""
+
+    nullity: int
+    holds: bool
+    residual: float = float("nan")
+    eigenvalues: np.ndarray | None = None
+
+
+def assumption1_dense(g: MatrixWeightedGraph) -> DenseAssumption1:
+    """Balance, a kernel of dimension d by ``kernel_mask``'s zero rule, and
+    that kernel within 1e-8 of the gauge-signed consensus subspace."""
+    signs = g.signs
+    if signs is None:
+        return DenseAssumption1(-1, False)
+    vals, vecs = linalg.sym_eigen(g.laplacian)
+    basis = vecs[:, kernel_mask(vals)]
+    nullity = basis.shape[1]
+    if nullity != g.d:
+        return DenseAssumption1(nullity, False, eigenvalues=vals)
+    ref = np.kron(signs[:, None], np.eye(g.d)) / np.sqrt(g.n)
+    resid = float(np.linalg.norm(ref - basis @ (basis.T @ ref), ord=2))
+    return DenseAssumption1(nullity, resid <= 1e-8, resid, vals)
 
 
 def grounded_laplacian(g: MatrixWeightedGraph,

@@ -246,7 +246,9 @@ class TestUncoupledInputs:
 
 
 class TestStructureComputedOnce:
-    """One nd x nd eigendecomposition per Laplacian per command."""
+    """One eigendecomposition per Laplacian per command: ``check`` decides
+    Assumption 1 on the one-node definite quotient and decomposes no
+    nd x nd matrix; ``spectrum`` decomposes the full Laplacians."""
 
     @pytest.mark.parametrize("command,token,laplacians", [
         ("check", "builtin:leaderless", 1),
@@ -254,18 +256,32 @@ class TestStructureComputedOnce:
         ("spectrum", "builtin:leaderless", 1),
         ("spectrum", "builtin:lf", 2),  # plus the grounded Laplacian
     ])
-    def test_eigh_count(self, command, token, laplacians, eigh_shapes):
+    def test_eigh_count(self, command, token, laplacians, eigh_shapes,
+                        monkeypatch):
+        kernels = []
+        null_space = mwgraph.null_space
+
+        def counting(lap):
+            kernels.append(lap.shape)
+            return null_space(lap)
+
+        monkeypatch.setattr(mwgraph, "null_space", counting)
         assert main([command, token]) == EXIT_OK
-        assert eigh_shapes.count((24, 24)) == laplacians
+        if command == "check":
+            assert kernels == [(4, 4)] * laplacians
+            assert max(eigh_shapes) == (4, 4)
+        else:
+            assert kernels == []
+            assert eigh_shapes.count((24, 24)) == laplacians
 
     def test_check_lf_edge_eigh_count(self, eigh_shapes):
         """One load-time eigh per weight of the graph and the coupling, one
         more for each of the three whose declared class projects eigenvalue
-        noise away, one for the repair of the (0, 1) weight, and the
-        grounding test, which ``check`` and its verdict each run;
-        lambda_max is read from the pairs."""
+        noise away, one for the repair of the (0, 1) weight, the one-node
+        quotient's Laplacian, and the grounding test, which ``check`` and
+        its verdict each run; lambda_max is read from the pairs."""
         assert main(["check", "builtin:lf"]) == EXIT_OK
-        assert eigh_shapes.count((4, 4)) == 16
+        assert eigh_shapes.count((4, 4)) == 17
 
     def test_check_lf_builds_one_network(self, monkeypatch):
         built = []
@@ -658,7 +674,9 @@ class TestExtremeInputs:
     def test_laplacian_beyond_memory_one_line(self, command, monkeypatch,
                                               tmp_path, capsys):
         """A graph whose nd x nd Laplacian and its eigh (~15 MB here) exceed
-        the memory is refused at load, before anything that size exists."""
+        the memory: ``spectrum``, which reads that spectrum, is refused in
+        one line before anything that size exists; ``check`` and ``run``
+        never build it and pass."""
         monkeypatch.setattr(mwgraph, "physical_memory", lambda: float(1 << 20))
         doc = huge_weights_doc(200, [], d=4)
         doc["graph"]["edges"] = [
@@ -676,10 +694,37 @@ class TestExtremeInputs:
         finally:
             tracemalloc.stop()
         out, err = capsys.readouterr()
-        assert code == EXIT_VALIDATION
-        assert out == "" and len(err.splitlines()) == 1
-        assert "physical memory" in err
+        if command == "spectrum":
+            assert code == EXIT_VALIDATION
+            assert out == "" and len(err.splitlines()) == 1
+            assert "physical memory" in err
+        else:
+            assert code == EXIT_OK and err == ""
         assert peak < 4 << 20
+
+    @pytest.mark.parametrize("command", ["check", "run", "spectrum"])
+    def test_nodes_beyond_memory_one_line(self, command, monkeypatch,
+                                          tmp_path, capsys):
+        """A graph whose adjacency index (~1.7 MB for n = 10^4) exceeds the
+        memory is refused in one line before its lists exist."""
+        monkeypatch.setattr(mwgraph, "physical_memory", lambda: float(1 << 20))
+        path = tmp_path / "nodes.json"
+        path.write_text(json.dumps(huge_weights_doc(10**4, [], d=4)))
+        argv = [command, str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "runs")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION and out == ""
+        assert err.splitlines() == [
+            "error: n=10000 nodes need 0.00238 GiB for the adjacency index, "
+            "more than the 0.000977 GiB of physical memory"]
+        assert peak < 1 << 20
 
     def test_check_constants_bounded_width(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
@@ -875,7 +920,7 @@ class TestMalformedDocuments:
         """Seeded random edits of the bundled leader-follower document: every
         mutant is accepted or rejected with at most one stderr line.  The
         replacement values hold no large sizes (a huge ``n`` would allocate
-        its Laplacian before any memory check)."""
+        an adjacency index of up to the physical memory)."""
         rng = random.Random(20240607)
         pool = [None, True, False, 0, 1, -1, 2, 7, 1.5, -0.5, 1e300,
                 float("nan"), float("inf"), "", "x", "0", "pd", "leaderless",

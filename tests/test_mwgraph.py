@@ -1,22 +1,23 @@
 """Graph model, Laplacians, balance, gauge, and the structural assumptions."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from mwconsensus.builtin import RAW_EDGE_0_1, WEIGHT_0_5, WEIGHT_3_4
 from mwconsensus.errors import AssumptionViolated, GraphFormatError, NotPSD
-from mwconsensus.linalg import ND, NSD, PD, PSD, matrix_abs, sym_eigen, \
-    sym_sqrt
+from mwconsensus.linalg import DEFAULT_TOL, ND, NSD, PD, PSD, matrix_abs, \
+    sym_eigen, sym_sqrt
 from mwconsensus.mwgraph import Edge, InputCoupling, MatrixWeightedGraph, \
-    build_laplacian, detect_structural_balance, extended_graph, \
-    leader_gauge, null_space, predicted_bipartite_limit, verify_assumption1, \
-    verify_assumption2
+    build_laplacian, definite_quotient, detect_structural_balance, \
+    extended_graph, leader_gauge, null_space, predicted_bipartite_limit, \
+    verify_assumption1, verify_assumption2
 
 from conftest import random_balanced_scalar_graph, two_node_graph
-from oracles import brute_force_balance, check_gauge_identity, \
-    grounded_laplacian
+from oracles import assumption1_dense, brute_force_balance, \
+    check_gauge_identity, grounded_laplacian
 
 REFERENCE_SIGNS = [1, 1, -1, -1, -1, 1]
 
@@ -40,6 +41,30 @@ def grounded_block(g, coupling):
     which ``spectrum`` reports as the grounded Laplacian."""
     nd = g.n * g.d
     return extended_graph(g, coupling).laplacian[:nd, :nd]
+
+
+def random_mixed_graph(rng, balanced):
+    """Graph on 2-8 nodes, d in {1, 2, 4}, split into up to three groups.
+    Pairs inside a group are joined more often, by definite weights (plus
+    0.5 I) or by semidefinite ones of lower rank; pairs across groups by
+    weights of any rank, mostly semidefinite.  Edge signs follow a random
+    gauge, or are drawn at random when not ``balanced``."""
+    n, d = int(rng.integers(2, 9)), int(rng.choice([1, 2, 4]))
+    gauge = rng.choice([-1, 1], size=n)
+    group = rng.integers(0, rng.integers(1, 4), size=n)
+    specs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            inside = group[i] == group[j]
+            if rng.uniform() > (0.6 if inside else 0.35):
+                continue
+            definite = rng.uniform() < (0.6 if inside else 0.15)
+            rank = d if definite else int(rng.integers(1, d + 1))
+            b = rng.normal(size=(d, rank))
+            w = b @ b.T + (0.5 * np.eye(d) if definite else 0.0)
+            sign = gauge[i] * gauge[j] if balanced else rng.choice([-1, 1])
+            specs.append((i, j, sign * w))
+    return MatrixWeightedGraph.from_edges(n, d, specs)
 
 
 class TestGraphModel:
@@ -381,7 +406,7 @@ class TestAssumption1:
     def test_reference_holds(self, ref_graph):
         rep = verify_assumption1(ref_graph)
         assert ref_graph.signs is not None and rep.holds and rep.nullity == 4
-        assert rep.subspace_residual <= 1e-8
+        assert assumption1_dense(ref_graph).residual <= 1e-8
 
     def test_rank_deficient_pair_fails(self):
         g = two_node_graph(np.diag([1.0, 0.0]))
@@ -403,9 +428,62 @@ class TestAssumption1:
         rep = verify_assumption1(g)
         assert g.signs is not None and rep.nullity == 4 and not rep.holds
 
+    @pytest.mark.parametrize("balanced", [True, False])
+    def test_quotient_matches_dense_oracle(self, balanced):
+        """Seeded random graphs, d in {1, 2, 4}, with definite edges inside
+        groups of nodes and semidefinite ones of every rank inside and
+        between them, some groups left apart: the quotient's verdict and
+        nullity equal those of the full spectrum wherever no eigenvalue of
+        it lies within a factor 1e3 of the zero band."""
+        rng = np.random.default_rng(41 if balanced else 43)
+        compared, imbalanced, seen = 0, 0, set()
+        for _ in range(300):
+            g = random_mixed_graph(rng, balanced)
+            rep, dense = verify_assumption1(g), assumption1_dense(g)
+            if dense.eigenvalues is not None:
+                vals = np.abs(dense.eigenvalues)
+                band = DEFAULT_TOL * vals[-1]
+                if np.any((vals > 1e-3 * band) & (vals <= 1e3 * band)):
+                    continue
+            assert (rep.nullity, rep.holds) == (dense.nullity, dense.holds)
+            compared += 1
+            if g.signs is None:
+                imbalanced += 1
+            else:
+                seen.add((g.d, rep.holds, len(definite_quotient(g).edges) > 0))
+        assert compared >= 280
+        # Held and failed, with and without an edge in the quotient.
+        assert {(d, h, e) for d in (2, 4) for h in (True, False)
+                for e in (True, False)} <= seen
+        assert {(1, True, False), (1, False, False)} <= seen
+        assert imbalanced == 0 if balanced else imbalanced >= 100
+
+    def test_ill_conditioned_definite_path(self):
+        """Weights 1e9 and 1 on a path: one definite component, so the
+        kernel is exactly the consensus line and the verdict holds, while
+        the second eigenvalue of the full spectrum (~1.5) falls inside its
+        zero band (1e-9 * 2e9) and the dense nullity reads 2."""
+        g = scalar_graph(3, {(0, 1): 1e9, (1, 2): 1.0})
+        rep = verify_assumption1(g)
+        assert rep.holds and rep.nullity == 1
+        assert assumption1_dense(g).nullity == 2
+
+    def test_quotient_weight_overflow_refused(self):
+        """Three semidefinite bridges of 8e307 between two definite paths:
+        the bound on the Laplacian's norm is finite at every node, the
+        quotient edge that sums the bridges is not."""
+        big = np.diag([8e307, 0.0])
+        specs = [(k, k + 1, np.eye(2)) for k in (0, 1, 3, 4)]
+        specs += [(k, k + 3, big) for k in range(3)]
+        g = MatrixWeightedGraph.from_edges(6, 2, specs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning raises
+            with pytest.raises(GraphFormatError, match="too large for float64"):
+                verify_assumption1(g)
+
     def test_peak_memory(self):
-        """Deciding Assumption 1 holds the Laplacian and its eigenvectors,
-        and no third nd x nd array (n = 200, d = 4)."""
+        """Deciding Assumption 1 allocates far less than one nd x nd array
+        (n = 200, d = 4): the quotient of this graph is one node."""
         rng = np.random.default_rng(3)
         n, d = 200, 4
         edges, _ = random_balanced_scalar_graph(rng, n, extra_edge_prob=0.01)
@@ -420,7 +498,7 @@ class TestAssumption1:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * (n * d) ** 2 * 8
+        assert peak < 0.05 * (n * d) ** 2 * 8
 
 
 class TestPredictedLimit:

@@ -98,19 +98,33 @@ def random_balanced_scenario():
 
 
 class TestStructureComputedOnce:
-    """The graph decides Assumption 1 once; validation, the limit state,
-    compilation and the analytics all reuse it."""
+    """The graph decides Assumption 1 once, on its definite quotient;
+    validation, the limit state, compilation and the analytics all reuse
+    it, and no run decomposes or assembles an nd x nd matrix."""
 
     @pytest.mark.parametrize("make", [
         lambda: leaderless_scenario(horizon=0.05),
         lambda: leader_follower_scenario(horizon=0.05),
         random_balanced_scenario,
     ], ids=["leaderless", "leader-follower", "random-balanced"])
-    def test_one_laplacian_eigh_per_run(self, make, eigh_shapes):
-        sc = make()
-        nd = sc.graph.n * sc.graph.d
-        analysis.event_stats(run(sc))
-        assert eigh_shapes.count((nd, nd)) == 1
+    def test_one_laplacian_eigh_per_run(self, make, eigh_shapes, monkeypatch):
+        """One Laplacian is decomposed per run, with or without the
+        assumption checks: the quotient's, which has one node here."""
+        kernels = []
+        null_space = sim.mwgraph.null_space
+
+        def counting(lap):
+            kernels.append(lap.shape)
+            return null_space(lap)
+
+        monkeypatch.setattr(sim.mwgraph, "null_space", counting)
+        for check in (True, False):
+            sc = make()
+            d = sc.graph.d
+            kernels.clear()
+            analysis.event_stats(run(sc, check_assumptions=check))
+            assert kernels == [(d, d)]
+            assert max(eigh_shapes) == (d, d)  # no nd x nd eigh
 
     def test_no_edge_eigh_after_load(self, eigh_shapes):
         """Leaderless run: lambda_max(|A_ij|) for mu_bar and the square root
@@ -122,24 +136,25 @@ class TestStructureComputedOnce:
         for i in range(g.n):
             trigger.mu_bar(i, g)
             trigger.gamma(i, g, g.n)
-        assert eigh_shapes.count((g.d, g.d)) == 0
+        # Only the one-node quotient's Laplacian.
+        assert eigh_shapes == [(g.d, g.d)]
 
     def test_lf_gamma_reads_cached_lambda_max(self, eigh_shapes):
         sc = leader_follower_scenario(horizon=0.05)
         g = sc.graph
         eigh_shapes.clear()
         analysis.event_stats(run(sc))
-        # Only Assumption 2's grounding test: every edge and coupling keeps
-        # its load-time pair.
-        assert eigh_shapes.count((g.d, g.d)) == 1
+        # Only the one-node quotient's Laplacian and Assumption 2's grounding
+        # test: every edge and coupling keeps its load-time pair.
+        assert eigh_shapes == [(g.d, g.d)] * 2
         for i in range(g.n):
             trigger.gamma(i, sc.network, g.n)
-        assert eigh_shapes.count((g.d, g.d)) == 1
+        assert eigh_shapes == [(g.d, g.d)] * 2
 
     def test_one_extended_graph_per_lf_run(self, monkeypatch):
         """Validation, the limit state, compile and the analytics all read
-        the scenario's one network; the agents' Laplacian is assembled once
-        and the network's not at all."""
+        the scenario's one network; only the one-node quotient's Laplacian
+        is assembled, neither the agents' nor the network's."""
         built, assembled = [], []
         extend = sim.mwgraph.extended_graph
         laplacian = MatrixWeightedGraph.laplacian.func
@@ -159,7 +174,7 @@ class TestStructureComputedOnce:
         sc = leader_follower_scenario(horizon=0.05)
         analysis.event_stats(run(sc))
         assert len(built) == 1 and sc.network.n == sc.graph.n + 2
-        assert assembled == [sc.graph.n]
+        assert assembled == [1]
 
 
 def dense_coupling(sc):
@@ -392,7 +407,8 @@ class TestStepSemantics:
             np.testing.assert_allclose(controls, want, rtol=1e-12, atol=1e-12)
 
     def test_engine_builds_no_laplacian(self, monkeypatch):
-        """Compiling builds no Laplacian; a run builds one, for Assumption 1."""
+        """Compiling builds no Laplacian; a run builds only that of the
+        graph's definite quotient, for Assumption 1."""
         built = []
         assemble = sim.mwgraph.build_laplacian
 
@@ -406,7 +422,7 @@ class TestStepSemantics:
             sim.compile_scenario(sc)
             assert built == []
             run(sc)
-            assert built == [sc.graph]
+            assert [(g.n, g.d, g.edges) for g in built] == [(1, sc.graph.d, ())]
             built.clear()
 
     def test_error_zero_at_events(self, ref_leaderless_record):

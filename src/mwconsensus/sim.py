@@ -6,12 +6,13 @@ on the broadcasts, so the state holds them until the next broadcast and the
 flow is exactly affine on each step: ``x(t + dt) = x(t) + dt * qhat``.
 
 Between broadcasts each error is affine in time, ``e_i = e0_i - tau q_i``,
-so the auxiliary variable obeys a linear ODE with a drive quadratic in the
-time ``tau`` since the last broadcast (the anchor):
-``chi' = -beta chi + a0 + a1 tau + a2 tau^2``.  Its exact solution,
+so each agent's trigger excess ``g = K |e|^2 - S`` is a quadratic
+``c0 + c1 tau + c2 tau^2`` in the time ``tau`` since the last broadcast
+(the anchor).  The agent fires when ``theta g > chi``, and the auxiliary
+variable obeys ``chi' = -beta chi - delta g``, whose exact solution,
 
-    chi(tau) = e^z chi_s + tau phi1(z) a0 + tau^2 phi2(z) a1
-               + 2 tau^3 phi3(z) a2,    z = -beta tau,
+    chi(tau) = e^z chi_s - delta (tau phi1(z) c0 + tau^2 phi2(z) c1
+                                  + 2 tau^3 phi3(z) c2),    z = -beta tau,
 
 with the exponential-integrator functions ``phi_k`` (Hochbruck & Ostermann,
 Acta Numerica 2010), is evaluated from the anchor, so no step limit applies
@@ -217,19 +218,18 @@ class TrajectoryRecord:
 
 @dataclass
 class SimState:
-    """State at grid index ``k``: states, broadcasts, the held terms, and
+    """State at grid index ``k``: states, broadcasts, the held control, and
     the anchor (grid index ``anchor`` of the last broadcast, with the
-    threshold ``chi_anchor`` there and the coefficients ``drive`` =
-    (a0, a1, a2) of the chi drive polynomial in the time since it)."""
+    threshold ``chi_anchor`` there and the coefficients ``excess`` =
+    (c0, c1, c2) of each agent's trigger excess in the time since it)."""
 
     k: int
     x: np.ndarray
     xhat: np.ndarray
     q: np.ndarray
-    slack: np.ndarray
     anchor: int
     chi_anchor: np.ndarray
-    drive: np.ndarray
+    excess: np.ndarray
 
 
 class CompiledScenario:
@@ -311,19 +311,19 @@ def compile_scenario(sc: Scenario) -> CompiledScenario:
 def _anchored(compiled: CompiledScenario, k: int, x: np.ndarray,
               xhat: np.ndarray, chi: np.ndarray) -> SimState:
     """State just after the broadcasts ``xhat`` at grid index ``k``: the held
-    terms, and the chi drive ``delta * (slack - gain |e0 - tau q|^2)`` as a
+    control, and the trigger excess ``gain |e0 - tau q|^2 - slack`` as a
     polynomial in the time ``tau`` since ``k``."""
     n, d = compiled.n, compiled.d
     q, slack = compiled.held_terms(xhat)
     e0 = (xhat - x).reshape(n, d)
     q_blocks = q.reshape(n, d)
-    dk = compiled.delta * compiled.gain
-    drive = np.array([
-        compiled.delta * (slack - compiled.gain
-                          * np.einsum("ij,ij->i", e0, e0)),
-        2.0 * dk * np.einsum("ij,ij->i", e0, q_blocks),
-        -dk * np.einsum("ij,ij->i", q_blocks, q_blocks)])
-    return SimState(k, x, xhat, q, slack, k, chi, drive)
+    # For huge weights gain |q|^2 exceeds float64 and rounds to inf.
+    with np.errstate(over="ignore"):
+        excess = np.array([
+            compiled.gain * np.einsum("ij,ij->i", e0, e0) - slack,
+            -2.0 * compiled.gain * np.einsum("ij,ij->i", e0, q_blocks),
+            compiled.gain * np.einsum("ij,ij->i", q_blocks, q_blocks)])
+    return SimState(k, x, xhat, q, k, chi, excess)
 
 
 def initial_sim_state(compiled: CompiledScenario,
@@ -377,13 +377,14 @@ def step(state: SimState, dt: float, compiled: CompiledScenario,
     steps; the rows up to the step the window ends at are filled, later ones
     are left unspecified.  Per step, in order: (a) the exact affine state
     update, accumulated from ``state.x`` and checked against the divergence
-    guard before anything is computed from it (a window ends before the
-    first step that fails the guard; :class:`Diverged` is raised when that
-    is its first step); (b) the closed-form threshold from the anchor; (c)
-    the trigger test at the step's end.  At the first step where an agent
-    fires, (d) every agent that fired rebroadcasts atomically, which renews
-    the held terms and the anchor.  A window of one step is one grid step.
-    Returns the state where the window ended and the agents that fired there.
+    guard (a window ends before the first step that fails the guard;
+    :class:`Diverged` is raised when that is its first step); (b) the
+    closed-form threshold and (c) the trigger test at the step's end, both
+    from the excess polynomial ``state.excess``, not from the rows.  At the
+    first step where an agent fires, (d) every agent that fired rebroadcasts
+    atomically, which renews the held terms and the anchor.  A window of one
+    step is one grid step.  Returns the state where the window ended and the
+    agents that fired there.
     """
     n, d = compiled.n, compiled.d
     w = len(chi)
@@ -409,17 +410,15 @@ def step(state: SimState, dt: float, compiled: CompiledScenario,
                            f"t={(state.k + 1) * dt:g}")
         rows, chi = rows[:w], chi[:w]
 
-    e = (state.xhat - rows).reshape(w, n, d)
-    lhs = compiled.theta * (compiled.gain * np.einsum("kij,kij->ki", e, e)
-                            - state.slack)
     offset = state.k - state.anchor
     tau = np.arange(offset + 1, offset + w + 1) * dt
     z = np.multiply.outer(tau, -compiled.beta)
     phi1, phi2, phi3 = _phi(z)
-    a0, a1, a2 = state.drive
+    c0, c1, c2 = state.excess
     tau = tau[:, None]
-    chi[:] = np.exp(z) * state.chi_anchor + tau * (
-        phi1 * a0 + tau * (phi2 * a1 + 2.0 * tau * phi3 * a2))
+    lhs = compiled.theta * (c0 + tau * (c1 + tau * c2))
+    chi[:] = np.exp(z) * state.chi_anchor - compiled.delta * tau * (
+        phi1 * c0 + tau * (phi2 * c1 + 2.0 * tau * phi3 * c2))
     hits = lhs > (0.0 if compiled.static_baseline else chi)
     fire_rows = np.flatnonzero(hits.any(axis=1))
     if not fire_rows.size:

@@ -2,11 +2,11 @@
 
 For every agent i the mechanism watches its measurement error
 ``e_i = xhat_i - x_i`` (last broadcast minus true state).  Both protocols
-use one law (Girard's dynamic trigger), with a per-agent gain ``K_i`` and a
-slack ``S_i``:
+use one law (Girard's dynamic trigger) on the trigger excess
+``g_i = K_i ||e_i||^2 - S_i``, with a per-agent gain ``K_i`` and slack ``S_i``:
 
-    fire  iff  theta_i * (K_i ||e_i||^2 - S_i) > chi_i
-    chi_i' = -beta_i chi_i + delta_i * (S_i - K_i ||e_i||^2)
+    fire  iff  theta_i * g_i > chi_i
+    chi_i' = -beta_i chi_i - delta_i * g_i
 
 Only the gain and the slack differ between the protocols:
 
@@ -25,10 +25,10 @@ agent rebroadcasts and its error resets.
 Equality never fires: the threshold inequality uses "<=" for staying silent,
 so the fire condition is strict.
 
-The engine evaluates the law for all agents at once (``sim.CompiledScenario``
-compiles the gains, ``sim.step`` applies the law); this module holds the
-trigger parameters, the spectral constants ``mu_bar`` and ``gamma``, and
-parameter validation.
+The engine applies the law to all agents at once: ``sim.CompiledScenario``
+compiles the gains, each broadcast builds the excess as a quadratic in the
+time since it, and ``sim.step`` reads it for the fire test and ``chi`` alike.
+This module holds the parameters, their validation, ``mu_bar`` and ``gamma``.
 """
 
 from __future__ import annotations

@@ -602,9 +602,12 @@ class TestExtremeInputs:
         assert len(err) == 1 and "too large for float64" in err[0]
         assert not (tmp_path / "runs").exists()
 
-    def test_extreme_weight_diverges_without_warning(self, tmp_path, capsys):
+    @pytest.mark.parametrize("weight", [1e150, 1e300])
+    def test_extreme_weight_diverges_without_warning(self, weight, tmp_path,
+                                                     capsys):
+        """At 1e150 the gain times |q|^2 overflows, while |q|^2 does not."""
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps(small_scenario_doc(weight=1e300)))
+        path.write_text(json.dumps(small_scenario_doc(weight=weight)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning raises
             code = main(["run", str(path), "--out", str(tmp_path / "runs")])

@@ -97,6 +97,28 @@ def random_balanced_scenario():
                          params=uniform_params(7), horizon=0.05)
 
 
+def random_params_scenario():
+    """Leaderless scenario on a random balanced graph with definite 2 x 2
+    weights and seeded per-agent parameters: sigma, chi0, beta from
+    {0.5, 2, 5, 20}, delta in [0.1, 1] and theta above (1 - delta) / beta."""
+    n, d = 8, 2
+    rng = np.random.default_rng(0)
+    edges, _ = random_balanced_scalar_graph(rng, n)
+    specs = []
+    for (a, b), w in sorted(edges.items()):
+        m = rng.normal(size=(d, d))
+        specs.append((a, b, np.sign(w) * (m @ m.T / d + 0.5 * np.eye(d))))
+    beta = rng.choice([0.5, 2.0, 5.0, 20.0], size=n)
+    delta = rng.uniform(0.1, 1.0, n)
+    params = TriggerParams(
+        sigma=rng.uniform(0.1, 0.9, n),
+        theta=(1.0 - delta) / beta + rng.uniform(0.05, 1.0, n),
+        beta=beta, delta=delta, chi0=rng.uniform(0.05, 1.0, n))
+    return Scenario(graph=MatrixWeightedGraph.from_edges(n, d, specs),
+                    mode=Leaderless(), params=params, dt=1e-3, horizon=2.0,
+                    seed=0)
+
+
 class TestStructureComputedOnce:
     """The graph decides Assumption 1 once, on its definite quotient;
     validation, the limit state, compilation and the analytics all reuse
@@ -796,10 +818,11 @@ class TestClosedFormThresholds:
             assert np.all(rel[~small] <= bound[~small]), k
 
     @pytest.fixture(params=["leaderless", "leader-follower", "static",
-                            "random-balanced"])
+                            "random-balanced", "random-params"])
     def pair(self, request, ref_leaderless_record, ref_lf_record):
         """A record of ``sim.run`` and the scenario it ran: both builtins at
-        their full horizon, the static baseline, a random balanced graph."""
+        their full horizon, the static baseline, a random balanced graph,
+        and one with per-agent parameters, beta and delta other than 1."""
         return {
             "leaderless": lambda: ref_leaderless_record,
             "leader-follower": lambda: ref_lf_record,
@@ -807,6 +830,7 @@ class TestClosedFormThresholds:
                                                       baseline="static")),
             "random-balanced": lambda: run(dataclasses.replace(
                 random_balanced_scenario(), horizon=2.0)),
+            "random-params": lambda: run(random_params_scenario()),
         }[request.param]()
 
     def test_run_matches_four_stage_oracle(self, pair):
@@ -823,6 +847,25 @@ class TestClosedFormThresholds:
             np.testing.assert_array_equal(got, want)
         assert np.max(np.abs(rec.chi - chi)) <= 1e-8
         assert sum(len(ev) for ev in events) > 2 * rec.n
+
+
+class TestDtRefinement:
+    """Up to the first event after t = 0 every threshold and excess is the
+    closed form from t = 0, and each halved grid holds the coarser one, so
+    the first event never moves later when dt halves, and moves earlier by
+    less than the coarser dt.  Later events shift by O(dt) as agents
+    reorder."""
+
+    @pytest.mark.parametrize("make", [leaderless_scenario,
+                                      leader_follower_scenario],
+                             ids=["leaderless", "leader-follower"])
+    def test_first_event_converges_from_above(self, make):
+        steps = [1e-3 / 2 ** k for k in range(4)]
+        firsts = [min(ev[1] for ev in run(make(dt=dt, horizon=0.5)).events
+                      if len(ev) > 1) for dt in steps]
+        for dt, coarse, fine in zip(steps, firsts, firsts[1:]):
+            assert coarse - dt < fine <= coarse
+        assert firsts[-1] < firsts[0]
 
 
 def stepwise_run(sc):

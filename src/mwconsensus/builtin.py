@@ -130,9 +130,7 @@ def reference_coupling() -> InputCoupling:
     """Two external inputs: agent 0 through the (3, 4) weight (semidefinite),
     agent 5 through the (0, 5) weight (definite)."""
     return InputCoupling.from_entries(
-        2,
-        [(0, 0, WEIGHT_3_4, "psd"), (5, 1, WEIGHT_0_5, "pd")],
-        BLOCK_DIM)
+        [(0, 0, WEIGHT_3_4, "psd"), (5, 1, WEIGHT_0_5, "pd")], BLOCK_DIM)
 
 
 def reference_params(theta: float) -> TriggerParams:

@@ -70,6 +70,16 @@ def physical_memory() -> float:
         return float("inf")
 
 
+def memory_refusal(need: float, what: str, use: str) -> Optional[str]:
+    """Why ``what`` may not allocate ``need`` bytes for ``use``, or ``None``
+    when that is less than physical memory."""
+    have = physical_memory()
+    if need < have:
+        return None
+    return (f"{what} need {need / 2**30:.3g} GiB {use}, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory")
+
+
 @dataclass(frozen=True, eq=False)
 class Edge:
     """Edge (i, j) with a sign-definite ``weight`` and its ``eigen`` pair
@@ -176,12 +186,10 @@ class MatrixWeightedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        need, have = NODE_BYTES * self.n, physical_memory()
-        if not need < have:
-            raise GraphFormatError(
-                f"n={self.n} nodes need {need / 2**30:.3g} GiB for the "
-                f"adjacency index, more than the {have / 2**30:.3g} GiB of "
-                "physical memory")
+        refusal = memory_refusal(NODE_BYTES * self.n, f"n={self.n} nodes",
+                                 "for the adjacency index")
+        if refusal:
+            raise GraphFormatError(refusal)
         by_pair: dict[tuple[int, int], Edge] = {}
         adjacent: list[list[int]] = [[] for _ in range(self.n)]
         for e in self.edges:
@@ -233,12 +241,11 @@ class MatrixWeightedGraph:
         exactly symmetric as assembled."""
         d = self.d
         # L, and the eigenvectors and workspace of its eigh.
-        need, have = 3 * 8.0 * (self.n * d) ** 2, physical_memory()
-        if not need < have:
-            raise GraphFormatError(
-                f"n={self.n} nodes of d={d} need {need / 2**30:.3g} GiB for "
-                "the Laplacian and its eigendecomposition, more than the "
-                f"{have / 2**30:.3g} GiB of physical memory")
+        refusal = memory_refusal(
+            3 * 8.0 * (self.n * d) ** 2, f"n={self.n} nodes of d={d}",
+            "for the Laplacian and its eigendecomposition")
+        if refusal:
+            raise GraphFormatError(refusal)
         L = np.zeros((self.n * d, self.n * d))
         with np.errstate(over="ignore"):  # an overflowed sum is refused below
             for e in self.edges:
@@ -408,19 +415,16 @@ def predicted_bipartite_limit(g: MatrixWeightedGraph, x0: np.ndarray) -> np.ndar
 class InputCoupling:
     """External input attachment: which agents see which homogeneous input,
     through which sign-definite weight.  Each entry is an :class:`Edge` from
-    agent ``i`` to input ``j``.  Each of the m inputs is coupled."""
+    agent ``i`` to input ``j``.  The input count ``m`` is one past the
+    largest input index, and each of the m inputs is coupled."""
 
-    m: int
     entries: tuple[Edge, ...] = ()
 
     def __post_init__(self):
-        if self.m < 0:
-            raise GraphFormatError("input count must be nonnegative")
         seen = set()
         for c in self.entries:
-            if c.j >= self.m or c.j < 0:
-                raise GraphFormatError(
-                    f"coupling references input {c.j} but m={self.m}")
+            if c.j < 0:
+                raise GraphFormatError(f"coupling references input {c.j}")
             if (c.i, c.j) in seen:
                 raise GraphFormatError(
                     f"duplicate coupling for agent {c.i}, input {c.j}")
@@ -434,11 +438,15 @@ class InputCoupling:
             k = next(k for k in range(self.m) if k not in coupled)
             raise GraphFormatError(f"input {k} of m={self.m} has no coupling")
 
+    @property
+    def m(self) -> int:
+        return 1 + max((c.j for c in self.entries), default=-1)
+
     @classmethod
-    def from_entries(cls, m: int, entries: Iterable[tuple],
+    def from_entries(cls, entries: Iterable[tuple],
                      d: int) -> "InputCoupling":
         """Build from ``(agent, input, weight[, declared_class])`` tuples."""
-        return cls(m, tuple(_load_edge(s, d, "input coupling") for s in entries))
+        return cls(tuple(_load_edge(s, d, "input coupling") for s in entries))
 
 
 def extended_graph(g: MatrixWeightedGraph,

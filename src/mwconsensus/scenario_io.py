@@ -121,8 +121,7 @@ def graph_to_dict(g: MatrixWeightedGraph,
             for e in g.edges
         ],
     }
-    if coupling is not None and (coupling.m or coupling.entries):
-        doc["m"] = coupling.m
+    if coupling is not None and coupling.entries:
         doc["inputs"] = [
             {"agent": c.i, "input": c.j,
              "weight": [float(v) for v in c.weight.reshape(-1)],
@@ -149,22 +148,15 @@ def _json_entries(doc: dict, key: str,
 
 def graph_from_dict(doc: dict) -> tuple[MatrixWeightedGraph, InputCoupling]:
     """The graph and its input coupling from the graph section."""
-    _section(doc, "graph", {"n", "d", "edges", "inputs", "m"}, ("n", "d"))
+    _section(doc, "graph", {"n", "d", "edges", "inputs"}, ("n", "d"))
     for key in ("n", "d"):
         if _json_value(doc[key], "integer", f"graph.{key}") < 1:
             raise GraphFormatError(f"graph.{key}: must be a positive integer")
     n, d = doc["n"], doc["d"]
     g = MatrixWeightedGraph.from_edges(
         n, d, _json_entries(doc, "edges", ("i", "j")))
-    entry_specs = list(_json_entries(doc, "inputs", ("agent", "input")))
-    m = _json_value(doc.get("m", 0), "integer", "graph.m")
-    if entry_specs:
-        m = max(m, 1 + max(spec[1] for spec in entry_specs))
-    coupling = InputCoupling.from_entries(m, entry_specs, d)
-    for spec in entry_specs:
-        if not (0 <= spec[0] < n):
-            raise GraphFormatError(f"coupling agent {spec[0]} out of range")
-    return g, coupling
+    return g, InputCoupling.from_entries(
+        _json_entries(doc, "inputs", ("agent", "input")), d)
 
 
 def _parse_params(doc: dict, n: int) -> TriggerParams:
@@ -211,7 +203,7 @@ def parse_scenario(doc: dict) -> tuple[Scenario, dict]:
              ("graph", "mode", "params", "sim"))
     graph, coupling = graph_from_dict(doc["graph"])
     mode = _parse_mode(doc["mode"], coupling)
-    if isinstance(mode, Leaderless) and (coupling.m or coupling.entries):
+    if isinstance(mode, Leaderless) and coupling.entries:
         raise GraphFormatError(
             "graph declares input couplings but mode is leaderless")
     params = _parse_params(doc["params"], graph.n)

@@ -7,12 +7,12 @@ flow is exactly affine on each step: ``x(t + dt) = x(t) + dt * qhat``.
 
 Between broadcasts each error is affine in time, ``e_i = e0_i - tau q_i``,
 so each agent's trigger excess ``g = K |e|^2 - S`` is a quadratic
-``c0 + c1 tau + c2 tau^2`` in the time ``tau`` since the last broadcast
-(the anchor).  The agent fires when ``theta g > chi``, and the auxiliary
-variable obeys ``chi' = -beta chi - delta g``, whose exact solution,
+``c0 + c1 s + c2 s^2`` in the ``s = tau / dt`` grid steps since the last
+broadcast (the anchor).  The agent fires when ``theta g > chi``, and the
+auxiliary variable obeys ``chi' = -beta chi - delta g``, whose exact solution,
 
-    chi(tau) = e^z chi_s - delta (tau phi1(z) c0 + tau^2 phi2(z) c1
-                                  + 2 tau^3 phi3(z) c2),    z = -beta tau,
+    chi(tau) = e^z chi_s - delta tau (phi1(z) c0 + s phi2(z) c1
+                                      + 2 s^2 phi3(z) c2),    z = -beta tau,
 
 with the exponential-integrator functions ``phi_k`` (Hochbruck & Ostermann,
 Acta Numerica 2010), is evaluated from the anchor, so no step limit applies
@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import mwgraph, trigger
-from .errors import Diverged, InvalidScenario
+from .errors import Diverged, GraphFormatError, InvalidScenario
 from .linalg import sym_sqrt
 from .mwgraph import MatrixWeightedGraph
 from .trigger import LeaderFollower, Mode, TriggerParams
@@ -85,6 +85,10 @@ class Scenario:
     baseline: str = BASELINE_DYNAMIC
 
     def __post_init__(self):
+        if isinstance(self.mode, LeaderFollower):
+            for c in self.mode.coupling.entries:
+                if not 0 <= c.i < self.graph.n:
+                    raise GraphFormatError(f"coupling agent {c.i} out of range")
         if self.x0 is not None:
             arr = np.asarray(self.x0, dtype=float).reshape(-1).copy()
             arr.setflags(write=False)
@@ -140,12 +144,11 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
         # 8 bytes each for the time, states (nd) and chi (n) of every grid
         # point, and the index, xhat and q (nd each) of every anchor, at worst
         # one per point.  The step loop adds window scratch (WINDOW_VALUES).
-        need, have = (8.0 * (steps + 1.0) * (3 * nd + n + 2),
-                      mwgraph.physical_memory())
-        if not need < have:
-            out.append(f"T/dt = {steps:.6g} steps need {need / 2**30:.3g} GiB "
-                       f"of arrays, more than the {have / 2**30:.3g} GiB of "
-                       "physical memory")
+        refusal = mwgraph.memory_refusal(
+            8.0 * (steps + 1.0) * (3 * nd + n + 2), f"T/dt = {steps:.6g} steps",
+            "of arrays")
+        if refusal:
+            out.append(refusal)
         elif not (abs(sc.step_count * sc.dt - sc.horizon)
                   <= STEP_GRID_RTOL * sc.horizon):
             # The grid ends at step_count * dt; the summary reports T.
@@ -205,7 +208,6 @@ class TrajectoryRecord:
     held_q: np.ndarray
     events: tuple[np.ndarray, ...]
     scenario: Scenario
-    limit_state: Optional[np.ndarray]
 
     @property
     def n(self) -> int:
@@ -215,13 +217,26 @@ class TrajectoryRecord:
     def d(self) -> int:
         return self.scenario.graph.d
 
+    @cached_property
+    def limit_state(self) -> Optional[np.ndarray]:
+        """Predicted asymptotic state, derived on first read: gauge-signed
+        mean (leaderless) or copies of the input signed by each agent's
+        leader gauge (leader-follower)."""
+        sc = self.scenario
+        if not mwgraph.verify_assumption1(sc.graph).holds:
+            return None
+        if isinstance(sc.mode, LeaderFollower):
+            gauge = mwgraph.leader_gauge(sc.network, sc.graph.n)
+            return None if gauge is None else np.kron(gauge, sc.mode.u0)
+        return mwgraph.predicted_bipartite_limit(sc.graph, sc.initial_state())
+
 
 @dataclass
 class SimState:
     """State at grid index ``k``: states, broadcasts, the held control, and
     the anchor (grid index ``anchor`` of the last broadcast, with the
     threshold ``chi_anchor`` there and the coefficients ``excess`` =
-    (c0, c1, c2) of each agent's trigger excess in the time since it)."""
+    (c0, c1, c2) of each agent's trigger excess in grid steps since it)."""
 
     k: int
     x: np.ndarray
@@ -311,25 +326,24 @@ def compile_scenario(sc: Scenario) -> CompiledScenario:
 def _anchored(compiled: CompiledScenario, k: int, x: np.ndarray,
               xhat: np.ndarray, chi: np.ndarray) -> SimState:
     """State just after the broadcasts ``xhat`` at grid index ``k``: the held
-    control, and the trigger excess ``gain |e0 - tau q|^2 - slack`` as a
-    polynomial in the time ``tau`` since ``k``."""
+    control, and the trigger excess ``gain |e0 - s dt q|^2 - slack`` as a
+    polynomial in the number ``s`` of grid steps since ``k``.  In step units
+    a coefficient stays finite whenever one step's error does."""
     n, d = compiled.n, compiled.d
     q, slack = compiled.held_terms(xhat)
     e0 = (xhat - x).reshape(n, d)
-    q_blocks = q.reshape(n, d)
-    # For huge weights gain |q|^2 exceeds float64 and rounds to inf.
+    dq = (compiled.scenario.dt * q).reshape(n, d)
+    # For huge weights the gain times a square may still exceed float64.
     with np.errstate(over="ignore"):
         excess = np.array([
             compiled.gain * np.einsum("ij,ij->i", e0, e0) - slack,
-            -2.0 * compiled.gain * np.einsum("ij,ij->i", e0, q_blocks),
-            compiled.gain * np.einsum("ij,ij->i", q_blocks, q_blocks)])
+            -2.0 * compiled.gain * np.einsum("ij,ij->i", e0, dq),
+            compiled.gain * np.einsum("ij,ij->i", dq, dq)])
     return SimState(k, x, xhat, q, k, chi, excess)
 
 
-def initial_sim_state(compiled: CompiledScenario,
-                      x0: Optional[np.ndarray] = None) -> SimState:
-    sc = compiled.scenario
-    x = sc.initial_state() if x0 is None else np.array(x0, dtype=float)
+def initial_sim_state(compiled: CompiledScenario) -> SimState:
+    x = compiled.scenario.initial_state()
     # Every agent broadcasts at t = 0, so the error starts at exactly zero.
     return _anchored(compiled, 0, x, x.copy(), np.array(compiled.chi0))
 
@@ -411,14 +425,14 @@ def step(state: SimState, dt: float, compiled: CompiledScenario,
         rows, chi = rows[:w], chi[:w]
 
     offset = state.k - state.anchor
-    tau = np.arange(offset + 1, offset + w + 1) * dt
-    z = np.multiply.outer(tau, -compiled.beta)
+    s = np.arange(offset + 1.0, offset + w + 1.0)[:, None]
+    tau = s * dt
+    z = tau * -compiled.beta
     phi1, phi2, phi3 = _phi(z)
     c0, c1, c2 = state.excess
-    tau = tau[:, None]
-    lhs = compiled.theta * (c0 + tau * (c1 + tau * c2))
+    lhs = compiled.theta * (c0 + s * (c1 + s * c2))
     chi[:] = np.exp(z) * state.chi_anchor - compiled.delta * tau * (
-        phi1 * c0 + tau * (phi2 * c1 + 2.0 * tau * phi3 * c2))
+        phi1 * c0 + s * (phi2 * c1 + 2.0 * s * phi3 * c2))
     hits = lhs > (0.0 if compiled.static_baseline else chi)
     fire_rows = np.flatnonzero(hits.any(axis=1))
     if not fire_rows.size:
@@ -465,15 +479,13 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
     chi[0] = compiled.chi0
     anchors[0], held_xhat[0], held_q[0] = 0, state.xhat, state.q
 
-    limit_state = _limit_state(sc)
-
     def finish(upto: int) -> TrajectoryRecord:
         ev = tuple(np.array(e) for e in events)
         return TrajectoryRecord(
             times=times[:upto + 1], states=states[:upto + 1],
             chi=chi[:upto + 1], anchors=anchors[:held],
             held_xhat=held_xhat[:held], held_q=held_q[:held], events=ev,
-            scenario=sc, limit_state=limit_state)
+            scenario=sc)
 
     k, width, held = 0, 1, 1
     while k < steps:
@@ -492,18 +504,6 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
         width = 2 * (nxt.k - state.anchor)
         state, k = nxt, nxt.k
     return finish(steps)
-
-
-def _limit_state(sc: Scenario) -> Optional[np.ndarray]:
-    """Predicted asymptotic state: gauge-signed mean (leaderless) or
-    copies of the input signed by each agent's leader gauge
-    (leader-follower)."""
-    if not mwgraph.verify_assumption1(sc.graph).holds:
-        return None
-    if isinstance(sc.mode, LeaderFollower):
-        gauge = mwgraph.leader_gauge(sc.network, sc.graph.n)
-        return None if gauge is None else np.kron(gauge, sc.mode.u0)
-    return mwgraph.predicted_bipartite_limit(sc.graph, sc.initial_state())
 
 
 def chi_floor_check(record: TrajectoryRecord) -> np.ndarray:

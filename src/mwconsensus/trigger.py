@@ -26,8 +26,8 @@ Equality never fires: the threshold inequality uses "<=" for staying silent,
 so the fire condition is strict.
 
 The engine applies the law to all agents at once: ``sim.CompiledScenario``
-compiles the gains, each broadcast builds the excess as a quadratic in the
-time since it, and ``sim.step`` reads it for the fire test and ``chi`` alike.
+compiles the gains, each broadcast builds the excess as a quadratic in grid
+steps, and ``sim.step`` reads it for the fire test and ``chi`` alike.
 This module holds the parameters, their validation, ``mu_bar`` and ``gamma``.
 """
 

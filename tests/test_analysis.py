@@ -41,7 +41,7 @@ def random_lf_scenario(n, d, horizon, seed=0):
               for a, b in sorted(chords)]
     # The input's gauge sign is +1.
     coupling = InputCoupling.from_entries(
-        1, [(0, 0, weight(gauge[0], d)), (1, 0, weight(gauge[1], d - 1))], d)
+        [(0, 0, weight(gauge[0], d)), (1, 0, weight(gauge[1], d - 1))], d)
     return Scenario(graph=MatrixWeightedGraph.from_edges(n, d, edges),
                     mode=LeaderFollower(u0=rng.uniform(-1.0, 1.0, d),
                                         coupling=coupling),
@@ -203,7 +203,7 @@ class TestEventStats:
 def negated_lf_scenario(horizon):
     """The bundled leader-follower scenario with both couplings negated."""
     coupling = InputCoupling.from_entries(
-        2, [(0, 0, -WEIGHT_3_4, "nsd"), (5, 1, -WEIGHT_0_5, "nd")], 4)
+        [(0, 0, -WEIGHT_3_4, "nsd"), (5, 1, -WEIGHT_0_5, "nd")], 4)
     sc = leader_follower_scenario(horizon=horizon)
     return dataclasses.replace(
         sc, mode=LeaderFollower(u0=sc.mode.u0, coupling=coupling))
@@ -213,7 +213,7 @@ def two_couplings_on_one_agent_scenario(horizon):
     """Agent 2 carries two inputs of opposite gauge sign, so Assumption 2
     fails and the run is forced; the Lyapunov form is algebraic and holds
     for any state."""
-    coupling = InputCoupling.from_entries(3, [
+    coupling = InputCoupling.from_entries([
         (2, 0, WEIGHT_0_5, "pd"), (2, 1, -WEIGHT_3_4, "nsd"),
         (4, 2, WEIGHT_3_4, "psd")], 4)
     sc = leader_follower_scenario(horizon=horizon)

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import re
 import tracemalloc
@@ -224,25 +225,51 @@ class TestLeaderGauge:
         assert "validation: assumption 2 fails: " in out
 
 
-class TestUncoupledInputs:
-    """A declared input without a coupling entry is refused at load, so no
-    command sizes anything by the declared count."""
+def refused_in_one_line(doc, command, tmp_path, capsys) -> str:
+    """``command`` on ``doc`` exits 1 with one stderr line and nothing else
+    written; returns that line."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "runs")]
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "runs").exists()
+    (line,) = err.splitlines()
+    return line
 
-    @pytest.mark.parametrize("m", [5000, 10**6])
+
+class TestUncoupledInputs:
+    """An input index past the coupled ones implies inputs without a coupling
+    entry; it is refused at load, so no command sizes anything by it."""
+
+    @pytest.mark.parametrize("top", [5000, 10**6])
     @pytest.mark.parametrize("command", ["run", "check", "spectrum"])
-    def test_refused_in_one_line(self, command, m, tmp_path, capsys):
+    def test_refused_in_one_line(self, command, top, tmp_path, capsys):
         doc = lf_scenario_doc()
         doc["sim"]["T"] = 0.01
-        doc["graph"]["m"] = m
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
-        argv = [command, str(path)]
-        if command == "run":
-            argv += ["--out", str(tmp_path / "runs")]
-        assert main(argv) == EXIT_VALIDATION
-        out, err = capsys.readouterr()
-        assert err.splitlines() == [f"error: input 2 of m={m} has no coupling"]
-        assert out == "" and not (tmp_path / "runs").exists()
+        doc["graph"]["inputs"].append(
+            dict(doc["graph"]["inputs"][0], agent=1, input=top))
+        assert refused_in_one_line(doc, command, tmp_path, capsys) == \
+            f"error: input 2 of m={top + 1} has no coupling"
+
+    @pytest.mark.parametrize("line,edit", [
+        ("graph: unknown keys ['m']", lambda g: g.update(m=2)),
+        ("coupling agent 7 out of range",
+         lambda g: g["inputs"][0].update(agent=7)),
+        ("coupling agent -1 out of range",
+         lambda g: g["inputs"][1].update(agent=-1)),
+    ], ids=["declared-m", "agent-7", "agent-minus-1"])
+    @pytest.mark.parametrize("command", ["run", "check", "spectrum"])
+    def test_bad_graph_inputs_refused_in_one_line(self, command, line, edit,
+                                                  tmp_path, capsys):
+        """The input count is not a document value, and each coupling names
+        one of the graph's agents."""
+        doc = lf_scenario_doc()
+        edit(doc["graph"])
+        assert refused_in_one_line(doc, command, tmp_path, capsys) == \
+            f"error: {line}"
 
 
 class TestStructureComputedOnce:
@@ -360,6 +387,28 @@ class TestRun:
         da, db = next(a.iterdir()), next(b.iterdir())
         assert da.name == db.name
         assert file_hashes(da) == file_hashes(db)
+
+    def test_each_format_writes_its_files(self, tmp_path):
+        """``["csv"]`` writes exactly the three CSVs and ``["json"]`` exactly
+        the summary and config, each byte for byte the default run's file."""
+        written = {}
+        for formats in (["csv", "json"], ["csv"], ["json"]):
+            doc = small_scenario_doc(horizon=0.05)
+            doc["outputs"] = {"formats": formats}
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            out_root = tmp_path / "-".join(formats)
+            assert main(["run", str(path), "--out", str(out_root)]) == EXIT_OK
+            (run_dir,) = out_root.iterdir()
+            written[tuple(formats)] = {p.name: p.read_bytes()
+                                       for p in run_dir.iterdir()}
+        full = written.pop(("csv", "json"))
+        assert sorted(written[("csv",)]) == ["chi.csv", "events.csv",
+                                             "trajectory.csv"]
+        assert sorted(written[("json",)]) == ["config.json", "summary.json"]
+        for files in written.values():
+            for name, data in files.items():
+                assert data == full[name], name
 
     def test_seed_override_changes_artifacts(self, scenario_file, tmp_path):
         a = tmp_path / "a"
@@ -613,6 +662,31 @@ class TestExtremeInputs:
             code = main(["run", str(path), "--out", str(tmp_path / "runs")])
         assert code == EXIT_DIVERGED
         assert capsys.readouterr().err.startswith("diverged: ")
+
+    @pytest.mark.parametrize("baseline,chi", [
+        ("static", 0.3 * math.exp(-1e-3)), ("dynamic", -3.3325001666e300)],
+        ids=["static", "dynamic"])
+    def test_huge_weight_keeps_chi_finite(self, baseline, chi, tmp_path,
+                                          capsys):
+        """At weight 1e290 the gain times |q|^2 overflows float64 while one
+        step's error does not, so the excess in grid-step units stays finite
+        and so does chi at the last step before the divergence."""
+        doc = small_scenario_doc(weight=1e290)
+        doc["sim"]["x0"] = [0.0, 1e-280]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning raises
+            code = main(["run", str(path), "--baseline", baseline,
+                         "--out", str(tmp_path / "runs")])
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err.startswith(
+            "diverged: state norm exceeded 1e+09 at t=0.002")
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        rows = (run_dir / "chi.csv").read_text().splitlines()
+        assert [r.rsplit(",", 1)[0] for r in rows[3:]] == ["0.001,0", "0.001,1"]
+        for r in rows[3:]:
+            assert float(r.rsplit(",", 1)[1]) == pytest.approx(chi, rel=1e-10)
 
     @pytest.mark.parametrize("make", EXTREME.values(), ids=EXTREME.keys())
     def test_refused_at_validation(self, make, tmp_path, capsys):

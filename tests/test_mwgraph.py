@@ -164,8 +164,8 @@ class TestGraphModel:
         (lambda: MatrixWeightedGraph.from_edges(2, 2, [(0, 1, PAIR)]), 1),
         (lambda: MatrixWeightedGraph.from_edges(2, 2, [(0, 1, -PAIR, "nd")]), 1),
         (lambda: MatrixWeightedGraph.from_edges(2, 3, [(0, 1, NOISY, "psd")]), 2),
-        (lambda: InputCoupling.from_entries(1, [(0, 0, PAIR, "pd")], 2), 1),
-        (lambda: InputCoupling.from_entries(1, [(0, 0, -NOISY, "nsd")], 3), 2),
+        (lambda: InputCoupling.from_entries([(0, 0, PAIR, "pd")], 2), 1),
+        (lambda: InputCoupling.from_entries([(0, 0, -NOISY, "nsd")], 3), 2),
     ], ids=["pd", "nd-declared", "psd-projected", "coupling",
             "coupling-projected"])
     def test_one_eigh_per_loaded_weight(self, make, eighs, eigh_shapes):
@@ -535,8 +535,8 @@ class TestGroundedLaplacian:
     that ``spectrum`` reads, on the same assertions."""
 
     def test_empty_coupling_is_plain_laplacian(self, ref_graph):
-        for lb in (grounded_laplacian(ref_graph, InputCoupling(0)),
-                   grounded_block(ref_graph, InputCoupling(0))):
+        for lb in (grounded_laplacian(ref_graph, InputCoupling()),
+                   grounded_block(ref_graph, InputCoupling())):
             np.testing.assert_array_equal(lb, build_laplacian(ref_graph))
 
     def test_reference_grounded_positive_definite(self, ref_graph, ref_coupling):
@@ -547,14 +547,14 @@ class TestGroundedLaplacian:
     def test_single_node_equals_coupling_weight(self):
         g = MatrixWeightedGraph(1, 2, ())
         w = np.array([[2.0, 0.2], [0.2, 1.0]])
-        coupling = InputCoupling.from_entries(1, [(0, 0, w)], 2)
+        coupling = InputCoupling.from_entries([(0, 0, w)], 2)
         for lb in (grounded_laplacian(g, coupling), grounded_block(g, coupling)):
             np.testing.assert_allclose(lb, w, atol=1e-15)
 
     def test_two_couplings_on_one_agent(self, ref_graph):
         """Laplacian plus each agent's summed |B_il| on its diagonal block;
         agent 2 carries two inputs, one of them negative."""
-        coupling = InputCoupling.from_entries(3, [
+        coupling = InputCoupling.from_entries([
             (2, 0, WEIGHT_0_5, "pd"), (2, 1, -WEIGHT_3_4, "nsd"),
             (4, 2, WEIGHT_3_4, "psd")], 4)
         want = build_laplacian(ref_graph).copy()
@@ -572,24 +572,24 @@ class TestAssumption2:
         assert assumption2(ref_graph, ref_coupling)
 
     def test_empty_coupling_fails(self, ref_graph):
-        assert not assumption2(ref_graph, InputCoupling(0))
+        assert not assumption2(ref_graph, InputCoupling())
 
     def test_single_pd_input(self):
         g = scalar_graph(2, {(0, 1): 1.0}, d=2)
-        coupling = InputCoupling.from_entries(1, [(0, 0, np.eye(2))], 2)
+        coupling = InputCoupling.from_entries([(0, 0, np.eye(2))], 2)
         assert assumption2(g, coupling)
 
     def test_sign_mismatched_input_breaks_extended_balance(self):
         # both agents in group 1, but agent 1 is attached negatively
         g = scalar_graph(2, {(0, 1): 1.0}, d=1)
         coupling = InputCoupling.from_entries(
-            1, [(0, 0, [[1.0]]), (1, 0, [[-1.0]])], 1)
+            [(0, 0, [[1.0]]), (1, 0, [[-1.0]])], 1)
         assert not assumption2(g, coupling)
 
     def test_psd_only_grounding_fails(self):
         g = scalar_graph(2, {(0, 1): 1.0}, d=2)
         coupling = InputCoupling.from_entries(
-            1, [(0, 0, np.diag([1.0, 0.0]), "psd")], 2)
+            [(0, 0, np.diag([1.0, 0.0]), "psd")], 2)
         assert not assumption2(g, coupling)
 
     def test_leader_gauge_reference(self, ref_graph, ref_coupling):
@@ -602,7 +602,7 @@ class TestAssumption2:
         """The reference couplings negated: every agent tracks -u0 times its
         gauge sign."""
         negated = InputCoupling.from_entries(
-            2, [(0, 0, -WEIGHT_3_4, "nsd"), (5, 1, -WEIGHT_0_5, "nd")], 4)
+            [(0, 0, -WEIGHT_3_4, "nsd"), (5, 1, -WEIGHT_0_5, "nd")], 4)
         assert leader_gauge(extended_graph(ref_graph, negated), 6).tolist() == \
             [-s for s in REFERENCE_SIGNS]
         assert assumption2(ref_graph, negated)
@@ -612,7 +612,7 @@ class TestAssumption2:
         carry opposite gauge signs while holding the same u0."""
         g = scalar_graph(2, {(0, 1): 1.0}, d=2)
         coupling = InputCoupling.from_entries(
-            2, [(0, 0, np.eye(2)), (1, 1, -np.eye(2))], 2)
+            [(0, 0, np.eye(2)), (1, 1, -np.eye(2))], 2)
         ext = extended_graph(g, coupling)
         assert detect_structural_balance(ext) is not None
         assert leader_gauge(ext, g.n) is None
@@ -626,11 +626,18 @@ class TestAssumption2:
 
 class TestInputCoupling:
     def test_uncoupled_input_rejected(self):
-        """Every declared input needs a coupling entry, so the network's size
-        is bounded by the entries themselves."""
-        with pytest.raises(GraphFormatError, match="input 1 of m=2 has no coupling"):
-            InputCoupling.from_entries(2, [(0, 0, [[1.0]])], 1)
-        with pytest.raises(GraphFormatError, match="input 0 of m=1 has no"):
-            InputCoupling(1)
-        InputCoupling(0)
+        """The input count is one past the largest input index, and every
+        input below it needs a coupling entry, so the network's size is
+        bounded by the entries themselves."""
+        w = [[1.0]]
+        for top in (2, 5000, 10**6, 10**18):
+            with pytest.raises(GraphFormatError,
+                               match=f"input 1 of m={top + 1} has no coupling"):
+                InputCoupling.from_entries([(0, 0, w), (1, top, w)], 1)
+        with pytest.raises(GraphFormatError, match="input 0 of m=2 has no"):
+            InputCoupling.from_entries([(0, 1, w), (1, 1, w)], 1)
+        with pytest.raises(GraphFormatError, match="references input -1"):
+            InputCoupling.from_entries([(0, -1, w)], 1)
+        assert InputCoupling().m == 0
+        assert InputCoupling.from_entries([(0, 1, w), (1, 0, w)], 1).m == 2
 

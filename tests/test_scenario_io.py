@@ -264,11 +264,15 @@ class TestInterchange:
             graph_from_dict(doc)
 
 
-@pytest.mark.parametrize("m", [3, 10**6, 10**18])
-def test_declared_inputs_beyond_entries_rejected(m):
-    doc = {"n": 2, "d": 1, "m": m,
+@pytest.mark.parametrize("top", [3, 10**6, 10**18])
+def test_declared_inputs_beyond_entries_rejected(top):
+    """An input index far past the others implies an input count that no
+    entries back; it is refused before anything is sized by it."""
+    doc = {"n": 2, "d": 1,
            "edges": [{"i": 0, "j": 1, "weight": [1.0]}],
            "inputs": [{"agent": 0, "input": 0, "weight": [1.0]},
-                      {"agent": 1, "input": 1, "weight": [1.0]}]}
-    with pytest.raises(GraphFormatError, match=f"input 2 of m={m} has no"):
+                      {"agent": 1, "input": 1, "weight": [1.0]},
+                      {"agent": 1, "input": top, "weight": [1.0]}]}
+    with pytest.raises(GraphFormatError,
+                       match=f"input 2 of m={top + 1} has no"):
         graph_from_dict(doc)

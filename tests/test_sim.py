@@ -10,7 +10,7 @@ import pytest
 
 from mwconsensus import analysis, sim, trigger
 from mwconsensus.builtin import leader_follower_scenario, leaderless_scenario
-from mwconsensus.errors import Diverged, InvalidScenario
+from mwconsensus.errors import Diverged, GraphFormatError, InvalidScenario
 from mwconsensus.linalg import sym_eigen, sym_sqrt
 from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
     build_laplacian
@@ -79,9 +79,23 @@ class TestValidation:
 
     def test_lf_requires_assumption2(self):
         g = scalar_graph(2, {(0, 1): 1.0})
-        mode = LeaderFollower(u0=np.array([0.5]), coupling=InputCoupling(0))
+        mode = LeaderFollower(u0=np.array([0.5]), coupling=InputCoupling())
         sc = tiny_scenario(graph=g, mode=mode)
         assert any("assumption 2" in v for v in validate_scenario(sc))
+
+    @pytest.mark.parametrize("agent", [6, 7, -1])
+    def test_coupling_agent_out_of_range_refused(self, agent):
+        """A coupling attaches an input to one of the graph's agents; the
+        model refuses any other at construction, so no input-input edge
+        reaches the network."""
+        sc = leader_follower_scenario()
+        eye = np.eye(sc.graph.d)
+        coupling = InputCoupling.from_entries(
+            [(agent, 0, eye), (0, 1, eye)], sc.graph.d)
+        mode = LeaderFollower(u0=sc.mode.u0, coupling=coupling)
+        with pytest.raises(GraphFormatError,
+                           match=f"^coupling agent {agent} out of range$"):
+            dataclasses.replace(sc, mode=mode)
 
     def test_x0_shape_checked(self):
         sc = tiny_scenario(x0=np.zeros(5))
@@ -230,7 +244,7 @@ def isolated_psd_nsd_scenario(lf=False):
         m = rng.normal(size=(d, d - 1))
         psd = m @ m.T
         coupling = InputCoupling.from_entries(
-            2, [(0, 0, psd), (3, 1, -psd), (5, 0, np.eye(d))], d)
+            [(0, 0, psd), (3, 1, -psd), (5, 0, np.eye(d))], d)
         mode = LeaderFollower(u0=rng.uniform(-1.0, 1.0, d), coupling=coupling)
     return Scenario(graph=g, mode=mode, params=uniform_params(n), dt=1e-3,
                     horizon=0.05, seed=2)
@@ -366,7 +380,7 @@ class TestStepSemantics:
         u0 = np.array([0.4, -0.2])
         mode = LeaderFollower(u0=u0,
                               coupling=InputCoupling.from_entries(
-                                  1, [(0, 0, w)], 2))
+                                  [(0, 0, w)], 2))
         sc = Scenario(graph=g, mode=mode, params=uniform_params(1, theta=1.0),
                       dt=1e-3, horizon=0.2, x0=u0)
         rec = run(sc)
@@ -737,7 +751,6 @@ def flip_gauge(sc, s):
     mode = sc.mode
     if isinstance(mode, LeaderFollower):
         coupling = InputCoupling.from_entries(
-            mode.coupling.m,
             [(c.i, c.j, s[c.i] * c.weight) for c in mode.coupling.entries], d)
         mode = LeaderFollower(u0=mode.u0, coupling=coupling)
     return dataclasses.replace(sc, graph=graph, mode=mode,
@@ -960,7 +973,6 @@ def relabel(sc, perm):
     mode = sc.mode
     if isinstance(mode, LeaderFollower):
         coupling = InputCoupling.from_entries(
-            mode.coupling.m,
             [(perm[c.i], c.j, c.weight) for c in mode.coupling.entries], d)
         mode = LeaderFollower(u0=mode.u0, coupling=coupling)
     p = sc.params

@@ -77,7 +77,7 @@ class TestControls:
     def test_lf_without_inputs_matches_leaderless(self, ref_graph):
         rng = np.random.default_rng(3)
         xhat = rng.uniform(-1, 1, 24)
-        empty = InputCoupling(0)
+        empty = InputCoupling()
         u0 = np.zeros(4)
         for i in range(6):
             np.testing.assert_array_equal(
@@ -87,7 +87,7 @@ class TestControls:
     def test_lf_tracking_equilibrium(self):
         g = MatrixWeightedGraph(1, 2, ())
         w = np.array([[1.5, 0.2], [0.2, 2.0]])
-        coupling = InputCoupling.from_entries(1, [(0, 0, w)], 2)
+        coupling = InputCoupling.from_entries([(0, 0, w)], 2)
         u0 = np.array([0.4, -0.1])
         np.testing.assert_allclose(
             control_leader_follower(0, u0.copy(), g, coupling, u0),
@@ -160,7 +160,7 @@ class TestSpectralConstants:
     def test_gamma_splits_agents_from_inputs(self, ref_graph):
         """Agent 2 carries two inputs: both enter the squared sum only, and
         the agents' own terms are those of the leaderless graph."""
-        coupling = InputCoupling.from_entries(3, [
+        coupling = InputCoupling.from_entries([
             (2, 0, WEIGHT_0_5, "pd"), (2, 1, -WEIGHT_3_4, "nsd"),
             (4, 2, WEIGHT_3_4, "psd")], 4)
         network = extended_graph(ref_graph, coupling)

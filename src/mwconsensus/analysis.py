@@ -23,7 +23,9 @@ FIT_FLOOR_RATIO = 1e-10
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Digest of a run; its fields are exactly the keys of ``summary.json``.
+    """Digest of a run; its fields are exactly the keys of ``summary.json``,
+    which for a record cut short by divergence also holds ``diverged: true``
+    (added by ``cli.write_artifacts``).
 
     The error and decay fields are measured against the predicted limit
     state; they are ``None`` for a record without one (a forced run whose

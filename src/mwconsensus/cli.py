@@ -3,7 +3,7 @@
 Subcommands::
 
     mwconsensus check SCENARIO            validate a scenario document
-    mwconsensus spectrum SCENARIO         Laplacian spectra and nullity
+    mwconsensus spectrum SCENARIO         Laplacian spectra, nullity, verdict
     mwconsensus run SCENARIO [...]        simulate and write artifacts
     mwconsensus replicate-paper {leaderless,lf} [...]
                                           run the bundled reference scenarios
@@ -84,7 +84,7 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json")) -> dict:
         # Bits are compared, not floats: 0.0 == -0.0, but their texts differ.
         bits_h = record.held_xhat.view(np.int64)
         bits_q = record.held_q.view(np.int64)
-        bounds = record.anchors.tolist() + [len(record.times)]
+        bounds = record.anchors.tolist() + [len(record.states)]
         cols = range(n * d)  # row 0 formats every column
         tails = [""] * (n * d)
         with open(outdir / "trajectory.csv", "w", encoding="utf-8",
@@ -116,7 +116,7 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json")) -> dict:
                 fh.writelines(f"{i},{t!r}\n" for t in ev.tolist())
 
     summary_doc = analysis.event_stats(record).as_dict()
-    if len(record.times) <= sc.step_count:  # cut short by divergence
+    if len(record.states) <= sc.step_count:  # cut short by divergence
         summary_doc["diverged"] = True
     if "json" in formats:
         with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
@@ -168,8 +168,9 @@ def cmd_check(args) -> int:
 
 def cmd_spectrum(args) -> int:
     """Print the Laplacian spectra of a scenario that ``run --force`` would
-    accept: the structural assumptions are not required, since this command
-    is how a graph that fails them is inspected."""
+    accept, and the Assumption-1 verdict ``run`` applies: the assumptions
+    are not required, since this command is how a graph that fails them is
+    inspected."""
     scenario, _ = _load(args.scenario, args)
     violations = sim.validate_scenario(scenario, assumptions=False)
     for v in violations:
@@ -188,6 +189,13 @@ def cmd_spectrum(args) -> int:
         print(f"smallest positive eigenvalue: {positive[0]:.6g}")
     else:
         print("smallest positive eigenvalue: none")
+    # Where the full spectrum is ill-conditioned its nullity can differ from
+    # the definite quotient's, which decides Assumption 1 for `run`.
+    report = mwgraph.verify_assumption1(g)
+    verdict = ("fails (structurally imbalanced)" if g.signs is None else
+               f"{'holds' if report.holds else 'fails'} "
+               f"(nullity {report.nullity})")
+    print(f"assumption 1 as run decides it: {verdict}")
     if isinstance(scenario.mode, LeaderFollower):
         nd = g.n * g.d  # the agents' block of L is the grounded Laplacian
         gvals, _ = sym_eigen(scenario.network.laplacian[:nd, :nd])

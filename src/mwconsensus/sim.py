@@ -19,14 +19,14 @@ Acta Numerica 2010), is evaluated from the anchor, so no step limit applies
 and every value is independent of how the grid is split.
 
 :func:`step` advances a window of grid steps and stops at the first step
-at which an agent fires.  The states of the window are the running sums of
-``dt * qhat`` rows, accumulated in the record's own rows in the order a
-step-by-step loop adds them, so they are bit for bit those of one step at a
-time.  Triggers are checked only at step boundaries and reported event
-times are grid times.  The mechanisms guarantee strictly positive dwell
-times, so a sufficiently small step (default 1e-3) resolves the event
-sequence; this is a documented approximation, not a root-finding event
-detector.  When several agents violate their thresholds at the same
+at which an agent fires.  Its states are the running sums of the record row
+at its start and ``dt * qhat`` rows, accumulated in the record's own rows in
+the order a step-by-step loop adds them, so they are bit for bit those of
+one step at a time.  Triggers are checked only at step boundaries and
+reported event times are grid times.  The mechanisms guarantee strictly
+positive dwell times, so a sufficiently small step (default 1e-3) resolves
+the event sequence; this is a documented approximation, not a root-finding
+event detector.  When several agents violate their thresholds at the same
 boundary, all broadcasts apply atomically before the next step.
 """
 
@@ -193,14 +193,13 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """Grid-sampled history of one run: ``times``, ``states`` and ``chi``
-    per grid row, the held broadcasts and control once per *anchor* (row 0
-    and every row at which some agent fired).  Row ``a`` of ``held_xhat``
-    and ``held_q`` holds from grid row ``anchors[a]`` up to the next anchor;
-    the error ``xhat - x`` is exactly zero at each agent's event instants.
+    """Grid-sampled history of one run: ``states`` and ``chi`` per grid
+    row, the held broadcasts and control once per *anchor* (row 0 and every
+    row at which some agent fired).  Row ``a`` of ``held_xhat`` and
+    ``held_q`` holds from grid row ``anchors[a]`` up to the next anchor; the
+    error ``xhat - x`` is exactly zero at each agent's event instants.
     """
 
-    times: np.ndarray
     states: np.ndarray
     chi: np.ndarray
     anchors: np.ndarray
@@ -218,28 +217,32 @@ class TrajectoryRecord:
         return self.scenario.graph.d
 
     @cached_property
+    def times(self) -> np.ndarray:
+        """Grid time of every row, derived: ``k * dt``."""
+        return np.arange(len(self.states)) * self.scenario.dt
+
+    @cached_property
     def limit_state(self) -> Optional[np.ndarray]:
         """Predicted asymptotic state, derived on first read: gauge-signed
-        mean (leaderless) or copies of the input signed by each agent's
-        leader gauge (leader-follower)."""
+        mean of x0, row 0 (leaderless), or copies of the input signed by
+        each agent's leader gauge (leader-follower)."""
         sc = self.scenario
         if not mwgraph.verify_assumption1(sc.graph).holds:
             return None
         if isinstance(sc.mode, LeaderFollower):
             gauge = mwgraph.leader_gauge(sc.network, sc.graph.n)
             return None if gauge is None else np.kron(gauge, sc.mode.u0)
-        return mwgraph.predicted_bipartite_limit(sc.graph, sc.initial_state())
+        return mwgraph.predicted_bipartite_limit(sc.graph, self.states[0])
 
 
 @dataclass
 class SimState:
-    """State at grid index ``k``: states, broadcasts, the held control, and
-    the anchor (grid index ``anchor`` of the last broadcast, with the
-    threshold ``chi_anchor`` there and the coefficients ``excess`` =
-    (c0, c1, c2) of each agent's trigger excess in grid steps since it)."""
+    """State at grid index ``k`` (x is record row k): broadcasts, the held
+    control, and the anchor (grid index ``anchor`` of the last broadcast,
+    with the threshold ``chi_anchor`` there and the coefficients ``excess``
+    = (c0, c1, c2) of each agent's trigger excess in grid steps since it)."""
 
     k: int
-    x: np.ndarray
     xhat: np.ndarray
     q: np.ndarray
     anchor: int
@@ -339,7 +342,7 @@ def _anchored(compiled: CompiledScenario, k: int, x: np.ndarray,
             compiled.gain * np.einsum("ij,ij->i", e0, e0) - slack,
             -2.0 * compiled.gain * np.einsum("ij,ij->i", e0, dq),
             compiled.gain * np.einsum("ij,ij->i", dq, dq)])
-    return SimState(k, x, xhat, q, k, chi, excess)
+    return SimState(k, xhat, q, k, chi, excess)
 
 
 def initial_sim_state(compiled: CompiledScenario) -> SimState:
@@ -381,16 +384,17 @@ def _phi_expm1(z):
     return phi1, phi2, (phi2 - 0.5) / z
 
 
-def step(state: SimState, dt: float, compiled: CompiledScenario,
-         states: np.ndarray, chi: np.ndarray) -> tuple[SimState, np.ndarray]:
+def step(state: SimState, compiled: CompiledScenario, states: np.ndarray,
+         chi: np.ndarray) -> tuple[SimState, np.ndarray]:
     """Advance a window of grid steps under the held terms, up to the first
     step at which an agent fires, and apply its broadcasts.
 
     ``states`` holds record rows ``k .. k + w`` and ``chi`` rows
     ``k + 1 .. k + w``, for ``k = state.k`` and a window of ``w >= 1``
-    steps; the rows up to the step the window ends at are filled, later ones
-    are left unspecified.  Per step, in order: (a) the exact affine state
-    update, accumulated from ``state.x`` and checked against the divergence
+    steps.  Row ``k`` (the state at k) is read, not written; the rows up to
+    the step the window ends at are filled, later ones are left unspecified.
+    Per step of the scenario's ``dt``, in order: (a) the exact affine state
+    update, accumulated from row ``k`` and checked against the divergence
     guard (a window ends before the first step that fails the guard;
     :class:`Diverged` is raised when that is its first step); (b) the
     closed-form threshold and (c) the trigger test at the step's end, both
@@ -400,10 +404,9 @@ def step(state: SimState, dt: float, compiled: CompiledScenario,
     step is one grid step.  Returns the state where the window ended and the
     agents that fired there.
     """
-    n, d = compiled.n, compiled.d
+    n, d, dt = compiled.n, compiled.d, compiled.scenario.dt
     w = len(chi)
     window = states[:w + 1]
-    window[0] = state.x
     window[1:] = dt * state.q
     # Rows past a divergence may overflow; they are cut before any use.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -436,10 +439,10 @@ def step(state: SimState, dt: float, compiled: CompiledScenario,
     hits = lhs > (0.0 if compiled.static_baseline else chi)
     fire_rows = np.flatnonzero(hits.any(axis=1))
     if not fire_rows.size:
-        return replace(state, k=state.k + w, x=rows[-1].copy()), fire_rows
+        return replace(state, k=state.k + w), fire_rows
     j = int(fire_rows[0])
     fired = np.flatnonzero(hits[j])
-    x = rows[j].copy()
+    x = rows[j]
     xhat = state.xhat.copy()
     xhat.reshape(n, d)[fired] = x.reshape(n, d)[fired]
     return _anchored(compiled, state.k + j + 1, x, xhat, chi[j].copy()), fired
@@ -463,7 +466,6 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
     compiled = compile_scenario(sc)
     n, d = compiled.n, compiled.d
     steps = sc.step_count
-    times = np.arange(steps + 1) * sc.dt
     max_rows = max(1, WINDOW_VALUES // (n * d))
 
     states = np.empty((steps + 1, n * d))
@@ -475,23 +477,21 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
     events: list[list[float]] = [[0.0] for _ in range(n)]
 
     state = initial_sim_state(compiled)
-    states[0] = state.x
-    chi[0] = compiled.chi0
+    states[0], chi[0] = state.xhat, compiled.chi0  # xhat = x0 at t = 0
     anchors[0], held_xhat[0], held_q[0] = 0, state.xhat, state.q
 
     def finish(upto: int) -> TrajectoryRecord:
         ev = tuple(np.array(e) for e in events)
         return TrajectoryRecord(
-            times=times[:upto + 1], states=states[:upto + 1],
-            chi=chi[:upto + 1], anchors=anchors[:held],
-            held_xhat=held_xhat[:held], held_q=held_q[:held], events=ev,
-            scenario=sc)
+            states=states[:upto + 1], chi=chi[:upto + 1],
+            anchors=anchors[:held], held_xhat=held_xhat[:held],
+            held_q=held_q[:held], events=ev, scenario=sc)
 
     k, width, held = 0, 1, 1
     while k < steps:
         end = k + min(width, steps - k, max_rows)
         try:
-            nxt, fired = step(state, sc.dt, compiled, states[k:end + 1],
+            nxt, fired = step(state, compiled, states[k:end + 1],
                               chi[k + 1:end + 1])
         except Diverged as exc:
             raise Diverged(str(exc), partial_record=finish(k)) from None
@@ -500,7 +500,7 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
                 nxt.k, nxt.xhat, nxt.q
             held += 1
         for i in fired:
-            events[i].append(float(times[nxt.k]))
+            events[i].append(nxt.k * sc.dt)
         width = 2 * (nxt.k - state.anchor)
         state, k = nxt, nxt.k
     return finish(steps)

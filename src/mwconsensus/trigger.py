@@ -39,7 +39,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import NoNeighbors
+from .errors import GraphFormatError, NoNeighbors
 from .mwgraph import InputCoupling, MatrixWeightedGraph
 
 
@@ -71,7 +71,8 @@ class TriggerParams:
             if length is None:
                 length = arr.shape[0]
             if arr.shape != (length,):
-                raise ValueError("trigger parameter arrays must share one length")
+                raise GraphFormatError(
+                    "trigger parameter arrays must share one length")
             arr.setflags(write=False)
             fields[name] = arr
         for name, arr in fields.items():

@@ -73,6 +73,15 @@ def imbalanced_doc():
     return doc
 
 
+def ill_conditioned_path_doc():
+    """A d = 1 path with weights 1e9 and 1: Assumption 1 holds (nullity 1),
+    but the full spectrum counts its eigenvalue ~1.5 as zero."""
+    doc = small_scenario_doc()
+    doc["graph"] = {"n": 3, "d": 1, "edges": [
+        {"i": 0, "j": 1, "weight": [1e9]}, {"i": 1, "j": 2, "weight": [1.0]}]}
+    return doc
+
+
 def rank_deficient_pair_doc():
     """Two agents joined by diag(1, 0): balanced, but Laplacian nullity 3."""
     doc = small_scenario_doc()
@@ -275,7 +284,8 @@ class TestUncoupledInputs:
 class TestStructureComputedOnce:
     """One eigendecomposition per Laplacian per command: ``check`` decides
     Assumption 1 on the one-node definite quotient and decomposes no
-    nd x nd matrix; ``spectrum`` decomposes the full Laplacians."""
+    nd x nd matrix; ``spectrum`` decomposes the full Laplacians, and the
+    quotient for the verdict it prints."""
 
     @pytest.mark.parametrize("command,token,laplacians", [
         ("check", "builtin:leaderless", 1),
@@ -294,11 +304,10 @@ class TestStructureComputedOnce:
 
         monkeypatch.setattr(mwgraph, "null_space", counting)
         assert main([command, token]) == EXIT_OK
+        assert kernels == [(4, 4)]
         if command == "check":
-            assert kernels == [(4, 4)] * laplacians
             assert max(eigh_shapes) == (4, 4)
         else:
-            assert kernels == []
             assert eigh_shapes.count((24, 24)) == laplacians
 
     def test_check_lf_edge_eigh_count(self, eigh_shapes):
@@ -361,6 +370,26 @@ class TestSpectrum:
         out = capsys.readouterr().out
         assert "nullity at tolerance: 1" in out
         assert "smallest positive eigenvalue: 5.35898e-10" in out
+
+    @pytest.mark.parametrize("make,nullity,verdict", [
+        (ill_conditioned_path_doc, 2, "holds (nullity 1)"),
+        (rank_deficient_pair_doc, 3, "fails (nullity 3)"),
+        (imbalanced_doc, 0, "fails (structurally imbalanced)"),
+    ], ids=["ill-conditioned", "rank-deficient", "imbalanced"])
+    def test_names_the_verdict_run_applies(self, make, nullity, verdict,
+                                           tmp_path, capsys):
+        """Next to the full spectrum's nullity, ``spectrum`` prints the
+        Assumption-1 verdict of the definite quotient, which ``check`` and
+        ``run`` apply; on the ill-conditioned path the two nullities differ."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(make()))
+        assert main(["spectrum", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"nullity at tolerance: {nullity}\n" in out
+        assert f"assumption 1 as run decides it: {verdict}\n" in out
+        if verdict.startswith("holds"):
+            main(["check", str(path)])
+            assert f"): {verdict}\n" in capsys.readouterr().out
 
 
 class TestRun:

@@ -13,7 +13,7 @@ from mwconsensus.builtin import leader_follower_scenario, leaderless_scenario
 from mwconsensus.errors import Diverged, GraphFormatError, InvalidScenario
 from mwconsensus.linalg import sym_eigen, sym_sqrt
 from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
-    build_laplacian
+    build_laplacian, predicted_bipartite_limit
 from mwconsensus.sim import Scenario, chi_floor_check, \
     min_inter_event_from, run, validate_scenario
 from mwconsensus.trigger import LeaderFollower, Leaderless, TriggerParams
@@ -345,6 +345,13 @@ class TestAnchors:
         for a, (xhat, q) in enumerate(zip(rec.held_xhat, rec.held_q)):
             assert compiled.control(xhat).tobytes() == q.tobytes(), a
 
+    def test_times_derived_from_rows(self, record):
+        """The record stores no times: row k's time is k * dt, bit for bit,
+        on full and diverged records alike."""
+        assert "times" not in {f.name for f in dataclasses.fields(record)}
+        want = np.arange(len(record.states)) * record.scenario.dt
+        assert record.times.tobytes() == want.tobytes()
+
 
 class TestStepSemantics:
     def test_step_direct_call(self):
@@ -355,12 +362,32 @@ class TestStepSemantics:
         compiled = compile_scenario(sc)
         state = initial_sim_state(compiled)
         states, chi = np.empty((4, 2)), np.empty((3, 2))
-        nxt, fired = step(state, sc.dt, compiled, states, chi)
+        states[0] = x0
+        nxt, fired = step(state, compiled, states, chi)
         assert fired.size == 0 and nxt.k == 3 and nxt.anchor == 0
         np.testing.assert_array_equal(states, [x0] * 4)
-        np.testing.assert_array_equal(nxt.x, x0)
         np.testing.assert_array_equal(nxt.chi_anchor, compiled.chi0)
         assert np.all(np.diff(np.vstack([state.chi_anchor, chi]), axis=0) < 0)
+
+    def test_step_reads_first_row(self):
+        """The state at k is the window's first row, whatever the broadcasts:
+        ``step`` leaves that row's bytes as they are (a -0.0 too) and adds
+        ``dt * q`` to it one step at a time."""
+        from mwconsensus.sim import compile_scenario, initial_sim_state, step
+        sc = tiny_scenario(x0=np.array([1.0, -1.0]),
+                           params=uniform_params(2, chi0=1e6))
+        compiled = compile_scenario(sc)
+        state = initial_sim_state(compiled)
+        first = np.array([-0.0, 0.25])
+        states, chi = np.full((6, 2), np.nan), np.empty((5, 2))
+        states[0] = first
+        nxt, fired = step(state, compiled, states, chi)
+        assert fired.size == 0 and nxt.k == 5
+        assert states[0].tobytes() == first.tobytes()
+        row = first
+        for k in range(1, 6):
+            row = row + sc.dt * state.q
+            assert states[k].tobytes() == row.tobytes(), k
 
     def test_equilibrium_fixed_point(self):
         """Gauge-consensus initial state: no motion, no fires, chi decays."""
@@ -607,6 +634,13 @@ class TestDeterminismAndGuards:
         assert partial is not None
         assert np.all(np.isfinite(partial.states))
         assert len(partial.times) < 501
+
+    @pytest.mark.parametrize("x0", [None, np.array([0.25, -0.5])],
+                             ids=["seeded", "explicit"])
+    def test_limit_state_from_initial_state(self, x0):
+        sc = tiny_scenario(x0=x0, seed=7, horizon=0.01)
+        want = predicted_bipartite_limit(sc.graph, sc.initial_state())
+        assert run(sc).limit_state.tobytes() == want.tobytes()
 
     def test_explicit_x0_overrides_seed(self):
         x0 = np.array([0.25, -0.5])
@@ -893,12 +927,12 @@ def stepwise_run(sc):
     chi = np.empty((steps + 1, n))
     events = [[0.0] for _ in range(n)]
     state = sim.initial_sim_state(compiled)
-    states[0], chi[0] = state.x, compiled.chi0
+    states[0], chi[0] = state.xhat, compiled.chi0
     anchors, held_xhat, held_q = [0], [state.xhat], [state.q]
     message, k = None, 0
     for k in range(steps):
         try:
-            state, fired = sim.step(state, sc.dt, compiled,
+            state, fired = sim.step(state, compiled,
                                     states[k:k + 2], chi[k + 1:k + 2])
         except Diverged as exc:
             message = str(exc)

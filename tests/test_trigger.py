@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mwconsensus.builtin import WEIGHT_0_5, WEIGHT_3_4
-from mwconsensus.errors import NoNeighbors
+from mwconsensus.errors import GraphFormatError, NoNeighbors
 from mwconsensus.linalg import matrix_abs, sym_eigen, sym_sqrt
 from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
     build_laplacian, extended_graph
@@ -321,3 +321,13 @@ class TestValidateParams:
             kwargs[field] = bad
             p = TriggerParams.uniform(1, **kwargs)
             assert any(v.field == field for v in validate_params(p)), field
+
+    @pytest.mark.parametrize("arrays", [
+        ([0.9, 0.9], [0.5], [1.0], [1.0], [0.5]),
+        ([0.9], [0.5], [1.0], [1.0], [0.5, 0.5]),
+        ([[0.9, 0.9]], [0.5], [1.0], [1.0], [0.5]),
+    ], ids=["theta-short", "chi0-long", "two-dimensional"])
+    def test_mismatched_lengths_refused(self, arrays):
+        """The refusal is an MwcError, which a library caller catches."""
+        with pytest.raises(GraphFormatError, match="share one length"):
+            TriggerParams(*arrays)

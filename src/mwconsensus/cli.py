@@ -23,6 +23,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import shutil
+import signal
 import sys
 import time
 from pathlib import Path
@@ -58,72 +61,204 @@ def _load(source: str, args: argparse.Namespace):
     return dataclasses.replace(scenario, **changes), outputs
 
 
-def write_artifacts(record, outdir: Path, formats=("csv", "json")) -> dict:
+#: Fewest grid values (states and chi) a CSV writer process is given, so
+#: that forking one costs less than the formatting it takes over: on a
+#: 2-vCPU VM a fork of the leaderless reference run takes about 5 ms, and
+#: 8192 values take about 15 ms to write.
+CHUNK_VALUES = 1 << 13
+
+#: ``os.sendfile`` copies file to file on Linux; elsewhere only to sockets.
+SENDFILE_TO_FILES = sys.platform.startswith("linux")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def writer_processes(record, formats=("csv", "json")) -> int:
+    """Processes that write the record's CSVs: one per usable CPU, but no
+    more than give each at least :data:`CHUNK_VALUES` values, and one where
+    ``os.fork`` does not exist or no CSV is written."""
+    if "csv" not in formats or not hasattr(os, "fork"):
+        return 1
+    values = len(record.states) * (record.n * record.d + record.n)
+    return max(1, min(usable_cpus(), values // CHUNK_VALUES))
+
+
+def _trajectory_rows(record, fh, start: int, stop: int) -> None:
+    """Write grid rows ``start..stop-1`` of trajectory.csv.
+
+    The record keeps the held ``xhat``/``qhat`` pair once per anchor (a grid
+    row at which some agent fired, or row 0).  Each column keeps the text of
+    its pair: the first row formats every column from the anchor that holds
+    it, and at each later anchor only the columns whose bits differ from the
+    previous anchor are formatted again; every other row reuses the text it
+    holds.  The bytes are those of formatting every value on every row.
+    """
+    n, d = record.n, record.d
+    # Native floats (one row's .tolist() at a time) keep the writes out of
+    # numpy scalar overhead without copying the record.
+    labels = [f",{i},{c}," for i in range(n) for c in range(d)]
+    # Bits are compared, not floats: 0.0 == -0.0, but their texts differ.
+    bits_h = record.held_xhat.view(np.int64)
+    bits_q = record.held_q.view(np.int64)
+    # The anchor that holds row `start`, then the anchors inside the range.
+    first = int(np.searchsorted(record.anchors, start, side="right")) - 1
+    last = int(np.searchsorted(record.anchors, stop))
+    bounds = [start, *record.anchors[first + 1:last].tolist(), stop]
+    cols = range(n * d)
+    tails = [""] * (n * d)
+    for a, (lo, hi) in enumerate(zip(bounds, bounds[1:]), first):
+        if a > first:
+            changed = ((bits_h[a] != bits_h[a - 1])
+                       | (bits_q[a] != bits_q[a - 1]))
+            cols = np.flatnonzero(changed).tolist()
+        row_h = record.held_xhat[a].tolist()
+        row_q = record.held_q[a].tolist()
+        for c in cols:
+            tails[c] = f",{row_h[c]!r},{row_q[c]!r}\n"
+        for t, xs in zip(record.times[lo:hi], record.states[lo:hi]):
+            ts = repr(float(t))
+            fh.writelines([f"{ts}{label}{x!r}{tail}" for label, x, tail
+                           in zip(labels, xs.tolist(), tails)])
+
+
+def _chi_rows(record, fh, start: int, stop: int) -> None:
+    """Write grid rows ``start..stop-1`` of chi.csv."""
+    for t, chis in zip(record.times[start:stop], record.chi[start:stop]):
+        ts = repr(float(t))
+        fh.writelines(f"{ts},{i},{v!r}\n" for i, v in enumerate(chis.tolist()))
+
+
+def _open_text(path: Path):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _part(outdir: Path, name: str, k: int) -> Path:
+    """Hidden file of chunk ``k`` of CSV ``name``, until it is appended."""
+    return outdir / f".{name}.part{k}"
+
+
+def _fork_writer(record, outdir: Path, csvs, k: int, start: int,
+                 stop: int) -> int:
+    """Fork a process that writes rows ``start..stop-1`` of each CSV to its
+    part file; returns its pid.
+
+    The child leaves through ``os._exit`` (status 1 on any exception), so it
+    never returns into the caller, runs none of its cleanup and flushes no
+    inherited stdio buffer.  It only formats floats and writes files: it
+    calls no BLAS and takes no lock that another thread of the parent may
+    hold, so forking a process that has threads (numpy's BLAS pool) is safe
+    here, although Python 3.12 and later warn about it.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        for name, _, write_rows in csvs:
+            with _open_text(_part(outdir, name, k)) as fh:
+                write_rows(record, fh, start, stop)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _append(path: Path, part: Path) -> None:
+    """Append file ``part`` to ``path``, with ``os.sendfile`` where it
+    copies in the kernel, so that the part never passes through this
+    process's memory, and through a 64 KiB buffer elsewhere."""
+    with open(path, "r+b") as dst, open(part, "rb") as src:
+        dst.seek(0, os.SEEK_END)  # sendfile refuses an O_APPEND target
+        if not SENDFILE_TO_FILES:
+            shutil.copyfileobj(src, dst, 1 << 16)
+            return
+        size, offset = os.fstat(src.fileno()).st_size, 0
+        while offset < size:
+            sent = os.sendfile(dst.fileno(), src.fileno(), offset,
+                               size - offset)
+            if not sent:
+                raise OSError(f"{part} shrank while it was appended")
+            offset += sent
+
+
+def write_artifacts(record, outdir: Path, formats=("csv", "json"),
+                    processes=None) -> dict:
     """Write trajectory.csv, chi.csv, events.csv, summary.json, config.json.
 
     Returns the summary document: :func:`analysis.event_stats` of the record,
     plus ``diverged: true`` for a record cut short by divergence.  All bytes
     depend only on the scenario and seed (timing is deliberately excluded).
-    The CSVs are written one grid row at a time, so writing needs little
-    memory beyond the record itself.
 
-    The record keeps the held ``xhat``/``qhat`` pair once per anchor (a
-    grid row at which some agent fired, or row 0).  Each column keeps the
-    text of its pair; at an anchor only the columns whose bits differ from
-    the previous anchor are formatted again, and every other row reuses the
-    text it holds.  The bytes are those of formatting every value on every
-    row.
+    The grid rows are split into ``processes`` contiguous chunks
+    (:func:`writer_processes` of the record by default; ``run`` passes the
+    count it prints).  Before any output file is opened, one child per
+    chunk after the first is forked to write its rows of trajectory.csv and
+    chi.csv to hidden part files in ``outdir`` (see :func:`_fork_writer`).
+    This process writes chunk 0 into the final files, then events.csv and
+    the JSON files, then reaps the children in order and appends each
+    part.  Every chunk is written by the same row-range writers, so the
+    bytes are those of one process for every count, and no process holds
+    more than one grid row as Python objects.  On any failure the children
+    are killed and reaped and the parts deleted; a child that failed
+    raises :class:`OSError`.
     """
     outdir.mkdir(parents=True, exist_ok=True)
     sc = record.scenario
-    n, d = record.n, record.d
+    csvs = []
     if "csv" in formats:
-        # Native floats (one row's .tolist() at a time) keep the writes out
-        # of numpy scalar overhead without copying the record.
-        labels = [f",{i},{c}," for i in range(n) for c in range(d)]
-        # Bits are compared, not floats: 0.0 == -0.0, but their texts differ.
-        bits_h = record.held_xhat.view(np.int64)
-        bits_q = record.held_q.view(np.int64)
-        bounds = record.anchors.tolist() + [len(record.states)]
-        cols = range(n * d)  # row 0 formats every column
-        tails = [""] * (n * d)
-        with open(outdir / "trajectory.csv", "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write("time,agent,dim,x,xhat,qhat\n")
-            for a, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-                if a:
-                    changed = ((bits_h[a] != bits_h[a - 1])
-                               | (bits_q[a] != bits_q[a - 1]))
-                    cols = np.flatnonzero(changed).tolist()
-                row_h = record.held_xhat[a].tolist()
-                row_q = record.held_q[a].tolist()
-                for c in cols:
-                    tails[c] = f",{row_h[c]!r},{row_q[c]!r}\n"
-                for t, xs in zip(record.times[start:stop],
-                                 record.states[start:stop]):
-                    ts = repr(float(t))
-                    fh.writelines([f"{ts}{label}{x!r}{tail}" for label, x, tail
-                                   in zip(labels, xs.tolist(), tails)])
-        with open(outdir / "chi.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("time,agent,chi\n")
-            for t, chis in zip(record.times, record.chi):
-                ts = repr(float(t))
-                fh.writelines(f"{ts},{i},{v!r}\n"
-                              for i, v in enumerate(chis.tolist()))
-        with open(outdir / "events.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("agent,time\n")
-            for i, ev in enumerate(record.events):
-                fh.writelines(f"{i},{t!r}\n" for t in ev.tolist())
+        csvs = [("trajectory.csv", "time,agent,dim,x,xhat,qhat\n",
+                 _trajectory_rows),
+                ("chi.csv", "time,agent,chi\n", _chi_rows)]
+    if processes is None:
+        processes = writer_processes(record, formats)
+    rows = len(record.states)
+    bounds = [rows * k // processes for k in range(processes + 1)]
+    children = {}
+    try:
+        for k in range(1, processes):
+            children[k] = _fork_writer(record, outdir, csvs, k, bounds[k],
+                                       bounds[k + 1])
+        for name, header, write_rows in csvs:
+            with _open_text(outdir / name) as fh:
+                fh.write(header)
+                write_rows(record, fh, 0, bounds[1])
+        if csvs:
+            with _open_text(outdir / "events.csv") as fh:
+                fh.write("agent,time\n")
+                for i, ev in enumerate(record.events):
+                    fh.writelines(f"{i},{t!r}\n" for t in ev.tolist())
 
-    summary_doc = analysis.event_stats(record).as_dict()
-    if len(record.states) <= sc.step_count:  # cut short by divergence
-        summary_doc["diverged"] = True
-    if "json" in formats:
-        with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary_doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        with open(outdir / "config.json", "w", encoding="utf-8") as fh:
-            fh.write(scenario_io.dump_scenario(sc))
+        summary_doc = analysis.event_stats(record).as_dict()
+        if rows <= sc.step_count:  # cut short by divergence
+            summary_doc["diverged"] = True
+        if "json" in formats:
+            with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
+                json.dump(summary_doc, fh, sort_keys=True, indent=2)
+                fh.write("\n")
+            with open(outdir / "config.json", "w", encoding="utf-8") as fh:
+                fh.write(scenario_io.dump_scenario(sc))
+
+        for k in range(1, processes):
+            code = os.waitstatus_to_exitcode(os.waitpid(children.pop(k), 0)[1])
+            if code:
+                raise OSError(f"CSV writer process {k} of {processes} failed "
+                              f"(exit status {code})")
+            for name, _, _ in csvs:
+                _append(outdir / name, _part(outdir, name, k))
+                _part(outdir, name, k).unlink()
+    except BaseException:
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for k in range(1, processes):
+            for name, _, _ in csvs:
+                _part(outdir, name, k).unlink(missing_ok=True)
+        raise
     return summary_doc
 
 
@@ -228,7 +363,8 @@ def cmd_run(args) -> int:
             print(f"partial record flushed to {outdir}", file=sys.stderr)
         return EXIT_DIVERGED
     simulated = time.perf_counter()
-    doc = write_artifacts(record, outdir, formats)
+    processes = writer_processes(record, formats)
+    doc = write_artifacts(record, outdir, formats, processes)
     written = time.perf_counter()
     print(f"run complete: {outdir}")
     print(f"  events per agent: {doc['event_counts']}")
@@ -239,7 +375,8 @@ def cmd_run(args) -> int:
         print(f"  warning: {w}")
     print(f"  phases: load {loaded - started:.2f} s, "
           f"simulate {simulated - loaded:.2f} s, "
-          f"write {written - simulated:.2f} s")
+          f"write {written - simulated:.2f} s "
+          f"({processes} process{'es' if processes > 1 else ''})")
     return EXIT_OK
 
 

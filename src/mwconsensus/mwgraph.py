@@ -56,6 +56,19 @@ TOO_LARGE = ("edge weights too large for float64: the Laplacian or its "
 
 _CLASS_NAMES = {c.value: c for c in DefinitenessClass}
 
+
+def float_array(value, field: str) -> np.ndarray:
+    """``value`` as a read-only float64 copy.  A value numpy cannot read as
+    numbers, from a Python caller, is refused in one line naming ``field``
+    (documents are type-checked by their reader first)."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise GraphFormatError(f"{field} must hold numbers: {exc}") from None
+    arr.setflags(write=False)
+    return arr
+
+
 #: Bytes per node of the adjacency index while it is built (a list, then a
 #: tuple and a dict entry), rounded up from the ~170 that a graph without
 #: edges peaks at on CPython 3.11.
@@ -129,7 +142,7 @@ def _load_edge(spec: tuple, d: int, kind: str) -> Edge:
     ``kind`` names the spec in error messages."""
     i, j, raw, declared = spec if len(spec) == 4 else (*spec, None)
     where = f"{kind} ({i},{j})"
-    arr = np.asarray(raw, dtype=float)
+    arr = float_array(raw, f"{where}: weight")
     if arr.size == d * d:
         arr = arr.reshape(d, d)
     if arr.shape != (d, d):

@@ -90,9 +90,8 @@ class Scenario:
                 if not 0 <= c.i < self.graph.n:
                     raise GraphFormatError(f"coupling agent {c.i} out of range")
         if self.x0 is not None:
-            arr = np.asarray(self.x0, dtype=float).reshape(-1).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, "x0", arr)
+            object.__setattr__(self, "x0",
+                               mwgraph.float_array(self.x0, "x0").reshape(-1))
 
     def initial_state(self) -> np.ndarray:
         """Explicit x0 if given, otherwise seeded uniform draws from [-1, 1]."""

@@ -40,7 +40,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import GraphFormatError, NoNeighbors
-from .mwgraph import InputCoupling, MatrixWeightedGraph
+from .mwgraph import InputCoupling, MatrixWeightedGraph, float_array
 
 
 class AgentParams(NamedTuple):
@@ -67,13 +67,12 @@ class TriggerParams:
         fields = {}
         length = None
         for name in ("sigma", "theta", "beta", "delta", "chi0"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float)).copy()
+            arr = np.atleast_1d(float_array(getattr(self, name), name))
             if length is None:
                 length = arr.shape[0]
             if arr.shape != (length,):
                 raise GraphFormatError(
                     "trigger parameter arrays must share one length")
-            arr.setflags(write=False)
             fields[name] = arr
         for name, arr in fields.items():
             object.__setattr__(self, name, arr)
@@ -107,9 +106,7 @@ class LeaderFollower:
     coupling: InputCoupling
 
     def __post_init__(self):
-        arr = np.asarray(self.u0, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "u0", arr)
+        object.__setattr__(self, "u0", float_array(self.u0, "u0"))
 
 
 Mode = Union[Leaderless, LeaderFollower]

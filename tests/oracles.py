@@ -4,10 +4,11 @@ The balance search and the scalar consensus run are written against plain
 Python floats, lists and dicts on purpose: they must not share code paths
 (or bugs) with the package.
 
-The trajectory writer formats every value of every row, the plain form of
-the package's writer, which formats only what changed.  It reads the held
-broadcasts and controls through ``held_rows``, which expands the record's
-anchor rows to one row per grid point.
+The CSV writers format every value of every row in one pass: the plain
+form of the package's writer, which formats only what changed and splits
+the rows over processes.  The trajectory writer reads the held broadcasts
+and controls through ``held_rows``, which expands the record's anchor rows
+to one row per grid point.
 
 The per-agent trigger formulas below evaluate one agent at a time from the
 graph's edge accessors, with small numpy products.  The engine
@@ -268,6 +269,17 @@ def write_trajectory_csv(record, path) -> None:
             fh.writelines(
                 f"{ts}{labels[c]}{row_x[c]!r},{row_h[c]!r},{row_q[c]!r}\n"
                 for c in range(n * d))
+
+
+def write_chi_csv(record, path) -> None:
+    """Reference ``chi.csv`` writer: every grid row in one pass, whatever
+    number of processes the package's writer splits the rows over."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("time,agent,chi\n")
+        for t, chis in zip(record.times, record.chi):
+            ts = repr(float(t))
+            fh.writelines(f"{ts},{i},{v!r}\n"
+                          for i, v in enumerate(chis.tolist()))
 
 
 def quadratic_roots(b, c):

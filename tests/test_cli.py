@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
 import re
 import tracemalloc
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mwconsensus import mwgraph, scenario_io, sim, trigger
+from mwconsensus import cli, mwgraph, scenario_io, sim, trigger
 from mwconsensus.analysis import RunSummary, event_stats
 from mwconsensus.builtin import REFERENCE_U0, leader_follower_scenario, \
     leaderless_scenario
@@ -28,6 +29,10 @@ from test_sim import zero_error_fire_scenario
 
 
 SUMMARY_KEYS = {f.name for f in dataclasses.fields(RunSummary)}
+
+#: The files of a run directory.
+ARTIFACTS = {"trajectory.csv", "chi.csv", "events.csv", "summary.json",
+             "config.json"}
 
 #: Gauge signs of the bundled network's agents.
 REFERENCE_SIGNS = np.array([1, 1, -1, -1, -1, 1])
@@ -543,30 +548,67 @@ class TestRun:
         assert set(forced) == set(normal)
 
 
+def use_cpus(monkeypatch, count):
+    """Make ``write_artifacts`` split even a short record over ``count``
+    processes, whatever this machine has."""
+    monkeypatch.setattr(cli, "usable_cpus", lambda: count)
+    monkeypatch.setattr(cli, "CHUNK_VALUES", 1)
+
+
 class TestWriterOracle:
     """``write_artifacts`` formats a held ``xhat``/``qhat`` pair only when
-    it changes; its ``trajectory.csv`` must equal the bytes of the reference
-    writer, which formats every value of every row."""
+    it changes, and splits the grid rows over 1-4 forked processes; its
+    ``trajectory.csv`` and ``chi.csv`` must equal the bytes of the reference
+    writers, which format every value of every row in one pass, and the
+    other artifacts those of one process."""
 
     @staticmethod
-    def assert_writers_agree(record, tmp_path):
-        write_artifacts(record, tmp_path / "cli")
-        oracles.write_trajectory_csv(record, tmp_path / "oracle.csv")
-        assert (tmp_path / "cli" / "trajectory.csv").read_bytes() \
-            == (tmp_path / "oracle.csv").read_bytes()
+    def assert_writers_agree(record, tmp_path, monkeypatch):
+        oracles.write_trajectory_csv(record, tmp_path / "trajectory.csv")
+        oracles.write_chi_csv(record, tmp_path / "chi.csv")
+        for count in (1, 2, 3, 4):
+            use_cpus(monkeypatch, count)
+            assert cli.writer_processes(record) == count
+            out = tmp_path / f"cli-{count}"
+            write_artifacts(record, out)
+            assert {p.name for p in out.iterdir()} == ARTIFACTS  # no parts
+            for name in ("trajectory.csv", "chi.csv"):
+                assert (out / name).read_bytes() \
+                    == (tmp_path / name).read_bytes(), (count, name)
+            assert file_hashes(out) == file_hashes(tmp_path / "cli-1")
 
     @pytest.mark.parametrize("build", [leaderless_scenario,
                                        leader_follower_scenario])
-    def test_builtins(self, build, tmp_path):
+    def test_builtins(self, build, tmp_path, monkeypatch):
         self.assert_writers_agree(sim.run(build(seed=3, horizon=0.5)),
-                                  tmp_path)
+                                  tmp_path, monkeypatch)
 
-    def test_static_baseline(self, tmp_path):
+    def test_buffered_append(self, tmp_path, monkeypatch):
+        """Where ``os.sendfile`` cannot copy file to file, the parts are
+        appended through a buffer, to the same bytes."""
+        monkeypatch.setattr(cli, "SENDFILE_TO_FILES", False)
+        self.assert_writers_agree(sim.run(leaderless_scenario(seed=3,
+                                                              horizon=0.5)),
+                                  tmp_path, monkeypatch)
+
+    def test_static_baseline(self, tmp_path, monkeypatch):
         scenario = dataclasses.replace(leaderless_scenario(seed=3, horizon=0.5),
                                        baseline=sim.BASELINE_STATIC)
-        self.assert_writers_agree(sim.run(scenario), tmp_path)
+        self.assert_writers_agree(sim.run(scenario), tmp_path, monkeypatch)
 
-    def test_diverged_partial_record(self, tmp_path):
+    def test_chunks_start_inside_anchor_spans(self, tmp_path, monkeypatch):
+        """Anchors at rows 0 and 200 of 501: no chunk of 2-4 processes
+        starts at an anchor, so each formats its first row's held pairs
+        from the anchor before it."""
+        record = sim.run(leaderless_scenario(seed=3, horizon=0.5))
+        held = record.anchors.searchsorted(200, side="right") - 1
+        record = dataclasses.replace(
+            record, anchors=np.array([0, 200]),
+            held_xhat=record.held_xhat[[0, held]],
+            held_q=record.held_q[[0, held]])
+        self.assert_writers_agree(record, tmp_path, monkeypatch)
+
+    def test_diverged_partial_record(self, tmp_path, monkeypatch):
         doc = small_scenario_doc(weight=1000.0, horizon=10.0)
         doc["sim"]["dt"] = 0.1
         scenario, _ = scenario_io.parse_scenario(doc)
@@ -574,15 +616,15 @@ class TestWriterOracle:
             sim.run(scenario)
         record = info.value.partial_record
         assert len(record.times) <= scenario.step_count
-        self.assert_writers_agree(record, tmp_path)
+        self.assert_writers_agree(record, tmp_path, monkeypatch)
 
-    def test_zero_error_fires(self, tmp_path):
+    def test_zero_error_fires(self, tmp_path, monkeypatch):
         """A run whose later anchors repeat the held pair of the anchor
         before them bit for bit."""
         self.assert_writers_agree(sim.run(zero_error_fire_scenario()),
-                                  tmp_path)
+                                  tmp_path, monkeypatch)
 
-    def test_signed_zeros_and_repeats(self, tmp_path):
+    def test_signed_zeros_and_repeats(self, tmp_path, monkeypatch):
         """Every row an anchor, with held values that flip between 0.0 and
         -0.0 (equal as floats, different as text), values that return after
         a change, and an anchor that repeats the one before it exactly."""
@@ -606,25 +648,59 @@ class TestWriterOracle:
         h[5], q[5] = h[4], q[4]  # an anchor that changes nothing
         record = dataclasses.replace(record, anchors=np.arange(rows),
                                      held_xhat=h, held_q=q)
-        self.assert_writers_agree(record, tmp_path)
+        self.assert_writers_agree(record, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("failing,line", [
+        (1, "CSV writer process 1 of 3 failed (exit status 1)"),
+        (0, "disk full"),
+    ], ids=["child", "parent"])
+    def test_failed_writer_leaves_nothing(self, failing, line, tmp_path,
+                                          capsys, monkeypatch):
+        """The chi row writer raises for chunk 1 (a forked child: any
+        exception), or for chunk 0 (this process, while the children
+        write): exit 3 with one line, and no part file or child process
+        is left."""
+        use_cpus(monkeypatch, 3)
+        write_rows = cli._chi_rows
+
+        def chi_rows(record, fh, start, stop):
+            if start == (0 if failing == 0 else len(record.states) // 3):
+                raise (RuntimeError("injected") if failing
+                       else OSError("disk full"))
+            write_rows(record, fh, start, stop)
+
+        monkeypatch.setattr(cli, "_chi_rows", chi_rows)
+        out_root = tmp_path / "runs"
+        assert main(["replicate-paper", "leaderless", "--T", "0.5",
+                     "--out", str(out_root)]) == EXIT_IO
+        assert capsys.readouterr().err == f"i/o error: {line}\n"
+        assert {p.name for p in next(out_root.iterdir()).iterdir()} \
+            <= ARTIFACTS
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestPhases:
-    def test_phases_line_and_unchanged_bytes(self, tmp_path, capsys):
-        """``run`` prints one line of load, simulate and write times, and
-        the artifacts are the bytes of the same run written directly."""
-        out_root = tmp_path / "runs"
-        assert main(["replicate-paper", "lf", "--seed", "2", "--T", "0.5",
-                     "--out", str(out_root)]) == EXIT_OK
-        out = capsys.readouterr().out
-        phases = [line for line in out.splitlines() if "phases:" in line]
-        assert len(phases) == 1 and "wall time" not in out
-        assert re.fullmatch(r"  phases: load \d+\.\d\d s, simulate \d+\.\d\d "
-                            r"s, write \d+\.\d\d s", phases[0])
+    def test_phases_line_and_unchanged_bytes(self, tmp_path, capsys,
+                                             monkeypatch):
+        """``run`` prints one line of load, simulate and write times and the
+        CSV writer count, and the artifacts are the bytes of the same run
+        written directly, whatever the count."""
         direct = tmp_path / "direct"
         write_artifacts(sim.run(leader_follower_scenario(seed=2, horizon=0.5)),
                         direct)
-        assert file_hashes(next(out_root.iterdir())) == file_hashes(direct)
+        for cpus, writers in ((1, "1 process"), (2, "2 processes")):
+            use_cpus(monkeypatch, cpus)
+            out_root = tmp_path / f"runs-{cpus}"
+            assert main(["replicate-paper", "lf", "--seed", "2", "--T", "0.5",
+                         "--out", str(out_root)]) == EXIT_OK
+            out = capsys.readouterr().out
+            phases = [line for line in out.splitlines() if "phases:" in line]
+            assert len(phases) == 1 and "wall time" not in out
+            assert re.fullmatch(r"  phases: load \d+\.\d\d s, simulate "
+                                r"\d+\.\d\d s, write \d+\.\d\d s "
+                                rf"\({writers}\)", phases[0])
+            assert file_hashes(next(out_root.iterdir())) == file_hashes(direct)
 
 
 #: Non-finite parameters and states, which would run into numpy overflow

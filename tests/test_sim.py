@@ -97,6 +97,24 @@ class TestValidation:
                            match=f"^coupling agent {agent} out of range$"):
             dataclasses.replace(sc, mode=mode)
 
+    @pytest.mark.parametrize("build,field", [
+        (lambda: TriggerParams(["x"], [1.0], [1.0], [1.0], [1.0]), "sigma"),
+        (lambda: dataclasses.replace(leaderless_scenario(), x0=["a"] * 24),
+         "x0"),
+        (lambda: LeaderFollower(["z"] * 4,
+                                leader_follower_scenario().mode.coupling),
+         "u0"),
+        (lambda: MatrixWeightedGraph.from_edges(2, 1, [(0, 1, ["w"])]),
+         r"edge \(0,1\): weight"),
+    ], ids=["params", "x0", "u0", "weight"])
+    def test_non_numeric_refused(self, build, field):
+        """A Python caller's non-numeric entries are an MwcError, one line
+        naming the field, not numpy's bare ValueError."""
+        with pytest.raises(GraphFormatError,
+                           match=f"^{field} must hold numbers: could not "
+                                 "convert string to float: '[xazw]'$"):
+            build()
+
     def test_x0_shape_checked(self):
         sc = tiny_scenario(x0=np.zeros(5))
         assert any("x0" in v for v in validate_scenario(sc))

@@ -67,9 +67,6 @@ def _load(source: str, args: argparse.Namespace):
 #: 8192 values take about 15 ms to write.
 CHUNK_VALUES = 1 << 13
 
-#: ``os.sendfile`` copies file to file on Linux; elsewhere only to sockets.
-SENDFILE_TO_FILES = sys.platform.startswith("linux")
-
 
 def usable_cpus() -> int:
     """CPUs this process may run on."""
@@ -81,12 +78,17 @@ def usable_cpus() -> int:
 
 def writer_processes(record, formats=("csv", "json")) -> int:
     """Processes that write the record's CSVs: one per usable CPU, but no
-    more than give each at least :data:`CHUNK_VALUES` values, and one where
-    ``os.fork`` does not exist or no CSV is written."""
+    more than give each at least :data:`CHUNK_VALUES` values and one grid
+    row, and one where ``os.fork`` does not exist or no CSV is written.
+
+    The count assumes the usable CPUs are idle: it reads the affinity mask,
+    not the load, so runs that already keep every CPU busy gain no wall
+    time from the extra writers, only their fork and append work."""
     if "csv" not in formats or not hasattr(os, "fork"):
         return 1
-    values = len(record.states) * (record.n * record.d + record.n)
-    return max(1, min(usable_cpus(), values // CHUNK_VALUES))
+    rows = len(record.states)
+    values = rows * (record.n * record.d + record.n)
+    return max(1, min(usable_cpus(), values // CHUNK_VALUES, rows))
 
 
 def _trajectory_rows(record, fh, start: int, stop: int) -> None:
@@ -144,9 +146,10 @@ def _part(outdir: Path, name: str, k: int) -> Path:
 
 
 def _fork_writer(record, outdir: Path, csvs, k: int, start: int,
-                 stop: int) -> int:
+                 stop: int):
     """Fork a process that writes rows ``start..stop-1`` of each CSV to its
-    part file; returns its pid.
+    part file; returns its pid and the read end of a pipe that carries the
+    text of its exception, if it raises one.
 
     The child leaves through ``os._exit`` (status 1 on any exception), so it
     never returns into the caller, runs none of its cleanup and flushes no
@@ -155,35 +158,36 @@ def _fork_writer(record, outdir: Path, csvs, k: int, start: int,
     hold, so forking a process that has threads (numpy's BLAS pool) is safe
     here, although Python 3.12 and later warn about it.
     """
-    pid = os.fork()
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
     if pid:
-        return pid
+        os.close(write)
+        return pid, open(read, "rb")
     status = 1
     try:
+        os.close(read)
         for name, _, write_rows in csvs:
             with _open_text(_part(outdir, name, k)) as fh:
                 write_rows(record, fh, start, stop)
         status = 0
+    except BaseException as exc:
+        # One write below PIPE_BUF cannot block on a pipe no one reads yet.
+        os.write(write, (str(exc) or type(exc).__name__)
+                 .encode("utf-8", "replace")[:512])
     finally:
         os._exit(status)
 
 
 def _append(path: Path, part: Path) -> None:
-    """Append file ``part`` to ``path``, with ``os.sendfile`` where it
-    copies in the kernel, so that the part never passes through this
-    process's memory, and through a 64 KiB buffer elsewhere."""
-    with open(path, "r+b") as dst, open(part, "rb") as src:
-        dst.seek(0, os.SEEK_END)  # sendfile refuses an O_APPEND target
-        if not SENDFILE_TO_FILES:
-            shutil.copyfileobj(src, dst, 1 << 16)
-            return
-        size, offset = os.fstat(src.fileno()).st_size, 0
-        while offset < size:
-            sent = os.sendfile(dst.fileno(), src.fileno(), offset,
-                               size - offset)
-            if not sent:
-                raise OSError(f"{part} shrank while it was appended")
-            offset += sent
+    """Append file ``part`` to ``path`` through a 64 KiB buffer, so that
+    this process never holds more of it."""
+    with open(path, "ab") as dst, open(part, "rb") as src:
+        shutil.copyfileobj(src, dst, 1 << 16)
 
 
 def write_artifacts(record, outdir: Path, formats=("csv", "json"),
@@ -204,8 +208,9 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json"),
     part.  Every chunk is written by the same row-range writers, so the
     bytes are those of one process for every count, and no process holds
     more than one grid row as Python objects.  On any failure the children
-    are killed and reaped and the parts deleted; a child that failed
-    raises :class:`OSError`.
+    are killed and reaped, and the parts and this call's artifacts are
+    deleted, so no run directory looks finished when it is not; a child
+    that failed raises :class:`OSError` with the text of its exception.
     """
     outdir.mkdir(parents=True, exist_ok=True)
     sc = record.scenario
@@ -216,6 +221,13 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json"),
                 ("chi.csv", "time,agent,chi\n", _chi_rows)]
     if processes is None:
         processes = writer_processes(record, formats)
+    if processes < 1:
+        raise ValueError(f"processes must be at least 1, not {processes}")
+    names = [name for name, _, _ in csvs]
+    if csvs:
+        names.append("events.csv")
+    if "json" in formats:
+        names += ["summary.json", "config.json"]
     rows = len(record.states)
     bounds = [rows * k // processes for k in range(processes + 1)]
     children = {}
@@ -244,17 +256,26 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json"),
                 fh.write(scenario_io.dump_scenario(sc))
 
         for k in range(1, processes):
-            code = os.waitstatus_to_exitcode(os.waitpid(children.pop(k), 0)[1])
+            pid, pipe = children[k]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[k]
+            with pipe:
+                reason = pipe.read().decode("utf-8", "replace")
             if code:
-                raise OSError(f"CSV writer process {k} of {processes} failed "
-                              f"(exit status {code})")
+                raise OSError(f"CSV writer process {k} of {processes} failed"
+                              + (f": {reason}" if reason
+                                 else f" (exit status {code})"))
             for name, _, _ in csvs:
                 _append(outdir / name, _part(outdir, name, k))
                 _part(outdir, name, k).unlink()
     except BaseException:
-        for pid in children.values():
+        for pid, pipe in children.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+            pipe.close()
+        # A run directory holds the artifacts of a finished write or none.
+        for name in names:
+            (outdir / name).unlink(missing_ok=True)
         for k in range(1, processes):
             for name, _, _ in csvs:
                 _part(outdir, name, k).unlink(missing_ok=True)

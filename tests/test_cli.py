@@ -8,6 +8,7 @@ import math
 import os
 import random
 import re
+import signal
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -583,14 +584,6 @@ class TestWriterOracle:
         self.assert_writers_agree(sim.run(build(seed=3, horizon=0.5)),
                                   tmp_path, monkeypatch)
 
-    def test_buffered_append(self, tmp_path, monkeypatch):
-        """Where ``os.sendfile`` cannot copy file to file, the parts are
-        appended through a buffer, to the same bytes."""
-        monkeypatch.setattr(cli, "SENDFILE_TO_FILES", False)
-        self.assert_writers_agree(sim.run(leaderless_scenario(seed=3,
-                                                              horizon=0.5)),
-                                  tmp_path, monkeypatch)
-
     def test_static_baseline(self, tmp_path, monkeypatch):
         scenario = dataclasses.replace(leaderless_scenario(seed=3, horizon=0.5),
                                        baseline=sim.BASELINE_STATIC)
@@ -650,23 +643,38 @@ class TestWriterOracle:
                                      held_xhat=h, held_q=q)
         self.assert_writers_agree(record, tmp_path, monkeypatch)
 
+    def test_no_more_processes_than_rows(self, tmp_path, monkeypatch):
+        """A short run gives no writer an empty chunk, and a count below one
+        is refused."""
+        use_cpus(monkeypatch, 4)
+        record = sim.run(leaderless_scenario(seed=3, horizon=0.001))
+        assert len(record.states) == 2
+        assert cli.writer_processes(record) == 2
+        with pytest.raises(ValueError, match="at least 1"):
+            write_artifacts(record, tmp_path, processes=0)
+
     @pytest.mark.parametrize("failing,line", [
-        (1, "CSV writer process 1 of 3 failed (exit status 1)"),
-        (0, "disk full"),
-    ], ids=["child", "parent"])
+        ("child", "CSV writer process 1 of 3 failed: injected"),
+        ("killed", "CSV writer process 1 of 3 failed (exit status -9)"),
+        ("parent", "disk full"),
+    ], ids=["child", "killed", "parent"])
     def test_failed_writer_leaves_nothing(self, failing, line, tmp_path,
                                           capsys, monkeypatch):
         """The chi row writer raises for chunk 1 (a forked child: any
-        exception), or for chunk 0 (this process, while the children
-        write): exit 3 with one line, and no part file or child process
-        is left."""
+        exception, whose text reaches the message), is killed there, or
+        raises for chunk 0 (this process, while the children write): exit 3
+        with one line, and no artifact, part file or child process is
+        left."""
         use_cpus(monkeypatch, 3)
         write_rows = cli._chi_rows
 
         def chi_rows(record, fh, start, stop):
-            if start == (0 if failing == 0 else len(record.states) // 3):
-                raise (RuntimeError("injected") if failing
-                       else OSError("disk full"))
+            if start == (0 if failing == "parent"
+                         else len(record.states) // 3):
+                if failing == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise (OSError("disk full") if failing == "parent"
+                       else RuntimeError("injected"))
             write_rows(record, fh, start, stop)
 
         monkeypatch.setattr(cli, "_chi_rows", chi_rows)
@@ -674,8 +682,7 @@ class TestWriterOracle:
         assert main(["replicate-paper", "leaderless", "--T", "0.5",
                      "--out", str(out_root)]) == EXIT_IO
         assert capsys.readouterr().err == f"i/o error: {line}\n"
-        assert {p.name for p in next(out_root.iterdir()).iterdir()} \
-            <= ARTIFACTS
+        assert list(next(out_root.iterdir()).iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -29,7 +29,7 @@ class RunSummary:
 
     The error and decay fields are measured against the predicted limit
     state; they are ``None`` for a record without one (a forced run whose
-    structural assumptions fail).
+    structural assumptions fail), the decay rate also where it has no fit.
     """
 
     mode: str
@@ -79,16 +79,17 @@ def lyapunov_lf(record: TrajectoryRecord, xtilde: np.ndarray) -> np.ndarray:
     return v + record.chi.sum(axis=1)
 
 
-def fit_decay_rate(times: np.ndarray, values: np.ndarray) -> float:
+def fit_decay_rate(times: np.ndarray, values: np.ndarray) -> Optional[float]:
     """Least-squares slope of log(values); returned as a positive rate.
 
     Points below ``FIT_FLOOR_RATIO * values[0]`` (and nonpositive points) are
-    excluded.  Returns nan when fewer than two usable points remain.
+    excluded.  Returns ``None`` (JSON ``null``, never NaN) when fewer than
+    two usable points remain.
     """
     values = np.asarray(values, dtype=float)
     keep = values > max(FIT_FLOOR_RATIO * values[0], 0.0)
     if keep.sum() < 2:
-        return float("nan")
+        return None
     slope = np.polyfit(times[keep], np.log(values[keep]), 1)[0]
     return float(-slope)
 

@@ -27,6 +27,7 @@ import os
 import shutil
 import signal
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -140,12 +141,12 @@ def _open_text(path: Path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _part(outdir: Path, name: str, k: int) -> Path:
+def _part(stage: Path, name: str, k: int) -> Path:
     """Hidden file of chunk ``k`` of CSV ``name``, until it is appended."""
-    return outdir / f".{name}.part{k}"
+    return stage / f".{name}.part{k}"
 
 
-def _fork_writer(record, outdir: Path, csvs, k: int, start: int,
+def _fork_writer(record, stage: Path, csvs, k: int, start: int,
                  stop: int):
     """Fork a process that writes rows ``start..stop-1`` of each CSV to its
     part file; returns its pid and the read end of a pipe that carries the
@@ -172,7 +173,7 @@ def _fork_writer(record, outdir: Path, csvs, k: int, start: int,
     try:
         os.close(read)
         for name, _, write_rows in csvs:
-            with _open_text(_part(outdir, name, k)) as fh:
+            with _open_text(_part(stage, name, k)) as fh:
                 write_rows(record, fh, start, stop)
         status = 0
     except BaseException as exc:
@@ -198,19 +199,22 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json"),
     plus ``diverged: true`` for a record cut short by divergence.  All bytes
     depend only on the scenario and seed (timing is deliberately excluded).
 
-    The grid rows are split into ``processes`` contiguous chunks
-    (:func:`writer_processes` of the record by default; ``run`` passes the
-    count it prints).  Before any output file is opened, one child per
-    chunk after the first is forked to write its rows of trajectory.csv and
-    chi.csv to hidden part files in ``outdir`` (see :func:`_fork_writer`).
-    This process writes chunk 0 into the final files, then events.csv and
-    the JSON files, then reaps the children in order and appends each
-    part.  Every chunk is written by the same row-range writers, so the
-    bytes are those of one process for every count, and no process holds
-    more than one grid row as Python objects.  On any failure the children
-    are killed and reaped, and the parts and this call's artifacts are
-    deleted, so no run directory looks finished when it is not; a child
-    that failed raises :class:`OSError` with the text of its exception.
+    Every file is written into a hidden stage directory ``.write-*`` in
+    ``outdir``, and moved into ``outdir`` with ``os.replace`` only once all
+    of them are complete, so a run directory never holds a partial write:
+    after a failure it holds nothing of this call, and after this process
+    is killed only the stage.  The grid rows are split into ``processes``
+    contiguous chunks (:func:`writer_processes` of the record by default;
+    ``run`` passes the count it prints).  Before any output file is opened,
+    one child per chunk after the first is forked to write its rows of
+    trajectory.csv and chi.csv to hidden part files (see
+    :func:`_fork_writer`).  This process writes chunk 0, then events.csv and
+    the JSON files, then reaps the children in order and appends each part.
+    Every chunk is written by the same row-range writers, so the bytes are
+    those of one process for every count, and no process holds more than
+    one grid row as Python objects.  On any failure the children are killed
+    and reaped; a child that failed raises :class:`OSError` with the text of
+    its exception.
     """
     outdir.mkdir(parents=True, exist_ok=True)
     sc = record.scenario
@@ -223,24 +227,20 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json"),
         processes = writer_processes(record, formats)
     if processes < 1:
         raise ValueError(f"processes must be at least 1, not {processes}")
-    names = [name for name, _, _ in csvs]
-    if csvs:
-        names.append("events.csv")
-    if "json" in formats:
-        names += ["summary.json", "config.json"]
     rows = len(record.states)
     bounds = [rows * k // processes for k in range(processes + 1)]
+    stage = Path(tempfile.mkdtemp(prefix=".write-", dir=outdir))
     children = {}
     try:
         for k in range(1, processes):
-            children[k] = _fork_writer(record, outdir, csvs, k, bounds[k],
+            children[k] = _fork_writer(record, stage, csvs, k, bounds[k],
                                        bounds[k + 1])
         for name, header, write_rows in csvs:
-            with _open_text(outdir / name) as fh:
+            with _open_text(stage / name) as fh:
                 fh.write(header)
                 write_rows(record, fh, 0, bounds[1])
         if csvs:
-            with _open_text(outdir / "events.csv") as fh:
+            with _open_text(stage / "events.csv") as fh:
                 fh.write("agent,time\n")
                 for i, ev in enumerate(record.events):
                     fh.writelines(f"{i},{t!r}\n" for t in ev.tolist())
@@ -249,10 +249,10 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json"),
         if rows <= sc.step_count:  # cut short by divergence
             summary_doc["diverged"] = True
         if "json" in formats:
-            with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
+            with open(stage / "summary.json", "w", encoding="utf-8") as fh:
                 json.dump(summary_doc, fh, sort_keys=True, indent=2)
                 fh.write("\n")
-            with open(outdir / "config.json", "w", encoding="utf-8") as fh:
+            with open(stage / "config.json", "w", encoding="utf-8") as fh:
                 fh.write(scenario_io.dump_scenario(sc))
 
         for k in range(1, processes):
@@ -266,20 +266,18 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json"),
                               + (f": {reason}" if reason
                                  else f" (exit status {code})"))
             for name, _, _ in csvs:
-                _append(outdir / name, _part(outdir, name, k))
-                _part(outdir, name, k).unlink()
+                _append(stage / name, _part(stage, name, k))
+                _part(stage, name, k).unlink()
+        for path in list(stage.iterdir()):
+            os.replace(path, outdir / path.name)
     except BaseException:
         for pid, pipe in children.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
-        # A run directory holds the artifacts of a finished write or none.
-        for name in names:
-            (outdir / name).unlink(missing_ok=True)
-        for k in range(1, processes):
-            for name, _, _ in csvs:
-                _part(outdir, name, k).unlink(missing_ok=True)
         raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return summary_doc
 
 

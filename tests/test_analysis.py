@@ -161,6 +161,14 @@ class TestDecayFit:
         v[v < 1e-10] = 1e-16  # numerical floor garbage
         assert fit_decay_rate(t, v) == pytest.approx(8.0, rel=1e-2)
 
+    def test_undefined_fit_is_none(self):
+        """Fewer than two usable points give ``None``, never NaN, so that
+        ``summary.json`` stays strict JSON."""
+        t = np.array([0.0, 1.0, 2.0])
+        for v in ([1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [2.0, 1e-12, 1e-13],
+                  [np.nan, 1.0, 1.0]):
+            assert fit_decay_rate(t, np.array(v)) is None, v
+
     def test_isolated_agent_delta_zero_rate_is_beta(self):
         g = MatrixWeightedGraph(1, 2, ())
         beta = 1.3

@@ -9,6 +9,9 @@ import os
 import random
 import re
 import signal
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -489,6 +492,24 @@ class TestRun:
             f"agent {i} fired on 20 consecutive steps (threshold 10)"
             for i in (0, 1)]
 
+    def test_diverged_summary_is_strict_json(self, tmp_path):
+        """The reference run at dt = 0.5 diverges before its Lyapunov values
+        leave two points to fit: the decay rate is ``null``, and both JSON
+        files parse without NaN or Infinity."""
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        out_root = tmp_path / "runs"
+        assert main(["replicate-paper", "leaderless", "--dt", "0.5", "--T",
+                     "10", "--out", str(out_root)]) == EXIT_DIVERGED
+        (run_dir,) = out_root.iterdir()
+        summary = json.loads((run_dir / "summary.json").read_text(),
+                             parse_constant=refuse)
+        assert summary["diverged"] is True
+        assert summary["fitted_decay_rate"] is None
+        json.loads((run_dir / "config.json").read_text(),
+                   parse_constant=refuse)
+
     def test_writer_streams_the_record(self, tmp_path):
         """Writing holds one grid row as Python objects at a time, so its
         peak stays below the record's own arrays."""
@@ -685,6 +706,31 @@ class TestWriterOracle:
         assert list(next(out_root.iterdir()).iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_killed_write_leaves_no_artifact(self, tmp_path):
+        """A run killed while it appends the part of chunk 1 (two writers)
+        has already written chunk 0, events.csv and both JSON files, but
+        its run directory holds only the hidden stage, no artifact."""
+        out_root = tmp_path / "runs"
+        script = textwrap.dedent(f"""
+            import os, signal
+            from mwconsensus import cli
+            cli.usable_cpus = lambda: 2
+            cli.CHUNK_VALUES = 1
+            cli._append = lambda path, part: os.kill(os.getpid(),
+                                                     signal.SIGKILL)
+            cli.main(["replicate-paper", "leaderless", "--T", "0.5",
+                      "--out", {str(out_root)!r}])
+        """)
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=package_root)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        (run_dir,) = out_root.iterdir()
+        left = [p.name for p in run_dir.iterdir()]
+        assert not set(left) & ARTIFACTS
+        assert len(left) == 1 and left[0].startswith(".write-")
 
 
 class TestPhases:

@@ -181,8 +181,8 @@ class TestStructureComputedOnce:
             assert max(eigh_shapes) == (d, d)  # no nd x nd eigh
 
     def test_no_edge_eigh_after_load(self, eigh_shapes):
-        """Leaderless run: lambda_max(|A_ij|) for mu_bar and the square root
-        of |A_ij| are read from the eigh pair each edge keeps from load."""
+        """Leaderless run: lambda_max(|A_ij|) for mu_bar is read from the
+        eigh pair each edge keeps from load."""
         sc = random_balanced_scenario()
         g = sc.graph
         eigh_shapes.clear()  # drop the load-time decomposition
@@ -303,25 +303,80 @@ class TestHeldTerms:
         broadcasts, controls = oracles.held_rows(rec)
         for k in range(len(rec.times)):
             assert np.array_equal(controls[k],
-                                  compiled.control(broadcasts[k])), k
+                                  compiled.held_terms(broadcasts[k])[0]), k
 
     def test_held_terms_computed_once_per_broadcast(self, make, monkeypatch):
-        calls = {"control": 0, "disagreement_terms": 0}
+        """Each broadcast forms the arcs' ``p_ij`` once, and the control and
+        the leaderless slack are both read from it."""
+        calls = {"_relative": 0, "control": 0, "disagreement_terms": 0}
         for name in calls:
             original = getattr(sim.CompiledScenario, name)
 
-            def counting(self, xhat, _name=name, _original=original):
+            def counting(self, *args, _name=name, _original=original):
                 calls[_name] += 1
-                return _original(self, xhat)
+                return _original(self, *args)
 
             monkeypatch.setattr(sim.CompiledScenario, name, counting)
         sc = make()
         rec = run(sc)
         want = 1 + fire_steps(rec)
         assert want < len(rec.times) // 2
-        assert calls["control"] == want == len(rec.anchors)
+        assert calls["_relative"] == calls["control"] == want \
+            == len(rec.anchors)
         leaderless = not isinstance(sc.mode, LeaderFollower)
         assert calls["disagreement_terms"] == (want if leaderless else 0)
+
+
+class TestLeaderlessSlack:
+    """The slack ``(sigma/4) sum_j p_ij^T |A_ij| p_ij`` that ``held_terms``
+    reads from the control's flows is the paper's ``(sigma/4) sum_j
+    ||sqrt(|A_ij|) p_ij||^2``, and never negative."""
+
+    def test_rounding_negative_eigenvalue_adds_nothing(self):
+        """diag(1, -1e-17) classifies PSD and keeps its bits; along its
+        second axis ``p^T |A| p`` is -4e-17 on both arcs, which the clamp
+        drops, as the square root's zero band does."""
+        g = MatrixWeightedGraph.from_edges(2, 2, [(0, 1, np.diag([1.0,
+                                                                -1e-17]))])
+        assert g.edges[0].abs_weight[1, 1] == -1e-17
+        x0 = np.array([0.0, 1.0, 0.0, -1.0])
+        compiled = sim.compile_scenario(tiny_scenario(graph=g, x0=x0))
+        np.testing.assert_array_equal(compiled.held_terms(x0)[1], [0.0, 0.0])
+
+    def test_matches_square_root_oracle(self):
+        """On PD, PSD, ND and NSD weights and an isolated agent, with random
+        broadcasts and with broadcasts that put ``p_ij`` along a kernel
+        eigenvector of each semidefinite arc, the slack is the oracle's
+        within 1e-12 of the scale ``(sigma/4) sum_j lambda_max ||p_ij||^2``."""
+        sc = isolated_psd_nsd_scenario()
+        g = sc.graph
+        compiled = sim.compile_scenario(sc)
+        roots = {e: sym_sqrt(*sym_eigen(e.abs_weight)) for e in g.edges}
+        semidefinite = [e for e in g.edges if e.cls.value in ("psd", "nsd")]
+        assert semidefinite and {e.cls.value for e in g.edges} \
+            == {"pd", "psd", "nd", "nsd"}
+        rng = np.random.default_rng(8)
+        xhats = list(rng.uniform(-1.0, 1.0, (20, g.n * g.d)))
+        for e in semidefinite:
+            kernel = sym_eigen(e.abs_weight)[1][:, 0]
+            xhat = rng.uniform(-1.0, 1.0, g.n * g.d)
+            # p_ij = xhat_i - sgn(A_ij) xhat_j = 3 * kernel
+            xhat[e.i * g.d:(e.i + 1) * g.d] = \
+                e.sign * xhat[e.j * g.d:(e.j + 1) * g.d] + 3.0 * kernel
+            xhats.append(xhat)
+        for xhat in xhats:
+            slack = compiled.held_terms(xhat)[1]
+            assert np.all(slack >= 0.0)
+            for i in range(g.n):
+                pairs = [(g.edge(i, j),
+                          oracles.relative_broadcast(i, j, xhat, g))
+                         for j in g.neighbors(i)]
+                quarter = sc.params.sigma[i] / 4.0
+                want = quarter * oracles.weighted_disagreement(
+                    [(roots[e], p) for e, p in pairs])
+                scale = quarter * sum(e.abs_lambda_max * float(p @ p)
+                                      for e, p in pairs)
+                assert abs(slack[i] - want) <= 1e-12 * scale, (i, want)
 
 
 class TestAnchors:
@@ -361,7 +416,7 @@ class TestAnchors:
                                       fired[fired > 0.0])
         compiled = sim.compile_scenario(rec.scenario)
         for a, (xhat, q) in enumerate(zip(rec.held_xhat, rec.held_q)):
-            assert compiled.control(xhat).tobytes() == q.tobytes(), a
+            assert compiled.held_terms(xhat)[0].tobytes() == q.tobytes(), a
 
     def test_times_derived_from_rows(self, record):
         """The record stores no times: row k's time is k * dt, bit for bit,
@@ -480,7 +535,7 @@ class TestStepSemantics:
             xhats = np.random.default_rng(3).uniform(
                 -1.0, 1.0, (40, sc.graph.n * sc.graph.d))
             compiled = sim.compile_scenario(sc)
-            cases.append((sc, xhats, np.array([compiled.control(x)
+            cases.append((sc, xhats, np.array([compiled.held_terms(x)[0]
                                                for x in xhats])))
         for sc, xhats, controls in cases:
             dense, drive = dense_coupling(sc)

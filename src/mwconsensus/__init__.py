@@ -13,7 +13,7 @@ from .errors import AssumptionViolated, Diverged, GraphFormatError, \
     InvalidMatrix, InvalidScenario, MwcError, NoNeighbors, NotPSD, \
     UnsupportedWeight
 from .linalg import DefinitenessClass, classify_definiteness, matrix_abs, \
-    matrix_sgn, spectral_abs, sym_eigen
+    matrix_sgn, spectral_abs, sym_eigen, sym_sqrt
 from .mwgraph import InputCoupling, MatrixWeightedGraph, build_laplacian, \
     detect_structural_balance, leader_gauge, null_space, \
     predicted_bipartite_limit, verify_assumption1, verify_assumption2

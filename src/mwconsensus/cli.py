@@ -199,11 +199,13 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json"),
     plus ``diverged: true`` for a record cut short by divergence.  All bytes
     depend only on the scenario and seed (timing is deliberately excluded).
 
-    Every file is written into a hidden stage directory ``.write-*`` in
-    ``outdir``, and moved into ``outdir`` with ``os.replace`` only once all
-    of them are complete, so a run directory never holds a partial write:
-    after a failure it holds nothing of this call, and after this process
-    is killed only the stage.  The grid rows are split into ``processes``
+    Every file is written into a hidden stage ``.write-*`` in ``outdir``
+    and, once all are complete, moved into ``outdir`` by one ``os.replace``
+    each, summary.json last, so a summary.json means the rest is in place.
+    A failure before the moves leaves no file of this call in ``outdir``; a
+    kill leaves the stage, which the next call removes with every stage in
+    ``outdir``; a kill during the moves can leave some new files beside
+    those of an earlier write.  The grid rows are split into ``processes``
     contiguous chunks (:func:`writer_processes` of the record by default;
     ``run`` passes the count it prints).  Before any output file is opened,
     one child per chunk after the first is forked to write its rows of
@@ -229,6 +231,8 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json"),
         raise ValueError(f"processes must be at least 1, not {processes}")
     rows = len(record.states)
     bounds = [rows * k // processes for k in range(processes + 1)]
+    for stale in outdir.glob(".write-*"):
+        shutil.rmtree(stale, ignore_errors=True)
     stage = Path(tempfile.mkdtemp(prefix=".write-", dir=outdir))
     children = {}
     try:
@@ -268,7 +272,8 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json"),
             for name, _, _ in csvs:
                 _append(stage / name, _part(stage, name, k))
                 _part(stage, name, k).unlink()
-        for path in list(stage.iterdir()):
+        for path in sorted(stage.iterdir(), key=lambda path: (
+                path.suffix == ".json", path.name == "summary.json")):
             os.replace(path, outdir / path.name)
     except BaseException:
         for pid, pipe in children.values():

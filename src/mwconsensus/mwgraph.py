@@ -97,7 +97,7 @@ def memory_refusal(need: float, what: str, use: str) -> Optional[str]:
 class Edge:
     """Edge (i, j) with a sign-definite ``weight`` and its ``eigen`` pair
     (``linalg.sym_eigen``), from which its class, sign, absolute value and
-    lambda_max of that absolute value are read.  All are read-only."""
+    the spectrum of that absolute value are read.  All are read-only."""
 
     i: int
     j: int
@@ -117,12 +117,21 @@ class Edge:
         """|weight|, built once per weight."""
         return linalg.matrix_abs(self.weight, self.cls)
 
+    @cached_property
+    def abs_eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``eigh`` pair of |weight|: the weight's own, negated and
+        reversed (still ascending) for a negative class."""
+        if self.sign > 0:
+            return self.eigen
+        vals, vecs = self.eigen
+        vals = -vals[::-1]
+        vals.setflags(write=False)
+        return vals, vecs[:, ::-1]
+
     @property
     def abs_lambda_max(self) -> float:
-        """lambda_max(|weight|), which ``mu_bar`` and ``gamma`` read: minus
-        the smallest eigenvalue of a negative-class weight."""
-        vals = self.eigen[0]
-        return float(vals[-1] if self.sign > 0 else -vals[0])
+        """lambda_max(|weight|), which ``mu_bar`` and ``gamma`` read."""
+        return float(self.abs_eigen[0][-1])
 
 
 def _load_edge(spec: tuple, d: int, kind: str) -> Edge:

@@ -41,6 +41,7 @@ import numpy as np
 
 from . import mwgraph, trigger
 from .errors import Diverged, GraphFormatError, InvalidScenario
+from .linalg import sym_sqrt
 from .mwgraph import MatrixWeightedGraph
 from .trigger import LeaderFollower, Mode, TriggerParams
 
@@ -256,9 +257,8 @@ class CompiledScenario:
     2018): ``qhat_i = -sum_j |A_ij| p_ij`` with ``p_ij = xhat_i - sgn(A_ij)
     xhat_j``, over the arcs that leave agent i.  In leader-follower mode the
     arcs run over the input-extended graph, so each input is one more
-    neighbour whose state stays at ``u0``.  The control and the leaderless
-    slack both read each arc's flow ``|A_ij| p_ij`` (:meth:`held_terms`).
-    The test suite cross-checks them against independent per-agent oracles.
+    neighbour whose state stays at ``u0``.  The test suite cross-checks the
+    vectorized trigger quantities against independent per-agent oracles.
     """
 
     def __init__(self, sc: Scenario):
@@ -281,6 +281,10 @@ class CompiledScenario:
         self.arc_sign = np.array([float(e.sign) for _, _, e in arcs])
         self.arc_abs = np.array(
             [e.abs_weight for _, _, e in arcs]).reshape(-1, d, d)
+        if not self.leader_follower:
+            root = {e: sym_sqrt(*e.abs_eigen) for e in network.edges}
+            self.arc_sqrt = np.array(
+                [root[e] for _, _, e in arcs]).reshape(-1, d, d)
         # Flat state index of every coordinate an arc's flow lands on.
         self.arc_slots = (self.arc_src[:, None] * d + np.arange(d)).reshape(-1)
 
@@ -296,29 +300,26 @@ class CompiledScenario:
         return (nodes.take(self.arc_src, axis=0)
                 - self.arc_sign[:, None] * nodes.take(self.arc_dst, axis=0))
 
-    def control(self, flow: np.ndarray) -> np.ndarray:
-        """``qhat``: minus the arc flows, summed onto the agents they leave."""
+    def control(self, rel: np.ndarray) -> np.ndarray:
+        flow = np.einsum("eij,ej->ei", self.arc_abs, rel)
         return -np.bincount(self.arc_slots, weights=flow.reshape(-1),
                             minlength=self.n * self.d)
 
-    def disagreement_terms(self, rel: np.ndarray,
-                           flow: np.ndarray) -> np.ndarray:
-        """Per-agent sum of ``p_ij^T |A_ij| p_ij = ||sqrt(|A_ij|) p_ij||^2``
-        (leaderless trigger only), each arc's term clamped at 0: a weight
-        classified semidefinite may keep an eigenvalue a rounding below 0."""
-        terms = np.maximum(np.einsum("ei,ei->e", rel, flow), 0.0)
-        return np.bincount(self.arc_src, weights=terms, minlength=self.n)
+    def disagreement_terms(self, rel: np.ndarray) -> np.ndarray:
+        """Per-agent sum of ||sqrt(|A_ij|) p_ij||^2 (leaderless trigger only)."""
+        rp = np.einsum("eij,ej->ei", self.arc_sqrt, rel)
+        return np.bincount(self.arc_src, weights=np.einsum("ei,ei->e", rp, rp),
+                           minlength=self.n)
 
     def held_terms(self, xhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Control and trigger slack under the broadcasts ``xhat``, both read
-        from one ``p_ij`` and flow per arc; they hold until the next one."""
+        from one ``p_ij`` per arc; they hold until the next broadcast."""
         rel = self._relative(xhat)
-        flow = np.einsum("eij,ej->ei", self.arc_abs, rel)
-        q = self.control(flow)
+        q = self.control(rel)
         if self.leader_follower:
             blocks = q.reshape(self.n, self.d)
             return q, self.sigma * np.einsum("ij,ij->i", blocks, blocks)
-        return q, self.sigma / 4.0 * self.disagreement_terms(rel, flow)
+        return q, self.sigma / 4.0 * self.disagreement_terms(rel)
 
 
 def compile_scenario(sc: Scenario) -> CompiledScenario:

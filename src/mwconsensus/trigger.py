@@ -20,8 +20,7 @@ with N_i the neighbor count, ``p_ij = xhat_i - sgn(A_ij) xhat_j``,
 ``gamma_i`` the spectral constant of the incident weights and input
 couplings.  The gain is a constant of the network; the slack depends only
 on the broadcasts, so it stays constant between events.  At an event the
-agent rebroadcasts and its error resets.  The engine evaluates the slack
-as ``(sigma_i/4) * sum_j p_ij^T |A_ij| p_ij``, from the control's flows.
+agent rebroadcasts and its error resets.
 
 Equality never fires: the threshold inequality uses "<=" for staying silent,
 so the fire condition is strict.

@@ -710,7 +710,8 @@ class TestWriterOracle:
     def test_killed_write_leaves_no_artifact(self, tmp_path):
         """A run killed while it appends the part of chunk 1 (two writers)
         has already written chunk 0, events.csv and both JSON files, but
-        its run directory holds only the hidden stage, no artifact."""
+        its run directory holds only the hidden stage, no artifact.  The
+        next run into that directory removes the stage."""
         out_root = tmp_path / "runs"
         script = textwrap.dedent(f"""
             import os, signal
@@ -731,6 +732,25 @@ class TestWriterOracle:
         left = [p.name for p in run_dir.iterdir()]
         assert not set(left) & ARTIFACTS
         assert len(left) == 1 and left[0].startswith(".write-")
+        assert main(["replicate-paper", "leaderless", "--T", "0.5",
+                     "--out", str(out_root)]) == EXIT_OK
+        assert {p.name for p in run_dir.iterdir()} == ARTIFACTS
+
+    def test_summary_moved_last(self, tmp_path, monkeypatch):
+        """The staged files reach the run directory CSVs first and
+        summary.json last, so a summary.json means the rest is there."""
+        moved = []
+        replace = os.replace
+
+        def recording(src, dst):
+            moved.append(Path(dst).name)
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", recording)
+        assert main(["replicate-paper", "leaderless", "--T", "0.5",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert set(moved) == ARTIFACTS and len(moved) == len(ARTIFACTS)
+        assert moved[-2:] == ["config.json", "summary.json"]
 
 
 class TestPhases:

@@ -9,7 +9,7 @@ import pytest
 from mwconsensus.builtin import RAW_EDGE_0_1, WEIGHT_0_5, WEIGHT_3_4
 from mwconsensus.errors import AssumptionViolated, GraphFormatError, NotPSD
 from mwconsensus.linalg import DEFAULT_TOL, ND, NSD, PD, PSD, matrix_abs, \
-    sym_eigen
+    sym_eigen, sym_sqrt
 from mwconsensus.mwgraph import Edge, InputCoupling, MatrixWeightedGraph, \
     build_laplacian, definite_quotient, detect_structural_balance, \
     extended_graph, leader_gauge, null_space, predicted_bipartite_limit, \
@@ -102,7 +102,7 @@ class TestGraphModel:
         ext = extended_graph(ref_graph, ref_coupling)
         arrays = [ext.laplacian, ref_graph.laplacian]
         arrays += [a for e in ext.edges
-                   for a in (e.weight, e.abs_weight, *e.eigen)]
+                   for a in (e.weight, e.abs_weight, *e.eigen, *e.abs_eigen)]
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
@@ -176,7 +176,8 @@ class TestGraphModel:
         edges = built.entries if isinstance(built, InputCoupling) \
             else built.edges
         for e in edges:
-            e.cls, e.sign, e.abs_weight, e.abs_lambda_max
+            e.cls, e.sign, e.abs_weight, e.abs_eigen, e.abs_lambda_max
+            sym_sqrt(*e.abs_eigen)
         assert len(eigh_shapes) == eighs
 
     def test_declared_class_contradiction_rejected(self):
@@ -186,18 +187,24 @@ class TestGraphModel:
 
 
 class TestEdgeSpectrum:
-    """lambda_max(|A|), read from the edge's load-time eigh, is exactly the
-    weight's largest eigenvalue (positive class) or minus its smallest
-    (negative class), and agrees with a fresh decomposition of |A| to a
-    relative tolerance, since LAPACK builds differ."""
+    """The |A| pair an edge derives from its load-time eigh agrees with a
+    fresh decomposition of |A| (to a relative tolerance, since LAPACK builds
+    differ), and its square root squares back to |A|."""
 
     @staticmethod
-    def assert_abs_lambda_max_agrees(e):
-        vals = e.eigen[0]
-        assert e.abs_lambda_max == (vals[-1] if e.sign > 0 else -vals[0])
-        want = np.linalg.eigvalsh(e.abs_weight)[-1]
-        scale = max(1.0, abs(float(want)))
-        assert abs(e.abs_lambda_max - want) <= 1e-12 * scale
+    def assert_abs_eigen_agrees(e):
+        vals, vecs = e.abs_eigen
+        want = np.linalg.eigh(e.abs_weight)[0]
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(vals - want)) <= 1e-12 * scale
+        assert np.all(np.diff(vals) >= 0) and e.abs_lambda_max == vals[-1]
+        own = e.eigen[0]
+        assert e.abs_lambda_max == (own[-1] if e.sign > 0 else -own[0])
+        np.testing.assert_allclose((vecs * vals) @ vecs.T, e.abs_weight,
+                                   rtol=0, atol=1e-12 * scale)
+        root = sym_sqrt(*e.abs_eigen)
+        np.testing.assert_allclose(root @ root, e.abs_weight, rtol=0,
+                                   atol=1e-12 * scale)
 
     def test_random_weights_of_every_class(self):
         rng = np.random.default_rng(31)
@@ -209,11 +216,11 @@ class TestEdgeSpectrum:
             e = g.edges[0]
             assert e.cls is {(1, d): PD, (1, d - 1): PSD, (-1, d): ND,
                              (-1, d - 1): NSD}[sign, rank]
-            self.assert_abs_lambda_max_agrees(e)
+            self.assert_abs_eigen_agrees(e)
 
     def test_builtin_edges_and_couplings(self, ref_graph, ref_coupling):
         for e in ref_graph.edges + ref_coupling.entries:
-            self.assert_abs_lambda_max_agrees(e)
+            self.assert_abs_eigen_agrees(e)
 
 
 class TestLaplacian:

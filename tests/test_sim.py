@@ -181,8 +181,8 @@ class TestStructureComputedOnce:
             assert max(eigh_shapes) == (d, d)  # no nd x nd eigh
 
     def test_no_edge_eigh_after_load(self, eigh_shapes):
-        """Leaderless run: lambda_max(|A_ij|) for mu_bar is read from the
-        eigh pair each edge keeps from load."""
+        """Leaderless run: lambda_max(|A_ij|) for mu_bar and the square root
+        of |A_ij| are read from the eigh pair each edge keeps from load."""
         sc = random_balanced_scenario()
         g = sc.graph
         eigh_shapes.clear()  # drop the load-time decomposition
@@ -328,14 +328,14 @@ class TestHeldTerms:
 
 
 class TestLeaderlessSlack:
-    """The slack ``(sigma/4) sum_j p_ij^T |A_ij| p_ij`` that ``held_terms``
-    reads from the control's flows is the paper's ``(sigma/4) sum_j
-    ||sqrt(|A_ij|) p_ij||^2``, and never negative."""
+    """The slack ``held_terms`` reads from the ``p_ij`` it shares with the
+    control is the paper's ``(sigma/4) sum_j ||sqrt(|A_ij|) p_ij||^2``, and
+    never negative."""
 
     def test_rounding_negative_eigenvalue_adds_nothing(self):
         """diag(1, -1e-17) classifies PSD and keeps its bits; along its
-        second axis ``p^T |A| p`` is -4e-17 on both arcs, which the clamp
-        drops, as the square root's zero band does."""
+        second axis ``p^T |A| p`` is -4e-17 on both arcs, which the square
+        root's zero band drops."""
         g = MatrixWeightedGraph.from_edges(2, 2, [(0, 1, np.diag([1.0,
                                                                 -1e-17]))])
         assert g.edges[0].abs_weight[1, 1] == -1e-17

@@ -9,6 +9,14 @@ goes through :func:`symmetric`, so it is exactly symmetric and read-only.
 All operations are pure functions of their inputs.  The design envelope is
 small dense blocks (d <= 32), so everything routes through
 ``numpy.linalg.eigh`` with no sparse or iterative machinery.
+
+:func:`symmetric`, :func:`sym_eigen`, :func:`classify_definiteness`,
+:func:`project_to_class` and :func:`sym_sqrt` also take a stack of matrices
+(or of spectra) along leading axes, and work on each matrix of it as on one
+matrix alone, so that a loader decomposes all of its weights in one call.
+A refusal of a stack names its first offending matrix, as it would that
+matrix alone, and carries the matrix's flat position in the stack as
+``index``.
 """
 
 from __future__ import annotations
@@ -53,21 +61,34 @@ INDEFINITE = DefinitenessClass.INDEFINITE
 ZERO = DefinitenessClass.ZERO
 
 
+def _refuse(error: type, bad, message) -> None:
+    """Raise ``error(message(k))`` for the first matrix ``k`` that ``bad``
+    flags, with its flat position in the stack as ``index`` (0 for one
+    matrix); nothing when none is flagged."""
+    bad = np.reshape(bad, -1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        exc = error(message(k))
+        exc.index = k
+        raise exc
+
+
 def symmetric(m) -> np.ndarray:
     """Read-only ``0.5*M + 0.5*M^T``: exactly symmetric, bit-equal to
     ``0.5*(M + M^T)`` on finite input above the subnormal range (halving is
     exact there), and free of the overflow that form has near the float
     maximum."""
     half = 0.5 * np.asarray(m, dtype=float)
-    out = half + half.T
+    out = half + half.swapaxes(-1, -2)
     out.setflags(write=False)
     return out
 
 
 def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
-    """``(eigenvalues, eigenvectors)`` of a symmetric matrix: eigenvalues
-    ascending, orthonormal eigenvector columns, both read-only.  Non-finite
-    entries raise :class:`InvalidMatrix`."""
+    """``(eigenvalues, eigenvectors)`` of a symmetric matrix, or of each
+    matrix of a stack: eigenvalues ascending, orthonormal eigenvector
+    columns, both read-only.  Non-finite entries raise
+    :class:`InvalidMatrix`."""
     arr = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidMatrix("matrix has non-finite entries")
@@ -77,31 +98,32 @@ def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def zero_band(eigenvalues: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Width of the scale-aware band inside which eigenvalues count as zero."""
-    lam_max_abs = float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0
-    return tol * max(1.0, lam_max_abs)
+def zero_band(eigenvalues: np.ndarray, tol: float = DEFAULT_TOL):
+    """Width of the scale-aware band inside which eigenvalues count as zero,
+    one per spectrum of a stack."""
+    lam_max_abs = np.max(np.abs(eigenvalues), axis=-1, initial=0.0)
+    return tol * np.maximum(1.0, lam_max_abs)
 
 
-def classify_definiteness(vals: np.ndarray) -> DefinitenessClass:
-    """Classify a symmetric matrix by the signs of its eigenvalues ``vals``.
+#: Class by (has positive, has negative, has zero) eigenvalue, indexed by
+#: ``4 * has_pos + 2 * has_neg + has_zero``.
+_CLASS_OF_SIGNS = np.array([ZERO, ZERO, ND, NSD, PD, PSD, INDEFINITE,
+                            INDEFINITE], dtype=object)
+
+
+def classify_definiteness(vals: np.ndarray):
+    """Classify a symmetric matrix by the signs of its eigenvalues ``vals``;
+    a stack of spectra gets an object array of classes.
 
     An eigenvalue is treated as zero when its magnitude is at most
     ``DEFAULT_TOL * max(1, |lambda|_max)``; this keeps well-conditioned
     semidefinite matrices out of the indefinite bucket regardless of overall
     scale.
     """
-    band = zero_band(vals)
-    has_pos = bool(np.any(vals > band))
-    has_neg = bool(np.any(vals < -band))
-    has_zero = bool(np.any(np.abs(vals) <= band))
-    if has_pos and has_neg:
-        return INDEFINITE
-    if has_pos:
-        return PSD if has_zero else PD
-    if has_neg:
-        return NSD if has_zero else ND
-    return ZERO
+    band = zero_band(vals)[..., None]
+    code = (4 * np.any(vals > band, axis=-1) + 2 * np.any(vals < -band, axis=-1)
+            + np.any(np.abs(vals) <= band, axis=-1))
+    return _CLASS_OF_SIGNS[code]
 
 
 def matrix_sgn(cls: DefinitenessClass) -> int:
@@ -135,10 +157,11 @@ def spectral_abs(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
     return symmetric((q * np.abs(vals)) @ q.T)
 
 
-def project_to_class(vals: np.ndarray, q: np.ndarray, cls: DefinitenessClass,
+def project_to_class(vals: np.ndarray, q: np.ndarray, cls,
                      tol: float) -> np.ndarray:
     """Snap a nearly-sign-definite matrix, given by its spectrum
-    ``(vals, q)``, exactly onto its declared sign-definite class.
+    ``(vals, q)``, exactly onto its declared sign-definite class ``cls``
+    (for a stack, one class or an array of one class per matrix).
 
     Eigenvalues whose sign contradicts ``cls`` must lie inside the zero band
     ``tol * max(1, |lambda|_max)``; they are clamped to exactly zero and the
@@ -146,19 +169,24 @@ def project_to_class(vals: np.ndarray, q: np.ndarray, cls: DefinitenessClass,
     :class:`UnsupportedWeight`.  Used by the graph loader so that weights
     printed at limited precision become exactly semidefinite.
     """
-    if not cls.is_sign_definite:
-        raise UnsupportedWeight(f"cannot project onto class {cls}")
-    band = zero_band(vals, tol)
-    sign = matrix_sgn(cls)
-    off = vals * sign < 0.0
-    if np.any(np.abs(vals[off]) > band):
-        worst = float(vals[off][np.argmax(np.abs(vals[off]))])
-        raise UnsupportedWeight(
-            f"eigenvalue {worst:.6g} contradicts declared class {cls.value} "
-            f"beyond tolerance band {band:.3g}"
-        )
-    snapped = np.where(np.abs(vals) <= band, 0.0, vals)
-    return symmetric((q * snapped) @ q.T)
+    flat = vals.reshape(-1, vals.shape[-1])
+    classes = np.broadcast_to(np.asarray(cls, dtype=object),
+                              vals.shape[:-1]).reshape(-1)
+    _refuse(UnsupportedWeight, [not c.is_sign_definite for c in classes],
+            lambda k: f"cannot project onto class {classes[k]}")
+    band = zero_band(flat, tol)[:, None]
+    off = flat * np.array([matrix_sgn(c) for c in classes])[:, None] < 0.0
+
+    def contradiction(k: int) -> str:
+        v = flat[k][off[k]]
+        worst = float(v[np.argmax(np.abs(v))])
+        return (f"eigenvalue {worst:.6g} contradicts declared class "
+                f"{classes[k].value} beyond tolerance band {band[k, 0]:.3g}")
+
+    _refuse(UnsupportedWeight, np.any(off & (np.abs(flat) > band), axis=1),
+            contradiction)
+    snapped = np.where(np.abs(flat) <= band, 0.0, flat).reshape(vals.shape)
+    return symmetric((q * snapped[..., None, :]) @ q.swapaxes(-1, -2))
 
 
 def sym_sqrt(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -168,8 +196,9 @@ def sym_sqrt(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
     before the square root; an eigenvalue below ``-band`` raises
     :class:`NotPSD`.
     """
-    band = zero_band(vals)
-    if vals[0] < -band:
-        raise NotPSD(f"eigenvalue {vals[0]:.6g} below -{band:.3g}")
+    band = zero_band(vals)[..., None]
+    low, width = np.reshape(vals[..., 0], -1), np.reshape(band, -1)
+    _refuse(NotPSD, low < -width,
+            lambda k: f"eigenvalue {low[k]:.6g} below -{width[k]:.3g}")
     clamped = np.where(vals <= band, 0.0, vals)
-    return symmetric((q * np.sqrt(clamped)) @ q.T)
+    return symmetric((q * np.sqrt(clamped)[..., None, :]) @ q.swapaxes(-1, -2))

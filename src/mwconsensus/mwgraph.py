@@ -4,9 +4,12 @@ Nodes are ``0..n-1``; every undirected edge carries a symmetric d x d weight
 whose definiteness class must be one of PD / PSD / ND / NSD (indefinite and
 zero weights are rejected: an indefinite block has no well-defined sign, and
 a zero block is simply a non-edge).  Each weight is decomposed once, where
-the loader reads it, and its :class:`Edge` keeps the ``eigh`` pair; input
-couplings are edges too.  The loaders take ``(i, j, weight[, class])``
-tuples; reading them from a scenario document is
+the loader reads it: the loader checks the weights of one call as one
+stacked ``(E, d, d)`` array, decomposes them with one ``eigh`` (plus one of
+the few whose declared class projects eigenvalue noise away) and classifies
+them with one call, and each :class:`Edge` keeps views of its weight and
+its ``eigh`` pair; input couplings are edges too.  The loaders take
+``(i, j, weight[, class])`` tuples; reading them from a scenario document is
 :mod:`mwconsensus.scenario_io`'s job.  On top of the graph itself this
 module derives the block Laplacian, the input-extended graph, structural
 balance, and the two structural assumptions that the consensus protocols
@@ -97,7 +100,9 @@ def memory_refusal(need: float, what: str, use: str) -> Optional[str]:
 class Edge:
     """Edge (i, j) with a sign-definite ``weight`` and its ``eigen`` pair
     (``linalg.sym_eigen``), from which its class, sign, absolute value and
-    the spectrum of that absolute value are read.  All are read-only."""
+    the spectrum of that absolute value are read.  All are read-only.  A
+    loaded edge's weight and pair are views into its load's stacks, which
+    one stacked decomposition produced, and the loader hands it its class."""
 
     i: int
     j: int
@@ -134,56 +139,130 @@ class Edge:
         return float(self.abs_eigen[0][-1])
 
 
-def _load_edge(spec: tuple, d: int, kind: str) -> Edge:
-    """Edge of an ``(i, j, weight)`` or ``(i, j, weight, declared_class)``
-    spec, whose weight is validated, decomposed once, optionally projected
-    and classified: the one check every weight gets.  The edge's weight is
-    read-only and exactly symmetric, and the edge keeps its ``eigh`` pair;
-    ``kind`` names the spec in error messages."""
-    i, j, raw, declared = spec if len(spec) == 4 else (*spec, None)
-    where = f"{kind} ({i},{j})"
-    arr = float_array(raw, f"{where}: weight")
-    if arr.size == d * d:
-        arr = arr.reshape(d, d)
-    if arr.shape != (d, d):
-        raise GraphFormatError(f"{where}: weight must be {d}x{d}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise GraphFormatError(f"{where}: weight has non-finite entries")
-    dev = float(np.max(np.abs(arr - arr.T)))
-    if dev > SYMMETRY_REJECT_TOL * max(1.0, float(np.max(np.abs(arr)))):
-        raise GraphFormatError(f"{where}: weight is asymmetric (max deviation {dev:.6g})")
-    target = None
-    if declared is not None:
+def _edge(i: int, j: int, weight: np.ndarray,
+          eigen: tuple[np.ndarray, np.ndarray], cls: DefinitenessClass) -> Edge:
+    """An :class:`Edge` handed the class already read from its spectrum, so
+    that it never classifies itself again."""
+    e = Edge(i, j, weight, eigen)
+    vars(e)["cls"] = cls  # where the cached property keeps its value
+    return e
+
+
+#: Sign of each sign-definite class.
+_DEFINITE_SIGN = {c: linalg.matrix_sgn(c) for c in DefinitenessClass
+                  if c.is_sign_definite}
+
+
+class _Faults:
+    """The refusal of the lowest-index faulty spec of a stack.  Each check
+    runs on the specs below :attr:`limit`, which passed every check before
+    it, so a spec is refused for the first check it fails."""
+
+    def __init__(self, limit: int, error: Optional[GraphFormatError], where):
+        self.limit, self.error, self.where = limit, error, where
+
+    def refuse(self, flagged, message) -> None:
+        """Refuse the lowest of the ``flagged`` spec indices, when it is
+        below the limit, in the line ``message(k)``; it becomes the limit."""
+        k = min(flagged, default=self.limit)
+        if k < self.limit:
+            self.limit = k = int(k)
+            self.error = GraphFormatError(f"{self.where(k)}: {message(k)}")
+
+
+def _load_edges(specs: Iterable[tuple], d: int, kind: str) -> tuple[Edge, ...]:
+    """Edges of ``(i, j, weight)`` or ``(i, j, weight, declared_class)``
+    specs, whose weights are validated, decomposed, optionally projected and
+    classified as one ``(E, d, d)`` stack: the one check every weight gets.
+    Each edge's weight is read-only and exactly symmetric, and the edge
+    keeps its ``eigh`` pair; both are views into the stacks.
+
+    A refusal names the lowest-index faulty spec, as ``kind (i,j)``, and the
+    first check in this order that it fails: its shape, non-finite entries,
+    asymmetry, the name of its declared class, that class being
+    sign-definite, a spectrum that overflows, a declared class contradicted
+    beyond :data:`CLASS_DECLARATION_TOL`, and a class that is not
+    sign-definite.  A refusal that ``specs`` raises while producing spec k
+    counts as spec k's.
+    """
+    heads, arrays, late = [], [], None
+    try:
+        for spec in specs:
+            i, j, raw, declared = spec if len(spec) == 4 else (*spec, None)
+            where = f"{kind} ({i},{j})"
+            arr = float_array(raw, f"{where}: weight")
+            if arr.size == d * d:
+                arr = arr.reshape(d, d)
+            if arr.shape != (d, d):
+                raise GraphFormatError(
+                    f"{where}: weight must be {d}x{d}, got shape {arr.shape}")
+            heads.append((i, j, declared))
+            arrays.append(arr)
+    except GraphFormatError as exc:
+        late = exc
+    faults = _Faults(len(heads), late,
+                     lambda k: f"{kind} ({heads[k][0]},{heads[k][1]})")
+    raw = np.array(arrays).reshape(-1, d, d)
+    faults.refuse(np.flatnonzero(~np.isfinite(raw).all(axis=(1, 2))),
+                  lambda k: "weight has non-finite entries")
+    raw = raw[:faults.limit]
+    dev = np.abs(raw - raw.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    scale = np.maximum(1.0, np.abs(raw).max(axis=(1, 2), initial=0.0))
+    faults.refuse(np.flatnonzero(dev > SYMMETRY_REJECT_TOL * scale),
+                  lambda k: f"weight is asymmetric (max deviation {dev[k]:.6g})")
+    targets = {}
+    for k, (_, _, declared) in enumerate(heads[:faults.limit]):
+        if declared is None:
+            continue
         if declared not in _CLASS_NAMES:
-            raise GraphFormatError(
-                f"{where}: unknown class {declared!r}; expected one of "
-                f"{sorted(_CLASS_NAMES)}")
-        target = _CLASS_NAMES[declared]
-        if not target.is_sign_definite:
-            raise GraphFormatError(f"{where}: declared class must be sign-definite")
-    weight = linalg.symmetric(arr)
-    e = Edge(i, j, weight, linalg.sym_eigen(weight))
-    if not np.all(np.isfinite(e.eigen[0])):  # inf would widen the zero band
-        raise GraphFormatError(f"{where}: {TOO_LARGE}")
+            faults.refuse([k], lambda k: (
+                f"unknown class {declared!r}; expected one of "
+                f"{sorted(_CLASS_NAMES)}"))
+            break
+        if not _CLASS_NAMES[declared].is_sign_definite:
+            faults.refuse([k], lambda k: "declared class must be sign-definite")
+            break
+        targets[k] = _CLASS_NAMES[declared]
+    weight = linalg.symmetric(raw[:faults.limit])
+    vals, vecs = linalg.sym_eigen(weight)
+    # An inf eigenvalue would widen the zero band.
+    faults.refuse(np.flatnonzero(~np.isfinite(vals).all(axis=1)),
+                  lambda k: TOO_LARGE)
+    classes = linalg.classify_definiteness(vals[:faults.limit])
     # A spectrum that already agrees at strict tolerance keeps the weight
     # bit-exact, so that dump/load round trips are stable.
-    if target is not None and not (
-            e.cls.is_sign_definite and e.sign == linalg.matrix_sgn(target)):
+    need = [k for k, t in targets.items() if k < faults.limit
+            and _DEFINITE_SIGN.get(classes[k]) != _DEFINITE_SIGN[t]]
+    if need:
+        weight, vals, vecs = np.array(weight), np.array(vals), np.array(vecs)
         try:
-            weight = linalg.project_to_class(*e.eigen, target,
-                                             CLASS_DECLARATION_TOL)
+            projected = linalg.project_to_class(
+                vals[need], vecs[need], [targets[k] for k in need],
+                CLASS_DECLARATION_TOL)
         except linalg.UnsupportedWeight as exc:
-            raise GraphFormatError(f"{where}: {exc}") from exc
-        e = Edge(i, j, weight, linalg.sym_eigen(weight))
-        if e.sign != linalg.matrix_sgn(target):
-            raise GraphFormatError(
-                f"{where}: declared class {declared!r} inconsistent with "
-                f"spectrum (classified {e.cls.value})")
-    if not e.cls.is_sign_definite:
-        raise GraphFormatError(
-            f"{where}: weight classified {e.cls.value}; only sign-definite "
-            "(pd/psd/nd/nsd) weights are admissible")
-    return e
+            faults.refuse([need[exc.index]], lambda k: str(exc))
+            need = need[:exc.index]
+            projected = linalg.project_to_class(
+                vals[need], vecs[need], [targets[k] for k in need],
+                CLASS_DECLARATION_TOL)
+        weight[need] = projected
+        vals[need], vecs[need] = linalg.sym_eigen(projected)
+        classes[need] = linalg.classify_definiteness(vals[need])
+        faults.refuse([k for k in need if _DEFINITE_SIGN.get(classes[k])
+                       != _DEFINITE_SIGN[targets[k]]],
+                      lambda k: (f"declared class {heads[k][2]!r} inconsistent "
+                                 f"with spectrum (classified {classes[k].value})"))
+        for a in (weight, vals, vecs):
+            a.setflags(write=False)
+    faults.refuse([k for k, c in enumerate(classes[:faults.limit])
+                   if not c.is_sign_definite],
+                  lambda k: (f"weight classified {classes[k].value}; only "
+                             "sign-definite (pd/psd/nd/nsd) weights are "
+                             "admissible"))
+    if faults.error is not None:
+        raise faults.error
+    return tuple(_edge(i, j, weight[k], (vals[k], vecs[k]), classes[k])
+                 for k, (i, j, _) in enumerate(heads))
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +300,8 @@ class MatrixWeightedGraph:
                 raise GraphFormatError(
                     f"edge ({e.i},{e.j}) has class {e.cls.value}")
             # An edge already in (min, max) order is shared, caches and all.
-            by_pair[key] = e if (e.i, e.j) == key else Edge(*key, e.weight, e.eigen)
+            by_pair[key] = e if (e.i, e.j) == key else \
+                _edge(*key, e.weight, e.eigen, e.cls)
             adjacent[e.i].append(e.j)
             adjacent[e.j].append(e.i)
         object.__setattr__(self, "edges", tuple(by_pair.values()))
@@ -235,7 +315,7 @@ class MatrixWeightedGraph:
                    edges: Iterable[tuple]) -> "MatrixWeightedGraph":
         """Build from ``(i, j, weight)`` or ``(i, j, weight, declared_class)``
         tuples; weights are validated and decomposed as at file load."""
-        return cls(n, d, tuple(_load_edge(s, d, "edge") for s in edges))
+        return cls(n, d, _load_edges(edges, d, "edge"))
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._neighbors.get(i, ())
@@ -332,14 +412,16 @@ def definite_quotient(g: MatrixWeightedGraph) -> MatrixWeightedGraph:
         a, b = sorted((label[roots[e.i]], label[roots[e.j]]))
         if a != b:
             between.setdefault((a, b), []).append(e.abs_weight)
-    edges = []
-    for (a, b), parts in between.items():
-        with np.errstate(over="ignore"):  # an overflowed sum is refused below
-            w = linalg.symmetric(sum(parts))
-        if not np.all(np.isfinite(w)):
-            raise GraphFormatError(TOO_LARGE)
-        edges.append(Edge(a, b, w, linalg.sym_eigen(w)))
-    return MatrixWeightedGraph(len(label), g.d, tuple(edges))
+    with np.errstate(over="ignore"):  # an overflowed sum is refused below
+        w = linalg.symmetric(np.array([sum(parts) for parts in between.values()])
+                             .reshape(-1, g.d, g.d))
+    if not np.all(np.isfinite(w)):
+        raise GraphFormatError(TOO_LARGE)
+    vals, vecs = linalg.sym_eigen(w)
+    classes = linalg.classify_definiteness(vals)
+    return MatrixWeightedGraph(len(label), g.d, tuple(
+        _edge(a, b, w[k], (vals[k], vecs[k]), classes[k])
+        for k, (a, b) in enumerate(between)))
 
 
 def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
@@ -459,13 +541,13 @@ class InputCoupling:
     def from_entries(cls, entries: Iterable[tuple],
                      d: int) -> "InputCoupling":
         """Build from ``(agent, input, weight[, declared_class])`` tuples."""
-        return cls(tuple(_load_edge(s, d, "input coupling") for s in entries))
+        return cls(_load_edges(entries, d, "input coupling"))
 
 
 def extended_graph(g: MatrixWeightedGraph,
                    coupling: InputCoupling) -> MatrixWeightedGraph:
     """Agents plus input l at node ``n + l``, joined by the coupling edges."""
-    edges = tuple(Edge(c.i, g.n + c.j, c.weight, c.eigen)
+    edges = tuple(_edge(c.i, g.n + c.j, c.weight, c.eigen, c.cls)
                   for c in coupling.entries)
     return MatrixWeightedGraph(g.n + coupling.m, g.d, g.edges + edges)
 

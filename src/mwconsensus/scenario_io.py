@@ -58,15 +58,22 @@ def _json_float(value, where: str) -> float:
         raise GraphFormatError(f"{where}: number out of range") from None
 
 
+#: The types of a JSON number; a list level of these alone needs no
+#: further check.
+_NUMBER_TYPES = {int, float}
+
+
 def _json_floats(value, where: str) -> np.ndarray:
-    """A (possibly nested) array of numbers as a float array."""
+    """A (possibly nested) array of numbers as a float array.  A list level
+    is type-checked at once; only a level holding something else is walked
+    item by item, last to first."""
     pending = [_json_value(value, "array", where)]
     while pending:
         item = pending.pop()
-        if isinstance(item, list):
-            pending.extend(item)
-        else:
+        if not isinstance(item, list):
             _json_value(item, "number", f"{where} entries")
+        elif not set(map(type, item)) <= _NUMBER_TYPES:
+            pending.extend(item)
     try:
         return np.asarray(value, dtype=float)
     except (ValueError, OverflowError):

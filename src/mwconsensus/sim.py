@@ -41,7 +41,7 @@ import numpy as np
 
 from . import mwgraph, trigger
 from .errors import Diverged, GraphFormatError, InvalidScenario
-from .linalg import sym_sqrt
+from .linalg import sym_sqrt, symmetric
 from .mwgraph import MatrixWeightedGraph
 from .trigger import LeaderFollower, Mode, TriggerParams
 
@@ -272,19 +272,22 @@ class CompiledScenario:
         # Input nodes carry u0; the leaderless network has none.
         self.pinned = np.tile(sc.mode.u0, network.n - self.n) \
             if self.leader_follower else np.zeros(0)
-        # Arcs leave agents only: an input node is pinned and has no flow.
-        arcs = [(a, b, e) for e in network.edges
-                for a, b in ((e.i, e.j), (e.j, e.i)) if a < self.n]
-        d = self.d
-        self.arc_src = np.array([a for a, _, _ in arcs], dtype=int)
-        self.arc_dst = np.array([b for _, b, _ in arcs], dtype=int)
-        self.arc_sign = np.array([float(e.sign) for _, _, e in arcs])
-        self.arc_abs = np.array(
-            [e.abs_weight for _, _, e in arcs]).reshape(-1, d, d)
+        # Each edge's arcs i -> j and j -> i, in edge order, stacked once;
+        # arcs leave agents only: an input node is pinned and has no flow.
+        d, edges = self.d, network.edges
+        ends = np.array([(e.i, e.j) for e in edges], dtype=int).reshape(-1, 2)
+        src, dst = ends.reshape(-1), ends[:, ::-1].reshape(-1)
+        keep = src < self.n
+        arc_edge = np.repeat(np.arange(len(edges)), 2)[keep]
+        self.arc_src, self.arc_dst = src[keep], dst[keep]
+        sign = np.array([float(e.sign) for e in edges])
+        self.arc_sign = sign[arc_edge]
+        weights = np.array([e.weight for e in edges]).reshape(-1, d, d)
+        self.arc_abs = symmetric(sign[:, None, None] * weights)[arc_edge]
         if not self.leader_follower:
-            root = {e: sym_sqrt(*e.abs_eigen) for e in network.edges}
-            self.arc_sqrt = np.array(
-                [root[e] for _, _, e in arcs]).reshape(-1, d, d)
+            abs_vals = np.array([e.abs_eigen[0] for e in edges]).reshape(-1, d)
+            abs_vecs = np.array([e.abs_eigen[1] for e in edges]).reshape(-1, d, d)
+            self.arc_sqrt = sym_sqrt(abs_vals, abs_vecs)[arc_edge]
         # Flat state index of every coordinate an arc's flow lands on.
         self.arc_slots = (self.arc_src[:, None] * d + np.arange(d)).reshape(-1)
 

@@ -23,6 +23,14 @@ on the graph's definite quotient is checked.
 ``four_stage_run`` is the step-at-a-time loop with the classical 4-stage
 update of the thresholds, against which the engine's windows and its
 closed-form thresholds are checked.
+
+``load_edge`` is the per-edge loader the package had before it loaded a
+graph's weights as one stack: it checks, decomposes, projects and
+classifies one weight at a time, so ``load_edges`` refuses the first faulty
+spec in the order the specs come.  The batched loader must build the same
+edges bit for bit, and refuse with the same line.  ``json_floats_walk`` is
+the item-by-item type walk of a weight array that the reader's level-wise
+check replaced.
 """
 
 from __future__ import annotations
@@ -35,10 +43,12 @@ from typing import Sequence
 import numpy as np
 
 from mwconsensus import linalg, sim
-from mwconsensus.errors import MwcError
+from mwconsensus.errors import GraphFormatError, MwcError
 from mwconsensus.linalg import matrix_abs, matrix_sgn
-from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
-    kernel_mask
+from mwconsensus.mwgraph import CLASS_DECLARATION_TOL, SYMMETRY_REJECT_TOL, \
+    TOO_LARGE, Edge, InputCoupling, MatrixWeightedGraph, _CLASS_NAMES, \
+    float_array, kernel_mask
+from mwconsensus.scenario_io import _json_value
 from mwconsensus.trigger import AgentParams
 
 
@@ -440,3 +450,72 @@ def chi_rate_lf(e_i: np.ndarray, qhat_i: np.ndarray, chi: float,
     q = np.asarray(qhat_i, dtype=float)
     drive = params.sigma * float(q @ q) - gamma_i * float(e_i @ e_i)
     return -params.beta * chi + params.delta * drive
+
+
+def load_edge(spec: tuple, d: int, kind: str) -> Edge:
+    """Edge of an ``(i, j, weight)`` or ``(i, j, weight, declared_class)``
+    spec, whose weight is validated, decomposed once, optionally projected
+    and classified: the one check every weight gets.  The edge's weight is
+    read-only and exactly symmetric, and the edge keeps its ``eigh`` pair;
+    ``kind`` names the spec in error messages."""
+    i, j, raw, declared = spec if len(spec) == 4 else (*spec, None)
+    where = f"{kind} ({i},{j})"
+    arr = float_array(raw, f"{where}: weight")
+    if arr.size == d * d:
+        arr = arr.reshape(d, d)
+    if arr.shape != (d, d):
+        raise GraphFormatError(f"{where}: weight must be {d}x{d}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise GraphFormatError(f"{where}: weight has non-finite entries")
+    dev = float(np.max(np.abs(arr - arr.T)))
+    if dev > SYMMETRY_REJECT_TOL * max(1.0, float(np.max(np.abs(arr)))):
+        raise GraphFormatError(f"{where}: weight is asymmetric (max deviation {dev:.6g})")
+    target = None
+    if declared is not None:
+        if declared not in _CLASS_NAMES:
+            raise GraphFormatError(
+                f"{where}: unknown class {declared!r}; expected one of "
+                f"{sorted(_CLASS_NAMES)}")
+        target = _CLASS_NAMES[declared]
+        if not target.is_sign_definite:
+            raise GraphFormatError(f"{where}: declared class must be sign-definite")
+    weight = linalg.symmetric(arr)
+    e = Edge(i, j, weight, linalg.sym_eigen(weight))
+    if not np.all(np.isfinite(e.eigen[0])):  # inf would widen the zero band
+        raise GraphFormatError(f"{where}: {TOO_LARGE}")
+    # A spectrum that already agrees at strict tolerance keeps the weight
+    # bit-exact, so that dump/load round trips are stable.
+    if target is not None and not (
+            e.cls.is_sign_definite and e.sign == linalg.matrix_sgn(target)):
+        try:
+            weight = linalg.project_to_class(*e.eigen, target,
+                                             CLASS_DECLARATION_TOL)
+        except linalg.UnsupportedWeight as exc:
+            raise GraphFormatError(f"{where}: {exc}") from exc
+        e = Edge(i, j, weight, linalg.sym_eigen(weight))
+        if e.sign != linalg.matrix_sgn(target):
+            raise GraphFormatError(
+                f"{where}: declared class {declared!r} inconsistent with "
+                f"spectrum (classified {e.cls.value})")
+    if not e.cls.is_sign_definite:
+        raise GraphFormatError(
+            f"{where}: weight classified {e.cls.value}; only sign-definite "
+            "(pd/psd/nd/nsd) weights are admissible")
+    return e
+
+
+def load_edges(specs, d: int, kind: str) -> tuple[Edge, ...]:
+    """Each spec through :func:`load_edge` in turn."""
+    return tuple(load_edge(s, d, kind) for s in specs)
+
+
+def json_floats_walk(value, where: str) -> None:
+    """Type-check a (possibly nested) weight array item by item, last to
+    first, as the reader once did."""
+    pending = [_json_value(value, "array", where)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        else:
+            _json_value(item, "number", f"{where} entries")

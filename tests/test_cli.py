@@ -314,19 +314,21 @@ class TestStructureComputedOnce:
         monkeypatch.setattr(mwgraph, "null_space", counting)
         assert main([command, token]) == EXIT_OK
         assert kernels == [(4, 4)]
-        if command == "check":
-            assert max(eigh_shapes) == (4, 4)
+        if command == "check":  # each matrix decomposed is 4 x 4
+            assert max(shape[-2:] for shape in eigh_shapes) == (4, 4)
         else:
             assert eigh_shapes.count((24, 24)) == laplacians
 
     def test_check_lf_edge_eigh_count(self, eigh_shapes):
-        """One load-time eigh per weight of the graph and the coupling, one
-        more for each of the three whose declared class projects eigenvalue
-        noise away, one for the repair of the (0, 1) weight, the one-node
-        quotient's Laplacian, and the grounding test, which ``check`` and
-        its verdict each run; lambda_max is read from the pairs."""
+        """One eigh for the repair of the (0, 1) weight; one stacked eigh
+        per load, of the graph's 8 weights and of the coupling's 2, and one
+        more of the subset whose declared class projects eigenvalue noise
+        away (2 and 1 weights); one of the one-node quotient's edges (none)
+        and one of its Laplacian; and the grounding test, which ``check``
+        and its verdict each run.  lambda_max is read from the pairs."""
         assert main(["check", "builtin:lf"]) == EXIT_OK
-        assert eigh_shapes.count((4, 4)) == 17
+        assert eigh_shapes == [(4, 4), (8, 4, 4), (2, 4, 4), (2, 4, 4),
+                               (1, 4, 4), (0, 4, 4), (4, 4), (4, 4), (4, 4)]
 
     def test_check_lf_builds_one_network(self, monkeypatch):
         built = []

@@ -248,3 +248,78 @@ class TestResultsReadOnly:
         out = make()
         with pytest.raises(ValueError):
             out[0, 0] = 1.0
+
+
+def random_stack(rng, count, d):
+    """``count`` symmetric d x d matrices of every class: random spectra
+    with some eigenvalues zeroed, some in-band noise, some of one sign."""
+    out = []
+    for _ in range(count):
+        q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        lam = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3)
+        lam[rng.uniform(size=d) < 0.3] = 0.0
+        lam[rng.uniform(size=d) < 0.2] = rng.normal() * 1e-7
+        lam = np.abs(lam) * rng.choice([-1.0, 1.0]) if rng.uniform() < 0.7 else lam
+        out.append(symmetric((q * lam) @ q.T))
+    return np.array(out).reshape(-1, d, d)
+
+
+class TestStacks:
+    """Over a stack, each function gives every matrix exactly what it gives
+    that matrix alone, and a refusal is the first offending matrix's, with
+    its position in the stack."""
+
+    def test_each_matrix_as_alone(self):
+        rng = np.random.default_rng(41)
+        for d in range(1, 7):
+            for count in (0, 1, 5):
+                m = random_stack(rng, count, d)
+                vals, vecs = sym_eigen(m)
+                classes = classify_definiteness(vals)
+                assert vals.shape == (count, d) and classes.shape == (count,)
+                assert not vals.flags.writeable and not vecs.flags.writeable
+                for k in range(count):
+                    alone = sym_eigen(m[k])
+                    for a, b in zip((vals[k], vecs[k]), alone):
+                        assert a.tobytes() == b.tobytes()
+                    assert classes[k] is classify_definiteness(alone[0])
+                positive = [k for k in range(count) if classes[k] in (PD, PSD)]
+                root = sym_sqrt(vals[positive], vecs[positive])
+                for r, k in enumerate(positive):
+                    assert root[r].tobytes() == \
+                        sym_sqrt(vals[k], vecs[k]).tobytes()
+                # Snap every sign-definite matrix onto its semidefinite class.
+                snap = [k for k in range(count)
+                        if classes[k] not in (INDEFINITE, ZERO)]
+                to = [PSD if classes[k] in (PD, PSD) else NSD for k in snap]
+                snapped = project_to_class(vals[snap], vecs[snap], to, 1e-4)
+                for r, (k, t) in enumerate(zip(snap, to)):
+                    assert snapped[r].tobytes() == \
+                        project_to_class(vals[k], vecs[k], t, 1e-4).tobytes()
+
+    def test_symmetric_of_stack(self):
+        rng = np.random.default_rng(43)
+        m = rng.normal(size=(6, 4, 4))
+        out = symmetric(m)
+        assert not out.flags.writeable
+        for k in range(6):
+            assert out[k].tobytes() == symmetric(m[k]).tobytes()
+
+    def test_refusal_names_first_offender(self):
+        vals = np.array([[1.0, 2.0], [-0.5, 1.0], [-3.0, 1.0]])
+        vecs = np.broadcast_to(np.eye(2), (3, 2, 2))
+        with pytest.raises(NotPSD) as got:
+            sym_sqrt(vals, vecs)
+        assert got.value.index == 1
+        with pytest.raises(NotPSD) as alone:
+            sym_sqrt(vals[1], vecs[1])
+        assert str(got.value) == str(alone.value)
+        with pytest.raises(UnsupportedWeight) as got:
+            project_to_class(vals, vecs, [PSD, PD, PSD], tol=1e-4)
+        assert got.value.index == 1
+        assert str(got.value) == str(pytest.raises(
+            UnsupportedWeight, project_to_class, vals[1], vecs[1], PD,
+            tol=1e-4).value)
+        with pytest.raises(UnsupportedWeight) as got:
+            project_to_class(vals, vecs, [PSD, INDEFINITE, ZERO], tol=1e-4)
+        assert got.value.index == 1 and "cannot project" in str(got.value)

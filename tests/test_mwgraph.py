@@ -6,14 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
+from mwconsensus import mwgraph, scenario_io
 from mwconsensus.builtin import RAW_EDGE_0_1, WEIGHT_0_5, WEIGHT_3_4
 from mwconsensus.errors import AssumptionViolated, GraphFormatError, NotPSD
 from mwconsensus.linalg import DEFAULT_TOL, ND, NSD, PD, PSD, matrix_abs, \
     sym_eigen, sym_sqrt
-from mwconsensus.mwgraph import Edge, InputCoupling, MatrixWeightedGraph, \
-    build_laplacian, definite_quotient, detect_structural_balance, \
-    extended_graph, leader_gauge, null_space, predicted_bipartite_limit, \
-    verify_assumption1, verify_assumption2
+from mwconsensus.mwgraph import TOO_LARGE, Edge, InputCoupling, \
+    MatrixWeightedGraph, build_laplacian, definite_quotient, \
+    detect_structural_balance, extended_graph, leader_gauge, null_space, \
+    predicted_bipartite_limit, verify_assumption1, verify_assumption2
+from mwconsensus.scenario_io import graph_from_dict
 
 from conftest import random_balanced_scalar_graph, two_node_graph
 from oracles import assumption1_dense, brute_force_balance, \
@@ -161,24 +164,33 @@ class TestGraphModel:
         assert vals[0] == 0.0 and vals[1] == 0.0
 
     @pytest.mark.parametrize("make,eighs", [
-        (lambda: MatrixWeightedGraph.from_edges(2, 2, [(0, 1, PAIR)]), 1),
-        (lambda: MatrixWeightedGraph.from_edges(2, 2, [(0, 1, -PAIR, "nd")]), 1),
-        (lambda: MatrixWeightedGraph.from_edges(2, 3, [(0, 1, NOISY, "psd")]), 2),
-        (lambda: InputCoupling.from_entries([(0, 0, PAIR, "pd")], 2), 1),
-        (lambda: InputCoupling.from_entries([(0, 0, -NOISY, "nsd")], 3), 2),
-    ], ids=["pd", "nd-declared", "psd-projected", "coupling",
-            "coupling-projected"])
+        (lambda: MatrixWeightedGraph.from_edges(2, 2, [(0, 1, PAIR)]),
+         [(1, 2, 2)]),
+        (lambda: MatrixWeightedGraph.from_edges(2, 2, [(0, 1, -PAIR, "nd")]),
+         [(1, 2, 2)]),
+        (lambda: MatrixWeightedGraph.from_edges(2, 3, [(0, 1, NOISY, "psd")]),
+         [(1, 3, 3), (1, 3, 3)]),
+        (lambda: MatrixWeightedGraph.from_edges(4, 3, [
+            (0, 1, NOISY, "psd"), (1, 2, np.eye(3), "pd"), (2, 3, -np.eye(3)),
+            (0, 3, -NOISY, "nsd")]), [(4, 3, 3), (2, 3, 3)]),
+        (lambda: MatrixWeightedGraph.from_edges(3, 2, []), [(0, 2, 2)]),
+        (lambda: InputCoupling.from_entries([(0, 0, PAIR, "pd")], 2),
+         [(1, 2, 2)]),
+        (lambda: InputCoupling.from_entries([(0, 0, -NOISY, "nsd")], 3),
+         [(1, 3, 3), (1, 3, 3)]),
+    ], ids=["pd", "nd-declared", "psd-projected", "stack-projected", "empty",
+            "coupling", "coupling-projected"])
     def test_one_eigh_per_loaded_weight(self, make, eighs, eigh_shapes):
-        """Loading decomposes a weight once, or twice when its declared class
-        projects eigenvalue noise away; every spectral fact of the edge is
-        then read from the kept pair."""
+        """Loading decomposes its weights as one stack, plus one stack of
+        those whose declared class projects eigenvalue noise away; every
+        spectral fact of an edge is then read from the kept pair."""
         built = make()
         edges = built.entries if isinstance(built, InputCoupling) \
             else built.edges
         for e in edges:
             e.cls, e.sign, e.abs_weight, e.abs_eigen, e.abs_lambda_max
             sym_sqrt(*e.abs_eigen)
-        assert len(eigh_shapes) == eighs
+        assert eigh_shapes == eighs
 
     def test_declared_class_contradiction_rejected(self):
         with pytest.raises(GraphFormatError, match="contradicts"):
@@ -643,3 +655,170 @@ class TestInputCoupling:
         assert InputCoupling().m == 0
         assert InputCoupling.from_entries([(0, 1, w), (1, 0, w)], 1).m == 2
 
+
+
+CLASS_NAMES = ("pd", "psd", "nd", "nsd", "indefinite", "zero")
+
+
+def random_weight(rng, d, cls):
+    """Spectrum ``(eigenvalues, basis, zero mask)`` of a d x d weight of
+    class ``cls`` (as far as d allows): nonzero eigenvalues of magnitude 0.5
+    to 5 in a random orthonormal basis."""
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    lam = rng.uniform(0.5, 5.0, d)
+    zeros = np.zeros(d, dtype=bool)
+    if cls in ("psd", "nsd"):
+        zeros[rng.permutation(d)[:int(rng.integers(1, max(2, d)))]] = True
+    if cls in ("nd", "nsd"):
+        lam = -lam
+    if cls == "indefinite":
+        lam[rng.permutation(d)[:max(1, d // 2)]] *= -1.0
+    if cls == "zero":
+        zeros[:] = True
+    lam[zeros] = 0.0
+    return lam, q, zeros
+
+
+def random_spec(rng, d, k, faults):
+    """``(k, k + 1, weight[, declared])`` spec.  Without ``faults`` its
+    weight is sign-definite, declared as such or not, and in-band noise on
+    a semidefinite one is projected away where its class is declared.  With
+    ``faults`` about half of the specs carry one."""
+    cls = CLASS_NAMES[int(rng.integers(0, 6 if faults else 4))]
+    lam, q, zeros = random_weight(rng, d, cls)
+    mode = rng.choice(["clean", "noise", "tiny", "contradiction", "asymmetric",
+                       "non-finite", "shape", "overflow", "not-numbers"],
+                      p=[0.3, 0.2, 0.05, 0.1, 0.07, 0.07, 0.07, 0.07, 0.07]
+                      if faults else [0.6, 0.4, 0, 0, 0, 0, 0, 0, 0])
+    if mode == "noise":
+        lam[zeros] = (rng.uniform(-1.0, 1.0, zeros.sum())
+                      * 10.0 ** rng.uniform(-9, -4.5))
+    if mode == "tiny":  # all in band: a projection leaves the zero class
+        lam = rng.choice([-1.0, 1.0]) * rng.uniform(1e-7, 1e-5, d)
+    if mode == "contradiction":
+        lam[zeros] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.5, -1)
+    w = (q * lam) @ q.T
+    w = 0.5 * (w + w.T)
+    if mode == "asymmetric" and d > 1:
+        w[0, d - 1] += 10.0 ** rng.uniform(-11, -6)
+    if mode == "non-finite":
+        w[rng.integers(0, d), rng.integers(0, d)] = \
+            rng.choice([np.nan, np.inf, -np.inf])
+    if mode == "overflow":
+        w = np.full((d, d), 1.5e308 * rng.choice([-1.0, 1.0]))
+    if mode == "shape":
+        w = rng.normal(size=(d, d + 1))
+    weight = rng.choice(["array", "flat", "nested"])
+    weight = {"array": w, "flat": w.reshape(-1).tolist(),
+              "nested": w.tolist()}[weight]
+    if mode == "not-numbers":
+        weight = [["x", {}, None][int(rng.integers(0, 3))]] * (d * d)
+    if faults:
+        declared = rng.choice([None, "true", "other", "bogus"],
+                              p=[0.3, 0.45, 0.2, 0.05])
+    else:
+        declared = "true" if mode == "noise" or rng.uniform() < 0.5 else None
+    if declared is None:
+        return (k, k + 1, weight)
+    declared = {"true": cls, "bogus": "positive",
+                "other": CLASS_NAMES[int(rng.integers(0, 6))]}[declared]
+    return (k, k + 1, weight, declared)
+
+
+def loaded(load):
+    """The edges ``load()`` builds, or the line it refuses with."""
+    try:
+        return load()
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+def assert_same_edges(got, want):
+    """Edges equal bit for bit: ends, weight, eigen pair and class."""
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.i, a.j, a.cls) == (b.i, b.j, b.cls)
+        for x, y in ((a.weight, b.weight), *zip(a.eigen, b.eigen)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+            assert not x.flags.writeable
+
+
+class TestBatchedLoader:
+    """The stacked loader builds the per-edge reference's edges bit for bit
+    and refuses with its line: the lowest-index faulty spec, and that spec's
+    first failing check."""
+
+    def test_matches_per_edge_reference(self):
+        """Seeded documents of d = 1 to 6, a third of them with faults
+        (several per document, often), through both loaders."""
+        rng = np.random.default_rng(2020)
+        refusals, edges, projected = [], 0, 0
+        for case in range(600):
+            d = int(rng.integers(1, 7))
+            faults = case % 3 == 0
+            specs = [random_spec(rng, d, k, faults)
+                     for k in range(int(rng.integers(0, 9)))]
+            kind = ("edge", "input coupling")[case % 2]
+            want = loaded(lambda: oracles.load_edges(specs, d, kind))
+            got = loaded(lambda: mwgraph._load_edges(iter(specs), d, kind))
+            assert_same_edges(got, want)
+            if isinstance(want, str):
+                refusals.append(want)
+                continue
+            edges += len(want)
+            projected += sum(
+                not np.array_equal(e.weight, np.asarray(s[2]).reshape(d, d))
+                for e, s in zip(want, specs))
+        assert len(refusals) > 100 and edges > 1000 and projected > 100
+        for line in ("must be", "non-finite", "asymmetric", "unknown class",
+                     "must be sign-definite", TOO_LARGE, "contradicts",
+                     "inconsistent", "classified indefinite",
+                     "classified zero", "must hold numbers"):
+            assert any(line in r for r in refusals), line
+
+    def test_refusal_raised_by_specs_yields_to_lower_faults(self):
+        """A spec the iterator cannot produce counts as faulty at its
+        position: a lower faulty spec is refused instead."""
+        def specs(first):
+            yield first
+            raise GraphFormatError("edges[1].weight entries: expected "
+                                   "number, got string")
+
+        with pytest.raises(GraphFormatError, match=r"edge \(0,1\): eigenvalue"):
+            mwgraph._load_edges(specs((0, 1, [-1.0], "pd")), 1, "edge")
+        with pytest.raises(GraphFormatError, match=r"edges\[1\]"):
+            mwgraph._load_edges(specs((0, 1, [1.0], "pd")), 1, "edge")
+
+    def test_graph_documents_match_reference(self):
+        """The document reader's own refusals (types, keys) interleave with
+        the weight checks as they did with the per-edge loader."""
+        rng = np.random.default_rng(77)
+        junk = ["x", True, None, {}, [1.0, "y"], 2.5]
+        for case in range(200):
+            d = int(rng.integers(1, 4))
+            entries = []
+            for spec in (random_spec(rng, d, k, faults=case % 2 == 0)
+                         for k in range(int(rng.integers(1, 6)))):
+                w = spec[2]
+                entry = {"i": spec[0], "j": spec[1],
+                         "weight": w.tolist() if isinstance(w, np.ndarray) else w}
+                if len(spec) == 4:
+                    entry["class"] = spec[3]
+                fault = rng.uniform()
+                if fault < 0.08:
+                    entry["weight"] = [junk[int(rng.integers(0, 6))]] * (d * d)
+                elif fault < 0.12:
+                    entry["i"] = 0.5
+                elif fault < 0.15:
+                    del entry["weight"]
+                entries.append(entry)
+            doc = {"n": len(entries) + 1, "d": d, "edges": entries}
+            want = loaded(lambda: MatrixWeightedGraph(
+                doc["n"], d, oracles.load_edges(scenario_io._json_entries(
+                    doc, "edges", ("i", "j")), d, "edge")).edges)
+            got = loaded(lambda: graph_from_dict(doc)[0].edges)
+            assert_same_edges(got, want)

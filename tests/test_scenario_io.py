@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from mwconsensus import scenario_io
 from mwconsensus.builtin import leader_follower_scenario, leaderless_scenario
 from mwconsensus.errors import GraphFormatError
@@ -261,6 +262,52 @@ class TestInterchange:
                "edges": [{"i": 0, "j": 1, "weight": [1.0, 0, 0, -1.0],
                           "class": "pd"}]}
         with pytest.raises(GraphFormatError):
+            graph_from_dict(doc)
+
+
+class TestWeightReader:
+    """Weights are type-checked a list level at a time; a refusal names
+    what the item-by-item walk named, and waits for lower entries' checks."""
+
+    def test_refusal_matches_item_walk(self):
+        rng = np.random.default_rng(5)
+        scalars = [1, 2.5, -0.0, "x", True, None, {}]
+
+        def value(depth):
+            if depth < 3 and rng.uniform() < 0.35:
+                return [value(depth + 1) for _ in range(int(rng.integers(0, 4)))]
+            # Mostly numbers, so that many levels pass whole.
+            return scalars[int(rng.integers(0, 3 if rng.uniform() < 0.8 else 7))]
+
+        refused = 0
+        for _ in range(2000):
+            doc = [value(1) for _ in range(int(rng.integers(0, 5)))]
+            try:
+                oracles.json_floats_walk(doc, "w")
+            except GraphFormatError as exc:
+                refused += 1
+                with pytest.raises(GraphFormatError) as got:
+                    scenario_io._json_floats(doc, "w")
+                assert str(got.value) == str(exc)
+                continue
+            try:
+                scenario_io._json_floats(doc, "w")
+            except GraphFormatError as exc:  # ragged: numpy's refusal
+                assert "ragged" in str(exc)
+        assert refused > 300
+
+    def test_type_refusal_waits_for_lower_entries(self):
+        """Entry 0's contradiction of its declared class is refused before
+        entry 1's string, as when each entry loaded in turn."""
+        doc = {"n": 3, "d": 1,
+               "edges": [{"i": 0, "j": 1, "weight": [-1.0], "class": "pd"},
+                         {"i": 1, "j": 2, "weight": ["x"]}]}
+        with pytest.raises(GraphFormatError,
+                           match=r"^edge \(0,1\): eigenvalue -1 contradicts"):
+            graph_from_dict(doc)
+        doc["edges"][0]["class"] = "nd"
+        with pytest.raises(GraphFormatError,
+                           match=r"^edges\[1\].weight entries: expected number"):
             graph_from_dict(doc)
 
 

@@ -178,7 +178,8 @@ class TestStructureComputedOnce:
             kernels.clear()
             analysis.event_stats(run(sc, check_assumptions=check))
             assert kernels == [(d, d)]
-            assert max(eigh_shapes) == (d, d)  # no nd x nd eigh
+            # No nd x nd eigh: every matrix decomposed is d x d.
+            assert max(shape[-2:] for shape in eigh_shapes) == (d, d)
 
     def test_no_edge_eigh_after_load(self, eigh_shapes):
         """Leaderless run: lambda_max(|A_ij|) for mu_bar and the square root
@@ -190,20 +191,22 @@ class TestStructureComputedOnce:
         for i in range(g.n):
             trigger.mu_bar(i, g)
             trigger.gamma(i, g, g.n)
-        # Only the one-node quotient's Laplacian.
-        assert eigh_shapes == [(g.d, g.d)]
+        # Only the one-node quotient's edges (none) and its Laplacian.
+        assert eigh_shapes == [(0, g.d, g.d), (g.d, g.d)]
 
     def test_lf_gamma_reads_cached_lambda_max(self, eigh_shapes):
         sc = leader_follower_scenario(horizon=0.05)
         g = sc.graph
         eigh_shapes.clear()
         analysis.event_stats(run(sc))
-        # Only the one-node quotient's Laplacian and Assumption 2's grounding
-        # test: every edge and coupling keeps its load-time pair.
-        assert eigh_shapes == [(g.d, g.d)] * 2
+        # Only the one-node quotient's edges (none) and Laplacian, and
+        # Assumption 2's grounding test: every edge and coupling keeps its
+        # load-time pair.
+        decomposed = [(0, g.d, g.d), (g.d, g.d), (g.d, g.d)]
+        assert eigh_shapes == decomposed
         for i in range(g.n):
             trigger.gamma(i, sc.network, g.n)
-        assert eigh_shapes == [(g.d, g.d)] * 2
+        assert eigh_shapes == decomposed
 
     def test_one_extended_graph_per_lf_run(self, monkeypatch):
         """Validation, the limit state, compile and the analytics all read

@@ -26,6 +26,7 @@ import json
 import os
 import shutil
 import signal
+import statistics
 import sys
 import tempfile
 import time
@@ -291,14 +292,27 @@ def _constant(value: float) -> str:
     return f"{value:.4f}" if abs(value) < 1e6 else f"{value:.4e}"
 
 
+def _gain_terms(scenario: sim.Scenario, i: int) -> str:
+    """What agent i's trigger gain is made of: gamma_i (leader-follower),
+    or its neighbour count N_i and mu_bar_i (leaderless, K_i = mu_bar_i
+    N_i)."""
+    g = scenario.graph
+    if isinstance(scenario.mode, LeaderFollower):
+        return f"gamma {_constant(trigger.gamma(i, scenario.network, g.n))}"
+    degree = g.degree(i)
+    if not degree:
+        return "no neighbours"
+    return f"{degree} neighbours, mu_bar {_constant(trigger.mu_bar(i, g))}"
+
+
 def cmd_check(args) -> int:
     """Print the structural diagnostics, then every reason ``run`` would
     refuse the scenario; exit 1 if there is one."""
     scenario, _ = _load(args.scenario, args)
     g = scenario.graph
-    print(f"graph: n={g.n} agents, d={g.d}, {len(g.edges)} edges")
-    for e in g.edges:
-        print(f"  edge ({e.i},{e.j}): {e.cls.value}")
+    print(f"graph: n={g.n} agents, d={g.d}, {len(g.table)} edges")
+    for (i, j), cls in zip(g.table.ends.tolist(), g.table.cls):
+        print(f"  edge ({i},{j}): {cls.value}")
     report = mwgraph.verify_assumption1(g)
     if g.signs is None:
         print("structural balance: IMBALANCED")
@@ -313,11 +327,12 @@ def cmd_check(args) -> int:
     if isinstance(scenario.mode, LeaderFollower) and \
             mwgraph.verify_assumption2(scenario.network, g.n):
         print("assumption 2 (extended balance + definite grounding): holds")
-    mu_row = [trigger.mu_bar(i, g) if g.degree(i) else float("nan")
-              for i in range(g.n)]
-    gam_row = [trigger.gamma(i, scenario.network, g.n) for i in range(g.n)]
-    print("mu_bar: " + "  ".join(map(_constant, mu_row)))
-    print("gamma:  " + "  ".join(map(_constant, gam_row)))
+    mu_row = np.full(g.n, np.nan)
+    linked = np.flatnonzero(g.degrees)
+    mu_row[linked] = trigger.mu_bar(linked, g)
+    gam_row = trigger.gamma(np.arange(g.n), scenario.network, g.n)
+    print("mu_bar: " + "  ".join(map(_constant, mu_row.tolist())))
+    print("gamma:  " + "  ".join(map(_constant, gam_row.tolist())))
     # The verdict is the one `run` applies, printed as `run` prints it.
     violations = sim.validate_scenario(scenario)
     for v in violations:
@@ -391,7 +406,11 @@ def cmd_run(args) -> int:
     doc = write_artifacts(record, outdir, formats, processes)
     written = time.perf_counter()
     print(f"run complete: {outdir}")
-    print(f"  events per agent: {doc['event_counts']}")
+    counts = doc["event_counts"]
+    top = counts.index(max(counts))
+    print(f"  events per agent: min {min(counts)}, median "
+          f"{statistics.median(counts):g}, max {counts[top]} (agent {top}: "
+          f"{_gain_terms(scenario, top)})")
     if doc["final_relative_error"] is not None:
         print(f"  final bipartite error: {doc['final_bipartite_error']:.6g} "
               f"(relative {doc['final_relative_error']:.6g})")

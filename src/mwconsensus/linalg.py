@@ -41,6 +41,10 @@ class DefinitenessClass(enum.Enum):
     INDEFINITE = "indefinite"
     ZERO = "zero"
 
+    # Members are singletons, so they hash by identity, in C: a table maps
+    # one class per edge through a dict.
+    __hash__ = object.__hash__
+
     @property
     def is_sign_definite(self) -> bool:
         """True for the four classes on which the matrix absolute value exists."""
@@ -90,7 +94,7 @@ def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     columns, both read-only.  Non-finite entries raise
     :class:`InvalidMatrix`."""
     arr = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidMatrix("matrix has non-finite entries")
     vals, vecs = np.linalg.eigh(arr)
     vals.setflags(write=False)
@@ -101,7 +105,7 @@ def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
 def zero_band(eigenvalues: np.ndarray, tol: float = DEFAULT_TOL):
     """Width of the scale-aware band inside which eigenvalues count as zero,
     one per spectrum of a stack."""
-    lam_max_abs = np.max(np.abs(eigenvalues), axis=-1, initial=0.0)
+    lam_max_abs = np.abs(eigenvalues).max(axis=-1, initial=0.0)
     return tol * np.maximum(1.0, lam_max_abs)
 
 
@@ -121,8 +125,8 @@ def classify_definiteness(vals: np.ndarray):
     scale.
     """
     band = zero_band(vals)[..., None]
-    code = (4 * np.any(vals > band, axis=-1) + 2 * np.any(vals < -band, axis=-1)
-            + np.any(np.abs(vals) <= band, axis=-1))
+    code = (4 * (vals > band).any(axis=-1) + 2 * (vals < -band).any(axis=-1)
+            + (np.abs(vals) <= band).any(axis=-1))
     return _CLASS_OF_SIGNS[code]
 
 

@@ -3,17 +3,19 @@
 Nodes are ``0..n-1``; every undirected edge carries a symmetric d x d weight
 whose definiteness class must be one of PD / PSD / ND / NSD (indefinite and
 zero weights are rejected: an indefinite block has no well-defined sign, and
-a zero block is simply a non-edge).  Each weight is decomposed once, where
-the loader reads it: the loader checks the weights of one call as one
-stacked ``(E, d, d)`` array, decomposes them with one ``eigh`` (plus one of
-the few whose declared class projects eigenvalue noise away) and classifies
-them with one call, and each :class:`Edge` keeps views of its weight and
-its ``eigh`` pair; input couplings are edges too.  The loaders take
-``(i, j, weight[, class])`` tuples; reading them from a scenario document is
-:mod:`mwconsensus.scenario_io`'s job.  On top of the graph itself this
-module derives the block Laplacian, the input-extended graph, structural
-balance, and the two structural assumptions that the consensus protocols
-require.
+a zero block is simply a non-edge).  A graph holds its edges as one
+:class:`~mwconsensus.edges.EdgeTable` and indexes its neighbours in CSR form
+(:func:`~mwconsensus.edges.index_edges`).  The loader here checks the
+weights of one call as one stacked ``(E, d, d)`` array, decomposes them
+with one ``eigh`` (plus one of the few whose declared class projects
+eigenvalue noise away) and classifies them with one call.  An :class:`Edge`
+is a view of one edge, built only when :attr:`MatrixWeightedGraph.edges` or
+:meth:`MatrixWeightedGraph.edge` asks for it.  Input couplings are edge
+tables too.  The loaders take ``(i, j, weight[, class])`` tuples; reading
+them from a scenario document is :mod:`mwconsensus.scenario_io`'s job.  On
+top of the graph itself this module derives the block Laplacian, the
+input-extended graph, structural balance, and the two structural
+assumptions that the consensus protocols require.
 
 Structural balance is one read-only int array ``signs`` of +-1 gauge signs
 with ``signs[i] * signs[j] == sgn(A_ij)`` on every edge: the gauge
@@ -21,7 +23,7 @@ transformation ``D = diag(signs) (x) I_d`` maps the graph onto one with
 nonnegative weights, so agents converge to gauge-signed copies of one value.
 
 A graph is immutable, so it computes each structural fact once and keeps it:
-its adjacency index on construction, its Laplacian, its gauge signs and its
+its neighbour index on construction, its Laplacian, its gauge signs and its
 Assumption-1 report on first use.  ``build_laplacian`` and
 ``verify_assumption1`` read those cached facts.  Assumption 1 is decided on
 :func:`definite_quotient`, which has one node per component of the definite
@@ -31,18 +33,20 @@ Laplacian.
 
 from __future__ import annotations
 
-import math
+import bisect
 import os
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from . import linalg
+# float_array is read through this module by sim and trigger.
+from .edges import SIGN_OF, Edge, EdgeTable, Faults, abs_stack, \
+    class_signs, ends_array, float_array, index_edges, weight_stack
 from .errors import AssumptionViolated, GraphFormatError, NotPSD
-from .linalg import DefinitenessClass
+from .linalg import ND, PD, DefinitenessClass
 
 #: Tolerance band (relative) used when an input document *declares* the class
 #: of a weight: eigenvalues contradicting the declaration inside this band are
@@ -60,21 +64,9 @@ TOO_LARGE = ("edge weights too large for float64: the Laplacian or its "
 _CLASS_NAMES = {c.value: c for c in DefinitenessClass}
 
 
-def float_array(value, field: str) -> np.ndarray:
-    """``value`` as a read-only float64 copy.  A value numpy cannot read as
-    numbers, from a Python caller, is refused in one line naming ``field``
-    (documents are type-checked by their reader first)."""
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise GraphFormatError(f"{field} must hold numbers: {exc}") from None
-    arr.setflags(write=False)
-    return arr
-
-
-#: Bytes per node of the adjacency index while it is built (a list, then a
-#: tuple and a dict entry), rounded up from the ~170 that a graph without
-#: edges peaks at on CPython 3.11.
+#: Bytes per node that a graph may hold while it is built, a conservative
+#: bound: the CSR neighbour index and the balance walk take a few int64
+#: values and list slots per node, well under this.
 NODE_BYTES = 256
 
 
@@ -96,86 +88,20 @@ def memory_refusal(need: float, what: str, use: str) -> Optional[str]:
             f"{have / 2**30:.3g} GiB of physical memory")
 
 
-@dataclass(frozen=True, eq=False)
-class Edge:
-    """Edge (i, j) with a sign-definite ``weight`` and its ``eigen`` pair
-    (``linalg.sym_eigen``), from which its class, sign, absolute value and
-    the spectrum of that absolute value are read.  All are read-only.  A
-    loaded edge's weight and pair are views into its load's stacks, which
-    one stacked decomposition produced, and the loader hands it its class."""
-
-    i: int
-    j: int
-    weight: np.ndarray
-    eigen: tuple[np.ndarray, np.ndarray]
-
-    @cached_property
-    def cls(self) -> DefinitenessClass:
-        return linalg.classify_definiteness(self.eigen[0])
-
-    @property
-    def sign(self) -> int:
-        return linalg.matrix_sgn(self.cls)
-
-    @cached_property
-    def abs_weight(self) -> np.ndarray:
-        """|weight|, built once per weight."""
-        return linalg.matrix_abs(self.weight, self.cls)
-
-    @cached_property
-    def abs_eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``eigh`` pair of |weight|: the weight's own, negated and
-        reversed (still ascending) for a negative class."""
-        if self.sign > 0:
-            return self.eigen
-        vals, vecs = self.eigen
-        vals = -vals[::-1]
-        vals.setflags(write=False)
-        return vals, vecs[:, ::-1]
-
-    @property
-    def abs_lambda_max(self) -> float:
-        """lambda_max(|weight|), which ``mu_bar`` and ``gamma`` read."""
-        return float(self.abs_eigen[0][-1])
+#: Sign of each class name a weight may be declared with, :data:`_NO_SIGN`
+#: for a class that has none, and 0 for no declaration; an unknown name has
+#: :data:`_UNKNOWN`.
+_NO_SIGN, _UNKNOWN = 2, 3
+_DECLARED_SIGN = {None: 0, **{c.value: SIGN_OF[c] or _NO_SIGN
+                              for c in DefinitenessClass}}
 
 
-def _edge(i: int, j: int, weight: np.ndarray,
-          eigen: tuple[np.ndarray, np.ndarray], cls: DefinitenessClass) -> Edge:
-    """An :class:`Edge` handed the class already read from its spectrum, so
-    that it never classifies itself again."""
-    e = Edge(i, j, weight, eigen)
-    vars(e)["cls"] = cls  # where the cached property keeps its value
-    return e
-
-
-#: Sign of each sign-definite class.
-_DEFINITE_SIGN = {c: linalg.matrix_sgn(c) for c in DefinitenessClass
-                  if c.is_sign_definite}
-
-
-class _Faults:
-    """The refusal of the lowest-index faulty spec of a stack.  Each check
-    runs on the specs below :attr:`limit`, which passed every check before
-    it, so a spec is refused for the first check it fails."""
-
-    def __init__(self, limit: int, error: Optional[GraphFormatError], where):
-        self.limit, self.error, self.where = limit, error, where
-
-    def refuse(self, flagged, message) -> None:
-        """Refuse the lowest of the ``flagged`` spec indices, when it is
-        below the limit, in the line ``message(k)``; it becomes the limit."""
-        k = min(flagged, default=self.limit)
-        if k < self.limit:
-            self.limit = k = int(k)
-            self.error = GraphFormatError(f"{self.where(k)}: {message(k)}")
-
-
-def _load_edges(specs: Iterable[tuple], d: int, kind: str) -> tuple[Edge, ...]:
-    """Edges of ``(i, j, weight)`` or ``(i, j, weight, declared_class)``
+def _load_edges(specs: Iterable[tuple], d: int, kind: str) -> EdgeTable:
+    """The table of ``(i, j, weight)`` or ``(i, j, weight, declared_class)``
     specs, whose weights are validated, decomposed, optionally projected and
     classified as one ``(E, d, d)`` stack: the one check every weight gets.
-    Each edge's weight is read-only and exactly symmetric, and the edge
-    keeps its ``eigh`` pair; both are views into the stacks.
+    Each weight is read-only and exactly symmetric, and the table keeps its
+    ``eigh`` pair.
 
     A refusal names the lowest-index faulty spec, as ``kind (i,j)``, and the
     first check in this order that it fails: its shape, non-finite entries,
@@ -185,130 +111,101 @@ def _load_edges(specs: Iterable[tuple], d: int, kind: str) -> tuple[Edge, ...]:
     sign-definite.  A refusal that ``specs`` raises while producing spec k
     counts as spec k's.
     """
-    heads, arrays, late = [], [], None
+    read, late = [], None
     try:
-        for spec in specs:
-            i, j, raw, declared = spec if len(spec) == 4 else (*spec, None)
-            where = f"{kind} ({i},{j})"
-            arr = float_array(raw, f"{where}: weight")
-            if arr.size == d * d:
-                arr = arr.reshape(d, d)
-            if arr.shape != (d, d):
-                raise GraphFormatError(
-                    f"{where}: weight must be {d}x{d}, got shape {arr.shape}")
-            heads.append((i, j, declared))
-            arrays.append(arr)
+        read.extend(specs)  # keeps the specs produced before a refusal
     except GraphFormatError as exc:
         late = exc
-    faults = _Faults(len(heads), late,
-                     lambda k: f"{kind} ({heads[k][0]},{heads[k][1]})")
-    raw = np.array(arrays).reshape(-1, d, d)
-    faults.refuse(np.flatnonzero(~np.isfinite(raw).all(axis=(1, 2))),
+    for k, spec in enumerate(read):
+        if len(spec) not in (3, 4):
+            raise GraphFormatError(f"{kind} spec {k}: expected (i, j, weight) "
+                                   f"or (i, j, weight, class), got "
+                                   f"{len(spec)} items")
+    first, second, raws, declared = zip(*(
+        spec if len(spec) == 4 else (*spec, None) for spec in read)) \
+        if read else ((), (), (), ())
+    faults = Faults(len(read), late,
+                    lambda k: f"{kind} ({first[k]},{second[k]})")
+    raw = weight_stack(raws, d, faults)
+    faults.refuse(~np.isfinite(raw).all(axis=(1, 2)),
                   lambda k: "weight has non-finite entries")
     raw = raw[:faults.limit]
     dev = np.abs(raw - raw.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
     scale = np.maximum(1.0, np.abs(raw).max(axis=(1, 2), initial=0.0))
-    faults.refuse(np.flatnonzero(dev > SYMMETRY_REJECT_TOL * scale),
+    faults.refuse(dev > SYMMETRY_REJECT_TOL * scale,
                   lambda k: f"weight is asymmetric (max deviation {dev[k]:.6g})")
-    targets = {}
-    for k, (_, _, declared) in enumerate(heads[:faults.limit]):
-        if declared is None:
-            continue
-        if declared not in _CLASS_NAMES:
-            faults.refuse([k], lambda k: (
-                f"unknown class {declared!r}; expected one of "
-                f"{sorted(_CLASS_NAMES)}"))
-            break
-        if not _CLASS_NAMES[declared].is_sign_definite:
-            faults.refuse([k], lambda k: "declared class must be sign-definite")
-            break
-        targets[k] = _CLASS_NAMES[declared]
+    target_sign = np.array([_DECLARED_SIGN.get(name, _UNKNOWN)
+                            for name in declared[:faults.limit]], dtype=np.int8)
+    faults.refuse(target_sign == _UNKNOWN, lambda k: (
+        f"unknown class {declared[k]!r}; expected one of "
+        f"{sorted(_CLASS_NAMES)}"))
+    faults.refuse(target_sign == _NO_SIGN,
+                  lambda k: "declared class must be sign-definite")
     weight = linalg.symmetric(raw[:faults.limit])
     vals, vecs = linalg.sym_eigen(weight)
     # An inf eigenvalue would widen the zero band.
-    faults.refuse(np.flatnonzero(~np.isfinite(vals).all(axis=1)),
-                  lambda k: TOO_LARGE)
+    faults.refuse(~np.isfinite(vals).all(axis=1), lambda k: TOO_LARGE)
     classes = linalg.classify_definiteness(vals[:faults.limit])
     # A spectrum that already agrees at strict tolerance keeps the weight
     # bit-exact, so that dump/load round trips are stable.
-    need = [k for k, t in targets.items() if k < faults.limit
-            and _DEFINITE_SIGN.get(classes[k]) != _DEFINITE_SIGN[t]]
-    if need:
+    target_sign = target_sign[:faults.limit]
+    need = np.flatnonzero((target_sign != 0)
+                          & (class_signs(classes) != target_sign))
+    if need.size:
         weight, vals, vecs = np.array(weight), np.array(vals), np.array(vecs)
+        targets = [_CLASS_NAMES[declared[k]] for k in need]
         try:
             projected = linalg.project_to_class(
-                vals[need], vecs[need], [targets[k] for k in need],
-                CLASS_DECLARATION_TOL)
+                vals[need], vecs[need], targets, CLASS_DECLARATION_TOL)
         except linalg.UnsupportedWeight as exc:
             faults.refuse([need[exc.index]], lambda k: str(exc))
-            need = need[:exc.index]
+            need, targets = need[:exc.index], targets[:exc.index]
             projected = linalg.project_to_class(
-                vals[need], vecs[need], [targets[k] for k in need],
-                CLASS_DECLARATION_TOL)
+                vals[need], vecs[need], targets, CLASS_DECLARATION_TOL)
         weight[need] = projected
         vals[need], vecs[need] = linalg.sym_eigen(projected)
         classes[need] = linalg.classify_definiteness(vals[need])
-        faults.refuse([k for k in need if _DEFINITE_SIGN.get(classes[k])
-                       != _DEFINITE_SIGN[targets[k]]],
-                      lambda k: (f"declared class {heads[k][2]!r} inconsistent "
+        faults.refuse(need[class_signs(classes[need]) != target_sign[need]],
+                      lambda k: (f"declared class {declared[k]!r} inconsistent "
                                  f"with spectrum (classified {classes[k].value})"))
-        for a in (weight, vals, vecs):
-            a.setflags(write=False)
-    faults.refuse([k for k, c in enumerate(classes[:faults.limit])
-                   if not c.is_sign_definite],
+    faults.refuse(class_signs(classes[:faults.limit]) == 0,
                   lambda k: (f"weight classified {classes[k].value}; only "
                              "sign-definite (pd/psd/nd/nsd) weights are "
                              "admissible"))
-    if faults.error is not None:
-        raise faults.error
-    return tuple(_edge(i, j, weight[k], (vals[k], vecs[k]), classes[k])
-                 for k, (i, j, _) in enumerate(heads))
+    faults.raise_any()
+    return EdgeTable(ends_array(list(zip(first, second))), weight, vals, vecs,
+                     classes)
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixWeightedGraph:
     """Undirected graph on n nodes with sign-definite d x d matrix weights.
 
-    Immutable; neighbor and edge lookups go through an index built on
-    construction; the Laplacian, signs and Assumption-1 report are cached.
+    ``table`` is given as an :class:`EdgeTable` or as :class:`Edge` objects
+    and kept as an :class:`EdgeTable` whose ends are in ``(min, max)`` order.
+    The CSR neighbour index holds, for node ``i``, the slots
+    ``offsets[i]:offsets[i + 1]`` of ``slot_neighbor`` (ascending) and
+    ``slot_edge`` (the edge of each slot).  Immutable; the Laplacian, signs
+    and Assumption-1 report are cached, and so is each :class:`Edge` view,
+    which a graph given :class:`Edge` objects starts from.
     """
 
     n: int
     d: int
-    edges: tuple[Edge, ...]
+    table: Union[EdgeTable, Iterable[Edge]] = ()
 
     def __post_init__(self):
         refusal = memory_refusal(NODE_BYTES * self.n, f"n={self.n} nodes",
                                  "for the adjacency index")
         if refusal:
             raise GraphFormatError(refusal)
-        by_pair: dict[tuple[int, int], Edge] = {}
-        adjacent: list[list[int]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            if not (0 <= e.i < self.n and 0 <= e.j < self.n):
-                raise GraphFormatError(f"edge ({e.i},{e.j}) out of range for n={self.n}")
-            if e.i == e.j:
-                raise GraphFormatError(f"self-loop at node {e.i}")
-            if e.weight.shape != (self.d, self.d):
-                raise GraphFormatError(
-                    f"edge ({e.i},{e.j}) weight has shape {e.weight.shape}, "
-                    f"graph block dimension is {self.d}")
-            key = (min(e.i, e.j), max(e.i, e.j))
-            if key in by_pair:
-                raise GraphFormatError(f"duplicate edge ({e.i},{e.j})")
-            if not e.cls.is_sign_definite:
-                raise GraphFormatError(
-                    f"edge ({e.i},{e.j}) has class {e.cls.value}")
-            # An edge already in (min, max) order is shared, caches and all.
-            by_pair[key] = e if (e.i, e.j) == key else \
-                _edge(*key, e.weight, e.eigen, e.cls)
-            adjacent[e.i].append(e.j)
-            adjacent[e.j].append(e.i)
-        object.__setattr__(self, "edges", tuple(by_pair.values()))
-        # Adjacency index: the graph is immutable, so lookups never go stale.
-        object.__setattr__(self, "_by_pair", by_pair)
-        object.__setattr__(self, "_neighbors", {
-            i: tuple(sorted(adj)) for i, adj in enumerate(adjacent)})
+        table, offsets, slot_neighbor, slot_edge, views = index_edges(
+            self.n, self.d, self.table)
+        for name, value in (("table", table), ("offsets", offsets),
+                            ("slot_neighbor", slot_neighbor),
+                            ("slot_edge", slot_edge), ("_views", views),
+                            ("_base", None)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_edges(cls, n: int, d: int,
@@ -317,39 +214,79 @@ class MatrixWeightedGraph:
         tuples; weights are validated and decomposed as at file load."""
         return cls(n, d, _load_edges(edges, d, "edge"))
 
+    @cached_property
+    def _index(self) -> tuple[list, list, list]:
+        """The CSR index as lists, for lookups one node at a time."""
+        return (self.offsets.tolist(), self.slot_neighbor.tolist(),
+                self.slot_edge.tolist())
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Neighbour count per node, read-only."""
+        degrees = np.diff(self.offsets)
+        degrees.setflags(write=False)
+        return degrees
+
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return self._neighbors.get(i, ())
+        if not 0 <= i < self.n:
+            return ()
+        offsets, neighbor, _ = self._index
+        return tuple(neighbor[offsets[i]:offsets[i + 1]])
 
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))
 
     def edge(self, i: int, j: int) -> Optional[Edge]:
-        return self._by_pair.get((min(i, j), max(i, j)))
+        if not 0 <= i < self.n:
+            return None
+        offsets, neighbor, edge = self._index
+        lo, hi = offsets[i], offsets[i + 1]
+        s = bisect.bisect_left(neighbor, j, lo, hi)
+        return self._view(edge[s]) if s < hi and neighbor[s] == j else None
+
+    def _view(self, k: int) -> Edge:
+        """The cached :class:`Edge` view of edge ``k``; an extended network
+        shares its base graph's views of the base's edges."""
+        view = self._views[k]
+        if view is None:
+            base = self._base
+            view = self._views[k] = base._view(k) \
+                if base is not None and k < len(base.table) \
+                else self.table.view(k)
+        return view
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge as an :class:`Edge` view, in table order."""
+        return tuple(self._view(k) for k in range(len(self.table)))
 
     @cached_property
     def laplacian(self) -> np.ndarray:
         """Block Laplacian, read-only: diagonal blocks sum the incident
-        absolute weights, off-diagonal block (i, j) is minus the signed
-        weight.  The blocks are symmetric and placed symmetrically, so L is
-        exactly symmetric as assembled."""
-        d = self.d
+        absolute weights in edge order, off-diagonal block (i, j) is minus
+        the signed weight.  The blocks are symmetric and placed
+        symmetrically, so L is exactly symmetric as assembled."""
+        n, d = self.n, self.d
         # L, and the eigenvectors and workspace of its eigh.
         refusal = memory_refusal(
-            3 * 8.0 * (self.n * d) ** 2, f"n={self.n} nodes of d={d}",
+            3 * 8.0 * (n * d) ** 2, f"n={n} nodes of d={d}",
             "for the Laplacian and its eigendecomposition")
         if refusal:
             raise GraphFormatError(refusal)
-        L = np.zeros((self.n * d, self.n * d))
-        with np.errstate(over="ignore"):  # an overflowed sum is refused below
-            for e in self.edges:
-                absw = e.abs_weight
-                signed = e.sign * absw
-                i, j = e.i, e.j
-                L[i * d:(i + 1) * d, i * d:(i + 1) * d] += absw
-                L[j * d:(j + 1) * d, j * d:(j + 1) * d] += absw
-                L[i * d:(i + 1) * d, j * d:(j + 1) * d] = -signed
-                L[j * d:(j + 1) * d, i * d:(i + 1) * d] = -signed
-        if not np.all(np.isfinite(L)):
+        t = self.table
+        blocks = np.zeros((n, d, n, d))  # block (i, j) is blocks[i, :, j, :]
+        if len(t):
+            lo, hi = t.ends[:, 0], t.ends[:, 1]
+            absw = t.abs_weight
+            diag = np.zeros((n, d, d))
+            with np.errstate(over="ignore"):  # an overflowed sum is refused below
+                np.add.at(diag, t.ends.reshape(-1), np.repeat(absw, 2, axis=0))
+                signed = -(t.sign[:, None, None] * absw)
+            blocks[lo, :, hi, :] = blocks[hi, :, lo, :] = signed
+            node = np.arange(n)
+            blocks[node, :, node, :] = diag
+        L = blocks.reshape(n * d, n * d)
+        if not np.isfinite(L).all():
             raise GraphFormatError(TOO_LARGE)
         L.setflags(write=False)
         return L
@@ -375,12 +312,13 @@ class MatrixWeightedGraph:
         """
         if self.signs is None:
             return Assumption1Report(-1, False)
-        load = [0.0] * self.n
-        for e in self.edges:
-            load[e.i] += e.abs_lambda_max
-            load[e.j] += e.abs_lambda_max
-        if not math.isfinite(2.0 * max(load, default=0.0)):
-            raise GraphFormatError(TOO_LARGE)
+        t = self.table
+        # Each edge adds to its ends in edge order, i before j.
+        load = np.bincount(t.ends.reshape(-1), minlength=self.n,
+                           weights=np.repeat(t.abs_lambda_max, 2))
+        with np.errstate(over="ignore"):  # an overflowed load is refused
+            if not np.isfinite(2.0 * load.max(initial=0.0)):
+                raise GraphFormatError(TOO_LARGE)
         nullity = null_space(build_laplacian(definite_quotient(self))).shape[1]
         return Assumption1Report(nullity, nullity == self.d)
 
@@ -389,10 +327,12 @@ def definite_quotient(g: MatrixWeightedGraph) -> MatrixWeightedGraph:
     """``g`` with each component of its definite (PD/ND) edges merged into
     one node, numbered in the order of their lowest members.  The
     semidefinite edges between two components become one positive edge
-    weighted by the sum of their ``|A_e|``; those inside a component are
-    dropped.  On a balanced graph the quotient's Laplacian has the nullity
-    of ``g``'s: a gauge-signed kernel vector is constant on each component,
-    where an inner edge adds exactly zero."""
+    weighted by the sum of their ``|A_e|`` in edge order, numbered in the
+    order of their first edge; those inside a component are dropped.  On a
+    balanced graph the quotient's Laplacian has the nullity of ``g``'s: a
+    gauge-signed kernel vector is constant on each component, where an
+    inner edge adds exactly zero."""
+    t = g.table
     parent = list(range(g.n))
 
     def root(i: int) -> int:
@@ -401,27 +341,29 @@ def definite_quotient(g: MatrixWeightedGraph) -> MatrixWeightedGraph:
             i = parent[i]
         return i
 
-    for e in g.edges:
-        if e.cls in (linalg.PD, linalg.ND):
-            a, b = root(e.i), root(e.j)
-            parent[max(a, b)] = min(a, b)  # a root is its component's minimum
+    definite = np.fromiter(map({PD, ND}.__contains__, t.cls), dtype=bool,
+                           count=len(t))
+    for i, j in t.ends[definite].tolist():
+        a, b = root(i), root(j)
+        parent[max(a, b)] = min(a, b)  # a root is its component's minimum
     roots = [root(i) for i in range(g.n)]
     label = {r: k for k, r in enumerate(dict.fromkeys(roots))}
-    between: dict[tuple[int, int], list[np.ndarray]] = {}
-    for e in g.edges:
-        a, b = sorted((label[roots[e.i]], label[roots[e.j]]))
-        if a != b:
-            between.setdefault((a, b), []).append(e.abs_weight)
-    with np.errstate(over="ignore"):  # an overflowed sum is refused below
-        w = linalg.symmetric(np.array([sum(parts) for parts in between.values()])
-                             .reshape(-1, g.d, g.d))
-    if not np.all(np.isfinite(w)):
-        raise GraphFormatError(TOO_LARGE)
+    ends = np.array(roots, dtype=np.int64)[t.ends]
+    across = np.flatnonzero(ends[:, 0] != ends[:, 1])
+    between: dict[tuple[int, int], int] = {}
+    group = [between.setdefault((min(a, b), max(a, b)), len(between))
+             for a, b in ((label[i], label[j]) for i, j in ends[across].tolist())]
+    w = np.zeros((len(between), g.d, g.d))
+    if group:
+        with np.errstate(over="ignore"):  # an overflowed sum is refused below
+            np.add.at(w, group, abs_stack(t.sign[across], t.weight[across]))
+            w = linalg.symmetric(w)
+        if not np.isfinite(w).all():
+            raise GraphFormatError(TOO_LARGE)
     vals, vecs = linalg.sym_eigen(w)
-    classes = linalg.classify_definiteness(vals)
-    return MatrixWeightedGraph(len(label), g.d, tuple(
-        _edge(a, b, w[k], (vals[k], vecs[k]), classes[k])
-        for k, (a, b) in enumerate(between)))
+    return MatrixWeightedGraph(len(label), g.d, EdgeTable(
+        np.array(list(between), dtype=np.int64).reshape(-1, 2), w, vals, vecs,
+        linalg.classify_definiteness(vals)))
 
 
 def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
@@ -434,26 +376,30 @@ def detect_structural_balance(g: MatrixWeightedGraph) -> Optional[np.ndarray]:
     ``signs[i] * signs[j] == sgn(A_ij)`` on every edge, or ``None`` when the
     graph is structurally imbalanced.
 
-    Balance is decided independently on each connected component; the
-    lowest-index node of every component gets +1, which makes the signs
-    deterministic.
+    A breadth-first walk of the CSR index colours each node through the
+    edge that reaches it first; every edge is then checked at once.  Balance
+    is decided independently on each connected component; the lowest-index
+    node of every component gets +1, which makes the signs deterministic.
     """
+    offsets, neighbor, edge = g._index
+    slot_sign = g.table.sign[g.slot_edge].tolist()
     color = [0] * g.n
     for root in range(g.n):
         if color[root]:
             continue
         color[root] = 1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                want = color[u] * g.edge(u, v).sign
+        queue = [root]
+        for u in queue:  # grows while it is walked
+            cu = color[u]
+            for s in range(offsets[u], offsets[u + 1]):
+                v = neighbor[s]
                 if not color[v]:
-                    color[v] = want
+                    color[v] = cu * slot_sign[s]
                     queue.append(v)
-                elif color[v] != want:
-                    return None
     signs = np.array(color, dtype=int)
+    ends = g.table.ends
+    if (signs[ends[:, 0]] * signs[ends[:, 1]] != g.table.sign).any():
+        return None
     signs.setflags(write=False)
     return signs
 
@@ -470,7 +416,7 @@ def kernel_mask(eigenvalues: np.ndarray) -> np.ndarray:
     ``|lambda| <= tol * lambda_max``, ``tol = linalg.DEFAULT_TOL``.  Raises
     :class:`NotPSD` when one sits below ``-tol * lambda_max``, and
     :class:`GraphFormatError` when one overflowed."""
-    if not np.all(np.isfinite(eigenvalues)):
+    if not np.isfinite(eigenvalues).all():
         raise GraphFormatError(TOO_LARGE)
     band = linalg.DEFAULT_TOL * max(float(eigenvalues[-1]), 0.0)
     if eigenvalues[0] < -band:
@@ -509,25 +455,30 @@ def predicted_bipartite_limit(g: MatrixWeightedGraph, x0: np.ndarray) -> np.ndar
 @dataclass(frozen=True, eq=False)
 class InputCoupling:
     """External input attachment: which agents see which homogeneous input,
-    through which sign-definite weight.  Each entry is an :class:`Edge` from
-    agent ``i`` to input ``j``.  The input count ``m`` is one past the
-    largest input index, and each of the m inputs is coupled."""
+    through which sign-definite weight.  Row ``(i, j)`` of ``table`` couples
+    agent ``i`` to input ``j``; :attr:`entries` are its :class:`Edge` views.
+    The input count ``m`` is one past the largest input index, and each of
+    the m inputs is coupled."""
 
-    entries: tuple[Edge, ...] = ()
+    table: EdgeTable = field(default_factory=lambda: EdgeTable.empty(1))
 
     def __post_init__(self):
-        seen = set()
-        for c in self.entries:
-            if c.j < 0:
-                raise GraphFormatError(f"coupling references input {c.j}")
-            if (c.i, c.j) in seen:
-                raise GraphFormatError(
-                    f"duplicate coupling for agent {c.i}, input {c.j}")
-            seen.add((c.i, c.j))
-            if not c.cls.is_sign_definite:
-                raise GraphFormatError(
-                    f"coupling ({c.i},{c.j}) has class {c.cls.value}")
-        coupled = {c.j for c in self.entries}
+        t = self.table
+        agent, inp = t.ends[:, 0], t.ends[:, 1]
+        faults = Faults(len(t))
+        faults.refuse(np.flatnonzero((inp < 0).astype(bool)),
+                      lambda k: f"coupling references input {inp[k]}")
+        seen, repeats = set(), []
+        for k, pair in enumerate(map(tuple, t.ends[:faults.limit].tolist())):
+            if pair in seen:
+                repeats.append(k)
+            seen.add(pair)
+        faults.refuse(repeats, lambda k: (
+            f"duplicate coupling for agent {agent[k]}, input {inp[k]}"))
+        faults.refuse(np.flatnonzero(t.sign[:faults.limit] == 0), lambda k: (
+            f"coupling ({agent[k]},{inp[k]}) has class {t.cls[k].value}"))
+        faults.raise_any()
+        coupled = set(inp.tolist())
         if len(coupled) < self.m:
             # The first gap is below len(coupled), so m itself is never walked.
             k = next(k for k in range(self.m) if k not in coupled)
@@ -535,7 +486,12 @@ class InputCoupling:
 
     @property
     def m(self) -> int:
-        return 1 + max((c.j for c in self.entries), default=-1)
+        inp = self.table.ends[:, 1]
+        return 1 + int(inp.max()) if len(inp) else 0
+
+    @cached_property
+    def entries(self) -> tuple[Edge, ...]:
+        return tuple(self.table)
 
     @classmethod
     def from_entries(cls, entries: Iterable[tuple],
@@ -546,10 +502,18 @@ class InputCoupling:
 
 def extended_graph(g: MatrixWeightedGraph,
                    coupling: InputCoupling) -> MatrixWeightedGraph:
-    """Agents plus input l at node ``n + l``, joined by the coupling edges."""
-    edges = tuple(_edge(c.i, g.n + c.j, c.weight, c.eigen, c.cls)
-                  for c in coupling.entries)
-    return MatrixWeightedGraph(g.n + coupling.m, g.d, g.edges + edges)
+    """Agents plus input l at node ``n + l``, joined by the coupling edges,
+    which follow the graph's own; the extended graph shares the graph's
+    :class:`Edge` views of those."""
+    t, c, d = g.table, coupling.table, g.d
+    net = MatrixWeightedGraph(g.n + coupling.m, d, EdgeTable(
+        np.concatenate((t.ends, c.ends.astype(np.int64) + [0, g.n])),
+        np.concatenate((t.weight, c.weight.reshape(-1, d, d))),
+        np.concatenate((t.vals, c.vals.reshape(-1, d))),
+        np.concatenate((t.vecs, c.vecs.reshape(-1, d, d))),
+        np.concatenate((t.cls, c.cls))))
+    object.__setattr__(net, "_base", g)
+    return net
 
 
 def leader_gauge(network: MatrixWeightedGraph, n: int) -> Optional[np.ndarray]:
@@ -571,8 +535,9 @@ def verify_assumption2(network: MatrixWeightedGraph, n: int) -> bool:
     positive-definite total grounding."""
     if leader_gauge(network, n) is None:
         return False
-    total = np.zeros((network.d, network.d))
-    for e in network.edges:
-        if e.j >= n:
-            total += e.abs_weight
-    return linalg.classify_definiteness(linalg.sym_eigen(total)[0]) is linalg.PD
+    t = network.table
+    inputs = np.flatnonzero(t.ends[:, 1] >= n)
+    total = np.zeros((1, network.d, network.d))
+    np.add.at(total, np.zeros(len(inputs), dtype=np.int64),
+              abs_stack(t.sign[inputs], t.weight[inputs]))
+    return linalg.classify_definiteness(linalg.sym_eigen(total[0])[0]) is linalg.PD

@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import GraphFormatError
-from .mwgraph import InputCoupling, MatrixWeightedGraph
+from .mwgraph import EdgeTable, InputCoupling, MatrixWeightedGraph
 from .sim import BASELINE_DYNAMIC, Scenario
 from .trigger import LeaderFollower, Leaderless, TriggerParams
 
@@ -61,6 +61,9 @@ def _json_float(value, where: str) -> float:
 #: The types of a JSON number; a list level of these alone needs no
 #: further check.
 _NUMBER_TYPES = {int, float}
+
+#: The type of a JSON number with a fraction or exponent.
+_FLOAT_TYPES = {float}
 
 
 def _json_floats(value, where: str) -> np.ndarray:
@@ -115,42 +118,49 @@ def _unique_keys(pairs: list) -> dict:
     return doc
 
 
+def _table_entries(t: EdgeTable, fields: tuple[str, str]) -> list[dict]:
+    """One entry per row of an edge table: its ends under ``fields``, its
+    row-major weight and its class."""
+    a, b = fields
+    d = t.weight.shape[-1]
+    return [{a: i, b: j, "weight": w, "class": c.value}
+            for (i, j), w, c in zip(t.ends.tolist(),
+                                    t.weight.reshape(-1, d * d).tolist(), t.cls)]
+
+
 def graph_to_dict(g: MatrixWeightedGraph,
                   coupling: Optional[InputCoupling] = None) -> dict:
     """The graph section: plain lists, row-major weights, class recorded."""
-    doc = {
-        "n": g.n,
-        "d": g.d,
-        "edges": [
-            {"i": e.i, "j": e.j,
-             "weight": [float(v) for v in e.weight.reshape(-1)],
-             "class": e.cls.value}
-            for e in g.edges
-        ],
-    }
-    if coupling is not None and coupling.entries:
-        doc["inputs"] = [
-            {"agent": c.i, "input": c.j,
-             "weight": [float(v) for v in c.weight.reshape(-1)],
-             "class": c.cls.value}
-            for c in coupling.entries
-        ]
+    doc = {"n": g.n, "d": g.d, "edges": _table_entries(g.table, ("i", "j"))}
+    if coupling is not None and len(coupling.table):
+        doc["inputs"] = _table_entries(coupling.table, ("agent", "input"))
     return doc
 
 
 def _json_entries(doc: dict, key: str,
                   fields: tuple[str, ...]) -> Iterator[tuple]:
-    """``(*fields, weight array, declared class)`` per entry of the array
-    ``doc[key]``; the ``fields`` are integers and required with the weight.
-    Lazy, so each weight array is released once its graph entry is built."""
+    """``(*fields, weight, declared class)`` per entry of the array
+    ``doc[key]``, type-checked one entry at a time; the ``fields`` are
+    integers and required with the weight.  A weight that is a flat list of
+    floats (the form dumps write) is passed on as it is, for the graph's
+    loader to convert with every other weight in one call; any other is a
+    float array.  A value of the plain expected type is taken at once; any
+    other goes through the check that names what is wrong with it."""
+    allowed, required = {*fields, "weight", "class"}, (*fields, "weight")
     for k, entry in enumerate(_json_value(doc.get(key, []), "array", key)):
-        where = f"{key}[{k}]"
-        _section(entry, where, {*fields, "weight", "class"}, (*fields, "weight"))
+        if not (type(entry) is dict and entry.keys() <= allowed
+                and all(f in entry for f in required)):
+            _section(entry, f"{key}[{k}]", allowed, required)
         declared = entry.get("class")
-        if declared is not None:
-            _json_value(declared, "string", f"{where}.class")
-        ints = (_json_value(entry[f], "integer", f"{where}.{f}") for f in fields)
-        yield (*ints, _json_floats(entry["weight"], f"{where}.weight"), declared)
+        if declared is not None and type(declared) is not str:
+            _json_value(declared, "string", f"{key}[{k}].class")
+        ints = [entry[f] if type(entry[f]) is int else
+                _json_value(entry[f], "integer", f"{key}[{k}].{f}")
+                for f in fields]
+        weight = entry["weight"]
+        if not (type(weight) is list and set(map(type, weight)) <= _FLOAT_TYPES):
+            weight = _json_floats(weight, f"{key}[{k}].weight")
+        yield (*ints, weight, declared)
 
 
 def graph_from_dict(doc: dict) -> tuple[MatrixWeightedGraph, InputCoupling]:
@@ -210,7 +220,7 @@ def parse_scenario(doc: dict) -> tuple[Scenario, dict]:
              ("graph", "mode", "params", "sim"))
     graph, coupling = graph_from_dict(doc["graph"])
     mode = _parse_mode(doc["mode"], coupling)
-    if isinstance(mode, Leaderless) and coupling.entries:
+    if isinstance(mode, Leaderless) and len(coupling.table):
         raise GraphFormatError(
             "graph declares input couplings but mode is leaderless")
     params = _parse_params(doc["params"], graph.n)

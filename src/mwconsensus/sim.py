@@ -41,7 +41,7 @@ import numpy as np
 
 from . import mwgraph, trigger
 from .errors import Diverged, GraphFormatError, InvalidScenario
-from .linalg import sym_sqrt, symmetric
+from .linalg import sym_sqrt
 from .mwgraph import MatrixWeightedGraph
 from .trigger import LeaderFollower, Mode, TriggerParams
 
@@ -86,9 +86,12 @@ class Scenario:
 
     def __post_init__(self):
         if isinstance(self.mode, LeaderFollower):
-            for c in self.mode.coupling.entries:
-                if not 0 <= c.i < self.graph.n:
-                    raise GraphFormatError(f"coupling agent {c.i} out of range")
+            agents = self.mode.coupling.table.ends[:, 0]
+            inside = ((agents >= 0) & (agents < self.graph.n)).astype(bool)
+            bad = np.flatnonzero(~inside)
+            if bad.size:
+                raise GraphFormatError(
+                    f"coupling agent {agents[bad[0]]} out of range")
         if self.x0 is not None:
             object.__setattr__(self, "x0",
                                mwgraph.float_array(self.x0, "x0").reshape(-1))
@@ -117,13 +120,17 @@ class Scenario:
         """Per-agent trigger gain ``K_i``, computed once: ``gamma_i`` on the
         network (leader-follower), else ``mu_bar_i * N_i``.  Isolated agents
         never accumulate error (their control is zero), so a zero gain keeps
-        their leaderless trigger permanently silent."""
+        their leaderless trigger permanently silent.  Both are read from the
+        edge table for all agents at once."""
         g = self.graph
         if isinstance(self.mode, LeaderFollower):
-            return np.array([trigger.gamma(i, self.network, g.n)
-                             for i in range(g.n)])
-        return np.array([trigger.mu_bar(i, g) * g.degree(i) if g.degree(i)
-                         else 0.0 for i in range(g.n)])
+            return trigger.gamma(np.arange(g.n), self.network, g.n)
+        degree = g.degrees
+        linked = np.flatnonzero(degree)
+        gains = np.zeros(g.n)
+        with np.errstate(over="ignore"):  # validation refuses an inf gain
+            gains[linked] = trigger.mu_bar(linked, g) * degree[linked]
+        return gains
 
 
 def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
@@ -272,22 +279,18 @@ class CompiledScenario:
         # Input nodes carry u0; the leaderless network has none.
         self.pinned = np.tile(sc.mode.u0, network.n - self.n) \
             if self.leader_follower else np.zeros(0)
-        # Each edge's arcs i -> j and j -> i, in edge order, stacked once;
-        # arcs leave agents only: an input node is pinned and has no flow.
-        d, edges = self.d, network.edges
-        ends = np.array([(e.i, e.j) for e in edges], dtype=int).reshape(-1, 2)
-        src, dst = ends.reshape(-1), ends[:, ::-1].reshape(-1)
+        # Each edge's arcs i -> j and j -> i, in edge order, gathered from
+        # the edge table; arcs leave agents only: an input node is pinned
+        # and has no flow.
+        d, table = self.d, network.table
+        src, dst = table.ends.reshape(-1), table.ends[:, ::-1].reshape(-1)
         keep = src < self.n
-        arc_edge = np.repeat(np.arange(len(edges)), 2)[keep]
+        arc_edge = np.repeat(np.arange(len(table)), 2)[keep]
         self.arc_src, self.arc_dst = src[keep], dst[keep]
-        sign = np.array([float(e.sign) for e in edges])
-        self.arc_sign = sign[arc_edge]
-        weights = np.array([e.weight for e in edges]).reshape(-1, d, d)
-        self.arc_abs = symmetric(sign[:, None, None] * weights)[arc_edge]
+        self.arc_sign = table.sign.astype(float)[arc_edge]
+        self.arc_abs = table.abs_weight[arc_edge]
         if not self.leader_follower:
-            abs_vals = np.array([e.abs_eigen[0] for e in edges]).reshape(-1, d)
-            abs_vecs = np.array([e.abs_eigen[1] for e in edges]).reshape(-1, d, d)
-            self.arc_sqrt = sym_sqrt(abs_vals, abs_vecs)[arc_edge]
+            self.arc_sqrt = sym_sqrt(*table.abs_eigen)[arc_edge]
         # Flat state index of every coordinate an arc's flow lands on.
         self.arc_slots = (self.arc_src[:, None] * d + np.arange(d)).reshape(-1)
 

@@ -122,56 +122,97 @@ class Violation:
         return f"agent {self.agent}: {self.field}: {self.message}"
 
 
-def mu_bar(i: int, g: MatrixWeightedGraph) -> float:
-    """Largest eigenvalue among the absolute weights incident to agent i."""
-    neigh = g.neighbors(i)
-    if not neigh:
-        raise NoNeighbors(f"agent {i} has no neighbors")
-    return max(g.edge(i, j).abs_lambda_max for j in neigh)
+def mu_bar(i, g: MatrixWeightedGraph):
+    """Largest eigenvalue among the absolute weights incident to agent i.
+
+    For one agent it is read through the agent's edges; for an index array
+    of agents, from one scatter-max of lambda_max(|A|) over the ends of the
+    graph's edge table.  An agent without neighbours is refused.
+    """
+    if np.ndim(i) == 0:
+        neigh = g.neighbors(i)
+        if not neigh:
+            raise NoNeighbors(f"agent {i} has no neighbors")
+        return max(g.edge(i, j).abs_lambda_max for j in neigh)
+    agents = np.asarray(i, dtype=np.int64)
+    lonely = agents[g.degrees[agents] == 0]
+    if lonely.size:
+        raise NoNeighbors(f"agent {lonely[0]} has no neighbors")
+    t = g.table
+    top = np.zeros(g.n)
+    np.maximum.at(top, t.ends.reshape(-1), np.repeat(t.abs_lambda_max, 2))
+    return top[agents]
 
 
-def gamma(i: int, network: MatrixWeightedGraph, n: int) -> float:
+def _square(x: float) -> float:
+    """``x ** 2``; float ** raises where float * returns inf."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def gamma(i, network: MatrixWeightedGraph, n: int):
     """Error-amplification constant of the leader-follower trigger:
 
         n * (sum_j mu(|A_ij|) + sum_l mu(|B_il|))^2 + n * sum_j mu(|A_ij|)^2
 
-    over agent i's neighbours j < n and inputs l = j - n in ``network``.
-    Empty neighbor and input sets give 0; weights too large for the square
-    give inf.
+    over agent i's neighbours j < n and inputs l = j - n in ``network``, or
+    one per agent of an index array.  Each sum runs left to right in
+    ``network.neighbors(i)`` order, over a table of the agents' slots padded
+    to the largest degree, one column at a time.  Empty neighbor and input
+    sets give 0; weights too large for the square give inf.
     """
-    mus, mus_b = [], []
-    for j in network.neighbors(i):
-        (mus if j < n else mus_b).append(network.edge(i, j).abs_lambda_max)
-    try:
-        spread = n * (sum(mus) + sum(mus_b)) ** 2
-    except OverflowError:  # float ** raises where float * returns inf
-        spread = math.inf
-    return spread + n * sum(m * m for m in mus)
+    agents = np.asarray(i, dtype=np.int64).reshape(-1)
+    start = network.offsets[agents]
+    degree = network.offsets[agents + 1] - start
+    width = int(degree.max(initial=0))
+    live = np.arange(width) < degree[:, None]
+    slots = np.where(live, start[:, None] + np.arange(width), 0)
+    mu = network.table.abs_lambda_max[network.slot_edge[slots]]
+    to_agent = live & (network.slot_neighbor[slots] < n)
+    mus = np.where(to_agent, mu, 0.0)
+    mus_b = np.where(live & ~to_agent, mu, 0.0)
+    total, total_b, squares = (np.zeros(len(agents)) for _ in range(3))
+    with np.errstate(over="ignore"):  # inf, as float arithmetic gives it
+        for c in range(width):
+            total += mus[:, c]
+            total_b += mus_b[:, c]
+            squares += mus[:, c] * mus[:, c]
+        spread = n * np.array([_square(x) for x in (total + total_b).tolist()])
+        out = spread + n * squares
+    return float(out[0]) if np.ndim(i) == 0 else out
 
 
 def validate_params(params: TriggerParams) -> list[Violation]:
     """Range checks (theta, beta and chi0 positive and finite) plus the
     stability bound theta > (1 - delta) / beta.
 
-    Returns every violation found (empty list means valid); never raises.
-    The bound is identical in both modes.
+    Returns every violation found (empty list means valid), by agent, then
+    in the order of the checks; never raises.  The bound is identical in
+    both modes.
     """
-    out = []
-    for i in range(params.n):
-        a = params.agent(i)
-        if not (0.0 <= a.sigma < 1.0):
-            out.append(Violation(i, "sigma", f"{a.sigma} outside [0, 1)"))
-        for name in ("theta", "beta", "chi0"):
-            value = getattr(a, name)
-            if not 0.0 < value < math.inf:
-                out.append(Violation(i, name, f"{value} must be positive and "
-                                              "finite"))
-        if not (0.0 <= a.delta <= 1.0):
-            out.append(Violation(i, "delta", f"{a.delta} outside [0, 1]"))
-        if a.theta > 0.0 and a.beta > 0.0:
-            bound = (1.0 - a.delta) / a.beta
-            if not a.theta > bound:
-                out.append(Violation(
-                    i, "theta",
-                    f"{a.theta} does not exceed (1 - delta) / beta = {bound}"))
-    return out
+    sigma, theta, beta, delta = params.sigma, params.theta, params.beta, \
+        params.delta
+    positive = np.array([theta, beta, params.chi0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = (1.0 - delta) / beta
+    # One row per check, in the order a violation is reported for an agent.
+    flagged = np.concatenate((
+        [~((0.0 <= sigma) & (sigma < 1.0))],
+        ~((0.0 < positive) & (positive < math.inf)),
+        [~((0.0 <= delta) & (delta <= 1.0))],
+        [(theta > 0.0) & (beta > 0.0) & ~(theta > bound)]))
+    if not flagged.any():
+        return []
+    checks = (
+        ("sigma", sigma, "{} outside [0, 1)"),
+        ("theta", theta, "{} must be positive and finite"),
+        ("beta", beta, "{} must be positive and finite"),
+        ("chi0", params.chi0, "{} must be positive and finite"),
+        ("delta", delta, "{} outside [0, 1]"),
+        ("theta", theta, "{} does not exceed (1 - delta) / beta = {}"),
+    )
+    return [Violation(int(k), checks[c][0],
+                      checks[c][2].format(checks[c][1][k], bound[k]))
+            for k, c in zip(*np.nonzero(flagged.T))]

@@ -20,6 +20,12 @@ the graph model but none of the trigger arithmetic.
 spectrum of the full nd x nd Laplacian, against which the package's verdict
 on the graph's definite quotient is checked.
 
+``mu_bar``, ``gamma`` and ``gains`` are the per-agent trigger gains the
+package computed before it read them from the graph's edge table for all
+agents at once: a ``max`` and left-to-right sums over each agent's
+``neighbors(i)``, read one ``edge(i, j)`` at a time.  ``validate_params``
+is the per-agent parameter check that masks over all agents replaced.
+
 ``four_stage_run`` is the step-at-a-time loop with the classical 4-stage
 update of the thresholds, against which the engine's windows and its
 closed-form thresholds are checked.
@@ -49,7 +55,7 @@ from mwconsensus.mwgraph import CLASS_DECLARATION_TOL, SYMMETRY_REJECT_TOL, \
     TOO_LARGE, Edge, InputCoupling, MatrixWeightedGraph, _CLASS_NAMES, \
     float_array, kernel_mask
 from mwconsensus.scenario_io import _json_value
-from mwconsensus.trigger import AgentParams
+from mwconsensus.trigger import AgentParams, LeaderFollower, Violation
 
 
 class NotNeighbors(MwcError):
@@ -519,3 +525,63 @@ def json_floats_walk(value, where: str) -> None:
             pending.extend(item)
         else:
             _json_value(item, "number", f"{where} entries")
+
+
+def mu_bar(i: int, g: MatrixWeightedGraph) -> float:
+    """lambda_max(|A_ij|), maximised over agent i's edges."""
+    return max(g.edge(i, j).abs_lambda_max for j in g.neighbors(i))
+
+
+def _left_to_right(values) -> float:
+    """The sum of ``values`` in order, as Python's ``sum`` of floats took it
+    before 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def gamma(i: int, network: MatrixWeightedGraph, n: int) -> float:
+    """n (sum_j mu(|A_ij|) + sum_l mu(|B_il|))^2 + n sum_j mu(|A_ij|)^2,
+    each sum in ``network.neighbors(i)`` order."""
+    mus, mus_b = [], []
+    for j in network.neighbors(i):
+        (mus if j < n else mus_b).append(network.edge(i, j).abs_lambda_max)
+    try:
+        spread = n * (_left_to_right(mus) + _left_to_right(mus_b)) ** 2
+    except OverflowError:
+        spread = math.inf
+    return spread + n * _left_to_right(m * m for m in mus)
+
+
+def gains(sc) -> list[float]:
+    """Each agent's trigger gain: gamma_i, or mu_bar_i N_i (0 for an agent
+    without neighbours)."""
+    g = sc.graph
+    if isinstance(sc.mode, LeaderFollower):
+        return [gamma(i, sc.network, g.n) for i in range(g.n)]
+    return [mu_bar(i, g) * g.degree(i) if g.degree(i) else 0.0
+            for i in range(g.n)]
+
+
+def validate_params(params) -> list[Violation]:
+    """Range checks and the stability bound, one agent at a time."""
+    out = []
+    for i in range(params.n):
+        a = params.agent(i)
+        if not (0.0 <= a.sigma < 1.0):
+            out.append(Violation(i, "sigma", f"{a.sigma} outside [0, 1)"))
+        for name in ("theta", "beta", "chi0"):
+            value = getattr(a, name)
+            if not 0.0 < value < math.inf:
+                out.append(Violation(i, name, f"{value} must be positive and "
+                                              "finite"))
+        if not (0.0 <= a.delta <= 1.0):
+            out.append(Violation(i, "delta", f"{a.delta} outside [0, 1]"))
+        if a.theta > 0.0 and a.beta > 0.0:
+            bound = (1.0 - a.delta) / a.beta
+            if not a.theta > bound:
+                out.append(Violation(
+                    i, "theta",
+                    f"{a.theta} does not exceed (1 - delta) / beta = {bound}"))
+    return out

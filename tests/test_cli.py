@@ -571,6 +571,30 @@ class TestRun:
             (next(normal_root.iterdir()) / "summary.json").read_text())
         assert set(forced) == set(normal)
 
+    def test_console_lines_bounded_at_n2000(self, tmp_path, capsys):
+        """``run`` prints the events per agent as their minimum, median and
+        maximum, with the agent that fired most and what its gain is made
+        of, so every line stays under 120 characters at n = 2000;
+        summary.json keeps every count."""
+        n = 2000
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(huge_weights_doc(
+            n, [(k, k + 1, 1.0 + k % 7) for k in range(n - 1)])))
+        out_root = tmp_path / "runs"
+        assert main(["run", str(path), "--out", str(out_root)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert max(map(len, lines)) < 120
+        counts = json.loads(
+            (next(out_root.iterdir()) / "summary.json").read_text())[
+            "event_counts"]
+        assert len(counts) == n
+        top = int(np.argmax(counts))
+        g = scenario_io.load_scenario_file(path)[0].graph
+        assert (f"  events per agent: min {min(counts)}, median "
+                f"{np.median(counts):g}, max {counts[top]} (agent {top}: "
+                f"{g.degree(top)} neighbours, mu_bar "
+                f"{oracles.mu_bar(top, g):.4f})") in lines
+
 
 def use_cpus(monkeypatch, count):
     """Make ``write_artifacts`` split even a short record over ``count``

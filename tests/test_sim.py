@@ -8,11 +8,11 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from mwconsensus import analysis, sim, trigger
+from mwconsensus import analysis, scenario_io, sim, trigger
 from mwconsensus.builtin import leader_follower_scenario, leaderless_scenario
 from mwconsensus.errors import Diverged, GraphFormatError, InvalidScenario
 from mwconsensus.linalg import sym_eigen, sym_sqrt
-from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
+from mwconsensus.mwgraph import Edge, InputCoupling, MatrixWeightedGraph, \
     build_laplacian, predicted_bipartite_limit
 from mwconsensus.sim import Scenario, chi_floor_check, \
     min_inter_event_from, run, validate_scenario
@@ -232,6 +232,37 @@ class TestStructureComputedOnce:
         analysis.event_stats(run(sc))
         assert len(built) == 1 and sc.network.n == sc.graph.n + 2
         assert assembled == [1]
+
+    def test_setup_builds_no_edge_objects(self, monkeypatch):
+        """Loading, validating and compiling a random n = 500, d = 4
+        document reads the edge tables only: not one :class:`Edge` view is
+        built, so per-edge Python objects stay out of set-up."""
+        rng = np.random.default_rng(500)
+        n, d = 500, 4
+        edges, _ = random_balanced_scalar_graph(rng, n, extra_edge_prob=3.0 / n)
+        specs = []
+        for (a, b), w in sorted(edges.items()):
+            m = rng.normal(size=(d, d))
+            specs.append((a, b, np.sign(w) * (m @ m.T / d + 0.5 * np.eye(d))))
+        text = scenario_io.dump_scenario(Scenario(
+            graph=MatrixWeightedGraph.from_edges(n, d, specs),
+            mode=Leaderless(), params=uniform_params(n), dt=1e-3,
+            horizon=0.01))
+        built = []
+        init = Edge.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[:2])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Edge, "__init__", counting)
+        sc, _ = scenario_io.load_scenario_text(text)
+        assert validate_scenario(sc) == []
+        sim.compile_scenario(sc)
+        assert len(sc.graph.table) > 1000 and built == []
+        # The count sees a view built on request.
+        assert sc.graph.edge(*sc.graph.table.ends[0].tolist()) is not None
+        assert len(built) == 1
 
 
 def dense_coupling(sc):

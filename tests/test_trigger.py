@@ -7,13 +7,15 @@ cross-checked against them in ``test_sim``.
 import numpy as np
 import pytest
 
-from mwconsensus.builtin import WEIGHT_0_5, WEIGHT_3_4
+from mwconsensus.builtin import WEIGHT_0_5, WEIGHT_3_4, \
+    leader_follower_scenario, leaderless_scenario
 from mwconsensus.errors import GraphFormatError, NoNeighbors
 from mwconsensus.linalg import matrix_abs, sym_eigen, sym_sqrt
 from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
     build_laplacian, extended_graph
-from mwconsensus.trigger import AgentParams, TriggerParams, gamma, mu_bar, \
-    validate_params
+from mwconsensus.sim import Scenario
+from mwconsensus.trigger import AgentParams, LeaderFollower, Leaderless, \
+    TriggerParams, gamma, mu_bar, validate_params
 
 import oracles
 from conftest import random_balanced_scalar_graph
@@ -293,7 +295,108 @@ class TestLeaderFollowerTrigger:
                 lf_fires(c * e, c * q, c * c * chi, pr, gam)
 
 
+def random_weighted_graph(rng, n, d, extra_edge_prob):
+    """Balanced graph on a random spanning tree plus extra edges: definite
+    weights (plus 0.5 I) and semidefinite ones of rank d - 1, signed by a
+    random gauge.  Returns the graph and the gauge."""
+    edges, gauge = random_balanced_scalar_graph(rng, n, extra_edge_prob)
+    specs = []
+    for (a, b), w in sorted(edges.items()):
+        rank = int(rng.choice([d, d - 1])) if d > 1 else 1
+        m = rng.normal(size=(d, rank)) * 10.0 ** rng.uniform(-2, 2)
+        w_ab = m @ m.T / d + (0.5 * np.eye(d) if rank == d else 0.0)
+        specs.append((a, b, np.sign(w) * w_ab))
+    return MatrixWeightedGraph.from_edges(n, d, specs), gauge
+
+
+def random_leader_follower(rng, n, d):
+    """Leader-follower scenario on a random balanced graph: agents drawn at
+    random are coupled to input 0 or 1, through ``m m^T / 4 + 0.5 I``
+    signed by the agent's gauge sign, so Assumption 2 holds."""
+    g, gauge = random_weighted_graph(rng, n, d, 4.0 / n)
+    entries = []
+    for k, i in enumerate(rng.choice(n, size=max(2, n // 8), replace=False)):
+        m = rng.normal(size=(d, d))
+        entries.append((int(i), k % 2,
+                        gauge[i] * (m @ m.T / 4 + 0.5 * np.eye(d))))
+    mode = LeaderFollower(u0=np.ones(d),
+                          coupling=InputCoupling.from_entries(entries, d))
+    return Scenario(graph=g, mode=mode,
+                    params=TriggerParams.uniform(n, 0.5, 2.0, 1.0, 0.5, 0.5),
+                    dt=1e-3, horizon=0.01)
+
+
+def random_leaderless(rng, n, d):
+    """Leaderless scenario on a dense random balanced graph."""
+    g, _ = random_weighted_graph(rng, n, d, 0.3)
+    return Scenario(graph=g, mode=Leaderless(),
+                    params=TriggerParams.uniform(n, 0.5, 2.0, 1.0, 0.5, 0.5),
+                    dt=1e-3, horizon=0.01)
+
+
+class TestGainsFromTable:
+    """The gains read from the edge table for all agents at once are, bit
+    for bit, the per-agent ``max`` and left-to-right sums over
+    ``neighbors(i)``, in both protocols."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: leaderless_scenario(),
+        lambda: leader_follower_scenario(),
+        lambda: random_leaderless(np.random.default_rng(8), 30, 3),
+        lambda: random_leader_follower(np.random.default_rng(9), 60, 3),
+    ], ids=["leaderless", "leader-follower", "random-dense", "random-lf-n60"])
+    def test_gains_match_per_agent_reference(self, make):
+        sc = make()
+        want = np.array(oracles.gains(sc))
+        assert sc.gains.tobytes() == want.tobytes()
+        g = sc.graph
+        if isinstance(sc.mode, LeaderFollower):
+            assert len(sc.mode.coupling.table) >= 2
+            assert max(len(sc.network.neighbors(i)) - g.degree(i)
+                       for i in range(g.n)) >= 1
+            for i in range(g.n):  # one agent at a time, as check prints it
+                assert gamma(i, sc.network, g.n) == want[i]
+        else:
+            assert g.n < 10 or max(g.degree(i) for i in range(g.n)) >= 9
+            agents = np.arange(g.n)
+            assert mu_bar(agents, g).tobytes() == np.array(
+                [oracles.mu_bar(i, g) for i in agents]).tobytes()
+            for i in agents:
+                assert mu_bar(int(i), g) == oracles.mu_bar(int(i), g)
+            # gamma's sums over the same neighbour lists, inputs aside.
+            assert gamma(agents, g, g.n).tobytes() == np.array(
+                [oracles.gamma(i, g, g.n) for i in agents]).tobytes()
+
+    def test_overflowing_gamma_is_inf_per_agent(self):
+        g = scalar_graph(3, {(0, 1): 1e300, (1, 2): 1.0}, d=1)
+        got = gamma(np.arange(3), g, g.n)
+        assert got.tolist() == [oracles.gamma(i, g, g.n) for i in range(3)]
+        assert got.tolist() == [np.inf, np.inf, 6.0]
+
+    def test_isolated_agent_in_array_refused(self):
+        g = scalar_graph(3, {(0, 1): 1.0}, d=1)
+        with pytest.raises(NoNeighbors, match="agent 2 has no neighbors"):
+            mu_bar(np.arange(3), g)
+
+
 class TestValidateParams:
+    def test_matches_per_agent_reference(self):
+        """Seeded parameter arrays, most of them invalid somewhere, give the
+        per-agent loop's violations in its order: by agent, then field."""
+        rng = np.random.default_rng(12)
+        pool = [0.0, -0.0, 0.5, 1.0, 1.5, -0.1, 2.0, 1e-300, 1e300, np.inf,
+                -np.inf, np.nan, 0.3, 0.999]
+        flagged = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            arrays = [rng.choice(pool, size=n) if rng.uniform() < 0.6
+                      else rng.uniform(0.0, 3.0, n) for _ in range(5)]
+            p = TriggerParams(*arrays)
+            want = oracles.validate_params(p)
+            assert validate_params(p) == want
+            flagged += bool(want)
+        assert flagged > 200
+
     def test_reference_values_ok(self):
         p = TriggerParams.uniform(6, sigma=0.9, theta=0.5, beta=1.0,
                                   delta=1.0, chi0=0.5)

@@ -292,19 +292,6 @@ def _constant(value: float) -> str:
     return f"{value:.4f}" if abs(value) < 1e6 else f"{value:.4e}"
 
 
-def _gain_terms(scenario: sim.Scenario, i: int) -> str:
-    """What agent i's trigger gain is made of: gamma_i (leader-follower),
-    or its neighbour count N_i and mu_bar_i (leaderless, K_i = mu_bar_i
-    N_i)."""
-    g = scenario.graph
-    if isinstance(scenario.mode, LeaderFollower):
-        return f"gamma {_constant(trigger.gamma(i, scenario.network, g.n))}"
-    degree = g.degree(i)
-    if not degree:
-        return "no neighbours"
-    return f"{degree} neighbours, mu_bar {_constant(trigger.mu_bar(i, g))}"
-
-
 def cmd_check(args) -> int:
     """Print the structural diagnostics, then every reason ``run`` would
     refuse the scenario; exit 1 if there is one."""
@@ -409,8 +396,7 @@ def cmd_run(args) -> int:
     counts = doc["event_counts"]
     top = counts.index(max(counts))
     print(f"  events per agent: min {min(counts)}, median "
-          f"{statistics.median(counts):g}, max {counts[top]} (agent {top}: "
-          f"{_gain_terms(scenario, top)})")
+          f"{statistics.median(counts):g}, max {counts[top]} (agent {top})")
     if doc["final_relative_error"] is not None:
         print(f"  final bipartite error: {doc['final_bipartite_error']:.6g} "
               f"(relative {doc['final_relative_error']:.6g})")

@@ -5,8 +5,9 @@ pairs, classes and signs (:class:`EdgeTable`), views of single edges
 (:func:`weight_stack`), and the checks and CSR neighbour index of a graph's
 edges (:func:`index_edges`).
 
-An :class:`Edge` is built only when asked for; the tables and the index
-hold the per-edge facts as arrays, so set-up runs no Python per edge.
+An :class:`Edge` is built only when asked for (in set-up, by the balance
+walk alone, for its spanning-tree edges); the tables and the index hold
+the per-edge facts as arrays.
 :mod:`mwconsensus.mwgraph` loads the tables and builds graphs on them.
 """
 
@@ -140,6 +141,12 @@ class EdgeTable:
     cls: np.ndarray
 
     def __post_init__(self):
+        rows = len(self.ends)
+        if self.ends.shape != (rows, 2) or any(
+                len(a) != rows for a in (self.weight, self.vals, self.vecs,
+                                         self.cls)):
+            raise GraphFormatError("edge table arrays must share one row "
+                                   "per edge")
         read_only(self.ends, self.weight, self.vals, self.vecs, self.cls)
 
     @classmethod

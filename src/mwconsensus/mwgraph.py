@@ -376,13 +376,12 @@ def detect_structural_balance(g: MatrixWeightedGraph) -> Optional[np.ndarray]:
     ``signs[i] * signs[j] == sgn(A_ij)`` on every edge, or ``None`` when the
     graph is structurally imbalanced.
 
-    A breadth-first walk of the CSR index colours each node through the
-    edge that reaches it first; every edge is then checked at once.  Balance
-    is decided independently on each connected component; the lowest-index
-    node of every component gets +1, which makes the signs deterministic.
+    A breadth-first walk over ``g.neighbors`` colours each node through the
+    edge that reaches it first, whose sign it reads from ``g.edge``; every
+    edge is then checked at once.  Balance is decided independently on each
+    connected component; the lowest-index node of every component gets +1,
+    which makes the signs deterministic.
     """
-    offsets, neighbor, edge = g._index
-    slot_sign = g.table.sign[g.slot_edge].tolist()
     color = [0] * g.n
     for root in range(g.n):
         if color[root]:
@@ -390,11 +389,9 @@ def detect_structural_balance(g: MatrixWeightedGraph) -> Optional[np.ndarray]:
         color[root] = 1
         queue = [root]
         for u in queue:  # grows while it is walked
-            cu = color[u]
-            for s in range(offsets[u], offsets[u + 1]):
-                v = neighbor[s]
+            for v in g.neighbors(u):
                 if not color[v]:
-                    color[v] = cu * slot_sign[s]
+                    color[v] = color[u] * g.edge(u, v).sign
                     queue.append(v)
     signs = np.array(color, dtype=int)
     ends = g.table.ends
@@ -504,14 +501,20 @@ def extended_graph(g: MatrixWeightedGraph,
                    coupling: InputCoupling) -> MatrixWeightedGraph:
     """Agents plus input l at node ``n + l``, joined by the coupling edges,
     which follow the graph's own; the extended graph shares the graph's
-    :class:`Edge` views of those."""
+    :class:`Edge` views of those.  A coupling whose weights are not the
+    graph's d x d is refused."""
     t, c, d = g.table, coupling.table, g.d
+    if not len(c):
+        c = EdgeTable.empty(d)
+    if c.weight.shape[1:] != (d, d):
+        i, j = c.ends[0].tolist()
+        raise GraphFormatError(
+            f"edge ({i},{g.n + j}) weight has shape {c.weight.shape[1:]}, "
+            f"graph block dimension is {d}")
     net = MatrixWeightedGraph(g.n + coupling.m, d, EdgeTable(
         np.concatenate((t.ends, c.ends.astype(np.int64) + [0, g.n])),
-        np.concatenate((t.weight, c.weight.reshape(-1, d, d))),
-        np.concatenate((t.vals, c.vals.reshape(-1, d))),
-        np.concatenate((t.vecs, c.vecs.reshape(-1, d, d))),
-        np.concatenate((t.cls, c.cls))))
+        *(np.concatenate((getattr(t, f), getattr(c, f)))
+          for f in ("weight", "vals", "vecs", "cls"))))
     object.__setattr__(net, "_base", g)
     return net
 

@@ -62,7 +62,8 @@ def _json_float(value, where: str) -> float:
 #: further check.
 _NUMBER_TYPES = {int, float}
 
-#: The type of a JSON number with a fraction or exponent.
+#: The type of a JSON number with a fraction or exponent: a list of these
+#: alone converts to floats, neither ragged nor out of range.
 _FLOAT_TYPES = {float}
 
 
@@ -84,6 +85,15 @@ def _json_floats(value, where: str) -> np.ndarray:
             f"{where}: ragged array or number out of range") from None
 
 
+def _json_weight(value, where: str):
+    """A weight as the graph's loader takes it: a flat list of floats, the
+    form dumps write, as it is, for the loader to convert with every other
+    weight in one call; any other value as :func:`_json_floats` reads it."""
+    if type(value) is list and set(map(type, value)) <= _FLOAT_TYPES:
+        return value
+    return _json_floats(value, where)
+
+
 def _json_vector(value, where: str) -> np.ndarray:
     """A flat array of numbers, the form of a state (``x0``, ``u0``)."""
     arr = _json_floats(value, where)
@@ -97,7 +107,7 @@ def _section(doc, where: str, allowed, required=()) -> dict:
     """``doc`` if it is an object whose keys are all ``allowed`` and include
     every ``required`` one; anything else is a one-line
     :class:`GraphFormatError` that names the section."""
-    unknown = set(_json_value(doc, "object", where)) - set(allowed)
+    unknown = _json_value(doc, "object", where).keys() - allowed
     if unknown:
         raise GraphFormatError(f"{where}: unknown keys {sorted(unknown)}")
     missing = [k for k in required if k not in doc]
@@ -140,27 +150,17 @@ def graph_to_dict(g: MatrixWeightedGraph,
 def _json_entries(doc: dict, key: str,
                   fields: tuple[str, ...]) -> Iterator[tuple]:
     """``(*fields, weight, declared class)`` per entry of the array
-    ``doc[key]``, type-checked one entry at a time; the ``fields`` are
-    integers and required with the weight.  A weight that is a flat list of
-    floats (the form dumps write) is passed on as it is, for the graph's
-    loader to convert with every other weight in one call; any other is a
-    float array.  A value of the plain expected type is taken at once; any
-    other goes through the check that names what is wrong with it."""
+    ``doc[key]`` (see :func:`_json_weight`), type-checked one entry at a
+    time; the ``fields`` are integers and required with the weight."""
     allowed, required = {*fields, "weight", "class"}, (*fields, "weight")
     for k, entry in enumerate(_json_value(doc.get(key, []), "array", key)):
-        if not (type(entry) is dict and entry.keys() <= allowed
-                and all(f in entry for f in required)):
-            _section(entry, f"{key}[{k}]", allowed, required)
+        where = f"{key}[{k}]"
+        _section(entry, where, allowed, required)
         declared = entry.get("class")
-        if declared is not None and type(declared) is not str:
-            _json_value(declared, "string", f"{key}[{k}].class")
-        ints = [entry[f] if type(entry[f]) is int else
-                _json_value(entry[f], "integer", f"{key}[{k}].{f}")
-                for f in fields]
-        weight = entry["weight"]
-        if not (type(weight) is list and set(map(type, weight)) <= _FLOAT_TYPES):
-            weight = _json_floats(weight, f"{key}[{k}].weight")
-        yield (*ints, weight, declared)
+        if declared is not None:
+            _json_value(declared, "string", f"{where}.class")
+        ints = (_json_value(entry[f], "integer", f"{where}.{f}") for f in fields)
+        yield (*ints, _json_weight(entry["weight"], f"{where}.weight"), declared)
 
 
 def graph_from_dict(doc: dict) -> tuple[MatrixWeightedGraph, InputCoupling]:

@@ -122,26 +122,24 @@ class Violation:
         return f"agent {self.agent}: {self.field}: {self.message}"
 
 
-def mu_bar(i, g: MatrixWeightedGraph):
-    """Largest eigenvalue among the absolute weights incident to agent i.
+def _per_agent(i, values: np.ndarray):
+    """``values`` for the index array ``i``, or as one float for one agent."""
+    return float(values[0]) if np.ndim(i) == 0 else values
 
-    For one agent it is read through the agent's edges; for an index array
-    of agents, from one scatter-max of lambda_max(|A|) over the ends of the
-    graph's edge table.  An agent without neighbours is refused.
-    """
-    if np.ndim(i) == 0:
-        neigh = g.neighbors(i)
-        if not neigh:
-            raise NoNeighbors(f"agent {i} has no neighbors")
-        return max(g.edge(i, j).abs_lambda_max for j in neigh)
-    agents = np.asarray(i, dtype=np.int64)
+
+def mu_bar(i, g: MatrixWeightedGraph):
+    """Largest eigenvalue among the absolute weights incident to agent i,
+    or to each agent of an index array: one scatter-max of
+    lambda_max(|A|) over the ends of the graph's edge table.  An agent
+    without neighbours is refused."""
+    agents = np.asarray(i, dtype=np.int64).reshape(-1)
     lonely = agents[g.degrees[agents] == 0]
     if lonely.size:
         raise NoNeighbors(f"agent {lonely[0]} has no neighbors")
     t = g.table
     top = np.zeros(g.n)
     np.maximum.at(top, t.ends.reshape(-1), np.repeat(t.abs_lambda_max, 2))
-    return top[agents]
+    return _per_agent(i, top[agents])
 
 
 def _square(x: float) -> float:
@@ -158,30 +156,22 @@ def gamma(i, network: MatrixWeightedGraph, n: int):
         n * (sum_j mu(|A_ij|) + sum_l mu(|B_il|))^2 + n * sum_j mu(|A_ij|)^2
 
     over agent i's neighbours j < n and inputs l = j - n in ``network``, or
-    one per agent of an index array.  Each sum runs left to right in
-    ``network.neighbors(i)`` order, over a table of the agents' slots padded
-    to the largest degree, one column at a time.  Empty neighbor and input
-    sets give 0; weights too large for the square give inf.
+    one per agent of an index array.  Each sum is one ``bincount`` over the
+    CSR slots, which adds each node's slots left to right in
+    ``network.neighbors(i)`` order.  Empty neighbor and input sets give 0;
+    weights too large for the square give inf.
     """
     agents = np.asarray(i, dtype=np.int64).reshape(-1)
-    start = network.offsets[agents]
-    degree = network.offsets[agents + 1] - start
-    width = int(degree.max(initial=0))
-    live = np.arange(width) < degree[:, None]
-    slots = np.where(live, start[:, None] + np.arange(width), 0)
-    mu = network.table.abs_lambda_max[network.slot_edge[slots]]
-    to_agent = live & (network.slot_neighbor[slots] < n)
-    mus = np.where(to_agent, mu, 0.0)
-    mus_b = np.where(live & ~to_agent, mu, 0.0)
-    total, total_b, squares = (np.zeros(len(agents)) for _ in range(3))
+    owner = np.repeat(np.arange(network.n), network.degrees)
+    mu = network.table.abs_lambda_max[network.slot_edge]
+    to_agent = network.slot_neighbor < n
     with np.errstate(over="ignore"):  # inf, as float arithmetic gives it
-        for c in range(width):
-            total += mus[:, c]
-            total_b += mus_b[:, c]
-            squares += mus[:, c] * mus[:, c]
+        total, total_b, squares = (
+            np.bincount(owner[mask], weights=w[mask], minlength=network.n)[agents]
+            for mask, w in ((to_agent, mu), (~to_agent, mu),
+                            (to_agent, mu * mu)))
         spread = n * np.array([_square(x) for x in (total + total_b).tolist()])
-        out = spread + n * squares
-    return float(out[0]) if np.ndim(i) == 0 else out
+        return _per_agent(i, spread + n * squares)
 
 
 def validate_params(params: TriggerParams) -> list[Violation]:

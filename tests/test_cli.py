@@ -573,9 +573,8 @@ class TestRun:
 
     def test_console_lines_bounded_at_n2000(self, tmp_path, capsys):
         """``run`` prints the events per agent as their minimum, median and
-        maximum, with the agent that fired most and what its gain is made
-        of, so every line stays under 120 characters at n = 2000;
-        summary.json keeps every count."""
+        maximum, with the agent that fired most, so every line stays under
+        120 characters at n = 2000; summary.json keeps every count."""
         n = 2000
         path = tmp_path / "path.json"
         path.write_text(json.dumps(huge_weights_doc(
@@ -589,11 +588,9 @@ class TestRun:
             "event_counts"]
         assert len(counts) == n
         top = int(np.argmax(counts))
-        g = scenario_io.load_scenario_file(path)[0].graph
         assert (f"  events per agent: min {min(counts)}, median "
-                f"{np.median(counts):g}, max {counts[top]} (agent {top}: "
-                f"{g.degree(top)} neighbours, mu_bar "
-                f"{oracles.mu_bar(top, g):.4f})") in lines
+                f"{np.median(counts):g}, max {counts[top]} (agent {top})") \
+            in lines
 
 
 def use_cpus(monkeypatch, count):

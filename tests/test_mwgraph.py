@@ -12,7 +12,7 @@ from mwconsensus.builtin import RAW_EDGE_0_1, WEIGHT_0_5, WEIGHT_3_4
 from mwconsensus.errors import AssumptionViolated, GraphFormatError, NotPSD
 from mwconsensus.linalg import DEFAULT_TOL, ND, NSD, PD, PSD, matrix_abs, \
     sym_eigen, sym_sqrt
-from mwconsensus.mwgraph import TOO_LARGE, Edge, InputCoupling, \
+from mwconsensus.mwgraph import TOO_LARGE, Edge, EdgeTable, InputCoupling, \
     MatrixWeightedGraph, build_laplacian, definite_quotient, \
     detect_structural_balance, extended_graph, leader_gauge, null_space, \
     predicted_bipartite_limit, verify_assumption1, verify_assumption2
@@ -636,6 +636,23 @@ class TestAssumption2:
         ext = extended_graph(ref_graph, ref_coupling)
         assert ext.n == 8
         assert len(ext.edges) == len(ref_graph.edges) + 2
+
+    def test_coupling_of_other_dimension_refused(self, ref_graph):
+        """A coupling loaded with 3 x 3 weights does not extend a graph of
+        d = 4: the first coupling edge is refused in one line."""
+        coupling = InputCoupling.from_entries(
+            [(2, 0, np.eye(3)), (4, 0, np.eye(3))], 3)
+        with pytest.raises(GraphFormatError) as err:
+            extended_graph(ref_graph, coupling)
+        assert str(err.value) == ("edge (2,6) weight has shape (3, 3), graph "
+                                  "block dimension is 4")
+
+    def test_misaligned_table_refused(self, ref_graph):
+        t = ref_graph.table
+        with pytest.raises(GraphFormatError, match="one row per edge"):
+            EdgeTable(t.ends, t.weight[:-1], t.vals, t.vecs, t.cls)
+        with pytest.raises(GraphFormatError, match="one row per edge"):
+            EdgeTable(t.ends.reshape(-1), t.weight, t.vals, t.vecs, t.cls)
 
 
 class TestInputCoupling:

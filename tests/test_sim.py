@@ -233,10 +233,11 @@ class TestStructureComputedOnce:
         assert len(built) == 1 and sc.network.n == sc.graph.n + 2
         assert assembled == [1]
 
-    def test_setup_builds_no_edge_objects(self, monkeypatch):
+    def test_setup_builds_only_tree_edge_views(self, monkeypatch):
         """Loading, validating and compiling a random n = 500, d = 4
-        document reads the edge tables only: not one :class:`Edge` view is
-        built, so per-edge Python objects stay out of set-up."""
+        document reads the edge tables: the only :class:`Edge` views built
+        are those of the n - 1 spanning-tree edges whose signs the balance
+        walk reads, so per-edge Python objects stay out of set-up."""
         rng = np.random.default_rng(500)
         n, d = 500, 4
         edges, _ = random_balanced_scalar_graph(rng, n, extra_edge_prob=3.0 / n)
@@ -259,10 +260,14 @@ class TestStructureComputedOnce:
         sc, _ = scenario_io.load_scenario_text(text)
         assert validate_scenario(sc) == []
         sim.compile_scenario(sc)
-        assert len(sc.graph.table) > 1000 and built == []
-        # The count sees a view built on request.
-        assert sc.graph.edge(*sc.graph.table.ends[0].tolist()) is not None
-        assert len(built) == 1
+        g = sc.graph
+        assert len(g.table) > 1000 and len(built) == n - 1
+        # The tree spans the connected graph: every node is an end of it.
+        assert len({k for e in built for k in e}) == n
+        # The count sees a view built on request, once.
+        off_tree = next(e for e in map(tuple, g.table.ends.tolist())
+                        if e not in built)
+        assert g.edge(*off_tree) is g.edge(*off_tree) and len(built) == n
 
 
 def dense_coupling(sc):

@@ -4,6 +4,8 @@ The per-agent formulas live in ``oracles``; the engine's vectorized form is
 cross-checked against them in ``test_sim``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,25 @@ def random_leaderless(rng, n, d):
                     dt=1e-3, horizon=0.01)
 
 
+def hub_scenario(rng, n, d, leader):
+    """Star on n agents: agent 0 joined to every other through definite
+    weights whose scales span eight decades, signed by a random gauge; with
+    ``leader``, the hub and agent 1 are coupled to inputs 0 and 1."""
+    gauge = rng.choice([-1, 1], size=n)
+    specs = []
+    for k in range(1, n):
+        m = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-4, 4)
+        specs.append((0, k, gauge[0] * gauge[k] * (m @ m.T + np.eye(d))))
+    mode = Leaderless()
+    if leader:
+        mode = LeaderFollower(u0=np.ones(d), coupling=InputCoupling.from_entries(
+            [(i, i, gauge[i] * np.eye(d)) for i in (0, 1)], d))
+    return Scenario(graph=MatrixWeightedGraph.from_edges(n, d, specs),
+                    mode=mode,
+                    params=TriggerParams.uniform(n, 0.5, 2.0, 1.0, 0.5, 0.5),
+                    dt=1e-3, horizon=0.01)
+
+
 class TestGainsFromTable:
     """The gains read from the edge table for all agents at once are, bit
     for bit, the per-agent ``max`` and left-to-right sums over
@@ -344,7 +365,10 @@ class TestGainsFromTable:
         lambda: leader_follower_scenario(),
         lambda: random_leaderless(np.random.default_rng(8), 30, 3),
         lambda: random_leader_follower(np.random.default_rng(9), 60, 3),
-    ], ids=["leaderless", "leader-follower", "random-dense", "random-lf-n60"])
+        lambda: hub_scenario(np.random.default_rng(10), 300, 2, False),
+        lambda: hub_scenario(np.random.default_rng(11), 300, 2, True),
+    ], ids=["leaderless", "leader-follower", "random-dense", "random-lf-n60",
+            "hub", "hub-lf"])
     def test_gains_match_per_agent_reference(self, make):
         sc = make()
         want = np.array(oracles.gains(sc))
@@ -366,6 +390,22 @@ class TestGainsFromTable:
             # gamma's sums over the same neighbour lists, inputs aside.
             assert gamma(agents, g, g.n).tobytes() == np.array(
                 [oracles.gamma(i, g, g.n) for i in agents]).tobytes()
+
+    def test_hub_gains_in_edge_memory(self):
+        """A star of n = 20 000 scalar edges: the gains take memory in
+        proportion to the edges, not to n times the hub's degree."""
+        sc = hub_scenario(np.random.default_rng(12), 20_000, 1, True)
+        tracemalloc.start()
+        try:
+            got = gamma(np.arange(sc.graph.n), sc.network, sc.graph.n)
+            mu = mu_bar(np.arange(sc.graph.n), sc.graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24
+        for i in (0, 1, 2, 19_999):
+            assert got[i] == oracles.gamma(i, sc.network, sc.graph.n)
+            assert mu[i] == oracles.mu_bar(i, sc.graph)
 
     def test_overflowing_gamma_is_inf_per_agent(self):
         g = scalar_graph(3, {(0, 1): 1e300, (1, 2): 1.0}, d=1)

@@ -30,6 +30,7 @@ import statistics
 import sys
 import tempfile
 import time
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -65,8 +66,8 @@ def _load(source: str, args: argparse.Namespace):
 
 #: Fewest grid values (states and chi) a CSV writer process is given, so
 #: that forking one costs less than the formatting it takes over: on a
-#: 2-vCPU VM a fork of the leaderless reference run takes about 5 ms, and
-#: 8192 values take about 15 ms to write.
+#: 2-vCPU VM a fork of the leaderless reference run takes about 4.5 ms,
+#: and a chunk of 8192 values about 17 ms to write, batches included.
 CHUNK_VALUES = 1 << 13
 
 
@@ -93,6 +94,37 @@ def writer_processes(record, formats=("csv", "json")) -> int:
     return max(1, min(usable_cpus(), values // CHUNK_VALUES, rows))
 
 
+#: Most grid values a writer formats as Python objects at a time; a grid
+#: row wider than this is one batch.  The batch's texts and its joined line
+#: block stay well below the record's own arrays (see
+#: ``test_writer_streams_the_record``).
+BATCH_VALUES = 1 << 10
+
+
+def _write_lines(fh, times, block, labels, tails) -> None:
+    """Write the line ``{t}{label}{value}{tail}`` for each value of
+    ``block`` (grid rows by columns, row ``r`` at time ``times[r]``), in
+    row-major order, with one join and one write.
+
+    ``labels`` holds one text per column and ``tails`` one per value.  The
+    pieces are laid out by slice assignment, so no Python code runs per
+    value: ``repr`` formats the times and the values, each once."""
+    width = len(labels)
+    values = block.ravel().tolist()
+    parts = [""] * (4 * len(values))
+    parts[0::4] = chain.from_iterable(
+        map(repeat, map(repr, times.tolist()), repeat(width, len(times))))
+    parts[1::4] = labels * len(times)
+    parts[2::4] = map(repr, values)
+    parts[3::4] = tails
+    fh.write("".join(parts))
+
+
+def _batch_rows(width: int) -> int:
+    """Grid rows of ``width`` values in one batch of :data:`BATCH_VALUES`."""
+    return max(1, BATCH_VALUES // width)
+
+
 def _trajectory_rows(record, fh, start: int, stop: int) -> None:
     """Write grid rows ``start..stop-1`` of trajectory.csv.
 
@@ -101,11 +133,11 @@ def _trajectory_rows(record, fh, start: int, stop: int) -> None:
     its pair: the first row formats every column from the anchor that holds
     it, and at each later anchor only the columns whose bits differ from the
     previous anchor are formatted again; every other row reuses the text it
-    holds.  The bytes are those of formatting every value on every row.
+    holds.  The rows go out a batch at a time (:func:`_write_lines`), and a
+    batch may span several anchors.  The bytes are those of formatting
+    every value on every row.
     """
     n, d = record.n, record.d
-    # Native floats (one row's .tolist() at a time) keep the writes out of
-    # numpy scalar overhead without copying the record.
     labels = [f",{i},{c}," for i in range(n) for c in range(d)]
     # Bits are compared, not floats: 0.0 == -0.0, but their texts differ.
     bits_h = record.held_xhat.view(np.int64)
@@ -114,9 +146,12 @@ def _trajectory_rows(record, fh, start: int, stop: int) -> None:
     first = int(np.searchsorted(record.anchors, start, side="right")) - 1
     last = int(np.searchsorted(record.anchors, stop))
     bounds = [start, *record.anchors[first + 1:last].tolist(), stop]
+    batch = _batch_rows(n * d)
     cols = range(n * d)
     tails = [""] * (n * d)
-    for a, (lo, hi) in enumerate(zip(bounds, bounds[1:]), first):
+    column = []  # the tails of rows `lo` onwards, not yet written
+    lo = start
+    for a, (row, end) in enumerate(zip(bounds, bounds[1:]), first):
         if a > first:
             changed = ((bits_h[a] != bits_h[a - 1])
                        | (bits_q[a] != bits_q[a - 1]))
@@ -125,17 +160,25 @@ def _trajectory_rows(record, fh, start: int, stop: int) -> None:
         row_q = record.held_q[a].tolist()
         for c in cols:
             tails[c] = f",{row_h[c]!r},{row_q[c]!r}\n"
-        for t, xs in zip(record.times[lo:hi], record.states[lo:hi]):
-            ts = repr(float(t))
-            fh.writelines([f"{ts}{label}{x!r}{tail}" for label, x, tail
-                           in zip(labels, xs.tolist(), tails)])
+        while row < end:
+            hi = min(end, lo + batch)
+            column += tails * (hi - row)
+            row = hi
+            if hi == lo + batch or hi == stop:
+                _write_lines(fh, record.times[lo:hi], record.states[lo:hi],
+                             labels, column)
+                lo, column = hi, []
 
 
 def _chi_rows(record, fh, start: int, stop: int) -> None:
-    """Write grid rows ``start..stop-1`` of chi.csv."""
-    for t, chis in zip(record.times[start:stop], record.chi[start:stop]):
-        ts = repr(float(t))
-        fh.writelines(f"{ts},{i},{v!r}\n" for i, v in enumerate(chis.tolist()))
+    """Write grid rows ``start..stop-1`` of chi.csv, a batch at a time."""
+    n = record.n
+    labels = [f",{i}," for i in range(n)]
+    batch = _batch_rows(n)
+    for lo in range(start, stop, batch):
+        hi = min(stop, lo + batch)
+        _write_lines(fh, record.times[lo:hi], record.chi[lo:hi], labels,
+                     ["\n"] * (n * (hi - lo)))
 
 
 def _open_text(path: Path):
@@ -215,7 +258,8 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json"),
     the JSON files, then reaps the children in order and appends each part.
     Every chunk is written by the same row-range writers, so the bytes are
     those of one process for every count, and no process holds more than
-    one grid row as Python objects.  On any failure the children are killed
+    one batch (:data:`BATCH_VALUES` values, or one grid row where that is
+    wider) as Python objects.  On any failure the children are killed
     and reaped; a child that failed raises :class:`OSError` with the text of
     its exception.
     """

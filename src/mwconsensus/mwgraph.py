@@ -353,13 +353,14 @@ def definite_quotient(g: MatrixWeightedGraph) -> MatrixWeightedGraph:
     between: dict[tuple[int, int], int] = {}
     group = [between.setdefault((min(a, b), max(a, b)), len(between))
              for a, b in ((label[i], label[j]) for i, j in ends[across].tolist())]
+    if not between:  # no edge joins two components: nothing to decompose
+        return MatrixWeightedGraph(len(label), g.d, EdgeTable.empty(g.d))
     w = np.zeros((len(between), g.d, g.d))
-    if group:
-        with np.errstate(over="ignore"):  # an overflowed sum is refused below
-            np.add.at(w, group, abs_stack(t.sign[across], t.weight[across]))
-            w = linalg.symmetric(w)
-        if not np.isfinite(w).all():
-            raise GraphFormatError(TOO_LARGE)
+    with np.errstate(over="ignore"):  # an overflowed sum is refused below
+        np.add.at(w, group, abs_stack(t.sign[across], t.weight[across]))
+        w = linalg.symmetric(w)
+    if not np.isfinite(w).all():
+        raise GraphFormatError(TOO_LARGE)
     vals, vecs = linalg.sym_eigen(w)
     return MatrixWeightedGraph(len(label), g.d, EdgeTable(
         np.array(list(between), dtype=np.int64).reshape(-1, 2), w, vals, vecs,

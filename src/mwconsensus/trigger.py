@@ -35,22 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import GraphFormatError, NoNeighbors
 from .mwgraph import InputCoupling, MatrixWeightedGraph, float_array
-
-
-class AgentParams(NamedTuple):
-    """Trigger parameters of a single agent."""
-
-    sigma: float
-    theta: float
-    beta: float
-    delta: float
-    chi0: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,11 +76,6 @@ class TriggerParams:
     @property
     def n(self) -> int:
         return self.sigma.shape[0]
-
-    def agent(self, i: int) -> AgentParams:
-        return AgentParams(float(self.sigma[i]), float(self.theta[i]),
-                           float(self.beta[i]), float(self.delta[i]),
-                           float(self.chi0[i]))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ The per-agent trigger formulas below evaluate one agent at a time from the
 graph's edge accessors, with small numpy products.  The engine
 (``sim.CompiledScenario`` and ``sim.step``) evaluates the same formulas
 vectorized over all agents from the edge arrays, so the two paths share
-the graph model but none of the trigger arithmetic.
+the graph model but none of the trigger arithmetic.  They read one agent's
+parameters as an ``AgentParams`` of Python floats (``agent_params``); the
+package keeps only the per-agent arrays.
 
 ``assumption1_dense`` decides Assumption 1 the direct way, from the
 spectrum of the full nd x nd Laplacian, against which the package's verdict
@@ -44,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,7 +57,24 @@ from mwconsensus.mwgraph import CLASS_DECLARATION_TOL, SYMMETRY_REJECT_TOL, \
     TOO_LARGE, Edge, InputCoupling, MatrixWeightedGraph, _CLASS_NAMES, \
     float_array, kernel_mask
 from mwconsensus.scenario_io import _json_value
-from mwconsensus.trigger import AgentParams, LeaderFollower, Violation
+from mwconsensus.trigger import LeaderFollower, Violation
+
+
+class AgentParams(NamedTuple):
+    """Trigger parameters of a single agent, as Python floats."""
+
+    sigma: float
+    theta: float
+    beta: float
+    delta: float
+    chi0: float
+
+
+def agent_params(params, i: int) -> AgentParams:
+    """Agent ``i``'s row of the per-agent arrays of ``TriggerParams``."""
+    return AgentParams(float(params.sigma[i]), float(params.theta[i]),
+                       float(params.beta[i]), float(params.delta[i]),
+                       float(params.chi0[i]))
 
 
 class NotNeighbors(MwcError):
@@ -568,7 +587,7 @@ def validate_params(params) -> list[Violation]:
     """Range checks and the stability bound, one agent at a time."""
     out = []
     for i in range(params.n):
-        a = params.agent(i)
+        a = agent_params(params, i)
         if not (0.0 <= a.sigma < 1.0):
             out.append(Violation(i, "sigma", f"{a.sigma} outside [0, 1)"))
         for name in ("theta", "beta", "chi0"):

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -323,12 +324,13 @@ class TestStructureComputedOnce:
         """One eigh for the repair of the (0, 1) weight; one stacked eigh
         per load, of the graph's 8 weights and of the coupling's 2, and one
         more of the subset whose declared class projects eigenvalue noise
-        away (2 and 1 weights); one of the one-node quotient's edges (none)
-        and one of its Laplacian; and the grounding test, which ``check``
-        and its verdict each run.  lambda_max is read from the pairs."""
+        away (2 and 1 weights); one of the one-node quotient's Laplacian
+        (the quotient has no edges to decompose); and the grounding test,
+        which ``check`` and its verdict each run.  lambda_max is read from
+        the pairs."""
         assert main(["check", "builtin:lf"]) == EXIT_OK
         assert eigh_shapes == [(4, 4), (8, 4, 4), (2, 4, 4), (2, 4, 4),
-                               (1, 4, 4), (0, 4, 4), (4, 4), (4, 4), (4, 4)]
+                               (1, 4, 4), (4, 4), (4, 4), (4, 4)]
 
     def test_check_lf_builds_one_network(self, monkeypatch):
         built = []
@@ -593,6 +595,17 @@ class TestRun:
             in lines
 
 
+def perfbench_workloads():
+    """The benchmark's seeded workload builders, ``perfbench/workloads.py``
+    (a script directory, not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def use_cpus(monkeypatch, count):
     """Make ``write_artifacts`` split even a short record over ``count``
     processes, whatever this machine has."""
@@ -633,16 +646,46 @@ class TestWriterOracle:
                                        baseline=sim.BASELINE_STATIC)
         self.assert_writers_agree(sim.run(scenario), tmp_path, monkeypatch)
 
+    @staticmethod
+    def two_anchor_record(record):
+        """``record`` with its anchors cut to rows 0 and 200."""
+        held = record.anchors.searchsorted(200, side="right") - 1
+        return dataclasses.replace(
+            record, anchors=np.array([0, 200]),
+            held_xhat=record.held_xhat[[0, held]],
+            held_q=record.held_q[[0, held]])
+
     def test_chunks_start_inside_anchor_spans(self, tmp_path, monkeypatch):
         """Anchors at rows 0 and 200 of 501: no chunk of 2-4 processes
         starts at an anchor, so each formats its first row's held pairs
         from the anchor before it."""
         record = sim.run(leaderless_scenario(seed=3, horizon=0.5))
-        held = record.anchors.searchsorted(200, side="right") - 1
-        record = dataclasses.replace(
-            record, anchors=np.array([0, 200]),
-            held_xhat=record.held_xhat[[0, held]],
-            held_q=record.held_q[[0, held]])
+        self.assert_writers_agree(self.two_anchor_record(record), tmp_path,
+                                  monkeypatch)
+
+    @pytest.mark.parametrize("batch", [1, 3, 7, 100])
+    @pytest.mark.parametrize("make", [
+        lambda: sim.run(leaderless_scenario(seed=3, horizon=0.5)),
+        lambda: TestWriterOracle.two_anchor_record(
+            sim.run(leaderless_scenario(seed=3, horizon=0.5))),
+        lambda: sim.run(scenario_io.parse_scenario(
+            small_scenario_doc(horizon=0.5))[0]),
+    ], ids=["reference", "two-anchors", "two-agents"])
+    def test_batches_split_spans_and_chunks(self, make, batch, tmp_path,
+                                            monkeypatch):
+        """Batches of at most 1, 3, 7 and 100 values: on rows of 24, 6
+        and 2 values they hold one row up to 50 rows, so their ends fall
+        inside anchor spans, across anchors and off every chunk start."""
+        monkeypatch.setattr(cli, "BATCH_VALUES", batch)
+        self.assert_writers_agree(make(), tmp_path, monkeypatch)
+
+    def test_row_wider_than_a_batch(self, tmp_path, monkeypatch):
+        """A grid row of n * d = 1200 values, more than one batch holds:
+        the benchmark's random balanced graph at n = 300, d = 4."""
+        scenario, _ = perfbench_workloads().random_balanced_scenario(
+            1, 300, horizon=0.005)
+        record = sim.run(scenario)
+        assert record.n * record.d > cli.BATCH_VALUES
         self.assert_writers_agree(record, tmp_path, monkeypatch)
 
     def test_diverged_partial_record(self, tmp_path, monkeypatch):

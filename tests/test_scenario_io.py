@@ -64,8 +64,8 @@ class TestParsing:
         doc = minimal_doc()
         doc["params"]["per_agent"] = {"1": {"theta": 3.0}}
         sc, _ = parse_scenario(doc)
-        assert sc.params.agent(0).theta == 1.0
-        assert sc.params.agent(1).theta == 3.0
+        assert oracles.agent_params(sc.params, 0).theta == 1.0
+        assert oracles.agent_params(sc.params, 1).theta == 3.0
 
     def test_per_agent_out_of_range(self):
         doc = minimal_doc()
@@ -217,8 +217,8 @@ class TestCanonicalDump:
         sc2 = type(sc)(graph=sc.graph, mode=sc.mode, params=bumped,
                        dt=sc.dt, horizon=sc.horizon, seed=sc.seed)
         sc3, _ = load_scenario_text(dump_scenario(sc2))
-        assert sc3.params.agent(2).theta == 0.75
-        assert sc3.params.agent(0).theta == 0.5
+        assert oracles.agent_params(sc3.params, 2).theta == 0.75
+        assert oracles.agent_params(sc3.params, 0).theta == 0.5
 
 
 class TestHashing:

@@ -191,18 +191,18 @@ class TestStructureComputedOnce:
         for i in range(g.n):
             trigger.mu_bar(i, g)
             trigger.gamma(i, g, g.n)
-        # Only the one-node quotient's edges (none) and its Laplacian.
-        assert eigh_shapes == [(0, g.d, g.d), (g.d, g.d)]
+        # Only the one-node quotient's Laplacian: it has no edges.
+        assert eigh_shapes == [(g.d, g.d)]
 
     def test_lf_gamma_reads_cached_lambda_max(self, eigh_shapes):
         sc = leader_follower_scenario(horizon=0.05)
         g = sc.graph
         eigh_shapes.clear()
         analysis.event_stats(run(sc))
-        # Only the one-node quotient's edges (none) and Laplacian, and
+        # Only the one-node quotient's Laplacian (it has no edges) and
         # Assumption 2's grounding test: every edge and coupling keeps its
         # load-time pair.
-        decomposed = [(0, g.d, g.d), (g.d, g.d), (g.d, g.d)]
+        decomposed = [(g.d, g.d), (g.d, g.d)]
         assert eigh_shapes == decomposed
         for i in range(g.n):
             trigger.gamma(i, sc.network, g.n)
@@ -655,7 +655,7 @@ class TestTriggerEngineConsistency:
                            oracles.relative_broadcast(i, j, xhat_pre, g))
                           for j in g.neighbors(i)]
                 want = oracles.leaderless_fires(
-                    e_i, p_list, float(rec.chi[k + 1, i]), sc.params.agent(i),
+                    e_i, p_list, float(rec.chi[k + 1, i]), oracles.agent_params(sc.params, i),
                     mu[i], g.degree(i))
                 assert want == ((k + 1) in event_steps[i]), (k, i)
 
@@ -676,7 +676,7 @@ class TestTriggerEngineConsistency:
                 qhat_i = oracles.control_leader_follower(
                     i, xhat_pre, g, sc.mode.coupling, sc.mode.u0)
                 want = oracles.lf_fires(e_i, qhat_i, float(rec.chi[k + 1, i]),
-                                        sc.params.agent(i), gam[i])
+                                        oracles.agent_params(sc.params, i), gam[i])
                 assert want == ((k + 1) in event_steps[i]), (k, i)
 
     def test_chi_integration_matches_rate_function(self):
@@ -696,7 +696,7 @@ class TestTriggerEngineConsistency:
             xhat = broadcasts[k]
             qhat = controls[k]
             for i in range(g.n):
-                pr = sc.params.agent(i)
+                pr = oracles.agent_params(sc.params, i)
                 p_list = [(sqrt_weight(i, j),
                            oracles.relative_broadcast(i, j, xhat, g))
                           for j in g.neighbors(i)]

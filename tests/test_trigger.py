@@ -16,14 +16,14 @@ from mwconsensus.linalg import matrix_abs, sym_eigen, sym_sqrt
 from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
     build_laplacian, extended_graph
 from mwconsensus.sim import Scenario
-from mwconsensus.trigger import AgentParams, LeaderFollower, Leaderless, \
-    TriggerParams, gamma, mu_bar, validate_params
+from mwconsensus.trigger import LeaderFollower, Leaderless, TriggerParams, \
+    gamma, mu_bar, validate_params
 
 import oracles
 from conftest import random_balanced_scalar_graph
-from oracles import NotNeighbors, chi_rate_leaderless, chi_rate_lf, \
-    control_leader_follower, control_leaderless, leaderless_fires, lf_fires, \
-    relative_broadcast
+from oracles import AgentParams, NotNeighbors, chi_rate_leaderless, \
+    chi_rate_lf, control_leader_follower, control_leaderless, \
+    leaderless_fires, lf_fires, relative_broadcast
 from test_mwgraph import scalar_graph
 
 

@@ -73,9 +73,11 @@ def lyapunov_lf(record: TrajectoryRecord, xtilde: np.ndarray) -> np.ndarray:
     xi = record.states - np.asarray(xtilde, dtype=float)[None, :]
     blocks = xi.reshape(len(xi), n, d)
     v = np.zeros(len(xi))
-    for e in record.scenario.network.edges:
-        p = blocks[:, e.i] - e.sign * blocks[:, e.j] if e.j < n else blocks[:, e.i]
-        v += np.einsum("rk,rk->r", p @ e.abs_weight, p)
+    t = record.scenario.network.table
+    for (i, j), sign, absw in zip(t.ends.tolist(), t.sign.tolist(),
+                                  t.abs_weight):
+        p = blocks[:, i] - sign * blocks[:, j] if j < n else blocks[:, i]
+        v += np.einsum("rk,rk->r", p @ absw, p)
     return v + record.chi.sum(axis=1)
 
 

@@ -1,13 +1,12 @@
 """Edges as tables: the stacked weights of one load with their ``eigh``
-pairs, classes and signs (:class:`EdgeTable`), views of single edges
-(:class:`Edge`), the refusal of the lowest-index faulty row of a stack
-(:class:`Faults`), the conversion of a load's weights to one stack
-(:func:`weight_stack`), and the checks and CSR neighbour index of a graph's
-edges (:func:`index_edges`).
+pairs, classes and signs (:class:`EdgeTable`), the refusal of the
+lowest-index faulty row of a stack (:class:`Faults`), the conversion of a
+load's weights to one stack (:func:`weight_stack`), and the checks and CSR
+neighbour index of a graph's edges (:func:`index_edges`).
 
-An :class:`Edge` is built only when asked for (in set-up, by the balance
-walk alone, for its spanning-tree edges); the tables and the index hold
-the per-edge facts as arrays.
+The table is the only edge model: every per-edge fact (class, sign, |A|,
+the spectrum of |A| and its largest eigenvalue) is one aligned array, and
+an edge is named by its row.
 :mod:`mwconsensus.mwgraph` loads the tables and builds graphs on them.
 """
 
@@ -37,58 +36,6 @@ def float_array(value, field: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class Edge:
-    """Edge (i, j) with a sign-definite ``weight`` and its ``eigen`` pair
-    (``linalg.sym_eigen``), from which its class, sign, absolute value and
-    the spectrum of that absolute value are read.  All are read-only.  An
-    edge of a graph or coupling is a view of one row of its
-    :class:`EdgeTable`, handed its class."""
-
-    i: int
-    j: int
-    weight: np.ndarray
-    eigen: tuple[np.ndarray, np.ndarray]
-
-    @cached_property
-    def cls(self) -> DefinitenessClass:
-        return linalg.classify_definiteness(self.eigen[0])
-
-    @property
-    def sign(self) -> int:
-        return linalg.matrix_sgn(self.cls)
-
-    @cached_property
-    def abs_weight(self) -> np.ndarray:
-        """|weight|, built once per weight."""
-        return linalg.matrix_abs(self.weight, self.cls)
-
-    @cached_property
-    def abs_eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``eigh`` pair of |weight|: the weight's own, negated and
-        reversed (still ascending) for a negative class."""
-        if self.sign > 0:
-            return self.eigen
-        vals, vecs = self.eigen
-        vals = -vals[::-1]
-        vals.setflags(write=False)
-        return vals, vecs[:, ::-1]
-
-    @property
-    def abs_lambda_max(self) -> float:
-        """lambda_max(|weight|)."""
-        return float(self.abs_eigen[0][-1])
-
-
-def _edge(i: int, j: int, weight: np.ndarray,
-          eigen: tuple[np.ndarray, np.ndarray], cls: DefinitenessClass) -> Edge:
-    """An :class:`Edge` handed the class already read from its spectrum, so
-    that it never classifies itself again."""
-    e = Edge(i, j, weight, eigen)
-    vars(e)["cls"] = cls  # where the cached property keeps its value
-    return e
-
-
 #: Sign of each class: +1, -1, or 0 for a class that is not sign-definite
 #: (and for no class).
 SIGN_OF = {None: 0, **{c: linalg.matrix_sgn(c) if c.is_sign_definite else 0
@@ -116,8 +63,8 @@ def ends_array(pairs) -> np.ndarray:
 
 
 def abs_stack(sign: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """The |A| of a stack of weights with signs ``sign``, each bit-equal to
-    its edge's ``abs_weight``."""
+    """The |A| of a stack of weights with signs ``sign``: ``sgn(A) A``,
+    symmetrized."""
     return linalg.symmetric(sign[:, None, None] * weight)
 
 
@@ -131,8 +78,7 @@ class EdgeTable:
     """Edges as aligned arrays, all read-only: the ``ends`` ``(E, 2)`` (see
     :func:`ends_array`), the ``weight`` stack ``(E, d, d)``, its ``eigh``
     pair ``vals`` ``(E, d)`` and ``vecs`` ``(E, d, d)``, and ``cls``, an
-    ``(E,)`` object array of classes.  Iterating yields :class:`Edge` views
-    of the rows."""
+    ``(E,)`` object array of classes.  Row ``k`` is edge ``k``."""
 
     ends: np.ndarray
     weight: np.ndarray
@@ -158,15 +104,6 @@ class EdgeTable:
     def __len__(self) -> int:
         return len(self.ends)
 
-    def __iter__(self):
-        return (self.view(k) for k in range(len(self)))
-
-    def view(self, k: int) -> Edge:
-        """Row ``k`` as an :class:`Edge` sharing the table's arrays."""
-        i, j = self.ends[k].tolist()
-        return _edge(i, j, self.weight[k], (self.vals[k], self.vecs[k]),
-                     self.cls[k])
-
     @cached_property
     def sign(self) -> np.ndarray:
         """sgn(A) per edge, int8: +1, -1, or 0 for a class without sign."""
@@ -182,7 +119,7 @@ class EdgeTable:
     @cached_property
     def abs_eigen(self) -> tuple[np.ndarray, np.ndarray]:
         """The stacked ``eigh`` pairs of |A|: each edge's own, negated and
-        reversed for a negative class, as :attr:`Edge.abs_eigen`."""
+        reversed (still ascending) for a negative class."""
         positive = (self.sign > 0)[:, None]
         vals = np.where(positive, self.vals, -self.vals[:, ::-1])
         vecs = np.where(positive[:, None], self.vecs, self.vecs[:, :, ::-1])
@@ -253,26 +190,21 @@ def weight_stack(raws: list, d: int, faults: Faults) -> np.ndarray:
     return np.array(arrays).reshape(-1, d, d)
 
 
-def index_edges(n: int, d: int, edges) -> tuple:
-    """The edges of a graph on n nodes with d x d weights, given as an
-    :class:`EdgeTable` or as :class:`Edge` objects, checked and indexed:
-    ``(table, offsets, slot_neighbor, slot_edge, views)``.  ``table`` has
-    its ends in ``(min, max)`` order; for node ``i`` the slots
+def index_edges(n: int, d: int, table: EdgeTable) -> tuple:
+    """The edge table of a graph on n nodes with d x d weights, checked and
+    indexed: ``(table, offsets, slot_neighbor, slot_edge)``.  The returned
+    ``table`` has its ends in ``(min, max)`` order; for node ``i`` the slots
     ``offsets[i]:offsets[i + 1]`` hold its neighbours (ascending) and the
-    edge of each, found with one stable sort; ``views`` holds, per edge, the
-    given :class:`Edge` object when its ends are in order, else ``None``.
+    edge of each, found with one stable sort.
 
     A refusal names the lowest-index faulty edge and its first failing
     check, in this order: an end out of range, a self-loop, a weight that is
     not d x d, a pair seen before, and a class without sign.
     """
-    given = None if isinstance(edges, EdgeTable) else tuple(edges)
-    ends = edges.ends if given is None else \
-        ends_array([(e.i, e.j) for e in given])
+    ends = table.ends
     i, j = ends[:, 0], ends[:, 1]
     ordered = np.zeros((0, 2), dtype=np.int64)
     key = order = ordered[:, 0]
-    cls = edges.cls if given is None else np.zeros(0, dtype=object)
     if len(ends):  # a graph without edges has nothing to check or sort
         faults = Faults(len(ends))
         lo, hi = np.minimum(i, j), np.maximum(i, j)
@@ -281,14 +213,11 @@ def index_edges(n: int, d: int, edges) -> tuple:
                       lambda k: f"edge ({i[k]},{j[k]}) out of range for n={n}")
         faults.refuse(np.asarray(lo == hi, dtype=bool),
                       lambda k: f"self-loop at node {i[k]}")
-        # A table's rows share one shape: its first row stands for all.
-        shapes = [edges.weight.shape[1:]] * min(faults.limit, 1) \
-            if given is None else \
-            [e.weight.shape for e in given[:faults.limit]]
-        faults.refuse([k for k, s in enumerate(shapes) if s != (d, d)],
+        # The rows share one shape: the first row stands for all.
+        shape = table.weight.shape[1:]
+        faults.refuse([0] if shape != (d, d) else [],
                       lambda k: (f"edge ({i[k]},{j[k]}) weight has shape "
-                                 f"{shapes[k]}, graph block dimension is "
-                                 f"{d}"))
+                                 f"{shape}, graph block dimension is {d}"))
         ordered = np.stack((lo, hi), axis=1)[:faults.limit].astype(np.int64)
         lo, hi = ordered[:, 0], ordered[:, 1]
         # Both arcs of each edge, sorted by (node, neighbour): the CSR
@@ -300,29 +229,14 @@ def index_edges(n: int, d: int, edges) -> tuple:
         if repeat.any():
             faults.refuse(order[1:][repeat] % len(lo),
                           lambda k: f"duplicate edge ({i[k]},{j[k]})")
-        if given is not None:
-            cls = np.array([e.cls for e in given[:faults.limit]],
-                           dtype=object)
-        sign = edges.sign if given is None else class_signs(cls)
-        faults.refuse(sign[:faults.limit] == 0,
+        faults.refuse(table.sign[:faults.limit] == 0,
                       lambda k: (f"edge ({i[k]},{j[k]}) has class "
-                                 f"{cls[k].value}"))
+                                 f"{table.cls[k].value}"))
         faults.raise_any()
-    table = edges
-    if given is not None:
-        table = EdgeTable(
-            ordered, np.array([e.weight for e in given]).reshape(-1, d, d),
-            np.array([e.eigen[0] for e in given]).reshape(-1, d),
-            np.array([e.eigen[1] for e in given]).reshape(-1, d, d), cls)
-    elif ends.dtype != np.int64 or (i > j).any():
+    if ends.dtype != np.int64 or (i > j).any():
         table = EdgeTable(ordered, table.weight, table.vals, table.vecs,
                           table.cls)
     slot_neighbor, slot_edge = key % max(n, 1), order % max(len(table), 1)
     offsets = np.searchsorted(key, np.arange(n + 1) * n)
     read_only(offsets, slot_neighbor, slot_edge)
-    views = [None] * len(table)
-    for k, e in enumerate(given or ()):
-        # An edge already in (min, max) order is shared, caches and all.
-        if (e.i, e.j) == tuple(ordered[k]):
-            views[k] = e
-    return table, offsets, slot_neighbor, slot_edge, views
+    return table, offsets, slot_neighbor, slot_edge

@@ -141,22 +141,12 @@ def matrix_sgn(cls: DefinitenessClass) -> int:
     raise UnsupportedWeight("sign is undefined for indefinite matrices")
 
 
-def matrix_abs(m, cls: DefinitenessClass) -> np.ndarray:
-    """Absolute value of a sign-definite matrix: M itself if nonnegative
-    definite, -M if nonpositive definite.  Indefinite input is rejected."""
-    if cls in (PD, PSD, ZERO):
-        return symmetric(m)
-    if cls in (ND, NSD):
-        return symmetric(-np.asarray(m, dtype=float))
-    raise UnsupportedWeight("absolute value is undefined for indefinite matrices")
-
-
 def spectral_abs(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Absolute value through the spectrum ``(vals, q)``: Q |Lambda| Q^T.
 
-    Agrees with :func:`matrix_abs` on every sign-definite matrix and extends
-    it to arbitrary symmetric input; the eigenvalue magnitudes (hence the
-    spectral radius) are preserved exactly.
+    On a sign-definite matrix this is ``sgn(M) M``; it extends to arbitrary
+    symmetric input, and the eigenvalue magnitudes (hence the spectral
+    radius) are preserved exactly.
     """
     return symmetric((q * np.abs(vals)) @ q.T)
 

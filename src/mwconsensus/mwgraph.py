@@ -8,14 +8,14 @@ a zero block is simply a non-edge).  A graph holds its edges as one
 (:func:`~mwconsensus.edges.index_edges`).  The loader here checks the
 weights of one call as one stacked ``(E, d, d)`` array, decomposes them
 with one ``eigh`` (plus one of the few whose declared class projects
-eigenvalue noise away) and classifies them with one call.  An :class:`Edge`
-is a view of one edge, built only when :attr:`MatrixWeightedGraph.edges` or
-:meth:`MatrixWeightedGraph.edge` asks for it.  Input couplings are edge
-tables too.  The loaders take ``(i, j, weight[, class])`` tuples; reading
-them from a scenario document is :mod:`mwconsensus.scenario_io`'s job.  On
-top of the graph itself this module derives the block Laplacian, the
-input-extended graph, structural balance, and the two structural
-assumptions that the consensus protocols require.
+eigenvalue noise away) and classifies them with one call.  An edge is named
+by its row in the table (:meth:`MatrixWeightedGraph.edge` finds it by its
+ends).  Input couplings are edge tables too.  The loaders take
+``(i, j, weight[, class])`` tuples; reading them from a scenario document
+is :mod:`mwconsensus.scenario_io`'s job.  On top of the graph itself this
+module derives the block Laplacian, the input-extended graph, structural
+balance, and the two structural assumptions that the consensus protocols
+require.
 
 Structural balance is one read-only int array ``signs`` of +-1 gauge signs
 with ``signs[i] * signs[j] == sgn(A_ij)`` on every edge: the gauge
@@ -37,13 +37,13 @@ import bisect
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
 from . import linalg
 # float_array is read through this module by sim and trigger.
-from .edges import SIGN_OF, Edge, EdgeTable, Faults, abs_stack, \
+from .edges import SIGN_OF, EdgeTable, Faults, abs_stack, \
     class_signs, ends_array, float_array, index_edges, weight_stack
 from .errors import AssumptionViolated, GraphFormatError, NotPSD
 from .linalg import ND, PD, DefinitenessClass
@@ -181,30 +181,25 @@ def _load_edges(specs: Iterable[tuple], d: int, kind: str) -> EdgeTable:
 class MatrixWeightedGraph:
     """Undirected graph on n nodes with sign-definite d x d matrix weights.
 
-    ``table`` is given as an :class:`EdgeTable` or as :class:`Edge` objects
-    and kept as an :class:`EdgeTable` whose ends are in ``(min, max)`` order.
-    The CSR neighbour index holds, for node ``i``, the slots
+    ``table`` is an :class:`EdgeTable`, kept with its ends in ``(min, max)``
+    order.  The CSR neighbour index holds, for node ``i``, the slots
     ``offsets[i]:offsets[i + 1]`` of ``slot_neighbor`` (ascending) and
     ``slot_edge`` (the edge of each slot).  Immutable; the Laplacian, signs
-    and Assumption-1 report are cached, and so is each :class:`Edge` view,
-    which a graph given :class:`Edge` objects starts from.
+    and Assumption-1 report are cached.
     """
 
     n: int
     d: int
-    table: Union[EdgeTable, Iterable[Edge]] = ()
+    table: EdgeTable
 
     def __post_init__(self):
         refusal = memory_refusal(NODE_BYTES * self.n, f"n={self.n} nodes",
                                  "for the adjacency index")
         if refusal:
             raise GraphFormatError(refusal)
-        table, offsets, slot_neighbor, slot_edge, views = index_edges(
-            self.n, self.d, self.table)
-        for name, value in (("table", table), ("offsets", offsets),
-                            ("slot_neighbor", slot_neighbor),
-                            ("slot_edge", slot_edge), ("_views", views),
-                            ("_base", None)):
+        for name, value in zip(
+                ("table", "offsets", "slot_neighbor", "slot_edge"),
+                index_edges(self.n, self.d, self.table)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -233,32 +228,14 @@ class MatrixWeightedGraph:
         offsets, neighbor, _ = self._index
         return tuple(neighbor[offsets[i]:offsets[i + 1]])
 
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
-
-    def edge(self, i: int, j: int) -> Optional[Edge]:
+    def edge(self, i: int, j: int) -> Optional[int]:
+        """The row of edge (i, j) in :attr:`table`, or ``None``."""
         if not 0 <= i < self.n:
             return None
         offsets, neighbor, edge = self._index
         lo, hi = offsets[i], offsets[i + 1]
         s = bisect.bisect_left(neighbor, j, lo, hi)
-        return self._view(edge[s]) if s < hi and neighbor[s] == j else None
-
-    def _view(self, k: int) -> Edge:
-        """The cached :class:`Edge` view of edge ``k``; an extended network
-        shares its base graph's views of the base's edges."""
-        view = self._views[k]
-        if view is None:
-            base = self._base
-            view = self._views[k] = base._view(k) \
-                if base is not None and k < len(base.table) \
-                else self.table.view(k)
-        return view
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """Every edge as an :class:`Edge` view, in table order."""
-        return tuple(self._view(k) for k in range(len(self.table)))
+        return edge[s] if s < hi and neighbor[s] == j else None
 
     @cached_property
     def laplacian(self) -> np.ndarray:
@@ -378,12 +355,13 @@ def detect_structural_balance(g: MatrixWeightedGraph) -> Optional[np.ndarray]:
     graph is structurally imbalanced.
 
     A breadth-first walk over ``g.neighbors`` colours each node through the
-    edge that reaches it first, whose sign it reads from ``g.edge``; every
-    edge is then checked at once.  Balance is decided independently on each
-    connected component; the lowest-index node of every component gets +1,
-    which makes the signs deterministic.
+    edge that reaches it first, whose row it finds with ``g.edge`` and whose
+    sign it reads from the table; every edge is then checked at once.
+    Balance is decided independently on each connected component; the
+    lowest-index node of every component gets +1, which makes the signs
+    deterministic.
     """
-    color = [0] * g.n
+    color, sign = [0] * g.n, g.table.sign.tolist()
     for root in range(g.n):
         if color[root]:
             continue
@@ -392,7 +370,7 @@ def detect_structural_balance(g: MatrixWeightedGraph) -> Optional[np.ndarray]:
         for u in queue:  # grows while it is walked
             for v in g.neighbors(u):
                 if not color[v]:
-                    color[v] = color[u] * g.edge(u, v).sign
+                    color[v] = color[u] * sign[g.edge(u, v)]
                     queue.append(v)
     signs = np.array(color, dtype=int)
     ends = g.table.ends
@@ -454,9 +432,8 @@ def predicted_bipartite_limit(g: MatrixWeightedGraph, x0: np.ndarray) -> np.ndar
 class InputCoupling:
     """External input attachment: which agents see which homogeneous input,
     through which sign-definite weight.  Row ``(i, j)`` of ``table`` couples
-    agent ``i`` to input ``j``; :attr:`entries` are its :class:`Edge` views.
-    The input count ``m`` is one past the largest input index, and each of
-    the m inputs is coupled."""
+    agent ``i`` to input ``j``.  The input count ``m`` is one past the
+    largest input index, and each of the m inputs is coupled."""
 
     table: EdgeTable = field(default_factory=lambda: EdgeTable.empty(1))
 
@@ -487,10 +464,6 @@ class InputCoupling:
         inp = self.table.ends[:, 1]
         return 1 + int(inp.max()) if len(inp) else 0
 
-    @cached_property
-    def entries(self) -> tuple[Edge, ...]:
-        return tuple(self.table)
-
     @classmethod
     def from_entries(cls, entries: Iterable[tuple],
                      d: int) -> "InputCoupling":
@@ -501,8 +474,7 @@ class InputCoupling:
 def extended_graph(g: MatrixWeightedGraph,
                    coupling: InputCoupling) -> MatrixWeightedGraph:
     """Agents plus input l at node ``n + l``, joined by the coupling edges,
-    which follow the graph's own; the extended graph shares the graph's
-    :class:`Edge` views of those.  A coupling whose weights are not the
+    which follow the graph's own.  A coupling whose weights are not the
     graph's d x d is refused."""
     t, c, d = g.table, coupling.table, g.d
     if not len(c):
@@ -512,12 +484,10 @@ def extended_graph(g: MatrixWeightedGraph,
         raise GraphFormatError(
             f"edge ({i},{g.n + j}) weight has shape {c.weight.shape[1:]}, "
             f"graph block dimension is {d}")
-    net = MatrixWeightedGraph(g.n + coupling.m, d, EdgeTable(
+    return MatrixWeightedGraph(g.n + coupling.m, d, EdgeTable(
         np.concatenate((t.ends, c.ends.astype(np.int64) + [0, g.n])),
         *(np.concatenate((getattr(t, f), getattr(c, f)))
           for f in ("weight", "vals", "vecs", "cls"))))
-    object.__setattr__(net, "_base", g)
-    return net
 
 
 def leader_gauge(network: MatrixWeightedGraph, n: int) -> Optional[np.ndarray]:

@@ -11,12 +11,12 @@ and controls through ``held_rows``, which expands the record's anchor rows
 to one row per grid point.
 
 The per-agent trigger formulas below evaluate one agent at a time from the
-graph's edge accessors, with small numpy products.  The engine
-(``sim.CompiledScenario`` and ``sim.step``) evaluates the same formulas
-vectorized over all agents from the edge arrays, so the two paths share
-the graph model but none of the trigger arithmetic.  They read one agent's
-parameters as an ``AgentParams`` of Python floats (``agent_params``); the
-package keeps only the per-agent arrays.
+graph's neighbour lookups and the rows of its edge table, with small numpy
+products.  The engine (``sim.CompiledScenario`` and ``sim.step``) evaluates
+the same formulas vectorized over all agents from the edge arrays, so the
+two paths share the graph model but none of the trigger arithmetic.  They
+read one agent's parameters as an ``AgentParams`` of Python floats
+(``agent_params``); the package keeps only the per-agent arrays.
 
 ``assumption1_dense`` decides Assumption 1 the direct way, from the
 spectrum of the full nd x nd Laplacian, against which the package's verdict
@@ -25,8 +25,9 @@ on the graph's definite quotient is checked.
 ``mu_bar``, ``gamma`` and ``gains`` are the per-agent trigger gains the
 package computed before it read them from the graph's edge table for all
 agents at once: a ``max`` and left-to-right sums over each agent's
-``neighbors(i)``, read one ``edge(i, j)`` at a time.  ``validate_params``
-is the per-agent parameter check that masks over all agents replaced.
+``neighbors(i)``, read one ``edge(i, j)`` row at a time.
+``validate_params`` is the per-agent parameter check that masks over all
+agents replaced.
 
 ``four_stage_run`` is the step-at-a-time loop with the classical 4-stage
 update of the thresholds, against which the engine's windows and its
@@ -35,10 +36,12 @@ closed-form thresholds are checked.
 ``load_edge`` is the per-edge loader the package had before it loaded a
 graph's weights as one stack: it checks, decomposes, projects and
 classifies one weight at a time, so ``load_edges`` refuses the first faulty
-spec in the order the specs come.  The batched loader must build the same
-edges bit for bit, and refuse with the same line.  ``json_floats_walk`` is
-the item-by-item type walk of a weight array that the reader's level-wise
-check replaced.
+spec in the order the specs come.  It builds one ``LoadedEdge`` per spec;
+the batched loader must build the same rows bit for bit, and refuse with
+the same line.  ``matrix_abs`` is the per-matrix |M| of a sign-definite
+matrix from its class, which the package computes for a whole stack from
+the signs.  ``json_floats_walk`` is the item-by-item type walk of a weight
+array that the reader's level-wise check replaced.
 """
 
 from __future__ import annotations
@@ -51,10 +54,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from mwconsensus import linalg, sim
-from mwconsensus.errors import GraphFormatError, MwcError
-from mwconsensus.linalg import matrix_abs, matrix_sgn
+from mwconsensus.errors import GraphFormatError, MwcError, UnsupportedWeight
+from mwconsensus.linalg import ND, NSD, PD, PSD, ZERO, DefinitenessClass, \
+    matrix_sgn
 from mwconsensus.mwgraph import CLASS_DECLARATION_TOL, SYMMETRY_REJECT_TOL, \
-    TOO_LARGE, Edge, InputCoupling, MatrixWeightedGraph, _CLASS_NAMES, \
+    TOO_LARGE, InputCoupling, MatrixWeightedGraph, _CLASS_NAMES, \
     float_array, kernel_mask
 from mwconsensus.scenario_io import _json_value
 from mwconsensus.trigger import LeaderFollower, Violation
@@ -75,6 +79,23 @@ def agent_params(params, i: int) -> AgentParams:
     return AgentParams(float(params.sigma[i]), float(params.theta[i]),
                        float(params.beta[i]), float(params.delta[i]),
                        float(params.chi0[i]))
+
+
+def matrix_abs(m, cls: DefinitenessClass) -> np.ndarray:
+    """Absolute value of a sign-definite matrix: M itself if nonnegative
+    definite, -M if nonpositive definite.  Indefinite input is rejected."""
+    if cls in (PD, PSD, ZERO):
+        return linalg.symmetric(m)
+    if cls in (ND, NSD):
+        return linalg.symmetric(-np.asarray(m, dtype=float))
+    raise UnsupportedWeight("absolute value is undefined for indefinite matrices")
+
+
+def edge_rows(table) -> list[tuple]:
+    """Each row of an edge table as ``(i, j, weight, cls)``, with the ends
+    as Python ints."""
+    return [(i, j, w, c) for (i, j), w, c
+            in zip(table.ends.tolist(), table.weight, table.cls)]
 
 
 class NotNeighbors(MwcError):
@@ -132,9 +153,9 @@ def brute_force_balance(n, signed_edges):
 def check_gauge_identity(g: MatrixWeightedGraph, signs) -> bool:
     """True iff signs[i] * signs[j] * A_ij equals |A_ij| entrywise on every
     edge, i.e. the gauge transformation makes every weight nonnegative."""
-    for e in g.edges:
-        gauged = (signs[e.i] * signs[e.j]) * e.weight
-        absw = e.abs_weight
+    for i, j, w, cls in edge_rows(g.table):
+        gauged = (signs[i] * signs[j]) * w
+        absw = matrix_abs(w, cls)
         tol = 1e-12 * max(1.0, float(np.max(np.abs(absw))))
         if np.max(np.abs(gauged - absw)) > tol:
             return False
@@ -326,13 +347,13 @@ def quadratic_roots(b, c):
 def relative_broadcast(i: int, j: int, xhat: np.ndarray,
                        g: MatrixWeightedGraph) -> np.ndarray:
     """p_ij = xhat_i - sgn(A_ij) * xhat_j, from the stacked broadcast vector."""
-    e = g.edge(i, j)
-    if e is None:
+    k = g.edge(i, j)
+    if k is None:
         raise NotNeighbors(f"agents {i} and {j} share no edge")
     d = g.d
     xi = xhat[i * d:(i + 1) * d]
     xj = xhat[j * d:(j + 1) * d]
-    return xi - e.sign * xj
+    return xi - int(g.table.sign[k]) * xj
 
 
 def control_leaderless(i: int, xhat: np.ndarray,
@@ -341,7 +362,7 @@ def control_leaderless(i: int, xhat: np.ndarray,
     out = np.zeros(g.d)
     for j in g.neighbors(i):
         p = relative_broadcast(i, j, xhat, g)
-        out -= g.edge(i, j).abs_weight @ p
+        out -= g.table.abs_weight[g.edge(i, j)] @ p
     return out
 
 
@@ -353,10 +374,10 @@ def control_leader_follower(i: int, xhat: np.ndarray, g: MatrixWeightedGraph,
     out = control_leaderless(i, xhat, g)
     d = g.d
     xi = xhat[i * d:(i + 1) * d]
-    for c in coupling.entries:
-        if c.i == i:
-            out -= matrix_abs(c.weight, c.cls) @ (
-                xi - matrix_sgn(c.cls) * np.asarray(u0, dtype=float))
+    for agent, _, w, cls in edge_rows(coupling.table):
+        if agent == i:
+            out -= matrix_abs(w, cls) @ (
+                xi - matrix_sgn(cls) * np.asarray(u0, dtype=float))
     return out
 
 
@@ -365,9 +386,8 @@ def input_drive(g: MatrixWeightedGraph, coupling: InputCoupling,
     """Constant part of the stacked leader-follower control:
     ``sum_l sgn(B_il) |B_il| u0`` on each agent's block."""
     drive = np.zeros((g.n, g.d))
-    for c in coupling.entries:
-        absb = matrix_abs(c.weight, c.cls)
-        drive[c.i] += matrix_sgn(c.cls) * absb @ u0
+    for agent, _, w, cls in edge_rows(coupling.table):
+        drive[agent] += matrix_sgn(cls) * matrix_abs(w, cls) @ u0
     return drive.reshape(-1)
 
 
@@ -407,9 +427,9 @@ def grounded_laplacian(g: MatrixWeightedGraph,
     leader-follower control is ``input_drive - L_B @ xhat``."""
     d = g.d
     lb = g.laplacian.copy()
-    for c in coupling.entries:
-        block = slice(c.i * d, (c.i + 1) * d)
-        lb[block, block] += matrix_abs(c.weight, c.cls)
+    for agent, _, w, cls in edge_rows(coupling.table):
+        block = slice(agent * d, (agent + 1) * d)
+        lb[block, block] += matrix_abs(w, cls)
     return lb
 
 
@@ -477,12 +497,22 @@ def chi_rate_lf(e_i: np.ndarray, qhat_i: np.ndarray, chi: float,
     return -params.beta * chi + params.delta * drive
 
 
-def load_edge(spec: tuple, d: int, kind: str) -> Edge:
+class LoadedEdge(NamedTuple):
+    """An edge as :func:`load_edge` builds it: its ends, its read-only and
+    exactly symmetric weight, the weight's ``eigh`` pair and its class."""
+
+    i: int
+    j: int
+    weight: np.ndarray
+    eigen: tuple[np.ndarray, np.ndarray]
+    cls: DefinitenessClass
+
+
+def load_edge(spec: tuple, d: int, kind: str) -> LoadedEdge:
     """Edge of an ``(i, j, weight)`` or ``(i, j, weight, declared_class)``
     spec, whose weight is validated, decomposed once, optionally projected
-    and classified: the one check every weight gets.  The edge's weight is
-    read-only and exactly symmetric, and the edge keeps its ``eigh`` pair;
-    ``kind`` names the spec in error messages."""
+    and classified: the one check every weight gets.  ``kind`` names the
+    spec in error messages."""
     i, j, raw, declared = spec if len(spec) == 4 else (*spec, None)
     where = f"{kind} ({i},{j})"
     arr = float_array(raw, f"{where}: weight")
@@ -505,31 +535,33 @@ def load_edge(spec: tuple, d: int, kind: str) -> Edge:
         if not target.is_sign_definite:
             raise GraphFormatError(f"{where}: declared class must be sign-definite")
     weight = linalg.symmetric(arr)
-    e = Edge(i, j, weight, linalg.sym_eigen(weight))
-    if not np.all(np.isfinite(e.eigen[0])):  # inf would widen the zero band
+    eigen = linalg.sym_eigen(weight)
+    if not np.all(np.isfinite(eigen[0])):  # inf would widen the zero band
         raise GraphFormatError(f"{where}: {TOO_LARGE}")
+    cls = linalg.classify_definiteness(eigen[0])
     # A spectrum that already agrees at strict tolerance keeps the weight
     # bit-exact, so that dump/load round trips are stable.
     if target is not None and not (
-            e.cls.is_sign_definite and e.sign == linalg.matrix_sgn(target)):
+            cls.is_sign_definite and matrix_sgn(cls) == matrix_sgn(target)):
         try:
-            weight = linalg.project_to_class(*e.eigen, target,
+            weight = linalg.project_to_class(*eigen, target,
                                              CLASS_DECLARATION_TOL)
         except linalg.UnsupportedWeight as exc:
             raise GraphFormatError(f"{where}: {exc}") from exc
-        e = Edge(i, j, weight, linalg.sym_eigen(weight))
-        if e.sign != linalg.matrix_sgn(target):
+        eigen = linalg.sym_eigen(weight)
+        cls = linalg.classify_definiteness(eigen[0])
+        if matrix_sgn(cls) != matrix_sgn(target):
             raise GraphFormatError(
                 f"{where}: declared class {declared!r} inconsistent with "
-                f"spectrum (classified {e.cls.value})")
-    if not e.cls.is_sign_definite:
+                f"spectrum (classified {cls.value})")
+    if not cls.is_sign_definite:
         raise GraphFormatError(
-            f"{where}: weight classified {e.cls.value}; only sign-definite "
+            f"{where}: weight classified {cls.value}; only sign-definite "
             "(pd/psd/nd/nsd) weights are admissible")
-    return e
+    return LoadedEdge(i, j, weight, eigen, cls)
 
 
-def load_edges(specs, d: int, kind: str) -> tuple[Edge, ...]:
+def load_edges(specs, d: int, kind: str) -> tuple[LoadedEdge, ...]:
     """Each spec through :func:`load_edge` in turn."""
     return tuple(load_edge(s, d, kind) for s in specs)
 
@@ -548,7 +580,8 @@ def json_floats_walk(value, where: str) -> None:
 
 def mu_bar(i: int, g: MatrixWeightedGraph) -> float:
     """lambda_max(|A_ij|), maximised over agent i's edges."""
-    return max(g.edge(i, j).abs_lambda_max for j in g.neighbors(i))
+    lam = g.table.abs_lambda_max
+    return max(float(lam[g.edge(i, j)]) for j in g.neighbors(i))
 
 
 def _left_to_right(values) -> float:
@@ -563,9 +596,9 @@ def _left_to_right(values) -> float:
 def gamma(i: int, network: MatrixWeightedGraph, n: int) -> float:
     """n (sum_j mu(|A_ij|) + sum_l mu(|B_il|))^2 + n sum_j mu(|A_ij|)^2,
     each sum in ``network.neighbors(i)`` order."""
-    mus, mus_b = [], []
+    mus, mus_b, lam = [], [], network.table.abs_lambda_max
     for j in network.neighbors(i):
-        (mus if j < n else mus_b).append(network.edge(i, j).abs_lambda_max)
+        (mus if j < n else mus_b).append(float(lam[network.edge(i, j)]))
     try:
         spread = n * (_left_to_right(mus) + _left_to_right(mus_b)) ** 2
     except OverflowError:
@@ -579,7 +612,7 @@ def gains(sc) -> list[float]:
     g = sc.graph
     if isinstance(sc.mode, LeaderFollower):
         return [gamma(i, sc.network, g.n) for i in range(g.n)]
-    return [mu_bar(i, g) * g.degree(i) if g.degree(i) else 0.0
+    return [mu_bar(i, g) * len(g.neighbors(i)) if g.neighbors(i) else 0.0
             for i in range(g.n)]
 
 

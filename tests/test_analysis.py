@@ -11,8 +11,8 @@ from mwconsensus.analysis import RunSummary, event_stats, fit_decay_rate, \
     lyapunov_leaderless, lyapunov_lf
 from mwconsensus.builtin import WEIGHT_0_5, WEIGHT_3_4, \
     leader_follower_scenario
-from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
-    detect_structural_balance
+from mwconsensus.mwgraph import EdgeTable, InputCoupling, \
+    MatrixWeightedGraph, detect_structural_balance
 from mwconsensus.sim import Scenario
 from mwconsensus.trigger import LeaderFollower, Leaderless, TriggerParams
 
@@ -66,7 +66,7 @@ class TestBipartiteError:
         np.testing.assert_allclose(error_series(rec), 0.0, atol=1e-12)
 
     def test_single_agent_constant_zero(self):
-        g = MatrixWeightedGraph(1, 2, ())
+        g = MatrixWeightedGraph(1, 2, EdgeTable.empty(2))
         rec = sim.run(Scenario(graph=g, mode=Leaderless(),
                                params=uniform_params(1), dt=1e-3,
                                horizon=0.05, seed=3))
@@ -170,7 +170,7 @@ class TestDecayFit:
             assert fit_decay_rate(t, np.array(v)) is None, v
 
     def test_isolated_agent_delta_zero_rate_is_beta(self):
-        g = MatrixWeightedGraph(1, 2, ())
+        g = MatrixWeightedGraph(1, 2, EdgeTable.empty(2))
         beta = 1.3
         sc = Scenario(graph=g, mode=Leaderless(),
                       params=uniform_params(1, delta=0.0, beta=beta, theta=1.0),
@@ -189,7 +189,7 @@ class TestEventStats:
         assert s.n == 6 and s.d == 4
 
     def test_no_event_agent(self):
-        g = MatrixWeightedGraph(1, 1, ())
+        g = MatrixWeightedGraph(1, 1, EdgeTable.empty(1))
         sc = Scenario(graph=g, mode=Leaderless(), params=uniform_params(1),
                       dt=1e-2, horizon=1.0, seed=0)
         s = event_stats(sim.run(sc))

@@ -515,8 +515,9 @@ class TestRun:
                    parse_constant=refuse)
 
     def test_writer_streams_the_record(self, tmp_path):
-        """Writing holds one grid row as Python objects at a time, so its
-        peak stays below the record's own arrays."""
+        """Writing holds one batch as Python objects at a time
+        (``cli.BATCH_VALUES`` values, or one grid row where a row is
+        wider), so its peak stays below the record's own arrays."""
         record = sim.run(leaderless_scenario(seed=0, horizon=2.0))
         arrays = sum(a.nbytes for a in (record.times, record.states,
                                         record.chi, record.anchors,

@@ -6,10 +6,10 @@ import pytest
 from mwconsensus.builtin import WEIGHT_0_5, WEIGHT_1_2, WEIGHT_3_4
 from mwconsensus.errors import InvalidMatrix, NotPSD, UnsupportedWeight
 from mwconsensus.linalg import INDEFINITE, ND, NSD, PD, PSD, ZERO, \
-    classify_definiteness, matrix_abs, matrix_sgn, project_to_class, \
-    spectral_abs, sym_eigen, sym_sqrt, symmetric
+    classify_definiteness, matrix_sgn, project_to_class, spectral_abs, \
+    sym_eigen, sym_sqrt, symmetric
 
-from oracles import quadratic_roots
+from oracles import matrix_abs, quadratic_roots
 
 
 def random_symmetric(rng, d):

@@ -10,9 +10,9 @@ import oracles
 from mwconsensus import mwgraph, scenario_io
 from mwconsensus.builtin import RAW_EDGE_0_1, WEIGHT_0_5, WEIGHT_3_4
 from mwconsensus.errors import AssumptionViolated, GraphFormatError, NotPSD
-from mwconsensus.linalg import DEFAULT_TOL, ND, NSD, PD, PSD, matrix_abs, \
-    sym_eigen, sym_sqrt
-from mwconsensus.mwgraph import TOO_LARGE, Edge, EdgeTable, InputCoupling, \
+from mwconsensus.linalg import DEFAULT_TOL, ND, NSD, PD, PSD, sym_eigen, \
+    sym_sqrt
+from mwconsensus.mwgraph import TOO_LARGE, EdgeTable, InputCoupling, \
     MatrixWeightedGraph, build_laplacian, definite_quotient, \
     detect_structural_balance, extended_graph, leader_gauge, null_space, \
     predicted_bipartite_limit, verify_assumption1, verify_assumption2
@@ -20,7 +20,7 @@ from mwconsensus.scenario_io import graph_from_dict
 
 from conftest import random_balanced_scalar_graph, two_node_graph
 from oracles import assumption1_dense, brute_force_balance, \
-    check_gauge_identity, grounded_laplacian
+    check_gauge_identity, edge_rows, grounded_laplacian, matrix_abs
 
 REFERENCE_SIGNS = [1, 1, -1, -1, -1, 1]
 
@@ -72,62 +72,85 @@ def random_mixed_graph(rng, balanced):
 
 class TestGraphModel:
     def test_basic_accessors(self, ref_graph):
+        """``edge(i, j)`` is the row of the table whose ends are
+        ``(min(i, j), max(i, j))``, or ``None``."""
         assert ref_graph.n == 6 and ref_graph.d == 4
         assert ref_graph.neighbors(0) == (1, 5)
-        assert ref_graph.degree(3) == 2
-        assert ref_graph.edge(1, 2).sign == -1
+        assert ref_graph.degrees[3] == 2
+        assert ref_graph.table.sign[ref_graph.edge(1, 2)] == -1
         assert ref_graph.edge(0, 3) is None
-        assert ref_graph.edge(5, 0) is ref_graph.edge(0, 5)
+        assert ref_graph.edge(5, 0) == ref_graph.edge(0, 5)
         rng = np.random.default_rng(23)
         for _ in range(20):
             n = int(rng.integers(1, 9))
             edges, _ = random_balanced_scalar_graph(
                 rng, n, extra_edge_prob=float(rng.uniform(0.0, 0.8)))
             g = scalar_graph(n, edges, d=2)
+            ends = list(map(tuple, g.table.ends.tolist()))
             for i in range(n):
-                want = sorted(e.j if e.i == i else e.i
-                              for e in g.edges if i in (e.i, e.j))
+                want = sorted(b if a == i else a for a, b in ends
+                              if i in (a, b))
                 assert g.neighbors(i) == tuple(want)
-                assert g.degree(i) == len(want)
-                for j in range(n):
-                    scan = [e for e in g.edges if {e.i, e.j} == {i, j}]
-                    assert g.edge(i, j) is (scan[0] if scan else None)
+                assert g.degrees[i] == len(want)
+                for j in range(-1, n + 1):
+                    k, pair = g.edge(i, j), (min(i, j), max(i, j))
+                    if k is None:
+                        assert pair not in ends
+                    else:
+                        assert type(k) is int and ends[k] == pair
+            assert g.edge(-1, 0) is None and g.edge(n, 0) is None
 
     def test_abs_weight_built_once(self, ref_graph, ref_coupling):
-        """|A| is built and validated once per edge and per coupling edge."""
-        for e in extended_graph(ref_graph, ref_coupling).edges:
-            assert e.abs_weight is e.abs_weight
-            np.testing.assert_array_equal(e.abs_weight, e.sign * e.weight)
+        """|A| is built once per table, and is each weight's own |A|."""
+        for t in (extended_graph(ref_graph, ref_coupling).table,
+                  ref_coupling.table):
+            assert t.abs_weight is t.abs_weight
+            np.testing.assert_array_equal(
+                t.abs_weight, t.sign[:, None, None] * t.weight)
+            for k, (_, _, w, cls) in enumerate(edge_rows(t)):
+                assert t.abs_weight[k].tobytes() \
+                    == matrix_abs(w, cls).tobytes()
 
     def test_arrays_read_only(self, ref_graph, ref_coupling):
-        """Weights, absolute weights, their eigh pairs and the Laplacian
-        cannot be written."""
+        """Weights, absolute weights, their eigh pairs, the other per-edge
+        arrays and the Laplacian cannot be written."""
         ext = extended_graph(ref_graph, ref_coupling)
-        arrays = [ext.laplacian, ref_graph.laplacian]
-        arrays += [a for e in ext.edges
-                   for a in (e.weight, e.abs_weight, *e.eigen, *e.abs_eigen)]
+        t = ext.table
+        arrays = [ext.laplacian, ref_graph.laplacian, t.ends, t.weight,
+                  t.vals, t.vecs, t.cls, t.sign, t.abs_weight, *t.abs_eigen,
+                  t.abs_lambda_max]
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
 
     def test_weight_shape_checked(self):
-        """An edge built directly, past the loader, still needs a d x d
-        weight."""
+        """A table built directly, past the loader, still needs d x d
+        weights."""
         for w in (np.eye(3), np.zeros((2, 3))):
-            with pytest.raises(GraphFormatError, match="shape"):
-                MatrixWeightedGraph(2, 2, (Edge(0, 1, w, PD),))
+            table = EdgeTable(np.array([[0, 1]]), w[None], np.ones((1, 2)),
+                              np.eye(2)[None], np.array([PD], dtype=object))
+            with pytest.raises(GraphFormatError) as err:
+                MatrixWeightedGraph(2, 2, table)
+            assert str(err.value) == (f"edge (0,1) weight has shape "
+                                      f"{w.shape}, graph block dimension "
+                                      f"is 2")
 
     def test_ordered_edges_shared(self, ref_graph, ref_coupling):
-        """An edge already in (min, max) order is kept, not copied, so the
-        extended network shares the agents' edges and their caches; a
-        reversed edge is stored in order."""
+        """A table already in (min, max) order is kept, not copied; the
+        extended network's rows start with the agents' edges, in their
+        order; a reversed edge is stored in order."""
+        t = ref_graph.table
+        assert MatrixWeightedGraph(6, 4, t).table is t
         ext = extended_graph(ref_graph, ref_coupling)
-        for e in ref_graph.edges:
-            assert ext.edge(e.i, e.j) is e
+        for k, (i, j) in enumerate(t.ends.tolist()):
+            assert ext.edge(i, j) == ref_graph.edge(i, j) == k
+        for f in ("ends", "weight", "vals", "vecs", "cls"):
+            np.testing.assert_array_equal(getattr(ext.table, f)[:len(t)],
+                                          getattr(t, f))
         w = np.array([[2.0, 0.3], [0.3, 1.0]])
         g = MatrixWeightedGraph.from_edges(3, 2, [(1, 0, w), (1, 2, w)])
-        assert [(e.i, e.j) for e in g.edges] == [(0, 1), (1, 2)]
-        assert MatrixWeightedGraph(3, 2, g.edges).edges[1] is g.edges[1]
+        assert g.table.ends.tolist() == [[0, 1], [1, 2]]
+        assert g.edge(1, 0) == 0 and g.edge(2, 1) == 1
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphFormatError):
@@ -158,9 +181,8 @@ class TestGraphModel:
 
     def test_declared_class_projects_noise(self):
         g = MatrixWeightedGraph.from_edges(2, 3, [(0, 1, NOISY, "psd")])
-        e = g.edges[0]
-        assert e.cls is PSD
-        vals = sym_eigen(e.weight)[0]
+        assert g.table.cls[0] is PSD
+        vals = sym_eigen(g.table.weight[0])[0]
         assert vals[0] == 0.0 and vals[1] == 0.0
 
     @pytest.mark.parametrize("make,eighs", [
@@ -184,12 +206,10 @@ class TestGraphModel:
         """Loading decomposes its weights as one stack, plus one stack of
         those whose declared class projects eigenvalue noise away; every
         spectral fact of an edge is then read from the kept pair."""
-        built = make()
-        edges = built.entries if isinstance(built, InputCoupling) \
-            else built.edges
-        for e in edges:
-            e.cls, e.sign, e.abs_weight, e.abs_eigen, e.abs_lambda_max
-            sym_sqrt(*e.abs_eigen)
+        t = make().table
+        t.cls, t.sign, t.abs_weight, t.abs_eigen, t.abs_lambda_max
+        if len(t):
+            sym_sqrt(*t.abs_eigen)
         assert eigh_shapes == eighs
 
     def test_declared_class_contradiction_rejected(self):
@@ -199,24 +219,25 @@ class TestGraphModel:
 
 
 class TestEdgeSpectrum:
-    """The |A| pair an edge derives from its load-time eigh agrees with a
-    fresh decomposition of |A| (to a relative tolerance, since LAPACK builds
-    differ), and its square root squares back to |A|."""
+    """The |A| pairs a table derives from its load-time eigh agree with a
+    fresh decomposition of each |A| (to a relative tolerance, since LAPACK
+    builds differ), and their square roots square back to |A|."""
 
     @staticmethod
-    def assert_abs_eigen_agrees(e):
-        vals, vecs = e.abs_eigen
-        want = np.linalg.eigh(e.abs_weight)[0]
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.max(np.abs(vals - want)) <= 1e-12 * scale
-        assert np.all(np.diff(vals) >= 0) and e.abs_lambda_max == vals[-1]
-        own = e.eigen[0]
-        assert e.abs_lambda_max == (own[-1] if e.sign > 0 else -own[0])
-        np.testing.assert_allclose((vecs * vals) @ vecs.T, e.abs_weight,
-                                   rtol=0, atol=1e-12 * scale)
-        root = sym_sqrt(*e.abs_eigen)
-        np.testing.assert_allclose(root @ root, e.abs_weight, rtol=0,
-                                   atol=1e-12 * scale)
+    def assert_abs_eigen_agrees(t):
+        roots = sym_sqrt(*t.abs_eigen)
+        for k, (vals, vecs) in enumerate(zip(*t.abs_eigen)):
+            absw, lam = t.abs_weight[k], t.abs_lambda_max[k]
+            want = np.linalg.eigh(absw)[0]
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(vals - want)) <= 1e-12 * scale
+            assert np.all(np.diff(vals) >= 0) and lam == vals[-1]
+            own = t.vals[k]
+            assert lam == (own[-1] if t.sign[k] > 0 else -own[0])
+            np.testing.assert_allclose((vecs * vals) @ vecs.T, absw,
+                                       rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(roots[k] @ roots[k], absw, rtol=0,
+                                       atol=1e-12 * scale)
 
     def test_random_weights_of_every_class(self):
         rng = np.random.default_rng(31)
@@ -225,14 +246,14 @@ class TestEdgeSpectrum:
             rank, sign = (d, d - 1)[k % 2], (1, -1)[k // 2 % 2]
             b = rng.normal(size=(d, rank))
             g = MatrixWeightedGraph.from_edges(2, d, [(0, 1, sign * b @ b.T)])
-            e = g.edges[0]
-            assert e.cls is {(1, d): PD, (1, d - 1): PSD, (-1, d): ND,
-                             (-1, d - 1): NSD}[sign, rank]
-            self.assert_abs_eigen_agrees(e)
+            assert g.table.cls[0] is {(1, d): PD, (1, d - 1): PSD,
+                                      (-1, d): ND,
+                                      (-1, d - 1): NSD}[sign, rank]
+            self.assert_abs_eigen_agrees(g.table)
 
     def test_builtin_edges_and_couplings(self, ref_graph, ref_coupling):
-        for e in ref_graph.edges + ref_coupling.entries:
-            self.assert_abs_eigen_agrees(e)
+        for t in (ref_graph.table, ref_coupling.table):
+            self.assert_abs_eigen_agrees(t)
 
 
 class TestLaplacian:
@@ -351,11 +372,8 @@ class TestBalance:
         """Negating the (1,2) weight (making it definite positive) breaks
         the two-coloring through the 1-2-4-5 cycle."""
         specs = []
-        for e in ref_graph.edges:
-            w = e.weight
-            if (e.i, e.j) == (1, 2):
-                w = -w
-            specs.append((e.i, e.j, w))
+        for i, j, w, _ in edge_rows(ref_graph.table):
+            specs.append((i, j, -w if (i, j) == (1, 2) else w))
         flipped = MatrixWeightedGraph.from_edges(6, 4, specs)
         assert detect_structural_balance(flipped) is None
 
@@ -464,7 +482,7 @@ class TestAssumption1:
             if g.signs is None:
                 imbalanced += 1
             else:
-                seen.add((g.d, rep.holds, len(definite_quotient(g).edges) > 0))
+                seen.add((g.d, rep.holds, len(definite_quotient(g).table) > 0))
         assert compared >= 280
         # Held and failed, with and without an edge in the quotient.
         assert {(d, h, e) for d in (2, 4) for h in (True, False)
@@ -517,7 +535,7 @@ class TestAssumption1:
 
 class TestPredictedLimit:
     def test_single_node(self):
-        g = MatrixWeightedGraph(1, 3, ())
+        g = MatrixWeightedGraph(1, 3, EdgeTable.empty(3))
         x0 = np.array([0.3, -0.2, 1.0])
         np.testing.assert_array_equal(predicted_bipartite_limit(g, x0), x0)
 
@@ -559,7 +577,7 @@ class TestGroundedLaplacian:
             assert sym_eigen(lb)[0][0] > 0.0
 
     def test_single_node_equals_coupling_weight(self):
-        g = MatrixWeightedGraph(1, 2, ())
+        g = MatrixWeightedGraph(1, 2, EdgeTable.empty(2))
         w = np.array([[2.0, 0.2], [0.2, 1.0]])
         coupling = InputCoupling.from_entries([(0, 0, w)], 2)
         for lb in (grounded_laplacian(g, coupling), grounded_block(g, coupling)):
@@ -572,9 +590,8 @@ class TestGroundedLaplacian:
             (2, 0, WEIGHT_0_5, "pd"), (2, 1, -WEIGHT_3_4, "nsd"),
             (4, 2, WEIGHT_3_4, "psd")], 4)
         want = build_laplacian(ref_graph).copy()
-        for c in coupling.entries:
-            want[4 * c.i:4 * c.i + 4,
-                 4 * c.i:4 * c.i + 4] += matrix_abs(c.weight, c.cls)
+        for i, _, w, cls in edge_rows(coupling.table):
+            want[4 * i:4 * i + 4, 4 * i:4 * i + 4] += matrix_abs(w, cls)
         for got in (grounded_laplacian(ref_graph, coupling),
                     grounded_block(ref_graph, coupling)):
             assert got.shape == (24, 24)
@@ -635,7 +652,7 @@ class TestAssumption2:
     def test_extended_graph_shape(self, ref_graph, ref_coupling):
         ext = extended_graph(ref_graph, ref_coupling)
         assert ext.n == 8
-        assert len(ext.edges) == len(ref_graph.edges) + 2
+        assert len(ext.table) == len(ref_graph.table) + 2
 
     def test_coupling_of_other_dimension_refused(self, ref_graph):
         """A coupling loaded with 3 x 3 weights does not extend a graph of
@@ -751,17 +768,19 @@ def loaded(load):
 
 
 def assert_same_edges(got, want):
-    """Edges equal bit for bit: ends, weight, eigen pair and class."""
+    """The rows of the table ``got`` equal the reference edges ``want`` bit
+    for bit: ends, weight, eigen pair and class."""
     if isinstance(want, str):
         assert got == want
         return
     assert not isinstance(got, str), got
     assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert (a.i, a.j, a.cls) == (b.i, b.j, b.cls)
-        for x, y in ((a.weight, b.weight), *zip(a.eigen, b.eigen)):
+    for k, b in enumerate(want):
+        assert (*got.ends[k].tolist(), got.cls[k]) == (b.i, b.j, b.cls)
+        for x, y in ((got.weight[k], b.weight), (got.vals[k], b.eigen[0]),
+                     (got.vecs[k], b.eigen[1])):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
-            assert not x.flags.writeable
+            assert not x.flags.writeable and not y.flags.writeable
 
 
 class TestBatchedLoader:
@@ -834,8 +853,7 @@ class TestBatchedLoader:
                     del entry["weight"]
                 entries.append(entry)
             doc = {"n": len(entries) + 1, "d": d, "edges": entries}
-            want = loaded(lambda: MatrixWeightedGraph(
-                doc["n"], d, oracles.load_edges(scenario_io._json_entries(
-                    doc, "edges", ("i", "j")), d, "edge")).edges)
-            got = loaded(lambda: graph_from_dict(doc)[0].edges)
+            want = loaded(lambda: oracles.load_edges(scenario_io._json_entries(
+                doc, "edges", ("i", "j")), d, "edge"))
+            got = loaded(lambda: graph_from_dict(doc)[0].table)
             assert_same_edges(got, want)

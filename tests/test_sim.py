@@ -8,12 +8,12 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from mwconsensus import analysis, scenario_io, sim, trigger
+from mwconsensus import analysis, sim, trigger
 from mwconsensus.builtin import leader_follower_scenario, leaderless_scenario
 from mwconsensus.errors import Diverged, GraphFormatError, InvalidScenario
 from mwconsensus.linalg import sym_eigen, sym_sqrt
-from mwconsensus.mwgraph import Edge, InputCoupling, MatrixWeightedGraph, \
-    build_laplacian, predicted_bipartite_limit
+from mwconsensus.mwgraph import EdgeTable, InputCoupling, \
+    MatrixWeightedGraph, build_laplacian, predicted_bipartite_limit
 from mwconsensus.sim import Scenario, chi_floor_check, \
     min_inter_event_from, run, validate_scenario
 from mwconsensus.trigger import LeaderFollower, Leaderless, TriggerParams
@@ -233,42 +233,6 @@ class TestStructureComputedOnce:
         assert len(built) == 1 and sc.network.n == sc.graph.n + 2
         assert assembled == [1]
 
-    def test_setup_builds_only_tree_edge_views(self, monkeypatch):
-        """Loading, validating and compiling a random n = 500, d = 4
-        document reads the edge tables: the only :class:`Edge` views built
-        are those of the n - 1 spanning-tree edges whose signs the balance
-        walk reads, so per-edge Python objects stay out of set-up."""
-        rng = np.random.default_rng(500)
-        n, d = 500, 4
-        edges, _ = random_balanced_scalar_graph(rng, n, extra_edge_prob=3.0 / n)
-        specs = []
-        for (a, b), w in sorted(edges.items()):
-            m = rng.normal(size=(d, d))
-            specs.append((a, b, np.sign(w) * (m @ m.T / d + 0.5 * np.eye(d))))
-        text = scenario_io.dump_scenario(Scenario(
-            graph=MatrixWeightedGraph.from_edges(n, d, specs),
-            mode=Leaderless(), params=uniform_params(n), dt=1e-3,
-            horizon=0.01))
-        built = []
-        init = Edge.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(args[:2])
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Edge, "__init__", counting)
-        sc, _ = scenario_io.load_scenario_text(text)
-        assert validate_scenario(sc) == []
-        sim.compile_scenario(sc)
-        g = sc.graph
-        assert len(g.table) > 1000 and len(built) == n - 1
-        # The tree spans the connected graph: every node is an end of it.
-        assert len({k for e in built for k in e}) == n
-        # The count sees a view built on request, once.
-        off_tree = next(e for e in map(tuple, g.table.ends.tolist())
-                        if e not in built)
-        assert g.edge(*off_tree) is g.edge(*off_tree) and len(built) == n
-
 
 def dense_coupling(sc):
     """Dense reference of the control: the (grounded) Laplacian and the
@@ -377,7 +341,7 @@ class TestLeaderlessSlack:
         root's zero band drops."""
         g = MatrixWeightedGraph.from_edges(2, 2, [(0, 1, np.diag([1.0,
                                                                 -1e-17]))])
-        assert g.edges[0].abs_weight[1, 1] == -1e-17
+        assert g.table.abs_weight[0, 1, 1] == -1e-17
         x0 = np.array([0.0, 1.0, 0.0, -1.0])
         compiled = sim.compile_scenario(tiny_scenario(graph=g, x0=x0))
         np.testing.assert_array_equal(compiled.held_terms(x0)[1], [0.0, 0.0])
@@ -390,18 +354,20 @@ class TestLeaderlessSlack:
         sc = isolated_psd_nsd_scenario()
         g = sc.graph
         compiled = sim.compile_scenario(sc)
-        roots = {e: sym_sqrt(*sym_eigen(e.abs_weight)) for e in g.edges}
-        semidefinite = [e for e in g.edges if e.cls.value in ("psd", "nsd")]
-        assert semidefinite and {e.cls.value for e in g.edges} \
+        t = g.table
+        roots = [sym_sqrt(*sym_eigen(absw)) for absw in t.abs_weight]
+        semidefinite = [k for k, c in enumerate(t.cls)
+                        if c.value in ("psd", "nsd")]
+        assert semidefinite and {c.value for c in t.cls} \
             == {"pd", "psd", "nd", "nsd"}
         rng = np.random.default_rng(8)
         xhats = list(rng.uniform(-1.0, 1.0, (20, g.n * g.d)))
-        for e in semidefinite:
-            kernel = sym_eigen(e.abs_weight)[1][:, 0]
+        for k in semidefinite:
+            (i, j), kernel = t.ends[k], sym_eigen(t.abs_weight[k])[1][:, 0]
             xhat = rng.uniform(-1.0, 1.0, g.n * g.d)
             # p_ij = xhat_i - sgn(A_ij) xhat_j = 3 * kernel
-            xhat[e.i * g.d:(e.i + 1) * g.d] = \
-                e.sign * xhat[e.j * g.d:(e.j + 1) * g.d] + 3.0 * kernel
+            xhat[i * g.d:(i + 1) * g.d] = \
+                t.sign[k] * xhat[j * g.d:(j + 1) * g.d] + 3.0 * kernel
             xhats.append(xhat)
         for xhat in xhats:
             slack = compiled.held_terms(xhat)[1]
@@ -412,9 +378,9 @@ class TestLeaderlessSlack:
                          for j in g.neighbors(i)]
                 quarter = sc.params.sigma[i] / 4.0
                 want = quarter * oracles.weighted_disagreement(
-                    [(roots[e], p) for e, p in pairs])
-                scale = quarter * sum(e.abs_lambda_max * float(p @ p)
-                                      for e, p in pairs)
+                    [(roots[k], p) for k, p in pairs])
+                scale = quarter * sum(t.abs_lambda_max[k] * float(p @ p)
+                                      for k, p in pairs)
                 assert abs(slack[i] - want) <= 1e-12 * scale, (i, want)
 
 
@@ -514,7 +480,7 @@ class TestStepSemantics:
         assert np.all(np.diff(rec.chi, axis=0) < 0)
 
     def test_single_agent_lf_fixed_point(self):
-        g = MatrixWeightedGraph(1, 2, ())
+        g = MatrixWeightedGraph(1, 2, EdgeTable.empty(2))
         w = np.array([[1.0, 0.1], [0.1, 2.0]])
         u0 = np.array([0.4, -0.2])
         mode = LeaderFollower(u0=u0,
@@ -527,7 +493,7 @@ class TestStepSemantics:
         assert len(rec.events[0]) == 1
 
     def test_zero_edge_single_agent_constant(self):
-        g = MatrixWeightedGraph(1, 3, ())
+        g = MatrixWeightedGraph(1, 3, EdgeTable.empty(3))
         sc = Scenario(graph=g, mode=Leaderless(), params=uniform_params(1),
                       dt=1e-3, horizon=0.3, seed=5)
         rec = run(sc)
@@ -597,7 +563,8 @@ class TestStepSemantics:
             sim.compile_scenario(sc)
             assert built == []
             run(sc)
-            assert [(g.n, g.d, g.edges) for g in built] == [(1, sc.graph.d, ())]
+            assert [(g.n, g.d, len(g.table)) for g in built] \
+                == [(1, sc.graph.d, 0)]
             built.clear()
 
     def test_error_zero_at_events(self, ref_leaderless_record):
@@ -637,10 +604,10 @@ class TestTriggerEngineConsistency:
         rec = run(sc)
         g = sc.graph
         d = g.d
-        roots = {(e.i, e.j): sym_sqrt(*sym_eigen(e.abs_weight)) for e in g.edges}
+        roots = [sym_sqrt(*sym_eigen(absw)) for absw in g.table.abs_weight]
 
         def sqrt_weight(i, j):
-            return roots[(i, j)] if (i, j) in roots else roots[(j, i)]
+            return roots[g.edge(i, j)]
 
         event_steps = [set(np.rint(np.asarray(ev) / sc.dt).astype(int))
                        for ev in rec.events]
@@ -656,7 +623,7 @@ class TestTriggerEngineConsistency:
                           for j in g.neighbors(i)]
                 want = oracles.leaderless_fires(
                     e_i, p_list, float(rec.chi[k + 1, i]), oracles.agent_params(sc.params, i),
-                    mu[i], g.degree(i))
+                    mu[i], g.degrees[i])
                 assert want == ((k + 1) in event_steps[i]), (k, i)
 
     def test_lf_fire_decisions(self):
@@ -685,10 +652,10 @@ class TestTriggerEngineConsistency:
         g = sc.graph
         d = g.d
         dt = sc.dt
-        roots = {(e.i, e.j): sym_sqrt(*sym_eigen(e.abs_weight)) for e in g.edges}
+        roots = [sym_sqrt(*sym_eigen(absw)) for absw in g.table.abs_weight]
 
         def sqrt_weight(i, j):
-            return roots[(i, j)] if (i, j) in roots else roots[(j, i)]
+            return roots[g.edge(i, j)]
 
         mu = [trigger.mu_bar(i, g) for i in range(g.n)]
         broadcasts, controls = oracles.held_rows(rec)
@@ -705,7 +672,7 @@ class TestTriggerEngineConsistency:
 
                 def rate(c, s):
                     return oracles.chi_rate_leaderless(
-                        e0 - s * qi, p_list, c, pr, mu[i], g.degree(i))
+                        e0 - s * qi, p_list, c, pr, mu[i], g.degrees[i])
 
                 c = rec.chi[k, i]
                 k1 = rate(c, 0.0)
@@ -818,7 +785,7 @@ class TestDwell:
                 assert stats.min_dwell[i] == rec.scenario.horizon
 
     def test_single_event_reports_horizon(self):
-        g = MatrixWeightedGraph(1, 1, ())
+        g = MatrixWeightedGraph(1, 1, EdgeTable.empty(1))
         sc = Scenario(graph=g, mode=Leaderless(), params=uniform_params(1),
                       dt=0.01, horizon=2.5, seed=0)
         stats = min_inter_event_from(run(sc).events, sc.dt, sc.horizon)
@@ -893,11 +860,13 @@ def flip_gauge(sc, s):
     s_i s_j A_ij, every input coupling s_i B_il, and x0 becomes D x0."""
     g, d = sc.graph, sc.graph.d
     graph = MatrixWeightedGraph.from_edges(
-        g.n, d, [(e.i, e.j, s[e.i] * s[e.j] * e.weight) for e in g.edges])
+        g.n, d, [(i, j, s[i] * s[j] * w)
+                 for i, j, w, _ in oracles.edge_rows(g.table)])
     mode = sc.mode
     if isinstance(mode, LeaderFollower):
         coupling = InputCoupling.from_entries(
-            [(c.i, c.j, s[c.i] * c.weight) for c in mode.coupling.entries], d)
+            [(i, j, s[i] * w)
+             for i, j, w, _ in oracles.edge_rows(mode.coupling.table)], d)
         mode = LeaderFollower(u0=mode.u0, coupling=coupling)
     return dataclasses.replace(sc, graph=graph, mode=mode,
                                x0=np.repeat(s, d) * sc.initial_state())
@@ -1115,11 +1084,13 @@ def relabel(sc, perm):
     g, d = sc.graph, sc.graph.d
     old = np.argsort(perm)  # old[new label] = old label
     graph = MatrixWeightedGraph.from_edges(
-        g.n, d, [(perm[e.i], perm[e.j], e.weight) for e in g.edges])
+        g.n, d, [(perm[i], perm[j], w)
+                 for i, j, w, _ in oracles.edge_rows(g.table)])
     mode = sc.mode
     if isinstance(mode, LeaderFollower):
         coupling = InputCoupling.from_entries(
-            [(perm[c.i], c.j, c.weight) for c in mode.coupling.entries], d)
+            [(perm[i], j, w)
+             for i, j, w, _ in oracles.edge_rows(mode.coupling.table)], d)
         mode = LeaderFollower(u0=mode.u0, coupling=coupling)
     p = sc.params
     params = TriggerParams(p.sigma[old], p.theta[old], p.beta[old],

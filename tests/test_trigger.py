@@ -12,9 +12,9 @@ import pytest
 from mwconsensus.builtin import WEIGHT_0_5, WEIGHT_3_4, \
     leader_follower_scenario, leaderless_scenario
 from mwconsensus.errors import GraphFormatError, NoNeighbors
-from mwconsensus.linalg import matrix_abs, sym_eigen, sym_sqrt
-from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph, \
-    build_laplacian, extended_graph
+from mwconsensus.linalg import sym_eigen, sym_sqrt
+from mwconsensus.mwgraph import EdgeTable, InputCoupling, \
+    MatrixWeightedGraph, build_laplacian, extended_graph
 from mwconsensus.sim import Scenario
 from mwconsensus.trigger import LeaderFollower, Leaderless, TriggerParams, \
     gamma, mu_bar, validate_params
@@ -89,7 +89,7 @@ class TestControls:
                 control_leaderless(i, xhat, ref_graph))
 
     def test_lf_tracking_equilibrium(self):
-        g = MatrixWeightedGraph(1, 2, ())
+        g = MatrixWeightedGraph(1, 2, EdgeTable.empty(2))
         w = np.array([[1.5, 0.2], [0.2, 2.0]])
         coupling = InputCoupling.from_entries([(0, 0, w)], 2)
         u0 = np.array([0.4, -0.1])
@@ -121,7 +121,7 @@ class TestSpectralConstants:
         assert mu_bar(0, g) == pytest.approx(1.0)
 
     def test_isolated_agent_raises(self):
-        g = MatrixWeightedGraph(2, 1, ())
+        g = MatrixWeightedGraph(2, 1, EdgeTable.empty(1))
         with pytest.raises(NoNeighbors):
             mu_bar(0, g)
 
@@ -137,7 +137,7 @@ class TestSpectralConstants:
             assert mu_bar(i, g) == pytest.approx(want, abs=1e-12)
 
     def test_gamma_empty(self):
-        g = MatrixWeightedGraph(2, 1, ())
+        g = MatrixWeightedGraph(2, 1, EdgeTable.empty(1))
         assert gamma(0, g, g.n) == 0.0
 
     def test_gamma_two_node_identity(self):
@@ -154,10 +154,12 @@ class TestSpectralConstants:
                                                      ref_coupling):
         network = extended_graph(ref_graph, ref_coupling)
         for i in range(6):
-            mus = [float(sym_eigen(ref_graph.edge(i, j).abs_weight)[0][-1])
+            mus = [float(sym_eigen(
+                ref_graph.table.abs_weight[ref_graph.edge(i, j)])[0][-1])
                    for j in ref_graph.neighbors(i)]
-            mus_b = [float(sym_eigen(matrix_abs(c.weight, c.cls))[0][-1])
-                     for c in ref_coupling.entries if c.i == i]
+            mus_b = [float(sym_eigen(oracles.matrix_abs(w, cls))[0][-1])
+                     for a, _, w, cls in oracles.edge_rows(ref_coupling.table)
+                     if a == i]
             want = 6 * (sum(mus) + sum(mus_b)) ** 2 + 6 * sum(m * m for m in mus)
             assert gamma(i, network, 6) == pytest.approx(want)
 
@@ -169,10 +171,11 @@ class TestSpectralConstants:
             (4, 2, WEIGHT_3_4, "psd")], 4)
         network = extended_graph(ref_graph, coupling)
         for i in range(6):
-            mus = [ref_graph.edge(i, j).abs_lambda_max
+            mus = [ref_graph.table.abs_lambda_max[ref_graph.edge(i, j)]
                    for j in ref_graph.neighbors(i)]
-            mus_b = [float(sym_eigen(matrix_abs(c.weight, c.cls))[0][-1])
-                     for c in coupling.entries if c.i == i]
+            mus_b = [float(sym_eigen(oracles.matrix_abs(w, cls))[0][-1])
+                     for a, _, w, cls in oracles.edge_rows(coupling.table)
+                     if a == i]
             assert len(mus_b) == {2: 2, 4: 1}.get(i, 0)
             want = 6 * (sum(mus) + sum(mus_b)) ** 2 + 6 * sum(m * m for m in mus)
             assert gamma(i, network, 6) == pytest.approx(want, rel=1e-12)
@@ -245,8 +248,7 @@ class TestLeaderlessTrigger:
     def test_weighted_term_matches_quadratic_form(self, ref_graph):
         """||sqrt(|A|) p||^2 agrees with p^T |A| p."""
         rng = np.random.default_rng(43)
-        for e in ref_graph.edges:
-            absw = e.abs_weight
+        for absw in ref_graph.table.abs_weight:
             root = sym_sqrt(*sym_eigen(absw))
             for _ in range(10):
                 p = rng.uniform(-2, 2, ref_graph.d)
@@ -376,12 +378,12 @@ class TestGainsFromTable:
         g = sc.graph
         if isinstance(sc.mode, LeaderFollower):
             assert len(sc.mode.coupling.table) >= 2
-            assert max(len(sc.network.neighbors(i)) - g.degree(i)
+            assert max(len(sc.network.neighbors(i)) - g.degrees[i]
                        for i in range(g.n)) >= 1
             for i in range(g.n):  # one agent at a time, as check prints it
                 assert gamma(i, sc.network, g.n) == want[i]
         else:
-            assert g.n < 10 or max(g.degree(i) for i in range(g.n)) >= 9
+            assert g.n < 10 or g.degrees.max() >= 9
             agents = np.arange(g.n)
             assert mu_bar(agents, g).tobytes() == np.array(
                 [oracles.mu_bar(i, g) for i in agents]).tobytes()

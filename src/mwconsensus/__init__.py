@@ -10,8 +10,7 @@ post-run analytics.
 from .analysis import RunSummary, event_stats, fit_decay_rate, \
     lyapunov_leaderless, lyapunov_lf
 from .errors import AssumptionViolated, Diverged, GraphFormatError, \
-    InvalidMatrix, InvalidScenario, MwcError, NoNeighbors, NotPSD, \
-    UnsupportedWeight
+    InvalidMatrix, InvalidScenario, MwcError, NotPSD, UnsupportedWeight
 from .linalg import DefinitenessClass, classify_definiteness, matrix_sgn, \
     spectral_abs, sym_eigen, sym_sqrt
 from .mwgraph import InputCoupling, MatrixWeightedGraph, build_laplacian, \

@@ -68,16 +68,26 @@ def lyapunov_lf(record: TrajectoryRecord, xtilde: np.ndarray) -> np.ndarray:
     holds the gauge-signed input copies (the record's limit state).  L_B is
     the agents' block of the network's Laplacian, so the form is the sum of
     ``p_e^T |A_e| p_e``, ``p_e = xi_i - sgn(A_e) xi_j``, over its edges,
-    with every input j >= n held at xi = 0."""
-    n, d = record.n, record.d
-    xi = record.states - np.asarray(xtilde, dtype=float)[None, :]
-    blocks = xi.reshape(len(xi), n, d)
-    v = np.zeros(len(xi))
-    t = record.scenario.network.table
-    for (i, j), sign, absw in zip(t.ends.tolist(), t.sign.tolist(),
-                                  t.abs_weight):
-        p = blocks[:, i] - sign * blocks[:, j] if j < n else blocks[:, i]
-        v += np.einsum("rk,rk->r", p @ absw, p)
+    with every input j >= n held at xi = 0.
+
+    The terms are read from the compiled arcs with ``src < dst``, one per
+    edge, a block of them over all rows at a time (an agent-agent edge's
+    two arcs have bitwise-equal terms)."""
+    compiled = sim.compile_scenario(record.scenario)
+    n, d, rows = record.n, record.d, len(record.states)
+    # Every node's xi, one column per row; the inputs stay at 0.
+    nodes = np.zeros((record.scenario.network.n, d, rows))
+    np.subtract(record.states.T.reshape(n, d, rows),
+                np.asarray(xtilde, dtype=float).reshape(n, d, 1),
+                out=nodes[:n])
+    once = np.flatnonzero(compiled.arc_src < compiled.arc_dst)
+    # p, its two gathers and the flow of a block: ~WINDOW_VALUES values.
+    block = max(1, sim.WINDOW_VALUES // (4 * d * rows))
+    v = np.zeros(rows)
+    for lo in range(0, len(once), block):
+        arcs = once[lo:lo + block]
+        rel = compiled._relative(nodes, arcs)
+        v += np.einsum("ei...,ei...->...", compiled._flow(rel, arcs), rel)
     return v + record.chi.sum(axis=1)
 
 

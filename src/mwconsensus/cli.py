@@ -358,10 +358,8 @@ def cmd_check(args) -> int:
     if isinstance(scenario.mode, LeaderFollower) and \
             mwgraph.verify_assumption2(scenario.network, g.n):
         print("assumption 2 (extended balance + definite grounding): holds")
-    mu_row = np.full(g.n, np.nan)
-    linked = np.flatnonzero(g.degrees)
-    mu_row[linked] = trigger.mu_bar(linked, g)
-    gam_row = trigger.gamma(np.arange(g.n), scenario.network, g.n)
+    mu_row = np.where(g.degrees > 0, trigger.mu_bar(g), np.nan)
+    gam_row = trigger.gamma(scenario.network, g.n)
     print("mu_bar: " + "  ".join(map(_constant, mu_row.tolist())))
     print("gamma:  " + "  ".join(map(_constant, gam_row.tolist())))
     # The verdict is the one `run` applies, printed as `run` prints it.

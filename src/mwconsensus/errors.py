@@ -17,10 +17,6 @@ class NotPSD(MwcError):
     """Matrix has an eigenvalue below the negative tolerance band."""
 
 
-class NoNeighbors(MwcError):
-    """Requested a neighborhood quantity for an isolated agent."""
-
-
 class AssumptionViolated(MwcError):
     """A structural assumption required by the requested operation fails."""
 

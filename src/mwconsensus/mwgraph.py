@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import bisect
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -177,6 +177,13 @@ def _load_edges(specs: Iterable[tuple], d: int, kind: str) -> EdgeTable:
                      classes)
 
 
+def _require_table(table, owner: str) -> None:
+    """Refuse, in one line, a ``table`` that is not an :class:`EdgeTable`."""
+    if not isinstance(table, EdgeTable):
+        raise GraphFormatError(f"{owner} takes an EdgeTable, got "
+                               f"{type(table).__name__}")
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixWeightedGraph:
     """Undirected graph on n nodes with sign-definite d x d matrix weights.
@@ -193,6 +200,7 @@ class MatrixWeightedGraph:
     table: EdgeTable
 
     def __post_init__(self):
+        _require_table(self.table, "a graph")
         refusal = memory_refusal(NODE_BYTES * self.n, f"n={self.n} nodes",
                                  "for the adjacency index")
         if refusal:
@@ -435,9 +443,10 @@ class InputCoupling:
     agent ``i`` to input ``j``.  The input count ``m`` is one past the
     largest input index, and each of the m inputs is coupled."""
 
-    table: EdgeTable = field(default_factory=lambda: EdgeTable.empty(1))
+    table: EdgeTable
 
     def __post_init__(self):
+        _require_table(self.table, "an input coupling")
         t = self.table
         agent, inp = t.ends[:, 0], t.ends[:, 1]
         faults = Faults(len(t))
@@ -477,12 +486,11 @@ def extended_graph(g: MatrixWeightedGraph,
     which follow the graph's own.  A coupling whose weights are not the
     graph's d x d is refused."""
     t, c, d = g.table, coupling.table, g.d
-    if not len(c):
-        c = EdgeTable.empty(d)
     if c.weight.shape[1:] != (d, d):
-        i, j = c.ends[0].tolist()
+        where = (f"edge ({c.ends[0, 0]},{g.n + c.ends[0, 1]})" if len(c)
+                 else "empty input coupling")
         raise GraphFormatError(
-            f"edge ({i},{g.n + j}) weight has shape {c.weight.shape[1:]}, "
+            f"{where} weight has shape {c.weight.shape[1:]}, "
             f"graph block dimension is {d}")
     return MatrixWeightedGraph(g.n + coupling.m, d, EdgeTable(
         np.concatenate((t.ends, c.ends.astype(np.int64) + [0, g.n])),

@@ -118,19 +118,13 @@ class Scenario:
     @cached_property
     def gains(self) -> np.ndarray:
         """Per-agent trigger gain ``K_i``, computed once: ``gamma_i`` on the
-        network (leader-follower), else ``mu_bar_i * N_i``.  Isolated agents
-        never accumulate error (their control is zero), so a zero gain keeps
-        their leaderless trigger permanently silent.  Both are read from the
-        edge table for all agents at once."""
+        network (leader-follower), else ``mu_bar_i * N_i``, which is 0 * 0
+        for an isolated agent; its control is zero, so it never fires."""
         g = self.graph
         if isinstance(self.mode, LeaderFollower):
-            return trigger.gamma(np.arange(g.n), self.network, g.n)
-        degree = g.degrees
-        linked = np.flatnonzero(degree)
-        gains = np.zeros(g.n)
+            return trigger.gamma(self.network, g.n)
         with np.errstate(over="ignore"):  # validation refuses an inf gain
-            gains[linked] = trigger.mu_bar(linked, g) * degree[linked]
-        return gains
+            return trigger.mu_bar(g) * g.degrees
 
 
 def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
@@ -264,8 +258,8 @@ class CompiledScenario:
     2018): ``qhat_i = -sum_j |A_ij| p_ij`` with ``p_ij = xhat_i - sgn(A_ij)
     xhat_j``, over the arcs that leave agent i.  In leader-follower mode the
     arcs run over the input-extended graph, so each input is one more
-    neighbour whose state stays at ``u0``.  The test suite cross-checks the
-    vectorized trigger quantities against independent per-agent oracles.
+    neighbour whose state stays at ``u0``.  ``analysis.lyapunov_lf`` reads
+    the same ``p_ij`` and ``|A_ij| p_ij`` for stacks of grid rows.
     """
 
     def __init__(self, sc: Scenario):
@@ -299,16 +293,20 @@ class CompiledScenario:
         self.delta = np.zeros_like(p.delta) if self.static_baseline else p.delta
         self.chi0 = p.chi0
 
-    def _relative(self, xhat: np.ndarray) -> np.ndarray:
-        """``p_ij`` per arc; input nodes carry their pinned state."""
-        nodes = np.concatenate((xhat, self.pinned)).reshape(-1, self.d)
-        # take(axis=0) gathers rows several times faster than nodes[idx].
-        return (nodes.take(self.arc_src, axis=0)
-                - self.arc_sign[:, None] * nodes.take(self.arc_dst, axis=0))
+    def _relative(self, nodes: np.ndarray, arcs=slice(None)) -> np.ndarray:
+        """``p_ij`` of the arcs ``arcs`` (all by default) from the states of
+        all nodes, ``(N, d)`` or a stack of k broadcasts ``(N, d, k)``."""
+        sign = self.arc_sign[arcs].reshape((-1,) + (1,) * (nodes.ndim - 1))
+        # take() gathers rows several times faster than fancy indexing.
+        return (nodes.take(self.arc_src[arcs], axis=0)
+                - sign * nodes.take(self.arc_dst[arcs], axis=0))
+
+    def _flow(self, rel: np.ndarray, arcs=slice(None)) -> np.ndarray:
+        """``|A_ij| p_ij`` of the arcs ``arcs``, given their ``p_ij``."""
+        return np.einsum("eij,ej...->ei...", self.arc_abs[arcs], rel)
 
     def control(self, rel: np.ndarray) -> np.ndarray:
-        flow = np.einsum("eij,ej->ei", self.arc_abs, rel)
-        return -np.bincount(self.arc_slots, weights=flow.reshape(-1),
+        return -np.bincount(self.arc_slots, weights=self._flow(rel).reshape(-1),
                             minlength=self.n * self.d)
 
     def disagreement_terms(self, rel: np.ndarray) -> np.ndarray:
@@ -320,7 +318,8 @@ class CompiledScenario:
     def held_terms(self, xhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Control and trigger slack under the broadcasts ``xhat``, both read
         from one ``p_ij`` per arc; they hold until the next broadcast."""
-        rel = self._relative(xhat)
+        nodes = np.concatenate((xhat, self.pinned)).reshape(-1, self.d)
+        rel = self._relative(nodes)
         q = self.control(rel)
         if self.leader_follower:
             blocks = q.reshape(self.n, self.d)

@@ -39,7 +39,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import GraphFormatError, NoNeighbors
+from .errors import GraphFormatError
 from .mwgraph import InputCoupling, MatrixWeightedGraph, float_array
 
 
@@ -107,24 +107,14 @@ class Violation:
         return f"agent {self.agent}: {self.field}: {self.message}"
 
 
-def _per_agent(i, values: np.ndarray):
-    """``values`` for the index array ``i``, or as one float for one agent."""
-    return float(values[0]) if np.ndim(i) == 0 else values
-
-
-def mu_bar(i, g: MatrixWeightedGraph):
-    """Largest eigenvalue among the absolute weights incident to agent i,
-    or to each agent of an index array: one scatter-max of
-    lambda_max(|A|) over the ends of the graph's edge table.  An agent
-    without neighbours is refused."""
-    agents = np.asarray(i, dtype=np.int64).reshape(-1)
-    lonely = agents[g.degrees[agents] == 0]
-    if lonely.size:
-        raise NoNeighbors(f"agent {lonely[0]} has no neighbors")
+def mu_bar(g: MatrixWeightedGraph) -> np.ndarray:
+    """Largest eigenvalue among the absolute weights incident to each node:
+    one scatter-max of lambda_max(|A|) over the ends of the graph's edge
+    table.  A node without neighbours gets 0."""
     t = g.table
     top = np.zeros(g.n)
     np.maximum.at(top, t.ends.reshape(-1), np.repeat(t.abs_lambda_max, 2))
-    return _per_agent(i, top[agents])
+    return top
 
 
 def _square(x: float) -> float:
@@ -135,28 +125,27 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def gamma(i, network: MatrixWeightedGraph, n: int):
-    """Error-amplification constant of the leader-follower trigger:
+def gamma(network: MatrixWeightedGraph, n: int) -> np.ndarray:
+    """Error-amplification constant of the leader-follower trigger, for each
+    agent i < n of ``network``:
 
         n * (sum_j mu(|A_ij|) + sum_l mu(|B_il|))^2 + n * sum_j mu(|A_ij|)^2
 
-    over agent i's neighbours j < n and inputs l = j - n in ``network``, or
-    one per agent of an index array.  Each sum is one ``bincount`` over the
-    CSR slots, which adds each node's slots left to right in
-    ``network.neighbors(i)`` order.  Empty neighbor and input sets give 0;
-    weights too large for the square give inf.
+    over agent i's neighbours j < n and inputs l = j - n.  Each sum is one
+    ``bincount`` over the CSR slots, which adds each node's slots left to
+    right in ``network.neighbors(i)`` order.  Empty neighbor and input sets
+    give 0; weights too large for the square give inf.
     """
-    agents = np.asarray(i, dtype=np.int64).reshape(-1)
     owner = np.repeat(np.arange(network.n), network.degrees)
     mu = network.table.abs_lambda_max[network.slot_edge]
     to_agent = network.slot_neighbor < n
     with np.errstate(over="ignore"):  # inf, as float arithmetic gives it
         total, total_b, squares = (
-            np.bincount(owner[mask], weights=w[mask], minlength=network.n)[agents]
+            np.bincount(owner[mask], weights=w[mask], minlength=network.n)[:n]
             for mask, w in ((to_agent, mu), (~to_agent, mu),
                             (to_agent, mu * mu)))
         spread = n * np.array([_square(x) for x in (total + total_b).tolist()])
-        return _per_agent(i, spread + n * squares)
+        return spread + n * squares
 
 
 def validate_params(params: TriggerParams) -> list[Violation]:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mwconsensus import sim
+from mwconsensus import builtin, sim
 from mwconsensus.analysis import RunSummary, event_stats, fit_decay_rate, \
     lyapunov_leaderless, lyapunov_lf
 from mwconsensus.builtin import WEIGHT_0_5, WEIGHT_3_4, \
@@ -18,6 +18,7 @@ from mwconsensus.trigger import LeaderFollower, Leaderless, TriggerParams
 
 import oracles
 from conftest import random_balanced_scalar_graph
+from test_cli import perfbench_workloads
 from test_mwgraph import scalar_graph
 from test_sim import uniform_params
 
@@ -47,6 +48,29 @@ def random_lf_scenario(n, d, horizon, seed=0):
                                         coupling=coupling),
                     params=uniform_params(n), dt=1e-3, horizon=horizon,
                     seed=seed)
+
+
+def pinned_probe_scenario(n, horizon):
+    """Leader-follower on the benchmark's random balanced graph (seed 1,
+    d = 4): ``max(1, n // 100)`` agents drawn with ``default_rng(5)`` see one
+    input through ``m m^T / 4 + 0.5 I`` signed by their gauge sign, so
+    Assumption 2 holds; ``u0 = 1`` and the bundled leader-follower
+    parameters."""
+    leaderless, gauge = perfbench_workloads().random_balanced_scenario(
+        1, n, horizon=horizon)
+    d = leaderless.graph.d
+    rng = np.random.default_rng(5)
+    entries = []
+    for i in rng.choice(n, size=max(1, n // 100), replace=False):
+        m = rng.normal(size=(d, d))
+        entries.append((int(i), 0, gauge[i] * (m @ m.T / 4 + 0.5 * np.eye(d))))
+    params = TriggerParams.uniform(
+        n, sigma=builtin.REFERENCE_SIGMA, theta=builtin.LEADER_FOLLOWER_THETA,
+        beta=builtin.REFERENCE_BETA, delta=builtin.REFERENCE_DELTA,
+        chi0=builtin.REFERENCE_CHI0)
+    mode = LeaderFollower(u0=np.ones(d),
+                          coupling=InputCoupling.from_entries(entries, d))
+    return dataclasses.replace(leaderless, mode=mode, params=params)
 
 
 def error_series(rec):
@@ -256,6 +280,18 @@ class TestLyapunovLfOracle:
     def test_random_graph_psd_coupling(self):
         rec = sim.run(random_lf_scenario(n=12, d=3, horizon=0.2, seed=3))
         assert rec.limit_state is not None
+        self.assert_matches_dense(rec, rec.limit_state)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_pinned_probe_in_arc_blocks(self, block, monkeypatch):
+        """n = 200 agents, two of them pinned: 402 edges, summed in blocks
+        of ``block`` arcs over all rows, the last block short."""
+        sc = pinned_probe_scenario(200, horizon=0.02)
+        rec = sim.run(sc)
+        assert len(sc.mode.coupling.table) == 2
+        assert len(sc.network.table) == 402
+        monkeypatch.setattr(sim, "WINDOW_VALUES",
+                            4 * rec.d * len(rec.states) * block)
         self.assert_matches_dense(rec, rec.limit_state)
 
 

@@ -1066,10 +1066,10 @@ class TestExtremeInputs:
                  else "builtin:leaderless")
         main(["check", token])
         lines = capsys.readouterr().out.splitlines()
-        assert ("mu_bar: " + "  ".join(f"{trigger.mu_bar(i, g):.4f}"
-                                       for i in range(g.n))) in lines
-        assert ("gamma:  " + "  ".join(f"{trigger.gamma(i, sc.network, g.n):.4f}"
-                                       for i in range(g.n))) in lines
+        assert ("mu_bar: " + "  ".join(
+            f"{mu:.4f}" for mu in trigger.mu_bar(g))) in lines
+        assert ("gamma:  " + "  ".join(
+            f"{gam:.4f}" for gam in trigger.gamma(sc.network, g.n))) in lines
 
     @pytest.mark.parametrize("horizon", ["1e12", "1e308"])
     def test_horizon_beyond_memory_one_line(self, horizon, capsys):

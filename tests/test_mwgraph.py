@@ -135,6 +135,19 @@ class TestGraphModel:
                                       f"{w.shape}, graph block dimension "
                                       f"is 2")
 
+    @pytest.mark.parametrize("table", [(), [], None, [[0, 1]]])
+    def test_non_table_refused_in_one_line(self, table):
+        """A graph and an input coupling take an EdgeTable; anything else
+        is refused before it is read."""
+        kind = type(table).__name__
+        with pytest.raises(GraphFormatError) as err:
+            MatrixWeightedGraph(2, 1, table)
+        assert str(err.value) == f"a graph takes an EdgeTable, got {kind}"
+        with pytest.raises(GraphFormatError) as err:
+            InputCoupling(table)
+        assert str(err.value) == (f"an input coupling takes an EdgeTable, "
+                                  f"got {kind}")
+
     def test_ordered_edges_shared(self, ref_graph, ref_coupling):
         """A table already in (min, max) order is kept, not copied; the
         extended network's rows start with the agents' edges, in their
@@ -567,8 +580,9 @@ class TestGroundedLaplacian:
     that ``spectrum`` reads, on the same assertions."""
 
     def test_empty_coupling_is_plain_laplacian(self, ref_graph):
-        for lb in (grounded_laplacian(ref_graph, InputCoupling()),
-                   grounded_block(ref_graph, InputCoupling())):
+        empty = InputCoupling(EdgeTable.empty(4))
+        for lb in (grounded_laplacian(ref_graph, empty),
+                   grounded_block(ref_graph, empty)):
             np.testing.assert_array_equal(lb, build_laplacian(ref_graph))
 
     def test_reference_grounded_positive_definite(self, ref_graph, ref_coupling):
@@ -603,7 +617,7 @@ class TestAssumption2:
         assert assumption2(ref_graph, ref_coupling)
 
     def test_empty_coupling_fails(self, ref_graph):
-        assert not assumption2(ref_graph, InputCoupling())
+        assert not assumption2(ref_graph, InputCoupling(EdgeTable.empty(4)))
 
     def test_single_pd_input(self):
         g = scalar_graph(2, {(0, 1): 1.0}, d=2)
@@ -664,6 +678,16 @@ class TestAssumption2:
         assert str(err.value) == ("edge (2,6) weight has shape (3, 3), graph "
                                   "block dimension is 4")
 
+    def test_empty_coupling_of_other_dimension_refused(self, ref_graph):
+        """An empty coupling carries its weights' dimension too, and one of
+        d = 1 does not extend a graph of d = 4."""
+        with pytest.raises(GraphFormatError) as err:
+            extended_graph(ref_graph, InputCoupling(EdgeTable.empty(1)))
+        assert str(err.value) == ("empty input coupling weight has shape "
+                                  "(1, 1), graph block dimension is 4")
+        ext = extended_graph(ref_graph, InputCoupling(EdgeTable.empty(4)))
+        assert (ext.n, len(ext.table)) == (6, len(ref_graph.table))
+
     def test_misaligned_table_refused(self, ref_graph):
         t = ref_graph.table
         with pytest.raises(GraphFormatError, match="one row per edge"):
@@ -686,7 +710,7 @@ class TestInputCoupling:
             InputCoupling.from_entries([(0, 1, w), (1, 1, w)], 1)
         with pytest.raises(GraphFormatError, match="references input -1"):
             InputCoupling.from_entries([(0, -1, w)], 1)
-        assert InputCoupling().m == 0
+        assert InputCoupling(EdgeTable.empty(1)).m == 0
         assert InputCoupling.from_entries([(0, 1, w), (1, 0, w)], 1).m == 2
 
 

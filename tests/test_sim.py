@@ -79,7 +79,8 @@ class TestValidation:
 
     def test_lf_requires_assumption2(self):
         g = scalar_graph(2, {(0, 1): 1.0})
-        mode = LeaderFollower(u0=np.array([0.5]), coupling=InputCoupling())
+        mode = LeaderFollower(u0=np.array([0.5]),
+                              coupling=InputCoupling(EdgeTable.empty(1)))
         sc = tiny_scenario(graph=g, mode=mode)
         assert any("assumption 2" in v for v in validate_scenario(sc))
 
@@ -188,9 +189,8 @@ class TestStructureComputedOnce:
         g = sc.graph
         eigh_shapes.clear()  # drop the load-time decomposition
         analysis.event_stats(run(sc))
-        for i in range(g.n):
-            trigger.mu_bar(i, g)
-            trigger.gamma(i, g, g.n)
+        trigger.mu_bar(g)
+        trigger.gamma(g, g.n)
         # Only the one-node quotient's Laplacian: it has no edges.
         assert eigh_shapes == [(g.d, g.d)]
 
@@ -204,8 +204,7 @@ class TestStructureComputedOnce:
         # load-time pair.
         decomposed = [(g.d, g.d), (g.d, g.d)]
         assert eigh_shapes == decomposed
-        for i in range(g.n):
-            trigger.gamma(i, sc.network, g.n)
+        trigger.gamma(sc.network, g.n)
         assert eigh_shapes == decomposed
 
     def test_one_extended_graph_per_lf_run(self, monkeypatch):
@@ -611,7 +610,7 @@ class TestTriggerEngineConsistency:
 
         event_steps = [set(np.rint(np.asarray(ev) / sc.dt).astype(int))
                        for ev in rec.events]
-        mu = [trigger.mu_bar(i, g) for i in range(g.n)]
+        mu = trigger.mu_bar(g)
         broadcasts = oracles.held_rows(rec)[0]
         for k in range(len(rec.times) - 1):
             xhat_pre = broadcasts[k]
@@ -631,7 +630,7 @@ class TestTriggerEngineConsistency:
         rec = run(sc)
         g = sc.graph
         d = g.d
-        gam = [trigger.gamma(i, sc.network, g.n) for i in range(g.n)]
+        gam = trigger.gamma(sc.network, g.n)
         event_steps = [set(np.rint(np.asarray(ev) / sc.dt).astype(int))
                        for ev in rec.events]
         broadcasts = oracles.held_rows(rec)[0]
@@ -657,7 +656,7 @@ class TestTriggerEngineConsistency:
         def sqrt_weight(i, j):
             return roots[g.edge(i, j)]
 
-        mu = [trigger.mu_bar(i, g) for i in range(g.n)]
+        mu = trigger.mu_bar(g)
         broadcasts, controls = oracles.held_rows(rec)
         for k in range(len(rec.times) - 1):
             xhat = broadcasts[k]

@@ -9,9 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mwconsensus import cli, scenario_io
 from mwconsensus.builtin import WEIGHT_0_5, WEIGHT_3_4, \
     leader_follower_scenario, leaderless_scenario
-from mwconsensus.errors import GraphFormatError, NoNeighbors
+from mwconsensus.errors import GraphFormatError
 from mwconsensus.linalg import sym_eigen, sym_sqrt
 from mwconsensus.mwgraph import EdgeTable, InputCoupling, \
     MatrixWeightedGraph, build_laplacian, extended_graph
@@ -25,6 +26,7 @@ from oracles import AgentParams, NotNeighbors, chi_rate_leaderless, \
     chi_rate_lf, control_leader_follower, control_leaderless, \
     leaderless_fires, lf_fires, relative_broadcast
 from test_mwgraph import scalar_graph
+from test_sim import isolated_psd_nsd_scenario
 
 
 def params(sigma=0.9, theta=0.5, beta=1.0, delta=1.0, chi0=0.5):
@@ -81,7 +83,7 @@ class TestControls:
     def test_lf_without_inputs_matches_leaderless(self, ref_graph):
         rng = np.random.default_rng(3)
         xhat = rng.uniform(-1, 1, 24)
-        empty = InputCoupling()
+        empty = InputCoupling(EdgeTable.empty(4))
         u0 = np.zeros(4)
         for i in range(6):
             np.testing.assert_array_equal(
@@ -113,17 +115,29 @@ class TestControls:
 class TestSpectralConstants:
     def test_reference_mu_bar_published_values(self, ref_graph):
         published = (9.2047, 8.396, 9.7599, 6.7454, 9.7599, 9.3996)
-        for i, want in enumerate(published):
-            assert mu_bar(i, ref_graph) == pytest.approx(want, abs=1e-3)
+        np.testing.assert_allclose(mu_bar(ref_graph), published, rtol=0,
+                                   atol=1e-3)
 
     def test_identity_weight(self):
         g = scalar_graph(2, {(0, 1): 1.0}, d=3)
-        assert mu_bar(0, g) == pytest.approx(1.0)
+        assert mu_bar(g).tolist() == pytest.approx([1.0, 1.0])
 
-    def test_isolated_agent_raises(self):
-        g = MatrixWeightedGraph(2, 1, EdgeTable.empty(1))
-        with pytest.raises(NoNeighbors):
-            mu_bar(0, g)
+    def test_isolated_agent_has_zero_mu_bar_and_gain(self, tmp_path, capsys):
+        """Agent 2 has no neighbours: its mu_bar and its leaderless gain are
+        0, and ``check`` prints nan for its mu_bar."""
+        g = scalar_graph(3, {(0, 1): 2.0}, d=1)
+        assert mu_bar(g).tolist() == [2.0, 2.0, 0.0]
+        sc = Scenario(graph=g, mode=Leaderless(),
+                      params=TriggerParams.uniform(3, 0.5, 2.0, 1.0, 0.5, 0.5),
+                      dt=1e-3, horizon=0.01)
+        assert sc.gains.tolist() == [2.0, 2.0, 0.0]
+        assert sc.gains.tobytes() == np.array(oracles.gains(sc)).tobytes()
+        path = tmp_path / "isolated.json"
+        path.write_text(scenario_io.dump_scenario(sc), encoding="utf-8")
+        cli.main(["check", str(path)])
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("mu_bar:"))
+        assert row.split()[1:] == ["2.0000", "2.0000", "nan"]
 
     def test_scalar_degeneration(self):
         rng = np.random.default_rng(19)
@@ -134,25 +148,26 @@ class TestSpectralConstants:
             if not neigh:
                 continue
             want = max(abs(edges.get((min(i, j), max(i, j)))) for j in neigh)
-            assert mu_bar(i, g) == pytest.approx(want, abs=1e-12)
+            assert mu_bar(g)[i] == pytest.approx(want, abs=1e-12)
 
     def test_gamma_empty(self):
         g = MatrixWeightedGraph(2, 1, EdgeTable.empty(1))
-        assert gamma(0, g, g.n) == 0.0
+        assert gamma(g, g.n).tolist() == [0.0, 0.0]
 
     def test_gamma_two_node_identity(self):
         g = scalar_graph(2, {(0, 1): 1.0}, d=2)
         # n * (sum mu)^2 + n * sum mu^2 = 2 * 1 + 2 * 1
-        assert gamma(0, g, g.n) == pytest.approx(4.0)
+        assert gamma(g, g.n).tolist() == pytest.approx([4.0, 4.0])
 
     def test_gamma_overflows_to_inf(self):
         # float ** raises OverflowError where float * returns inf
         g = scalar_graph(2, {(0, 1): 1e300}, d=2)
-        assert gamma(0, g, g.n) == np.inf
+        assert gamma(g, g.n).tolist() == [np.inf, np.inf]
 
     def test_gamma_formula_against_direct_evaluation(self, ref_graph,
                                                      ref_coupling):
         network = extended_graph(ref_graph, ref_coupling)
+        got = gamma(network, 6)
         for i in range(6):
             mus = [float(sym_eigen(
                 ref_graph.table.abs_weight[ref_graph.edge(i, j)])[0][-1])
@@ -161,7 +176,7 @@ class TestSpectralConstants:
                      for a, _, w, cls in oracles.edge_rows(ref_coupling.table)
                      if a == i]
             want = 6 * (sum(mus) + sum(mus_b)) ** 2 + 6 * sum(m * m for m in mus)
-            assert gamma(i, network, 6) == pytest.approx(want)
+            assert got[i] == pytest.approx(want)
 
     def test_gamma_splits_agents_from_inputs(self, ref_graph):
         """Agent 2 carries two inputs: both enter the squared sum only, and
@@ -170,6 +185,7 @@ class TestSpectralConstants:
             (2, 0, WEIGHT_0_5, "pd"), (2, 1, -WEIGHT_3_4, "nsd"),
             (4, 2, WEIGHT_3_4, "psd")], 4)
         network = extended_graph(ref_graph, coupling)
+        got = gamma(network, 6)
         for i in range(6):
             mus = [ref_graph.table.abs_lambda_max[ref_graph.edge(i, j)]
                    for j in ref_graph.neighbors(i)]
@@ -178,7 +194,7 @@ class TestSpectralConstants:
                      if a == i]
             assert len(mus_b) == {2: 2, 4: 1}.get(i, 0)
             want = 6 * (sum(mus) + sum(mus_b)) ** 2 + 6 * sum(m * m for m in mus)
-            assert gamma(i, network, 6) == pytest.approx(want, rel=1e-12)
+            assert got[i] == pytest.approx(want, rel=1e-12)
 
 
 class TestLeaderlessTrigger:
@@ -369,8 +385,10 @@ class TestGainsFromTable:
         lambda: random_leader_follower(np.random.default_rng(9), 60, 3),
         lambda: hub_scenario(np.random.default_rng(10), 300, 2, False),
         lambda: hub_scenario(np.random.default_rng(11), 300, 2, True),
+        lambda: isolated_psd_nsd_scenario(),
+        lambda: isolated_psd_nsd_scenario(lf=True),
     ], ids=["leaderless", "leader-follower", "random-dense", "random-lf-n60",
-            "hub", "hub-lf"])
+            "hub", "hub-lf", "isolated", "isolated-lf"])
     def test_gains_match_per_agent_reference(self, make):
         sc = make()
         want = np.array(oracles.gains(sc))
@@ -380,18 +398,15 @@ class TestGainsFromTable:
             assert len(sc.mode.coupling.table) >= 2
             assert max(len(sc.network.neighbors(i)) - g.degrees[i]
                        for i in range(g.n)) >= 1
-            for i in range(g.n):  # one agent at a time, as check prints it
-                assert gamma(i, sc.network, g.n) == want[i]
         else:
             assert g.n < 10 or g.degrees.max() >= 9
-            agents = np.arange(g.n)
-            assert mu_bar(agents, g).tobytes() == np.array(
-                [oracles.mu_bar(i, g) for i in agents]).tobytes()
-            for i in agents:
-                assert mu_bar(int(i), g) == oracles.mu_bar(int(i), g)
+            mu, linked = mu_bar(g), np.flatnonzero(g.degrees)
+            assert mu[linked].tobytes() == np.array(
+                [oracles.mu_bar(int(i), g) for i in linked]).tobytes()
+            assert not mu[g.degrees == 0].any()
             # gamma's sums over the same neighbour lists, inputs aside.
-            assert gamma(agents, g, g.n).tobytes() == np.array(
-                [oracles.gamma(i, g, g.n) for i in agents]).tobytes()
+            assert gamma(g, g.n).tobytes() == np.array(
+                [oracles.gamma(i, g, g.n) for i in range(g.n)]).tobytes()
 
     def test_hub_gains_in_edge_memory(self):
         """A star of n = 20 000 scalar edges: the gains take memory in
@@ -399,8 +414,8 @@ class TestGainsFromTable:
         sc = hub_scenario(np.random.default_rng(12), 20_000, 1, True)
         tracemalloc.start()
         try:
-            got = gamma(np.arange(sc.graph.n), sc.network, sc.graph.n)
-            mu = mu_bar(np.arange(sc.graph.n), sc.graph)
+            got = gamma(sc.network, sc.graph.n)
+            mu = mu_bar(sc.graph)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -411,15 +426,9 @@ class TestGainsFromTable:
 
     def test_overflowing_gamma_is_inf_per_agent(self):
         g = scalar_graph(3, {(0, 1): 1e300, (1, 2): 1.0}, d=1)
-        got = gamma(np.arange(3), g, g.n)
+        got = gamma(g, g.n)
         assert got.tolist() == [oracles.gamma(i, g, g.n) for i in range(3)]
         assert got.tolist() == [np.inf, np.inf, 6.0]
-
-    def test_isolated_agent_in_array_refused(self):
-        g = scalar_graph(3, {(0, 1): 1.0}, d=1)
-        with pytest.raises(NoNeighbors, match="agent 2 has no neighbors"):
-            mu_bar(np.arange(3), g)
-
 
 class TestValidateParams:
     def test_matches_per_agent_reference(self):

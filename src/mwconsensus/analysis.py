@@ -7,7 +7,7 @@ decay rate, event counts, inter-event times, chi floor margins and warnings.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -52,8 +52,8 @@ class RunSummary:
 
     def as_dict(self) -> dict:
         """JSON-ready form: tuples become lists."""
-        return {k: list(v) if isinstance(v, tuple) else v
-                for k, v in asdict(self).items()}
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values}
 
 
 def lyapunov_leaderless(record: TrajectoryRecord,
@@ -68,27 +68,15 @@ def lyapunov_lf(record: TrajectoryRecord, xtilde: np.ndarray) -> np.ndarray:
     holds the gauge-signed input copies (the record's limit state).  L_B is
     the agents' block of the network's Laplacian, so the form is the sum of
     ``p_e^T |A_e| p_e``, ``p_e = xi_i - sgn(A_e) xi_j``, over its edges,
-    with every input j >= n held at xi = 0.
-
-    The terms are read from the compiled arcs with ``src < dst``, one per
-    edge, a block of them over all rows at a time (an agent-agent edge's
-    two arcs have bitwise-equal terms)."""
-    compiled = sim.compile_scenario(record.scenario)
+    with every input j >= n held at xi = 0: the compiled scenario's
+    ``pair_form`` of xi, one column per row."""
+    sc = record.scenario
     n, d, rows = record.n, record.d, len(record.states)
-    # Every node's xi, one column per row; the inputs stay at 0.
-    nodes = np.zeros((record.scenario.network.n, d, rows))
+    nodes = np.zeros((sc.network.n, d, rows))
     np.subtract(record.states.T.reshape(n, d, rows),
                 np.asarray(xtilde, dtype=float).reshape(n, d, 1),
                 out=nodes[:n])
-    once = np.flatnonzero(compiled.arc_src < compiled.arc_dst)
-    # p, its two gathers and the flow of a block: ~WINDOW_VALUES values.
-    block = max(1, sim.WINDOW_VALUES // (4 * d * rows))
-    v = np.zeros(rows)
-    for lo in range(0, len(once), block):
-        arcs = once[lo:lo + block]
-        rel = compiled._relative(nodes, arcs)
-        v += np.einsum("ei...,ei...->...", compiled._flow(rel, arcs), rel)
-    return v + record.chi.sum(axis=1)
+    return sc.compiled.pair_form(nodes) + record.chi.sum(axis=1)
 
 
 def fit_decay_rate(times: np.ndarray, values: np.ndarray) -> Optional[float]:

@@ -62,12 +62,6 @@ def ends_array(pairs) -> np.ndarray:
     return ends
 
 
-def abs_stack(sign: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """The |A| of a stack of weights with signs ``sign``: ``sgn(A) A``,
-    symmetrized."""
-    return linalg.symmetric(sign[:, None, None] * weight)
-
-
 def read_only(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.setflags(write=False)
@@ -113,8 +107,8 @@ class EdgeTable:
 
     @cached_property
     def abs_weight(self) -> np.ndarray:
-        """The stack of |A| (see :func:`abs_stack`)."""
-        return abs_stack(self.sign, self.weight)
+        """The stack of |A|: each ``sgn(A) A``, symmetrized."""
+        return linalg.symmetric(self.sign[:, None, None] * self.weight)
 
     @cached_property
     def abs_eigen(self) -> tuple[np.ndarray, np.ndarray]:

@@ -43,8 +43,8 @@ import numpy as np
 
 from . import linalg
 # float_array is read through this module by sim and trigger.
-from .edges import SIGN_OF, EdgeTable, Faults, abs_stack, \
-    class_signs, ends_array, float_array, index_edges, weight_stack
+from .edges import SIGN_OF, EdgeTable, Faults, class_signs, ends_array, \
+    float_array, index_edges, weight_stack
 from .errors import AssumptionViolated, GraphFormatError, NotPSD
 from .linalg import ND, PD, DefinitenessClass
 
@@ -342,7 +342,7 @@ def definite_quotient(g: MatrixWeightedGraph) -> MatrixWeightedGraph:
         return MatrixWeightedGraph(len(label), g.d, EdgeTable.empty(g.d))
     w = np.zeros((len(between), g.d, g.d))
     with np.errstate(over="ignore"):  # an overflowed sum is refused below
-        np.add.at(w, group, abs_stack(t.sign[across], t.weight[across]))
+        np.add.at(w, group, t.abs_weight[across])
         w = linalg.symmetric(w)
     if not np.isfinite(w).all():
         raise GraphFormatError(TOO_LARGE)
@@ -521,5 +521,5 @@ def verify_assumption2(network: MatrixWeightedGraph, n: int) -> bool:
     inputs = np.flatnonzero(t.ends[:, 1] >= n)
     total = np.zeros((1, network.d, network.d))
     np.add.at(total, np.zeros(len(inputs), dtype=np.int64),
-              abs_stack(t.sign[inputs], t.weight[inputs]))
+              t.abs_weight[inputs])
     return linalg.classify_definiteness(linalg.sym_eigen(total[0])[0]) is linalg.PD

@@ -126,6 +126,11 @@ class Scenario:
         with np.errstate(over="ignore"):  # validation refuses an inf gain
             return trigger.mu_bar(g) * g.degrees
 
+    @cached_property
+    def compiled(self) -> "CompiledScenario":
+        """The scenario's per-step constants, compiled once."""
+        return CompiledScenario(self)
+
 
 def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
     """Every reason the scenario may not run, as printable strings.
@@ -159,7 +164,7 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
         out.append(f"seed must be non-negative, got {sc.seed}")
     if sc.params.n != sc.graph.n:
         out.append(f"params cover {sc.params.n} agents, graph has {sc.graph.n}")
-    out.extend(str(v) for v in trigger.validate_params(sc.params))
+    out.extend(trigger.validate_params(sc.params))
     if sc.x0 is not None and sc.x0.shape != (sc.graph.n * sc.graph.d,):
         out.append(f"x0 must have length n*d={sc.graph.n * sc.graph.d}, "
                    f"got {sc.x0.shape}")
@@ -252,14 +257,17 @@ class SimState:
 
 class CompiledScenario:
     """Scenario with every per-step constant precomputed: the trigger gain
-    and the arcs of the coupling.
+    and the arcs of the coupling.  Built once per scenario
+    (``Scenario.compiled``).
 
     Both protocols share one edge-list coupling (Trinh et al., Automatica
     2018): ``qhat_i = -sum_j |A_ij| p_ij`` with ``p_ij = xhat_i - sgn(A_ij)
     xhat_j``, over the arcs that leave agent i.  In leader-follower mode the
     arcs run over the input-extended graph, so each input is one more
-    neighbour whose state stays at ``u0``.  ``analysis.lyapunov_lf`` reads
-    the same ``p_ij`` and ``|A_ij| p_ij`` for stacks of grid rows.
+    neighbour whose state stays at ``u0``.  The same ``p_ij`` and
+    ``|A_ij| p_ij`` give the edge form ``sum_e p_e^T |A_e| p_e`` of the
+    network's Laplacian (:meth:`pair_form`), which ``analysis.lyapunov_lf``
+    reads.  The arc layout is known to this class alone.
     """
 
     def __init__(self, sc: Scenario):
@@ -326,9 +334,28 @@ class CompiledScenario:
             return q, self.sigma * np.einsum("ij,ij->i", blocks, blocks)
         return q, self.sigma / 4.0 * self.disagreement_terms(rel)
 
+    def pair_form(self, nodes: np.ndarray) -> np.ndarray:
+        """``sum_e p_e^T |A_e| p_e`` over the edges of the network, for each
+        of the k columns of the node states ``nodes`` ``(N, d, k)``.
+
+        Each edge is read from its arc with ``src < dst`` (an agent-agent
+        edge's two arcs have bitwise-equal terms), a block of arcs over all
+        k columns at a time."""
+        rows = nodes.shape[-1]
+        once = np.flatnonzero(self.arc_src < self.arc_dst)
+        # p, its two gathers and the flow of a block: ~WINDOW_VALUES values.
+        block = max(1, WINDOW_VALUES // (4 * self.d * rows))
+        v = np.zeros(rows)
+        for lo in range(0, len(once), block):
+            arcs = once[lo:lo + block]
+            rel = self._relative(nodes, arcs)
+            v += np.einsum("ei...,ei...->...", self._flow(rel, arcs), rel)
+        return v
+
 
 def compile_scenario(sc: Scenario) -> CompiledScenario:
-    return CompiledScenario(sc)
+    """The scenario's :class:`CompiledScenario` (``Scenario.compiled``)."""
+    return sc.compiled
 
 
 def _anchored(compiled: CompiledScenario, k: int, x: np.ndarray,

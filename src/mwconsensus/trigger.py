@@ -97,16 +97,6 @@ class LeaderFollower:
 Mode = Union[Leaderless, LeaderFollower]
 
 
-@dataclass(frozen=True)
-class Violation:
-    agent: int
-    field: str
-    message: str
-
-    def __str__(self):
-        return f"agent {self.agent}: {self.field}: {self.message}"
-
-
 def mu_bar(g: MatrixWeightedGraph) -> np.ndarray:
     """Largest eigenvalue among the absolute weights incident to each node:
     one scatter-max of lambda_max(|A|) over the ends of the graph's edge
@@ -148,35 +138,31 @@ def gamma(network: MatrixWeightedGraph, n: int) -> np.ndarray:
         return spread + n * squares
 
 
-def validate_params(params: TriggerParams) -> list[Violation]:
+def validate_params(params: TriggerParams) -> list[str]:
     """Range checks (theta, beta and chi0 positive and finite) plus the
     stability bound theta > (1 - delta) / beta.
 
-    Returns every violation found (empty list means valid), by agent, then
-    in the order of the checks; never raises.  The bound is identical in
-    both modes.
+    Returns every violation found as a line ``agent {i}: {field}:
+    {message}`` (empty list means valid), by agent, then in the order of
+    the checks; never raises.  The bound is identical in both modes.
     """
-    sigma, theta, beta, delta = params.sigma, params.theta, params.beta, \
-        params.delta
-    positive = np.array([theta, beta, params.chi0])
+    sigma, theta, beta, delta, chi0 = (params.sigma, params.theta,
+                                       params.beta, params.delta, params.chi0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bound = (1.0 - delta) / beta
-    # One row per check, in the order a violation is reported for an agent.
-    flagged = np.concatenate((
-        [~((0.0 <= sigma) & (sigma < 1.0))],
-        ~((0.0 < positive) & (positive < math.inf)),
-        [~((0.0 <= delta) & (delta <= 1.0))],
-        [(theta > 0.0) & (beta > 0.0) & ~(theta > bound)]))
-    if not flagged.any():
-        return []
+    finite = "{} must be positive and finite"
+    # (field, its values, mask of the agents that fail, message), in the
+    # order an agent's violations are reported.
     checks = (
-        ("sigma", sigma, "{} outside [0, 1)"),
-        ("theta", theta, "{} must be positive and finite"),
-        ("beta", beta, "{} must be positive and finite"),
-        ("chi0", params.chi0, "{} must be positive and finite"),
-        ("delta", delta, "{} outside [0, 1]"),
-        ("theta", theta, "{} does not exceed (1 - delta) / beta = {}"),
+        ("sigma", sigma, ~((0.0 <= sigma) & (sigma < 1.0)), "{} outside [0, 1)"),
+        ("theta", theta, ~((0.0 < theta) & (theta < math.inf)), finite),
+        ("beta", beta, ~((0.0 < beta) & (beta < math.inf)), finite),
+        ("chi0", chi0, ~((0.0 < chi0) & (chi0 < math.inf)), finite),
+        ("delta", delta, ~((0.0 <= delta) & (delta <= 1.0)), "{} outside [0, 1]"),
+        ("theta", theta, (theta > 0.0) & (beta > 0.0) & ~(theta > bound),
+         "{} does not exceed (1 - delta) / beta = {}"),
     )
-    return [Violation(int(k), checks[c][0],
-                      checks[c][2].format(checks[c][1][k], bound[k]))
+    flagged = np.array([mask for _, _, mask, _ in checks])
+    return [f"agent {k}: {checks[c][0]}: "
+            + checks[c][3].format(checks[c][1][k], bound[k])
             for k, c in zip(*np.nonzero(flagged.T))]

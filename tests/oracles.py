@@ -61,7 +61,7 @@ from mwconsensus.mwgraph import CLASS_DECLARATION_TOL, SYMMETRY_REJECT_TOL, \
     TOO_LARGE, InputCoupling, MatrixWeightedGraph, _CLASS_NAMES, \
     float_array, kernel_mask
 from mwconsensus.scenario_io import _json_value
-from mwconsensus.trigger import LeaderFollower, Violation
+from mwconsensus.trigger import LeaderFollower
 
 
 class AgentParams(NamedTuple):
@@ -616,24 +616,24 @@ def gains(sc) -> list[float]:
             for i in range(g.n)]
 
 
-def validate_params(params) -> list[Violation]:
-    """Range checks and the stability bound, one agent at a time."""
+def validate_params(params) -> list[str]:
+    """Range checks and the stability bound, one agent at a time, as the
+    lines ``agent {i}: {field}: {message}``."""
     out = []
     for i in range(params.n):
         a = agent_params(params, i)
         if not (0.0 <= a.sigma < 1.0):
-            out.append(Violation(i, "sigma", f"{a.sigma} outside [0, 1)"))
+            out.append(f"agent {i}: sigma: {a.sigma} outside [0, 1)")
         for name in ("theta", "beta", "chi0"):
             value = getattr(a, name)
             if not 0.0 < value < math.inf:
-                out.append(Violation(i, name, f"{value} must be positive and "
-                                              "finite"))
+                out.append(f"agent {i}: {name}: {value} must be positive and "
+                           "finite")
         if not (0.0 <= a.delta <= 1.0):
-            out.append(Violation(i, "delta", f"{a.delta} outside [0, 1]"))
+            out.append(f"agent {i}: delta: {a.delta} outside [0, 1]")
         if a.theta > 0.0 and a.beta > 0.0:
             bound = (1.0 - a.delta) / a.beta
             if not a.theta > bound:
-                out.append(Violation(
-                    i, "theta",
-                    f"{a.theta} does not exceed (1 - delta) / beta = {bound}"))
+                out.append(f"agent {i}: theta: {a.theta} does not exceed "
+                           f"(1 - delta) / beta = {bound}")
     return out

@@ -231,6 +231,23 @@ class TestEventStats:
         text = json.dumps(doc)
         assert json.loads(text) == doc
 
+    @pytest.mark.parametrize("make", [builtin.leaderless_scenario,
+                                      leader_follower_scenario])
+    def test_run_and_summary_compile_once(self, make, monkeypatch):
+        """A run and its summary (the leader-follower Lyapunov function
+        included) share one compiled scenario."""
+        built = []
+        init = sim.CompiledScenario.__init__
+
+        def counting(self, sc):
+            built.append(sc)
+            init(self, sc)
+
+        monkeypatch.setattr(sim.CompiledScenario, "__init__", counting)
+        sc = make(horizon=0.05)
+        event_stats(sim.run(sc))
+        assert built == [sc]
+
 
 def negated_lf_scenario(horizon):
     """The bundled leader-follower scenario with both couplings negated."""

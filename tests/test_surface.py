@@ -6,7 +6,8 @@ A name counts as used when it appears as an identifier, outside comments
 and strings, in a module of ``src/mwconsensus`` other than ``__init__.py``
 (its own ``def``/``class`` line excepted) or in a non-test script of
 ``perfbench/``.  And no module imports another module's private
-(underscore-prefixed) names, so each keeps what it owns.
+(underscore-prefixed) names, or reads a private attribute of an object other
+than ``self`` or ``cls``, so each keeps what it owns.
 """
 
 import ast
@@ -71,6 +72,27 @@ def test_no_private_names_imported():
                 imported += [f"{path.name}: {alias.name}" for alias in node.names
                              if alias.name.startswith("_")]
     assert imported == []
+
+
+#: Private names of the standard library that the package may read.
+STDLIB_PRIVATE = {"os._exit"}
+
+
+def test_no_private_attributes_read():
+    """Dunder names are protocol, not private, and are not counted."""
+    read = []
+    for path in sorted((ROOT / "src" / "mwconsensus").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_")
+                    and not node.attr.endswith("__")):
+                continue
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            if owner not in ("self", "cls") \
+                    and f"{owner}.{node.attr}" not in STDLIB_PRIVATE:
+                read.append(f"{path.name}:{node.lineno}: "
+                            f"{ast.unparse(node)}")
+    assert read == []
 
 
 def test_console_script_resolves():

@@ -128,38 +128,33 @@ def _batch_rows(width: int) -> int:
 def _trajectory_rows(record, fh, start: int, stop: int) -> None:
     """Write grid rows ``start..stop-1`` of trajectory.csv.
 
-    The record keeps the held ``xhat``/``qhat`` pair once per anchor (a grid
-    row at which some agent fired, or row 0).  Each column keeps the text of
-    its pair: the first row formats every column from the anchor that holds
-    it, and at each later anchor only the columns whose bits differ from the
-    previous anchor are formatted again; every other row reuses the text it
-    holds.  The rows go out a batch at a time (:func:`_write_lines`), and a
-    batch may span several anchors.  The bytes are those of formatting
-    every value on every row.
+    The record keeps the held ``xhat``/``qhat`` pairs as changes, once per
+    anchor (a grid row at which some agent fired, or row 0).  Each column
+    keeps the text of its pair: the first row formats every column from the
+    anchor that holds it (``record.held_pair``), and each later anchor only
+    the columns it changed (``record.changes``); every other row reuses the
+    text it holds.  The rows go out a batch at a time
+    (:func:`_write_lines`), and a batch may span several anchors.  The bytes
+    are those of formatting every value on every row.
     """
     n, d = record.n, record.d
     labels = [f",{i},{c}," for i in range(n) for c in range(d)]
-    # Bits are compared, not floats: 0.0 == -0.0, but their texts differ.
-    bits_h = record.held_xhat.view(np.int64)
-    bits_q = record.held_q.view(np.int64)
     # The anchor that holds row `start`, then the anchors inside the range.
     first = int(np.searchsorted(record.anchors, start, side="right")) - 1
     last = int(np.searchsorted(record.anchors, stop))
     bounds = [start, *record.anchors[first + 1:last].tolist(), stop]
     batch = _batch_rows(n * d)
-    cols = range(n * d)
     tails = [""] * (n * d)
     column = []  # the tails of rows `lo` onwards, not yet written
     lo = start
     for a, (row, end) in enumerate(zip(bounds, bounds[1:]), first):
         if a > first:
-            changed = ((bits_h[a] != bits_h[a - 1])
-                       | (bits_q[a] != bits_q[a - 1]))
-            cols = np.flatnonzero(changed).tolist()
-        row_h = record.held_xhat[a].tolist()
-        row_q = record.held_q[a].tolist()
-        for c in cols:
-            tails[c] = f",{row_h[c]!r},{row_q[c]!r}\n"
+            cols, held_h, held_q = (v.tolist() for v in record.changes(a))
+        else:
+            cols = range(n * d)
+            held_h, held_q = (v.tolist() for v in record.held_pair(a))
+        for c, h, q in zip(cols, held_h, held_q):
+            tails[c] = f",{h!r},{q!r}\n"
         while row < end:
             hi = min(end, lo + batch)
             column += tails * (hi - row)

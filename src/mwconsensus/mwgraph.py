@@ -84,8 +84,22 @@ def memory_refusal(need: float, what: str, use: str) -> Optional[str]:
     have = physical_memory()
     if need < have:
         return None
-    return (f"{what} need {need / 2**30:.3g} GiB {use}, more than the "
+    # An int beyond float range (from n = 10**400, say) cannot be divided.
+    gib = need / 2**30 if need < 2**1000 else float("inf")
+    return (f"{what} need {gib:.3g} GiB {use}, more than the "
             f"{have / 2**30:.3g} GiB of physical memory")
+
+
+def _weights_refusal(d: int, count: int) -> Optional[str]:
+    """Why ``count`` d x d weights may not be stacked, or ``None``.  One is
+    sized at least: every graph forms d x d blocks, and an edgeless one an
+    empty ``(0, d, d)`` stack, which numpy cannot shape for a d this large."""
+    count = max(count, 1)
+    # A float side, whose square overflows to inf rather than raising.
+    side = float(min(d, 2**1000))
+    return memory_refusal(8.0 * count * side * side, f"d={d} weights",
+                          f"for {count} d x d float64 "
+                          f"block{'s' if count > 1 else ''}")
 
 
 #: Sign of each class name a weight may be declared with, :data:`_NO_SIGN`
@@ -124,6 +138,9 @@ def _load_edges(specs: Iterable[tuple], d: int, kind: str) -> EdgeTable:
     first, second, raws, declared = zip(*(
         spec if len(spec) == 4 else (*spec, None) for spec in read)) \
         if read else ((), (), (), ())
+    refusal = _weights_refusal(d, len(read))
+    if refusal:
+        raise GraphFormatError(refusal)
     faults = Faults(len(read), late,
                     lambda k: f"{kind} ({first[k]},{second[k]})")
     raw = weight_stack(raws, d, faults)
@@ -202,7 +219,8 @@ class MatrixWeightedGraph:
     def __post_init__(self):
         _require_table(self.table, "a graph")
         refusal = memory_refusal(NODE_BYTES * self.n, f"n={self.n} nodes",
-                                 "for the adjacency index")
+                                 "for the adjacency index") \
+            or _weights_refusal(self.d, 1)
         if refusal:
             raise GraphFormatError(refusal)
         for name, value in zip(

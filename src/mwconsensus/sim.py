@@ -147,10 +147,12 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
     elif sc.dt > 0.0:
         steps, n, nd = sc.horizon / sc.dt, sc.graph.n, sc.graph.n * sc.graph.d
         # 8 bytes each for the time, states (nd) and chi (n) of every grid
-        # point, and the index, xhat and q (nd each) of every anchor, at worst
-        # one per point.  The step loop adds window scratch (WINDOW_VALUES).
+        # point, and of every anchor its row, its change offset and, per
+        # changed column, the column index, xhat and q; at worst every point
+        # is an anchor at which every column changed.  The step loop adds
+        # window scratch (WINDOW_VALUES).
         refusal = mwgraph.memory_refusal(
-            8.0 * (steps + 1.0) * (3 * nd + n + 2), f"T/dt = {steps:.6g} steps",
+            8.0 * (steps + 1.0) * (4 * nd + n + 3), f"T/dt = {steps:.6g} steps",
             "of arrays")
         if refusal:
             out.append(refusal)
@@ -199,17 +201,25 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
     """Grid-sampled history of one run: ``states`` and ``chi`` per grid
-    row, the held broadcasts and control once per *anchor* (row 0 and every
-    row at which some agent fired).  Row ``a`` of ``held_xhat`` and
-    ``held_q`` holds from grid row ``anchors[a]`` up to the next anchor; the
-    error ``xhat - x`` is exactly zero at each agent's event instants.
+    row, and the held broadcasts and control as changes, once per *anchor*
+    (row 0 and every row at which some agent fired).  Anchor ``a`` is grid
+    row ``anchors[a]``; its changes are the entries
+    ``change_offsets[a]:change_offsets[a + 1]`` of ``change_cols`` (flat
+    state columns, ascending), ``change_xhat`` and ``change_q``: every
+    column at anchor 0, later the columns whose held ``xhat`` or ``q``
+    differs in bits from the anchor before.  A column's held pair at anchor
+    ``a`` is its latest change at or before ``a`` (:meth:`held_pair`), and
+    holds from grid row ``anchors[a]`` up to the next anchor; the error
+    ``xhat - x`` is exactly zero at each agent's event instants.
     """
 
     states: np.ndarray
     chi: np.ndarray
     anchors: np.ndarray
-    held_xhat: np.ndarray
-    held_q: np.ndarray
+    change_offsets: np.ndarray
+    change_cols: np.ndarray
+    change_xhat: np.ndarray
+    change_q: np.ndarray
     events: tuple[np.ndarray, ...]
     scenario: Scenario
 
@@ -239,6 +249,23 @@ class TrajectoryRecord:
             return None if gauge is None else np.kron(gauge, sc.mode.u0)
         return mwgraph.predicted_bipartite_limit(sc.graph, self.states[0])
 
+    def changes(self, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The columns anchor ``a`` changed, ascending, with their new held
+        ``xhat`` and ``q``."""
+        span = slice(self.change_offsets[a], self.change_offsets[a + 1])
+        return (self.change_cols[span], self.change_xhat[span],
+                self.change_q[span])
+
+    def held_pair(self, a: int) -> tuple[np.ndarray, np.ndarray]:
+        """The held ``xhat`` and ``q`` of every column at anchor ``a``: each
+        column's latest change at or before it."""
+        end = int(self.change_offsets[a + 1])
+        latest = np.zeros(self.n * self.d, dtype=np.int64)
+        # Anchor 0 holds every column.  A scatter-max, since the order in
+        # which a fancy assignment applies repeated indices is unspecified.
+        np.maximum.at(latest, self.change_cols[:end], np.arange(end))
+        return self.change_xhat[latest], self.change_q[latest]
+
 
 @dataclass
 class SimState:
@@ -256,9 +283,10 @@ class SimState:
 
 
 class CompiledScenario:
-    """Scenario with every per-step constant precomputed: the trigger gain
-    and the arcs of the coupling.  Built once per scenario
-    (``Scenario.compiled``).
+    """Scenario with every per-step constant precomputed: the step ``dt``,
+    the initial state ``x0``, the trigger gain and the arcs of the
+    coupling.  Built once per scenario (``Scenario.compiled``), and holds
+    no reference to it, so a dropped scenario is freed at once.
 
     Both protocols share one edge-list coupling (Trinh et al., Automatica
     2018): ``qhat_i = -sum_j |A_ij| p_ij`` with ``p_ij = xhat_i - sgn(A_ij)
@@ -272,8 +300,8 @@ class CompiledScenario:
 
     def __init__(self, sc: Scenario):
         g, network = sc.graph, sc.network
-        self.scenario = sc
-        self.n, self.d = g.n, g.d
+        self.n, self.d, self.dt = g.n, g.d, sc.dt
+        self.x0 = sc.initial_state()
         self.leader_follower = isinstance(sc.mode, LeaderFollower)
         self.static_baseline = sc.baseline == BASELINE_STATIC
 
@@ -367,7 +395,7 @@ def _anchored(compiled: CompiledScenario, k: int, x: np.ndarray,
     n, d = compiled.n, compiled.d
     q, slack = compiled.held_terms(xhat)
     e0 = (xhat - x).reshape(n, d)
-    dq = (compiled.scenario.dt * q).reshape(n, d)
+    dq = (compiled.dt * q).reshape(n, d)
     # For huge weights the gain times a square may still exceed float64.
     with np.errstate(over="ignore"):
         excess = np.array([
@@ -378,7 +406,7 @@ def _anchored(compiled: CompiledScenario, k: int, x: np.ndarray,
 
 
 def initial_sim_state(compiled: CompiledScenario) -> SimState:
-    x = compiled.scenario.initial_state()
+    x = compiled.x0
     # Every agent broadcasts at t = 0, so the error starts at exactly zero.
     return _anchored(compiled, 0, x, x.copy(), np.array(compiled.chi0))
 
@@ -436,7 +464,7 @@ def step(state: SimState, compiled: CompiledScenario, states: np.ndarray,
     step is one grid step.  Returns the state where the window ended and the
     agents that fired there.
     """
-    n, d, dt = compiled.n, compiled.d, compiled.scenario.dt
+    n, d, dt = compiled.n, compiled.d, compiled.dt
     w = len(chi)
     window = states[:w + 1]
     window[1:] = dt * state.q
@@ -502,22 +530,36 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
 
     states = np.empty((steps + 1, n * d))
     chi = np.empty((steps + 1, n))
-    # One anchor per grid row at worst; unwritten rows never become resident.
+    # At worst every grid row is an anchor at which every column changes;
+    # unwritten entries never become resident.
     anchors = np.empty(steps + 1, dtype=np.int64)
-    held_xhat = np.empty_like(states)
-    held_q = np.empty_like(states)
+    offsets = np.zeros(steps + 2, dtype=np.int64)
+    change_cols = np.empty((steps + 1) * n * d, dtype=np.int64)
+    change_xhat = np.empty((steps + 1) * n * d)
+    change_q = np.empty_like(change_xhat)
     events: list[list[float]] = [[0.0] for _ in range(n)]
+
+    def hold(a: int, state: SimState, changed: np.ndarray) -> None:
+        """Record ``state``'s broadcast as anchor ``a``: its grid row and the
+        held pair of the ``changed`` columns."""
+        c = np.flatnonzero(changed)
+        lo, hi = offsets[a], offsets[a] + len(c)
+        anchors[a], offsets[a + 1] = state.k, hi
+        change_cols[lo:hi], change_xhat[lo:hi], change_q[lo:hi] = \
+            c, state.xhat[c], state.q[c]
 
     state = initial_sim_state(compiled)
     states[0], chi[0] = state.xhat, compiled.chi0  # xhat = x0 at t = 0
-    anchors[0], held_xhat[0], held_q[0] = 0, state.xhat, state.q
+    hold(0, state, np.ones(n * d, dtype=bool))
 
     def finish(upto: int) -> TrajectoryRecord:
         ev = tuple(np.array(e) for e in events)
+        used = offsets[held]
         return TrajectoryRecord(
             states=states[:upto + 1], chi=chi[:upto + 1],
-            anchors=anchors[:held], held_xhat=held_xhat[:held],
-            held_q=held_q[:held], events=ev, scenario=sc)
+            anchors=anchors[:held], change_offsets=offsets[:held + 1],
+            change_cols=change_cols[:used], change_xhat=change_xhat[:used],
+            change_q=change_q[:used], events=ev, scenario=sc)
 
     k, width, held = 0, 1, 1
     while k < steps:
@@ -528,8 +570,10 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
         except Diverged as exc:
             raise Diverged(str(exc), partial_record=finish(k)) from None
         if fired.size:
-            anchors[held], held_xhat[held], held_q[held] = \
-                nxt.k, nxt.xhat, nxt.q
+            # Bits, not floats: 0.0 == -0.0, but their texts differ.
+            hold(held, nxt, (nxt.xhat.view(np.int64)
+                             != state.xhat.view(np.int64))
+                 | (nxt.q.view(np.int64) != state.q.view(np.int64)))
             held += 1
         for i in fired:
             events[i].append(nxt.k * sc.dt)

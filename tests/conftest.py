@@ -1,4 +1,9 @@
-"""Shared fixtures: the bundled reference network and some tiny graphs."""
+"""Shared fixtures: the bundled reference network, some tiny graphs, and
+the benchmark's workload builders."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,3 +81,14 @@ def random_balanced_scalar_graph(rng, n, extra_edge_prob=0.4):
                 mag = float(rng.uniform(0.5, 2.5))
                 edges[(a, b)] = gauge[a] * gauge[b] * mag
     return edges, gauge
+
+
+def perfbench_workloads():
+    """The benchmark's seeded workload builders, ``perfbench/workloads.py``
+    (a script directory, not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module

@@ -8,7 +8,10 @@ The CSV writers format every value of every row in one pass: the plain
 form of the package's writer, which formats only what changed and splits
 the rows over processes.  The trajectory writer reads the held broadcasts
 and controls through ``held_rows``, which expands the record's anchor rows
-to one row per grid point.
+to one row per grid point.  The record stores, per anchor, only the held
+columns that changed; ``held_anchors`` applies those changes one anchor at
+a time to rebuild a dense row per anchor, and ``with_held`` stores dense
+per-anchor rows in a record the way ``sim.run`` does.
 
 The per-agent trigger formulas below evaluate one agent at a time from the
 graph's neighbour lookups and the rows of its edge table, with small numpy
@@ -46,6 +49,7 @@ array that the reader's level-wise check replaced.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -300,12 +304,47 @@ def four_stage_run(sc):
             np.array(controls), [np.array(e) for e in events])
 
 
+def held_anchors(record) -> tuple[np.ndarray, np.ndarray]:
+    """The record's held broadcasts and controls, one dense row per anchor:
+    the row before it with the anchor's changes written over it."""
+    nd = record.n * record.d
+    xhat = np.full((len(record.anchors), nd), np.nan)
+    q = np.full_like(xhat, np.nan)
+    row_h, row_q = xhat[0].copy(), q[0].copy()
+    offsets = record.change_offsets.tolist()
+    for a, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        for c, h, v in zip(record.change_cols[lo:hi].tolist(),
+                           record.change_xhat[lo:hi].tolist(),
+                           record.change_q[lo:hi].tolist()):
+            row_h[c], row_q[c] = h, v
+        xhat[a], q[a] = row_h, row_q
+    return xhat, q
+
+
+def with_held(record, anchors, held_xhat, held_q):
+    """``record`` with the anchors ``anchors`` and the dense held rows
+    ``held_xhat``/``held_q`` (one per anchor) stored as ``sim.run`` stores
+    them: every column at the first anchor, then the columns whose held
+    ``xhat`` or ``q`` differs in bits from the anchor before."""
+    bits_h = np.asarray(held_xhat, dtype=float).view(np.int64)
+    bits_q = np.asarray(held_q, dtype=float).view(np.int64)
+    changed = np.ones(bits_h.shape, dtype=bool)
+    changed[1:] = (bits_h[1:] != bits_h[:-1]) | (bits_q[1:] != bits_q[:-1])
+    return dataclasses.replace(
+        record, anchors=np.asarray(anchors, dtype=np.int64),
+        change_offsets=np.concatenate(([0], np.cumsum(changed.sum(axis=1)))),
+        change_cols=np.nonzero(changed)[1],
+        change_xhat=np.asarray(held_xhat)[changed],
+        change_q=np.asarray(held_q)[changed])
+
+
 def held_rows(record) -> tuple[np.ndarray, np.ndarray]:
     """The record's held broadcasts and controls, one row per grid point:
-    each anchor row repeated up to the next anchor."""
+    each anchor's dense row (``held_anchors``) repeated up to the next
+    anchor."""
     counts = np.diff(np.append(record.anchors, len(record.times)))
-    return (np.repeat(record.held_xhat, counts, axis=0),
-            np.repeat(record.held_q, counts, axis=0))
+    return tuple(np.repeat(held, counts, axis=0)
+                 for held in held_anchors(record))
 
 
 def write_trajectory_csv(record, path) -> None:

@@ -17,8 +17,7 @@ from mwconsensus.sim import Scenario
 from mwconsensus.trigger import LeaderFollower, Leaderless, TriggerParams
 
 import oracles
-from conftest import random_balanced_scalar_graph
-from test_cli import perfbench_workloads
+from conftest import perfbench_workloads, random_balanced_scalar_graph
 from test_mwgraph import scalar_graph
 from test_sim import uniform_params
 

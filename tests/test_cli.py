@@ -3,7 +3,6 @@
 import copy
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import math
 import os
@@ -21,6 +20,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import perfbench_workloads
 from mwconsensus import cli, mwgraph, scenario_io, sim, trigger
 from mwconsensus.analysis import RunSummary, event_stats
 from mwconsensus.builtin import REFERENCE_U0, leader_follower_scenario, \
@@ -517,11 +517,13 @@ class TestRun:
     def test_writer_streams_the_record(self, tmp_path):
         """Writing holds one batch as Python objects at a time
         (``cli.BATCH_VALUES`` values, or one grid row where a row is
-        wider), so its peak stays below the record's own arrays."""
+        wider), next to one held-pair text per column, so its peak stays
+        below the record's own arrays."""
         record = sim.run(leaderless_scenario(seed=0, horizon=2.0))
-        arrays = sum(a.nbytes for a in (record.times, record.states,
-                                        record.chi, record.anchors,
-                                        record.held_xhat, record.held_q))
+        arrays = sum(a.nbytes for a in (
+            record.times, record.states, record.chi, record.anchors,
+            record.change_offsets, record.change_cols, record.change_xhat,
+            record.change_q))
         tracemalloc.start()
         try:
             write_artifacts(record, tmp_path)
@@ -596,17 +598,6 @@ class TestRun:
             in lines
 
 
-def perfbench_workloads():
-    """The benchmark's seeded workload builders, ``perfbench/workloads.py``
-    (a script directory, not a package)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def use_cpus(monkeypatch, count):
     """Make ``write_artifacts`` split even a short record over ``count``
     processes, whatever this machine has."""
@@ -651,10 +642,9 @@ class TestWriterOracle:
     def two_anchor_record(record):
         """``record`` with its anchors cut to rows 0 and 200."""
         held = record.anchors.searchsorted(200, side="right") - 1
-        return dataclasses.replace(
-            record, anchors=np.array([0, 200]),
-            held_xhat=record.held_xhat[[0, held]],
-            held_q=record.held_q[[0, held]])
+        held_xhat, held_q = oracles.held_anchors(record)
+        return oracles.with_held(record, [0, 200], held_xhat[[0, held]],
+                                 held_q[[0, held]])
 
     def test_chunks_start_inside_anchor_spans(self, tmp_path, monkeypatch):
         """Anchors at rows 0 and 200 of 501: no chunk of 2-4 processes
@@ -727,8 +717,7 @@ class TestWriterOracle:
         h[:, 2], q[:, 2] = flips, flips  # both flip together
         assert (np.signbit(h[1:, 0]) != np.signbit(h[:-1, 0])).all()
         h[5], q[5] = h[4], q[4]  # an anchor that changes nothing
-        record = dataclasses.replace(record, anchors=np.arange(rows),
-                                     held_xhat=h, held_q=q)
+        record = oracles.with_held(record, np.arange(rows), h, q)
         self.assert_writers_agree(record, tmp_path, monkeypatch)
 
     def test_no_more_processes_than_rows(self, tmp_path, monkeypatch):
@@ -1048,6 +1037,40 @@ class TestExtremeInputs:
             "more than the 0.000977 GiB of physical memory"]
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("command", ["check", "run", "spectrum"])
+    @pytest.mark.parametrize("edges", [[], [{"i": 0, "j": 1,
+                                             "weight": [1.0]}]],
+                             ids=["edgeless", "one-edge"])
+    def test_block_dimension_beyond_memory_one_line(self, command, edges,
+                                                    tmp_path, capsys):
+        """A graph.d of 3e9, whose d x d weights cannot be shaped, is
+        refused in one line before any weight stack exists."""
+        doc = huge_weights_doc(2, [], d=3 * 10**9)
+        doc["graph"]["edges"] = edges
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "runs")]
+        assert main(argv) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: d=3000000000 weights need ") \
+            and err.endswith(" GiB of physical memory\n")
+
+    @pytest.mark.parametrize("field", ["n", "d"])
+    def test_size_beyond_float_range_one_line(self, field, tmp_path, capsys):
+        """A graph.n or graph.d of 10**400, an integer that no float holds,
+        is refused in one line: its size reads as inf GiB."""
+        doc = huge_weights_doc(2, [], d=1)
+        doc["graph"][field] = 10**400
+        path = tmp_path / "size.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert " need inf GiB " in err and err.endswith("physical memory\n")
+
     def test_check_constants_bounded_width(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(small_scenario_doc(weight=1e300)))
@@ -1258,6 +1281,49 @@ class TestMalformedDocuments:
             assert err.count("\n") <= 1 and "Traceback" not in err, err
             outcomes.add(code)
         assert outcomes == {EXIT_OK, EXIT_VALIDATION}
+
+    def test_builtin_field_fuzz(self, tmp_path, capsys):
+        """Seeded edits of one or two fields of the dumped builtin documents,
+        ``graph.d`` set to every value among them, with values that include
+        huge sizes: ``check`` exits 0, 1 or 2 with at most one stderr line,
+        never a traceback."""
+        rng = random.Random(20261019)
+        pool = [None, True, -1, 0, 1e308, float("nan"), float("inf"), "", [],
+                {}, 10**30]
+        bases = [leaderless_doc(), lf_scenario_doc()]
+        edits = [(base, {("graph", "d"): value}) for base in bases
+                 for value in pool]
+        while len(edits) < 200:
+            base = rng.choice(bases)
+            paths = rng.sample(_paths(base, ()), rng.randint(1, 2))
+            edits.append((base, {path: rng.choice(pool) for path in paths}))
+        for base, fields in edits:
+            doc = copy.deepcopy(base)
+            # Deeper paths first, so that no edit removes a later one's path.
+            for path in sorted(fields, key=len, reverse=True):
+                target = doc
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = copy.deepcopy(fields[path])
+            code, err = check_outcome(doc, tmp_path, capsys)
+            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_DIVERGED), \
+                (fields, err)
+            assert err.count("\n") <= 1 and "Traceback" not in err, err
+
+
+def _paths(node, path):
+    """The key path of every entry below ``node``, containers included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    out = []
+    for key, child in items:
+        out.append(path + (key,))
+        out.extend(_paths(child, path + (key,)))
+    return out
 
 
 def _containers(node, out):

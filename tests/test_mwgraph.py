@@ -71,6 +71,21 @@ def random_mixed_graph(rng, balanced):
 
 
 class TestGraphModel:
+    def test_block_dimension_beyond_memory_refused(self):
+        """A d whose d x d weights (8 d^2 bytes each) exceed the memory is
+        refused in one line before a weight stack is shaped, from edge specs
+        or with an edgeless table, whose quotient stacks ``(0, d, d)``."""
+        d = 3 * 10**9
+        for build in (lambda: MatrixWeightedGraph(1, d, EdgeTable.empty(1)),
+                      lambda: MatrixWeightedGraph.from_edges(2, d, []),
+                      lambda: MatrixWeightedGraph.from_edges(
+                          2, d, [(0, 1, [1.0])]),
+                      lambda: InputCoupling.from_entries([], d)):
+            with pytest.raises(GraphFormatError,
+                               match=rf"^d={d} weights need .* of physical "
+                                     "memory$"):
+                build()
+
     def test_basic_accessors(self, ref_graph):
         """``edge(i, j)`` is the row of the table whose ends are
         ``(min(i, j), max(i, j))``, or ``None``."""

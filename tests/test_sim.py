@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import gc
 import math
+import weakref
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -19,7 +21,7 @@ from mwconsensus.sim import Scenario, chi_floor_check, \
 from mwconsensus.trigger import LeaderFollower, Leaderless, TriggerParams
 
 import oracles
-from conftest import random_balanced_scalar_graph
+from conftest import perfbench_workloads, random_balanced_scalar_graph
 from oracles import scalar_consensus_run
 from test_mwgraph import scalar_graph
 
@@ -329,6 +331,28 @@ class TestHeldTerms:
         assert calls["disagreement_terms"] == (want if leaderless else 0)
 
 
+@pytest.mark.parametrize("make", [leaderless_scenario,
+                                  leader_follower_scenario],
+                         ids=["leaderless", "leader-follower"])
+def test_dropped_scenario_frees_its_compiled_tables(make):
+    """The compiled scenario holds no reference back to its scenario, so
+    dropping the scenario and its record frees the compiled tables at once,
+    with the cyclic collector off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sc = make(seed=0, horizon=0.01)
+        record = run(sc)
+        compiled = weakref.ref(sc.compiled)
+        del sc
+        assert compiled() is not None  # the record keeps the scenario
+        del record
+        assert compiled() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class TestLeaderlessSlack:
     """The slack ``held_terms`` reads from the ``p_ij`` it shares with the
     control is the paper's ``(sigma/4) sum_j ||sqrt(|A_ij|) p_ij||^2``, and
@@ -385,10 +409,11 @@ class TestLeaderlessSlack:
 
 class TestAnchors:
     """The record keeps the held pair once per anchor: row 0 and every grid
-    row at which some agent fired."""
+    row at which some agent fired, as the columns that changed there."""
 
     @pytest.fixture(params=["leaderless", "leader-follower", "static",
-                            "random-balanced", "zero-error", "diverged"])
+                            "random-balanced", "random-n500", "zero-error",
+                            "diverged"])
     def record(self, request, ref_leaderless_record, ref_lf_record):
         if request.param == "diverged":
             sc = tiny_scenario(graph=scalar_graph(2, {(0, 1): 1000.0}),
@@ -403,8 +428,31 @@ class TestAnchors:
                                                       baseline="static")),
             "random-balanced": lambda: run(dataclasses.replace(
                 random_balanced_scenario(), horizon=2.0)),
+            "random-n500": lambda: run(
+                perfbench_workloads().random_balanced_scenario(1, 500)[0]),
             "zero-error": lambda: run(zero_error_fire_scenario()),
         }[request.param]()
+
+    def test_changes_are_the_changed_columns(self, record):
+        """Anchor 0 stores every column, and each later anchor exactly the
+        columns, ascending, whose held xhat or q differs in bits from the
+        anchor before in the dense view: a signed zero counts as a change,
+        an equal value does not."""
+        offsets = record.change_offsets
+        nd = record.n * record.d
+        assert offsets.tolist()[:2] == [0, nd]
+        assert len(offsets) == len(record.anchors) + 1
+        assert offsets[-1] == len(record.change_cols) \
+            == len(record.change_xhat) == len(record.change_q)
+        held_xhat, held_q = oracles.held_anchors(record)
+        bits_h, bits_q = held_xhat.view(np.int64), held_q.view(np.int64)
+        want = [np.arange(nd)] + [
+            np.flatnonzero((bits_h[a] != bits_h[a - 1])
+                           | (bits_q[a] != bits_q[a - 1]))
+            for a in range(1, len(record.anchors))]
+        for a, cols in enumerate(want):
+            np.testing.assert_array_equal(
+                record.change_cols[offsets[a]:offsets[a + 1]], cols)
 
     def test_anchor_invariants(self, record):
         """Anchors start at row 0 and increase strictly; the grid times of
@@ -412,14 +460,15 @@ class TestAnchors:
         held control is bitwise the control of its held broadcasts."""
         rec = record
         anchors = rec.anchors
+        held_xhat, held_q = oracles.held_anchors(rec)
         assert anchors[0] == 0 and np.all(np.diff(anchors) > 0)
-        assert rec.held_xhat.shape == rec.held_q.shape \
+        assert held_xhat.shape == held_q.shape \
             == (len(anchors), rec.n * rec.d)
         fired = np.unique(np.concatenate(rec.events))
         np.testing.assert_array_equal(rec.times[anchors[1:]],
                                       fired[fired > 0.0])
         compiled = sim.compile_scenario(rec.scenario)
-        for a, (xhat, q) in enumerate(zip(rec.held_xhat, rec.held_q)):
+        for a, (xhat, q) in enumerate(zip(held_xhat, held_q)):
             assert compiled.held_terms(xhat)[0].tobytes() == q.tobytes(), a
 
     def test_times_derived_from_rows(self, record):
@@ -532,7 +581,7 @@ class TestStepSemantics:
         """The edge-list control equals the dense one, ``-L xhat`` or
         ``input_drive - L_B xhat``.  The atol covers entries near consensus,
         where the dense product itself cancels and a pure rtol cannot hold."""
-        cases = [(rec.scenario, rec.held_xhat, rec.held_q)
+        cases = [(rec.scenario, *oracles.held_anchors(rec))
                  for rec in (ref_leaderless_record, ref_lf_record)]
         for lf in (False, True):
             sc = isolated_psd_nsd_scenario(lf)
@@ -898,7 +947,8 @@ class TestGaugeCovariance:
         D = np.repeat(s, sc.graph.d)
         np.testing.assert_array_equal(flipped.states, base.states * D)
         np.testing.assert_array_equal(flipped.anchors, base.anchors)
-        np.testing.assert_array_equal(flipped.held_xhat, base.held_xhat * D)
+        np.testing.assert_array_equal(oracles.held_anchors(flipped)[0],
+                                      oracles.held_anchors(base)[0] * D)
         assert flipped.chi.tobytes() == base.chi.tobytes()
         for a, b in zip(flipped.events, base.events):
             np.testing.assert_array_equal(a, b)
@@ -1034,7 +1084,7 @@ def stepwise_run(sc):
 
 def assert_same_record(rec, arrays, events):
     for got, want in zip((rec.times, rec.states, rec.chi, rec.anchors,
-                          rec.held_xhat, rec.held_q), arrays):
+                          *oracles.held_anchors(rec)), arrays):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert [e.tolist() for e in rec.events] == events

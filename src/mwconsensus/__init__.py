@@ -11,8 +11,8 @@ from .analysis import RunSummary, event_stats, fit_decay_rate, \
     lyapunov_leaderless, lyapunov_lf
 from .errors import AssumptionViolated, Diverged, GraphFormatError, \
     InvalidMatrix, InvalidScenario, MwcError, NotPSD, UnsupportedWeight
-from .linalg import DefinitenessClass, classify_definiteness, matrix_sgn, \
-    spectral_abs, sym_eigen, sym_sqrt
+from .linalg import DefinitenessClass, classify_definiteness, spectral_abs, \
+    sym_eigen, sym_sqrt
 from .mwgraph import InputCoupling, MatrixWeightedGraph, build_laplacian, \
     detect_structural_balance, leader_gauge, null_space, \
     predicted_bipartite_limit, verify_assumption1, verify_assumption2

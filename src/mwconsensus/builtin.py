@@ -139,22 +139,18 @@ def reference_params(theta: float) -> TriggerParams:
         delta=REFERENCE_DELTA, chi0=REFERENCE_CHI0)
 
 
-def leaderless_scenario(seed: int = 0, dt: float = REFERENCE_DT,
-                        horizon: float = LEADERLESS_HORIZON,
-                        baseline: str = "dynamic") -> Scenario:
+def leaderless_scenario(seed: int = 0) -> Scenario:
     return Scenario(
         graph=reference_graph(),
         mode=Leaderless(),
         params=reference_params(LEADERLESS_THETA),
-        dt=dt, horizon=horizon, seed=seed, baseline=baseline)
+        dt=REFERENCE_DT, horizon=LEADERLESS_HORIZON, seed=seed)
 
 
-def leader_follower_scenario(seed: int = 0, dt: float = REFERENCE_DT,
-                             horizon: float = LEADER_FOLLOWER_HORIZON,
-                             baseline: str = "dynamic") -> Scenario:
+def leader_follower_scenario(seed: int = 0) -> Scenario:
     return Scenario(
         graph=reference_graph(),
         mode=LeaderFollower(u0=np.array(REFERENCE_U0),
                             coupling=reference_coupling()),
         params=reference_params(LEADER_FOLLOWER_THETA),
-        dt=dt, horizon=horizon, seed=seed, baseline=baseline)
+        dt=REFERENCE_DT, horizon=LEADER_FOLLOWER_HORIZON, seed=seed)

@@ -230,8 +230,7 @@ def _append(path: Path, part: Path) -> None:
         shutil.copyfileobj(src, dst, 1 << 16)
 
 
-def write_artifacts(record, outdir: Path, formats=("csv", "json"),
-                    processes=None) -> dict:
+def write_artifacts(record, outdir: Path, formats=("csv", "json")) -> dict:
     """Write trajectory.csv, chi.csv, events.csv, summary.json, config.json.
 
     Returns the summary document: :func:`analysis.event_stats` of the record,
@@ -244,9 +243,9 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json"),
     A failure before the moves leaves no file of this call in ``outdir``; a
     kill leaves the stage, which the next call removes with every stage in
     ``outdir``; a kill during the moves can leave some new files beside
-    those of an earlier write.  The grid rows are split into ``processes``
-    contiguous chunks (:func:`writer_processes` of the record by default;
-    ``run`` passes the count it prints).  Before any output file is opened,
+    those of an earlier write.  The grid rows are split into contiguous
+    chunks, one per process that :func:`writer_processes` counts for the
+    record (the count ``run`` prints).  Before any output file is opened,
     one child per chunk after the first is forked to write its rows of
     trajectory.csv and chi.csv to hidden part files (see
     :func:`_fork_writer`).  This process writes chunk 0, then events.csv and
@@ -265,10 +264,7 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json"),
         csvs = [("trajectory.csv", "time,agent,dim,x,xhat,qhat\n",
                  _trajectory_rows),
                 ("chi.csv", "time,agent,chi\n", _chi_rows)]
-    if processes is None:
-        processes = writer_processes(record, formats)
-    if processes < 1:
-        raise ValueError(f"processes must be at least 1, not {processes}")
+    processes = writer_processes(record, formats)
     rows = len(record.states)
     bounds = [rows * k // processes for k in range(processes + 1)]
     for stale in outdir.glob(".write-*"):
@@ -426,9 +422,9 @@ def cmd_run(args) -> int:
             print(f"partial record flushed to {outdir}", file=sys.stderr)
         return EXIT_DIVERGED
     simulated = time.perf_counter()
-    processes = writer_processes(record, formats)
-    doc = write_artifacts(record, outdir, formats, processes)
+    doc = write_artifacts(record, outdir, formats)
     written = time.perf_counter()
+    processes = writer_processes(record, formats)
     print(f"run complete: {outdir}")
     counts = doc["event_counts"]
     top = counts.index(max(counts))

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import linalg
 from .errors import GraphFormatError
-from .linalg import DefinitenessClass
 
 
 def float_array(value, field: str) -> np.ndarray:
@@ -36,16 +35,11 @@ def float_array(value, field: str) -> np.ndarray:
     return arr
 
 
-#: Sign of each class: +1, -1, or 0 for a class that is not sign-definite
-#: (and for no class).
-SIGN_OF = {None: 0, **{c: linalg.matrix_sgn(c) if c.is_sign_definite else 0
-                       for c in DefinitenessClass}}
-
-
 def class_signs(classes) -> np.ndarray:
-    """The :data:`SIGN_OF` each of a sequence of classes, as int8."""
-    return np.fromiter(map(SIGN_OF.__getitem__, classes), dtype=np.int8,
-                       count=len(classes))
+    """The :data:`linalg.CLASS_SIGN` of each of a sequence of classes, as
+    int8."""
+    return np.fromiter(map(linalg.CLASS_SIGN.__getitem__, classes),
+                       dtype=np.int8, count=len(classes))
 
 
 def ends_array(pairs) -> np.ndarray:

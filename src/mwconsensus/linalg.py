@@ -1,5 +1,6 @@
 """Dense symmetric-matrix kernel: eigendecomposition, definiteness
-classification, matrix absolute value / sign, and the principal square root.
+classification with each class's sign (:data:`CLASS_SIGN`), the matrix
+absolute value, and the principal square root.
 
 Every other module consumes these primitives.  :func:`sym_eigen` is the only
 decomposition: it checks its input for finiteness and returns the read-only
@@ -48,12 +49,7 @@ class DefinitenessClass(enum.Enum):
     @property
     def is_sign_definite(self) -> bool:
         """True for the four classes on which the matrix absolute value exists."""
-        return self in (
-            DefinitenessClass.POSITIVE_DEFINITE,
-            DefinitenessClass.POSITIVE_SEMIDEFINITE,
-            DefinitenessClass.NEGATIVE_DEFINITE,
-            DefinitenessClass.NEGATIVE_SEMIDEFINITE,
-        )
+        return CLASS_SIGN[self] != 0
 
 
 # Short aliases used heavily in tests and table-driven code.
@@ -63,6 +59,9 @@ ND = DefinitenessClass.NEGATIVE_DEFINITE
 NSD = DefinitenessClass.NEGATIVE_SEMIDEFINITE
 INDEFINITE = DefinitenessClass.INDEFINITE
 ZERO = DefinitenessClass.ZERO
+
+#: sgn(A) of each class: +1, -1, or 0 for a class that is not sign-definite.
+CLASS_SIGN = {PD: 1, PSD: 1, ND: -1, NSD: -1, ZERO: 0, INDEFINITE: 0}
 
 
 def _refuse(error: type, bad, message) -> None:
@@ -130,17 +129,6 @@ def classify_definiteness(vals: np.ndarray):
     return _CLASS_OF_SIGNS[code]
 
 
-def matrix_sgn(cls: DefinitenessClass) -> int:
-    """Scalar sign attached to a definiteness class: +1, -1 or 0."""
-    if cls in (PD, PSD):
-        return 1
-    if cls in (ND, NSD):
-        return -1
-    if cls is ZERO:
-        return 0
-    raise UnsupportedWeight("sign is undefined for indefinite matrices")
-
-
 def spectral_abs(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Absolute value through the spectrum ``(vals, q)``: Q |Lambda| Q^T.
 
@@ -169,7 +157,7 @@ def project_to_class(vals: np.ndarray, q: np.ndarray, cls,
     _refuse(UnsupportedWeight, [not c.is_sign_definite for c in classes],
             lambda k: f"cannot project onto class {classes[k]}")
     band = zero_band(flat, tol)[:, None]
-    off = flat * np.array([matrix_sgn(c) for c in classes])[:, None] < 0.0
+    off = flat * np.array([CLASS_SIGN[c] for c in classes])[:, None] < 0.0
 
     def contradiction(k: int) -> str:
         v = flat[k][off[k]]

@@ -42,9 +42,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import linalg
-# float_array is read through this module by sim and trigger.
-from .edges import SIGN_OF, EdgeTable, Faults, class_signs, ends_array, \
-    float_array, index_edges, weight_stack
+from .edges import EdgeTable, Faults, class_signs, ends_array, index_edges, \
+    weight_stack
 from .errors import AssumptionViolated, GraphFormatError, NotPSD
 from .linalg import ND, PD, DefinitenessClass
 
@@ -106,7 +105,7 @@ def _weights_refusal(d: int, count: int) -> Optional[str]:
 #: for a class that has none, and 0 for no declaration; an unknown name has
 #: :data:`_UNKNOWN`.
 _NO_SIGN, _UNKNOWN = 2, 3
-_DECLARED_SIGN = {None: 0, **{c.value: SIGN_OF[c] or _NO_SIGN
+_DECLARED_SIGN = {None: 0, **{c.value: linalg.CLASS_SIGN[c] or _NO_SIGN
                               for c in DefinitenessClass}}
 
 

@@ -40,6 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import mwgraph, trigger
+from .edges import float_array
 from .errors import Diverged, GraphFormatError, InvalidScenario
 from .linalg import sym_sqrt
 from .mwgraph import MatrixWeightedGraph
@@ -94,7 +95,7 @@ class Scenario:
                     f"coupling agent {agents[bad[0]]} out of range")
         if self.x0 is not None:
             object.__setattr__(self, "x0",
-                               mwgraph.float_array(self.x0, "x0").reshape(-1))
+                               float_array(self.x0, "x0").reshape(-1))
 
     def initial_state(self) -> np.ndarray:
         """Explicit x0 if given, otherwise seeded uniform draws from [-1, 1]."""
@@ -148,12 +149,13 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
         steps, n, nd = sc.horizon / sc.dt, sc.graph.n, sc.graph.n * sc.graph.d
         # 8 bytes each for the time, states (nd) and chi (n) of every grid
         # point, and of every anchor its row, its change offset and, per
-        # changed column, the column index, xhat and q; at worst every point
-        # is an anchor at which every column changed.  The step loop adds
-        # window scratch (WINDOW_VALUES).
+        # changed column, the column index, xhat and q, plus the offset that
+        # ends the last anchor; at worst every point is an anchor at which
+        # every column changed.  The step loop adds window scratch
+        # (WINDOW_VALUES).
         refusal = mwgraph.memory_refusal(
-            8.0 * (steps + 1.0) * (4 * nd + n + 3), f"T/dt = {steps:.6g} steps",
-            "of arrays")
+            8.0 * ((steps + 1.0) * (4 * nd + n + 3) + 1.0),
+            f"T/dt = {steps:.6g} steps", "of arrays")
         if refusal:
             out.append(refusal)
         elif not (abs(sc.step_count * sc.dt - sc.horizon)

@@ -39,8 +39,9 @@ from typing import Union
 
 import numpy as np
 
+from .edges import float_array
 from .errors import GraphFormatError
-from .mwgraph import InputCoupling, MatrixWeightedGraph, float_array
+from .mwgraph import InputCoupling, MatrixWeightedGraph
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,8 @@
-"""Shared fixtures: the bundled reference network, some tiny graphs, and
-the benchmark's workload builders."""
+"""Shared fixtures: the bundled reference network, some tiny graphs, the
+benchmark's workload builders, and the leader-follower probe on its random
+graph, whose document the CI run dumps."""
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 
 from mwconsensus import builtin, linalg
-from mwconsensus.mwgraph import MatrixWeightedGraph
+from mwconsensus.mwgraph import InputCoupling, MatrixWeightedGraph
+from mwconsensus.trigger import LeaderFollower, TriggerParams
 
 
 @pytest.fixture(scope="session")
@@ -92,3 +95,26 @@ def perfbench_workloads():
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def pinned_probe_scenario(n, horizon):
+    """Leader-follower on the benchmark's random balanced graph (seed 1,
+    d = 4): ``max(1, n // 100)`` agents drawn with ``default_rng(5)`` see one
+    input through ``m m^T / 4 + 0.5 I`` signed by their gauge sign, so
+    Assumption 2 holds; ``u0 = 1`` and the bundled leader-follower
+    parameters."""
+    leaderless, gauge = perfbench_workloads().random_balanced_scenario(
+        1, n, horizon=horizon)
+    d = leaderless.graph.d
+    rng = np.random.default_rng(5)
+    entries = []
+    for i in rng.choice(n, size=max(1, n // 100), replace=False):
+        m = rng.normal(size=(d, d))
+        entries.append((int(i), 0, gauge[i] * (m @ m.T / 4 + 0.5 * np.eye(d))))
+    params = TriggerParams.uniform(
+        n, sigma=builtin.REFERENCE_SIGMA, theta=builtin.LEADER_FOLLOWER_THETA,
+        beta=builtin.REFERENCE_BETA, delta=builtin.REFERENCE_DELTA,
+        chi0=builtin.REFERENCE_CHI0)
+    mode = LeaderFollower(u0=np.ones(d),
+                          coupling=InputCoupling.from_entries(entries, d))
+    return dataclasses.replace(leaderless, mode=mode, params=params)

@@ -41,10 +41,12 @@ graph's weights as one stack: it checks, decomposes, projects and
 classifies one weight at a time, so ``load_edges`` refuses the first faulty
 spec in the order the specs come.  It builds one ``LoadedEdge`` per spec;
 the batched loader must build the same rows bit for bit, and refuse with
-the same line.  ``matrix_abs`` is the per-matrix |M| of a sign-definite
-matrix from its class, which the package computes for a whole stack from
-the signs.  ``json_floats_walk`` is the item-by-item type walk of a weight
-array that the reader's level-wise check replaced.
+the same line.  ``matrix_sgn`` is the sign of a class by cases, against
+which the package's one table of class signs is checked, and
+``matrix_abs`` is the per-matrix |M| of a sign-definite matrix from its
+class, which the package computes for a whole stack from the signs.
+``json_floats_walk`` is the item-by-item type walk of a weight array that
+the reader's level-wise check replaced.
 """
 
 from __future__ import annotations
@@ -59,11 +61,10 @@ import numpy as np
 
 from mwconsensus import linalg, sim
 from mwconsensus.errors import GraphFormatError, MwcError, UnsupportedWeight
-from mwconsensus.linalg import ND, NSD, PD, PSD, ZERO, DefinitenessClass, \
-    matrix_sgn
+from mwconsensus.edges import float_array
+from mwconsensus.linalg import ND, NSD, PD, PSD, ZERO, DefinitenessClass
 from mwconsensus.mwgraph import CLASS_DECLARATION_TOL, SYMMETRY_REJECT_TOL, \
-    TOO_LARGE, InputCoupling, MatrixWeightedGraph, _CLASS_NAMES, \
-    float_array, kernel_mask
+    TOO_LARGE, InputCoupling, MatrixWeightedGraph, _CLASS_NAMES, kernel_mask
 from mwconsensus.scenario_io import _json_value
 from mwconsensus.trigger import LeaderFollower
 
@@ -83,6 +84,17 @@ def agent_params(params, i: int) -> AgentParams:
     return AgentParams(float(params.sigma[i]), float(params.theta[i]),
                        float(params.beta[i]), float(params.delta[i]),
                        float(params.chi0[i]))
+
+
+def matrix_sgn(cls: DefinitenessClass) -> int:
+    """Scalar sign attached to a definiteness class: +1, -1 or 0."""
+    if cls in (PD, PSD):
+        return 1
+    if cls in (ND, NSD):
+        return -1
+    if cls is ZERO:
+        return 0
+    raise UnsupportedWeight("sign is undefined for indefinite matrices")
 
 
 def matrix_abs(m, cls: DefinitenessClass) -> np.ndarray:

@@ -17,7 +17,7 @@ from mwconsensus.sim import Scenario
 from mwconsensus.trigger import LeaderFollower, Leaderless, TriggerParams
 
 import oracles
-from conftest import perfbench_workloads, random_balanced_scalar_graph
+from conftest import pinned_probe_scenario, random_balanced_scalar_graph
 from test_mwgraph import scalar_graph
 from test_sim import uniform_params
 
@@ -47,29 +47,6 @@ def random_lf_scenario(n, d, horizon, seed=0):
                                         coupling=coupling),
                     params=uniform_params(n), dt=1e-3, horizon=horizon,
                     seed=seed)
-
-
-def pinned_probe_scenario(n, horizon):
-    """Leader-follower on the benchmark's random balanced graph (seed 1,
-    d = 4): ``max(1, n // 100)`` agents drawn with ``default_rng(5)`` see one
-    input through ``m m^T / 4 + 0.5 I`` signed by their gauge sign, so
-    Assumption 2 holds; ``u0 = 1`` and the bundled leader-follower
-    parameters."""
-    leaderless, gauge = perfbench_workloads().random_balanced_scenario(
-        1, n, horizon=horizon)
-    d = leaderless.graph.d
-    rng = np.random.default_rng(5)
-    entries = []
-    for i in rng.choice(n, size=max(1, n // 100), replace=False):
-        m = rng.normal(size=(d, d))
-        entries.append((int(i), 0, gauge[i] * (m @ m.T / 4 + 0.5 * np.eye(d))))
-    params = TriggerParams.uniform(
-        n, sigma=builtin.REFERENCE_SIGMA, theta=builtin.LEADER_FOLLOWER_THETA,
-        beta=builtin.REFERENCE_BETA, delta=builtin.REFERENCE_DELTA,
-        chi0=builtin.REFERENCE_CHI0)
-    mode = LeaderFollower(u0=np.ones(d),
-                          coupling=InputCoupling.from_entries(entries, d))
-    return dataclasses.replace(leaderless, mode=mode, params=params)
 
 
 def error_series(rec):
@@ -243,7 +220,7 @@ class TestEventStats:
             init(self, sc)
 
         monkeypatch.setattr(sim.CompiledScenario, "__init__", counting)
-        sc = make(horizon=0.05)
+        sc = dataclasses.replace(make(), horizon=0.05)
         event_stats(sim.run(sc))
         assert built == [sc]
 
@@ -252,7 +229,7 @@ def negated_lf_scenario(horizon):
     """The bundled leader-follower scenario with both couplings negated."""
     coupling = InputCoupling.from_entries(
         [(0, 0, -WEIGHT_3_4, "nsd"), (5, 1, -WEIGHT_0_5, "nd")], 4)
-    sc = leader_follower_scenario(horizon=horizon)
+    sc = dataclasses.replace(leader_follower_scenario(), horizon=horizon)
     return dataclasses.replace(
         sc, mode=LeaderFollower(u0=sc.mode.u0, coupling=coupling))
 
@@ -264,7 +241,7 @@ def two_couplings_on_one_agent_scenario(horizon):
     coupling = InputCoupling.from_entries([
         (2, 0, WEIGHT_0_5, "pd"), (2, 1, -WEIGHT_3_4, "nsd"),
         (4, 2, WEIGHT_3_4, "psd")], 4)
-    sc = leader_follower_scenario(horizon=horizon)
+    sc = dataclasses.replace(leader_follower_scenario(), horizon=horizon)
     return dataclasses.replace(
         sc, mode=LeaderFollower(u0=sc.mode.u0, coupling=coupling))
 

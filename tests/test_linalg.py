@@ -5,11 +5,11 @@ import pytest
 
 from mwconsensus.builtin import WEIGHT_0_5, WEIGHT_1_2, WEIGHT_3_4
 from mwconsensus.errors import InvalidMatrix, NotPSD, UnsupportedWeight
-from mwconsensus.linalg import INDEFINITE, ND, NSD, PD, PSD, ZERO, \
-    classify_definiteness, matrix_sgn, project_to_class, spectral_abs, \
-    sym_eigen, sym_sqrt, symmetric
+from mwconsensus.linalg import CLASS_SIGN, INDEFINITE, ND, NSD, PD, PSD, \
+    ZERO, DefinitenessClass, classify_definiteness, project_to_class, \
+    spectral_abs, sym_eigen, sym_sqrt, symmetric
 
-from oracles import matrix_abs, quadratic_roots
+from oracles import matrix_abs, matrix_sgn, quadratic_roots
 
 
 def random_symmetric(rng, d):
@@ -149,6 +149,19 @@ class TestAbsSgn:
         assert matrix_sgn(ND) == -1
         assert matrix_sgn(NSD) == -1
         assert matrix_sgn(ZERO) == 0
+
+    @pytest.mark.parametrize("cls", [PD, PSD, ND, NSD, ZERO],
+                             ids=lambda cls: cls.value)
+    def test_sign_table_matches_oracle(self, cls):
+        assert CLASS_SIGN[cls] == matrix_sgn(cls)
+
+    def test_sign_table_covers_every_class(self):
+        assert set(CLASS_SIGN) == set(DefinitenessClass)
+        assert CLASS_SIGN[INDEFINITE] == 0
+        for cls in DefinitenessClass:
+            assert cls.is_sign_definite == (CLASS_SIGN[cls] != 0)
+        assert [c for c in DefinitenessClass if c.is_sign_definite] == \
+            [PD, PSD, ND, NSD]
 
     def test_abs_is_psd_and_sign_consistent(self):
         rng = np.random.default_rng(5)

@@ -230,7 +230,7 @@ class TestHashing:
 
     def test_content_changes_hash(self):
         a = leaderless_scenario()
-        b = leaderless_scenario(dt=2e-3)
+        b = dataclasses.replace(leaderless_scenario(), dt=2e-3)
         assert scenario_hash(a) != scenario_hash(b)
 
 

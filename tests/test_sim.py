@@ -118,6 +118,31 @@ class TestValidation:
                                  "convert string to float: '[xazw]'$"):
             build()
 
+    @pytest.mark.parametrize("make", [
+        lambda: dataclasses.replace(leaderless_scenario(), horizon=0.05),
+        lambda: dataclasses.replace(leader_follower_scenario(), horizon=0.05),
+        lambda: perfbench_workloads().random_balanced_scenario(
+            1, 500, horizon=0.01)[0],
+    ], ids=["leaderless", "leader-follower", "random-n500"])
+    def test_memory_refusal_counts_the_record_bytes(self, make, monkeypatch):
+        """The refusal sizes exactly the arrays ``sim.run`` reserves for its
+        record: the one each record array is a view of, and ``times``."""
+        sc, needs = make(), []
+        refusal = sim.mwgraph.memory_refusal
+
+        def spy(need, what, use):
+            if use == "of arrays":
+                needs.append(need)
+            return refusal(need, what, use)
+
+        monkeypatch.setattr(sim.mwgraph, "memory_refusal", spy)
+        record = run(sc)
+        reserved = [getattr(record, name).base for name in (
+            "states", "chi", "anchors", "change_offsets", "change_cols",
+            "change_xhat", "change_q")]
+        assert needs == [sum(a.nbytes for a in reserved)
+                         + record.times.nbytes]
+
     def test_x0_shape_checked(self):
         sc = tiny_scenario(x0=np.zeros(5))
         assert any("x0" in v for v in validate_scenario(sc))
@@ -160,8 +185,8 @@ class TestStructureComputedOnce:
     it, and no run decomposes or assembles an nd x nd matrix."""
 
     @pytest.mark.parametrize("make", [
-        lambda: leaderless_scenario(horizon=0.05),
-        lambda: leader_follower_scenario(horizon=0.05),
+        lambda: dataclasses.replace(leaderless_scenario(), horizon=0.05),
+        lambda: dataclasses.replace(leader_follower_scenario(), horizon=0.05),
         random_balanced_scenario,
     ], ids=["leaderless", "leader-follower", "random-balanced"])
     def test_one_laplacian_eigh_per_run(self, make, eigh_shapes, monkeypatch):
@@ -197,7 +222,7 @@ class TestStructureComputedOnce:
         assert eigh_shapes == [(g.d, g.d)]
 
     def test_lf_gamma_reads_cached_lambda_max(self, eigh_shapes):
-        sc = leader_follower_scenario(horizon=0.05)
+        sc = dataclasses.replace(leader_follower_scenario(), horizon=0.05)
         g = sc.graph
         eigh_shapes.clear()
         analysis.event_stats(run(sc))
@@ -229,7 +254,7 @@ class TestStructureComputedOnce:
         counted = functools.cached_property(assembling)
         counted.__set_name__(MatrixWeightedGraph, "laplacian")
         monkeypatch.setattr(MatrixWeightedGraph, "laplacian", counted)
-        sc = leader_follower_scenario(horizon=0.05)
+        sc = dataclasses.replace(leader_follower_scenario(), horizon=0.05)
         analysis.event_stats(run(sc))
         assert len(built) == 1 and sc.network.n == sc.graph.n + 2
         assert assembled == [1]
@@ -293,11 +318,12 @@ class TestHeldTerms:
     @pytest.fixture(params=["leaderless", "leader-follower", "static"])
     def make(self, request):
         return {
-            "leaderless": lambda: leaderless_scenario(seed=1, horizon=2.0),
-            "leader-follower": lambda: leader_follower_scenario(seed=1,
-                                                                horizon=2.0),
-            "static": lambda: leaderless_scenario(seed=1, horizon=2.0,
-                                                  baseline="static"),
+            "leaderless": lambda: dataclasses.replace(
+                leaderless_scenario(seed=1), horizon=2.0),
+            "leader-follower": lambda: dataclasses.replace(
+                leader_follower_scenario(seed=1), horizon=2.0),
+            "static": lambda: dataclasses.replace(
+                leaderless_scenario(seed=1), horizon=2.0, baseline="static"),
         }[request.param]
 
     def test_controls_bitwise_from_broadcasts(self, make):
@@ -341,7 +367,7 @@ def test_dropped_scenario_frees_its_compiled_tables(make):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        sc = make(seed=0, horizon=0.01)
+        sc = dataclasses.replace(make(seed=0), horizon=0.01)
         record = run(sc)
         compiled = weakref.ref(sc.compiled)
         del sc
@@ -424,8 +450,8 @@ class TestAnchors:
         return {
             "leaderless": lambda: ref_leaderless_record,
             "leader-follower": lambda: ref_lf_record,
-            "static": lambda: run(leaderless_scenario(seed=2, horizon=5.0,
-                                                      baseline="static")),
+            "static": lambda: run(dataclasses.replace(
+                leaderless_scenario(seed=2), horizon=5.0, baseline="static")),
             "random-balanced": lambda: run(dataclasses.replace(
                 random_balanced_scenario(), horizon=2.0)),
             "random-n500": lambda: run(
@@ -607,7 +633,7 @@ class TestStepSemantics:
 
         monkeypatch.setattr(sim.mwgraph, "build_laplacian", counting)
         for make in (leaderless_scenario, leader_follower_scenario):
-            sc = make(horizon=0.05)
+            sc = dataclasses.replace(make(), horizon=0.05)
             sim.compile_scenario(sc)
             assert built == []
             run(sc)
@@ -648,7 +674,7 @@ class TestTriggerEngineConsistency:
     """The vectorized engine must agree with the per-agent oracles."""
 
     def test_leaderless_fire_decisions(self):
-        sc = leaderless_scenario(seed=3, horizon=0.25)
+        sc = dataclasses.replace(leaderless_scenario(seed=3), horizon=0.25)
         rec = run(sc)
         g = sc.graph
         d = g.d
@@ -675,7 +701,8 @@ class TestTriggerEngineConsistency:
                 assert want == ((k + 1) in event_steps[i]), (k, i)
 
     def test_lf_fire_decisions(self):
-        sc = leader_follower_scenario(seed=3, horizon=0.25)
+        sc = dataclasses.replace(leader_follower_scenario(seed=3),
+                                 horizon=0.25)
         rec = run(sc)
         g = sc.graph
         d = g.d
@@ -695,7 +722,7 @@ class TestTriggerEngineConsistency:
                 assert want == ((k + 1) in event_steps[i]), (k, i)
 
     def test_chi_integration_matches_rate_function(self):
-        sc = leaderless_scenario(seed=7, horizon=0.1)
+        sc = dataclasses.replace(leaderless_scenario(seed=7), horizon=0.1)
         rec = run(sc)
         g = sc.graph
         d = g.d
@@ -741,15 +768,15 @@ class TestTriggerEngineConsistency:
 
 class TestDeterminismAndGuards:
     def test_bit_identical_repeat(self):
-        a = run(leaderless_scenario(seed=9, horizon=0.5))
-        b = run(leaderless_scenario(seed=9, horizon=0.5))
+        a = run(dataclasses.replace(leaderless_scenario(seed=9), horizon=0.5))
+        b = run(dataclasses.replace(leaderless_scenario(seed=9), horizon=0.5))
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.chi, b.chi)
         assert all(np.array_equal(x, y) for x, y in zip(a.events, b.events))
 
     def test_seed_changes_trajectory(self):
-        a = run(leaderless_scenario(seed=0, horizon=0.1))
-        b = run(leaderless_scenario(seed=1, horizon=0.1))
+        a = run(dataclasses.replace(leaderless_scenario(seed=0), horizon=0.1))
+        b = run(dataclasses.replace(leaderless_scenario(seed=1), horizon=0.1))
         assert not np.array_equal(a.states, b.states)
 
     def test_divergence_guard(self):
@@ -777,8 +804,10 @@ class TestDeterminismAndGuards:
 
 class TestStaticBaseline:
     def test_static_fires_more_and_chi_decays(self):
-        dyn = run(leaderless_scenario(seed=2, horizon=2.0))
-        stat = run(leaderless_scenario(seed=2, horizon=2.0, baseline="static"))
+        dyn = run(dataclasses.replace(leaderless_scenario(seed=2),
+                                      horizon=2.0))
+        stat = run(dataclasses.replace(leaderless_scenario(seed=2),
+                                       horizon=2.0, baseline="static"))
         assert sum(len(e) for e in stat.events) > sum(len(e) for e in dyn.events)
         # threshold variable reduces to passive decay in the static variant
         np.testing.assert_allclose(
@@ -823,7 +852,8 @@ class TestChiFloor:
 
 class TestDwell:
     def test_min_dwell_simple(self):
-        rec = run(leaderless_scenario(seed=0, horizon=1.0))
+        rec = run(dataclasses.replace(leaderless_scenario(seed=0),
+                                      horizon=1.0))
         stats = min_inter_event_from(rec.events, rec.scenario.dt,
                                      rec.scenario.horizon)
         for i, ev in enumerate(rec.events):
@@ -850,7 +880,8 @@ class TestDwell:
             return dwell(*args)
 
         monkeypatch.setattr(sim, "min_inter_event_from", counting)
-        analysis.event_stats(run(leaderless_scenario(seed=0, horizon=0.05)))
+        analysis.event_stats(run(dataclasses.replace(leaderless_scenario(seed=0),
+                                                     horizon=0.05)))
         assert len(calls) == 1
 
     def test_consecutive_warning(self):
@@ -926,8 +957,9 @@ class TestGaugeCovariance:
     thresholds and the same events."""
 
     @pytest.mark.parametrize("make", [
-        lambda: leaderless_scenario(seed=4, horizon=2.0),
-        lambda: leader_follower_scenario(seed=4, horizon=2.0),
+        lambda: dataclasses.replace(leaderless_scenario(seed=4), horizon=2.0),
+        lambda: dataclasses.replace(leader_follower_scenario(seed=4),
+                                    horizon=2.0),
         lambda: dataclasses.replace(random_balanced_scenario(), horizon=1.0),
         lambda: isolated_psd_nsd_scenario(lf=True),
     ], ids=["leaderless", "leader-follower", "random-balanced",
@@ -1003,8 +1035,8 @@ class TestClosedFormThresholds:
         return {
             "leaderless": lambda: ref_leaderless_record,
             "leader-follower": lambda: ref_lf_record,
-            "static": lambda: run(leaderless_scenario(seed=2, horizon=5.0,
-                                                      baseline="static")),
+            "static": lambda: run(dataclasses.replace(
+                leaderless_scenario(seed=2), horizon=5.0, baseline="static")),
             "random-balanced": lambda: run(dataclasses.replace(
                 random_balanced_scenario(), horizon=2.0)),
             "random-params": lambda: run(random_params_scenario()),
@@ -1038,8 +1070,9 @@ class TestDtRefinement:
                              ids=["leaderless", "leader-follower"])
     def test_first_event_converges_from_above(self, make):
         steps = [1e-3 / 2 ** k for k in range(4)]
-        firsts = [min(ev[1] for ev in run(make(dt=dt, horizon=0.5)).events
-                      if len(ev) > 1) for dt in steps]
+        firsts = [min(ev[1] for ev in run(dataclasses.replace(
+            make(), dt=dt, horizon=0.5)).events if len(ev) > 1)
+            for dt in steps]
         for dt, coarse, fine in zip(steps, firsts, firsts[1:]):
             assert coarse - dt < fine <= coarse
         assert firsts[-1] < firsts[0]
@@ -1095,9 +1128,11 @@ class TestWindowWidth:
     the record of ``sim.run`` bit for bit."""
 
     @pytest.mark.parametrize("make", [
-        lambda: leaderless_scenario(seed=1, horizon=5.0),
-        lambda: leader_follower_scenario(seed=1, horizon=5.0),
-        lambda: leaderless_scenario(seed=1, horizon=5.0, baseline="static"),
+        lambda: dataclasses.replace(leaderless_scenario(seed=1), horizon=5.0),
+        lambda: dataclasses.replace(leader_follower_scenario(seed=1),
+                                    horizon=5.0),
+        lambda: dataclasses.replace(leaderless_scenario(seed=1),
+                                    horizon=5.0, baseline="static"),
     ], ids=["leaderless", "leader-follower", "static"])
     def test_one_step_windows_equal_run(self, make):
         sc = make()
@@ -1154,8 +1189,9 @@ class TestRelabellingInvariance:
     changed summation order of the coupling, the same states."""
 
     @pytest.mark.parametrize("make", [
-        lambda: leaderless_scenario(seed=4, horizon=5.0),
-        lambda: leader_follower_scenario(seed=4, horizon=5.0),
+        lambda: dataclasses.replace(leaderless_scenario(seed=4), horizon=5.0),
+        lambda: dataclasses.replace(leader_follower_scenario(seed=4),
+                                    horizon=5.0),
         lambda: dataclasses.replace(random_balanced_scenario(), horizon=1.0),
     ], ids=["leaderless", "leader-follower", "random-balanced"])
     @pytest.mark.parametrize("perm_seed", range(2))

@@ -3,7 +3,8 @@
 Both protocols run one trigger law with a compiled gain and a slack (see
 :mod:`mwconsensus.trigger`).  The slack and the control ``qhat`` depend only
 on the broadcasts, so the state holds them until the next broadcast and the
-flow is exactly affine on each step: ``x(t + dt) = x(t) + dt * qhat``.
+flow is exactly affine between broadcasts: ``x(t_a + tau) = x(t_a) + tau *
+qhat`` from the last one at ``t_a``.
 
 Between broadcasts each error is affine in time, ``e_i = e0_i - tau q_i``,
 so each agent's trigger excess ``g = K |e|^2 - S`` is a quadratic
@@ -19,15 +20,16 @@ Acta Numerica 2010), is evaluated from the anchor, so no step limit applies
 and every value is independent of how the grid is split.
 
 :func:`step` advances a window of grid steps and stops at the first step
-at which an agent fires.  Its states are the running sums of the record row
-at its start and ``dt * qhat`` rows, accumulated in the record's own rows in
-the order a step-by-step loop adds them, so they are bit for bit those of
-one step at a time.  Triggers are checked only at step boundaries and
-reported event times are grid times.  The mechanisms guarantee strictly
-positive dwell times, so a sufficiently small step (default 1e-3) resolves
-the event sequence; this is a documented approximation, not a root-finding
-event detector.  When several agents violate their thresholds at the same
-boundary, all broadcasts apply atomically before the next step.
+at which an agent fires.  Its states, like chi, are the closed form from
+the anchor, ``x_anchor + s (dt qhat)``, so every row depends on its anchor
+alone, whatever the window, and rounding does not build up from step to
+step.  Triggers are checked
+only at step boundaries and reported event times are grid times.  The
+mechanisms guarantee strictly positive dwell times, so a sufficiently small
+step (default 1e-3) resolves the event sequence; this is a documented
+approximation, not a root-finding event detector.  When several agents
+violate their thresholds at the same boundary, all broadcasts apply
+atomically before the next step.
 """
 
 from __future__ import annotations
@@ -271,15 +273,18 @@ class TrajectoryRecord:
 
 @dataclass
 class SimState:
-    """State at grid index ``k`` (x is record row k): broadcasts, the held
-    control, and the anchor (grid index ``anchor`` of the last broadcast,
-    with the threshold ``chi_anchor`` there and the coefficients ``excess``
-    = (c0, c1, c2) of each agent's trigger excess in grid steps since it)."""
+    """State at grid index ``k``: broadcasts, the held control, and the
+    anchor (grid index ``anchor`` of the last broadcast, with the state
+    ``x_anchor`` and the threshold ``chi_anchor`` there and the coefficients
+    ``excess`` = (c0, c1, c2) of each agent's trigger excess in grid steps
+    since it).  ``x_anchor`` is the anchor's record row itself, or the
+    compiled ``x0`` at t = 0, never a copy."""
 
     k: int
     xhat: np.ndarray
     q: np.ndarray
     anchor: int
+    x_anchor: np.ndarray
     chi_anchor: np.ndarray
     excess: np.ndarray
 
@@ -404,7 +409,7 @@ def _anchored(compiled: CompiledScenario, k: int, x: np.ndarray,
             compiled.gain * np.einsum("ij,ij->i", e0, e0) - slack,
             -2.0 * compiled.gain * np.einsum("ij,ij->i", e0, dq),
             compiled.gain * np.einsum("ij,ij->i", dq, dq)])
-    return SimState(k, xhat, q, k, chi, excess)
+    return SimState(k, xhat, q, k, x, chi, excess)
 
 
 def initial_sim_state(compiled: CompiledScenario) -> SimState:
@@ -451,46 +456,37 @@ def step(state: SimState, compiled: CompiledScenario, states: np.ndarray,
     """Advance a window of grid steps under the held terms, up to the first
     step at which an agent fires, and apply its broadcasts.
 
-    ``states`` holds record rows ``k .. k + w`` and ``chi`` rows
-    ``k + 1 .. k + w``, for ``k = state.k`` and a window of ``w >= 1``
-    steps.  Row ``k`` (the state at k) is read, not written; the rows up to
-    the step the window ends at are filled, later ones are left unspecified.
-    Per step of the scenario's ``dt``, in order: (a) the exact affine state
-    update, accumulated from row ``k`` and checked against the divergence
-    guard (a window ends before the first step that fails the guard;
-    :class:`Diverged` is raised when that is its first step); (b) the
-    closed-form threshold and (c) the trigger test at the step's end, both
-    from the excess polynomial ``state.excess``, not from the rows.  At the
-    first step where an agent fires, (d) every agent that fired rebroadcasts
-    atomically, which renews the held terms and the anchor.  A window of one
-    step is one grid step.  Returns the state where the window ended and the
-    agents that fired there.
+    ``states`` and ``chi`` hold record rows ``k + 1 .. k + w``, for ``k =
+    state.k`` and a window of ``w >= 1`` steps; the rows up to the step the
+    window ends at are filled, later ones are left unspecified.  Every value
+    is the closed form in the ``s`` grid steps since the anchor: (a) the
+    exact affine state ``state.x_anchor + s (dt q)``, checked against the
+    divergence guard (a window ends before the first step that fails the
+    guard; :class:`Diverged` is raised when that is its first step); (b) the
+    threshold and (c) the trigger test at the step's end, both from the
+    excess polynomial ``state.excess``.  At the first step where an agent
+    fires, (d) every agent that fired rebroadcasts atomically, which renews
+    the held terms and the anchor.  A window of one step is one grid step.
+    Returns the state where the window ended and the agents that fired
+    there.
     """
     n, d, dt = compiled.n, compiled.d, compiled.dt
     w = len(chi)
-    window = states[:w + 1]
-    window[1:] = dt * state.q
+    offset = state.k - state.anchor
+    s = np.arange(offset + 1.0, offset + w + 1.0)[:, None]
     # Rows past a divergence may overflow; they are cut before any use.
     with np.errstate(over="ignore", invalid="ignore"):
-        # The same additions either way: accumulate runs one column at a
-        # time, so a few wide rows are faster added row by row.
-        if n * d >= 16 * w:
-            for j in range(1, w + 1):
-                np.add(window[j - 1], window[j], out=window[j])
-        else:
-            np.add.accumulate(window, axis=0, out=window)
-        rows = window[1:]
-        peak = np.abs(rows).max(axis=1)
+        np.multiply(s, dt * state.q, out=states)
+        states += state.x_anchor
+        peak = np.abs(states).max(axis=1)
     guarded = peak <= DIVERGENCE_GUARD  # false for inf and nan too
     if not guarded.all():
         w = int(np.argmin(guarded))
         if w == 0:
             raise Diverged(f"state norm exceeded {DIVERGENCE_GUARD:g} at "
                            f"t={(state.k + 1) * dt:g}")
-        rows, chi = rows[:w], chi[:w]
+        chi, s = chi[:w], s[:w]
 
-    offset = state.k - state.anchor
-    s = np.arange(offset + 1.0, offset + w + 1.0)[:, None]
     tau = s * dt
     z = tau * -compiled.beta
     phi1, phi2, phi3 = _phi(z)
@@ -504,7 +500,7 @@ def step(state: SimState, compiled: CompiledScenario, states: np.ndarray,
         return replace(state, k=state.k + w), fire_rows
     j = int(fire_rows[0])
     fired = np.flatnonzero(hits[j])
-    x = rows[j]
+    x = states[j]
     xhat = state.xhat.copy()
     xhat.reshape(n, d)[fired] = x.reshape(n, d)[fired]
     return _anchored(compiled, state.k + j + 1, x, xhat, chi[j].copy()), fired
@@ -567,7 +563,7 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
     while k < steps:
         end = k + min(width, steps - k, max_rows)
         try:
-            nxt, fired = step(state, compiled, states[k:end + 1],
+            nxt, fired = step(state, compiled, states[k + 1:end + 1],
                               chi[k + 1:end + 1])
         except Diverged as exc:
             raise Diverged(str(exc), partial_record=finish(k)) from None

@@ -265,10 +265,11 @@ def scalar_consensus_run(n, edges, x0, sigma, theta, beta, delta, chi0,
 
 def four_stage_run(sc):
     """Step-at-a-time reference of ``sim.run`` (no validation, no
-    divergence guard): per grid step, the exact affine state update, the
-    classical 4-stage update of the thresholds along the step, the trigger
-    test at its end and the atomic rebroadcast.  Returns (states,
-    broadcasts, chi, controls, events) in the layout of the record."""
+    divergence guard): per grid step, the exact affine state from the last
+    broadcast, ``x_a + (k + 1 - a) (dt q)``, the classical 4-stage update of
+    the thresholds along the step, the trigger test at its end and the
+    atomic rebroadcast.  Returns (states, broadcasts, chi, controls, events)
+    in the layout of the record."""
     compiled = sim.compile_scenario(sc)
     n, d, dt = compiled.n, compiled.d, sc.dt
     beta = compiled.beta
@@ -278,9 +279,10 @@ def four_stage_run(sc):
     q, slack = compiled.held_terms(xhat)
     states, broadcasts, chis, controls = [x], [xhat], [chi], []
     events = [[0.0] for _ in range(n)]
+    a, x_a = 0, x
     for k in range(sc.step_count):
         controls.append(q)
-        x_next = x + dt * q
+        x_next = (k + 1 - a) * (dt * q) + x_a
         e0 = (xhat - x).reshape(n, d)
         q_blocks = q.reshape(n, d)
 
@@ -305,6 +307,7 @@ def four_stage_run(sc):
             xhat = xhat.copy()
             xhat.reshape(n, d)[fired] = x_next.reshape(n, d)[fired]
             q, slack = compiled.held_terms(xhat)
+            a, x_a = k + 1, x_next
             for i in fired:
                 events[i].append((k + 1) * dt)
         x = x_next

@@ -15,7 +15,8 @@ from mwconsensus.builtin import leader_follower_scenario, leaderless_scenario
 from mwconsensus.errors import Diverged, GraphFormatError, InvalidScenario
 from mwconsensus.linalg import sym_eigen, sym_sqrt
 from mwconsensus.mwgraph import EdgeTable, InputCoupling, \
-    MatrixWeightedGraph, build_laplacian, predicted_bipartite_limit
+    MatrixWeightedGraph, build_laplacian, detect_structural_balance, \
+    predicted_bipartite_limit
 from mwconsensus.sim import Scenario, chi_floor_check, \
     min_inter_event_from, run, validate_scenario
 from mwconsensus.trigger import LeaderFollower, Leaderless, TriggerParams
@@ -497,6 +498,19 @@ class TestAnchors:
         for a, (xhat, q) in enumerate(zip(held_xhat, held_q)):
             assert compiled.held_terms(xhat)[0].tobytes() == q.tobytes(), a
 
+    def test_rows_are_closed_forms_of_their_anchor(self, record):
+        """Every row after anchor ``a``, up to and including the next
+        anchor's row, is ``x_a + (k - k_a) (dt q_a)`` from the anchor's row
+        and held control, bit for bit: rows rebuild from the anchors alone,
+        with no step-by-step replay."""
+        rec, dt = record, record.scenario.dt
+        held_q = oracles.held_anchors(rec)[1]
+        ends = np.append(rec.anchors[1:], len(rec.states) - 1)
+        for a, (lo, hi) in enumerate(zip(rec.anchors.tolist(), ends.tolist())):
+            s = np.arange(1, hi - lo + 1)[:, None]
+            want = rec.states[lo] + s * (dt * held_q[a])
+            assert rec.states[lo + 1:hi + 1].tobytes() == want.tobytes(), a
+
     def test_times_derived_from_rows(self, record):
         """The record stores no times: row k's time is k * dt, bit for bit,
         on full and diverged records alike."""
@@ -513,33 +527,33 @@ class TestStepSemantics:
         sc = tiny_scenario(graph=g, x0=x0)
         compiled = compile_scenario(sc)
         state = initial_sim_state(compiled)
-        states, chi = np.empty((4, 2)), np.empty((3, 2))
-        states[0] = x0
+        states, chi = np.empty((3, 2)), np.empty((3, 2))
         nxt, fired = step(state, compiled, states, chi)
         assert fired.size == 0 and nxt.k == 3 and nxt.anchor == 0
-        np.testing.assert_array_equal(states, [x0] * 4)
+        np.testing.assert_array_equal(states, [x0] * 3)
         np.testing.assert_array_equal(nxt.chi_anchor, compiled.chi0)
         assert np.all(np.diff(np.vstack([state.chi_anchor, chi]), axis=0) < 0)
 
-    def test_step_reads_first_row(self):
-        """The state at k is the window's first row, whatever the broadcasts:
-        ``step`` leaves that row's bytes as they are (a -0.0 too) and adds
-        ``dt * q`` to it one step at a time."""
+    def test_step_writes_closed_form_from_anchor(self):
+        """The rows come from the anchor state, whatever the broadcasts and
+        the record: ``step`` reads no record row, leaves ``x_anchor``'s
+        bytes as they are (a -0.0 too) and writes row ``k`` as ``x_anchor +
+        (k - anchor) (dt q)`` bit for bit."""
         from mwconsensus.sim import compile_scenario, initial_sim_state, step
         sc = tiny_scenario(x0=np.array([1.0, -1.0]),
                            params=uniform_params(2, chi0=1e6))
         compiled = compile_scenario(sc)
-        state = initial_sim_state(compiled)
-        first = np.array([-0.0, 0.25])
+        anchor = np.array([-0.0, 0.25])
+        state = dataclasses.replace(initial_sim_state(compiled),
+                                    x_anchor=anchor)
         states, chi = np.full((6, 2), np.nan), np.empty((5, 2))
-        states[0] = first
-        nxt, fired = step(state, compiled, states, chi)
-        assert fired.size == 0 and nxt.k == 5
-        assert states[0].tobytes() == first.tobytes()
-        row = first
+        nxt, fired = step(state, compiled, states[1:], chi)
+        assert fired.size == 0 and nxt.k == 5 and nxt.x_anchor is anchor
+        assert anchor.tobytes() == np.array([-0.0, 0.25]).tobytes()
+        assert np.isnan(states[0]).all()
         for k in range(1, 6):
-            row = row + sc.dt * state.q
-            assert states[k].tobytes() == row.tobytes(), k
+            want = anchor + k * (sc.dt * state.q)
+            assert states[k].tobytes() == want.tobytes(), k
 
     def test_equilibrium_fixed_point(self):
         """Gauge-consensus initial state: no motion, no fires, chi decays."""
@@ -850,6 +864,29 @@ class TestChiFloor:
         assert np.all(chi_floor_check(ref_leaderless_record) >= -1e-6)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: leaderless_scenario(seed=0),
+    lambda: leaderless_scenario(seed=1),
+    lambda: dataclasses.replace(leaderless_scenario(seed=0),
+                                baseline="static"),
+    lambda: perfbench_workloads().random_balanced_scenario(0, 500)[0],
+    lambda: perfbench_workloads().random_balanced_scenario(1, 500)[0],
+], ids=["leaderless-0", "leaderless-1", "static", "random-n500-0",
+        "random-n500-1"])
+def test_gauge_signed_sum_conserved(make):
+    """The leaderless control is orthogonal to every gauge-signed consensus
+    vector, so ``sum_i s_i x_i`` moves by rounding alone: on every row it
+    stays within 2e-15 of its value at t = 0, relative to max(1, sum_i
+    |x_i(0)|) per dimension."""
+    rec = run(make())
+    g = rec.scenario.graph
+    signs = np.asarray(detect_structural_balance(g), dtype=float)
+    x = rec.states.reshape(-1, g.n, g.d)
+    sums = np.einsum("i,kij->kj", signs, x)
+    scale = max(1.0, float(np.abs(x[0]).sum(axis=0).max()))
+    assert np.abs(sums - sums[0]).max() <= 2e-15 * scale
+
+
 class TestDwell:
     def test_min_dwell_simple(self):
         rec = run(dataclasses.replace(leaderless_scenario(seed=0),
@@ -1096,7 +1133,7 @@ def stepwise_run(sc):
     for k in range(steps):
         try:
             state, fired = sim.step(state, compiled,
-                                    states[k:k + 2], chi[k + 1:k + 2])
+                                    states[k + 1:k + 2], chi[k + 1:k + 2])
         except Diverged as exc:
             message = str(exc)
             break
@@ -1127,14 +1164,18 @@ class TestWindowWidth:
     """Windows are an implementation detail: one grid step at a time gives
     the record of ``sim.run`` bit for bit."""
 
-    @pytest.mark.parametrize("make", [
-        lambda: dataclasses.replace(leaderless_scenario(seed=1), horizon=5.0),
-        lambda: dataclasses.replace(leader_follower_scenario(seed=1),
-                                    horizon=5.0),
-        lambda: dataclasses.replace(leaderless_scenario(seed=1),
-                                    horizon=5.0, baseline="static"),
-    ], ids=["leaderless", "leader-follower", "static"])
-    def test_one_step_windows_equal_run(self, make):
+    @pytest.mark.parametrize("make, gap", [
+        (lambda: dataclasses.replace(leaderless_scenario(seed=1),
+                                     horizon=5.0), 50),
+        (lambda: dataclasses.replace(leader_follower_scenario(seed=1),
+                                     horizon=5.0), 50),
+        (lambda: dataclasses.replace(leaderless_scenario(seed=1),
+                                     horizon=5.0, baseline="static"), 50),
+        # Rows of n * d = 2000 values: windows of at most 32 rows.
+        (lambda: perfbench_workloads().random_balanced_scenario(
+            1, 500, horizon=0.05)[0], 16),
+    ], ids=["leaderless", "leader-follower", "static", "random-n500"])
+    def test_one_step_windows_equal_run(self, make, gap):
         sc = make()
         rec = run(sc)
         arrays, events, message = stepwise_run(sc)
@@ -1142,7 +1183,7 @@ class TestWindowWidth:
         assert_same_record(rec, arrays, events)
         # The windows of run really were wider than one step.
         longest = max(np.diff(np.unique(np.concatenate(rec.events))))
-        assert longest > 50 * sc.dt
+        assert longest > gap * sc.dt
 
     @pytest.mark.parametrize("make", [
         lambda: tiny_scenario(graph=scalar_graph(2, {(0, 1): 1000.0}),

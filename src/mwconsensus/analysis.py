@@ -23,9 +23,8 @@ FIT_FLOOR_RATIO = 1e-10
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Digest of a run; its fields are exactly the keys of ``summary.json``,
-    which for a record cut short by divergence also holds ``diverged: true``
-    (added by ``cli.write_artifacts``).
+    """Digest of a run; its fields are exactly the keys of ``summary.json``.
+    ``diverged`` is true for a record cut short by divergence.
 
     The error and decay fields are measured against the predicted limit
     state; they are ``None`` for a record without one (a forced run whose
@@ -39,6 +38,7 @@ class RunSummary:
     T: float
     seed: Optional[int]
     baseline: str
+    diverged: bool
     final_state: tuple[float, ...]
     limit_state: Optional[tuple[float, ...]]
     final_bipartite_error: Optional[float]
@@ -99,9 +99,11 @@ def event_stats(record: TrajectoryRecord) -> RunSummary:
 
     A record without a predicted limit state (its scenario's assumptions
     fail) gets ``None`` for the error and decay fields, which are defined
-    relative to the limit.
+    relative to the limit.  A partial record reports the dwell it observed:
+    an agent with a single event gets the record's last grid time, not T.
     """
     sc = record.scenario
+    diverged = len(record.states) <= sc.step_count
     lf = isinstance(sc.mode, LeaderFollower)
     xtilde = record.limit_state
     final_err = rel_err = decay = None
@@ -113,7 +115,9 @@ def event_stats(record: TrajectoryRecord) -> RunSummary:
         rel_err = final_err / max(1.0, float(np.linalg.norm(xtilde)))
         v = (lyapunov_lf if lf else lyapunov_leaderless)(record, xtilde)
         decay = fit_decay_rate(record.times, v)
-    dwell = sim.min_inter_event_from(record.events, sc.dt, sc.horizon)
+    dwell = sim.min_inter_event_from(
+        record.events, sc.dt,
+        float(record.times[-1]) if diverged else sc.horizon)
     warnings = dwell.warnings
     if np.min(record.chi) <= 0.0:
         warnings = ("auxiliary variable dropped to a nonpositive value",
@@ -126,6 +130,7 @@ def event_stats(record: TrajectoryRecord) -> RunSummary:
         T=sc.horizon,
         seed=sc.seed,
         baseline=sc.baseline,
+        diverged=diverged,
         final_state=tuple(record.states[-1].tolist()),
         limit_state=None if xtilde is None else tuple(xtilde.tolist()),
         final_bipartite_error=final_err,

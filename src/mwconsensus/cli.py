@@ -230,12 +230,15 @@ def _append(path: Path, part: Path) -> None:
         shutil.copyfileobj(src, dst, 1 << 16)
 
 
-def write_artifacts(record, outdir: Path, formats=("csv", "json")) -> dict:
-    """Write trajectory.csv, chi.csv, events.csv, summary.json, config.json.
+def write_artifacts(record, outdir: Path,
+                    outputs=scenario_io.DEFAULT_OUTPUTS) -> dict:
+    """Write trajectory.csv, chi.csv, events.csv, summary.json, config.json,
+    those of the ``outputs`` section's formats.
 
-    Returns the summary document: :func:`analysis.event_stats` of the record,
-    plus ``diverged: true`` for a record cut short by divergence.  All bytes
-    depend only on the scenario and seed (timing is deliberately excluded).
+    Returns the summary document, :func:`analysis.event_stats` of the
+    record.  config.json is the document the run loaded, as
+    ``--dump-config`` prints it.  All bytes depend only on the scenario,
+    its outputs section and the seed (timing is deliberately excluded).
 
     Every file is written into a hidden stage ``.write-*`` in ``outdir``
     and, once all are complete, moved into ``outdir`` by one ``os.replace``
@@ -259,6 +262,7 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json")) -> dict:
     """
     outdir.mkdir(parents=True, exist_ok=True)
     sc = record.scenario
+    formats = outputs["formats"]
     csvs = []
     if "csv" in formats:
         csvs = [("trajectory.csv", "time,agent,dim,x,xhat,qhat\n",
@@ -286,14 +290,12 @@ def write_artifacts(record, outdir: Path, formats=("csv", "json")) -> dict:
                     fh.writelines(f"{i},{t!r}\n" for t in ev.tolist())
 
         summary_doc = analysis.event_stats(record).as_dict()
-        if rows <= sc.step_count:  # cut short by divergence
-            summary_doc["diverged"] = True
         if "json" in formats:
             with open(stage / "summary.json", "w", encoding="utf-8") as fh:
                 json.dump(summary_doc, fh, sort_keys=True, indent=2)
                 fh.write("\n")
             with open(stage / "config.json", "w", encoding="utf-8") as fh:
-                fh.write(scenario_io.dump_scenario(sc))
+                fh.write(scenario_io.dump_scenario(sc, outputs))
 
         for k in range(1, processes):
             pid, pipe = children[k]
@@ -407,7 +409,6 @@ def cmd_run(args) -> int:
         return EXIT_OK
     out_root = Path(args.out) if args.out else Path(outputs["directory"])
     outdir = out_root / scenario_io.run_directory_name(scenario)
-    formats = tuple(outputs["formats"])
     loaded = time.perf_counter()
     try:
         record = sim.run(scenario, check_assumptions=not args.force)
@@ -418,13 +419,13 @@ def cmd_run(args) -> int:
     except Diverged as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         if exc.partial_record is not None:
-            write_artifacts(exc.partial_record, outdir, formats)
+            write_artifacts(exc.partial_record, outdir, outputs)
             print(f"partial record flushed to {outdir}", file=sys.stderr)
         return EXIT_DIVERGED
     simulated = time.perf_counter()
-    doc = write_artifacts(record, outdir, formats)
+    doc = write_artifacts(record, outdir, outputs)
     written = time.perf_counter()
-    processes = writer_processes(record, formats)
+    processes = writer_processes(record, outputs["formats"])
     print(f"run complete: {outdir}")
     counts = doc["event_counts"]
     top = counts.index(max(counts))

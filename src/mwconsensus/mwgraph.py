@@ -535,8 +535,5 @@ def verify_assumption2(network: MatrixWeightedGraph, n: int) -> bool:
     if leader_gauge(network, n) is None:
         return False
     t = network.table
-    inputs = np.flatnonzero(t.ends[:, 1] >= n)
-    total = np.zeros((1, network.d, network.d))
-    np.add.at(total, np.zeros(len(inputs), dtype=np.int64),
-              t.abs_weight[inputs])
-    return linalg.classify_definiteness(linalg.sym_eigen(total[0])[0]) is linalg.PD
+    total = t.abs_weight[t.ends[:, 1] >= n].sum(axis=0)
+    return linalg.classify_definiteness(linalg.sym_eigen(total)[0]) is linalg.PD

@@ -108,14 +108,6 @@ def mu_bar(g: MatrixWeightedGraph) -> np.ndarray:
     return top
 
 
-def _square(x: float) -> float:
-    """``x ** 2``; float ** raises where float * returns inf."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
 def gamma(network: MatrixWeightedGraph, n: int) -> np.ndarray:
     """Error-amplification constant of the leader-follower trigger, for each
     agent i < n of ``network``:
@@ -135,8 +127,7 @@ def gamma(network: MatrixWeightedGraph, n: int) -> np.ndarray:
             np.bincount(owner[mask], weights=w[mask], minlength=network.n)[:n]
             for mask, w in ((to_agent, mu), (~to_agent, mu),
                             (to_agent, mu * mu)))
-        spread = n * np.array([_square(x) for x in (total + total_b).tolist()])
-        return spread + n * squares
+        return n * np.square(total + total_b) + n * squares
 
 
 def validate_params(params: TriggerParams) -> list[str]:

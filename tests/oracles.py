@@ -653,11 +653,8 @@ def gamma(i: int, network: MatrixWeightedGraph, n: int) -> float:
     mus, mus_b, lam = [], [], network.table.abs_lambda_max
     for j in network.neighbors(i):
         (mus if j < n else mus_b).append(float(lam[network.edge(i, j)]))
-    try:
-        spread = n * (_left_to_right(mus) + _left_to_right(mus_b)) ** 2
-    except OverflowError:
-        spread = math.inf
-    return spread + n * _left_to_right(m * m for m in mus)
+    total = _left_to_right(mus) + _left_to_right(mus_b)
+    return n * (total * total) + n * _left_to_right(m * m for m in mus)
 
 
 def gains(sc) -> list[float]:

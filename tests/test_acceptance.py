@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from mwconsensus import analysis, cli, mwgraph, sim, trigger
-from mwconsensus.builtin import PUBLISHED_MU_BAR, REFERENCE_BIPARTITION, \
-    REFERENCE_U0, leader_follower_scenario, leaderless_scenario
+from mwconsensus.builtin import PUBLISHED_MU_BAR, REFERENCE_U0, \
+    leader_follower_scenario, leaderless_scenario
 from mwconsensus.linalg import sym_eigen
 from mwconsensus.mwgraph import build_laplacian, detect_structural_balance, \
     extended_graph, null_space
@@ -87,10 +87,11 @@ def test_a1_leaderless_replication(ll_records, cli_leaderless):
 
 
 def test_a2_sign_structure(ll_records):
-    group1, group2 = (sorted(REFERENCE_BIPARTITION[0]),
-                      sorted(REFERENCE_BIPARTITION[1]))
     checked = 0
     for seed, rec in ll_records.items():
+        # The gauge gives agent 0 the sign +1.
+        signs = rec.scenario.graph.signs
+        group1, group2 = np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
         d = rec.d
         final = rec.states[-1].reshape(rec.n, d)
         limit = rec.limit_state.reshape(rec.n, d)

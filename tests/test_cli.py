@@ -353,6 +353,17 @@ class TestSpectrum:
         # path Laplacian with weight 1.5: eigenvalues 0 and 3
         assert "smallest positive eigenvalue: 3" in out
 
+    def test_edgeless_graph_has_no_positive_eigenvalue(self, tmp_path,
+                                                        capsys):
+        doc = small_scenario_doc()
+        doc["graph"]["edges"] = []
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps(doc))
+        assert main(["spectrum", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "nullity at tolerance: 2\n" in out
+        assert "smallest positive eigenvalue: none\n" in out
+
     def test_builtin_reports_nullity_four(self, capsys):
         assert main(["spectrum", "builtin:leaderless"]) == EXIT_OK
         assert "nullity at tolerance: 4" in capsys.readouterr().out
@@ -418,6 +429,7 @@ class TestRun:
         assert summary["mode"] == "leaderless"
         assert "duration_s" not in summary  # timing must not break determinism
         assert set(summary) == SUMMARY_KEYS
+        assert summary["diverged"] is False
         header = (run_dirs[0] / "trajectory.csv").read_text().splitlines()[0]
         assert header == "time,agent,dim,x,xhat,qhat"
 
@@ -432,7 +444,8 @@ class TestRun:
 
     def test_each_format_writes_its_files(self, tmp_path):
         """``["csv"]`` writes exactly the three CSVs and ``["json"]`` exactly
-        the summary and config, each byte for byte the default run's file."""
+        the summary and config, each byte for byte the default run's file,
+        except that config.json keeps the document's own formats."""
         written = {}
         for formats in (["csv", "json"], ["csv"], ["json"]):
             doc = small_scenario_doc(horizon=0.05)
@@ -448,9 +461,28 @@ class TestRun:
         assert sorted(written[("csv",)]) == ["chi.csv", "events.csv",
                                              "trajectory.csv"]
         assert sorted(written[("json",)]) == ["config.json", "summary.json"]
+        config = json.loads(written[("json",)].pop("config.json"))
+        assert config["outputs"]["formats"] == ["json"]
+        config["outputs"]["formats"] = ["csv", "json"]
+        assert config == json.loads(full["config.json"])
         for files in written.values():
             for name, data in files.items():
                 assert data == full[name], name
+
+    def test_config_is_the_loaded_document(self, tmp_path, capsys):
+        """config.json is the text ``--dump-config`` prints for the document,
+        its outputs section included."""
+        doc = small_scenario_doc(horizon=0.05)
+        doc["outputs"] = {"directory": "elsewhere"}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--dump-config"]) == EXIT_OK
+        dumped = capsys.readouterr().out
+        out_root = tmp_path / "runs"
+        assert main(["run", str(path), "--out", str(out_root)]) == EXIT_OK
+        (run_dir,) = out_root.iterdir()
+        assert '"directory": "elsewhere"' in dumped
+        assert (run_dir / "config.json").read_text() == dumped
 
     def test_seed_override_changes_artifacts(self, scenario_file, tmp_path):
         a = tmp_path / "a"
@@ -477,7 +509,7 @@ class TestRun:
         run_dir = next(out_root.iterdir())
         summary = json.loads((run_dir / "summary.json").read_text())
         assert summary["diverged"] is True
-        assert set(summary) == SUMMARY_KEYS | {"diverged"}
+        assert set(summary) == SUMMARY_KEYS
         assert (run_dir / "trajectory.csv").exists()
 
     def test_diverged_summary_carries_partial_warnings(self, tmp_path):
@@ -495,6 +527,24 @@ class TestRun:
         assert [w for w in summary["warnings"] if "consecutive" in w] == [
             f"agent {i} fired on 20 consecutive steps (threshold 10)"
             for i in (0, 1)]
+
+    def test_partial_record_reports_observed_dwell(self, tmp_path):
+        """The isolated agent 2 fires once, at t = 0, and the run diverges
+        at t = 0.002: its dwell is the last grid time the partial record
+        holds, not T."""
+        doc = small_scenario_doc(weight=1e290)
+        doc["graph"]["n"] = 3
+        doc["sim"]["x0"] = [0.0, 1e-280, 0.5]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        out_root = tmp_path / "runs"
+        assert main(["run", str(path), "--force", "--baseline", "static",
+                     "--out", str(out_root)]) == EXIT_DIVERGED
+        (run_dir,) = out_root.iterdir()
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["diverged"] is True and summary["T"] == 1.0
+        assert summary["event_counts"] == [2, 2, 1]
+        assert summary["min_dwell"] == [0.001, 0.001, 0.001]
 
     def test_diverged_summary_is_strict_json(self, tmp_path):
         """The reference run at dt = 0.5 diverges before its Lyapunov values
@@ -1184,6 +1234,31 @@ class TestSweep:
         assert code == EXIT_VALIDATION
 
 
+    def test_sweep_goes_on_past_bad_documents(self, tmp_path, capsys):
+        """A missing file and a malformed document each print one
+        ``path: error`` line; the good run after them is written, and the
+        I/O error's exit code wins."""
+        missing = tmp_path / "missing.json"
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text("{")
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(small_scenario_doc(horizon=0.2)))
+        out_root = tmp_path / "runs"
+        paths = [str(missing), str(malformed), str(good)]
+        assert main(["sweep", *paths, "--out", str(out_root)]) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert [line for line in out.splitlines()
+                if line.startswith("sweep: ")] == [f"sweep: {p}" for p in paths]
+        err = err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith(f"{missing}: [Errno 2] ")
+        assert err[1] == (f"{malformed}: scenario document is not valid "
+                          "JSON: line 1 column 2: Expecting property name "
+                          "enclosed in double quotes")
+        (run_dir,) = out_root.iterdir()
+        assert {p.name for p in run_dir.iterdir()} == ARTIFACTS
+
+
 class TestConfigRoundTripOnDisk:
     def test_config_artifact_reparses_identically(self, scenario_file, tmp_path):
         out_root = tmp_path / "runs"
@@ -1223,6 +1298,29 @@ REPEATED_KEYS = {
 }
 
 
+#: Document texts each refused by the reader in one line, and its stderr
+#: line (a prefix where the rest is Python's own wording).
+REFUSED_TEXTS = {
+    "dt-beyond-float": (
+        json.dumps(_set(("sim", "dt"), 10**400)()).encode(),
+        "error: sim.dt: number out of range"),
+    "not-utf8": (b'\xff{"graph": {}}',
+                 "error: scenario document is not UTF-8: "),
+    "nested-past-recursion-limit": (
+        b"[" * 100_000 + b"]" * 100_000,
+        "error: scenario document is not valid JSON: maximum recursion "
+        "depth exceeded"),
+    "mode-kind-unknown": (
+        json.dumps(_set(("mode",), {"kind": "leader"})()).encode(),
+        "error: mode: kind must be 'leaderless' or 'leader-follower', got "
+        "'leader'"),
+    "u0-on-leaderless": (
+        json.dumps(_set(("mode",), {"kind": "leaderless", "u0": [1.0]})())
+        .encode(),
+        "error: mode: u0 is only valid for leader-follower"),
+}
+
+
 def check_outcome(doc, tmp_path, capsys) -> tuple[int, str]:
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -1236,6 +1334,15 @@ class TestMalformedDocuments:
         code, err = check_outcome(make(), tmp_path, capsys)
         assert code == EXIT_VALIDATION
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("text,line", REFUSED_TEXTS.values(),
+                             ids=REFUSED_TEXTS.keys())
+    def test_refused_text_one_line(self, text, line, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_bytes(text)
+        assert main(["check", str(path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith(line), err
 
     @pytest.mark.parametrize("name", ["x0-nested", "u0-nested"])
     def test_nested_state_refused_by_run(self, name, tmp_path, capsys):

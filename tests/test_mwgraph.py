@@ -10,8 +10,8 @@ import oracles
 from mwconsensus import mwgraph, scenario_io
 from mwconsensus.builtin import RAW_EDGE_0_1, WEIGHT_0_5, WEIGHT_3_4
 from mwconsensus.errors import AssumptionViolated, GraphFormatError, NotPSD
-from mwconsensus.linalg import DEFAULT_TOL, ND, NSD, PD, PSD, sym_eigen, \
-    sym_sqrt
+from mwconsensus.linalg import DEFAULT_TOL, ND, NSD, PD, PSD, ZERO, \
+    sym_eigen, sym_sqrt
 from mwconsensus.mwgraph import TOO_LARGE, EdgeTable, InputCoupling, \
     MatrixWeightedGraph, build_laplacian, definite_quotient, \
     detect_structural_balance, extended_graph, leader_gauge, null_space, \
@@ -149,6 +149,24 @@ class TestGraphModel:
             assert str(err.value) == (f"edge (0,1) weight has shape "
                                       f"{w.shape}, graph block dimension "
                                       f"is 2")
+
+    def test_non_integer_ends_refused(self):
+        with pytest.raises(GraphFormatError) as err:
+            MatrixWeightedGraph.from_edges(3, 1, [(0, 1.5, [[1.0]])])
+        assert str(err.value) == "edge (0,1.5): ends must be integers"
+
+    def test_zero_class_row_refused(self):
+        """A table built directly, past the loader, still needs
+        sign-definite classes, in a graph and in an input coupling."""
+        table = EdgeTable(np.array([[0, 1]]), np.zeros((1, 1, 1)),
+                          np.zeros((1, 1)), np.ones((1, 1, 1)),
+                          np.array([ZERO], dtype=object))
+        with pytest.raises(GraphFormatError) as err:
+            MatrixWeightedGraph(2, 1, table)
+        assert str(err.value) == "edge (0,1) has class zero"
+        with pytest.raises(GraphFormatError) as err:
+            InputCoupling(table)
+        assert str(err.value) == "coupling (0,1) has class zero"
 
     @pytest.mark.parametrize("table", [(), [], None, [[0, 1]]])
     def test_non_table_refused_in_one_line(self, table):

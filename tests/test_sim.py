@@ -67,6 +67,12 @@ class TestValidation:
         sc = tiny_scenario(params=uniform_params(2, sigma=1.5))
         assert any("sigma" in v for v in validate_scenario(sc))
 
+    def test_params_of_another_length_refused(self):
+        """A Python caller's parameters for more agents than the graph
+        has: the one line names both counts."""
+        sc = tiny_scenario(params=uniform_params(3))
+        assert validate_scenario(sc) == ["params cover 3 agents, graph has 2"]
+
     def test_imbalanced_graph_rejected(self):
         g = scalar_graph(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): -1.0})
         sc = tiny_scenario(graph=g, params=uniform_params(3))

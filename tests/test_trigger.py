@@ -21,7 +21,7 @@ from mwconsensus.trigger import LeaderFollower, Leaderless, TriggerParams, \
     gamma, mu_bar, validate_params
 
 import oracles
-from conftest import random_balanced_scalar_graph
+from conftest import pinned_probe_scenario, random_balanced_scalar_graph
 from oracles import AgentParams, NotNeighbors, chi_rate_leaderless, \
     chi_rate_lf, control_leader_follower, control_leaderless, \
     leaderless_fires, lf_fires, relative_broadcast
@@ -423,6 +423,15 @@ class TestGainsFromTable:
         for i in (0, 1, 2, 19_999):
             assert got[i] == oracles.gamma(i, sc.network, sc.graph.n)
             assert mu[i] == oracles.mu_bar(i, sc.graph)
+
+    def test_probe_gains_square_by_multiplication(self):
+        """At n = 2000 on the pinned probe, one agent's sum is a value whose
+        square ``pow(x, 2)`` rounds one ulp away from ``x * x``: every gain
+        is the oracle's ``n * (x * x)`` form, bit for bit."""
+        sc = pinned_probe_scenario(2000, 0.2)
+        n = sc.graph.n
+        assert gamma(sc.network, n).tobytes() == np.array(
+            [oracles.gamma(i, sc.network, n) for i in range(n)]).tobytes()
 
     def test_overflowing_gamma_is_inf_per_agent(self):
         g = scalar_graph(3, {(0, 1): 1e300, (1, 2): 1.0}, d=1)

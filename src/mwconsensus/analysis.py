@@ -56,27 +56,30 @@ class RunSummary:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in values}
 
 
-def lyapunov_leaderless(record: TrajectoryRecord,
-                        xtilde: np.ndarray) -> np.ndarray:
-    """V(t) = 0.5 * ||x - xtilde||^2 + sum_i chi_i."""
-    diff = record.states - np.asarray(xtilde, dtype=float)[None, :]
-    return 0.5 * np.einsum("ij,ij->i", diff, diff) + record.chi.sum(axis=1)
+def lyapunov_leaderless(xtilde: np.ndarray, states: np.ndarray,
+                        chi: np.ndarray) -> np.ndarray:
+    """V(t) = 0.5 * ||x - xtilde||^2 + sum_i chi_i on the grid rows
+    ``states``, ``chi``."""
+    diff = states - np.asarray(xtilde, dtype=float)[None, :]
+    return 0.5 * np.einsum("ij,ij->i", diff, diff) + chi.sum(axis=1)
 
 
-def lyapunov_lf(record: TrajectoryRecord, xtilde: np.ndarray) -> np.ndarray:
-    """V(t) = xi^T L_B xi + sum_i chi_i with xi = x - xtilde, where xtilde
-    holds the gauge-signed input copies (the record's limit state).  L_B is
-    the agents' block of the network's Laplacian, so the form is the sum of
+def lyapunov_lf(record: TrajectoryRecord, xtilde: np.ndarray,
+                states: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """V(t) = xi^T L_B xi + sum_i chi_i with xi = x - xtilde on the grid
+    rows ``states``, ``chi`` of ``record``, where xtilde holds the
+    gauge-signed input copies (the record's limit state).  L_B is the
+    agents' block of the network's Laplacian, so the form is the sum of
     ``p_e^T |A_e| p_e``, ``p_e = xi_i - sgn(A_e) xi_j``, over its edges,
     with every input j >= n held at xi = 0: the compiled scenario's
-    ``pair_form`` of xi, one column per row."""
+    ``pair_form`` of xi, one column per row, sized for the record's rows."""
     sc = record.scenario
-    n, d, rows = record.n, record.d, len(record.states)
+    n, d, rows = record.n, record.d, len(states)
     nodes = np.zeros((sc.network.n, d, rows))
-    np.subtract(record.states.T.reshape(n, d, rows),
+    np.subtract(states.T.reshape(n, d, rows),
                 np.asarray(xtilde, dtype=float).reshape(n, d, 1),
                 out=nodes[:n])
-    return sc.compiled.pair_form(nodes) + record.chi.sum(axis=1)
+    return sc.compiled.pair_form(nodes, record.rows) + chi.sum(axis=1)
 
 
 def fit_decay_rate(times: np.ndarray, values: np.ndarray) -> Optional[float]:
@@ -103,23 +106,35 @@ def event_stats(record: TrajectoryRecord) -> RunSummary:
     an agent with a single event gets the record's last grid time, not T.
     """
     sc = record.scenario
-    diverged = len(record.states) <= sc.step_count
+    diverged = record.rows <= sc.step_count
     lf = isinstance(sc.mode, LeaderFollower)
     xtilde = record.limit_state
+    # One pass over the rebuilt rows: V, the chi floor margins, the least
+    # chi, and the last row, the final state.
+    v = None if xtilde is None else np.empty(record.rows)
+    margins, chi_min = np.inf, np.inf
+    for lo, states, chi in record.blocks():
+        if v is not None:
+            v[lo:lo + len(chi)] = (
+                lyapunov_lf(record, xtilde, states, chi) if lf
+                else lyapunov_leaderless(xtilde, states, chi))
+        margins = np.minimum(margins, sim.chi_floor_check(
+            sc.params, record.times[lo:lo + len(chi)], chi))
+        chi_min = np.minimum(chi_min, chi.min())
+    final = states[-1]
     final_err = rel_err = decay = None
     if xtilde is not None:
         # np.sum's pairwise order: a vector np.linalg.norm takes a BLAS dot,
         # which can differ in the last bit from the row norm of the record.
-        diff = record.states[-1] - xtilde
+        diff = final - xtilde
         final_err = float(np.sqrt(np.sum(diff * diff)))
         rel_err = final_err / max(1.0, float(np.linalg.norm(xtilde)))
-        v = (lyapunov_lf if lf else lyapunov_leaderless)(record, xtilde)
         decay = fit_decay_rate(record.times, v)
     dwell = sim.min_inter_event_from(
         record.events, sc.dt,
         float(record.times[-1]) if diverged else sc.horizon)
     warnings = dwell.warnings
-    if np.min(record.chi) <= 0.0:
+    if chi_min <= 0.0:
         warnings = ("auxiliary variable dropped to a nonpositive value",
                     *warnings)
     return RunSummary(
@@ -131,7 +146,7 @@ def event_stats(record: TrajectoryRecord) -> RunSummary:
         seed=sc.seed,
         baseline=sc.baseline,
         diverged=diverged,
-        final_state=tuple(record.states[-1].tolist()),
+        final_state=tuple(final.tolist()),
         limit_state=None if xtilde is None else tuple(xtilde.tolist()),
         final_bipartite_error=final_err,
         final_relative_error=rel_err,
@@ -139,6 +154,6 @@ def event_stats(record: TrajectoryRecord) -> RunSummary:
         event_counts=tuple(len(e) for e in record.events),
         min_dwell=tuple(dwell.min_dwell.tolist()),
         max_consecutive=tuple(dwell.max_consecutive.tolist()),
-        chi_floor_margins=tuple(sim.chi_floor_check(record).tolist()),
+        chi_floor_margins=tuple(margins.tolist()),
         warnings=warnings,
     )

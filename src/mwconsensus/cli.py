@@ -89,7 +89,7 @@ def writer_processes(record, formats=("csv", "json")) -> int:
     time from the extra writers, only their fork and append work."""
     if "csv" not in formats or not hasattr(os, "fork"):
         return 1
-    rows = len(record.states)
+    rows = record.rows
     values = rows * (record.n * record.d + record.n)
     return max(1, min(usable_cpus(), values // CHUNK_VALUES, rows))
 
@@ -128,14 +128,16 @@ def _batch_rows(width: int) -> int:
 def _trajectory_rows(record, fh, start: int, stop: int) -> None:
     """Write grid rows ``start..stop-1`` of trajectory.csv.
 
-    The record keeps the held ``xhat``/``qhat`` pairs as changes, once per
+    The states come from the record's reader (``record.blocks``).  The
+    record keeps the held ``xhat``/``qhat`` pairs as changes, once per
     anchor (a grid row at which some agent fired, or row 0).  Each column
     keeps the text of its pair: the first row formats every column from the
     anchor that holds it (``record.held_pair``), and each later anchor only
     the columns it changed (``record.changes``); every other row reuses the
     text it holds.  The rows go out a batch at a time
-    (:func:`_write_lines`), and a batch may span several anchors.  The bytes
-    are those of formatting every value on every row.
+    (:func:`_write_lines`); a batch may span several anchors, and ends at
+    the end of a block of states.  The bytes are those of formatting every
+    value on every row.
     """
     n, d = record.n, record.d
     labels = [f",{i},{c}," for i in range(n) for c in range(d)]
@@ -146,7 +148,8 @@ def _trajectory_rows(record, fh, start: int, stop: int) -> None:
     batch = _batch_rows(n * d)
     tails = [""] * (n * d)
     column = []  # the tails of rows `lo` onwards, not yet written
-    lo = start
+    blocks = record.blocks(start, stop)
+    lo = top = start  # the block `states` holds rows `base..top-1`
     for a, (row, end) in enumerate(zip(bounds, bounds[1:]), first):
         if a > first:
             cols, held_h, held_q = (v.tolist() for v in record.changes(a))
@@ -156,12 +159,15 @@ def _trajectory_rows(record, fh, start: int, stop: int) -> None:
         for c, h, q in zip(cols, held_h, held_q):
             tails[c] = f",{h!r},{q!r}\n"
         while row < end:
-            hi = min(end, lo + batch)
+            if lo == top:
+                base, states, _ = next(blocks)
+                top = base + len(states)
+            hi = min(end, lo + batch, top)
             column += tails * (hi - row)
             row = hi
-            if hi == lo + batch or hi == stop:
-                _write_lines(fh, record.times[lo:hi], record.states[lo:hi],
-                             labels, column)
+            if hi in (lo + batch, top):
+                _write_lines(fh, record.times[lo:hi],
+                             states[lo - base:hi - base], labels, column)
                 lo, column = hi, []
 
 
@@ -269,7 +275,7 @@ def write_artifacts(record, outdir: Path,
                  _trajectory_rows),
                 ("chi.csv", "time,agent,chi\n", _chi_rows)]
     processes = writer_processes(record, formats)
-    rows = len(record.states)
+    rows = record.rows
     bounds = [rows * k // processes for k in range(processes + 1)]
     for stale in outdir.glob(".write-*"):
         shutil.rmtree(stale, ignore_errors=True)

@@ -23,8 +23,10 @@ and every value is independent of how the grid is split.
 at which an agent fires.  Its states, like chi, are the closed form from
 the anchor, ``x_anchor + s (dt qhat)``, so every row depends on its anchor
 alone, whatever the window, and rounding does not build up from step to
-step.  Triggers are checked
-only at step boundaries and reported event times are grid times.  The
+step.  The record therefore keeps no states: it rebuilds any grid row from
+x0 and the held controls (:meth:`TrajectoryRecord.blocks`), by the same
+closed form.  Triggers are checked only at step boundaries and reported
+event times are grid times.  The
 mechanisms guarantee strictly positive dwell times, so a sufficiently small
 step (default 1e-3) resolves the event sequence; this is a documented
 approximation, not a root-finding event detector.  When several agents
@@ -149,14 +151,14 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
                    f"T={sc.horizon}")
     elif sc.dt > 0.0:
         steps, n, nd = sc.horizon / sc.dt, sc.graph.n, sc.graph.n * sc.graph.d
-        # 8 bytes each for the time, states (nd) and chi (n) of every grid
-        # point, and of every anchor its row, its change offset and, per
-        # changed column, the column index, xhat and q, plus the offset that
-        # ends the last anchor; at worst every point is an anchor at which
-        # every column changed.  The step loop adds window scratch
-        # (WINDOW_VALUES).
+        # 8 bytes each for the time and chi (n) of every grid point, and of
+        # every anchor its row, its change offset and, per changed column,
+        # the column index, xhat and q, plus the offset that ends the last
+        # anchor; at worst every point is an anchor at which every column
+        # changed.  The step loop adds its window of states.
         refusal = mwgraph.memory_refusal(
-            8.0 * ((steps + 1.0) * (4 * nd + n + 3) + 1.0),
+            8.0 * ((steps + 1.0) * (3 * nd + n + 3) + 1.0
+                   + max(1, WINDOW_VALUES // nd) * nd),
             f"T/dt = {steps:.6g} steps", "of arrays")
         if refusal:
             out.append(refusal)
@@ -204,10 +206,10 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """Grid-sampled history of one run: ``states`` and ``chi`` per grid
-    row, and the held broadcasts and control as changes, once per *anchor*
-    (row 0 and every row at which some agent fired).  Anchor ``a`` is grid
-    row ``anchors[a]``; its changes are the entries
+    """Grid-sampled history of one run: ``chi`` per grid row, and the held
+    broadcasts and control as changes, once per *anchor* (row 0 and every
+    row at which some agent fired).  Anchor ``a`` is grid row
+    ``anchors[a]``; its changes are the entries
     ``change_offsets[a]:change_offsets[a + 1]`` of ``change_cols`` (flat
     state columns, ascending), ``change_xhat`` and ``change_q``: every
     column at anchor 0, later the columns whose held ``xhat`` or ``q``
@@ -215,9 +217,13 @@ class TrajectoryRecord:
     ``a`` is its latest change at or before ``a`` (:meth:`held_pair`), and
     holds from grid row ``anchors[a]`` up to the next anchor; the error
     ``xhat - x`` is exactly zero at each agent's event instants.
+
+    The states are not kept: :meth:`blocks` rebuilds them from x0 (anchor
+    0's held ``xhat``) and the held controls, bit for bit as :func:`step`
+    computed them.  ``chi`` stays dense, since rebuilding it takes more
+    values per anchor than a row holds when nearly every row is an anchor.
     """
 
-    states: np.ndarray
     chi: np.ndarray
     anchors: np.ndarray
     change_offsets: np.ndarray
@@ -235,10 +241,15 @@ class TrajectoryRecord:
     def d(self) -> int:
         return self.scenario.graph.d
 
+    @property
+    def rows(self) -> int:
+        """Grid rows recorded: ``step_count + 1``, fewer for a partial run."""
+        return len(self.chi)
+
     @cached_property
     def times(self) -> np.ndarray:
         """Grid time of every row, derived: ``k * dt``."""
-        return np.arange(len(self.states)) * self.scenario.dt
+        return np.arange(self.rows) * self.scenario.dt
 
     @cached_property
     def limit_state(self) -> Optional[np.ndarray]:
@@ -251,7 +262,8 @@ class TrajectoryRecord:
         if isinstance(sc.mode, LeaderFollower):
             gauge = mwgraph.leader_gauge(sc.network, sc.graph.n)
             return None if gauge is None else np.kron(gauge, sc.mode.u0)
-        return mwgraph.predicted_bipartite_limit(sc.graph, self.states[0])
+        return mwgraph.predicted_bipartite_limit(sc.graph,
+                                                 self.held_pair(0)[0])
 
     def changes(self, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The columns anchor ``a`` changed, ascending, with their new held
@@ -270,6 +282,49 @@ class TrajectoryRecord:
         np.maximum.at(latest, self.change_cols[:end], np.arange(end))
         return self.change_xhat[latest], self.change_q[latest]
 
+    def blocks(self, start: int = 0, stop: Optional[int] = None):
+        """Grid rows ``start .. stop - 1`` (every row by default), as
+        consecutive ranges of at most a quarter of :data:`WINDOW_VALUES`
+        state values, so that a range, the one before it that its reader
+        may still hold and what the summary forms from them stay within a
+        window's values.  Yields ``(lo, states, chi)`` per range: its first
+        row, its states, rebuilt into a new array, and its view of ``chi``.
+
+        This is the one place that rebuilds states.  Row 0 is x0, anchor
+        0's held ``xhat``.  A row ``k`` after anchor ``a``'s row ``k_a``, up
+        to and including the next anchor's row, is ``x_a + (k - k_a) (dt
+        q_a)`` (:func:`_affine_rows`, as :func:`step` wrote it), where
+        ``x_{a+1}`` is the row of anchor ``a + 1``; no row is evaluated at
+        ``k = k_a``, so an anchor's -0.0 keeps its sign.  A range that
+        starts past row 0 first replays the anchors before it, one closed
+        form each."""
+        stop = self.rows if stop is None else stop
+        nd, dt, anchors = self.n * self.d, self.scenario.dt, self.anchors
+        per = max(1, WINDOW_VALUES // (4 * nd))
+        # The last row of each anchor's span.
+        ends = [*anchors[1:].tolist(), self.rows - 1]
+        x, q = self.held_pair(0)
+        dq, a = dt * q, 0
+        for lo in range(start, stop, per):
+            hi = min(stop, lo + per)
+            states = np.empty((hi - lo, nd))
+            row = lo
+            if row == 0:
+                states[0], row = x, 1
+            while row < hi:
+                while ends[a] < row:
+                    x = _affine_rows(x, dq, float(ends[a] - anchors[a]),
+                                     np.empty(nd))
+                    a += 1
+                    cols, _, held_q = self.changes(a)
+                    dq[cols] = dt * held_q
+                top = min(hi, ends[a] + 1)
+                s = np.arange(row - anchors[a], top - anchors[a],
+                              dtype=float)[:, None]
+                _affine_rows(x, dq, s, states[row - lo:top - lo])
+                row = top
+            yield lo, states, self.chi[lo:hi]
+
 
 @dataclass
 class SimState:
@@ -277,8 +332,9 @@ class SimState:
     anchor (grid index ``anchor`` of the last broadcast, with the state
     ``x_anchor`` and the threshold ``chi_anchor`` there and the coefficients
     ``excess`` = (c0, c1, c2) of each agent's trigger excess in grid steps
-    since it).  ``x_anchor`` is the anchor's record row itself, or the
-    compiled ``x0`` at t = 0, never a copy."""
+    since it).  ``x_anchor`` is a copy of the window row at which the
+    agents fired, or the compiled ``x0`` at t = 0: the record keeps no
+    rows."""
 
     k: int
     xhat: np.ndarray
@@ -369,23 +425,30 @@ class CompiledScenario:
             return q, self.sigma * np.einsum("ij,ij->i", blocks, blocks)
         return q, self.sigma / 4.0 * self.disagreement_terms(rel)
 
-    def pair_form(self, nodes: np.ndarray) -> np.ndarray:
+    def pair_form(self, nodes: np.ndarray, rows: int) -> np.ndarray:
         """``sum_e p_e^T |A_e| p_e`` over the edges of the network, for each
-        of the k columns of the node states ``nodes`` ``(N, d, k)``.
+        of the k columns of the node states ``nodes`` ``(N, d, k)``, k of
+        the ``rows`` grid rows of a record.
 
         Each edge is read from its arc with ``src < dst`` (an agent-agent
         edge's two arcs have bitwise-equal terms), a block of arcs over all
-        k columns at a time."""
-        rows = nodes.shape[-1]
+        k columns at a time.  The blocks are sized for ``rows`` columns, so
+        a column's sum has the same bits however the rows are split."""
+        k, wide = nodes.shape[-1], min(rows, 3)
+        # numpy's einsum sums one or two columns in another order than three
+        # or more, so fewer are padded with zero columns.
+        if k < wide:
+            nodes = np.concatenate(
+                (nodes, np.zeros(nodes.shape[:-1] + (wide - k,))), axis=-1)
         once = np.flatnonzero(self.arc_src < self.arc_dst)
         # p, its two gathers and the flow of a block: ~WINDOW_VALUES values.
         block = max(1, WINDOW_VALUES // (4 * self.d * rows))
-        v = np.zeros(rows)
+        v = np.zeros(nodes.shape[-1])
         for lo in range(0, len(once), block):
             arcs = once[lo:lo + block]
             rel = self._relative(nodes, arcs)
             v += np.einsum("ei...,ei...->...", self._flow(rel, arcs), rel)
-        return v
+        return v[:k]
 
 
 def compile_scenario(sc: Scenario) -> CompiledScenario:
@@ -451,13 +514,24 @@ def _phi_expm1(z):
     return phi1, phi2, (phi2 - 0.5) / z
 
 
+def _affine_rows(x_anchor: np.ndarray, dq: np.ndarray, s, out: np.ndarray
+                 ) -> np.ndarray:
+    """``x_anchor + s dq`` into ``out``, for ``s`` grid steps since the
+    anchor (a column of them for rows): the one rule by which :func:`step`
+    writes states and :meth:`TrajectoryRecord.blocks` rebuilds them."""
+    np.multiply(s, dq, out=out)
+    out += x_anchor
+    return out
+
+
 def step(state: SimState, compiled: CompiledScenario, states: np.ndarray,
          chi: np.ndarray) -> tuple[SimState, np.ndarray]:
     """Advance a window of grid steps under the held terms, up to the first
     step at which an agent fires, and apply its broadcasts.
 
-    ``states`` and ``chi`` hold record rows ``k + 1 .. k + w``, for ``k =
-    state.k`` and a window of ``w >= 1`` steps; the rows up to the step the
+    ``chi`` holds record rows ``k + 1 .. k + w``, for ``k = state.k`` and
+    a window of ``w >= 1`` steps, and ``states`` (``w`` rows, scratch that
+    the record does not keep) their states; the rows up to the step the
     window ends at are filled, later ones are left unspecified.  Every value
     is the closed form in the ``s`` grid steps since the anchor: (a) the
     exact affine state ``state.x_anchor + s (dt q)``, checked against the
@@ -476,8 +550,7 @@ def step(state: SimState, compiled: CompiledScenario, states: np.ndarray,
     s = np.arange(offset + 1.0, offset + w + 1.0)[:, None]
     # Rows past a divergence may overflow; they are cut before any use.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(s, dt * state.q, out=states)
-        states += state.x_anchor
+        _affine_rows(state.x_anchor, dt * state.q, s, states)
         peak = np.abs(states).max(axis=1)
     guarded = peak <= DIVERGENCE_GUARD  # false for inf and nan too
     if not guarded.all():
@@ -500,7 +573,7 @@ def step(state: SimState, compiled: CompiledScenario, states: np.ndarray,
         return replace(state, k=state.k + w), fire_rows
     j = int(fire_rows[0])
     fired = np.flatnonzero(hits[j])
-    x = states[j]
+    x = states[j].copy()
     xhat = state.xhat.copy()
     xhat.reshape(n, d)[fired] = x.reshape(n, d)[fired]
     return _anchored(compiled, state.k + j + 1, x, xhat, chi[j].copy()), fired
@@ -526,7 +599,7 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
     steps = sc.step_count
     max_rows = max(1, WINDOW_VALUES // (n * d))
 
-    states = np.empty((steps + 1, n * d))
+    window = np.empty((max_rows, n * d))  # the states of one window
     chi = np.empty((steps + 1, n))
     # At worst every grid row is an anchor at which every column changes;
     # unwritten entries never become resident.
@@ -547,14 +620,14 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
             c, state.xhat[c], state.q[c]
 
     state = initial_sim_state(compiled)
-    states[0], chi[0] = state.xhat, compiled.chi0  # xhat = x0 at t = 0
+    chi[0] = compiled.chi0
     hold(0, state, np.ones(n * d, dtype=bool))
 
     def finish(upto: int) -> TrajectoryRecord:
         ev = tuple(np.array(e) for e in events)
         used = offsets[held]
         return TrajectoryRecord(
-            states=states[:upto + 1], chi=chi[:upto + 1],
+            chi=chi[:upto + 1],
             anchors=anchors[:held], change_offsets=offsets[:held + 1],
             change_cols=change_cols[:used], change_xhat=change_xhat[:used],
             change_q=change_q[:used], events=ev, scenario=sc)
@@ -563,7 +636,7 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
     while k < steps:
         end = k + min(width, steps - k, max_rows)
         try:
-            nxt, fired = step(state, compiled, states[k + 1:end + 1],
+            nxt, fired = step(state, compiled, window[:end - k],
                               chi[k + 1:end + 1])
         except Diverged as exc:
             raise Diverged(str(exc), partial_record=finish(k)) from None
@@ -580,14 +653,20 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
     return finish(steps)
 
 
-def chi_floor_check(record: TrajectoryRecord) -> np.ndarray:
-    """Minimum over the grid of chi_i(t) - chi_i(0) exp(-(beta_i + delta_i /
-    theta_i) t), per agent.  Values at or above the (negated) integration
-    tolerance certify the guaranteed positive lower envelope."""
-    p = record.scenario.params
-    rate = p.beta + p.delta / p.theta
-    floor = p.chi0[None, :] * np.exp(-np.outer(record.times, rate))
-    return (record.chi - floor).min(axis=0)
+def chi_floor_check(params: TriggerParams, times: np.ndarray,
+                    chi: np.ndarray) -> np.ndarray:
+    """Minimum over the grid rows ``chi`` at ``times`` of chi_i(t) -
+    chi_i(0) exp(-(beta_i + delta_i / theta_i) t), per agent, in one
+    temporary of the rows' shape; rows taken a block at a time give the
+    same minimum.  Values at or above the (negated) integration tolerance
+    certify the guaranteed positive lower envelope."""
+    rate = params.beta + params.delta / params.theta
+    gap = np.multiply.outer(times, rate)
+    np.negative(gap, out=gap)
+    np.exp(gap, out=gap)
+    gap *= params.chi0
+    np.subtract(chi, gap, out=gap)
+    return gap.min(axis=0)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ and controls through ``held_rows``, which expands the record's anchor rows
 to one row per grid point.  The record stores, per anchor, only the held
 columns that changed; ``held_anchors`` applies those changes one anchor at
 a time to rebuild a dense row per anchor, and ``with_held`` stores dense
-per-anchor rows in a record the way ``sim.run`` does.
+per-anchor rows in a record the way ``sim.run`` does.  The record keeps no
+states; every test reads them through ``grid_states``, which joins the
+blocks of the record's one reader.
 
 The per-agent trigger formulas below evaluate one agent at a time from the
 graph's neighbour lookups and the rows of its edge table, with small numpy
@@ -31,6 +33,9 @@ agents at once: a ``max`` and left-to-right sums over each agent's
 ``neighbors(i)``, read one ``edge(i, j)`` row at a time.
 ``validate_params`` is the per-agent parameter check that masks over all
 agents replaced.
+
+``chi_floor_margins`` is the chi floor check formed from dense ``(rows,
+n)`` arrays, which the package forms a block of rows at a time.
 
 ``four_stage_run`` is the step-at-a-time loop with the classical 4-stage
 update of the thresholds, against which the engine's windows and its
@@ -362,6 +367,12 @@ def held_rows(record) -> tuple[np.ndarray, np.ndarray]:
                  for held in held_anchors(record))
 
 
+def grid_states(record) -> np.ndarray:
+    """The record's states, one row per grid point, ``(rows, n * d)``: the
+    blocks of its reader (``record.blocks``), joined."""
+    return np.concatenate([states for _, states, _ in record.blocks()])
+
+
 def write_trajectory_csv(record, path) -> None:
     """Reference ``trajectory.csv`` writer: every value of every grid row is
     formatted with ``repr``, with no text kept from the row above.  The
@@ -372,8 +383,8 @@ def write_trajectory_csv(record, path) -> None:
     broadcasts, controls = held_rows(record)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time,agent,dim,x,xhat,qhat\n")
-        for t, xs, hs, qs in zip(record.times, record.states, broadcasts,
-                                 controls):
+        for t, xs, hs, qs in zip(record.times, grid_states(record),
+                                 broadcasts, controls):
             ts = repr(float(t))
             row_x, row_h, row_q = xs.tolist(), hs.tolist(), qs.tolist()
             fh.writelines(
@@ -492,8 +503,18 @@ def lyapunov_lf_dense(record, xtilde: np.ndarray) -> np.ndarray:
     contracted with the dense grounded Laplacian of the record's scenario."""
     sc = record.scenario
     lb = grounded_laplacian(sc.graph, sc.mode.coupling)
-    xi = record.states - np.asarray(xtilde, dtype=float)[None, :]
+    xi = grid_states(record) - np.asarray(xtilde, dtype=float)[None, :]
     return np.einsum("ij,jk,ik->i", xi, lb, xi) + record.chi.sum(axis=1)
+
+
+def chi_floor_margins(record) -> np.ndarray:
+    """Per-agent minimum over the whole grid of chi_i(t) - chi_i(0)
+    exp(-(beta_i + delta_i / theta_i) t), from dense ``(rows, n)``
+    arrays."""
+    p = record.scenario.params
+    rate = p.beta + p.delta / p.theta
+    floor = p.chi0[None, :] * np.exp(-np.outer(record.times, rate))
+    return (record.chi - floor).min(axis=0)
 
 
 PList = Sequence[tuple[np.ndarray, np.ndarray]]

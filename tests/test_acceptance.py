@@ -20,7 +20,7 @@ from mwconsensus.sim import Scenario, chi_floor_check, min_inter_event_from
 from mwconsensus.trigger import Leaderless, TriggerParams
 
 from conftest import random_balanced_scalar_graph
-from oracles import brute_force_balance, scalar_consensus_run
+from oracles import brute_force_balance, grid_states, scalar_consensus_run
 from test_mwgraph import scalar_graph
 
 EXTRA_SEEDS = (1, 2)
@@ -69,7 +69,7 @@ def cli_lf(tmp_path_factory):
 
 
 def relative_error(record):
-    err = float(np.linalg.norm(record.states[-1] - record.limit_state))
+    err = float(np.linalg.norm(grid_states(record)[-1] - record.limit_state))
     return err / max(1.0, float(np.linalg.norm(record.limit_state)))
 
 
@@ -93,7 +93,7 @@ def test_a2_sign_structure(ll_records):
         signs = rec.scenario.graph.signs
         group1, group2 = np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
         d = rec.d
-        final = rec.states[-1].reshape(rec.n, d)
+        final = grid_states(rec)[-1].reshape(rec.n, d)
         limit = rec.limit_state.reshape(rec.n, d)
         for k in range(d):
             if abs(limit[0, k]) <= 1e-6:
@@ -111,7 +111,8 @@ def test_a3_chi_floor(ll_records, lf_records):
     worst = np.inf
     for records in (ll_records, lf_records):
         for seed, rec in records.items():
-            margins = chi_floor_check(rec)
+            margins = chi_floor_check(rec.scenario.params, rec.times,
+                                      rec.chi)
             worst = min(worst, float(margins.min()))
             assert np.all(margins >= -1e-6), (seed, margins.min())
     print(f"\nA3 PASS: chi never dips below its exponential floor "
@@ -159,10 +160,11 @@ def test_a6_leader_follower_replication(lf_records, cli_lf):
     worst_entry = 0.0
     u0 = np.array(REFERENCE_U0)
     for seed, rec in lf_records.items():
-        xi = rec.states[-1] - rec.limit_state
+        last = grid_states(rec)[-1]
+        xi = last - rec.limit_state
         norm = float(np.linalg.norm(xi))
         assert norm < 1e-2, (seed, norm)
-        final = np.abs(rec.states[-1].reshape(rec.n, rec.d))
+        final = np.abs(last.reshape(rec.n, rec.d))
         entry = float(np.max(np.abs(final - np.abs(u0)[None, :])))
         assert entry < 1e-2, (seed, entry)
         worst_norm = max(worst_norm, norm)
@@ -191,14 +193,16 @@ def test_a7_spectral_properties(ref_graph, ref_coupling):
 
 def test_a8_lyapunov_monotonicity(ref_leaderless_record, ref_lf_record):
     rec = ref_leaderless_record
-    v_ll = analysis.lyapunov_leaderless(rec, rec.limit_state)
+    v_ll = analysis.lyapunov_leaderless(rec.limit_state, grid_states(rec),
+                                         rec.chi)
     worst_ll = float(np.max(np.diff(v_ll)))
     assert worst_ll <= 1e-9
 
     rec = ref_lf_record
     sc = rec.scenario
     signs = detect_structural_balance(sc.graph)
-    v_lf = analysis.lyapunov_lf(rec, np.kron(signs, sc.mode.u0))
+    v_lf = analysis.lyapunov_lf(rec, np.kron(signs, sc.mode.u0),
+                                grid_states(rec), rec.chi)
     worst_lf = float(np.max(np.diff(v_lf)))
     assert worst_lf <= 1e-9
     print(f"\nA8 PASS: V non-increasing on both replications "
@@ -228,8 +232,9 @@ def test_a9_scalar_oracle_equivalence():
         traj, _, events = scalar_consensus_run(
             n, edges, x0, sigma, theta, beta, delta, chi0, dt, horizon)
         scalar_states = np.asarray(traj)
+        states = grid_states(rec)
         for k in range(d):
-            gap = float(np.max(np.abs(rec.states[:, k::d] - scalar_states)))
+            gap = float(np.max(np.abs(states[:, k::d] - scalar_states)))
             assert gap <= 1e-9, (case, k, gap)
             worst = max(worst, gap)
         for i in range(n):

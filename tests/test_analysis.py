@@ -52,7 +52,7 @@ def random_lf_scenario(n, d, horizon, seed=0):
 def error_series(rec):
     """Distance of the stacked state from the predicted limit at every grid
     point."""
-    return np.linalg.norm(rec.states - rec.limit_state, axis=1)
+    return np.linalg.norm(oracles.grid_states(rec) - rec.limit_state, axis=1)
 
 
 class TestBipartiteError:
@@ -98,20 +98,23 @@ class TestBipartiteError:
 class TestLyapunov:
     def test_initial_value_closed_form(self, ref_leaderless_record):
         rec = ref_leaderless_record
-        v = lyapunov_leaderless(rec, rec.limit_state)
-        x0 = rec.states[0]
+        states = oracles.grid_states(rec)
+        v = lyapunov_leaderless(rec.limit_state, states, rec.chi)
+        x0 = states[0]
         want = 0.5 * float((x0 - rec.limit_state) @ (x0 - rec.limit_state)) \
             + float(rec.chi[0].sum())
         assert v[0] == pytest.approx(want, rel=1e-12)
 
     def test_limit_value_near_zero(self, ref_leaderless_record):
         rec = ref_leaderless_record
-        v = lyapunov_leaderless(rec, rec.limit_state)
+        v = lyapunov_leaderless(rec.limit_state, oracles.grid_states(rec),
+                                rec.chi)
         assert v[-1] < 1e-6
 
     def test_monotone_on_reference_run(self, ref_leaderless_record):
         rec = ref_leaderless_record
-        v = lyapunov_leaderless(rec, rec.limit_state)
+        v = lyapunov_leaderless(rec.limit_state, oracles.grid_states(rec),
+                                rec.chi)
         assert np.max(np.diff(v)) <= 1e-9
 
     def test_lf_initial_value_closed_form(self, ref_lf_record):
@@ -119,8 +122,9 @@ class TestLyapunov:
         sc = rec.scenario
         xtilde = np.kron(detect_structural_balance(sc.graph), sc.mode.u0)
         lb = oracles.grounded_laplacian(sc.graph, sc.mode.coupling)
-        v = lyapunov_lf(rec, xtilde)
-        xi0 = rec.states[0] - rec.limit_state
+        states = oracles.grid_states(rec)
+        v = lyapunov_lf(rec, xtilde, states, rec.chi)
+        xi0 = states[0] - rec.limit_state
         want = float(xi0 @ lb @ xi0) + float(rec.chi[0].sum())
         assert v[0] == pytest.approx(want, rel=1e-12)
 
@@ -128,7 +132,8 @@ class TestLyapunov:
         rec = ref_lf_record
         sc = rec.scenario
         signs = detect_structural_balance(sc.graph)
-        v = lyapunov_lf(rec, np.kron(signs, sc.mode.u0))
+        v = lyapunov_lf(rec, np.kron(signs, sc.mode.u0),
+                        oracles.grid_states(rec), rec.chi)
         assert np.max(np.diff(v)) <= 1e-9
         assert v[-1] < 1e-2 * v[0]
 
@@ -145,7 +150,8 @@ class TestLyapunov:
             sc = Scenario(graph=g, mode=Leaderless(), params=params, dt=1e-3,
                           horizon=3.0, seed=int(rng.integers(0, 100)))
             rec = sim.run(sc)
-            v = lyapunov_leaderless(rec, rec.limit_state)
+            v = lyapunov_leaderless(rec.limit_state,
+                                    oracles.grid_states(rec), rec.chi)
             assert np.max(np.diff(v)) <= 1e-9
 
 
@@ -251,7 +257,7 @@ class TestLyapunovLfOracle:
 
     @staticmethod
     def assert_matches_dense(rec, xtilde):
-        got = lyapunov_lf(rec, xtilde)
+        got = lyapunov_lf(rec, xtilde, oracles.grid_states(rec), rec.chi)
         want = oracles.lyapunov_lf_dense(rec, xtilde)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -284,14 +290,61 @@ class TestLyapunovLfOracle:
         assert len(sc.mode.coupling.table) == 2
         assert len(sc.network.table) == 402
         monkeypatch.setattr(sim, "WINDOW_VALUES",
-                            4 * rec.d * len(rec.states) * block)
+                            4 * rec.d * rec.rows * block)
         self.assert_matches_dense(rec, rec.limit_state)
+
+
+class TestRowSplits:
+    """The summary reads a record a block of rows at a time: V and the chi
+    floor margins have the same bits however the rows are split."""
+
+    @pytest.mark.parametrize("split", [1, 2, 3, 7, 250])
+    @pytest.mark.parametrize("make", [builtin.leaderless_scenario,
+                                      leader_follower_scenario],
+                             ids=["leaderless", "leader-follower"])
+    def test_same_bits_for_any_split(self, make, split):
+        rec = sim.run(dataclasses.replace(make(seed=3), horizon=0.5))
+        states, xtilde, p = oracles.grid_states(rec), rec.limit_state, \
+            rec.scenario.params
+        lf = isinstance(rec.scenario.mode, LeaderFollower)
+
+        def v(rows):
+            if lf:
+                return lyapunov_lf(rec, xtilde, states[rows], rec.chi[rows])
+            return lyapunov_leaderless(xtilde, states[rows], rec.chi[rows])
+
+        parts = [slice(lo, lo + split) for lo in range(0, rec.rows, split)]
+        whole = v(slice(None))
+        assert np.concatenate([v(rows) for rows in parts]).tobytes() \
+            == whole.tobytes()
+        margins = np.min([sim.chi_floor_check(p, rec.times[rows],
+                                              rec.chi[rows])
+                          for rows in parts], axis=0)
+        assert margins.tobytes() == oracles.chi_floor_margins(rec).tobytes()
+
+    @pytest.mark.parametrize("make", [builtin.leaderless_scenario,
+                                      leader_follower_scenario],
+                             ids=["leaderless", "leader-follower"])
+    def test_summary_reads_the_rows(self, make):
+        """``event_stats``' one pass gives the last rebuilt row as the
+        final state, the margins of the dense formula, and the decay fit
+        of V over every row."""
+        rec = sim.run(dataclasses.replace(make(seed=3), horizon=0.5))
+        states, xtilde = oracles.grid_states(rec), rec.limit_state
+        summary = event_stats(rec)
+        assert summary.final_state == tuple(states[-1].tolist())
+        assert summary.chi_floor_margins \
+            == tuple(oracles.chi_floor_margins(rec).tolist())
+        v = (lyapunov_lf(rec, xtilde, states, rec.chi)
+             if isinstance(rec.scenario.mode, LeaderFollower)
+             else lyapunov_leaderless(xtilde, states, rec.chi))
+        assert summary.fitted_decay_rate == fit_decay_rate(rec.times, v)
 
 
 def test_lf_summary_memory_stays_near_record():
     """``event_stats`` on a leader-follower record allocates about one copy
-    of the recorded states, not an (nd)^2 grounded Laplacian: its traced
-    peak stays below four times the states."""
+    of the grid's states, not an (nd)^2 grounded Laplacian: its traced
+    peak stays below four times a dense grid of states."""
     rec = sim.run(random_lf_scenario(n=300, d=4, horizon=0.05))
     assert rec.limit_state is not None
     tracemalloc.start()
@@ -300,4 +353,5 @@ def test_lf_summary_memory_stays_near_record():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * rec.states.nbytes, (peak, rec.states.nbytes)
+    grid = rec.rows * rec.n * rec.d * 8
+    assert peak < 4 * grid, (peak, grid)

@@ -567,12 +567,14 @@ class TestRun:
     def test_writer_streams_the_record(self, tmp_path):
         """Writing holds one batch as Python objects at a time
         (``cli.BATCH_VALUES`` values, or one grid row where a row is
-        wider), next to one held-pair text per column, so its peak stays
-        below the record's own arrays."""
+        wider), next to one held-pair text per column, and the summary one
+        block of rebuilt states, so its peak stays below the record's own
+        arrays, which hold no states, on the reference run of 20 001
+        rows."""
         record = sim.run(dataclasses.replace(leaderless_scenario(seed=0),
-                                             horizon=2.0))
+                                             horizon=20.0))
         arrays = sum(a.nbytes for a in (
-            record.times, record.states, record.chi, record.anchors,
+            record.times, record.chi, record.anchors,
             record.change_offsets, record.change_cols, record.change_xhat,
             record.change_q))
         tracemalloc.start()
@@ -582,6 +584,27 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert peak < arrays
+
+    def test_memory_scales_with_anchors(self, tmp_path):
+        """Running and writing the reference run (20 001 grid rows, 997
+        anchors) allocates less than one dense grid of states besides the
+        held arrays that ``sim.run`` reserves for an anchor at every row,
+        of which only the written pages become resident: the record keeps
+        no states, and its readers rebuild them a block at a time."""
+        scenario = dataclasses.replace(leaderless_scenario(seed=0),
+                                       horizon=20.0)
+        tracemalloc.start()
+        try:
+            record = sim.run(scenario)
+            write_artifacts(record, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        reserved = sum(getattr(record, name).base.nbytes for name in (
+            "anchors", "change_offsets", "change_cols", "change_xhat",
+            "change_q"))
+        grid = record.rows * record.n * record.d * 8
+        assert peak - reserved < grid, (peak - reserved, grid)
 
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         doc = small_scenario_doc()
@@ -725,6 +748,21 @@ class TestWriterOracle:
         monkeypatch.setattr(cli, "BATCH_VALUES", batch)
         self.assert_writers_agree(make(), tmp_path, monkeypatch)
 
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    @pytest.mark.parametrize("two_anchors", [False, True],
+                             ids=["reference", "two-anchors"])
+    def test_blocks_end_batches(self, rows, two_anchors, tmp_path,
+                                monkeypatch):
+        """Blocks of 1, 2 and 5 rebuilt rows: a batch also ends where a
+        block does, inside anchor spans and off every chunk start."""
+        record = sim.run(dataclasses.replace(leaderless_scenario(seed=3),
+                                             horizon=0.5))
+        if two_anchors:
+            record = self.two_anchor_record(record)
+        monkeypatch.setattr(sim, "WINDOW_VALUES",
+                            4 * record.n * record.d * rows)
+        self.assert_writers_agree(record, tmp_path, monkeypatch)
+
     def test_row_wider_than_a_batch(self, tmp_path, monkeypatch):
         """A grid row of n * d = 1200 values, more than one batch holds:
         the benchmark's random balanced graph at n = 300, d = 4."""
@@ -756,7 +794,7 @@ class TestWriterOracle:
         a change, and an anchor that repeats the one before it exactly."""
         record = sim.run(dataclasses.replace(leaderless_scenario(seed=0),
                                              horizon=0.012))
-        rows, nd = record.states.shape
+        rows, nd = record.rows, record.n * record.d
         rng = np.random.default_rng(11)
         pool = np.array([0.0, -0.0, 1.5, -2.25, 5e-324, 0.1])
         held = []
@@ -781,7 +819,7 @@ class TestWriterOracle:
         use_cpus(monkeypatch, 4)
         record = sim.run(dataclasses.replace(leaderless_scenario(seed=3),
                                              horizon=0.001))
-        assert len(record.states) == 2
+        assert record.rows == 2
         assert cli.writer_processes(record) == 2
 
     @pytest.mark.parametrize("failing,line", [
@@ -801,7 +839,7 @@ class TestWriterOracle:
 
         def chi_rows(record, fh, start, stop):
             if start == (0 if failing == "parent"
-                         else len(record.states) // 3):
+                         else record.rows // 3):
                 if failing == "killed":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise (OSError("disk full") if failing == "parent"

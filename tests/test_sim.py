@@ -23,7 +23,7 @@ from mwconsensus.trigger import LeaderFollower, Leaderless, TriggerParams
 
 import oracles
 from conftest import perfbench_workloads, random_balanced_scalar_graph
-from oracles import scalar_consensus_run
+from oracles import grid_states, scalar_consensus_run
 from test_mwgraph import scalar_graph
 
 
@@ -132,8 +132,10 @@ class TestValidation:
             1, 500, horizon=0.01)[0],
     ], ids=["leaderless", "leader-follower", "random-n500"])
     def test_memory_refusal_counts_the_record_bytes(self, make, monkeypatch):
-        """The refusal sizes exactly the arrays ``sim.run`` reserves for its
-        record: the one each record array is a view of, and ``times``."""
+        """The refusal sizes exactly the arrays ``sim.run`` reserves: for
+        its record the one each record array is a view of, and ``times``,
+        and the states of its widest window, which the record does not
+        keep."""
         sc, needs = make(), []
         refusal = sim.mwgraph.memory_refusal
 
@@ -145,10 +147,12 @@ class TestValidation:
         monkeypatch.setattr(sim.mwgraph, "memory_refusal", spy)
         record = run(sc)
         reserved = [getattr(record, name).base for name in (
-            "states", "chi", "anchors", "change_offsets", "change_cols",
+            "chi", "anchors", "change_offsets", "change_cols",
             "change_xhat", "change_q")]
+        nd = record.n * record.d
+        window = max(1, sim.WINDOW_VALUES // nd) * nd * 8
         assert needs == [sum(a.nbytes for a in reserved)
-                         + record.times.nbytes]
+                         + record.times.nbytes + window]
 
     def test_x0_shape_checked(self):
         sc = tiny_scenario(x0=np.zeros(5))
@@ -511,18 +515,57 @@ class TestAnchors:
         with no step-by-step replay."""
         rec, dt = record, record.scenario.dt
         held_q = oracles.held_anchors(rec)[1]
-        ends = np.append(rec.anchors[1:], len(rec.states) - 1)
+        states = grid_states(rec)
+        ends = np.append(rec.anchors[1:], rec.rows - 1)
         for a, (lo, hi) in enumerate(zip(rec.anchors.tolist(), ends.tolist())):
             s = np.arange(1, hi - lo + 1)[:, None]
-            want = rec.states[lo] + s * (dt * held_q[a])
-            assert rec.states[lo + 1:hi + 1].tobytes() == want.tobytes(), a
+            want = states[lo] + s * (dt * held_q[a])
+            assert states[lo + 1:hi + 1].tobytes() == want.tobytes(), a
 
     def test_times_derived_from_rows(self, record):
         """The record stores no times: row k's time is k * dt, bit for bit,
         on full and diverged records alike."""
         assert "times" not in {f.name for f in dataclasses.fields(record)}
-        want = np.arange(len(record.states)) * record.scenario.dt
+        want = np.arange(len(record.chi)) * record.scenario.dt
         assert record.times.tobytes() == want.tobytes()
+
+    def test_anchor_rows_keep_signed_zeros(self):
+        """Row 0 is x0 itself, and an anchor's row is the closed form of the
+        anchor before it, never one at zero steps.  Both columns start at
+        -0.0 and hold +0.0 controls from row 100 on; column 1 holds a -0.0
+        control before it, column 0 a +0.0 one, so column 0 is -0.0 in row
+        0 alone and column 1 up to and including row 100."""
+        rec = run(tiny_scenario(x0=np.array([-0.0, -0.0]), horizon=0.3))
+        held_xhat, held_q = (h[[0, 0]] for h in oracles.held_anchors(rec))
+        held_q[:] = [[0.0, -0.0], [0.0, 0.0]]
+        states = grid_states(oracles.with_held(rec, [0, 100], held_xhat,
+                                               held_q))
+        assert np.signbit(states).tolist() \
+            == [[True, True]] + [[False, True]] * 100 + [[False, False]] * 200
+    def test_blocks_read_any_range(self, record, monkeypatch):
+        """``blocks`` reads any row range in consecutive ranges of at most a
+        quarter of ``WINDOW_VALUES`` state values (or one row), with their
+        views of chi, bit for bit as the whole record: a range that starts
+        past row 0 replays the anchors before it."""
+        states, rows = grid_states(record), record.rows
+        nd = record.n * record.d
+        rng = np.random.default_rng(4)
+        spans = [(rows - 1, rows)] + [
+            (int(a), int(min(rows, a + 1 + rng.integers(0, 300))))
+            for a in rng.integers(0, rows, size=3)]
+        cases = [(None, (0, rows)), (7, (0, rows))] + [
+            (per, span) for per in (1, 2, 7) for span in spans]
+        for per, (start, stop) in cases:
+            if per is not None:
+                monkeypatch.setattr(sim, "WINDOW_VALUES", 4 * nd * per)
+            most = max(1, sim.WINDOW_VALUES // (4 * nd))
+            got = list(record.blocks(start, stop))
+            assert [lo for lo, _, _ in got] == list(range(start, stop, most))
+            for lo, x, chi in got:
+                assert len(x) == len(chi) <= most
+                assert x.tobytes() == states[lo:lo + len(x)].tobytes()
+                assert chi.base is record.chi.base
+                assert chi.tobytes() == record.chi[lo:lo + len(x)].tobytes()
 
 
 class TestStepSemantics:
@@ -569,7 +612,7 @@ class TestStepSemantics:
         sc = tiny_scenario(graph=g, params=uniform_params(3), x0=x0,
                            horizon=0.2)
         rec = run(sc)
-        np.testing.assert_array_equal(rec.states[-1], x0)
+        np.testing.assert_array_equal(grid_states(rec)[-1], x0)
         assert all(len(e) == 1 for e in rec.events)
         assert np.all(np.diff(rec.chi, axis=0) < 0)
 
@@ -583,7 +626,7 @@ class TestStepSemantics:
         sc = Scenario(graph=g, mode=mode, params=uniform_params(1, theta=1.0),
                       dt=1e-3, horizon=0.2, x0=u0)
         rec = run(sc)
-        np.testing.assert_allclose(rec.states[-1], u0, atol=1e-15)
+        np.testing.assert_allclose(grid_states(rec)[-1], u0, atol=1e-15)
         assert len(rec.events[0]) == 1
 
     def test_zero_edge_single_agent_constant(self):
@@ -591,8 +634,9 @@ class TestStepSemantics:
         sc = Scenario(graph=g, mode=Leaderless(), params=uniform_params(1),
                       dt=1e-3, horizon=0.3, seed=5)
         rec = run(sc)
-        np.testing.assert_array_equal(rec.states[0], rec.states[-1])
-        np.testing.assert_array_equal(rec.limit_state, rec.states[0])
+        states = grid_states(rec)
+        np.testing.assert_array_equal(states[0], states[-1])
+        np.testing.assert_array_equal(rec.limit_state, states[0])
 
     def test_piecewise_linear_flow_matches_closed_form(self):
         """Before the first event the flow is exactly x0 - t * L x0."""
@@ -606,10 +650,11 @@ class TestStepSemantics:
         assert later, "expected at least one re-broadcast inside the horizon"
         first_event = min(later)
         compared = 0
+        states = grid_states(rec)
         for k, t in enumerate(rec.times):
             if t >= first_event:
                 break
-            np.testing.assert_allclose(rec.states[k], x0 - t * (lap @ x0),
+            np.testing.assert_allclose(states[k], x0 - t * (lap @ x0),
                                        atol=1e-12)
             compared += 1
         assert compared > 10
@@ -618,7 +663,7 @@ class TestStepSemantics:
         """Within every step the recorded state moves exactly by dt * control."""
         rec = ref_leaderless_record
         dt = rec.scenario.dt
-        dx = np.diff(rec.states[:2000], axis=0)
+        dx = np.diff(grid_states(rec)[:2000], axis=0)
         controls = oracles.held_rows(rec)[1]
         np.testing.assert_allclose(dx, dt * controls[:1999], atol=1e-13)
 
@@ -666,11 +711,12 @@ class TestStepSemantics:
         dt = rec.scenario.dt
         d = rec.d
         broadcasts = oracles.held_rows(rec)[0]
+        states = grid_states(rec)
         for i, ev in enumerate(rec.events):
             idx = np.rint(np.asarray(ev) / dt).astype(int)
             block = slice(i * d, (i + 1) * d)
             np.testing.assert_array_equal(broadcasts[idx, block],
-                                          rec.states[idx, block])
+                                          states[idx, block])
 
     def test_broadcasts_piecewise_constant(self, ref_leaderless_record):
         rec = ref_leaderless_record
@@ -707,9 +753,10 @@ class TestTriggerEngineConsistency:
                        for ev in rec.events]
         mu = trigger.mu_bar(g)
         broadcasts = oracles.held_rows(rec)[0]
+        states = grid_states(rec)
         for k in range(len(rec.times) - 1):
             xhat_pre = broadcasts[k]
-            x_next = rec.states[k + 1]
+            x_next = states[k + 1]
             for i in range(g.n):
                 e_i = xhat_pre[i * d:(i + 1) * d] - x_next[i * d:(i + 1) * d]
                 p_list = [(sqrt_weight(i, j),
@@ -730,9 +777,10 @@ class TestTriggerEngineConsistency:
         event_steps = [set(np.rint(np.asarray(ev) / sc.dt).astype(int))
                        for ev in rec.events]
         broadcasts = oracles.held_rows(rec)[0]
+        states = grid_states(rec)
         for k in range(len(rec.times) - 1):
             xhat_pre = broadcasts[k]
-            x_next = rec.states[k + 1]
+            x_next = states[k + 1]
             for i in range(g.n):
                 e_i = xhat_pre[i * d:(i + 1) * d] - x_next[i * d:(i + 1) * d]
                 qhat_i = oracles.control_leader_follower(
@@ -754,6 +802,7 @@ class TestTriggerEngineConsistency:
 
         mu = trigger.mu_bar(g)
         broadcasts, controls = oracles.held_rows(rec)
+        states = grid_states(rec)
         for k in range(len(rec.times) - 1):
             xhat = broadcasts[k]
             qhat = controls[k]
@@ -762,7 +811,7 @@ class TestTriggerEngineConsistency:
                 p_list = [(sqrt_weight(i, j),
                            oracles.relative_broadcast(i, j, xhat, g))
                           for j in g.neighbors(i)]
-                e0 = xhat[i * d:(i + 1) * d] - rec.states[k, i * d:(i + 1) * d]
+                e0 = xhat[i * d:(i + 1) * d] - states[k, i * d:(i + 1) * d]
                 qi = qhat[i * d:(i + 1) * d]
 
                 def rate(c, s):
@@ -790,14 +839,14 @@ class TestDeterminismAndGuards:
     def test_bit_identical_repeat(self):
         a = run(dataclasses.replace(leaderless_scenario(seed=9), horizon=0.5))
         b = run(dataclasses.replace(leaderless_scenario(seed=9), horizon=0.5))
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(grid_states(a), grid_states(b))
         assert np.array_equal(a.chi, b.chi)
         assert all(np.array_equal(x, y) for x, y in zip(a.events, b.events))
 
     def test_seed_changes_trajectory(self):
         a = run(dataclasses.replace(leaderless_scenario(seed=0), horizon=0.1))
         b = run(dataclasses.replace(leaderless_scenario(seed=1), horizon=0.1))
-        assert not np.array_equal(a.states, b.states)
+        assert not np.array_equal(grid_states(a), grid_states(b))
 
     def test_divergence_guard(self):
         g = scalar_graph(2, {(0, 1): 1000.0})
@@ -806,7 +855,7 @@ class TestDeterminismAndGuards:
             run(sc)
         partial = info.value.partial_record
         assert partial is not None
-        assert np.all(np.isfinite(partial.states))
+        assert np.all(np.isfinite(grid_states(partial)))
         assert len(partial.times) < 501
 
     @pytest.mark.parametrize("x0", [None, np.array([0.25, -0.5])],
@@ -819,7 +868,7 @@ class TestDeterminismAndGuards:
     def test_explicit_x0_overrides_seed(self):
         x0 = np.array([0.25, -0.5])
         rec = run(tiny_scenario(x0=x0, seed=123, horizon=0.01))
-        np.testing.assert_array_equal(rec.states[0], x0)
+        np.testing.assert_array_equal(grid_states(rec)[0], x0)
 
 
 class TestStaticBaseline:
@@ -855,7 +904,7 @@ class TestChiFloor:
                            horizon=1.0)
         rec = run(sc)
         # rate = beta + 0: chi rides the floor up to integrator error
-        margins = chi_floor_check(rec)
+        margins = chi_floor_check(rec.scenario.params, rec.times, rec.chi)
         assert np.all(margins >= -1e-12)
         assert np.all(margins <= 1e-10)
 
@@ -867,7 +916,9 @@ class TestChiFloor:
         assert p.chi0[0] * np.exp(-rate * 1.0) == pytest.approx(0.5 * np.exp(-3))
 
     def test_reference_run_margins(self, ref_leaderless_record):
-        assert np.all(chi_floor_check(ref_leaderless_record) >= -1e-6)
+        rec = ref_leaderless_record
+        assert np.all(chi_floor_check(rec.scenario.params, rec.times,
+                                      rec.chi) >= -1e-6)
 
 
 @pytest.mark.parametrize("make", [
@@ -887,7 +938,7 @@ def test_gauge_signed_sum_conserved(make):
     rec = run(make())
     g = rec.scenario.graph
     signs = np.asarray(detect_structural_balance(g), dtype=float)
-    x = rec.states.reshape(-1, g.n, g.d)
+    x = grid_states(rec).reshape(-1, g.n, g.d)
     sums = np.einsum("i,kij->kj", signs, x)
     scale = max(1.0, float(np.abs(x[0]).sum(axis=0).max()))
     assert np.abs(sums - sums[0]).max() <= 2e-15 * scale
@@ -968,8 +1019,9 @@ class TestScalarOracleEquivalence:
             pr["chi0"], dt, horizon)
 
         scalar_states = np.asarray(traj)
+        states = grid_states(rec)
         for k in range(d):
-            block_dim = rec.states[:, k::d]
+            block_dim = states[:, k::d]
             assert np.max(np.abs(block_dim - scalar_states)) <= 1e-9, case
         scalar_chi = np.asarray(chi_traj)
         assert np.max(np.abs(rec.chi - d * scalar_chi)) <= 1e-9, case
@@ -1020,7 +1072,8 @@ class TestGaugeCovariance:
                    check_assumptions=False)
         flipped = run(flip_gauge(sc, s), check_assumptions=False)
         D = np.repeat(s, sc.graph.d)
-        np.testing.assert_array_equal(flipped.states, base.states * D)
+        np.testing.assert_array_equal(grid_states(flipped),
+                                      grid_states(base) * D)
         np.testing.assert_array_equal(flipped.anchors, base.anchors)
         np.testing.assert_array_equal(oracles.held_anchors(flipped)[0],
                                       oracles.held_anchors(base)[0] * D)
@@ -1092,7 +1145,7 @@ class TestClosedFormThresholds:
         states, broadcasts, chi, controls, events = \
             oracles.four_stage_run(rec.scenario)
         held_xhat, held_q = oracles.held_rows(rec)
-        np.testing.assert_array_equal(rec.states, states)
+        np.testing.assert_array_equal(grid_states(rec), states)
         np.testing.assert_array_equal(held_xhat, broadcasts)
         np.testing.assert_array_equal(held_q, controls)
         for got, want in zip(rec.events, events):
@@ -1159,7 +1212,7 @@ def stepwise_run(sc):
 
 
 def assert_same_record(rec, arrays, events):
-    for got, want in zip((rec.times, rec.states, rec.chi, rec.anchors,
+    for got, want in zip((rec.times, grid_states(rec), rec.chi, rec.anchors,
                           *oracles.held_anchors(rec)), arrays):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -1251,8 +1304,10 @@ class TestRelabellingInvariance:
         for i in range(n):
             np.testing.assert_array_equal(renamed.events[perm[i]],
                                           base.events[i])
-        back = renamed.states.reshape(-1, n, d)[:, perm].reshape(base.states.shape)
-        np.testing.assert_allclose(back, base.states, rtol=0.0, atol=1e-12)
+        want = grid_states(base)
+        back = grid_states(renamed).reshape(-1, n, d)[:, perm].reshape(
+            want.shape)
+        np.testing.assert_allclose(back, want, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(renamed.chi[:, perm], base.chi, rtol=1e-12,
                                    atol=1e-12)
         assert sum(len(ev) for ev in base.events) > n

@@ -113,7 +113,7 @@ def event_stats(record: TrajectoryRecord) -> RunSummary:
     # chi, and the last row, the final state.
     v = None if xtilde is None else np.empty(record.rows)
     margins, chi_min = np.inf, np.inf
-    for lo, states, chi in record.blocks():
+    for lo, states, chi, _ in record.blocks():
         if v is not None:
             v[lo:lo + len(chi)] = (
                 lyapunov_lf(record, xtilde, states, chi) if lf

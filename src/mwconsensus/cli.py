@@ -125,61 +125,51 @@ def _batch_rows(width: int) -> int:
     return max(1, BATCH_VALUES // width)
 
 
-def _trajectory_rows(record, fh, start: int, stop: int) -> None:
-    """Write grid rows ``start..stop-1`` of trajectory.csv.
+def _write_rows(record, stage: Path, k: int, start: int, stop: int) -> None:
+    """Write grid rows ``start..stop-1`` of trajectory.csv and chi.csv to
+    the files of chunk ``k`` in ``stage`` (:func:`_part`), headed for chunk
+    0, in one pass over ``record.blocks``.
 
-    The states come from the record's reader (``record.blocks``).  The
-    record keeps the held ``xhat``/``qhat`` pairs as changes, once per
-    anchor (a grid row at which some agent fired, or row 0).  Each column
-    keeps the text of its pair: the first row formats every column from the
-    anchor that holds it (``record.held_pair``), and each later anchor only
-    the columns it changed (``record.changes``); every other row reuses the
-    text it holds.  The rows go out a batch at a time
-    (:func:`_write_lines`); a batch may span several anchors, and ends at
-    the end of a block of states.  The bytes are those of formatting every
-    value on every row.
+    Each column keeps the text of its held ``xhat``/``qhat`` pair, which
+    the blocks hand over where it takes effect: every column at ``start``,
+    then the columns each later anchor changed; every other row reuses the
+    text it holds.  The rows of each CSV go out a batch at a time
+    (:func:`_write_lines`); a batch may span several changes, and ends at
+    the end of a block.  The bytes are those of formatting every value on
+    every row.
     """
-    n, d = record.n, record.d
-    labels = [f",{i},{c}," for i in range(n) for c in range(d)]
-    # The anchor that holds row `start`, then the anchors inside the range.
-    first = int(np.searchsorted(record.anchors, start, side="right")) - 1
-    last = int(np.searchsorted(record.anchors, stop))
-    bounds = [start, *record.anchors[first + 1:last].tolist(), stop]
-    batch = _batch_rows(n * d)
-    tails = [""] * (n * d)
-    column = []  # the tails of rows `lo` onwards, not yet written
-    blocks = record.blocks(start, stop)
-    lo = top = start  # the block `states` holds rows `base..top-1`
-    for a, (row, end) in enumerate(zip(bounds, bounds[1:]), first):
-        if a > first:
-            cols, held_h, held_q = (v.tolist() for v in record.changes(a))
-        else:
-            cols = range(n * d)
-            held_h, held_q = (v.tolist() for v in record.held_pair(a))
-        for c, h, q in zip(cols, held_h, held_q):
-            tails[c] = f",{h!r},{q!r}\n"
-        while row < end:
-            if lo == top:
-                base, states, _ = next(blocks)
-                top = base + len(states)
-            hi = min(end, lo + batch, top)
-            column += tails * (hi - row)
-            row = hi
-            if hi in (lo + batch, top):
-                _write_lines(fh, record.times[lo:hi],
+    n, nd = record.n, record.n * record.d
+    labels = [f",{i},{c}," for i in range(n) for c in range(record.d)]
+    chi_labels = [f",{i}," for i in range(n)]
+    batch, chi_batch = _batch_rows(nd), _batch_rows(n)
+    tails = [""] * nd
+    with _open_text(_part(stage, "trajectory.csv", k)) as trajectory, \
+            _open_text(_part(stage, "chi.csv", k)) as chi:
+        if not k:
+            trajectory.write("time,agent,dim,x,xhat,qhat\n")
+            chi.write("time,agent,chi\n")
+        for base, states, chis, held in record.blocks(start, stop):
+            top = base + len(states)
+            # The rows at which held pairs take effect, then the block's end.
+            at, h = [row for row, *_ in held] + [top], 0
+            for lo in range(base, top, batch):
+                hi = min(top, lo + batch)
+                column, row = [], lo  # the tails of rows `lo..row-1`
+                while row < hi:
+                    if row == at[h]:
+                        for c, x, q in zip(*(v.tolist() for v in held[h][1:])):
+                            tails[c] = f",{x!r},{q!r}\n"
+                        h += 1
+                    end = min(hi, at[h])
+                    column += tails * (end - row)
+                    row = end
+                _write_lines(trajectory, record.times[lo:hi],
                              states[lo - base:hi - base], labels, column)
-                lo, column = hi, []
-
-
-def _chi_rows(record, fh, start: int, stop: int) -> None:
-    """Write grid rows ``start..stop-1`` of chi.csv, a batch at a time."""
-    n = record.n
-    labels = [f",{i}," for i in range(n)]
-    batch = _batch_rows(n)
-    for lo in range(start, stop, batch):
-        hi = min(stop, lo + batch)
-        _write_lines(fh, record.times[lo:hi], record.chi[lo:hi], labels,
-                     ["\n"] * (n * (hi - lo)))
+            for lo in range(base, top, chi_batch):
+                hi = min(top, lo + chi_batch)
+                _write_lines(chi, record.times[lo:hi],
+                             chis[lo - base:hi - base], chi_labels,
+                             ["\n"] * (n * (hi - lo)))
 
 
 def _open_text(path: Path):
@@ -187,15 +177,15 @@ def _open_text(path: Path):
 
 
 def _part(stage: Path, name: str, k: int) -> Path:
-    """Hidden file of chunk ``k`` of CSV ``name``, until it is appended."""
-    return stage / f".{name}.part{k}"
+    """File of chunk ``k`` of CSV ``name``: the CSV itself for chunk 0, a
+    hidden part file for a later chunk, until it is appended."""
+    return stage / (f".{name}.part{k}" if k else name)
 
 
-def _fork_writer(record, stage: Path, csvs, k: int, start: int,
-                 stop: int):
+def _fork_writer(record, stage: Path, k: int, start: int, stop: int):
     """Fork a process that writes rows ``start..stop-1`` of each CSV to its
-    part file; returns its pid and the read end of a pipe that carries the
-    text of its exception, if it raises one.
+    part file (:func:`_write_rows`); returns its pid and the read end of a
+    pipe that carries the text of its exception, if it raises one.
 
     The child leaves through ``os._exit`` (status 1 on any exception), so it
     never returns into the caller, runs none of its cleanup and flushes no
@@ -217,9 +207,7 @@ def _fork_writer(record, stage: Path, csvs, k: int, start: int,
     status = 1
     try:
         os.close(read)
-        for name, _, write_rows in csvs:
-            with _open_text(_part(stage, name, k)) as fh:
-                write_rows(record, fh, start, stop)
+        _write_rows(record, stage, k, start, stop)
         status = 0
     except BaseException as exc:
         # One write below PIPE_BUF cannot block on a pipe no one reads yet.
@@ -259,21 +247,17 @@ def write_artifacts(record, outdir: Path,
     trajectory.csv and chi.csv to hidden part files (see
     :func:`_fork_writer`).  This process writes chunk 0, then events.csv and
     the JSON files, then reaps the children in order and appends each part.
-    Every chunk is written by the same row-range writers, so the bytes are
-    those of one process for every count, and no process holds more than
-    one batch (:data:`BATCH_VALUES` values, or one grid row where that is
-    wider) as Python objects.  On any failure the children are killed
-    and reaped; a child that failed raises :class:`OSError` with the text of
-    its exception.
+    Every chunk is written by one row-range writer (:func:`_write_rows`),
+    which takes its states, chi and held pairs from ``record.blocks`` in
+    one pass, so the bytes are those of one process for every count, and no
+    process holds more than one batch (:data:`BATCH_VALUES` values, or one
+    grid row where that is wider) as Python objects.  On any failure the
+    children are killed and reaped; a child that failed raises
+    :class:`OSError` with the text of its exception.
     """
     outdir.mkdir(parents=True, exist_ok=True)
     sc = record.scenario
     formats = outputs["formats"]
-    csvs = []
-    if "csv" in formats:
-        csvs = [("trajectory.csv", "time,agent,dim,x,xhat,qhat\n",
-                 _trajectory_rows),
-                ("chi.csv", "time,agent,chi\n", _chi_rows)]
     processes = writer_processes(record, formats)
     rows = record.rows
     bounds = [rows * k // processes for k in range(processes + 1)]
@@ -283,13 +267,10 @@ def write_artifacts(record, outdir: Path,
     children = {}
     try:
         for k in range(1, processes):
-            children[k] = _fork_writer(record, stage, csvs, k, bounds[k],
+            children[k] = _fork_writer(record, stage, k, bounds[k],
                                        bounds[k + 1])
-        for name, header, write_rows in csvs:
-            with _open_text(stage / name) as fh:
-                fh.write(header)
-                write_rows(record, fh, 0, bounds[1])
-        if csvs:
+        if "csv" in formats:
+            _write_rows(record, stage, 0, 0, bounds[1])
             with _open_text(stage / "events.csv") as fh:
                 fh.write("agent,time\n")
                 for i, ev in enumerate(record.events):
@@ -313,7 +294,7 @@ def write_artifacts(record, outdir: Path,
                 raise OSError(f"CSV writer process {k} of {processes} failed"
                               + (f": {reason}" if reason
                                  else f" (exit status {code})"))
-            for name, _, _ in csvs:
+            for name in ("trajectory.csv", "chi.csv"):
                 _append(stage / name, _part(stage, name, k))
                 _part(stage, name, k).unlink()
         for path in sorted(stage.iterdir(), key=lambda path: (

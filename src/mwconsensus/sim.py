@@ -23,12 +23,13 @@ and every value is independent of how the grid is split.
 at which an agent fires.  Its states, like chi, are the closed form from
 the anchor, ``x_anchor + s (dt qhat)``, so every row depends on its anchor
 alone, whatever the window, and rounding does not build up from step to
-step.  The record therefore keeps no states: it rebuilds any grid row from
-x0 and the held controls (:meth:`TrajectoryRecord.blocks`), by the same
-closed form.  Triggers are checked only at step boundaries and reported
-event times are grid times.  The
-mechanisms guarantee strictly positive dwell times, so a sufficiently small
-step (default 1e-3) resolves the event sequence; this is a documented
+step.  It evaluates only the rows it uses: the window's last row for the
+divergence guard and the row at which agents fire.  The record keeps no
+states either: it rebuilds any grid row from x0 and the held controls
+(:meth:`TrajectoryRecord.blocks`), by the same closed form.  Triggers are
+checked only at step boundaries and reported event times are grid times.
+The mechanisms guarantee strictly positive dwell times, so a sufficiently
+small step (default 1e-3) resolves the event sequence; this is a documented
 approximation, not a root-finding event detector.  When several agents
 violate their thresholds at the same boundary, all broadcasts apply
 atomically before the next step.
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import mwgraph, trigger
 from .edges import float_array
-from .errors import Diverged, GraphFormatError, InvalidScenario
+from .errors import Diverged, GraphFormatError, InvalidScenario, MwcError
 from .linalg import sym_sqrt
 from .mwgraph import MatrixWeightedGraph
 from .trigger import LeaderFollower, Mode, TriggerParams
@@ -155,10 +156,9 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
         # every anchor its row, its change offset and, per changed column,
         # the column index, xhat and q, plus the offset that ends the last
         # anchor; at worst every point is an anchor at which every column
-        # changed.  The step loop adds its window of states.
+        # changed.
         refusal = mwgraph.memory_refusal(
-            8.0 * ((steps + 1.0) * (3 * nd + n + 3) + 1.0
-                   + max(1, WINDOW_VALUES // nd) * nd),
+            8.0 * ((steps + 1.0) * (3 * nd + n + 3) + 1.0),
             f"T/dt = {steps:.6g} steps", "of arrays")
         if refusal:
             out.append(refusal)
@@ -220,8 +220,10 @@ class TrajectoryRecord:
 
     The states are not kept: :meth:`blocks` rebuilds them from x0 (anchor
     0's held ``xhat``) and the held controls, bit for bit as :func:`step`
-    computed them.  ``chi`` stays dense, since rebuilding it takes more
-    values per anchor than a row holds when nearly every row is an anchor.
+    computed them, and hands each range the held pairs that take effect in
+    it, so its readers never walk the anchors themselves.  ``chi`` stays
+    dense, since rebuilding it takes more values per anchor than a row
+    holds when nearly every row is an anchor.
     """
 
     chi: np.ndarray
@@ -265,13 +267,6 @@ class TrajectoryRecord:
         return mwgraph.predicted_bipartite_limit(sc.graph,
                                                  self.held_pair(0)[0])
 
-    def changes(self, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The columns anchor ``a`` changed, ascending, with their new held
-        ``xhat`` and ``q``."""
-        span = slice(self.change_offsets[a], self.change_offsets[a + 1])
-        return (self.change_cols[span], self.change_xhat[span],
-                self.change_q[span])
-
     def held_pair(self, a: int) -> tuple[np.ndarray, np.ndarray]:
         """The held ``xhat`` and ``q`` of every column at anchor ``a``: each
         column's latest change at or before it."""
@@ -287,43 +282,59 @@ class TrajectoryRecord:
         consecutive ranges of at most a quarter of :data:`WINDOW_VALUES`
         state values, so that a range, the one before it that its reader
         may still hold and what the summary forms from them stay within a
-        window's values.  Yields ``(lo, states, chi)`` per range: its first
-        row, its states, rebuilt into a new array, and its view of ``chi``.
+        window's values.  Yields ``(lo, states, chi, held)`` per range: its
+        first row, its states, rebuilt into a new array, its view of
+        ``chi``, and the held pairs that take effect in it, as ``(row,
+        cols, xhat, q)`` in row order.  The first range's ``held`` starts
+        with every column's pair at ``start`` (:meth:`held_pair`); after it
+        come the anchors past ``start``, each with the columns it changed.
+        A range outside ``0 <= start <= stop <= rows`` raises
+        :class:`MwcError`.
 
-        This is the one place that rebuilds states.  Row 0 is x0, anchor
-        0's held ``xhat``.  A row ``k`` after anchor ``a``'s row ``k_a``, up
-        to and including the next anchor's row, is ``x_a + (k - k_a) (dt
-        q_a)`` (:func:`_affine_rows`, as :func:`step` wrote it), where
-        ``x_{a+1}`` is the row of anchor ``a + 1``; no row is evaluated at
-        ``k = k_a``, so an anchor's -0.0 keeps its sign.  A range that
-        starts past row 0 first replays the anchors before it, one closed
-        form each."""
+        This is the one place that reads the anchors and their changes.
+        Row 0 is x0, anchor 0's held ``xhat``.  A row ``k`` after anchor
+        ``a``'s row ``k_a``, up to and including the next anchor's row, is
+        ``x_a + (k - k_a) (dt q_a)`` (:func:`_affine_rows`, as :func:`step`
+        evaluates it), where ``x_a`` is the row of anchor ``a``; row ``k_a``
+        is ``x_a`` itself, not its closed form at zero steps, so an anchor's
+        -0.0 keeps its sign.  A
+        range that starts past row 0 first replays the anchors before it,
+        one closed form each."""
         stop = self.rows if stop is None else stop
-        nd, dt, anchors = self.n * self.d, self.scenario.dt, self.anchors
+        if not 0 <= start <= stop <= self.rows:
+            raise MwcError(f"rows {start}..{stop} are not a range of the "
+                           f"record's {self.rows} rows")
+        nd, dt = self.n * self.d, self.scenario.dt
         per = max(1, WINDOW_VALUES // (4 * nd))
-        # The last row of each anchor's span.
-        ends = [*anchors[1:].tolist(), self.rows - 1]
-        x, q = self.held_pair(0)
-        dq, a = dt * q, 0
+        # Each anchor's row, then `rows`, where the last span ends.
+        at = [*self.anchors.tolist(), self.rows]
+        offsets = self.change_offsets.tolist()
+        cols, held_xhat, held_q = \
+            self.change_cols, self.change_xhat, self.change_q
+        x, dq, a, held = held_xhat[:nd], dt * held_q[:nd], 0, []
         for lo in range(start, stop, per):
             hi = min(stop, lo + per)
             states = np.empty((hi - lo, nd))
             row = lo
-            if row == 0:
-                states[0], row = x, 1
             while row < hi:
-                while ends[a] < row:
-                    x = _affine_rows(x, dq, float(ends[a] - anchors[a]),
-                                     np.empty(nd))
+                while at[a + 1] <= row:
+                    x = _affine_rows(x, dq, float(at[a + 1] - at[a]))
                     a += 1
-                    cols, _, held_q = self.changes(a)
-                    dq[cols] = dt * held_q
-                top = min(hi, ends[a] + 1)
-                s = np.arange(row - anchors[a], top - anchors[a],
-                              dtype=float)[:, None]
-                _affine_rows(x, dq, s, states[row - lo:top - lo])
+                    span = slice(offsets[a], offsets[a + 1])
+                    dq[cols[span]] = dt * held_q[span]
+                    held.append((at[a], cols[span], held_xhat[span],
+                                 held_q[span]))
+                if row == start:
+                    held = [(start, np.arange(nd), *self.held_pair(a))]
+                top = min(hi, at[a + 1])
+                _affine_rows(x, dq, np.arange(row - at[a], top - at[a],
+                                              dtype=float)[:, None],
+                             states[row - lo:top - lo])
+                if row == at[a]:
+                    states[row - lo] = x
                 row = top
-            yield lo, states, self.chi[lo:hi]
+            yield lo, states, self.chi[lo:hi], held
+            held = []
 
 
 @dataclass
@@ -332,7 +343,7 @@ class SimState:
     anchor (grid index ``anchor`` of the last broadcast, with the state
     ``x_anchor`` and the threshold ``chi_anchor`` there and the coefficients
     ``excess`` = (c0, c1, c2) of each agent's trigger excess in grid steps
-    since it).  ``x_anchor`` is a copy of the window row at which the
+    since it).  ``x_anchor`` is the closed form of the step at which the
     agents fired, or the compiled ``x0`` at t = 0: the record keeps no
     rows."""
 
@@ -514,51 +525,59 @@ def _phi_expm1(z):
     return phi1, phi2, (phi2 - 0.5) / z
 
 
-def _affine_rows(x_anchor: np.ndarray, dq: np.ndarray, s, out: np.ndarray
-                 ) -> np.ndarray:
-    """``x_anchor + s dq`` into ``out``, for ``s`` grid steps since the
-    anchor (a column of them for rows): the one rule by which :func:`step`
-    writes states and :meth:`TrajectoryRecord.blocks` rebuilds them."""
-    np.multiply(s, dq, out=out)
+def _affine_rows(x_anchor: np.ndarray, dq: np.ndarray, s,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``x_anchor + s dq``, into ``out`` if given, for ``s`` grid steps
+    since the anchor (a column of them for rows): the one rule by which
+    :func:`step` evaluates states and :meth:`TrajectoryRecord.blocks`
+    rebuilds them."""
+    out = np.multiply(s, dq, out=out)
     out += x_anchor
     return out
 
 
-def step(state: SimState, compiled: CompiledScenario, states: np.ndarray,
-         chi: np.ndarray) -> tuple[SimState, np.ndarray]:
+def step(state: SimState, compiled: CompiledScenario, chi: np.ndarray
+         ) -> tuple[SimState, np.ndarray]:
     """Advance a window of grid steps under the held terms, up to the first
     step at which an agent fires, and apply its broadcasts.
 
     ``chi`` holds record rows ``k + 1 .. k + w``, for ``k = state.k`` and
-    a window of ``w >= 1`` steps, and ``states`` (``w`` rows, scratch that
-    the record does not keep) their states; the rows up to the step the
-    window ends at are filled, later ones are left unspecified.  Every value
-    is the closed form in the ``s`` grid steps since the anchor: (a) the
-    exact affine state ``state.x_anchor + s (dt q)``, checked against the
+    a window of ``w >= 1`` steps; the rows up to the step the window ends
+    at are filled, later ones are left unspecified.  Every value is the
+    closed form in the ``s`` grid steps since the anchor: (a) the exact
+    affine state ``state.x_anchor + s (dt q)``, checked against the
     divergence guard (a window ends before the first step that fails the
-    guard; :class:`Diverged` is raised when that is its first step); (b) the
-    threshold and (c) the trigger test at the step's end, both from the
+    guard; :class:`Diverged` is raised when that is its first step); (b)
+    the threshold and (c) the trigger test at the step's end, both from the
     excess polynomial ``state.excess``.  At the first step where an agent
     fires, (d) every agent that fired rebroadcasts atomically, which renews
     the held terms and the anchor.  A window of one step is one grid step.
     Returns the state where the window ended and the agents that fired
     there.
+
+    ``state.x_anchor`` must be within the guard, as x0 (validated) and
+    every fired row are.  The guard then reads the window's last row alone:
+    each column of ``fl(x + fl(s dq))`` is monotone in ``s`` (rounding to
+    nearest is), so the steps within the guard are a prefix of the window.
+    Only a window whose last row fails evaluates its rows, to find the
+    first that fails; otherwise the fired row is the one row evaluated.
     """
     n, d, dt = compiled.n, compiled.d, compiled.dt
     w = len(chi)
     offset = state.k - state.anchor
     s = np.arange(offset + 1.0, offset + w + 1.0)[:, None]
+    dq = dt * state.q
     # Rows past a divergence may overflow; they are cut before any use.
     with np.errstate(over="ignore", invalid="ignore"):
-        _affine_rows(state.x_anchor, dt * state.q, s, states)
-        peak = np.abs(states).max(axis=1)
-    guarded = peak <= DIVERGENCE_GUARD  # false for inf and nan too
-    if not guarded.all():
-        w = int(np.argmin(guarded))
-        if w == 0:
-            raise Diverged(f"state norm exceeded {DIVERGENCE_GUARD:g} at "
-                           f"t={(state.k + 1) * dt:g}")
-        chi, s = chi[:w], s[:w]
+        # False for inf and nan too.
+        if not np.abs(_affine_rows(state.x_anchor, dq, s[-1])).max() \
+                <= DIVERGENCE_GUARD:
+            peak = np.abs(_affine_rows(state.x_anchor, dq, s)).max(axis=1)
+            w = int(np.argmin(peak <= DIVERGENCE_GUARD))
+            if w == 0:
+                raise Diverged(f"state norm exceeded {DIVERGENCE_GUARD:g} "
+                               f"at t={(state.k + 1) * dt:g}")
+            chi, s = chi[:w], s[:w]
 
     tau = s * dt
     z = tau * -compiled.beta
@@ -573,7 +592,7 @@ def step(state: SimState, compiled: CompiledScenario, states: np.ndarray,
         return replace(state, k=state.k + w), fire_rows
     j = int(fire_rows[0])
     fired = np.flatnonzero(hits[j])
-    x = states[j].copy()
+    x = _affine_rows(state.x_anchor, dq, s[j])
     xhat = state.xhat.copy()
     xhat.reshape(n, d)[fired] = x.reshape(n, d)[fired]
     return _anchored(compiled, state.k + j + 1, x, xhat, chi[j].copy()), fired
@@ -599,7 +618,6 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
     steps = sc.step_count
     max_rows = max(1, WINDOW_VALUES // (n * d))
 
-    window = np.empty((max_rows, n * d))  # the states of one window
     chi = np.empty((steps + 1, n))
     # At worst every grid row is an anchor at which every column changes;
     # unwritten entries never become resident.
@@ -636,8 +654,7 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
     while k < steps:
         end = k + min(width, steps - k, max_rows)
         try:
-            nxt, fired = step(state, compiled, window[:end - k],
-                              chi[k + 1:end + 1])
+            nxt, fired = step(state, compiled, chi[k + 1:end + 1])
         except Diverged as exc:
             raise Diverged(str(exc), partial_record=finish(k)) from None
         if fired.size:

@@ -370,7 +370,7 @@ def held_rows(record) -> tuple[np.ndarray, np.ndarray]:
 def grid_states(record) -> np.ndarray:
     """The record's states, one row per grid point, ``(rows, n * d)``: the
     blocks of its reader (``record.blocks``), joined."""
-    return np.concatenate([states for _, states, _ in record.blocks()])
+    return np.concatenate([states for _, states, _, _ in record.blocks()])
 
 
 def write_trajectory_csv(record, path) -> None:

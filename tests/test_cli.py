@@ -829,24 +829,24 @@ class TestWriterOracle:
     ], ids=["child", "killed", "parent"])
     def test_failed_writer_leaves_nothing(self, failing, line, tmp_path,
                                           capsys, monkeypatch):
-        """The chi row writer raises for chunk 1 (a forked child: any
+        """The row writer raises for chunk 1 (a forked child: any
         exception, whose text reaches the message), is killed there, or
         raises for chunk 0 (this process, while the children write): exit 3
         with one line, and no artifact, part file or child process is
         left."""
         use_cpus(monkeypatch, 3)
-        write_rows = cli._chi_rows
+        write_rows = cli._write_rows
 
-        def chi_rows(record, fh, start, stop):
+        def failing_rows(record, stage, k, start, stop):
             if start == (0 if failing == "parent"
                          else record.rows // 3):
                 if failing == "killed":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise (OSError("disk full") if failing == "parent"
                        else RuntimeError("injected"))
-            write_rows(record, fh, start, stop)
+            write_rows(record, stage, k, start, stop)
 
-        monkeypatch.setattr(cli, "_chi_rows", chi_rows)
+        monkeypatch.setattr(cli, "_write_rows", failing_rows)
         out_root = tmp_path / "runs"
         assert main(["replicate-paper", "leaderless", "--T", "0.5",
                      "--out", str(out_root)]) == EXIT_IO

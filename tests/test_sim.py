@@ -12,7 +12,8 @@ import pytest
 
 from mwconsensus import analysis, sim, trigger
 from mwconsensus.builtin import leader_follower_scenario, leaderless_scenario
-from mwconsensus.errors import Diverged, GraphFormatError, InvalidScenario
+from mwconsensus.errors import Diverged, GraphFormatError, InvalidScenario, \
+    MwcError
 from mwconsensus.linalg import sym_eigen, sym_sqrt
 from mwconsensus.mwgraph import EdgeTable, InputCoupling, \
     MatrixWeightedGraph, build_laplacian, detect_structural_balance, \
@@ -133,9 +134,8 @@ class TestValidation:
     ], ids=["leaderless", "leader-follower", "random-n500"])
     def test_memory_refusal_counts_the_record_bytes(self, make, monkeypatch):
         """The refusal sizes exactly the arrays ``sim.run`` reserves: for
-        its record the one each record array is a view of, and ``times``,
-        and the states of its widest window, which the record does not
-        keep."""
+        its record the one each record array is a view of, and ``times``.
+        The step loop keeps no window of states."""
         sc, needs = make(), []
         refusal = sim.mwgraph.memory_refusal
 
@@ -149,10 +149,8 @@ class TestValidation:
         reserved = [getattr(record, name).base for name in (
             "chi", "anchors", "change_offsets", "change_cols",
             "change_xhat", "change_q")]
-        nd = record.n * record.d
-        window = max(1, sim.WINDOW_VALUES // nd) * nd * 8
         assert needs == [sum(a.nbytes for a in reserved)
-                         + record.times.nbytes + window]
+                         + record.times.nbytes]
 
     def test_x0_shape_checked(self):
         sc = tiny_scenario(x0=np.zeros(5))
@@ -546,8 +544,11 @@ class TestAnchors:
         """``blocks`` reads any row range in consecutive ranges of at most a
         quarter of ``WINDOW_VALUES`` state values (or one row), with their
         views of chi, bit for bit as the whole record: a range that starts
-        past row 0 replays the anchors before it."""
+        past row 0 replays the anchors before it.  Each range's held pairs,
+        applied in row order from every column's pair at ``start``, give
+        the held pair of every row of the range."""
         states, rows = grid_states(record), record.rows
+        want_h, want_q = oracles.held_rows(record)
         nd = record.n * record.d
         rng = np.random.default_rng(4)
         spans = [(rows - 1, rows)] + [
@@ -560,12 +561,38 @@ class TestAnchors:
                 monkeypatch.setattr(sim, "WINDOW_VALUES", 4 * nd * per)
             most = max(1, sim.WINDOW_VALUES // (4 * nd))
             got = list(record.blocks(start, stop))
-            assert [lo for lo, _, _ in got] == list(range(start, stop, most))
-            for lo, x, chi in got:
+            assert [lo for lo, *_ in got] == list(range(start, stop, most))
+            first_row, first_cols = got[0][3][0][:2]
+            assert first_row == start
+            assert first_cols.tolist() == list(range(nd))
+            h, q = np.full(nd, np.nan), np.full(nd, np.nan)
+            for lo, x, chi, held in got:
                 assert len(x) == len(chi) <= most
                 assert x.tobytes() == states[lo:lo + len(x)].tobytes()
                 assert chi.base is record.chi.base
                 assert chi.tobytes() == record.chi[lo:lo + len(x)].tobytes()
+                changes = {row: pair for row, *pair in held}
+                assert list(changes) == sorted(changes)
+                assert len(changes) == len(held)
+                assert all(lo <= row < lo + len(x) for row in changes)
+                for row in range(lo, lo + len(x)):
+                    if row in changes:
+                        cols, xhat, held_q = changes[row]
+                        h[cols], q[cols] = xhat, held_q
+                    assert h.tobytes() == want_h[row].tobytes(), row
+                    assert q.tobytes() == want_q[row].tobytes(), row
+
+    def test_blocks_refuse_rows_outside_the_record(self):
+        """A range that is not ``0 <= start <= stop <= rows`` of a 51-row
+        record is refused in one line, not extrapolated, cut or read as
+        empty."""
+        record = run(tiny_scenario(horizon=0.05))
+        assert record.rows == 51
+        for start, stop in ((-3, 2), (40, 80), (10, 5)):
+            with pytest.raises(MwcError) as info:
+                list(record.blocks(start, stop))
+            assert str(info.value) == f"rows {start}..{stop} are not a " \
+                                      "range of the record's 51 rows"
 
 
 class TestStepSemantics:
@@ -576,33 +603,33 @@ class TestStepSemantics:
         sc = tiny_scenario(graph=g, x0=x0)
         compiled = compile_scenario(sc)
         state = initial_sim_state(compiled)
-        states, chi = np.empty((3, 2)), np.empty((3, 2))
-        nxt, fired = step(state, compiled, states, chi)
+        chi = np.empty((3, 2))
+        nxt, fired = step(state, compiled, chi)
         assert fired.size == 0 and nxt.k == 3 and nxt.anchor == 0
-        np.testing.assert_array_equal(states, [x0] * 3)
+        assert nxt.x_anchor is state.x_anchor
+        np.testing.assert_array_equal(nxt.q, [0.0, 0.0])  # rows stay x0
         np.testing.assert_array_equal(nxt.chi_anchor, compiled.chi0)
         assert np.all(np.diff(np.vstack([state.chi_anchor, chi]), axis=0) < 0)
 
     def test_step_writes_closed_form_from_anchor(self):
-        """The rows come from the anchor state, whatever the broadcasts and
-        the record: ``step`` reads no record row, leaves ``x_anchor``'s
-        bytes as they are (a -0.0 too) and writes row ``k`` as ``x_anchor +
-        (k - anchor) (dt q)`` bit for bit."""
+        """The fired row comes from the anchor state, whatever the
+        broadcasts and the record: ``step`` reads no record row, leaves
+        ``x_anchor``'s bytes as they are (a -0.0 too) and takes the row
+        ``k`` at which agents fire as ``x_anchor + (k - anchor) (dt q)``
+        bit for bit."""
         from mwconsensus.sim import compile_scenario, initial_sim_state, step
-        sc = tiny_scenario(x0=np.array([1.0, -1.0]),
-                           params=uniform_params(2, chi0=1e6))
+        sc = tiny_scenario(x0=np.array([1.0, -1.0]))
         compiled = compile_scenario(sc)
         anchor = np.array([-0.0, 0.25])
-        state = dataclasses.replace(initial_sim_state(compiled),
-                                    x_anchor=anchor)
-        states, chi = np.full((6, 2), np.nan), np.empty((5, 2))
-        nxt, fired = step(state, compiled, states[1:], chi)
-        assert fired.size == 0 and nxt.k == 5 and nxt.x_anchor is anchor
+        # Excess -10 + s^2 in both agents: they fire at the fourth step.
+        state = dataclasses.replace(
+            initial_sim_state(compiled), x_anchor=anchor,
+            excess=np.array([[-10.0, -10.0], [0.0, 0.0], [1.0, 1.0]]))
+        nxt, fired = step(state, compiled, np.empty((6, 2)))
+        assert fired.tolist() == [0, 1] and nxt.k == nxt.anchor == 4
         assert anchor.tobytes() == np.array([-0.0, 0.25]).tobytes()
-        assert np.isnan(states[0]).all()
-        for k in range(1, 6):
-            want = anchor + k * (sc.dt * state.q)
-            assert states[k].tobytes() == want.tobytes(), k
+        want = anchor + 4 * (sc.dt * state.q)
+        assert nxt.x_anchor.tobytes() == nxt.xhat.tobytes() == want.tobytes()
 
     def test_equilibrium_fixed_point(self):
         """Gauge-consensus initial state: no motion, no fires, chi decays."""
@@ -1176,7 +1203,8 @@ class TestDtRefinement:
 
 def stepwise_run(sc):
     """``sim.run``'s record built by calling ``sim.step`` with a window of
-    one grid step at every step.  Returns ((times, states, chi, anchors,
+    one grid step at every step, each row the closed form of the anchor
+    before it.  Returns ((times, states, chi, anchors,
     held_xhat, held_q), events, divergence message or None), cut at the last
     finite step on divergence."""
     compiled = sim.compile_scenario(sc)
@@ -1190,13 +1218,15 @@ def stepwise_run(sc):
     anchors, held_xhat, held_q = [0], [state.xhat], [state.q]
     message, k = None, 0
     for k in range(steps):
+        # The row the step ends at, from the anchor it starts under.
+        row = state.x_anchor + (k + 1 - state.anchor) * (sc.dt * state.q)
         try:
-            state, fired = sim.step(state, compiled,
-                                    states[k + 1:k + 2], chi[k + 1:k + 2])
+            state, fired = sim.step(state, compiled, chi[k + 1:k + 2])
         except Diverged as exc:
             message = str(exc)
             break
         assert state.k == k + 1
+        states[k + 1] = row
         if fired.size:
             anchors.append(k + 1)
             held_xhat.append(state.xhat)
@@ -1260,6 +1290,47 @@ class TestWindowWidth:
         arrays, events, message = stepwise_run(sc)
         assert str(info.value) == message
         assert_same_record(info.value.partial_record, arrays, events)
+
+
+class TestGuardPrefix:
+    """``step`` checks the divergence guard on a window's last row alone.
+    That is exact because each column of ``x + s dq`` is monotone in ``s``
+    (rounding to nearest is monotone), so from an anchor within the guard
+    the rows within it are a prefix of any window."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rows_within_the_guard_are_a_prefix(self, seed):
+        guard, w, cols = sim.DIVERGENCE_GUARD, 64, 6
+        rng = np.random.default_rng(seed)
+        s = np.arange(1.0, w + 1.0)[:, None]
+        cut = overflowed = 0
+        for _ in range(200):
+            x = np.where(rng.random(cols) < 0.5,
+                         rng.choice([0.0, -0.0, guard, -guard, 1.0], cols),
+                         rng.uniform(-guard, guard, cols))
+            sign = rng.choice([-1.0, 1.0], cols)
+            dq = sign * np.choose(rng.integers(0, 5, cols), [
+                rng.choice([0.0, -0.0], cols),
+                rng.integers(1, 1 << 20, cols) * 5e-324,  # subnormals
+                10.0 ** rng.uniform(-300.0, 0.0, cols),
+                # leaves the guard inside the window
+                (guard + np.abs(x)) / rng.uniform(1.0, w, cols),
+                # rare: near the float maximum, s dq overflows to inf
+                np.where(rng.random(cols) < 0.2,
+                         rng.uniform(1e306, 1.7e308, cols), 1.0),
+            ])
+            with np.errstate(over="ignore"):
+                rows = sim._affine_rows(x, dq, s)
+            inside = np.abs(rows) <= guard
+            for within in (*inside.T, inside.all(axis=1)):
+                k = int(within.sum())
+                assert within[:k].all(), (x, dq)
+            k = int(inside.all(axis=1).sum())
+            cut += 0 < k < w
+            overflowed += bool(np.isinf(rows[1:]).any()
+                               and np.isfinite(rows[0]).all())
+        # The windows really are cut inside, and reach inf inside.
+        assert cut and overflowed
 
 
 def relabel(sc, perm):

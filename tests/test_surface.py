@@ -1,11 +1,12 @@
-"""Every callable the package exports is used by the package or the benchmark.
+"""Every callable the package exports, and every public method or property
+of a class the package defines, is used by the package or the benchmark.
 
-A function or class that only tests call is surface without a user: it
-belongs in ``tests/oracles.py`` (an independent cross-check) or nowhere.
-A name counts as used when it appears as an identifier, outside comments
-and strings, in a module of ``src/mwconsensus`` other than ``__init__.py``
-(its own ``def``/``class`` line excepted) or in a non-test script of
-``perfbench/``.  And no module imports another module's private
+A function, class or method that only tests call is surface without a
+user: it belongs in ``tests/oracles.py`` (an independent cross-check) or
+nowhere.  A name counts as used when it appears as an identifier, outside
+comments and strings, in a module of ``src/mwconsensus`` other than
+``__init__.py`` (its own ``def``/``class`` line excepted) or in a non-test
+script of ``perfbench/``.  And no module imports another module's private
 (underscore-prefixed) names, or reads a private attribute of an object other
 than ``self`` or ``cls``, so each keeps what it owns.
 """
@@ -61,6 +62,34 @@ def test_exports_found():
 def test_export_is_used(name):
     assert name in _users(), f"{name} is exported but nothing in the " \
                              "package or the benchmark uses it"
+
+
+def _public_methods() -> list[str]:
+    """``Class.name`` of every public method and property (any ``def`` in a
+    class body whose name has no leading underscore) in the package."""
+    found = []
+    for path in sorted((ROOT / "src" / "mwconsensus").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                found += [f"{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and not item.name.startswith("_")]
+    return found
+
+
+METHODS = _public_methods()
+
+
+def test_methods_found():
+    assert "TrajectoryRecord.blocks" in METHODS
+    assert "CompiledScenario.control" in METHODS
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_method_is_used(method):
+    assert method.split(".")[1] in _users(), \
+        f"{method} is defined but nothing in the package or the benchmark " \
+        "uses it"
 
 
 def test_no_private_names_imported():

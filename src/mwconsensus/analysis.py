@@ -72,14 +72,15 @@ def lyapunov_lf(record: TrajectoryRecord, xtilde: np.ndarray,
     agents' block of the network's Laplacian, so the form is the sum of
     ``p_e^T |A_e| p_e``, ``p_e = xi_i - sgn(A_e) xi_j``, over its edges,
     with every input j >= n held at xi = 0: the compiled scenario's
-    ``pair_form`` of xi, one column per row, sized for the record's rows."""
+    ``pair_form`` of xi, one column per row.  Each row's value depends on
+    that row alone, not on the rows read with it or the record's length."""
     sc = record.scenario
     n, d, rows = record.n, record.d, len(states)
     nodes = np.zeros((sc.network.n, d, rows))
     np.subtract(states.T.reshape(n, d, rows),
                 np.asarray(xtilde, dtype=float).reshape(n, d, 1),
                 out=nodes[:n])
-    return sc.compiled.pair_form(nodes, record.rows) + chi.sum(axis=1)
+    return sc.compiled.pair_form(nodes) + chi.sum(axis=1)
 
 
 def fit_decay_rate(times: np.ndarray, values: np.ndarray) -> Optional[float]:

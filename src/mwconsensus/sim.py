@@ -214,9 +214,9 @@ class TrajectoryRecord:
     state columns, ascending), ``change_xhat`` and ``change_q``: every
     column at anchor 0, later the columns whose held ``xhat`` or ``q``
     differs in bits from the anchor before.  A column's held pair at anchor
-    ``a`` is its latest change at or before ``a`` (:meth:`held_pair`), and
-    holds from grid row ``anchors[a]`` up to the next anchor; the error
-    ``xhat - x`` is exactly zero at each agent's event instants.
+    ``a`` is its latest change at or before ``a``, and holds from grid row
+    ``anchors[a]`` up to the next anchor; the error ``xhat - x`` is exactly
+    zero at each agent's event instants.
 
     The states are not kept: :meth:`blocks` rebuilds them from x0 (anchor
     0's held ``xhat``) and the held controls, bit for bit as :func:`step`
@@ -257,25 +257,16 @@ class TrajectoryRecord:
     def limit_state(self) -> Optional[np.ndarray]:
         """Predicted asymptotic state, derived on first read: gauge-signed
         mean of x0, row 0 (leaderless), or copies of the input signed by
-        each agent's leader gauge (leader-follower)."""
+        each agent's leader gauge (leader-follower).  x0 is anchor 0's held
+        ``xhat``, which holds every column, in order."""
         sc = self.scenario
         if not mwgraph.verify_assumption1(sc.graph).holds:
             return None
         if isinstance(sc.mode, LeaderFollower):
             gauge = mwgraph.leader_gauge(sc.network, sc.graph.n)
             return None if gauge is None else np.kron(gauge, sc.mode.u0)
-        return mwgraph.predicted_bipartite_limit(sc.graph,
-                                                 self.held_pair(0)[0])
-
-    def held_pair(self, a: int) -> tuple[np.ndarray, np.ndarray]:
-        """The held ``xhat`` and ``q`` of every column at anchor ``a``: each
-        column's latest change at or before it."""
-        end = int(self.change_offsets[a + 1])
-        latest = np.zeros(self.n * self.d, dtype=np.int64)
-        # Anchor 0 holds every column.  A scatter-max, since the order in
-        # which a fancy assignment applies repeated indices is unspecified.
-        np.maximum.at(latest, self.change_cols[:end], np.arange(end))
-        return self.change_xhat[latest], self.change_q[latest]
+        return mwgraph.predicted_bipartite_limit(
+            sc.graph, self.change_xhat[:self.n * self.d])
 
     def blocks(self, start: int = 0, stop: Optional[int] = None):
         """Grid rows ``start .. stop - 1`` (every row by default), as
@@ -286,10 +277,9 @@ class TrajectoryRecord:
         first row, its states, rebuilt into a new array, its view of
         ``chi``, and the held pairs that take effect in it, as ``(row,
         cols, xhat, q)`` in row order.  The first range's ``held`` starts
-        with every column's pair at ``start`` (:meth:`held_pair`); after it
-        come the anchors past ``start``, each with the columns it changed.
-        A range outside ``0 <= start <= stop <= rows`` raises
-        :class:`MwcError`.
+        with every column's pair at ``start``; after it come the anchors
+        past ``start``, each with the columns it changed.  A range outside
+        ``0 <= start <= stop <= rows`` raises :class:`MwcError`.
 
         This is the one place that reads the anchors and their changes.
         Row 0 is x0, anchor 0's held ``xhat``.  A row ``k`` after anchor
@@ -297,9 +287,10 @@ class TrajectoryRecord:
         ``x_a + (k - k_a) (dt q_a)`` (:func:`_affine_rows`, as :func:`step`
         evaluates it), where ``x_a`` is the row of anchor ``a``; row ``k_a``
         is ``x_a`` itself, not its closed form at zero steps, so an anchor's
-        -0.0 keeps its sign.  A
-        range that starts past row 0 first replays the anchors before it,
-        one closed form each."""
+        -0.0 keeps its sign.  A range that starts past row 0 first replays
+        the anchors up to ``start``, one closed form each, and writes each
+        one's changes over the held pairs of anchor 0: the pairs at
+        ``start``."""
         stop = self.rows if stop is None else stop
         if not 0 <= start <= stop <= self.rows:
             raise MwcError(f"rows {start}..{stop} are not a range of the "
@@ -312,6 +303,7 @@ class TrajectoryRecord:
         cols, held_xhat, held_q = \
             self.change_cols, self.change_xhat, self.change_q
         x, dq, a, held = held_xhat[:nd], dt * held_q[:nd], 0, []
+        xhat, q = held_xhat[:nd].copy(), held_q[:nd].copy()
         for lo in range(start, stop, per):
             hi = min(stop, lo + per)
             states = np.empty((hi - lo, nd))
@@ -322,10 +314,14 @@ class TrajectoryRecord:
                     a += 1
                     span = slice(offsets[a], offsets[a + 1])
                     dq[cols[span]] = dt * held_q[span]
-                    held.append((at[a], cols[span], held_xhat[span],
-                                 held_q[span]))
+                    if row == start:
+                        xhat[cols[span]] = held_xhat[span]
+                        q[cols[span]] = held_q[span]
+                    else:
+                        held.append((at[a], cols[span], held_xhat[span],
+                                     held_q[span]))
                 if row == start:
-                    held = [(start, np.arange(nd), *self.held_pair(a))]
+                    held = [(start, np.arange(nd), xhat, q)]
                 top = min(hi, at[a + 1])
                 _affine_rows(x, dq, np.arange(row - at[a], top - at[a],
                                               dtype=float)[:, None],
@@ -436,27 +432,26 @@ class CompiledScenario:
             return q, self.sigma * np.einsum("ij,ij->i", blocks, blocks)
         return q, self.sigma / 4.0 * self.disagreement_terms(rel)
 
-    def pair_form(self, nodes: np.ndarray, rows: int) -> np.ndarray:
+    def pair_form(self, nodes: np.ndarray) -> np.ndarray:
         """``sum_e p_e^T |A_e| p_e`` over the edges of the network, for each
-        of the k columns of the node states ``nodes`` ``(N, d, k)``, k of
-        the ``rows`` grid rows of a record.
+        of the k columns of the node states ``nodes`` ``(N, d, k)``.
 
         Each edge is read from its arc with ``src < dst`` (an agent-agent
-        edge's two arcs have bitwise-equal terms), a block of arcs over all
-        k columns at a time.  The blocks are sized for ``rows`` columns, so
-        a column's sum has the same bits however the rows are split."""
-        k, wide = nodes.shape[-1], min(rows, 3)
+        edge's two arcs have bitwise-equal terms), n arcs over all k
+        columns at a time, so a block's ``p`` holds as many values as the k
+        columns' agent states.  The blocks depend on the network alone, so
+        a column's sum has the same bits however many columns come with
+        it."""
+        k = nodes.shape[-1]
         # numpy's einsum sums one or two columns in another order than three
         # or more, so fewer are padded with zero columns.
-        if k < wide:
+        if k < 3:
             nodes = np.concatenate(
-                (nodes, np.zeros(nodes.shape[:-1] + (wide - k,))), axis=-1)
+                (nodes, np.zeros(nodes.shape[:-1] + (3 - k,))), axis=-1)
         once = np.flatnonzero(self.arc_src < self.arc_dst)
-        # p, its two gathers and the flow of a block: ~WINDOW_VALUES values.
-        block = max(1, WINDOW_VALUES // (4 * self.d * rows))
         v = np.zeros(nodes.shape[-1])
-        for lo in range(0, len(once), block):
-            arcs = once[lo:lo + block]
+        for lo in range(0, len(once), self.n):
+            arcs = once[lo:lo + self.n]
             rel = self._relative(nodes, arcs)
             v += np.einsum("ei...,ei...->...", self._flow(rel, arcs), rel)
         return v[:k]

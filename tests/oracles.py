@@ -36,6 +36,9 @@ agents replaced.
 
 ``chi_floor_margins`` is the chi floor check formed from dense ``(rows,
 n)`` arrays, which the package forms a block of rows at a time.
+``dwell_certificate`` checks Zeno-freeness on a record: the least dwell
+that the trigger law certifies for each inter-event interval, against the
+one observed.
 
 ``four_stage_run`` is the step-at-a-time loop with the classical 4-stage
 update of the thresholds, against which the engine's windows and its
@@ -515,6 +518,42 @@ def chi_floor_margins(record) -> np.ndarray:
     rate = p.beta + p.delta / p.theta
     floor = p.chi0[None, :] * np.exp(-np.outer(record.times, rate))
     return (record.chi - floor).min(axis=0)
+
+
+class DwellCertificate(NamedTuple):
+    """Observed over certified dwell of every inter-event interval that
+    ends in a fire with chi > 0, and the number of fires with chi <= 0,
+    for which the bound says nothing."""
+
+    ratios: np.ndarray
+    nonpositive: int
+
+
+def dwell_certificate(record) -> DwellCertificate:
+    """The Zeno certificate of each inter-event interval ``[t_p, t_n)`` of
+    each agent i.  Its error is 0 at t_p and moves at its held rate, so
+    ``|e_i(t_n)| <= (t_n - t_p) Q_i``, with ``Q_i`` the largest held
+    ``|q_i|`` on the interval.  A fire needs ``theta_i (K_i |e_i|^2 - S_i)
+    > chi_i`` with ``S_i >= 0``, so the dwell is at least ``sqrt(chi_i(t_n)
+    / (theta_i K_i)) / Q_i`` wherever ``chi_i(t_n) > 0``."""
+    sc = record.scenario
+    n, d = record.n, record.d
+    theta, gain = sc.params.theta, gains(sc)
+    _, q = held_rows(record)
+    speed = np.linalg.norm(q.reshape(len(q), n, d), axis=2)
+    ratios, nonpositive = [], 0
+    for i, ev in enumerate(record.events):
+        if len(ev) < 2:
+            continue
+        rows = np.rint(ev / sc.dt).astype(np.int64)
+        peak = np.maximum.reduceat(speed[:, i], rows)[:-1]
+        chi = record.chi[rows[1:], i]
+        live = chi > 0.0
+        nonpositive += int((~live).sum())
+        certified = np.sqrt(chi[live] / (theta[i] * gain[i])) / peak[live]
+        ratios.append(np.diff(ev)[live] / certified)
+    return DwellCertificate(np.concatenate(ratios or [np.zeros(0)]),
+                            nonpositive)
 
 
 PList = Sequence[tuple[np.ndarray, np.ndarray]]

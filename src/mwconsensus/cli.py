@@ -104,25 +104,24 @@ BATCH_VALUES = 1 << 10
 def _write_lines(fh, times, block, labels, tails) -> None:
     """Write the line ``{t}{label}{value}{tail}`` for each value of
     ``block`` (grid rows by columns, row ``r`` at time ``times[r]``), in
-    row-major order, with one join and one write.
+    row-major order, a batch of :data:`BATCH_VALUES` values (or one row) at
+    a time, with one join and one write each.
 
     ``labels`` holds one text per column and ``tails`` one per value.  The
     pieces are laid out by slice assignment, so no Python code runs per
     value: ``repr`` formats the times and the values, each once."""
     width = len(labels)
-    values = block.ravel().tolist()
-    parts = [""] * (4 * len(values))
-    parts[0::4] = chain.from_iterable(
-        map(repeat, map(repr, times.tolist()), repeat(width, len(times))))
-    parts[1::4] = labels * len(times)
-    parts[2::4] = map(repr, values)
-    parts[3::4] = tails
-    fh.write("".join(parts))
-
-
-def _batch_rows(width: int) -> int:
-    """Grid rows of ``width`` values in one batch of :data:`BATCH_VALUES`."""
-    return max(1, BATCH_VALUES // width)
+    rows = max(1, BATCH_VALUES // width)
+    for lo in range(0, len(block), rows):
+        batch = times[lo:lo + rows].tolist()
+        values = block[lo:lo + rows].ravel().tolist()
+        parts = [""] * (4 * len(values))
+        parts[0::4] = chain.from_iterable(
+            map(repeat, map(repr, batch), repeat(width, len(batch))))
+        parts[1::4] = labels * len(batch)
+        parts[2::4] = map(repr, values)
+        parts[3::4] = tails[lo * width:(lo + rows) * width]
+        fh.write("".join(parts))
 
 
 def _write_rows(record, stage: Path, k: int, start: int, stop: int) -> None:
@@ -133,15 +132,14 @@ def _write_rows(record, stage: Path, k: int, start: int, stop: int) -> None:
     Each column keeps the text of its held ``xhat``/``qhat`` pair, which
     the blocks hand over where it takes effect: every column at ``start``,
     then the columns each later anchor changed; every other row reuses the
-    text it holds.  The rows of each CSV go out a batch at a time
-    (:func:`_write_lines`); a batch may span several changes, and ends at
-    the end of a block.  The bytes are those of formatting every value on
+    text it holds.  A block's column of these texts is laid out in one
+    walk of its held pairs, and :func:`_write_lines` writes the block's
+    rows of each CSV.  The bytes are those of formatting every value on
     every row.
     """
     n, nd = record.n, record.n * record.d
     labels = [f",{i},{c}," for i in range(n) for c in range(record.d)]
     chi_labels = [f",{i}," for i in range(n)]
-    batch, chi_batch = _batch_rows(nd), _batch_rows(n)
     tails = [""] * nd
     with _open_text(_part(stage, "trajectory.csv", k)) as trajectory, \
             _open_text(_part(stage, "chi.csv", k)) as chi:
@@ -150,26 +148,16 @@ def _write_rows(record, stage: Path, k: int, start: int, stop: int) -> None:
             chi.write("time,agent,chi\n")
         for base, states, chis, held in record.blocks(start, stop):
             top = base + len(states)
-            # The rows at which held pairs take effect, then the block's end.
-            at, h = [row for row, *_ in held] + [top], 0
-            for lo in range(base, top, batch):
-                hi = min(top, lo + batch)
-                column, row = [], lo  # the tails of rows `lo..row-1`
-                while row < hi:
-                    if row == at[h]:
-                        for c, x, q in zip(*(v.tolist() for v in held[h][1:])):
-                            tails[c] = f",{x!r},{q!r}\n"
-                        h += 1
-                    end = min(hi, at[h])
-                    column += tails * (end - row)
-                    row = end
-                _write_lines(trajectory, record.times[lo:hi],
-                             states[lo - base:hi - base], labels, column)
-            for lo in range(base, top, chi_batch):
-                hi = min(top, lo + chi_batch)
-                _write_lines(chi, record.times[lo:hi],
-                             chis[lo - base:hi - base], chi_labels,
-                             ["\n"] * (n * (hi - lo)))
+            column, row = [], base  # the tails of rows `base..row-1`
+            for at, *pair in held:
+                column += tails * (at - row)
+                for c, x, q in zip(*(v.tolist() for v in pair)):
+                    tails[c] = f",{x!r},{q!r}\n"
+                row = at
+            column += tails * (top - row)
+            times = record.times[base:top]
+            _write_lines(trajectory, times, states, labels, column)
+            _write_lines(chi, times, chis, chi_labels, ["\n"] * chis.size)
 
 
 def _open_text(path: Path):
@@ -250,10 +238,11 @@ def write_artifacts(record, outdir: Path,
     Every chunk is written by one row-range writer (:func:`_write_rows`),
     which takes its states, chi and held pairs from ``record.blocks`` in
     one pass, so the bytes are those of one process for every count, and no
-    process holds more than one batch (:data:`BATCH_VALUES` values, or one
-    grid row where that is wider) as Python objects.  On any failure the
-    children are killed and reaped; a child that failed raises
-    :class:`OSError` with the text of its exception.
+    process formats more than one batch (:data:`BATCH_VALUES` values, or
+    one grid row where that is wider) as Python objects at a time, besides
+    a block's held-pair texts.  On any failure the children are killed and
+    reaped; a child that failed raises :class:`OSError` with the text of
+    its exception.
     """
     outdir.mkdir(parents=True, exist_ok=True)
     sc = record.scenario

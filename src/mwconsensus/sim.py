@@ -38,6 +38,7 @@ atomically before the next step.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -59,7 +60,7 @@ STEP_GRID_RTOL = 1e-9
 
 #: Float64 values in one window's (rows x n*d) temporaries.  A window holds
 #: at most max(1, WINDOW_VALUES // (n*d)) rows, so its scratch arrays stay
-#: a few MiB at most next to the record that validation sizes.
+#: a few MiB at most next to the record.
 WINDOW_VALUES = 1 << 16
 
 #: Below this |z|, phi_1..phi_3 come from the series of phi_3; above it
@@ -142,7 +143,9 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
     """Every reason the scenario may not run, as printable strings.
 
     ``assumptions=False`` skips the structural checks (used by the forced
-    run path); the parameter and shape checks always apply.
+    run path); the parameter and shape checks always apply.  Of the record
+    only ``chi`` and the times are sized here: :func:`run` sizes each
+    anchor's changes as it keeps them, and may refuse one mid-run.
     """
     out = []
     if not sc.dt > 0.0:
@@ -151,14 +154,10 @@ def validate_scenario(sc: Scenario, assumptions: bool = True) -> list[str]:
         out.append(f"horizon must satisfy 0 < dt <= T < inf, got dt={sc.dt} "
                    f"T={sc.horizon}")
     elif sc.dt > 0.0:
-        steps, n, nd = sc.horizon / sc.dt, sc.graph.n, sc.graph.n * sc.graph.d
-        # 8 bytes each for the time and chi (n) of every grid point, and of
-        # every anchor its row, its change offset and, per changed column,
-        # the column index, xhat and q, plus the offset that ends the last
-        # anchor; at worst every point is an anchor at which every column
-        # changed.
+        steps = sc.horizon / sc.dt
+        # 8 bytes each for the time and chi (n) of every grid point.
         refusal = mwgraph.memory_refusal(
-            8.0 * ((steps + 1.0) * (3 * nd + n + 3) + 1.0),
+            8.0 * (steps + 1.0) * (sc.graph.n + 1),
             f"T/dt = {steps:.6g} steps", "of arrays")
         if refusal:
             out.append(refusal)
@@ -223,7 +222,8 @@ class TrajectoryRecord:
     computed them, and hands each range the held pairs that take effect in
     it, so its readers never walk the anchors themselves.  ``chi`` stays
     dense, since rebuilding it takes more values per anchor than a row
-    holds when nearly every row is an anchor.
+    holds when nearly every row is an anchor.  :func:`run` keeps the
+    anchors as they happen, and refuses mid-run one that would not fit.
     """
 
     chi: np.ndarray
@@ -297,31 +297,36 @@ class TrajectoryRecord:
                            f"record's {self.rows} rows")
         nd, dt = self.n * self.d, self.scenario.dt
         per = max(1, WINDOW_VALUES // (4 * nd))
-        # Each anchor's row, then `rows`, where the last span ends.
-        at = [*self.anchors.tolist(), self.rows]
+        # Each anchor's row, then one no row reaches.
+        at = [*self.anchors.tolist(), math.inf]
         offsets = self.change_offsets.tolist()
         cols, held_xhat, held_q = \
             self.change_cols, self.change_xhat, self.change_q
-        x, dq, a, held = held_xhat[:nd], dt * held_q[:nd], 0, []
+        x, dq, a = held_xhat[:nd], dt * held_q[:nd], 0
         xhat, q = held_xhat[:nd].copy(), held_q[:nd].copy()
+
+        def advance() -> slice:
+            """Move ``x`` and ``dq`` on to the next anchor; its changes."""
+            nonlocal x, a
+            x = _affine_rows(x, dq, float(at[a + 1] - at[a]))
+            a += 1
+            span = slice(offsets[a], offsets[a + 1])
+            dq[cols[span]] = dt * held_q[span]
+            return span
+
+        while at[a + 1] <= start:
+            span = advance()
+            xhat[cols[span]], q[cols[span]] = held_xhat[span], held_q[span]
+        held = [(start, np.arange(nd), xhat, q)]
         for lo in range(start, stop, per):
             hi = min(stop, lo + per)
             states = np.empty((hi - lo, nd))
             row = lo
             while row < hi:
                 while at[a + 1] <= row:
-                    x = _affine_rows(x, dq, float(at[a + 1] - at[a]))
-                    a += 1
-                    span = slice(offsets[a], offsets[a + 1])
-                    dq[cols[span]] = dt * held_q[span]
-                    if row == start:
-                        xhat[cols[span]] = held_xhat[span]
-                        q[cols[span]] = held_q[span]
-                    else:
-                        held.append((at[a], cols[span], held_xhat[span],
-                                     held_q[span]))
-                if row == start:
-                    held = [(start, np.arange(nd), xhat, q)]
+                    span = advance()
+                    held.append((at[a], cols[span], held_xhat[span],
+                                 held_q[span]))
                 top = min(hi, at[a + 1])
                 _affine_rows(x, dq, np.arange(row - at[a], top - at[a],
                                               dtype=float)[:, None],
@@ -597,8 +602,9 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
     """Validate, simulate over [0, horizon], and record everything.
 
     Raises :class:`InvalidScenario` with the full violation list before
-    touching the integrator, and :class:`Diverged` (carrying the partial
-    record) if the divergence guard trips.
+    touching the integrator, or mid-run with one line if the record with
+    its next anchor would not fit in physical memory, and :class:`Diverged`
+    (carrying the partial record) if the divergence guard trips.
 
     Each window is twice as wide as the time since the last broadcast (one
     step at the start), capped by :data:`WINDOW_VALUES`; no value depends
@@ -614,38 +620,44 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
     max_rows = max(1, WINDOW_VALUES // (n * d))
 
     chi = np.empty((steps + 1, n))
-    # At worst every grid row is an anchor at which every column changes;
-    # unwritten entries never become resident.
-    anchors = np.empty(steps + 1, dtype=np.int64)
-    offsets = np.zeros(steps + 2, dtype=np.int64)
-    change_cols = np.empty((steps + 1) * n * d, dtype=np.int64)
-    change_xhat = np.empty((steps + 1) * n * d)
-    change_q = np.empty_like(change_xhat)
+    grid_bytes = chi.nbytes + 8.0 * len(chi)  # with the times, as validated
+    anchors, offsets = array("q"), array("q", [0])
+    change_cols, change_xhat, change_q = array("q"), array("d"), array("d")
     events: list[list[float]] = [[0.0] for _ in range(n)]
 
-    def hold(a: int, state: SimState, changed: np.ndarray) -> None:
-        """Record ``state``'s broadcast as anchor ``a``: its grid row and the
-        held pair of the ``changed`` columns."""
+    def hold(state: SimState, changed: np.ndarray) -> None:
+        """Record ``state``'s broadcast as the next anchor: its grid row and
+        the held pair of the ``changed`` columns, if the record fits with
+        them, each buffer counted twice, as it may move when it grows."""
         c = np.flatnonzero(changed)
-        lo, hi = offsets[a], offsets[a] + len(c)
-        anchors[a], offsets[a + 1] = state.k, hi
-        change_cols[lo:hi], change_xhat[lo:hi], change_q[lo:hi] = \
-            c, state.xhat[c], state.q[c]
+        size = len(change_cols) + len(c)
+        # len(offsets) anchor rows and one more offset, 3 values per change.
+        refusal = mwgraph.memory_refusal(
+            grid_bytes + 16.0 * (2 * len(offsets) + 1 + 3 * size),
+            f"{len(offsets)} anchors with {size} changes at "
+            f"t={state.k * sc.dt:g}", "of record arrays")
+        if refusal:
+            raise InvalidScenario([refusal])
+        anchors.append(state.k)
+        change_cols.frombytes(c.tobytes())
+        change_xhat.frombytes(state.xhat[c].tobytes())
+        change_q.frombytes(state.q[c].tobytes())
+        offsets.append(len(change_cols))
 
     state = initial_sim_state(compiled)
     chi[0] = compiled.chi0
-    hold(0, state, np.ones(n * d, dtype=bool))
+    hold(state, np.ones(n * d, dtype=bool))
 
     def finish(upto: int) -> TrajectoryRecord:
-        ev = tuple(np.array(e) for e in events)
-        used = offsets[held]
+        # Views of the buffers, typed by their typecodes: no copy.
         return TrajectoryRecord(
-            chi=chi[:upto + 1],
-            anchors=anchors[:held], change_offsets=offsets[:held + 1],
-            change_cols=change_cols[:used], change_xhat=change_xhat[:used],
-            change_q=change_q[:used], events=ev, scenario=sc)
+            chi=chi[:upto + 1], anchors=np.asarray(anchors),
+            change_offsets=np.asarray(offsets),
+            change_cols=np.asarray(change_cols),
+            change_xhat=np.asarray(change_xhat), change_q=np.asarray(change_q),
+            events=tuple(np.array(e) for e in events), scenario=sc)
 
-    k, width, held = 0, 1, 1
+    k, width = 0, 1
     while k < steps:
         end = k + min(width, steps - k, max_rows)
         try:
@@ -654,10 +666,8 @@ def run(sc: Scenario, *, check_assumptions: bool = True) -> TrajectoryRecord:
             raise Diverged(str(exc), partial_record=finish(k)) from None
         if fired.size:
             # Bits, not floats: 0.0 == -0.0, but their texts differ.
-            hold(held, nxt, (nxt.xhat.view(np.int64)
-                             != state.xhat.view(np.int64))
+            hold(nxt, (nxt.xhat.view(np.int64) != state.xhat.view(np.int64))
                  | (nxt.q.view(np.int64) != state.q.view(np.int64)))
-            held += 1
         for i in fired:
             events[i].append(nxt.k * sc.dt)
         width = 2 * (nxt.k - state.anchor)

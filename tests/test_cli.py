@@ -587,10 +587,9 @@ class TestRun:
 
     def test_memory_scales_with_anchors(self, tmp_path):
         """Running and writing the reference run (20 001 grid rows, 997
-        anchors) allocates less than one dense grid of states besides the
-        held arrays that ``sim.run`` reserves for an anchor at every row,
-        of which only the written pages become resident: the record keeps
-        no states, and its readers rebuild them a block at a time."""
+        anchors) allocates less than one dense grid of states, all told:
+        the record keeps no states and only the changes its anchors made,
+        and its readers rebuild the states a block at a time."""
         scenario = dataclasses.replace(leaderless_scenario(seed=0),
                                        horizon=20.0)
         tracemalloc.start()
@@ -600,11 +599,8 @@ class TestRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        reserved = sum(getattr(record, name).base.nbytes for name in (
-            "anchors", "change_offsets", "change_cols", "change_xhat",
-            "change_q"))
         grid = record.rows * record.n * record.d * 8
-        assert peak - reserved < grid, (peak - reserved, grid)
+        assert peak < grid, (peak, grid)
 
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         doc = small_scenario_doc()
@@ -1195,8 +1191,8 @@ class TestExtremeInputs:
 
     def test_memory_checked_before_allocating(self, monkeypatch, tmp_path,
                                               capsys):
-        """A run whose record (~63 MB here) exceeds the memory allocates
-        nothing."""
+        """A run whose ``chi`` and times (~5.6 MB here) exceed the memory
+        allocates nothing."""
         monkeypatch.setattr(mwgraph, "physical_memory", lambda: float(1 << 20))
         tracemalloc.start()
         try:
@@ -1208,6 +1204,38 @@ class TestExtremeInputs:
         assert code == EXIT_VALIDATION
         assert "physical memory" in capsys.readouterr().err
         assert peak < 4 << 20
+
+    def test_record_sized_by_what_it_holds(self, monkeypatch, tmp_path):
+        """The reference run (20 001 rows, 997 anchors) in 4e6 bytes of
+        memory, where an anchor at every row that changes every column
+        would not fit, runs and writes the bytes of an unlimited run."""
+        sc = leaderless_scenario()
+        n, nd, rows = sc.graph.n, sc.graph.n * sc.graph.d, sc.step_count + 1
+        assert 8 * rows * (3 * nd + n + 3) > 4e6
+        argv = ["replicate-paper", "leaderless"]
+        assert main(argv + ["--out", str(tmp_path / "free")]) == EXIT_OK
+        monkeypatch.setattr(mwgraph, "physical_memory", lambda: 4e6)
+        assert main(argv + ["--out", str(tmp_path / "small")]) == EXIT_OK
+        (free,), (small,) = ((tmp_path / name).iterdir()
+                             for name in ("free", "small"))
+        assert file_hashes(small) == file_hashes(free)
+
+    def test_record_beyond_memory_mid_run_one_line(self, monkeypatch,
+                                                   tmp_path, capsys):
+        """In 1.5e6 bytes, the reference run's ``chi`` and times (1.1 MB)
+        pass validation, and the anchor whose changes would not fit ends
+        the run in one line, with exit 1 and no run directory."""
+        monkeypatch.setattr(mwgraph, "physical_memory", lambda: 1.5e6)
+        out_root = tmp_path / "runs"
+        assert main(["replicate-paper", "leaderless", "--out",
+                     str(out_root)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(
+            r"validation: \d+ anchors with \d+ changes at t=[\d.]+ need "
+            r"0\.0014 GiB of record arrays, more than the 0\.0014 GiB of "
+            r"physical memory\n", err), err
+        assert not out_root.exists()
 
 
 class TestReplicate:

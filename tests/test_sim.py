@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import gc
 import math
+import sys
 import weakref
 from decimal import Decimal, localcontext
 
@@ -133,24 +134,27 @@ class TestValidation:
             1, 500, horizon=0.01)[0],
     ], ids=["leaderless", "leader-follower", "random-n500"])
     def test_memory_refusal_counts_the_record_bytes(self, make, monkeypatch):
-        """The refusal sizes exactly the arrays ``sim.run`` reserves: for
-        its record the one each record array is a view of, and ``times``.
-        The step loop keeps no window of states."""
-        sc, needs = make(), []
+        """Validation sizes exactly what is certain, ``chi`` and ``times``;
+        each anchor then counts the record with it, its anchor and change
+        arrays twice (a buffer may move as it grows), so the last count is
+        that of the finished record."""
+        sc, needs = make(), {"of arrays": [], "of record arrays": []}
         refusal = sim.mwgraph.memory_refusal
 
         def spy(need, what, use):
-            if use == "of arrays":
-                needs.append(need)
+            if use in needs:
+                needs[use].append(need)
             return refusal(need, what, use)
 
         monkeypatch.setattr(sim.mwgraph, "memory_refusal", spy)
         record = run(sc)
-        reserved = [getattr(record, name).base for name in (
-            "chi", "anchors", "change_offsets", "change_cols",
-            "change_xhat", "change_q")]
-        assert needs == [sum(a.nbytes for a in reserved)
-                         + record.times.nbytes]
+        grid = record.chi.base.nbytes + record.times.nbytes
+        held = sum(getattr(record, name).nbytes for name in (
+            "anchors", "change_offsets", "change_cols", "change_xhat",
+            "change_q"))
+        assert needs["of arrays"] == [grid]
+        assert len(needs["of record arrays"]) == len(record.anchors)
+        assert needs["of record arrays"][-1] == grid + 2 * held
 
     def test_x0_shape_checked(self):
         sc = tiny_scenario(x0=np.zeros(5))
@@ -540,6 +544,22 @@ class TestAnchors:
                                                held_q))
         assert np.signbit(states).tolist() \
             == [[True, True]] + [[False, True]] * 100 + [[False, False]] * 200
+
+    def test_held_buffers_grow_with_what_they_hold(self):
+        """On a run that fires at nearly every one of its 10 001 rows, the
+        buffers behind the anchor and change arrays, their unused room
+        included, hold at most twice their 8 bytes per anchor row and
+        offset and 24 per change: nothing is reserved for rows that are no
+        anchor or columns that did not change."""
+        rec = run(dataclasses.replace(zero_error_fire_scenario(),
+                                      horizon=5000.0))
+        assert len(rec.anchors) > 0.99 * rec.rows
+        buffers = sum(sys.getsizeof(getattr(rec, name).base.obj)
+                      for name in ("anchors", "change_offsets", "change_cols",
+                                   "change_xhat", "change_q"))
+        assert buffers <= 2 * (16 * len(rec.anchors)
+                               + 24 * len(rec.change_cols))
+
     def test_blocks_read_any_range(self, record, monkeypatch):
         """``blocks`` reads any row range in consecutive ranges of at most a
         quarter of ``WINDOW_VALUES`` state values (or one row), with their

@@ -79,14 +79,21 @@ def physical_memory() -> float:
 
 def memory_refusal(need: float, what: str, use: str) -> Optional[str]:
     """Why ``what`` may not allocate ``need`` bytes for ``use``, or ``None``
-    when that is less than physical memory."""
+    when that is less than physical memory.  Both sizes are printed with
+    the fewest significant digits, at least 3, at which they read apart."""
     have = physical_memory()
     if need < have:
         return None
     # An int beyond float range (from n = 10**400, say) cannot be divided.
     gib = need / 2**30 if need < 2**1000 else float("inf")
-    return (f"{what} need {gib:.3g} GiB {use}, more than the "
-            f"{have / 2**30:.3g} GiB of physical memory")
+    have_gib = have / 2**30
+    digits = 3
+    # Ends by 17 digits, which tell any two doubles apart.
+    while gib != have_gib and f"{gib:.{digits}g}" == f"{have_gib:.{digits}g}":
+        digits += 1
+    return (f"{what} need {gib:.{digits}g} GiB {use}, "
+            f"{'more than' if gib > have_gib else 'all of'} the "
+            f"{have_gib:.{digits}g} GiB of physical memory")
 
 
 def _weights_refusal(d: int, count: int) -> Optional[str]:

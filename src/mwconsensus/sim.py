@@ -17,7 +17,11 @@ auxiliary variable obeys ``chi' = -beta chi - delta g``, whose exact solution,
 
 with the exponential-integrator functions ``phi_k`` (Hochbruck & Ostermann,
 Acta Numerica 2010), is evaluated from the anchor, so no step limit applies
-and every value is independent of how the grid is split.
+and every value is independent of how the grid is split.  Its factors
+``e^z``, ``delta tau`` and ``phi_1..phi_3`` depend on the offset ``s`` alone,
+so each scenario builds them once per offset
+(:meth:`CompiledScenario.chi_factors`) into a table of at most a quarter of
+:data:`WINDOW_VALUES` float64 values; windows past it build their own rows.
 
 :func:`step` advances a window of grid steps and stops at the first step
 at which an agent fires.  Its states, like chi, are the closed form from
@@ -340,17 +344,18 @@ class TrajectoryRecord:
 
 @dataclass
 class SimState:
-    """State at grid index ``k``: broadcasts, the held control, and the
-    anchor (grid index ``anchor`` of the last broadcast, with the state
-    ``x_anchor`` and the threshold ``chi_anchor`` there and the coefficients
-    ``excess`` = (c0, c1, c2) of each agent's trigger excess in grid steps
-    since it).  ``x_anchor`` is the closed form of the step at which the
-    agents fired, or the compiled ``x0`` at t = 0: the record keeps no
-    rows."""
+    """State at grid index ``k``: broadcasts, the held control ``q`` and its
+    step ``dq = dt q``, and the anchor (grid index ``anchor`` of the last
+    broadcast, with the state ``x_anchor`` and the threshold ``chi_anchor``
+    there and the coefficients ``excess`` = (c0, c1, c2) of each agent's
+    trigger excess in grid steps since it).  ``x_anchor`` is the closed form
+    of the step at which the agents fired, or the compiled ``x0`` at t = 0:
+    the record keeps no rows."""
 
     k: int
     xhat: np.ndarray
     q: np.ndarray
+    dq: np.ndarray
     anchor: int
     x_anchor: np.ndarray
     chi_anchor: np.ndarray
@@ -403,6 +408,37 @@ class CompiledScenario:
         self.sigma, self.theta, self.beta = p.sigma, p.theta, p.beta
         self.delta = np.zeros_like(p.delta) if self.static_baseline else p.delta
         self.chi0 = p.chi0
+        # chi_factors' table of rows from offset 0: none until a step asks.
+        self._chi_table = [np.empty((0, 1))]
+
+    def chi_factors(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The factors of chi's closed form at the offsets ``s = lo .. hi -
+        1`` grid steps since the anchor, one row per offset: ``s`` (a
+        column), ``e^z``, ``delta tau``, ``phi_1(z)``, ``phi_2(z)`` and ``2 s
+        phi_3(z)`` per agent, for ``tau = s dt`` and ``z = -beta tau``.
+
+        They depend on the offset alone, so the rows from offset 0 are kept
+        in a table that doubles as windows reach further offsets, up to a
+        quarter of :data:`WINDOW_VALUES` float64 values in all; a window
+        past that gets rows built for it alone, by the same formula.  Each
+        value depends on its own offset and agent alone, so a row has the
+        same bits from the table as built for one window."""
+        table = self._chi_table
+        if hi > len(table[0]):
+            # Rows in the cap: a row holds s and five values per agent.
+            cap = WINDOW_VALUES // 4 // (5 * self.n + 1)
+            rows = min(cap, max(hi, 2 * len(table[0])))
+            first, last = (0, rows) if hi <= rows else (lo, hi)
+            s = np.arange(float(first), float(last))[:, None]
+            tau = s * self.dt
+            z = tau * -self.beta
+            phi1, phi2, phi3 = _phi(z)
+            table = [s, np.exp(z), self.delta * tau, phi1, phi2,
+                     2.0 * s * phi3]
+            if hi > rows:
+                return table
+            self._chi_table = table
+        return [f[lo:hi] for f in table]
 
     def _relative(self, nodes: np.ndarray, arcs=slice(None)) -> np.ndarray:
         """``p_ij`` of the arcs ``arcs`` (all by default) from the states of
@@ -475,15 +511,15 @@ def _anchored(compiled: CompiledScenario, k: int, x: np.ndarray,
     a coefficient stays finite whenever one step's error does."""
     n, d = compiled.n, compiled.d
     q, slack = compiled.held_terms(xhat)
-    e0 = (xhat - x).reshape(n, d)
-    dq = (compiled.dt * q).reshape(n, d)
+    dq = compiled.dt * q
+    e0, dqb = (xhat - x).reshape(n, d), dq.reshape(n, d)
     # For huge weights the gain times a square may still exceed float64.
     with np.errstate(over="ignore"):
         excess = np.array([
             compiled.gain * np.einsum("ij,ij->i", e0, e0) - slack,
-            -2.0 * compiled.gain * np.einsum("ij,ij->i", e0, dq),
-            compiled.gain * np.einsum("ij,ij->i", dq, dq)])
-    return SimState(k, xhat, q, k, x, chi, excess)
+            -2.0 * compiled.gain * np.einsum("ij,ij->i", e0, dqb),
+            compiled.gain * np.einsum("ij,ij->i", dqb, dqb)])
+    return SimState(k, xhat, q, dq, k, x, chi, excess)
 
 
 def initial_sim_state(compiled: CompiledScenario) -> SimState:
@@ -545,11 +581,14 @@ def step(state: SimState, compiled: CompiledScenario, chi: np.ndarray
     a window of ``w >= 1`` steps; the rows up to the step the window ends
     at are filled, later ones are left unspecified.  Every value is the
     closed form in the ``s`` grid steps since the anchor: (a) the exact
-    affine state ``state.x_anchor + s (dt q)``, checked against the
+    affine state ``state.x_anchor + s state.dq``, checked against the
     divergence guard (a window ends before the first step that fails the
     guard; :class:`Diverged` is raised when that is its first step); (b)
     the threshold and (c) the trigger test at the step's end, both from the
-    excess polynomial ``state.excess``.  At the first step where an agent
+    excess polynomial ``state.excess``, the threshold with the factors of
+    its offsets from :meth:`CompiledScenario.chi_factors` (rows of a table
+    of at most a quarter of :data:`WINDOW_VALUES` values, or built for the
+    window past it).  At the first step where an agent
     fires, (d) every agent that fired rebroadcasts atomically, which renews
     the held terms and the anchor.  A window of one step is one grid step.
     Returns the state where the window ended and the agents that fired
@@ -562,11 +601,11 @@ def step(state: SimState, compiled: CompiledScenario, chi: np.ndarray
     Only a window whose last row fails evaluates its rows, to find the
     first that fails; otherwise the fired row is the one row evaluated.
     """
-    n, d, dt = compiled.n, compiled.d, compiled.dt
+    n, d = compiled.n, compiled.d
     w = len(chi)
     offset = state.k - state.anchor
-    s = np.arange(offset + 1.0, offset + w + 1.0)[:, None]
-    dq = dt * state.q
+    factors = compiled.chi_factors(offset + 1, offset + w + 1)
+    s, dq = factors[0], state.dq
     # Rows past a divergence may overflow; they are cut before any use.
     with np.errstate(over="ignore", invalid="ignore"):
         # False for inf and nan too.
@@ -576,16 +615,14 @@ def step(state: SimState, compiled: CompiledScenario, chi: np.ndarray
             w = int(np.argmin(peak <= DIVERGENCE_GUARD))
             if w == 0:
                 raise Diverged(f"state norm exceeded {DIVERGENCE_GUARD:g} "
-                               f"at t={(state.k + 1) * dt:g}")
-            chi, s = chi[:w], s[:w]
+                               f"at t={(state.k + 1) * compiled.dt:g}")
+            chi, factors = chi[:w], [f[:w] for f in factors]
 
-    tau = s * dt
-    z = tau * -compiled.beta
-    phi1, phi2, phi3 = _phi(z)
+    s, ez, dtau, phi1, phi2, phi3s = factors
     c0, c1, c2 = state.excess
     lhs = compiled.theta * (c0 + s * (c1 + s * c2))
-    chi[:] = np.exp(z) * state.chi_anchor - compiled.delta * tau * (
-        phi1 * c0 + s * (phi2 * c1 + 2.0 * s * phi3 * c2))
+    chi[:] = ez * state.chi_anchor - dtau * (
+        phi1 * c0 + s * (phi2 * c1 + phi3s * c2))
     hits = lhs > (0.0 if compiled.static_baseline else chi)
     fire_rows = np.flatnonzero(hits.any(axis=1))
     if not fire_rows.size:

@@ -1224,18 +1224,39 @@ class TestExtremeInputs:
                                                    tmp_path, capsys):
         """In 1.5e6 bytes, the reference run's ``chi`` and times (1.1 MB)
         pass validation, and the anchor whose changes would not fit ends
-        the run in one line, with exit 1 and no run directory."""
+        the run in one line, with exit 1 and no run directory.  The need
+        (1 500 360 bytes) reads larger than the memory: both are printed
+        with as many digits as tell them apart."""
         monkeypatch.setattr(mwgraph, "physical_memory", lambda: 1.5e6)
         out_root = tmp_path / "runs"
         assert main(["replicate-paper", "leaderless", "--out",
                      str(out_root)]) == EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert out == ""
-        assert re.fullmatch(
+        match = re.fullmatch(
             r"validation: \d+ anchors with \d+ changes at t=[\d.]+ need "
-            r"0\.0014 GiB of record arrays, more than the 0\.0014 GiB of "
-            r"physical memory\n", err), err
+            r"([\d.]+) GiB of record arrays, more than the ([\d.]+) GiB of "
+            r"physical memory\n", err)
+        assert match, err
+        need, have = match.groups()
+        assert float(need) > float(have)
+        assert float(have) == pytest.approx(1.5e6 / 2**30, rel=1e-3)
         assert not out_root.exists()
+
+    @pytest.mark.parametrize("need, text", [
+        (1_500_360.0, "need 0.0013973 GiB of arrays, more than the 0.001397 "
+                      "GiB of physical memory"),
+        (1_500_000.0, "need 0.0014 GiB of arrays, all of the 0.0014 GiB of "
+                      "physical memory"),
+        (3.0 * 2**30, "need 3 GiB of arrays, more than the 0.0014 GiB of "
+                      "physical memory"),
+    ], ids=["close", "equal", "apart"])
+    def test_refusal_sizes_read_apart(self, need, text, monkeypatch):
+        """Each size gets the fewest digits, at least 3, at which the two
+        differ, and a need equal to the memory, refused too, reads so."""
+        monkeypatch.setattr(mwgraph, "physical_memory", lambda: 1.5e6)
+        assert mwgraph.memory_refusal(need, "run", "of arrays") \
+            == f"run {text}"
 
 
 class TestReplicate:

@@ -1311,6 +1311,69 @@ class TestWindowWidth:
         assert str(info.value) == message
         assert_same_record(info.value.partial_record, arrays, events)
 
+    @pytest.mark.parametrize("make", [
+        lambda: dataclasses.replace(leaderless_scenario(seed=0), horizon=2.0),
+        lambda: dataclasses.replace(leader_follower_scenario(seed=0),
+                                    horizon=1.0),
+        lambda: dataclasses.replace(leaderless_scenario(seed=0), horizon=2.0,
+                                    baseline="static"),
+    ], ids=["leaderless", "leader-follower", "static"])
+    def test_factors_past_the_table_equal_run(self, make, monkeypatch):
+        """With ``WINDOW_VALUES`` patched so that the table of chi's factors
+        holds two offsets, nearly every window builds its own rows (and
+        windows hold at most 10 rows): the record is the unpatched one bit
+        for bit."""
+        want = record_bytes(run(make()))
+        sc = make()
+        monkeypatch.setattr(sim, "WINDOW_VALUES", 4 * (5 * sc.graph.n + 1) * 2)
+        rec = run(sc)
+        assert record_bytes(rec) == want
+        assert len(sc.compiled._chi_table[0]) == 2
+        # Windows reached offsets far past the table's two.
+        longest = max(np.diff(np.unique(np.concatenate(rec.events))))
+        assert longest > 20 * sc.dt
+
+
+def record_bytes(rec):
+    """Everything ``sim.run`` records, as bytes: chi, the anchors, their
+    changes and every agent's events."""
+    return [getattr(rec, name).tobytes() for name in (
+        "chi", "anchors", "change_offsets", "change_cols", "change_xhat",
+        "change_q")] + [e.tobytes() for e in rec.events]
+
+
+class TestChiFactorTable:
+    """chi's per-offset factors are kept per scenario in a table of at
+    most a quarter of ``WINDOW_VALUES`` float64 values."""
+
+    def test_second_run_on_grown_table_equal(self):
+        """A second run of one scenario starts on the table that the first
+        grew, and records the same bits."""
+        sc = leaderless_scenario(seed=0)
+        first = record_bytes(run(sc))
+        grown = len(sc.compiled._chi_table[0])
+        assert grown > 200
+        assert record_bytes(run(sc)) == first
+        assert len(sc.compiled._chi_table[0]) == grown
+
+    def test_table_capped(self):
+        """At consensus nothing fires, so the windows of 5000 steps reach
+        offsets far past the cap of 16384 // 11 = 1489 rows for n = 2: the
+        table stops below it (at the 730 offsets of the last window that
+        fit), and the rows built for a window past it have the table's
+        bits."""
+        sc = tiny_scenario(x0=np.array([0.5, 0.5]), horizon=5.0)
+        rec = run(sc)
+        assert len(rec.anchors) == 1 and rec.rows == 5001
+        compiled = sc.compiled
+        table = compiled._chi_table
+        assert sum(f.size for f in table) <= sim.WINDOW_VALUES // 4
+        assert len(table[0]) == 730
+        past = compiled.chi_factors(500, 2000)
+        assert compiled._chi_table is table and len(past[0]) == 1500
+        for got, kept in zip(past, table):
+            assert got[:230].tobytes() == kept[500:].tobytes()
+
 
 class TestGuardPrefix:
     """``step`` checks the divergence guard on a window's last row alone.

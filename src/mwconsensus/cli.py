@@ -310,9 +310,9 @@ def cmd_check(args) -> int:
     refuse the scenario; exit 1 if there is one."""
     scenario, _ = _load(args.scenario, args)
     g = scenario.graph
-    print(f"graph: n={g.n} agents, d={g.d}, {len(g.table)} edges")
-    for (i, j), cls in zip(g.table.ends.tolist(), g.table.cls):
-        print(f"  edge ({i},{j}): {cls.value}")
+    print("\n".join([f"graph: n={g.n} agents, d={g.d}, {len(g.table)} edges",
+                     *(f"  edge ({i},{j}): {cls.value}" for (i, j), cls
+                       in zip(g.table.ends.tolist(), g.table.cls))]))
     report = mwgraph.verify_assumption1(g)
     if g.signs is None:
         print("structural balance: IMBALANCED")

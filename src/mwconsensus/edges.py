@@ -12,6 +12,7 @@ an edge is named by its row.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,18 +43,19 @@ def class_signs(classes) -> np.ndarray:
                        dtype=np.int8, count=len(classes))
 
 
-def ends_array(pairs) -> np.ndarray:
-    """``(E, 2)`` edge ends: int64, or Python ints in an object array where
-    one does not fit.  Ends that are not integers are refused."""
-    ends = np.array(pairs, dtype=np.int64 if not pairs else None)
-    ends = ends.reshape(-1, 2)
+def ends_array(first, second) -> np.ndarray:
+    """``(E, 2)`` edge ends from the columns of first and second ends:
+    int64, or Python ints in an object array where one does not fit.  Ends
+    that are not integers are refused."""
+    columns = (first, second)
+    ends = np.array(columns, dtype=None if len(first) else np.int64)
     if ends.dtype.kind not in "iub":
-        ends = np.array(pairs, dtype=object).reshape(-1, 2)
-        for i, j in ends.tolist():
+        ends = np.array(columns, dtype=object).reshape(2, -1)
+        for i, j in ends.T.tolist():
             if not (isinstance(i, numbers.Integral)
                     and isinstance(j, numbers.Integral)):
                 raise GraphFormatError(f"edge ({i},{j}): ends must be integers")
-    return ends
+    return np.ascontiguousarray(ends.reshape(2, -1).T)
 
 
 def read_only(*arrays: np.ndarray) -> None:
@@ -152,9 +154,13 @@ class Faults:
 
 def weight_stack(raws: list, d: int, faults: Faults) -> np.ndarray:
     """The weights ``raws`` as one ``(E, d, d)`` float stack, converted in
-    one call when they are all d*d numbers of one form; otherwise one at a
-    time, up to the first that is not, which is refused."""
+    one call when they are all d*d numbers of one form (one pass over the
+    chained items when each is a flat list of d*d); otherwise one at a time,
+    up to the first that is not, which is refused."""
     try:
+        if set(map(type, raws)) <= {list} and set(map(len, raws)) <= {d * d}:
+            return np.fromiter(itertools.chain.from_iterable(raws), float,
+                               count=len(raws) * d * d).reshape(-1, d, d)
         stack = np.array(raws, dtype=float)
         if stack.shape[:1] == (len(raws),) and \
                 stack.size == len(raws) * d * d:

@@ -10,9 +10,12 @@ weights of one call as one stacked ``(E, d, d)`` array, decomposes them
 with one ``eigh`` (plus one of the few whose declared class projects
 eigenvalue noise away) and classifies them with one call.  An edge is named
 by its row in the table (:meth:`MatrixWeightedGraph.edge` finds it by its
-ends).  Input couplings are edge tables too.  The loaders take
-``(i, j, weight[, class])`` tuples; reading them from a scenario document
-is :mod:`mwconsensus.scenario_io`'s job.  On top of the graph itself this
+ends).  Input couplings are edge tables too.  The loader,
+:func:`load_edges`, takes its edges as columns (ends, weights, declared
+classes); :meth:`MatrixWeightedGraph.from_edges` and
+:meth:`InputCoupling.from_entries` transpose ``(i, j, weight[, class])``
+tuples into them, and reading them from a scenario document is
+:mod:`mwconsensus.scenario_io`'s job.  On top of the graph itself this
 module derives the block Laplacian, the input-extended graph, structural
 balance, and the two structural assumptions that the consensus protocols
 require.
@@ -37,6 +40,7 @@ import bisect
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Optional
 
 import numpy as np
@@ -116,38 +120,43 @@ _DECLARED_SIGN = {None: 0, **{c.value: linalg.CLASS_SIGN[c] or _NO_SIGN
                               for c in DefinitenessClass}}
 
 
-def _load_edges(specs: Iterable[tuple], d: int, kind: str) -> EdgeTable:
-    """The table of ``(i, j, weight)`` or ``(i, j, weight, declared_class)``
-    specs, whose weights are validated, decomposed, optionally projected and
-    classified as one ``(E, d, d)`` stack: the one check every weight gets.
-    Each weight is read-only and exactly symmetric, and the table keeps its
-    ``eigh`` pair.
-
-    A refusal names the lowest-index faulty spec, as ``kind (i,j)``, and the
-    first check in this order that it fails: its shape, non-finite entries,
-    asymmetry, the name of its declared class, that class being
-    sign-definite, a spectrum that overflows, a declared class contradicted
-    beyond :data:`CLASS_DECLARATION_TOL`, and a class that is not
-    sign-definite.  A refusal that ``specs`` raises while producing spec k
-    counts as spec k's.
-    """
-    read, late = [], None
-    try:
-        read.extend(specs)  # keeps the specs produced before a refusal
-    except GraphFormatError as exc:
-        late = exc
-    for k, spec in enumerate(read):
+def _spec_columns(specs: Iterable[tuple], kind: str) -> tuple:
+    """The columns ``(first ends, second ends, weights, declared classes)``
+    of ``(i, j, weight)`` or ``(i, j, weight, declared_class)`` specs, a
+    declared class ``None`` where a spec has none."""
+    specs = list(specs)
+    for k, spec in enumerate(specs):
         if len(spec) not in (3, 4):
             raise GraphFormatError(f"{kind} spec {k}: expected (i, j, weight) "
                                    f"or (i, j, weight, class), got "
                                    f"{len(spec)} items")
-    first, second, raws, declared = zip(*(
-        spec if len(spec) == 4 else (*spec, None) for spec in read)) \
-        if read else ((), (), (), ())
-    refusal = _weights_refusal(d, len(read))
+    if not specs:
+        return (), (), (), ()
+    return tuple(zip(*(spec if len(spec) == 4 else (*spec, None)
+                       for spec in specs)))
+
+
+def load_edges(d: int, kind: str, first, second, raws, declared,
+                late: Optional[GraphFormatError] = None) -> EdgeTable:
+    """The table of the edge columns ``first`` and ``second`` (ends),
+    ``raws`` (weights) and ``declared`` (class names, ``None`` for no
+    declaration), whose weights are validated, decomposed, optionally
+    projected and classified as one ``(E, d, d)`` stack: the one check
+    every weight gets.  Each weight is read-only and exactly symmetric, and
+    the table keeps its ``eigh`` pair.
+
+    A refusal names the lowest-index faulty row, as ``kind (i,j)``, and the
+    first check in this order that it fails: its shape, non-finite entries,
+    asymmetry, the name of its declared class, that class being
+    sign-definite, a spectrum that overflows, a declared class contradicted
+    beyond :data:`CLASS_DECLARATION_TOL`, and a class that is not
+    sign-definite.  ``late`` is a refusal pending for the row just past the
+    columns (a document reader's): it is raised when no row is faulty.
+    """
+    refusal = _weights_refusal(d, len(raws))
     if refusal:
         raise GraphFormatError(refusal)
-    faults = Faults(len(read), late,
+    faults = Faults(len(raws), late,
                     lambda k: f"{kind} ({first[k]},{second[k]})")
     raw = weight_stack(raws, d, faults)
     faults.refuse(~np.isfinite(raw).all(axis=(1, 2)),
@@ -157,8 +166,9 @@ def _load_edges(specs: Iterable[tuple], d: int, kind: str) -> EdgeTable:
     scale = np.maximum(1.0, np.abs(raw).max(axis=(1, 2), initial=0.0))
     faults.refuse(dev > SYMMETRY_REJECT_TOL * scale,
                   lambda k: f"weight is asymmetric (max deviation {dev[k]:.6g})")
-    target_sign = np.array([_DECLARED_SIGN.get(name, _UNKNOWN)
-                            for name in declared[:faults.limit]], dtype=np.int8)
+    target_sign = np.fromiter(
+        map(_DECLARED_SIGN.get, declared[:faults.limit], repeat(_UNKNOWN)),
+        dtype=np.int8, count=faults.limit)
     faults.refuse(target_sign == _UNKNOWN, lambda k: (
         f"unknown class {declared[k]!r}; expected one of "
         f"{sorted(_CLASS_NAMES)}"))
@@ -196,8 +206,7 @@ def _load_edges(specs: Iterable[tuple], d: int, kind: str) -> EdgeTable:
                              "sign-definite (pd/psd/nd/nsd) weights are "
                              "admissible"))
     faults.raise_any()
-    return EdgeTable(ends_array(list(zip(first, second))), weight, vals, vecs,
-                     classes)
+    return EdgeTable(ends_array(first, second), weight, vals, vecs, classes)
 
 
 def _require_table(table, owner: str) -> None:
@@ -239,7 +248,7 @@ class MatrixWeightedGraph:
                    edges: Iterable[tuple]) -> "MatrixWeightedGraph":
         """Build from ``(i, j, weight)`` or ``(i, j, weight, declared_class)``
         tuples; weights are validated and decomposed as at file load."""
-        return cls(n, d, _load_edges(edges, d, "edge"))
+        return cls(n, d, load_edges(d, "edge", *_spec_columns(edges, "edge")))
 
     @cached_property
     def _index(self) -> tuple[list, list, list]:
@@ -340,30 +349,38 @@ def definite_quotient(g: MatrixWeightedGraph) -> MatrixWeightedGraph:
     order of their first edge; those inside a component are dropped.  On a
     balanced graph the quotient's Laplacian has the nullity of ``g``'s: a
     gauge-signed kernel vector is constant on each component, where an
-    inner edge adds exactly zero."""
+    inner edge adds exactly zero.
+
+    Each component is labelled by its lowest member in array passes: every
+    edge hooks the larger of its ends' labels to the smaller, then labels
+    jump to their labels' labels until none changes, until no edge joins
+    two labels."""
     t = g.table
-    parent = list(range(g.n))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     definite = np.fromiter(map({PD, ND}.__contains__, t.cls), dtype=bool,
                            count=len(t))
-    for i, j in t.ends[definite].tolist():
-        a, b = root(i), root(j)
-        parent[max(a, b)] = min(a, b)  # a root is its component's minimum
-    roots = [root(i) for i in range(g.n)]
-    label = {r: k for k, r in enumerate(dict.fromkeys(roots))}
-    ends = np.array(roots, dtype=np.int64)[t.ends]
+    i, j = t.ends[definite].T
+    label = np.arange(g.n)
+    while True:
+        a, b = label[i], label[j]
+        if (a == b).all():
+            break
+        # The labels are roots, so an edge inside one hooks it to itself.
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
+    # The lowest members label themselves; numbered in their order.
+    number = np.cumsum(label == np.arange(g.n)) - 1
+    ends = number[label[t.ends]]
     across = np.flatnonzero(ends[:, 0] != ends[:, 1])
     between: dict[tuple[int, int], int] = {}
     group = [between.setdefault((min(a, b), max(a, b)), len(between))
-             for a, b in ((label[i], label[j]) for i, j in ends[across].tolist())]
+             for a, b in ends[across].tolist()]
     if not between:  # no edge joins two components: nothing to decompose
-        return MatrixWeightedGraph(len(label), g.d, EdgeTable.empty(g.d))
+        return MatrixWeightedGraph(int(number[-1]) + 1, g.d,
+                                   EdgeTable.empty(g.d))
     w = np.zeros((len(between), g.d, g.d))
     with np.errstate(over="ignore"):  # an overflowed sum is refused below
         np.add.at(w, group, t.abs_weight[across])
@@ -371,7 +388,7 @@ def definite_quotient(g: MatrixWeightedGraph) -> MatrixWeightedGraph:
     if not np.isfinite(w).all():
         raise GraphFormatError(TOO_LARGE)
     vals, vecs = linalg.sym_eigen(w)
-    return MatrixWeightedGraph(len(label), g.d, EdgeTable(
+    return MatrixWeightedGraph(int(number[-1]) + 1, g.d, EdgeTable(
         np.array(list(between), dtype=np.int64).reshape(-1, 2), w, vals, vecs,
         linalg.classify_definiteness(vals)))
 
@@ -501,7 +518,8 @@ class InputCoupling:
     def from_entries(cls, entries: Iterable[tuple],
                      d: int) -> "InputCoupling":
         """Build from ``(agent, input, weight[, declared_class])`` tuples."""
-        return cls(_load_edges(entries, d, "input coupling"))
+        kind = "input coupling"
+        return cls(load_edges(d, kind, *_spec_columns(entries, kind)))
 
 
 def extended_graph(g: MatrixWeightedGraph,

@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterator, Optional
+from itertools import chain
+from operator import itemgetter
+from typing import Optional
 
 import numpy as np
 
 from .errors import GraphFormatError
-from .mwgraph import EdgeTable, InputCoupling, MatrixWeightedGraph
+from .mwgraph import EdgeTable, InputCoupling, MatrixWeightedGraph, \
+    load_edges
 from .sim import BASELINE_DYNAMIC, Scenario
 from .trigger import LeaderFollower, Leaderless, TriggerParams
 
@@ -147,20 +150,72 @@ def graph_to_dict(g: MatrixWeightedGraph,
     return doc
 
 
-def _json_entries(doc: dict, key: str,
-                  fields: tuple[str, ...]) -> Iterator[tuple]:
-    """``(*fields, weight, declared class)`` per entry of the array
-    ``doc[key]`` (see :func:`_json_weight`), type-checked one entry at a
-    time; the ``fields`` are integers and required with the weight."""
-    allowed, required = {*fields, "weight", "class"}, (*fields, "weight")
-    for k, entry in enumerate(_json_value(doc.get(key, []), "array", key)):
-        where = f"{key}[{k}]"
-        _section(entry, where, allowed, required)
-        declared = entry.get("class")
-        if declared is not None:
-            _json_value(declared, "string", f"{where}.class")
-        ints = (_json_value(entry[f], "integer", f"{where}.{f}") for f in fields)
-        yield (*ints, _json_weight(entry["weight"], f"{where}.weight"), declared)
+def _json_entry(entry, where: str, fields: tuple[str, ...]):
+    """The weight of one entry of an edge array as the loader takes it (see
+    :func:`_json_weight`), once the entry is type-checked: the ``fields``
+    are integers and required with the weight, and a class, when present,
+    is a string."""
+    _section(entry, where, {*fields, "weight", "class"}, (*fields, "weight"))
+    if "class" in entry:
+        _json_value(entry["class"], "string", f"{where}.class")
+    for f in fields:
+        _json_value(entry[f], "integer", f"{where}.{f}")
+    return _json_weight(entry["weight"], f"{where}.weight")
+
+
+def _json_columns(doc: dict, key: str, fields: tuple[str, ...]) -> tuple:
+    """The array ``doc[key]`` as the graph loader's columns: one per field,
+    the weights (see :func:`_json_weight`), the declared classes (``None``
+    where absent) and the pending refusal, ``None`` or that of the lowest
+    entry that :func:`_json_entry` refuses, which the columns stop before.
+
+    Each column is type-checked at once: the entries' key sets, then the
+    type set of each field and of the chained weight items.  Only an entry
+    that a column check does not clear (the refused one, or one whose
+    weight has another valid form, such as nested lists or integers) is
+    checked on its own."""
+    entries = _json_value(doc.get(key, []), "array", key)
+    allowed, required = {*fields, "weight", "class"}, {*fields, "weight"}
+    limit, refusal, read = len(entries), None, {}
+
+    def clear(flagged) -> None:
+        """Check the ``flagged`` rows below the limit on their own, lowest
+        first: the first refused becomes the limit, and each other keeps
+        its weight as it reads."""
+        nonlocal limit, refusal
+        for k in flagged:
+            if k >= limit:
+                return
+            try:
+                read[k] = _json_entry(entries[k], f"{key}[{k}]", fields)
+            except GraphFormatError as exc:
+                limit, refusal = k, exc
+
+    if not set(map(type, entries)) <= {dict}:
+        clear(k for k, e in enumerate(entries) if type(e) is not dict)
+    if not all(required <= keys <= allowed
+               for keys in set(map(frozenset, entries[:limit]))):
+        clear(k for k, e in enumerate(entries[:limit])
+              if not required <= e.keys() <= allowed)
+    rows = entries[:limit]
+    ends = [list(map(itemgetter(f), rows)) for f in fields]
+    for column in ends:
+        if not set(map(type, column)) <= {int}:
+            clear(k for k, v in enumerate(column) if type(v) is not int)
+    declared = [e.get("class") for e in rows]
+    if not set(map(type, declared)) <= {str}:
+        # An absent class reads as None; a null one is refused.
+        clear(k for k, (c, e) in enumerate(zip(declared, rows))
+              if type(c) is not str and (c is not None or "class" in e))
+    weights = list(map(itemgetter("weight"), rows))
+    if not (set(map(type, weights)) <= {list} and set(map(
+            type, chain.from_iterable(weights))) <= _FLOAT_TYPES):
+        clear(k for k, w in enumerate(weights) if not (
+            type(w) is list and set(map(type, w)) <= _FLOAT_TYPES))
+    for k, w in read.items():
+        if k < limit:
+            weights[k] = w
+    return (*(c[:limit] for c in (*ends, weights, declared)), refusal)
 
 
 def graph_from_dict(doc: dict) -> tuple[MatrixWeightedGraph, InputCoupling]:
@@ -170,10 +225,10 @@ def graph_from_dict(doc: dict) -> tuple[MatrixWeightedGraph, InputCoupling]:
         if _json_value(doc[key], "integer", f"graph.{key}") < 1:
             raise GraphFormatError(f"graph.{key}: must be a positive integer")
     n, d = doc["n"], doc["d"]
-    g = MatrixWeightedGraph.from_edges(
-        n, d, _json_entries(doc, "edges", ("i", "j")))
-    return g, InputCoupling.from_entries(
-        _json_entries(doc, "inputs", ("agent", "input")), d)
+    g = MatrixWeightedGraph(n, d, load_edges(
+        d, "edge", *_json_columns(doc, "edges", ("i", "j"))))
+    inputs = _json_columns(doc, "inputs", ("agent", "input"))
+    return g, InputCoupling(load_edges(d, "input coupling", *inputs))
 
 
 def _parse_params(doc: dict, n: int) -> TriggerParams:

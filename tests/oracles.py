@@ -55,6 +55,16 @@ which the package's one table of class signs is checked, and
 class, which the package computes for a whole stack from the signs.
 ``json_floats_walk`` is the item-by-item type walk of a weight array that
 the reader's level-wise check replaced.
+
+``json_entries`` is the document reader's per-entry check of an edge array,
+which its column checks replaced: it yields each entry's spec in turn and
+refuses the first faulty entry when it reaches it.  ``read_graph`` reads a
+graph section through it and ``load_edges``, in the order the package
+loaded a section when its loader pulled specs from that generator: the
+specs before the first refused entry, their memory check, their values,
+then the entry's refusal.  ``definite_quotient`` merges the components of
+the definite edges with a union-find, one edge at a time, against which the
+package's array passes are checked.
 """
 
 from __future__ import annotations
@@ -69,11 +79,12 @@ import numpy as np
 
 from mwconsensus import linalg, sim
 from mwconsensus.errors import GraphFormatError, MwcError, UnsupportedWeight
-from mwconsensus.edges import float_array
+from mwconsensus.edges import EdgeTable, float_array
 from mwconsensus.linalg import ND, NSD, PD, PSD, ZERO, DefinitenessClass
 from mwconsensus.mwgraph import CLASS_DECLARATION_TOL, SYMMETRY_REJECT_TOL, \
-    TOO_LARGE, InputCoupling, MatrixWeightedGraph, _CLASS_NAMES, kernel_mask
-from mwconsensus.scenario_io import _json_value
+    TOO_LARGE, InputCoupling, MatrixWeightedGraph, _CLASS_NAMES, \
+    _weights_refusal, kernel_mask
+from mwconsensus.scenario_io import _json_value, _json_weight, _section
 from mwconsensus.trigger import LeaderFollower
 
 
@@ -678,6 +689,101 @@ def load_edge(spec: tuple, d: int, kind: str) -> LoadedEdge:
 def load_edges(specs, d: int, kind: str) -> tuple[LoadedEdge, ...]:
     """Each spec through :func:`load_edge` in turn."""
     return tuple(load_edge(s, d, kind) for s in specs)
+
+
+def json_entries(doc: dict, key: str, fields: tuple[str, ...]):
+    """``(*fields, weight, declared class)`` per entry of the array
+    ``doc[key]``, type-checked one entry at a time; the ``fields`` are
+    integers and required with the weight, and a class, when present, is a
+    string."""
+    allowed, required = {*fields, "weight", "class"}, (*fields, "weight")
+    for k, entry in enumerate(_json_value(doc.get(key, []), "array", key)):
+        where = f"{key}[{k}]"
+        _section(entry, where, allowed, required)
+        declared = entry.get("class")
+        if "class" in entry:
+            _json_value(declared, "string", f"{where}.class")
+        ints = (_json_value(entry[f], "integer", f"{where}.{f}") for f in fields)
+        yield (*ints, _json_weight(entry["weight"], f"{where}.weight"), declared)
+
+
+def read_edges(doc: dict, key: str, fields: tuple[str, ...], d: int,
+               kind: str) -> EdgeTable:
+    """The table of the array ``doc[key]``: the specs :func:`json_entries`
+    yields before it refuses an entry, refused when their stack would not
+    fit in memory, then each through :func:`load_edge`, then the entry's
+    refusal."""
+    specs, late = [], None
+    try:
+        specs.extend(json_entries(doc, key, fields))
+    except GraphFormatError as exc:
+        late = exc
+    refusal = _weights_refusal(d, len(specs))
+    if refusal:
+        raise GraphFormatError(refusal)
+    edges = load_edges(specs, d, kind)
+    if late is not None:
+        raise late
+    if not edges:
+        return EdgeTable.empty(d)
+    return EdgeTable(
+        np.array([(e.i, e.j) for e in edges]),
+        np.array([e.weight for e in edges]),
+        *(np.array([e.eigen[k] for e in edges]) for k in (0, 1)),
+        np.array([e.cls for e in edges], dtype=object))
+
+
+def read_graph(doc: dict) -> tuple[MatrixWeightedGraph, InputCoupling]:
+    """The graph and input coupling of a graph section, its edge arrays
+    read by :func:`read_edges`."""
+    _section(doc, "graph", {"n", "d", "edges", "inputs"}, ("n", "d"))
+    for key in ("n", "d"):
+        if _json_value(doc[key], "integer", f"graph.{key}") < 1:
+            raise GraphFormatError(f"graph.{key}: must be a positive integer")
+    n, d = doc["n"], doc["d"]
+    g = MatrixWeightedGraph(n, d, read_edges(doc, "edges", ("i", "j"), d,
+                                             "edge"))
+    return g, InputCoupling(read_edges(doc, "inputs", ("agent", "input"), d,
+                                       "input coupling"))
+
+
+def definite_quotient(g: MatrixWeightedGraph) -> MatrixWeightedGraph:
+    """The quotient of ``g`` by the components of its definite edges, as
+    :func:`mwconsensus.mwgraph.definite_quotient` defines it, each
+    component found by a union-find over the definite edges."""
+    t = g.table
+    parent = list(range(g.n))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    definite = np.fromiter(map({PD, ND}.__contains__, t.cls), dtype=bool,
+                           count=len(t))
+    for i, j in t.ends[definite].tolist():
+        a, b = root(i), root(j)
+        parent[max(a, b)] = min(a, b)  # a root is its component's minimum
+    roots = [root(i) for i in range(g.n)]
+    label = {r: k for k, r in enumerate(dict.fromkeys(roots))}
+    ends = np.array(roots, dtype=np.int64)[t.ends]
+    across = np.flatnonzero(ends[:, 0] != ends[:, 1])
+    between: dict[tuple[int, int], int] = {}
+    group = [between.setdefault((min(a, b), max(a, b)), len(between))
+             for a, b in ((label[i], label[j]) for i, j in ends[across].tolist())]
+    if not between:
+        return MatrixWeightedGraph(len(label), g.d, EdgeTable.empty(g.d))
+    w = np.zeros((len(between), g.d, g.d))
+    with np.errstate(over="ignore"):
+        np.add.at(w, group, t.abs_weight[across])
+        w = linalg.symmetric(w)
+    if not np.isfinite(w).all():
+        raise GraphFormatError(TOO_LARGE)
+    vals, vecs = linalg.sym_eigen(w)
+    return MatrixWeightedGraph(len(label), g.d, EdgeTable(
+        np.array(list(between), dtype=np.int64).reshape(-1, 2), w, vals, vecs,
+        linalg.classify_definiteness(vals)))
 
 
 def json_floats_walk(value, where: str) -> None:

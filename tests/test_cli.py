@@ -30,6 +30,7 @@ from mwconsensus.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, \
 from mwconsensus.errors import Diverged
 from mwconsensus.trigger import LeaderFollower
 
+from test_scenario_io import assert_reads_as_reference
 from test_sim import zero_error_fire_scenario
 
 
@@ -1461,7 +1462,8 @@ class TestMalformedDocuments:
 
     def test_mutation_fuzz(self, tmp_path, capsys):
         """Seeded random edits of the bundled leader-follower document: every
-        mutant is accepted or rejected with at most one stderr line.  The
+        mutant is accepted or rejected with at most one stderr line, and
+        its graph read as the per-entry reader reads it.  The
         replacement values hold no large sizes (a huge ``n`` would allocate
         an adjacency index of up to the physical memory)."""
         rng = random.Random(20240607)
@@ -1477,6 +1479,7 @@ class TestMalformedDocuments:
             code, err = check_outcome(doc, tmp_path, capsys)
             assert code in (EXIT_OK, EXIT_VALIDATION), (doc, err)
             assert err.count("\n") <= 1 and "Traceback" not in err, err
+            assert_reads_as_reference(doc)
             outcomes.add(code)
         assert outcomes == {EXIT_OK, EXIT_VALIDATION}
 
@@ -1484,7 +1487,8 @@ class TestMalformedDocuments:
         """Seeded edits of one or two fields of the dumped builtin documents,
         ``graph.d`` set to every value among them, with values that include
         huge sizes: ``check`` exits 0, 1 or 2 with at most one stderr line,
-        never a traceback."""
+        never a traceback; the reader reads each as the per-entry reader
+        does."""
         rng = random.Random(20261019)
         pool = [None, True, -1, 0, 1e308, float("nan"), float("inf"), "", [],
                 {}, 10**30]
@@ -1507,6 +1511,7 @@ class TestMalformedDocuments:
             assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_DIVERGED), \
                 (fields, err)
             assert err.count("\n") <= 1 and "Traceback" not in err, err
+            assert_reads_as_reference(doc)
 
 
 def _paths(node, path):

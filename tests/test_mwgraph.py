@@ -536,6 +536,39 @@ class TestAssumption1:
         assert {(1, True, False), (1, False, False)} <= seen
         assert imbalanced == 0 if balanced else imbalanced >= 100
 
+    def test_quotient_matches_union_find(self):
+        """The array passes label the components the union-find labels:
+        the quotient is the same bit for bit on random graphs that mix
+        definite and semidefinite edges, with isolated nodes added, and on
+        a 20 000-node path in shuffled order, semidefinite every 1000th
+        edge."""
+        rng = np.random.default_rng(47)
+        graphs = []
+        for case in range(200):
+            g = random_mixed_graph(rng, balanced=case % 2 == 0)
+            graphs.append(g)
+            # The same edges among isolated nodes, relabelled at random.
+            n = g.n + int(rng.integers(1, 6))
+            place = rng.permutation(n)[:g.n]
+            t = g.table
+            graphs.append(MatrixWeightedGraph(n, g.d, EdgeTable(
+                place[t.ends], t.weight, t.vals, t.vecs, t.cls)))
+        graphs.append(MatrixWeightedGraph(4, 2, EdgeTable.empty(2)))
+        n = 20_000
+        order = rng.permutation(n)
+        specs = [(int(a), int(b), np.diag([1.0, float(k % 1000 != 999)]))
+                 for k, (a, b) in enumerate(zip(order[:-1], order[1:]))]
+        graphs.append(MatrixWeightedGraph.from_edges(n, 2, specs))
+        for g in graphs:
+            got, want = definite_quotient(g), oracles.definite_quotient(g)
+            assert got.n == want.n
+            for f in ("ends", "weight", "vals", "vecs"):
+                a, b = getattr(got.table, f), getattr(want.table, f)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), f
+            assert list(got.table.cls) == list(want.table.cls)
+        assert graphs[-1].n == 20_000 and definite_quotient(graphs[-1]).n == 20
+        assert len({definite_quotient(g).n < g.n for g in graphs}) == 2
+
     def test_ill_conditioned_definite_path(self):
         """Weights 1e9 and 1 on a path: one definite component, so the
         kernel is exactly the consensus line and the verdict holds, while
@@ -857,7 +890,8 @@ class TestBatchedLoader:
                      for k in range(int(rng.integers(0, 9)))]
             kind = ("edge", "input coupling")[case % 2]
             want = loaded(lambda: oracles.load_edges(specs, d, kind))
-            got = loaded(lambda: mwgraph._load_edges(iter(specs), d, kind))
+            got = loaded(lambda: mwgraph.load_edges(
+                d, kind, *mwgraph._spec_columns(specs, kind)))
             assert_same_edges(got, want)
             if isinstance(want, str):
                 refusals.append(want)
@@ -874,17 +908,20 @@ class TestBatchedLoader:
             assert any(line in r for r in refusals), line
 
     def test_refusal_raised_by_specs_yields_to_lower_faults(self):
-        """A spec the iterator cannot produce counts as faulty at its
-        position: a lower faulty spec is refused instead."""
-        def specs(first):
-            yield first
-            raise GraphFormatError("edges[1].weight entries: expected "
-                                   "number, got string")
+        """A refusal pending for the row past the columns (the document
+        reader's, for an entry it could not read) counts as faulty at its
+        position: a lower faulty row is refused instead."""
+        late = GraphFormatError("edges[1].weight entries: expected number, "
+                                "got string")
+
+        def load(declared):
+            return mwgraph.load_edges(1, "edge", [0], [1], [[-1.0]],
+                                       [declared], late)
 
         with pytest.raises(GraphFormatError, match=r"edge \(0,1\): eigenvalue"):
-            mwgraph._load_edges(specs((0, 1, [-1.0], "pd")), 1, "edge")
+            load("pd")
         with pytest.raises(GraphFormatError, match=r"edges\[1\]"):
-            mwgraph._load_edges(specs((0, 1, [1.0], "pd")), 1, "edge")
+            load("nd")
 
     def test_graph_documents_match_reference(self):
         """The document reader's own refusals (types, keys) interleave with
@@ -910,7 +947,7 @@ class TestBatchedLoader:
                     del entry["weight"]
                 entries.append(entry)
             doc = {"n": len(entries) + 1, "d": d, "edges": entries}
-            want = loaded(lambda: oracles.load_edges(scenario_io._json_entries(
+            want = loaded(lambda: oracles.load_edges(oracles.json_entries(
                 doc, "edges", ("i", "j")), d, "edge"))
             got = loaded(lambda: graph_from_dict(doc)[0].table)
             assert_same_edges(got, want)

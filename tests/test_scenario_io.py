@@ -1,15 +1,20 @@
 """Scenario document parsing, validation, and canonical round trips."""
 
+import copy
 import dataclasses
 import json
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import oracles
-from mwconsensus import scenario_io
+from conftest import perfbench_workloads
+from mwconsensus import mwgraph, scenario_io
 from mwconsensus.builtin import leader_follower_scenario, leaderless_scenario
 from mwconsensus.errors import GraphFormatError
+from mwconsensus.mwgraph import verify_assumption1
 from mwconsensus.scenario_io import dump_scenario, graph_from_dict, \
     graph_to_dict, load_scenario_text, parse_scenario, run_directory_name, \
     scenario_hash, scenario_to_dict
@@ -323,3 +328,190 @@ def test_declared_inputs_beyond_entries_rejected(top):
     with pytest.raises(GraphFormatError,
                        match=f"input 2 of m={top + 1} has no"):
         graph_from_dict(doc)
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the line of the format error it raises."""
+    try:
+        return f(*args)
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+def _assert_same_table(got, want):
+    assert got.ends.dtype == want.ends.dtype
+    for f in ("ends", "weight", "vals", "vecs"):
+        a, b = getattr(got, f), getattr(want, f)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), f
+    assert list(got.cls) == list(want.cls)
+
+
+def _nullity(g):
+    return verify_assumption1(g).nullity
+
+
+def assert_reads_as_reference(doc) -> None:
+    """``doc`` parses as it does with the per-entry reader and per-edge
+    loader of ``oracles.read_graph``: to the same first refusal line, or to
+    bitwise equal edge and coupling tables, definite quotients (the
+    union-find's on the reference graph) and Assumption-1 nullity (decided
+    on the union-find's quotient), or the same refusal of each."""
+    doc = copy.deepcopy(doc)
+    with mock.patch.object(scenario_io, "graph_from_dict", oracles.read_graph), \
+            mock.patch.object(mwgraph, "definite_quotient",
+                              oracles.definite_quotient):
+        want = _outcome(lambda: parse_scenario(doc)[0])
+        if not isinstance(want, str):
+            want_nullity = _outcome(_nullity, want.graph)
+    got = _outcome(lambda: parse_scenario(doc)[0])
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    g, ref = got.graph, want.graph
+    assert (g.n, g.d) == (ref.n, ref.d)
+    _assert_same_table(g.table, ref.table)
+    if isinstance(want.mode, LeaderFollower):
+        _assert_same_table(got.mode.coupling.table, want.mode.coupling.table)
+    quotient = _outcome(mwgraph.definite_quotient, g)
+    ref_quotient = _outcome(oracles.definite_quotient, ref)
+    if isinstance(quotient, str) or isinstance(ref_quotient, str):
+        assert quotient == ref_quotient
+    else:
+        assert quotient.n == ref_quotient.n
+        _assert_same_table(quotient.table, ref_quotient.table)
+    assert _outcome(_nullity, g) == want_nullity
+
+
+def _random_doc(seed):
+    sc, _ = perfbench_workloads().random_balanced_scenario(seed, 500)
+    return json.loads(scenario_io.dump_scenario(sc))
+
+
+def _edges(doc):
+    return doc["graph"]["edges"]
+
+
+def _nested(entry, d=4):
+    entry["weight"] = [entry["weight"][r * d:(r + 1) * d] for r in range(d)]
+
+
+def _end(entry, k):
+    """The name of an entry's ``k``-th end."""
+    return ("i", "j")[k] if "i" in entry else ("agent", "input")[k]
+
+
+def _with(weight, k, value):
+    return [value if m == k else v for m, v in enumerate(weight)]
+
+
+OPPOSITE = {"pd": "nd", "nd": "pd", "psd": "nsd", "nsd": "psd"}
+
+#: One fault of an edge or input entry: the faulty entry made from it.
+ENTRY_FAULTS = {
+    "end-boolean": lambda e: {**e, _end(e, 0): True},
+    "end-float": lambda e: {**e, _end(e, 1): 1.5},
+    "class-null": lambda e: {**e, "class": None},
+    "class-number": lambda e: {**e, "class": 3},
+    "class-unknown": lambda e: {**e, "class": "spd"},
+    "class-contradicted": lambda e: {**e, "class": OPPOSITE[e["class"]]},
+    "unknown-key": lambda e: {**e, "oops": 1},
+    "no-weight": lambda e: {k: v for k, v in e.items() if k != "weight"},
+    "weight-string": lambda e: {**e, "weight": _with(e["weight"], 5, "x")},
+    "weight-null": lambda e: {**e, "weight": _with(e["weight"], 0, None)},
+    "weight-short": lambda e: {**e, "weight": e["weight"][:-1]},
+    "weight-asymmetric": lambda e: {
+        **e, "weight": _with(e["weight"], 1, e["weight"][1] + 1e-3)},
+    "weight-ragged": lambda e: {**e, "weight": [[1.0], [2.0, 3.0]]},
+    "not-object": lambda e: [1],
+}
+
+
+class TestColumnReader:
+    """The reader checks an edge array a column at a time, and reads every
+    document as the per-entry reader does: the same first refusal, or the
+    same tables, quotient and nullity."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: json.loads(dump_scenario(leaderless_scenario())),
+        lambda: json.loads(dump_scenario(leader_follower_scenario())),
+        lambda: _random_doc(0), lambda: _random_doc(1)],
+        ids=["leaderless", "leader-follower", "random-n500-s0",
+             "random-n500-s1"])
+    def test_dumps(self, make):
+        assert_reads_as_reference(make())
+
+    @pytest.mark.parametrize("fault", ENTRY_FAULTS.values(),
+                             ids=ENTRY_FAULTS.keys())
+    def test_one_fault_among_1000(self, fault):
+        """A fault at the first, a middle and the last of 1000 entries."""
+        base = _random_doc(0)
+        assert len(_edges(base)) == 1000
+        for k in (0, 500, 999):
+            doc = copy.deepcopy(base)
+            _edges(doc)[k] = fault(_edges(doc)[k])
+            assert_reads_as_reference(doc)
+
+    @pytest.mark.parametrize("low,high", [("weight-asymmetric", "end-float"),
+                                          ("end-float", "weight-asymmetric"),
+                                          ("class-null", "weight-string"),
+                                          ("weight-string", "class-null")])
+    def test_lowest_of_two_faults(self, low, high):
+        """A value fault and a type fault: the lower entry's is refused,
+        whichever check finds it."""
+        doc = _random_doc(0)
+        for k, fault in ((3, low), (7, high)):
+            _edges(doc)[k] = ENTRY_FAULTS[fault](_edges(doc)[k])
+        assert_reads_as_reference(doc)
+        want = {"weight-asymmetric": "edge (", "end-float": "edges[3].j",
+                "class-null": "edges[3].class", "weight-string": "edges[3]"}
+        with pytest.raises(GraphFormatError, match=re.escape(want[low])):
+            parse_scenario(doc)
+
+    def test_other_weight_forms(self):
+        """Nested lists and integers are valid weights, each checked on its
+        own, among flat float ones and with faults after them."""
+        doc = _random_doc(1)
+        for e in _edges(doc)[::3]:
+            _nested(e)
+        for k, e in enumerate(_edges(doc)[1::3]):
+            # 2 I or -2 I, with a float zero in every other one.
+            two = 2 if e.pop("class") == "pd" else -2
+            e["weight"] = [two if m % 5 == 0 else 0 for m in range(16)]
+            e["weight"][1] = 0.0 if k % 2 else 0
+        assert_reads_as_reference(doc)
+        _edges(doc)[400] = ENTRY_FAULTS["weight-string"](_edges(doc)[400])
+        _nested(_edges(doc)[399])
+        _edges(doc)[399]["weight"][0][0] = True
+        assert_reads_as_reference(doc)
+
+    def test_omitted_class_and_reordered_keys(self):
+        doc = _random_doc(0)
+        for k, e in enumerate(_edges(doc)):
+            if k % 2:
+                e.pop("class")
+            _edges(doc)[k] = dict(reversed(e.items()))
+        assert_reads_as_reference(doc)
+        _edges(doc)[601]["class"] = None
+        assert_reads_as_reference(doc)
+
+    @pytest.mark.parametrize("fault", ENTRY_FAULTS.values(),
+                             ids=ENTRY_FAULTS.keys())
+    def test_inputs(self, fault):
+        """Input couplings are read by the same column checks, whatever
+        the order of their keys and the form of their weights."""
+        doc = _lf_doc()
+        inputs = doc["graph"]["inputs"]
+        inputs[:] = [dict(reversed(e.items())) for e in inputs]
+        _nested(inputs[0])
+        assert_reads_as_reference(doc)
+        inputs[1] = fault(inputs[1])
+        assert_reads_as_reference(doc)
+
+    @pytest.mark.parametrize("key", ["edges", "inputs"])
+    def test_null_class_refused(self, key):
+        """A class of null is a type fault, not an absent declaration."""
+        doc = _lf_doc()
+        doc["graph"][key][1]["class"] = None
+        with pytest.raises(GraphFormatError) as err:
+            parse_scenario(doc)
+        assert str(err.value) == f"{key}[1].class: expected string, got null"

@@ -88,14 +88,21 @@ def fit_decay_rate(times: np.ndarray, values: np.ndarray) -> Optional[float]:
 
     Points below ``FIT_FLOOR_RATIO * values[0]`` (and nonpositive points) are
     excluded.  Returns ``None`` (JSON ``null``, never NaN) when fewer than
-    two usable points remain.
+    two usable points remain or the rate is not finite.  The slope is from
+    sums over the times, centred and in units of their span (no underflow).
     """
     values = np.asarray(values, dtype=float)
     keep = values > max(FIT_FLOOR_RATIO * values[0], 0.0)
     if keep.sum() < 2:
         return None
-    slope = np.polyfit(times[keep], np.log(values[keep]), 1)[0]
-    return float(-slope)
+    t = times[keep]
+    span = float(t[-1] - t[0])
+    t = (t - t.mean()) / span
+    y = np.log(values[keep])
+    y -= y.mean()
+    # Python floats: a quotient past the float range is inf, not a warning.
+    rate = -float(np.sum(t * y)) / float(np.sum(t * t)) / span
+    return rate if np.isfinite(rate) else None
 
 
 def event_stats(record: TrajectoryRecord) -> RunSummary:
@@ -116,20 +123,20 @@ def event_stats(record: TrajectoryRecord) -> RunSummary:
     margins, chi_min = np.inf, np.inf
     for lo, states, chi, _ in record.blocks():
         if v is not None:
-            v[lo:lo + len(chi)] = (
-                lyapunov_lf(record, xtilde, states, chi) if lf
-                else lyapunov_leaderless(xtilde, states, chi))
+            with np.errstate(over="ignore"):  # V past float64 is inf
+                v[lo:lo + len(chi)] = (
+                    lyapunov_lf(record, xtilde, states, chi) if lf
+                    else lyapunov_leaderless(xtilde, states, chi))
         margins = np.minimum(margins, sim.chi_floor_check(
             sc.params, record.times[lo:lo + len(chi)], chi))
         chi_min = np.minimum(chi_min, chi.min())
     final = states[-1]
     final_err = rel_err = decay = None
     if xtilde is not None:
-        # np.sum's pairwise order: a vector np.linalg.norm takes a BLAS dot,
-        # which can differ in the last bit from the row norm of the record.
+        # np.sum's pairwise order, not np.linalg.norm's kernel-bound BLAS dot.
         diff = final - xtilde
         final_err = float(np.sqrt(np.sum(diff * diff)))
-        rel_err = final_err / max(1.0, float(np.linalg.norm(xtilde)))
+        rel_err = final_err / max(1.0, float(np.sqrt(np.sum(xtilde * xtilde))))
         decay = fit_decay_rate(record.times, v)
     dwell = sim.min_inter_event_from(
         record.events, sc.dt,

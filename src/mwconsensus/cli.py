@@ -13,9 +13,9 @@ Subcommands::
 ``builtin:leaderless`` / ``builtin:lf`` naming the bundled scenarios.
 
 Exit codes are stable: 0 success, 1 validation failure, 2 divergence,
-3 I/O error.  Artifact bytes are deterministic for a fixed seed, so runs can
-be diffed across machines; wall-clock timing is printed, never written into
-the artifacts.
+3 I/O error.  Artifact bytes repeat for a fixed seed on one host (numpy's
+SIMD dispatch and the BLAS kernel move them on another); wall-clock timing
+is printed, never written into the artifacts.
 """
 
 from __future__ import annotations

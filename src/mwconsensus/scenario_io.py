@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Optional
 
@@ -169,53 +169,32 @@ def _json_columns(doc: dict, key: str, fields: tuple[str, ...]) -> tuple:
     where absent) and the pending refusal, ``None`` or that of the lowest
     entry that :func:`_json_entry` refuses, which the columns stop before.
 
-    Each column is type-checked at once: the entries' key sets, then the
-    type set of each field and of the chained weight items.  Only an entry
-    that a column check does not clear (the refused one, or one whose
-    weight has another valid form, such as nested lists or integers) is
-    checked on its own."""
+    An array of objects whose key sets are allowed, whose fields are
+    integers, whose classes are strings and whose weights are flat lists of
+    floats, the form dumps write, is type-checked a column at a time; any
+    other array is checked by :func:`_json_entry` entry by entry."""
     entries = _json_value(doc.get(key, []), "array", key)
     allowed, required = {*fields, "weight", "class"}, {*fields, "weight"}
-    limit, refusal, read = len(entries), None, {}
-
-    def clear(flagged) -> None:
-        """Check the ``flagged`` rows below the limit on their own, lowest
-        first: the first refused becomes the limit, and each other keeps
-        its weight as it reads."""
-        nonlocal limit, refusal
-        for k in flagged:
-            if k >= limit:
-                return
+    weights, refusal = [], None
+    if (set(map(type, entries)) <= {dict}
+            and all(required <= keys <= allowed
+                    for keys in set(map(frozenset, entries)))
+            and all(set(map(type, map(itemgetter(f), entries))) <= {int}
+                    for f in fields)
+            and set(map(type, map(dict.get, entries, repeat("class")))) <= {str}
+            and set(map(type, map(itemgetter("weight"), entries))) <= {list}
+            and set(map(type, chain.from_iterable(
+                map(itemgetter("weight"), entries)))) <= _FLOAT_TYPES):
+        weights = list(map(itemgetter("weight"), entries))
+    else:
+        for k, entry in enumerate(entries):
             try:
-                read[k] = _json_entry(entries[k], f"{key}[{k}]", fields)
+                weights.append(_json_entry(entry, f"{key}[{k}]", fields))
             except GraphFormatError as exc:
-                limit, refusal = k, exc
-
-    if not set(map(type, entries)) <= {dict}:
-        clear(k for k, e in enumerate(entries) if type(e) is not dict)
-    if not all(required <= keys <= allowed
-               for keys in set(map(frozenset, entries[:limit]))):
-        clear(k for k, e in enumerate(entries[:limit])
-              if not required <= e.keys() <= allowed)
-    rows = entries[:limit]
-    ends = [list(map(itemgetter(f), rows)) for f in fields]
-    for column in ends:
-        if not set(map(type, column)) <= {int}:
-            clear(k for k, v in enumerate(column) if type(v) is not int)
-    declared = [e.get("class") for e in rows]
-    if not set(map(type, declared)) <= {str}:
-        # An absent class reads as None; a null one is refused.
-        clear(k for k, (c, e) in enumerate(zip(declared, rows))
-              if type(c) is not str and (c is not None or "class" in e))
-    weights = list(map(itemgetter("weight"), rows))
-    if not (set(map(type, weights)) <= {list} and set(map(
-            type, chain.from_iterable(weights))) <= _FLOAT_TYPES):
-        clear(k for k, w in enumerate(weights) if not (
-            type(w) is list and set(map(type, w)) <= _FLOAT_TYPES))
-    for k, w in read.items():
-        if k < limit:
-            weights[k] = w
-    return (*(c[:limit] for c in (*ends, weights, declared)), refusal)
+                entries, refusal = entries[:k], exc
+                break
+    return (*(list(map(itemgetter(f), entries)) for f in fields), weights,
+            [e.get("class") for e in entries], refusal)
 
 
 def graph_from_dict(doc: dict) -> tuple[MatrixWeightedGraph, InputCoupling]:

@@ -540,8 +540,9 @@ def _phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _phi_series(z)
     if not small.any():
         return _phi_expm1(z)
-    series = _phi_series(z)
-    # The expm1 branch never sees a small z, so it never divides by zero.
+    # Neither branch sees the other's z: the series' powers of a large one
+    # could overflow, and expm1's branch would divide by a small one.
+    series = _phi_series(np.where(small, z, 0.0))
     rec = _phi_expm1(np.where(small, -1.0, z))
     return tuple(np.where(small, s, r) for s, r in zip(series, rec))
 
@@ -620,7 +621,8 @@ def step(state: SimState, compiled: CompiledScenario, chi: np.ndarray
 
     s, ez, dtau, phi1, phi2, phi3s = factors
     c0, c1, c2 = state.excess
-    lhs = compiled.theta * (c0 + s * (c1 + s * c2))
+    with np.errstate(over="ignore"):  # theta g past float64 fires, as inf
+        lhs = compiled.theta * (c0 + s * (c1 + s * c2))
     chi[:] = ez * state.chi_anchor - dtau * (
         phi1 * c0 + s * (phi2 * c1 + phi3s * c2))
     hits = lhs > (0.0 if compiled.static_baseline else chi)

@@ -131,8 +131,9 @@ def gamma(network: MatrixWeightedGraph, n: int) -> np.ndarray:
 
 
 def validate_params(params: TriggerParams) -> list[str]:
-    """Range checks (theta, beta and chi0 positive and finite) plus the
-    stability bound theta > (1 - delta) / beta.
+    """Range checks (theta, beta and chi0 positive and finite), the
+    stability bound theta > (1 - delta) / beta, and a finite rate
+    beta + delta / theta of chi's guaranteed floor.
 
     Returns every violation found as a line ``agent {i}: {field}:
     {message}`` (empty list means valid), by agent, then in the order of
@@ -142,6 +143,7 @@ def validate_params(params: TriggerParams) -> list[str]:
                                        params.beta, params.delta, params.chi0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bound = (1.0 - delta) / beta
+        overflow = (beta < math.inf) & (beta + delta / theta == math.inf)
     finite = "{} must be positive and finite"
     # (field, its values, mask of the agents that fail, message), in the
     # order an agent's violations are reported.
@@ -153,6 +155,8 @@ def validate_params(params: TriggerParams) -> list[str]:
         ("delta", delta, ~((0.0 <= delta) & (delta <= 1.0)), "{} outside [0, 1]"),
         ("theta", theta, (theta > 0.0) & (beta > 0.0) & ~(theta > bound),
          "{} does not exceed (1 - delta) / beta = {}"),
+        ("theta", theta, (theta > 0.0) & overflow,
+         "{} makes the chi floor rate beta + delta / theta overflow"),
     )
     flagged = np.array([mask for _, _, mask, _ in checks])
     return [f"agent {k}: {checks[c][0]}: "

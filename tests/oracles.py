@@ -853,4 +853,8 @@ def validate_params(params) -> list[str]:
             if not a.theta > bound:
                 out.append(f"agent {i}: theta: {a.theta} does not exceed "
                            f"(1 - delta) / beta = {bound}")
+        if a.theta > 0.0 and a.beta < math.inf \
+                and a.beta + a.delta / a.theta == math.inf:
+            out.append(f"agent {i}: theta: {a.theta} makes the chi floor "
+                       "rate beta + delta / theta overflow")
     return out

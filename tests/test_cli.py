@@ -1011,6 +1011,44 @@ class TestExtremeInputs:
         for r in rows[3:]:
             assert float(r.rsplit(",", 1)[1]) == pytest.approx(chi, rel=1e-10)
 
+    @pytest.mark.parametrize("agents", ["uniform", "agent-2"])
+    @pytest.mark.parametrize("field,value", [
+        ("theta", 1e-310), ("beta", 1e150), ("theta", 1.7e308),
+        ("chi0", 1.7e308)])
+    def test_extreme_parameter_computes_no_inf_or_nan(
+            self, field, value, agents, tmp_path, capsys):
+        """A parameter at the edge of float range is refused in validation
+        lines, or runs without a numpy warning to a summary.json that is
+        strict JSON."""
+        doc = leaderless_doc()
+        doc["sim"]["T"] = 0.05
+        if agents == "uniform":
+            doc["params"][field] = value
+            for overrides in doc["params"].get("per_agent", {}).values():
+                overrides.pop(field, None)
+        else:
+            doc["params"].setdefault("per_agent", {}).setdefault(
+                "2", {})[field] = value
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning raises
+            checked = main(["check", str(path)])
+            if checked == EXIT_VALIDATION:
+                refused = [line for line in capsys.readouterr().out.splitlines()
+                           if line.startswith("validation: ")]
+                assert refused and all(f": {field}: " in line
+                                       for line in refused)
+                return
+            assert checked == EXIT_OK
+            code = main(["run", str(path), "--out", str(tmp_path / "runs")])
+        assert code in (EXIT_OK, EXIT_DIVERGED)
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+        (summary,) = (tmp_path / "runs").glob("*/summary.json")
+        json.loads(summary.read_text(), parse_constant=refuse)
+
     @pytest.mark.parametrize("make", EXTREME.values(), ids=EXTREME.keys())
     def test_refused_at_validation(self, make, tmp_path, capsys):
         assert_refused_alike(make(), tmp_path, capsys)

@@ -440,6 +440,41 @@ class TestColumnReader:
     def test_dumps(self, make):
         assert_reads_as_reference(make())
 
+    @pytest.mark.parametrize("make", [
+        lambda: json.loads(dump_scenario(leader_follower_scenario())),
+        lambda: _random_doc(0)], ids=["leader-follower", "random-n500-s0"])
+    def test_dumps_read_as_columns(self, make):
+        """A dump's arrays pass the column test: no entry is checked on its
+        own."""
+        doc = make()
+        with mock.patch.object(scenario_io, "_json_entry",
+                               wraps=scenario_io._json_entry) as entry:
+            parse_scenario(doc)
+        assert entry.call_count == 0
+
+    @pytest.mark.parametrize("fault", ["end-boolean", "weight-string",
+                                       "weight-asymmetric"])
+    def test_integer_weight_below_a_refusal(self, fault):
+        """An array that fails the column test is read entry by entry: an
+        integer weight, valid, below a refused entry."""
+        doc = _random_doc(0)
+        e = _edges(doc)[2]
+        two = 2 if e.pop("class") in ("pd", "psd") else -2
+        e["weight"] = [two if m % 5 == 0 else 0 for m in range(16)]
+        _edges(doc)[5] = ENTRY_FAULTS[fault](_edges(doc)[5])
+        assert_reads_as_reference(doc)
+
+    @pytest.mark.parametrize("nested,boolean", [(0, 1), (1, 0)])
+    def test_inputs_nested_weight_and_boolean_end(self, nested, boolean):
+        doc = _lf_doc()
+        inputs = doc["graph"]["inputs"]
+        _nested(inputs[nested])
+        inputs[boolean] = ENTRY_FAULTS["end-boolean"](inputs[boolean])
+        assert_reads_as_reference(doc)
+        with pytest.raises(GraphFormatError,
+                           match=re.escape(f"inputs[{boolean}].agent")):
+            parse_scenario(doc)
+
     @pytest.mark.parametrize("fault", ENTRY_FAULTS.values(),
                              ids=ENTRY_FAULTS.keys())
     def test_one_fault_among_1000(self, fault):

@@ -489,6 +489,20 @@ class TestValidateParams:
             p = TriggerParams.uniform(1, **kwargs)
             assert field in fields(validate_params(p)), field
 
+    def test_floor_rate_overflow(self):
+        """A theta so small that beta + delta / theta overflows is refused
+        in one line, as the reference refuses it; an infinite beta has its
+        own line."""
+        p = TriggerParams(sigma=[0.5] * 4, theta=[1e-310, 1e-300, 1e-310, 5e-324],
+                          beta=[1.0, 1.0, np.inf, 1.0], delta=[1.0] * 4,
+                          chi0=[0.5] * 4)
+        lines = validate_params(p)
+        assert lines == oracles.validate_params(p)
+        overflow = "makes the chi floor rate beta + delta / theta overflow"
+        assert lines == [f"agent 0: theta: 1e-310 {overflow}",
+                         "agent 2: beta: inf must be positive and finite",
+                         f"agent 3: theta: 5e-324 {overflow}"]
+
     @pytest.mark.parametrize("arrays", [
         ([0.9, 0.9], [0.5], [1.0], [1.0], [0.5]),
         ([0.9], [0.5], [1.0], [1.0], [0.5, 0.5]),
